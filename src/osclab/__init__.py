@@ -33,7 +33,6 @@ from .sweep import (
     growth_exponent,
     reparam_invariance_test,
     swept_volume,
-    sweep_eval,
     tangency_flow_check,
     vanishing_verdict,
     volume_series,

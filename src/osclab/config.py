@@ -25,10 +25,6 @@ class Tolerances:
 
     on_manifold: float = 1e-10
     contact_coeff: float = 1e-11
-    grad: float = 1e-12
-    ambiguous_foot: float = 1e-6
-    ambiguous_dist: float = 1e-9
-    immersion: float = 1e-8
     degree_guard: float = 1e-9
     vanish: float = 1e-9
     flow_residual: float = 1e-8
@@ -37,10 +33,8 @@ class Tolerances:
     vol_zero: float = 1e-13
     dist_zero: float = 1e-13
     decay_floor: float = 1e-12
-    fit_residual: float = 1e-9
     min_speed: float = 1e-6
     cubic_residual: float = 1e-9
-    reparam_gap: float = 1e-6
 
     def override(self, **kwargs) -> "Tolerances":
         return replace(self, **kwargs)

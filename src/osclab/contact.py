@@ -107,12 +107,7 @@ class ExprCurve:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        env = {**self.bindings, ex.TIME_VAR: t}
-        cols = []
-        for e in self.exprs:
-            v = np.asarray(ex.evaluate(e, env), dtype=float)
-            cols.append(np.broadcast_to(v, t.shape))
-        return np.stack(cols, axis=-1)
+        return ex.evaluate_many(self.exprs, {**self.bindings, ex.TIME_VAR: t}, t.shape)
 
     def velocity(self) -> "ExprCurve":
         return ExprCurve([ex.diff(e, ex.TIME_VAR) for e in self.exprs], self.bindings)

@@ -14,8 +14,12 @@ optional exponent.  '^' binds tighter than unary minus, which binds
 tighter than '*'/'/'; '+'/'-' bind loosest.  Exponents are nonnegative
 integer literals, so reciprocal powers are written with '/'.
 
-Trees are immutable; parse/diff/evaluate are pure functions. Evaluation
-accepts floats or numpy arrays in the environment and broadcasts.
+Trees are immutable; parse/diff/evaluate are pure functions. One tree
+walker, `evaluate_with`, evaluates every kind of value: it applies +, -
+and * itself and takes constants, quotients, powers and sin/cos/exp/sqrt
+from an `Arithmetic`. `evaluate` and `evaluate_many` run it on floats and
+numpy arrays (broadcasting), and `jets.jet_eval_expr` runs it on
+truncated Taylor series.
 """
 
 from __future__ import annotations
@@ -364,47 +368,74 @@ def diff(e: Expr, v: str) -> Expr:
 # evaluation
 
 
+class Arithmetic:
+    """The operations of float and numpy-array evaluation that the walker
+    does not apply directly; jets.JetArithmetic supplies its own."""
+
+    def const(self, value: float):
+        return value
+
+    def div(self, num, den):
+        if np.any(np.asarray(den) == 0.0):
+            raise DomainError("division by zero")
+        return num / den
+
+    def pow(self, base, exponent: int):
+        return base**exponent
+
+    sin = staticmethod(np.sin)
+    cos = staticmethod(np.cos)
+    exp = staticmethod(np.exp)
+
+    def sqrt(self, u):
+        if np.any(np.asarray(u) < 0.0):
+            raise DomainError("sqrt of a negative value")
+        return np.sqrt(u)
+
+
+FLOATS = Arithmetic()
+
+
 def evaluate(e: Expr, env):
     """Evaluate `e` in IEEE doubles. env maps variable names to floats or arrays."""
-    v = _eval(e, env)
+    v = evaluate_with(e, env, FLOATS)
     if isinstance(v, np.ndarray):
         return v
     return float(v)
 
 
-def _eval(e: Expr, env):
+def evaluate_many(exprs, env, shape) -> np.ndarray:
+    """Values of `exprs` in IEEE doubles, stacked on a last axis of an array
+    of shape (*shape, len(exprs)); constant results broadcast to `shape`."""
+    out = np.empty((*shape, len(exprs)))
+    for i, e in enumerate(exprs):
+        out[..., i] = evaluate_with(e, env, FLOATS)
+    return out
+
+
+def evaluate_with(e: Expr, env, arith: Arithmetic):
+    """Evaluate `e` over the values in env, with `arith` for everything but
+    variables, sums, differences and products."""
     if isinstance(e, Const):
-        return e.value
+        return arith.const(e.value)
     if isinstance(e, Var):
         try:
             return env[e.name]
         except KeyError:
             raise UnboundVariable(f"variable {e.name!r} is not bound") from None
     if isinstance(e, Add):
-        return _eval(e.left, env) + _eval(e.right, env)
+        return evaluate_with(e.left, env, arith) + evaluate_with(e.right, env, arith)
     if isinstance(e, Mul):
-        return _eval(e.left, env) * _eval(e.right, env)
+        return evaluate_with(e.left, env, arith) * evaluate_with(e.right, env, arith)
     if isinstance(e, Neg):
-        return -_eval(e.arg, env)
+        return -evaluate_with(e.arg, env, arith)
     if isinstance(e, Div):
-        den = _eval(e.den, env)
-        if np.any(np.asarray(den) == 0.0):
-            raise DomainError("division by zero")
-        return _eval(e.num, env) / den
+        return arith.div(evaluate_with(e.num, env, arith),
+                         evaluate_with(e.den, env, arith))
     if isinstance(e, Pow):
-        return _eval(e.base, env) ** e.exponent
-    if isinstance(e, Call):
-        u = _eval(e.arg, env)
-        if e.func == "sin":
-            return np.sin(u)
-        if e.func == "cos":
-            return np.cos(u)
-        if e.func == "exp":
-            return np.exp(u)
-        if e.func == "sqrt":
-            if np.any(np.asarray(u) < 0.0):
-                raise DomainError("sqrt of a negative value")
-            return np.sqrt(u)
+        return arith.pow(evaluate_with(e.base, env, arith), e.exponent)
+    if isinstance(e, Call) and e.func in FUNCTIONS:
+        return getattr(arith, e.func)(evaluate_with(e.arg, env, arith))
     raise TypeError(f"not an Expr node: {e!r}")
 
 

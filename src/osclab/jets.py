@@ -8,6 +8,11 @@ the j-th derivative at 0 equals j! * c_j.
 Only the single time variable is jet-valued. Partials in chart variables
 are always taken symbolically first (expr.diff) and the result is then
 jet-evaluated in t.
+
+Expressions are jet-evaluated by the one tree walker of the expr module
+(expr.evaluate_with): Jet supplies +, - and *, and JetArithmetic the
+constants, quotient, power and elementary functions with their domain
+errors.
 """
 
 from __future__ import annotations
@@ -110,16 +115,6 @@ class Jet:
         return f"Jet({self.coeffs.tolist()})"
 
 
-def jet_arith(a: Jet, b: Jet, op: str) -> Jet:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown jet operation {op!r}")
-
-
 def jet_div(a: Jet, b: Jet) -> Jet:
     if b.coeffs[0] == 0.0:
         raise JetDomainError("quotient by a jet with zero constant term")
@@ -181,11 +176,32 @@ def jet_sqrt(u: Jet) -> Jet:
     return Jet(s)
 
 
+class JetArithmetic(ex.Arithmetic):
+    """Jet operations for expr.evaluate_with, at a fixed degree bound."""
+
+    def __init__(self, degree: int):
+        self.degree = degree
+
+    def const(self, value: float) -> Jet:
+        return Jet.constant(value, self.degree)
+
+    div = staticmethod(jet_div)
+    pow = staticmethod(jet_pow)
+    exp = staticmethod(jet_exp)
+    sqrt = staticmethod(jet_sqrt)
+
+    def sin(self, u: Jet) -> Jet:
+        return jet_sin_cos(u)[0]
+
+    def cos(self, u: Jet) -> Jet:
+        return jet_sin_cos(u)[1]
+
+
 def jet_eval_expr(e: ex.Expr, env: dict[str, Jet], degree: int | None = None) -> Jet:
     """Jet of e composed with the jets in env, exact to the degree bound.
 
-    All variables of e must be bound to jets of a common degree; `degree`
-    is only needed when e contains no variables at all.
+    All jets in env must share one degree; `degree` is only needed when
+    env is empty (e contains no variables at all).
     """
     if degree is None:
         for jet in env.values():
@@ -193,38 +209,7 @@ def jet_eval_expr(e: ex.Expr, env: dict[str, Jet], degree: int | None = None) ->
             break
         if degree is None:
             raise ValueError("degree is required for a variable-free expression")
-    return _jeval(e, env, degree)
-
-
-def _jeval(e: ex.Expr, env, D: int) -> Jet:
-    if isinstance(e, ex.Const):
-        return Jet.constant(e.value, D)
-    if isinstance(e, ex.Var):
-        try:
-            jet = env[e.name]
-        except KeyError:
-            raise ex.UnboundVariable(f"variable {e.name!r} is not bound") from None
-        if jet.degree != D:
-            raise DegreeMismatch(f"environment jet for {e.name!r} has wrong degree")
-        return jet
-    if isinstance(e, ex.Add):
-        return _jeval(e.left, env, D) + _jeval(e.right, env, D)
-    if isinstance(e, ex.Mul):
-        return _jeval(e.left, env, D) * _jeval(e.right, env, D)
-    if isinstance(e, ex.Neg):
-        return -_jeval(e.arg, env, D)
-    if isinstance(e, ex.Div):
-        return jet_div(_jeval(e.num, env, D), _jeval(e.den, env, D))
-    if isinstance(e, ex.Pow):
-        return jet_pow(_jeval(e.base, env, D), e.exponent)
-    if isinstance(e, ex.Call):
-        u = _jeval(e.arg, env, D)
-        if e.func == "sin":
-            return jet_sin_cos(u)[0]
-        if e.func == "cos":
-            return jet_sin_cos(u)[1]
-        if e.func == "exp":
-            return jet_exp(u)
-        if e.func == "sqrt":
-            return jet_sqrt(u)
-    raise TypeError(f"not an Expr node: {e!r}")
+    for name, jet in env.items():
+        if jet.degree != degree:
+            raise DegreeMismatch(f"environment jet for {name!r} has wrong degree")
+    return ex.evaluate_with(e, env, JetArithmetic(degree))

@@ -129,34 +129,21 @@ class Submanifold:
     def _env(self, X: np.ndarray) -> dict:
         return {name: X[..., i] for i, name in enumerate(self.chart_vars)}
 
-    def _eval_stack(self, exprs, X: np.ndarray) -> np.ndarray:
-        env = self._env(X)
-        cols = []
-        for e in exprs:
-            v = np.asarray(ex.evaluate(e, env), dtype=float)
-            if v.shape != X.shape[:-1]:
-                v = np.broadcast_to(v, X.shape[:-1])
-            cols.append(v)
-        return np.stack(cols, axis=-1)
-
     def embed_many(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        return self._eval_stack(self.components, X)
+        return ex.evaluate_many(self.components, self._env(X), X.shape[:-1])
 
     def jacobian_many(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        cols = [self._eval_stack([row[j] for row in self.jac_exprs], X)
-                for j in range(self.m)]
-        return np.stack(cols, axis=-1)  # (..., n, m)
+        flat = [d for row in self.jac_exprs for d in row]
+        vals = ex.evaluate_many(flat, self._env(X), X.shape[:-1])
+        return vals.reshape(*X.shape[:-1], self.n, self.m)
 
     def hessian_many(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        cols = [
-            np.stack([self._eval_stack([row[i][j] for row in self.hess_exprs], X)
-                      for j in range(self.m)], axis=-1)
-            for i in range(self.m)
-        ]
-        return np.stack(cols, axis=-2)  # (..., n, m, m)
+        flat = [d for row in self.hess_exprs for col in row for d in col]
+        vals = ex.evaluate_many(flat, self._env(X), X.shape[:-1])
+        return vals.reshape(*X.shape[:-1], self.n, self.m, self.m)
 
     def embed(self, x) -> np.ndarray:
         return self.embed_many(np.asarray(x, dtype=float)[None, :])[0]

@@ -29,6 +29,7 @@ from .contact import (
     residual_jets,
 )
 from .manifold import ManifoldError, Submanifold
+from .scene import SceneError
 from .sweep import (
     SweepError,
     SweepFamily,
@@ -187,7 +188,9 @@ def fit_class_k_curve(M: Submanifold, p_chart, k: int, target_order: int,
         F = system(flat)
         f2 = float(np.dot(F, F))
         for _ in range(80):
-            if (np.max(np.abs(F[:-1])) <= tol.fit_residual
+            # absolute, so never looser than the contact check's
+            # contact_coeff * max(1, max|c|): an accepted curve meets the order
+            if (np.max(np.abs(F[:-1])) <= tol.contact_coeff
                     and abs(F[-1]) <= 1e-9):
                 c = flat.reshape(k, n)
                 if np.linalg.norm(c[0]) >= tol.min_speed:
@@ -322,7 +325,11 @@ def _order_str(order: ContactOrder | None) -> str:
 
 def verify_theorem(scene, seed: int = 0) -> VerdictReport:
     """Pipeline: osculation hypothesis, growth bound, coefficient vanishing,
-    tangency flow, finite-window containment."""
+    tangency flow, finite-window containment.
+
+    A scene without a family runs step 1 on fitted class-k curves; when
+    they osculate, SceneError is raised, since steps 2-5 need the family.
+    """
     M: Submanifold = scene.manifold
     family: SweepFamily | None = scene.family
     params: RunParams = scene.params
@@ -385,6 +392,9 @@ def verify_theorem(scene, seed: int = 0) -> VerdictReport:
             "detail": osc_records[first_bad],
         }
         return report
+    if family is None:
+        raise SceneError("/family", "steps 2-5 (growth, vanishing, flow, "
+                         "ruledness) need a sweep family")
 
     def fail(step_name: str, detail) -> VerdictReport:
         report.verdict = "HYPOTHESIS_FAILS"

@@ -5,8 +5,9 @@ flow-based containment check.
 The volume of a sweep restricted to box x (-t, t) is the tensor-product
 Gauss-Legendre integral of the norm of the wedge of the frame
 (d1 phi ... dm phi, dt phi). For polynomial families the frame is a
-polynomial in t with x-dependent vector coefficients, so chart-node data is
-evaluated once per quadrature mesh and shared across every t sample.
+polynomial in t, sum_j t^j C_j with x-dependent coefficients C_0..C_k; they
+are evaluated once per quadrature mesh and shared across every t sample,
+and frame_many and frame_jets read the frame off the same coefficients.
 
 Coefficient extraction runs through exact jet arithmetic; an independent
 Vandermonde sampling route is kept alongside as a cross-check oracle.
@@ -97,13 +98,6 @@ class Cutoff:
 # sweep family
 
 
-@dataclass
-class _FrameData:
-    dalpha: np.ndarray  # (N, n, m)
-    V: np.ndarray       # (k, N, n)   cutoff-scaled fields
-    W: np.ndarray       # (k, N, n, m) chart partials of the scaled fields
-
-
 class SweepFamily:
     """Base manifold plus either k polynomial vector fields (with optional
     cutoff) or a general map given by component expressions in chart + t."""
@@ -148,9 +142,9 @@ class SweepFamily:
                     raise ValueError(f"undeclared variables {sorted(extra)}"
                                      " in sweep map")
             self.fields = None
-            self.map_chart_jac = [[ex.diff(c, v) for v in M.chart_vars]
-                                  for c in self.map_exprs]
-            self.map_t = [ex.diff(c, ex.TIME_VAR) for c in self.map_exprs]
+            # frame entries (d1 phi_c .. dm phi_c, dt phi_c), one row per component
+            self.map_frame = [[ex.diff(c, v) for v in (*M.chart_vars, ex.TIME_VAR)]
+                              for c in self.map_exprs]
             self._check_identity_at_zero()
         self._cache: dict = {}
 
@@ -167,19 +161,10 @@ class SweepFamily:
 
     # -- point evaluation --------------------------------------------------
 
-    def _map_env(self, X: np.ndarray, T: np.ndarray) -> dict:
+    def _env(self, X: np.ndarray, T: np.ndarray) -> dict:
         env = {name: X[..., i] for i, name in enumerate(self.M.chart_vars)}
         env[ex.TIME_VAR] = T
         return env
-
-    def _eval_stack(self, exprs, env, shape) -> np.ndarray:
-        cols = []
-        for e in exprs:
-            v = np.asarray(ex.evaluate(e, env), dtype=float)
-            if v.shape != shape:
-                v = np.broadcast_to(v, shape)
-            cols.append(v)
-        return np.stack(cols, axis=-1)
 
     def point_many(self, X, T) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -188,11 +173,10 @@ class SweepFamily:
             pts = self.M.embed_many(X)
             chi = self._chi(X)[0]
             for j, f in enumerate(self.fields, start=1):
-                vj = self._eval_stack(f, self.M._env(X), X.shape[:-1])
+                vj = ex.evaluate_many(f, self.M._env(X), X.shape[:-1])
                 pts = pts + (T**j * chi)[:, None] * vj
             return pts
-        env = self._map_env(X, T)
-        return self._eval_stack(self.map_exprs, env, X.shape[:-1])
+        return ex.evaluate_many(self.map_exprs, self._env(X, T), X.shape[:-1])
 
     def point(self, x, t) -> np.ndarray:
         return self.point_many(np.asarray(x, float)[None, :], np.asarray([t], float))[0]
@@ -214,94 +198,65 @@ class SweepFamily:
         x = np.asarray(x, dtype=float)
         if self.polynomial:
             chi = self._chi(x[None, :])[0][0]
-            rows = [self.M.embed(x)]
             env = {name: x[i] for i, name in enumerate(self.M.chart_vars)}
-            for f in self.fields:
-                rows.append(chi * np.array([ex.evaluate(c, env) for c in f]))
-            return PolyCurve(np.stack(rows))
+            rows = [chi * ex.evaluate_many(f, env, ()) for f in self.fields]
+            return PolyCurve(np.stack([self.M.embed(x), *rows]))
         bindings = {name: float(x[i]) for i, name in enumerate(self.M.chart_vars)}
         return ExprCurve(self.map_exprs, bindings)
 
     # -- frame evaluation ---------------------------------------------------
 
-    def _poly_frame_data(self, X: np.ndarray) -> _FrameData:
+    def _poly_frame_data(self, X: np.ndarray) -> np.ndarray:
+        """t-coefficients C_0..C_k of the frame (d1 phi .. dm phi, dt phi),
+        so that frame(t) = sum_j t^j C_j; shape (k+1, N, n, m+1)."""
         M = self.M
-        dalpha = M.jacobian_many(X)
+        m, n = M.m, M.n
+        env, shape = M._env(X), X.shape[:-1]
         chi, dchi = self._chi(X)
-        V, W = [], []
+        C = np.zeros((self.k + 1, *shape, n, m + 1))
+        C[0, ..., :m] = M.jacobian_many(X)
         for j, f in enumerate(self.fields):
-            vj = self._eval_stack(f, M._env(X), X.shape[:-1])       # (N, n)
-            jac = np.stack(
-                [self._eval_stack([row[i] for row in self.field_jac[j]],
-                                  M._env(X), X.shape[:-1])
-                 for i in range(M.m)], axis=-1)                     # (N, n, m)
-            V.append(chi[:, None] * vj)
-            W.append(chi[:, None, None] * jac + vj[:, :, None] * dchi[:, None, :])
-        return _FrameData(dalpha=dalpha, V=np.stack(V), W=np.stack(W))
-
-    def _assemble_frame(self, data: _FrameData, t: float) -> np.ndarray:
-        cols = data.dalpha.copy()
-        tcol = np.zeros(data.V.shape[1:])
-        for j in range(1, self.k + 1):
-            cols += t**j * data.W[j - 1]
-            tcol += j * t ** (j - 1) * data.V[j - 1]
-        return np.concatenate([cols, tcol[:, :, None]], axis=2)
+            vj = ex.evaluate_many(f, env, shape)                       # (N, n)
+            flat = [d for row in self.field_jac[j] for d in row]
+            jac = ex.evaluate_many(flat, env, shape).reshape(*shape, n, m)
+            C[j + 1, ..., :m] = chi[:, None, None] * jac + vj[:, :, None] * dchi[:, None, :]
+            C[j, ..., m] = (j + 1) * (chi[:, None] * vj)
+        return C
 
     def frame_many(self, X, T) -> np.ndarray:
         """Frame (d1 phi .. dm phi, dt phi) at paired nodes; (q, n, m+1)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         T = np.asarray(T, dtype=float)
         if self.polynomial:
-            data = self._poly_frame_data(X)
-            cols = data.dalpha.copy()
-            tcol = np.zeros(data.V.shape[1:])
-            for j in range(1, self.k + 1):
-                cols += (T**j)[:, None, None] * data.W[j - 1]
-                tcol += (j * T ** (j - 1))[:, None] * data.V[j - 1]
-            return np.concatenate([cols, tcol[:, :, None]], axis=2)
-        env = self._map_env(X, T)
-        shape = X.shape[:-1]
-        cols = [self._eval_stack([row[i] for row in self.map_chart_jac], env, shape)
-                for i in range(self.M.m)]
-        cols.append(self._eval_stack(self.map_t, env, shape))
-        return np.stack(cols, axis=-1)
+            return _frame_at(self._poly_frame_data(X), T[:, None, None])
+        flat = [d for row in self.map_frame for d in row]
+        vals = ex.evaluate_many(flat, self._env(X, T), X.shape[:-1])
+        return vals.reshape(*X.shape[:-1], self.M.n, self.M.m + 1)
 
     def frame_jets(self, x, degree: int) -> list[list[Jet]]:
         """Frame columns as jets in t at a fixed chart point."""
         x = np.asarray(x, dtype=float)
         m, n = self.M.m, self.M.n
         if self.polynomial:
-            data = self._poly_frame_data(x[None, :])
-            cols = []
-            for i in range(m):
-                col = []
-                for c in range(n):
-                    coeffs = np.zeros(degree + 1)
-                    coeffs[0] = data.dalpha[0, c, i]
-                    for j in range(1, min(self.k, degree) + 1):
-                        coeffs[j] = data.W[j - 1][0, c, i]
-                    col.append(Jet(coeffs))
-                cols.append(col)
-            tcol = []
-            for c in range(n):
-                coeffs = np.zeros(degree + 1)
-                for j in range(1, self.k + 1):
-                    if j - 1 <= degree:
-                        coeffs[j - 1] = j * data.V[j - 1][0, c]
-                tcol.append(Jet(coeffs))
-            cols.append(tcol)
-            return cols
+            C = self._poly_frame_data(x[None, :])[:, 0]               # (k+1, n, m+1)
+            top = min(self.k, degree) + 1
+            coeffs = np.zeros((m + 1, n, degree + 1))
+            coeffs[..., :top] = C[:top].transpose(2, 1, 0)
+            return [[Jet(coeffs[i, c]) for c in range(n)] for i in range(m + 1)]
         env = {name: Jet.constant(x[i], degree)
                for i, name in enumerate(self.M.chart_vars)}
         env[ex.TIME_VAR] = Jet.variable(degree)
-        cols = [[jet_eval_expr(row[i], env, degree) for row in self.map_chart_jac]
-                for i in range(m)]
-        cols.append([jet_eval_expr(c, env, degree) for c in self.map_t])
-        return cols
+        return [[jet_eval_expr(row[i], env, degree) for row in self.map_frame]
+                for i in range(m + 1)]
 
 
-def sweep_eval(family: SweepFamily, x, t) -> np.ndarray:
-    return family.eval(x, t)
+def _frame_at(C: np.ndarray, T) -> np.ndarray:
+    """sum_j T^j C_j in ascending j, for t-coefficients C from _poly_frame_data;
+    T is one time, or times shaped to broadcast against C[0]."""
+    frame = C[0].copy()
+    for j in range(1, C.shape[0]):
+        frame += T**j * C[j]
+    return frame
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +306,12 @@ def _integrate(family: SweepFamily, t: float, quad: QuadConfig) -> float:
     tn, wt = _composite_gauss(-t, t, quad.t_cells, quad.order)
     total = 0.0
     if family.polynomial:
-        dkey = ("framedata", quad.order, quad.cells)
-        if dkey not in family._cache:
-            family._cache[dkey] = family._poly_frame_data(X)
-        data = family._cache[dkey]
+        ckey = ("framecoeffs", quad.order, quad.cells)
+        if ckey not in family._cache:
+            family._cache[ckey] = family._poly_frame_data(X)
+        C = family._cache[ckey]
         for s, w in zip(tn, wt):
-            total += w * float(np.dot(wx, _volume_element(
-                family._assemble_frame(data, float(s)))))
+            total += w * float(np.dot(wx, _volume_element(_frame_at(C, float(s)))))
     else:
         for s, w in zip(tn, wt):
             frame = family.frame_many(X, np.full(X.shape[0], s))
@@ -420,24 +374,19 @@ def random_reparam(M: Submanifold, t_extent: float, rng,
 
 
 def reparam_invariance_test(family: SweepFamily, psi_exprs, t_extent: float,
-                            quad: QuadConfig | None = None,
-                            tol=_TOL) -> ReparamResult:
+                            quad: QuadConfig | None = None) -> ReparamResult:
     quad = quad or QuadConfig()
     M = family.M
     psi = [ex.parse(p) if isinstance(p, str) else p for p in psi_exprs]
     if len(psi) != M.m + 1:
         raise ValueError("reparametrization needs m+1 component expressions")
-    dpsi = [[ex.diff(c, v) for v in (*M.chart_vars, ex.TIME_VAR)] for c in psi]
+    dpsi = [ex.diff(c, v) for c in psi for v in (*M.chart_vars, ex.TIME_VAR)]
 
     # nonvanishing Jacobian determinant, checked by sampling
     Xs = M.grid(5)
     for s in np.linspace(-t_extent, t_extent, 9):
-        env = {name: Xs[:, i] for i, name in enumerate(M.chart_vars)}
-        env[ex.TIME_VAR] = np.full(Xs.shape[0], s)
-        Dv = np.stack(
-            [np.stack([np.broadcast_to(np.asarray(ex.evaluate(d, env), float),
-                                       (Xs.shape[0],)) for d in row], axis=-1)
-             for row in dpsi], axis=1)
+        env = family._env(Xs, np.full(Xs.shape[0], s))
+        Dv = ex.evaluate_many(dpsi, env, Xs.shape[:-1]).reshape(-1, M.m + 1, M.m + 1)
         if np.min(np.abs(np.linalg.det(Dv))) < 1e-10:
             raise DegenerateReparam("Jacobian determinant vanishes on a sample")
 
@@ -448,15 +397,9 @@ def reparam_invariance_test(family: SweepFamily, psi_exprs, t_extent: float,
     total = 0.0
     q = X.shape[0]
     for s, w in zip(tn, wt):
-        env = {name: X[:, i] for i, name in enumerate(M.chart_vars)}
-        env[ex.TIME_VAR] = np.full(q, s)
-        vals = np.stack(
-            [np.broadcast_to(np.asarray(ex.evaluate(p, env), float), (q,))
-             for p in psi], axis=-1)
-        Dpsi = np.stack(
-            [np.stack([np.broadcast_to(np.asarray(ex.evaluate(d, env), float), (q,))
-                       for d in row], axis=-1)
-             for row in dpsi], axis=1)                       # (q, m+1, m+1)
+        env = family._env(X, np.full(q, s))
+        vals = ex.evaluate_many(psi, env, (q,))
+        Dpsi = ex.evaluate_many(dpsi, env, (q,)).reshape(q, M.m + 1, M.m + 1)
         frame = family.frame_many(vals[:, : M.m], vals[:, M.m])
         composed = frame @ Dpsi
         total += w * float(np.dot(wx, _volume_element(composed)))

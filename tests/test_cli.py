@@ -171,6 +171,15 @@ def test_usage_error_scene_without_family(capsys, tmp_path):
     code, _, err = _run(capsys, "sweep", "--scene", str(p))
     assert code == 1
     assert "family" in err
+    # verify fits curves for step 1; on the plane they osculate, and the
+    # steps after it need the family the scene lacks
+    data = json.loads(corpus.scene_path("plane").read_text())
+    del data["family"]
+    p.write_text(json.dumps(data))
+    code, out, err = _run(capsys, "verify", "--scene", str(p))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: /family: ") and "sweep family" in err
 
 
 def test_numerical_error_exit_two(capsys, tmp_path):

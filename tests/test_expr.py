@@ -70,11 +70,26 @@ def test_eval_examples():
         ex.evaluate(ex.parse("sqrt(x)"), {"x": -1.0})
     with pytest.raises(ex.UnboundVariable):
         ex.evaluate(ex.parse("x + y"), {"x": 1.0})
+    xs = {"x": np.array([1.0, 0.0])}
+    with pytest.raises(ex.DomainError):
+        ex.evaluate_many([ex.parse("x"), ex.parse("1/x")], xs, (2,))
+    with pytest.raises(ex.DomainError):
+        ex.evaluate_many([ex.parse("sqrt(x - 1)")], xs, (2,))
+    with pytest.raises(ex.UnboundVariable):
+        ex.evaluate_many([ex.parse("x + y")], xs, (2,))
 
 
 def test_eval_broadcasts_arrays():
     v = ex.evaluate(ex.parse("x^2 + 1"), {"x": np.array([1.0, 2.0, 3.0])})
     assert np.allclose(v, [2.0, 5.0, 10.0])
+    exprs = [ex.parse(s) for s in ("0", "x^2 + 1", "1")]
+    X = np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 4.0]])
+    out = ex.evaluate_many(exprs, {"x": X}, X.shape)
+    assert out.shape == (2, 3, 3)
+    assert np.array_equal(out[..., 0], np.zeros_like(X))
+    assert np.array_equal(out[..., 1], X**2 + 1)
+    assert np.array_equal(out[..., 2], np.ones_like(X))
+    assert np.array_equal(ex.evaluate_many(exprs, {"x": 2.0}, ()), [0.0, 5.0, 1.0])
 
 
 # -- random finite-difference agreement -------------------------------------

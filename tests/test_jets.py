@@ -8,7 +8,6 @@ from osclab.jets import (
     Jet,
     JetDomainError,
     default_degree,
-    jet_arith,
     jet_eval_expr,
 )
 from oracles import taylor_by_diff
@@ -26,12 +25,25 @@ def test_mul_truncates():
 
 def test_sub_cancels():
     a = Jet([1.0, 1.0, 0.5])
-    assert np.array_equal(jet_arith(a, a, "sub").coeffs, [0.0, 0.0, 0.0])
+    assert np.array_equal((a - a).coeffs, [0.0, 0.0, 0.0])
 
 
 def test_degree_mismatch():
     with pytest.raises(DegreeMismatch):
         Jet([1.0, 2.0]) + Jet([1.0, 2.0, 3.0])
+    with pytest.raises(DegreeMismatch):
+        jet_eval_expr(ex.parse("x + y"), {"x": Jet.variable(2), "y": Jet.variable(3)})
+    with pytest.raises(DegreeMismatch):
+        jet_eval_expr(ex.parse("x"), {"x": Jet.variable(3)}, degree=4)
+
+
+def test_expr_environment_errors():
+    with pytest.raises(ex.UnboundVariable):
+        jet_eval_expr(ex.parse("x + y"), {"x": Jet.variable(3)})
+    with pytest.raises(ValueError):
+        jet_eval_expr(ex.parse("2*3"), {})
+    out = jet_eval_expr(ex.parse("2*3"), {}, degree=2)
+    assert np.array_equal(out.coeffs, [6.0, 0.0, 0.0])
 
 
 def test_expr_square_of_t():

@@ -102,6 +102,20 @@ def test_fit_class_two_parabola_on_paraboloid():
     assert contact_order_jet_recharted(exact, par.manifold, 10).saturated
 
 
+def test_fit_reaches_required_order_on_ruled_scenes():
+    # the fit's acceptance must imply the contact check it feeds: every
+    # verify sample of these family-less ruled scenes reaches k(m+1)
+    for name in ("saddle", "hyperbolic_paraboloid", "paraboloid"):
+        scene = corpus.load(name)
+        M, k, p = scene.manifold, scene.family.k, scene.params
+        required = k * (M.m + 1)
+        for x in M.grid(p.samples, margin=p.margin):
+            curve = fit_class_k_curve(M, x, k, required, seed=0)
+            assert curve is not None, (name, x)
+            order = contact_order_jet_recharted(curve, M, required + 2)
+            assert order.meets(required), (name, x, str(order))
+
+
 def test_fit_requires_graph_chart():
     cyl = corpus.load("cylinder")
     with pytest.raises(NonGraphChart):

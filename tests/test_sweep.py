@@ -18,7 +18,6 @@ from osclab.sweep import (
     random_reparam,
     reparam_invariance_test,
     swept_volume,
-    sweep_eval,
     tangency_flow_check,
     vanishing_verdict,
     volume_csv,
@@ -44,15 +43,15 @@ def hp():
 
 def test_sweep_eval_examples(segment, hp):
     x = np.array([0.25])
-    assert np.allclose(sweep_eval(segment.family, x, 0.0),
+    assert np.allclose(segment.family.eval(x, 0.0),
                        segment.manifold.embed(x))
-    assert np.allclose(sweep_eval(segment.family, np.array([0.5]), 0.3),
+    assert np.allclose(segment.family.eval(np.array([0.5]), 0.3),
                        [0.5, 0.3])
     x0, y0, t = 0.3, -0.4, 0.2
-    assert np.allclose(sweep_eval(hp.family, np.array([x0, y0]), t),
+    assert np.allclose(hp.family.eval(np.array([x0, y0]), t),
                        [x0 + t, y0, x0 * y0 + t * y0], atol=1e-15)
     with pytest.raises(OutOfDomain):
-        sweep_eval(segment.family, np.array([2.0]), 0.1)
+        segment.family.eval(np.array([2.0]), 0.1)
 
 
 def test_cutoff_freezes_outside_outer_radius(segment):
