@@ -5,9 +5,12 @@ flow-based containment check.
 The volume of a sweep restricted to box x (-t, t) is the tensor-product
 Gauss-Legendre integral of the norm of the wedge of the frame
 (d1 phi ... dm phi, dt phi). For polynomial families the frame is a
-polynomial in t, sum_j t^j C_j with x-dependent coefficients C_0..C_k; they
-are evaluated once per quadrature mesh and shared across every t sample,
-and frame_many and frame_jets read the frame off the same coefficients.
+polynomial in t, sum_j t^j C_j with x-dependent coefficients C_0..C_k
+(frame_many and frame_jets read the frame off them), so every maximal minor
+is a polynomial in t of degree at most k(m+1)-1. The minors' t-coefficients
+are computed once per quadrature mesh; each t sample then evaluates one
+polynomial per minor, with no determinant. Map families evaluate the frame
+and its minors at every t sample.
 
 Coefficient extraction runs through exact jet arithmetic; an independent
 Vandermonde sampling route is kept alongside as a cross-check oracle.
@@ -23,6 +26,8 @@ whenever their volume element vanishes identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from math import comb
 
 import numpy as np
 
@@ -228,7 +233,11 @@ class SweepFamily:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         T = np.asarray(T, dtype=float)
         if self.polynomial:
-            return _frame_at(self._poly_frame_data(X), T[:, None, None])
+            C, T = self._poly_frame_data(X), T[:, None, None]
+            frame = C[0].copy()
+            for j in range(1, C.shape[0]):
+                frame += T**j * C[j]
+            return frame
         flat = [d for row in self.map_frame for d in row]
         vals = ex.evaluate_many(flat, self._env(X, T), X.shape[:-1])
         return vals.reshape(*X.shape[:-1], self.M.n, self.M.m + 1)
@@ -248,15 +257,6 @@ class SweepFamily:
         env[ex.TIME_VAR] = Jet.variable(degree)
         return [[jet_eval_expr(row[i], env, degree) for row in self.map_frame]
                 for i in range(m + 1)]
-
-
-def _frame_at(C: np.ndarray, T) -> np.ndarray:
-    """sum_j T^j C_j in ascending j, for t-coefficients C from _poly_frame_data;
-    T is one time, or times shaped to broadcast against C[0]."""
-    frame = C[0].copy()
-    for j in range(1, C.shape[0]):
-        frame += T**j * C[j]
-    return frame
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +280,30 @@ def _chart_mesh(M: Submanifold, quad: QuadConfig):
     wgrids = np.meshgrid(*[ax[1] for ax in axes], indexing="ij")
     w = np.prod(np.stack([g.ravel() for g in wgrids], axis=0), axis=0)
     return X, w
+
+
+def _minor_coeffs(C: np.ndarray) -> np.ndarray:
+    """t-coefficients of every maximal minor of the frame sum_j t^j C_j,
+    for C of shape (k+1, N, n, m+1) from _poly_frame_data; shape
+    (N, C(n, m+1), d+1) with d = k(m+1)-1, minors in combination order.
+
+    The minor is multilinear in its columns, so its t^p coefficient is the
+    sum over column degrees j_0 + .. + j_m = p of the minor whose column c
+    is taken from C_{j_c}; the t column has no t^k term and skips C_k.
+    Products of cutoff values deep in the band underflow harmlessly.
+    """
+    k = C.shape[0] - 1
+    n, cols = C.shape[-2], C.shape[-1]
+    A = np.zeros((C.shape[1], comb(n, cols), k * cols))
+    degrees = [range(k + 1)] * (cols - 1) + [range(k)]
+    block = np.empty((C.shape[1], cols, cols))
+    for r, rows in enumerate(index_combinations(n, cols)):
+        for js in product(*degrees):
+            for c, j in enumerate(js):
+                block[:, :, c] = C[j][:, list(rows), c]
+            with np.errstate(under="ignore"):
+                A[:, r, sum(js)] += np.linalg.det(block)
+    return A
 
 
 def _volume_element(frame: np.ndarray) -> np.ndarray:
@@ -306,12 +330,19 @@ def _integrate(family: SweepFamily, t: float, quad: QuadConfig) -> float:
     tn, wt = _composite_gauss(-t, t, quad.t_cells, quad.order)
     total = 0.0
     if family.polynomial:
-        ckey = ("framecoeffs", quad.order, quad.cells)
-        if ckey not in family._cache:
-            family._cache[ckey] = family._poly_frame_data(X)
-        C = family._cache[ckey]
+        akey = ("minorcoeffs", quad.order, quad.cells)
+        if akey not in family._cache:
+            family._cache[akey] = _minor_coeffs(family._poly_frame_data(X))
+        A = family._cache[akey]
+        N, L, D = A.shape
+        # one 2-D matrix-vector product per node; a stacked (N, L, D) @ (D,)
+        # matmul is about ten times slower
+        flat, exponents = A.reshape(N * L, D), np.arange(D)
         for s, w in zip(tn, wt):
-            total += w * float(np.dot(wx, _volume_element(_frame_at(C, float(s)))))
+            with np.errstate(under="ignore"):
+                minors = (flat @ float(s) ** exponents).reshape(N, L)
+                vol = np.sqrt(np.einsum("qr,qr->q", minors, minors))
+            total += w * float(np.dot(wx, vol))
     else:
         for s, w in zip(tn, wt):
             frame = family.frame_many(X, np.full(X.shape[0], s))

@@ -1,3 +1,6 @@
+import warnings
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,10 @@ from osclab.sweep import (
     SweepFamily,
     _chart_mesh,
     _composite_gauss,
+    _minor_coeffs,
+    _volume_element,
     coefficients_csv,
+    critical_degree,
     extract_t_polynomials,
     extract_t_polynomials_sampled,
     growth_exponent,
@@ -171,6 +177,93 @@ def test_quadrature_consistent_with_coefficients(segment, circle, hp):
         assert abs(total - vs.value) <= 2 * vs.error + 1e-12 * (1 + abs(vs.value))
 
 
+# -- minor t-coefficients (the swept-volume route of polynomial families) ----
+
+
+def _assert_minor_coeffs_match_jets(family, X):
+    A = _minor_coeffs(family._poly_frame_data(X))
+    n, m = family.M.n, family.M.m
+    assert A.shape == (X.shape[0], comb(n, m + 1), critical_degree(family) + 1)
+    for x, a in zip(X, A):
+        jets = extract_t_polynomials(family, x).coeffs
+        scale = max(1.0, float(np.max(np.abs(jets))))
+        assert np.max(np.abs(a - jets)) <= 1e-12 * scale
+
+
+def test_minor_coeffs_match_jet_route(scenes):
+    """At the vanishing-verdict samples of every polynomial corpus scene."""
+    for scene in scenes.values():
+        if scene.family is None or not scene.family.polynomial:
+            continue
+        _assert_minor_coeffs_match_jets(
+            scene.family, scene.manifold.grid(3, margin=0.15))
+
+
+def _frame_route_volume(family, t, quad):
+    """swept_volume's value and error, from frame_many + _volume_element
+    at every node of the same meshes."""
+
+    def integrate(q):
+        X, wx = _chart_mesh(family.M, q)
+        tn, wt = _composite_gauss(-t, t, q.t_cells, q.order)
+        total = 0.0
+        for s, w in zip(tn, wt):
+            frame = family.frame_many(X, np.full(X.shape[0], s))
+            total += w * float(np.dot(wx, _volume_element(frame)))
+        return total
+
+    value = integrate(quad)
+    return value, abs(value - integrate(quad.halved()))
+
+
+_SHAPES = {
+    # C(3, 2) = 3 minors
+    "curve_in_R3": (lambda: SweepFamily(
+        Submanifold.graph(["x"], [[0, 1]], ["x^2", "x^3"]), 1,
+        fields=[["0", "1", "x"]]), QuadConfig(), (0.1, 0.3)),
+    # C(4, 3) = 4 minors, class-2 family
+    "surface_in_R4": (lambda: SweepFamily(
+        Submanifold.graph(["x", "y"], [[-1, 1], [-1, 1]], ["x*y", "x^2 - y^2"]),
+        2, fields=[["0", "0", "1", "x"], ["y", "0", "0", "1"]]),
+        QuadConfig(cells=8), (0.1, 0.3)),
+    # transverse field under a cutoff: the d(chi) term of the frame
+    "cutoff_transverse": (lambda: SweepFamily(
+        Submanifold.graph(["x", "y"], [[-1, 1], [-1, 1]], ["0"]), 1,
+        fields=[["y", "0", "1"]], cutoff=Cutoff(0.3, 0.8, np.zeros(2))),
+        QuadConfig(cells=8), (0.1, 0.3)),
+    # ruled 3-fold w = xy + z^2 in R^4, ruled along (1, 0, 0, y)
+    "ruled_3fold_in_R4": (lambda: SweepFamily(
+        Submanifold.graph(["x", "y", "z"], [[-1, 1]] * 3, ["x*y + z^2"]), 1,
+        fields=[["1", "0", "0", "y"]]), QuadConfig(cells=4), (0.2,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHAPES))
+def test_swept_volume_matches_frame_route(name):
+    make, quad, ts = _SHAPES[name]
+    family = make()
+    _assert_minor_coeffs_match_jets(family, family.M.grid(2, margin=0.2))
+    for t in ts:
+        vs = swept_volume(family, t, quad)
+        ref, ref_err = _frame_route_volume(family, t, quad)
+        if ref <= 1e-15:
+            assert vs.value <= 1e-15 and vs.error <= 1e-15
+            continue
+        assert abs(vs.value - ref) <= 1e-12 * ref
+        assert abs(vs.error - ref_err) <= 1e-12 * ref
+
+
+def test_volume_series_emits_no_runtime_warning():
+    cases = [corpus.load("saddle"), corpus.load("paraboloid"),
+             corpus.with_cutoff(corpus.load("hyperbolic_paraboloid"), 0.4, 0.9)]
+    for scene in cases:
+        with np.errstate(all="warn"), warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            volume_series(scene.family)
+        assert not [w for w in seen if issubclass(w.category, RuntimeWarning)], \
+            scene.name
+
+
 # -- growth exponent ----------------------------------------------------------
 
 
@@ -189,6 +282,19 @@ def test_growth_sphere_tangent_slope_two():
 def test_growth_ruling_identically_zero(hp):
     fit = growth_exponent(volume_series(hp.family))
     assert fit.identically_zero
+
+
+@pytest.mark.parametrize("lam", [
+    1e-3, 1.0,
+    pytest.param(1e3, marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 4: the absolute vol_zero floor reads a rounding-level "
+        "volume of 9.9e-9 as growth with slope 1"))),
+])
+def test_growth_ruling_zero_under_rescaling(lam):
+    """z = xy rescaled by lam: z = xy/lam over [-lam, lam]^2, field (lam, 0, y)."""
+    M = Submanifold.graph(["x", "y"], [[-lam, lam], [-lam, lam]], [f"x*y/{lam!r}"])
+    family = SweepFamily(M, 1, fields=[[repr(lam), "0", "y"]])
+    assert growth_exponent(volume_series(family)).identically_zero
 
 
 def test_growth_needs_five_samples(segment):
