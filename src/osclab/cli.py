@@ -20,17 +20,16 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import expr as ex
-from .config import Tolerances, geometric_grid
+from .config import Tolerances
 from .contact import ContactError, contact_order_jet_recharted, contact_order_metric
 from .jets import JetError
 from .manifold import ManifoldError
-from .osculate import ruledness_check, verify_theorem
+from .osculate import growth_record, ruledness_record, verify_theorem
 from .scene import Scene, SceneError, load_scene, make_params
 from .sweep import (
     SweepError,
     coefficients_csv,
-    extract_t_polynomials,
-    growth_exponent,
+    vanishing_verdict,
     volume_csv,
     volume_series,
 )
@@ -118,36 +117,29 @@ def _tolerances(args) -> Tolerances:
         v = getattr(args, f"tol_{name}")
         if v is not None:
             overrides[name] = v
-    return Tolerances().override(**overrides)
+    return Tolerances(**overrides)
 
 
-def _t_grid(args, params):
-    if args.t_grid is None:
-        return params.t_grid()
-    spec_text = args.t_grid
-    if not spec_text.startswith("geometric:"):
-        raise UsageError("--t-grid must look like geometric:<t0>,<n>")
-    try:
-        t0, count = spec_text[len("geometric:"):].split(",")
-        return geometric_grid(float(t0), int(count))
-    except ValueError as err:
-        raise UsageError(f"bad --t-grid value: {err}") from None
+def _with_flags(scene: Scene, args) -> Scene:
+    """Rebuild the scene's params from its file's params with the flags folded in."""
+    raw = dict(scene.raw.get("params") or {})
+    for key in ("quad_order", "quad_cells", "span", "samples"):
+        if getattr(args, key) is not None:
+            raw[key] = getattr(args, key)
+    if args.t_grid is not None:
+        if not args.t_grid.startswith("geometric:"):
+            raise UsageError("--t-grid must look like geometric:<t0>,<n>")
+        try:
+            t0, count = args.t_grid[len("geometric:"):].split(",")
+            raw["t0"], raw["t_steps"] = float(t0), int(count)
+        except ValueError as err:
+            raise UsageError(f"bad --t-grid value: {err}") from None
+    scene.params = make_params(raw, scene.params.tol)
+    return scene
 
 
 def _load(args) -> Scene:
-    tol = _tolerances(args)
-    scene = load_scene(args.scene, tol=tol)
-    raw = dict(scene.raw.get("params") or {})
-    if args.quad_order is not None:
-        raw["quad_order"] = args.quad_order
-    if args.quad_cells is not None:
-        raw["quad_cells"] = args.quad_cells
-    if args.span is not None:
-        raw["span"] = args.span
-    if args.samples is not None:
-        raw["samples"] = args.samples
-    scene.params = make_params(raw, tol)
-    return scene
+    return _with_flags(load_scene(args.scene, tol=_tolerances(args)), args)
 
 
 def _parse_point(args, m: int) -> np.ndarray:
@@ -176,8 +168,7 @@ def _cmd_contact(args) -> int:
     max_order = args.max_order or (scene.k * (M.m + 1) + 2)
     curve = family.curve_at(x)
     jet = contact_order_jet_recharted(curve, M, max_order, scene.params.tol)
-    metric = contact_order_metric(curve, M, _t_grid(args, scene.params),
-                                  scene.params.tol)
+    metric = contact_order_metric(curve, M, scene.params.t_grid(), scene.params.tol)
     record = {
         "point": x.tolist(),
         "jet_order": str(jet),
@@ -192,62 +183,32 @@ def _cmd_contact(args) -> int:
 def _cmd_sweep(args) -> int:
     scene = _load(args)
     family = _need_family(scene)
-    series = volume_series(family, _t_grid(args, scene.params), scene.params.quad)
+    series = volume_series(family, scene.params.t_grid(), scene.params.quad)
     _emit(volume_csv(series), args.out)
     return 0
 
 
 def _cmd_exponent(args) -> int:
     scene = _load(args)
-    family = _need_family(scene)
-    series = volume_series(family, _t_grid(args, scene.params), scene.params.quad)
-    fit = growth_exponent(series, scene.params.tol)
-    record = {
-        "t": [s.t for s in series],
-        "vol": [s.value for s in series],
-        "err": [s.error for s in series],
-        "identically_zero": fit.identically_zero,
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "residual": fit.residual,
-        "config": scene.config_dict(),
-    }
+    record = growth_record(_need_family(scene), scene.params)
+    record["config"] = scene.config_dict()
     _emit(_json_text(record), args.report)
     return 0
 
 
 def _cmd_coeffs(args) -> int:
     scene = _load(args)
-    family = _need_family(scene)
-    X = scene.manifold.grid(scene.params.samples, margin=scene.params.margin)
-    tables = [extract_t_polynomials(family, x, tol=scene.params.tol) for x in X]
-    _emit(coefficients_csv(tables, scene.manifold.m), args.out)
+    p = scene.params
+    vv = vanishing_verdict(_need_family(scene), p.samples, p.margin, p.tol)
+    _emit(coefficients_csv(vv.tables, scene.manifold.m), args.out)
     return 0
 
 
 def _cmd_ruled(args) -> int:
     scene = _load(args)
-    family = _need_family(scene)
-    rho = scene.params.tube_rho_max
-    tube = scene.manifold.tube_radius(rho_max=rho) if rho is not None else None
-    rv = ruledness_check(scene.manifold, family.curve_at, scene.params.span,
-                         samples_per_axis=scene.params.samples,
-                         margin=scene.params.margin, tube=tube,
-                         tol=scene.params.tol)
-    record = {
-        "verdict": rv.verdict,
-        "max_distance": rv.max_distance,
-        "tolerance": rv.tolerance,
-        "counted": rv.counted,
-        "skipped": rv.skipped,
-        "witness": None if rv.witness is None else {
-            "x": rv.witness.chart.tolist(),
-            "s": rv.witness.s,
-            "distance": rv.witness.distance,
-        },
-        "per_sample": rv.per_sample,
-        "config": scene.config_dict(),
-    }
+    record, rv = ruledness_record(scene.manifold, _need_family(scene), scene.params)
+    record["per_sample"] = rv.per_sample
+    record["config"] = scene.config_dict()
     _emit(_json_text(record), args.report)
     return 0
 
@@ -264,7 +225,7 @@ def _cmd_corpus(args) -> int:
     tol = _tolerances(args)
     rows = []
     for name in corpus_mod.names():
-        scene = corpus_mod.load(name, tol=tol)
+        scene = _with_flags(corpus_mod.load(name, tol=tol), args)
         report = verify_theorem(scene, seed=_seed(args))
         step = "-" if report.first_failure is None else report.first_failure["step"]
         rows.append({"scene": name, "verdict": report.verdict, "first_failure": step})

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,12 +36,6 @@ class Tolerances:
     min_speed: float = 1e-6
     cubic_residual: float = 1e-9
 
-    def override(self, **kwargs) -> "Tolerances":
-        return replace(self, **kwargs)
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 def geometric_grid(t0: float = 0.2, steps: int = 8) -> np.ndarray:
     """t_i = t0 * 2^-i, i = 0..steps-1 (descending); spans two decades at defaults."""
@@ -58,7 +52,6 @@ class RunParams:
     span: float = 1.0
     samples: int = 3
     tspan: float = 0.2
-    eps_max: float = 0.5
     margin: float = 0.15
     tube_rho_max: float | None = None
     tol: Tolerances = field(default_factory=Tolerances)

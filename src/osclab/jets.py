@@ -37,7 +37,7 @@ class JetDomainError(JetError):
 
 
 def default_degree(k: int, m: int) -> int:
-    # two guard coefficients above the critical polynomial degree k*(m+1)-1
+    # three guard coefficients above the critical polynomial degree k*(m+1)-1
     return k * (m + 1) + 2
 
 

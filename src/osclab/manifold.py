@@ -25,6 +25,19 @@ import numpy as np
 from . import expr as ex
 from .exterior import frame_norm
 
+#: a parametric chart whose tangent blade norm falls to this is not an immersion
+IMMERSION_FLOOR = 1e-8
+#: projection: converged at this projected-gradient norm (relative to 1 + |p|),
+#: after at most PROJECT_MAX_ITER Newton steps per seed
+PROJECT_GRAD_TOL = 1e-12
+PROJECT_MAX_ITER = 50
+#: seeds within this relative distance of the best one are its ties, and ties
+#: whose feet lie further apart than this make the projection ambiguous
+PROJECT_DIST_TOL = 1e-9
+PROJECT_FOOT_TOL = 1e-6
+#: random normal probes per dyadic step of the tube-radius search
+TUBE_PROBES = 200
+
 
 class ManifoldError(Exception):
     pass
@@ -114,11 +127,11 @@ class Submanifold:
         return cls("graph", chart_vars, box, comps, n)
 
     @classmethod
-    def parametric(cls, chart_vars, box, maps, ambient_dim, immersion_floor=1e-8):
+    def parametric(cls, chart_vars, box, maps, ambient_dim):
         maps = _as_exprs(maps)
         M = cls("parametric", chart_vars, box, maps, ambient_dim)
         worst = M._min_frame_norm()
-        if worst <= immersion_floor:
+        if worst <= IMMERSION_FLOOR:
             raise ImmersionError(
                 f"chart fails the immersion check: min frame norm {worst:.3e}"
             )
@@ -191,15 +204,7 @@ class Submanifold:
             axes.append(a + h * (np.arange(per_axis) + 0.5))
         return np.array(list(product(*axes)), dtype=float)
 
-    def project_batch(
-        self,
-        P,
-        *,
-        grad_tol: float = 1e-12,
-        max_iter: int = 50,
-        foot_tol: float = 1e-6,
-        dist_tol: float = 1e-9,
-    ) -> BatchProjection:
+    def project_batch(self, P) -> BatchProjection:
         P = np.atleast_2d(np.asarray(P, dtype=float))
         q = P.shape[0]
         seeds = self._seed_grid()
@@ -249,9 +254,9 @@ class Submanifold:
         conv = np.zeros(q * S, dtype=bool)
         active = np.arange(q * S)
         _, _, _, G0 = stationarity(Xf, Pf)
-        conv = kkt(Xf, G0) <= grad_tol * scale_f
+        conv = kkt(Xf, G0) <= PROJECT_GRAD_TOL * scale_f
         active = active[~conv]
-        for _ in range(max_iter):
+        for _ in range(PROJECT_MAX_ITER):
             if active.size == 0:
                 break
             Xa, Pa = Xf[active], Pf[active]
@@ -283,7 +288,7 @@ class Submanifold:
                     break
                 step = np.where(got, step, 0.5 * step)
             Xf[active] = Xbest
-            conv_a = kkt(Xbest, Gbest) <= grad_tol * scale_f[active]
+            conv_a = kkt(Xbest, Gbest) <= PROJECT_GRAD_TOL * scale_f[active]
             conv[active[conv_a]] = True
             active = active[got & ~conv_a]
 
@@ -298,14 +303,14 @@ class Submanifold:
         d_conv = np.where(conv, d, np.inf)
         any_conv = np.any(conv, axis=1)
         d_best = np.where(any_conv, np.min(d_conv, axis=1), np.min(d, axis=1))
-        cluster = conv & (d <= (d_best + dist_tol * (1.0 + d_best))[:, None])
-        cluster |= ~any_conv[:, None] & (d <= (d_best + dist_tol * (1.0 + d_best))[:, None])
+        tie = d <= (d_best + PROJECT_DIST_TOL * (1.0 + d_best))[:, None]
+        cluster = (conv | ~any_conv[:, None]) & tie
         masked_hi = np.where(cluster[..., None], A, -np.inf)
         masked_lo = np.where(cluster[..., None], A, np.inf)
         spread = np.linalg.norm(
             np.max(masked_hi, axis=1) - np.min(masked_lo, axis=1), axis=-1
         )
-        ambiguous = any_conv & (spread > foot_tol)
+        ambiguous = any_conv & (spread > PROJECT_FOOT_TOL)
 
         pick = np.argmin(np.where(cluster, d, np.inf), axis=1)
         rows = np.arange(q)
@@ -345,22 +350,21 @@ class Submanifold:
 
     # -- tube radius ------------------------------------------------------
 
-    def tube_radius(self, *, probes: int = 200, rho_max: float | None = None,
-                    seed: int = 0) -> float:
+    def tube_radius(self, *, rho_max: float | None = None, seed: int = 0) -> float:
         """Largest dyadic rho such that random probes at distance rho all
         project back to their source point unambiguously."""
         if rho_max is None:
             rho_max = 0.5 * float(np.min(self.box[:, 1] - self.box[:, 0]))
-        key = (probes, rho_max, seed)
+        key = (rho_max, seed)
         if key in self._tube_cache:
             return self._tube_cache[key]
         rng = np.random.default_rng(seed)
-        X = rng.uniform(self.box[:, 0], self.box[:, 1], size=(probes, self.m))
+        X = rng.uniform(self.box[:, 0], self.box[:, 1], size=(TUBE_PROBES, self.m))
         A = self.embed_many(X)
         J = self.jacobian_many(X)
         Q, _ = np.linalg.qr(J, mode="complete")
         basis = Q[:, :, self.m:]                      # (probes, n, n-m)
-        coeff = rng.normal(size=(probes, self.n - self.m))
+        coeff = rng.normal(size=(TUBE_PROBES, self.n - self.m))
         coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)
         nu = np.einsum("pnk,pk->pn", basis, coeff)
         scale = 1.0 + np.linalg.norm(A, axis=1)

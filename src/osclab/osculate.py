@@ -15,7 +15,7 @@ inside the certified tube radius, and the reports say so explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -284,6 +284,52 @@ def ruledness_check(M: Submanifold, curve_provider, span: float,
 
 
 # ---------------------------------------------------------------------------
+# step records: the growth and ruledness entries of the report, which
+# `osclab exponent` and `osclab ruled` print as well
+
+
+def growth_record(family: SweepFamily, params: RunParams) -> dict:
+    """Volume series over the run's t-grid and its log-log growth fit."""
+    ts = params.t_grid()
+    if len(ts) < 5:
+        raise SceneError("/params/t_steps",
+                         f"the growth fit needs at least 5 t values, got {len(ts)}")
+    series = volume_series(family, ts, params.quad)
+    fit = growth_exponent(series, params.tol)
+    return {
+        "t": [s.t for s in series],
+        "vol": [s.value for s in series],
+        "err": [s.error for s in series],
+        "identically_zero": fit.identically_zero,
+        "slope": fit.slope,
+        "intercept": fit.intercept,
+        "residual": fit.residual,
+    }
+
+
+def ruledness_record(M: Submanifold, family: SweepFamily,
+                     params: RunParams) -> tuple[dict, RuledVerdict]:
+    """Finite-window containment inside the certified tube radius."""
+    tube = M.tube_radius(rho_max=params.tube_rho_max)
+    rv = ruledness_check(M, family.curve_at, params.span,
+                         samples_per_axis=params.samples,
+                         margin=params.margin, tube=tube, tol=params.tol)
+    record = {
+        "verdict": rv.verdict,
+        "max_distance": rv.max_distance,
+        "tolerance": rv.tolerance,
+        "counted": rv.counted,
+        "skipped": rv.skipped,
+        "witness": None if rv.witness is None else {
+            "x": rv.witness.chart.tolist(),
+            "s": rv.witness.s,
+            "distance": rv.witness.distance,
+        },
+    }
+    return record, rv
+
+
+# ---------------------------------------------------------------------------
 # full pipeline
 
 
@@ -303,20 +349,7 @@ class VerdictReport:
     config: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "scene": self.scene,
-            "k": self.k,
-            "m": self.m,
-            "n": self.n,
-            "required_order": self.required_order,
-            "seed": self.seed,
-            "samples": self.samples,
-            "steps": self.steps,
-            "verdict": self.verdict,
-            "first_failure": self.first_failure,
-            "note": self.note,
-            "config": self.config,
-        }
+        return asdict(self)
 
 
 def _order_str(order: ContactOrder | None) -> str:
@@ -396,99 +429,61 @@ def verify_theorem(scene, seed: int = 0) -> VerdictReport:
         raise SceneError("/family", "steps 2-5 (growth, vanishing, flow, "
                          "ruledness) need a sweep family")
 
-    def fail(step_name: str, detail) -> VerdictReport:
-        report.verdict = "HYPOTHESIS_FAILS"
-        report.first_failure = {"step": step_name, "detail": detail}
-        return report
+    # steps 2-5 each give (record, failure detail); the record says "passed"
+    vv = None
 
-    # step 2: growth exponent consistent with o(t^required)
-    try:
-        series = volume_series(family, params.t_grid(), params.quad)
-        fit = growth_exponent(series, tol)
-        growth_ok = fit.identically_zero or fit.slope > required + 0.5
-        report.steps["growth"] = {
-            "t": [s.t for s in series],
-            "vol": [s.value for s in series],
-            "err": [s.error for s in series],
-            "identically_zero": fit.identically_zero,
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "residual": fit.residual,
-            "passed": growth_ok,
-        }
-    except (SweepError, ManifoldError) as err:
-        report.steps["growth"] = {"passed": False, "error": str(err)}
-        return fail("growth", str(err))
-    if not growth_ok:
-        return fail("growth", f"slope {fit.slope} not above {required + 0.5}")
+    def growth():
+        # growth exponent consistent with o(t^required)
+        record = growth_record(family, params)
+        record["passed"] = (record["identically_zero"]
+                            or record["slope"] > required + 0.5)
+        return record, f"slope {record['slope']} not above {required + 0.5}"
 
-    # step 3: coefficient vanishing
-    try:
+    def vanishing():
+        nonlocal vv
         vv = vanishing_verdict(family, params.samples, params.margin, tol)
-        report.steps["vanishing"] = {
-            "verdict": vv.label,
-            "scale": vv.scale,
-            "max_coeff": vv.max_coeff,
-            "min_index": vv.min_index,
-            "witness": None if vv.witness is None else {
-                "x": vv.witness.x.tolist(),
-                "component": vv.witness.component,
-                "index": vv.witness.index,
-                "value": vv.witness.value,
-            },
-            "passed": vv.vanishes,
+        witness = None if vv.witness is None else {
+            "x": vv.witness.x.tolist(),
+            "component": vv.witness.component,
+            "index": vv.witness.index,
+            "value": vv.witness.value,
         }
-    except (SweepError, ManifoldError) as err:
-        report.steps["vanishing"] = {"passed": False, "error": str(err)}
-        return fail("vanishing", str(err))
-    if not vv.vanishes:
-        return fail("vanishing", report.steps["vanishing"]["witness"])
+        return {"verdict": vv.label, "scale": vv.scale, "max_coeff": vv.max_coeff,
+                "min_index": vv.min_index, "witness": witness,
+                "passed": vv.vanishes}, witness
 
-    # step 4: tangency flow at three interior samples
-    flow_records = []
-    flow_ok = True
-    flow_idx = [0, X.shape[0] // 2, X.shape[0] - 1]
-    for i in sorted(set(flow_idx)):
+    def flow():
+        # tangency flow at three interior samples
+        records = []
+        for i in sorted({0, X.shape[0] // 2, X.shape[0] - 1}):
+            try:
+                fr = tangency_flow_check(family, X[i], params.tspan,
+                                         verdict=vv, tol=tol)
+                records.append({"x": X[i].tolist(), "max_drift": fr.max_drift,
+                                "max_residual": fr.max_residual,
+                                "passed": fr.passed})
+            except (SweepError, ManifoldError) as err:
+                records.append({"x": X[i].tolist(), "passed": False,
+                                "error": str(err)})
+        return {"records": records,
+                "passed": all(r["passed"] for r in records)}, records
+
+    def ruledness():
+        record, rv = ruledness_record(M, family, params)
+        record["passed"] = rv.verdict == "CONTAINED"
+        return record, record
+
+    for name, step in (("growth", growth), ("vanishing", vanishing),
+                       ("flow", flow), ("ruledness", ruledness)):
         try:
-            fr = tangency_flow_check(family, X[i], params.tspan,
-                                     verdict=vv, tol=tol)
-            flow_records.append({"x": X[i].tolist(), "max_drift": fr.max_drift,
-                                 "max_residual": fr.max_residual,
-                                 "passed": fr.passed})
-            flow_ok = flow_ok and fr.passed
+            record, detail = step()
         except (SweepError, ManifoldError) as err:
-            flow_records.append({"x": X[i].tolist(), "passed": False,
-                                 "error": str(err)})
-            flow_ok = False
-    report.steps["flow"] = {"records": flow_records, "passed": flow_ok}
-    if not flow_ok:
-        return fail("flow", flow_records)
-
-    # step 5: finite-window containment
-    try:
-        tube = (M.tube_radius(rho_max=params.tube_rho_max)
-                if params.tube_rho_max is not None else None)
-        rv = ruledness_check(M, family.curve_at, params.span,
-                             samples_per_axis=params.samples,
-                             margin=params.margin, tube=tube, tol=tol)
-        report.steps["ruledness"] = {
-            "verdict": rv.verdict,
-            "max_distance": rv.max_distance,
-            "tolerance": rv.tolerance,
-            "counted": rv.counted,
-            "skipped": rv.skipped,
-            "witness": None if rv.witness is None else {
-                "x": rv.witness.chart.tolist(),
-                "s": rv.witness.s,
-                "distance": rv.witness.distance,
-            },
-            "passed": rv.verdict == "CONTAINED",
-        }
-    except (SweepError, ManifoldError) as err:
-        report.steps["ruledness"] = {"passed": False, "error": str(err)}
-        return fail("ruledness", str(err))
-    if rv.verdict != "CONTAINED":
-        return fail("ruledness", report.steps["ruledness"])
+            record, detail = {"passed": False, "error": str(err)}, str(err)
+        report.steps[name] = record
+        if not record["passed"]:
+            report.verdict = "HYPOTHESIS_FAILS"
+            report.first_failure = {"step": name, "detail": detail}
+            return report
 
     report.verdict = "THEOREM_CONFIRMED"
     return report

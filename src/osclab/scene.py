@@ -20,7 +20,7 @@ families of embeddings that are not polynomial in t (rigid rotations).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -45,7 +45,6 @@ _PARAM_KEYS = {
     "span": float,
     "samples": int,
     "tspan": float,
-    "eps_max": float,
     "margin": float,
     "tube_rho_max": float,
     "k": int,
@@ -62,20 +61,9 @@ class Scene:
     raw: dict
 
     def config_dict(self) -> dict:
-        p = self.params
-        return {
-            "t0": p.t0,
-            "t_steps": p.t_steps,
-            "quad": {"order": p.quad.order, "cells": p.quad.cells,
-                     "t_cells": p.quad.t_cells},
-            "span": p.span,
-            "samples": p.samples,
-            "tspan": p.tspan,
-            "eps_max": p.eps_max,
-            "margin": p.margin,
-            "tube_rho_max": p.tube_rho_max,
-            "tolerances": p.tol.as_dict(),
-        }
+        config = asdict(self.params)
+        config["tolerances"] = config.pop("tol")
+        return config
 
 
 def _require(data: dict, key: str, pointer: str):
@@ -179,26 +167,22 @@ def _build_family(data, M: Submanifold, cutoff_data) -> SweepFamily:
 
 
 def make_params(raw: dict | None, tol: Tolerances | None = None) -> RunParams:
-    raw = dict(raw or {})
-    tol = tol or Tolerances()
-    for key, value in raw.items():
+    given = {}
+    for key, value in (raw or {}).items():
         if key not in _PARAM_KEYS:
             raise SceneError(f"/params/{key}", "unknown parameter")
         if not isinstance(value, (int, float)):
             raise SceneError(f"/params/{key}", "expected a number")
-    quad = QuadConfig(
-        order=int(raw.get("quad_order", QuadConfig.order)),
-        cells=int(raw.get("quad_cells", QuadConfig.cells)),
-        t_cells=int(raw.get("quad_t_cells", QuadConfig.t_cells)),
-    )
-    base = RunParams(quad=quad, tol=tol)
-    updates = {}
-    for key in ("t0", "span", "samples", "tspan", "eps_max", "margin",
-                "tube_rho_max", "t_steps"):
-        if key in raw:
-            caster = _PARAM_KEYS[key]
-            updates[key] = caster(raw[key])
-    return replace(base, **updates) if updates else base
+        given[key] = _PARAM_KEYS[key](value)
+    if not given.get("t0", 1.0) > 0:
+        raise SceneError("/params/t0", "t0 must be positive")
+    for key in ("t_steps", "quad_order", "quad_cells", "quad_t_cells", "samples"):
+        if given.get(key, 1) < 1:
+            raise SceneError(f"/params/{key}", f"{key} must be at least 1")
+    quad = QuadConfig(**{f.name: given[f"quad_{f.name}"] for f in fields(QuadConfig)
+                         if f"quad_{f.name}" in given})
+    run = {f.name: given[f.name] for f in fields(RunParams) if f.name in given}
+    return RunParams(quad=quad, tol=tol or Tolerances(), **run)
 
 
 def build_scene(data: dict, name: str = "scene",

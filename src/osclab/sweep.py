@@ -35,7 +35,7 @@ from . import expr as ex
 from .config import QuadConfig, Tolerances, geometric_grid
 from .contact import ExprCurve, PolyCurve
 from .exterior import frame_norm, index_combinations, wedge_ring
-from .jets import Jet, jet_eval_expr
+from .jets import Jet, default_degree, jet_eval_expr
 from .manifold import OutOfDomain, Submanifold
 
 _TOL = Tolerances()
@@ -464,7 +464,7 @@ def extract_t_polynomials(family: SweepFamily, x, degree: int | None = None,
     violation raises CoefficientDegreeError.
     """
     d = critical_degree(family)
-    D = degree if degree is not None else family.k * (family.M.m + 1) + 2
+    D = degree if degree is not None else default_degree(family.k, family.M.m)
     if D < d:
         raise ValueError("jet degree bound must reach the critical degree")
     cols = family.frame_jets(x, D)

@@ -76,6 +76,12 @@ def test_sweep_csv_has_eight_rows(capsys, hp_path):
     lines = out.strip().split("\n")
     assert lines[0] == "t,vol,err"
     assert len(lines) == 9  # header + default geometric grid of 8
+    # a series too short for the growth fit still prints
+    code, out, _ = _run(capsys, "sweep", "--scene",
+                        str(corpus.scene_path("segment")),
+                        "--t-grid", "geometric:0.1,4")
+    assert code == 0
+    assert len(out.strip().split("\n")) == 5
 
 
 def test_contact_prints_jet_order(capsys):
@@ -246,6 +252,10 @@ def test_params_unknown_key_rejected():
     with pytest.raises(SceneError) as err:
         build_scene(data)
     assert err.value.pointer == "/params/quad_odror"
+    data["params"] = {"eps_max": 0.5}  # a removed setting that nothing read
+    with pytest.raises(SceneError) as err:
+        build_scene(data)
+    assert str(err.value) == "/params/eps_max: unknown parameter"
 
 
 def test_cutoff_loads_from_scene_file(tmp_path):
@@ -268,3 +278,73 @@ def test_tolerance_override_can_fail_a_pipeline_step(capsys, tmp_path, hp_path):
     assert report["verdict"] == "HYPOTHESIS_FAILS"
     assert report["first_failure"]["step"] == "ruledness"
     assert report["steps"]["ruledness"]["verdict"] == "NOT_CONTAINED"
+
+
+@pytest.mark.parametrize("command, flags, pointer", [
+    ("verify", "--samples 0", "/params/samples"),
+    ("ruled", "--samples 0", "/params/samples"),
+    ("sweep", "--quad-cells 0", "/params/quad_cells"),
+    ("sweep", "--quad-order 0", "/params/quad_order"),
+    ("sweep", "--t-grid geometric:0,5", "/params/t0"),
+    ("sweep", "--t-grid geometric:-0.1,5", "/params/t0"),
+    ("exponent", "--t-grid geometric:0.1,4", "/params/t_steps"),
+    ("verify", "--t-grid geometric:0.1,4", "/params/t_steps"),
+])
+def test_out_of_range_settings_exit_one(capsys, hp_path, command, flags, pointer):
+    code, out, err = _run(capsys, command, "--scene", hp_path, *flags.split())
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {pointer}: ")
+    assert "Traceback" not in err
+
+
+def test_flags_reach_verify_and_corpus(capsys, monkeypatch):
+    seen = []
+    real = cli.verify_theorem
+
+    def spy(scene, seed=0):
+        seen.append(scene.params)
+        return real(scene, seed=seed)
+
+    monkeypatch.setattr(cli, "verify_theorem", spy)
+    monkeypatch.setattr(corpus, "names", lambda: ("sphere",))
+    flags = ["--quad-order", "4", "--samples", "2", "--t-grid", "geometric:0.1,6"]
+    assert cli.run(["verify", "--scene", str(corpus.scene_path("sphere")), *flags]) == 0
+    assert cli.run(["corpus", *flags]) == 0
+    capsys.readouterr()
+    assert [(p.quad.order, p.samples, p.t0, p.t_steps) for p in seen] == [
+        (4, 2, 0.1, 6), (4, 2, 0.1, 6)]
+
+
+def test_t_grid_echoed_by_exponent(capsys):
+    code, out, _ = _run(capsys, "exponent", "--scene",
+                        str(corpus.scene_path("segment")),
+                        "--t-grid", "geometric:0.1,5")
+    assert code == 0
+    record = json.loads(out)
+    assert record["config"]["t0"] == 0.1 and record["config"]["t_steps"] == 5
+    assert record["t"] == [0.1 * 0.5**i for i in range(5)]
+
+
+def test_cli_records_match_verify_steps(capsys, hp_path):
+    def steps(scene_path):
+        code, out, _ = _run(capsys, "verify", "--scene", scene_path)
+        assert code == 0
+        return json.loads(out)["steps"]
+
+    rotation = str(corpus.scene_path("circle_rotation"))
+    code, out, _ = _run(capsys, "exponent", "--scene", rotation)
+    assert code == 0
+    record = json.loads(out)
+    del record["config"]
+    growth = steps(rotation)["growth"]
+    del growth["passed"]
+    assert record == growth
+
+    code, out, _ = _run(capsys, "ruled", "--scene", hp_path)
+    assert code == 0
+    record = json.loads(out)
+    del record["config"], record["per_sample"]
+    ruledness = steps(hp_path)["ruledness"]
+    del ruledness["passed"]
+    assert record == ruledness
