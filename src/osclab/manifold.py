@@ -5,7 +5,11 @@ x -> (x, h(x)) or as a parametric chart x -> alpha(x) over a box domain.
 Projection onto the manifold runs a multistart, box-projected Gauss-Newton
 on the squared-distance stationarity system: a coarse grid of 9^m cell
 centers seeds the iteration, steps are damped by halving, and convergence
-is declared at 1e-12 projected-gradient norm. Disagreeing global minima
+is declared at 1e-12 projected-gradient norm. Each row takes the first
+step size, of up to 14 halvings, that lowers its stationarity residual;
+a halving re-evaluates only the rows that have not yet improved, so one
+row that keeps searching does not cost the whole batch an evaluation
+per halving. Disagreeing global minima
 (same distance, different feet) are reported as AmbiguousProjection: the
 query point has left the tubular neighbourhood where the nearest point is
 unique.
@@ -164,13 +168,14 @@ class Submanifold:
     def jacobian(self, x) -> np.ndarray:
         return self.jacobian_many(np.asarray(x, dtype=float)[None, :])[0]
 
-    def in_box(self, x, tol=1e-12) -> bool:
-        x = np.asarray(x, dtype=float)
+    def in_box_many(self, X, tol=1e-12) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
         side = self.box[:, 1] - self.box[:, 0]
-        return bool(
-            np.all(x >= self.box[:, 0] - tol * side)
-            and np.all(x <= self.box[:, 1] + tol * side)
-        )
+        return np.all((X >= self.box[:, 0] - tol * side)
+                      & (X <= self.box[:, 1] + tol * side), axis=-1)
+
+    def in_box(self, x, tol=1e-12) -> bool:
+        return bool(self.in_box_many(x, tol))
 
     def chart_eval(self, x) -> np.ndarray:
         if not self.in_box(x):
@@ -270,23 +275,25 @@ class Submanifold:
             dn = np.linalg.norm(delta, axis=-1, keepdims=True)
             delta *= np.minimum(1.0, cap / np.maximum(dn, 1e-30))
 
+            # backtracking: each halving evaluates only the rows still searching
             phi = np.einsum("rm,rm->r", G, G)
-            step = np.ones(active.size)
             got = np.zeros(active.size, dtype=bool)
             Xbest = Xa.copy()
             Gbest = G.copy()
+            searching = np.arange(active.size)
+            step = 1.0
             for _ in range(14):
-                Xn = np.clip(Xa + step[:, None] * delta, lo, hi)
-                _, _, _, Gn = stationarity(Xn, Pa)
-                phin = np.einsum("rm,rm->r", Gn, Gn)
-                improved = phin < phi
-                newly = improved & ~got
-                Xbest[newly] = Xn[newly]
-                Gbest[newly] = Gn[newly]
-                got |= improved
-                if np.all(got):
+                Xn = np.clip(Xa[searching] + step * delta[searching], lo, hi)
+                _, _, _, Gn = stationarity(Xn, Pa[searching])
+                improved = np.einsum("rm,rm->r", Gn, Gn) < phi[searching]
+                hit = searching[improved]
+                Xbest[hit] = Xn[improved]
+                Gbest[hit] = Gn[improved]
+                got[hit] = True
+                searching = searching[~improved]
+                if searching.size == 0:
                     break
-                step = np.where(got, step, 0.5 * step)
+                step *= 0.5
             Xf[active] = Xbest
             conv_a = kkt(Xbest, Gbest) <= PROJECT_GRAD_TOL * scale_f[active]
             conv[active[conv_a]] = True

@@ -179,6 +179,11 @@ def make_params(raw: dict | None, tol: Tolerances | None = None) -> RunParams:
     for key in ("t_steps", "quad_order", "quad_cells", "quad_t_cells", "samples"):
         if given.get(key, 1) < 1:
             raise SceneError(f"/params/{key}", f"{key} must be at least 1")
+    for key in ("span", "tspan", "tube_rho_max"):
+        if not given.get(key, 1.0) > 0:
+            raise SceneError(f"/params/{key}", f"{key} must be positive")
+    if not 0.0 <= given.get("margin", 0.0) < 0.5:
+        raise SceneError("/params/margin", "margin must lie in [0, 0.5)")
     quad = QuadConfig(**{f.name: given[f"quad_{f.name}"] for f in fields(QuadConfig)
                          if f"quad_{f.name}" in given})
     run = {f.name: given[f.name] for f in fields(RunParams) if f.name in given}

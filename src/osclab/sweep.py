@@ -15,6 +15,12 @@ and its minors at every t sample.
 Coefficient extraction runs through exact jet arithmetic; an independent
 Vandermonde sampling route is kept alongside as a cross-check oracle.
 
+The flow check integrates every start in both time directions as one RK4
+state: each stage makes one frame_many call and one batched minimum-norm
+solve (np.linalg.pinv), whose residual certifies each trajectory. A start
+outside the box, a failed certificate or an exit from the box ends only
+that trajectory and is returned in its FlowReport.error.
+
 A family may also be given as a general smooth map (component expressions
 in the chart variables and t). That mode exists for families of embeddings
 that are not polynomial in t, e.g. a rigid rotation of a circle, where the
@@ -596,30 +602,39 @@ class FlowReport:
     max_drift: float
     max_residual: float
     passed: bool
+    error: SweepError | OutOfDomain | None = None
 
 
-def _solve_field(family: SweepFamily, u: np.ndarray, t: float, tol):
-    frame = family.frame_many(u[None, :], np.array([t]))[0]
-    J, rhs = frame[:, : family.M.m], frame[:, family.M.m]
-    Y, *_ = np.linalg.lstsq(J, rhs, rcond=None)
-    resid = float(np.linalg.norm(J @ Y - rhs))
-    if resid > tol.flow_residual:
-        raise FlowRankError(
-            f"rank certificate failed: lstsq residual {resid:.3e} at t={t:.4g}")
-    return Y, resid
+def _solve_field(family: SweepFamily, U: np.ndarray, T: np.ndarray):
+    """Minimum-norm Y with D(phi_t) Y = dt(phi_t) at paired points (U, T),
+    by one batched pseudoinverse, and the residual norm of each solve."""
+    frame = family.frame_many(U, T)
+    m = family.M.m
+    J, rhs = frame[:, :, :m], frame[:, :, m:]
+    Y = np.linalg.pinv(J) @ rhs
+    resid = np.linalg.norm((J @ Y - rhs)[:, :, 0], axis=-1)
+    return Y[:, :, 0], resid
 
 
-def tangency_flow_check(family: SweepFamily, y, t_span: float,
+def tangency_flow_check(family: SweepFamily, starts, t_span: float,
                         steps: int = 256, verdict: VanishingVerdict | None = None,
-                        tol=_TOL) -> FlowReport:
+                        tol=_TOL) -> list[FlowReport]:
     """Integrate the flow of -Y_t (D(phi_t) Y_t = dt(phi_t)) with classic
-    RK4 in both time directions and track the drift of phi_t along it."""
+    RK4 in both time directions and track the drift of phi_t along it.
+
+    All starts, shape (L, m), and both directions run as one RK4 state.
+    A start outside the box, a failed rank certificate (FlowRankError) or
+    an exit from the box (FlowExitError) ends only its own trajectory and
+    is returned as that start's FlowReport.error, the +t error first; a
+    NONZERO verdict or a non-embedding phi_t raises for the whole call.
+    """
     if verdict is not None and not verdict.vanishes:
         raise FlowRankError("precondition failed: volume-element verdict is NONZERO")
+    if t_span <= 0:
+        raise ValueError("tangency_flow_check needs t_span > 0")
     M = family.M
-    y = np.asarray(y, dtype=float)
-    if not M.in_box(y):
-        raise OutOfDomain(f"flow start {y.tolist()} outside the chart box")
+    starts = np.atleast_2d(np.asarray(starts, dtype=float))
+    L = starts.shape[0]
 
     # embedding precondition: chart-frame minors bounded below on a grid
     Xg = M.grid(5, margin=0.05)
@@ -629,34 +644,58 @@ def tangency_flow_check(family: SweepFamily, y, t_span: float,
         if np.min(np.linalg.det(gram)) < 1e-16:
             raise FlowRankError(f"phi_t is not an embedding at t={s:.4g}")
 
-    anchor = family.point(y, 0.0)
-    h = t_span / steps
-    max_drift, max_resid = 0.0, 0.0
+    # trajectory r < L runs start r forward in t, trajectory L + r backward
+    U = np.concatenate([starts, starts])
+    T = np.zeros(2 * L)
+    H = np.repeat([t_span / steps, -t_span / steps], L)
+    anchor = np.tile(family.point_many(starts, np.zeros(L)), (2, 1))
+    drift, resid = np.zeros(2 * L), np.zeros(2 * L)
+    errors: list = [None] * (2 * L)
+    inside = M.in_box_many(starts)
+    for r in np.nonzero(~inside)[0]:
+        errors[r] = OutOfDomain(f"flow start {starts[r].tolist()} outside the chart box")
+    live = np.nonzero(np.tile(inside, 2))[0]
 
-    for sign in (1.0, -1.0):
-        u, t = y.copy(), 0.0
-        for _ in range(steps):
-            dt = sign * h
+    for _ in range(steps):
+        if live.size == 0:
+            break
+        u, t, dt = U[live], T[live], H[live]
+        ok = np.ones(live.size, dtype=bool)
 
-            def rhs(uu, tt):
-                Y, r = _solve_field(family, uu, tt, tol)
-                return -Y, r
+        def rhs(uu, tt):
+            Y, res = _solve_field(family, uu, tt)
+            for i in np.nonzero(ok & (res > tol.flow_residual))[0]:
+                ok[i] = False
+                errors[live[i]] = FlowRankError(
+                    f"rank certificate failed: lstsq residual {res[i]:.3e} "
+                    f"at t={tt[i]:.4g}")
+            resid[live] = np.maximum(resid[live], res)
+            return -Y
 
-            k1, r1 = rhs(u, t)
-            k2, r2 = rhs(u + 0.5 * dt * k1, t + 0.5 * dt)
-            k3, r3 = rhs(u + 0.5 * dt * k2, t + 0.5 * dt)
-            k4, r4 = rhs(u + dt * k3, t + dt)
-            u = u + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += dt
-            max_resid = max(max_resid, r1, r2, r3, r4)
-            if not M.in_box(u, tol=1e-9):
-                raise FlowExitError(f"flow left the chart box at t={t:.4g}")
-            max_drift = max(max_drift, float(np.linalg.norm(
-                family.point(u, t) - anchor)))
+        half = 0.5 * dt[:, None]
+        k1 = rhs(u, t)
+        k2 = rhs(u + half * k1, t + 0.5 * dt)
+        k3 = rhs(u + half * k2, t + 0.5 * dt)
+        k4 = rhs(u + dt[:, None] * k3, t + dt)
+        u = u + dt[:, None] / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        t = t + dt
+        for i in np.nonzero(ok & ~M.in_box_many(u, tol=1e-9))[0]:
+            ok[i] = False
+            errors[live[i]] = FlowExitError(f"flow left the chart box at t={t[i]:.4g}")
+        U[live], T[live] = u, t
+        live = live[ok]
+        gap = np.linalg.norm(family.point_many(U[live], T[live]) - anchor[live], axis=1)
+        drift[live] = np.maximum(drift[live], gap)
 
-    return FlowReport(start=y, t_span=float(t_span), steps=steps,
-                      max_drift=max_drift, max_residual=max_resid,
-                      passed=max_drift <= tol.flow_drift)
+    reports = []
+    for r in range(L):
+        error = errors[r] if errors[r] is not None else errors[L + r]
+        max_drift = float(max(drift[r], drift[L + r]))
+        reports.append(FlowReport(
+            start=starts[r].copy(), t_span=float(t_span), steps=steps,
+            max_drift=max_drift, max_residual=float(max(resid[r], resid[L + r])),
+            passed=error is None and max_drift <= tol.flow_drift, error=error))
+    return reports
 
 
 # ---------------------------------------------------------------------------

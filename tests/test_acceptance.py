@@ -120,12 +120,12 @@ def test_criterion_05_cutoff_growth_bound(scenes):
 def test_criterion_06_tangency_flow(scenes):
     hp = scenes["hyperbolic_paraboloid"].family
     vv = vanishing_verdict(hp)
-    fr1 = tangency_flow_check(hp, np.array([0.0, 0.0]), 0.2, verdict=vv)
+    fr1 = tangency_flow_check(hp, np.array([[0.0, 0.0]]), 0.2, verdict=vv)[0]
     assert fr1.max_drift <= 1e-6
 
     rot = scenes["circle_rotation"].family
     vv2 = vanishing_verdict(rot)
-    fr2 = tangency_flow_check(rot, np.array([np.pi]), 0.2, verdict=vv2)
+    fr2 = tangency_flow_check(rot, np.array([[np.pi]]), 0.2, verdict=vv2)[0]
     assert fr2.max_drift <= 1e-6
     _report(6, "tangency flow",
             f"drift ruling {fr1.max_drift:.2e}, rotation {fr2.max_drift:.2e}")

@@ -289,8 +289,24 @@ def test_tolerance_override_can_fail_a_pipeline_step(capsys, tmp_path, hp_path):
     ("sweep", "--t-grid geometric:-0.1,5", "/params/t0"),
     ("exponent", "--t-grid geometric:0.1,4", "/params/t_steps"),
     ("verify", "--t-grid geometric:0.1,4", "/params/t_steps"),
+    ("ruled", "--span 0", "/params/span"),
+    ("verify", "--span -1", "/params/span"),
+    # settings without a flag come from the scene file's params
+    ("verify", "tspan=0", "/params/tspan"),
+    ("verify", "tube_rho_max=-1", "/params/tube_rho_max"),
+    ("ruled", "tube_rho_max=0", "/params/tube_rho_max"),
+    ("ruled", "margin=0.5", "/params/margin"),
+    ("verify", "margin=-0.1", "/params/margin"),
 ])
-def test_out_of_range_settings_exit_one(capsys, hp_path, command, flags, pointer):
+def test_out_of_range_settings_exit_one(capsys, tmp_path, hp_path, command, flags,
+                                        pointer):
+    if "=" in flags:
+        key, value = flags.split("=")
+        data = json.loads(corpus.scene_path("hyperbolic_paraboloid").read_text())
+        data.setdefault("params", {})[key] = float(value)
+        (tmp_path / "hp.json").write_text(json.dumps(data))
+        hp_path = str(tmp_path / "hp.json")
+        flags = ""
     code, out, err = _run(capsys, command, "--scene", hp_path, *flags.split())
     assert code == 1
     assert out == ""

@@ -1,8 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from osclab import corpus
 from osclab.manifold import (
     AmbiguousProjection,
+    BatchProjection,
     ImmersionError,
     OutOfDomain,
     Submanifold,
@@ -144,3 +148,28 @@ def test_batch_flags_shapes(hp):
     b = hp.project_batch(P)
     assert b.distance.shape == (2,)
     assert b.converged.dtype == bool and b.ambiguous.dtype == bool
+
+
+def test_line_search_evaluates_only_searching_rows(monkeypatch):
+    # one project_batch of saddle's ruledness points, 9 samples x 64 parameters
+    saddle = corpus.load("saddle")
+    M, params = saddle.manifold, saddle.params
+    svals = np.linspace(-params.span, params.span, 64)
+    pts = np.concatenate([saddle.family.curve_at(x)(svals)
+                          for x in M.grid(params.samples, margin=params.margin)])
+    assert pts.shape == (9 * 64, 3)
+    plain = M.project_batch(pts)
+    rows = []
+    embed_many = Submanifold.embed_many
+
+    def spy(self, X):
+        rows.append(len(X))
+        return embed_many(self, X)
+
+    monkeypatch.setattr(Submanifold, "embed_many", spy)
+    spied = M.project_batch(pts)
+    # a line search that re-evaluates every active row at each halving
+    # evaluates 5,740,194 rows here
+    assert sum(rows) <= 5_740_194 // 2
+    for f in fields(BatchProjection):
+        assert np.array_equal(getattr(spied, f.name), getattr(plain, f.name))

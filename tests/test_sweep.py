@@ -10,6 +10,7 @@ from osclab.manifold import OutOfDomain, Submanifold
 from osclab.sweep import (
     Cutoff,
     DegenerateReparam,
+    FlowExitError,
     FlowRankError,
     SweepFamily,
     _chart_mesh,
@@ -332,28 +333,47 @@ def test_rigid_rotation_vanishes():
 
 def test_flow_ruling_matches_closed_form(hp):
     vv = vanishing_verdict(hp.family)
-    fr = tangency_flow_check(hp.family, np.array([0.0, 0.0]), 0.2, verdict=vv)
+    fr = tangency_flow_check(hp.family, np.array([[0.0, 0.0]]), 0.2, verdict=vv)[0]
     assert fr.passed and fr.max_drift <= 1e-6
     # the transported field is constant: Y = (1, 0), flow x(t) = x0 - t
     from osclab.sweep import _solve_field
-    for t in (0.0, 0.1, -0.15):
-        Y, resid = _solve_field(hp.family, np.array([0.05, -0.1]), t,
-                                hp.params.tol)
-        assert np.allclose(Y, [1.0, 0.0], atol=1e-12)
-        assert resid <= 1e-12
+    Y, resid = _solve_field(hp.family, np.tile([0.05, -0.1], (3, 1)),
+                            np.array([0.0, 0.1, -0.15]))
+    assert np.allclose(Y, [1.0, 0.0], atol=1e-12)
+    assert np.all(resid <= 1e-12)
 
 
 def test_flow_rigid_rotation():
     rot = corpus.load("circle_rotation")
     vv = vanishing_verdict(rot.family)
-    fr = tangency_flow_check(rot.family, np.array([np.pi]), 0.2, verdict=vv)
+    fr = tangency_flow_check(rot.family, np.array([[np.pi]]), 0.2, verdict=vv)[0]
     assert fr.max_drift <= 1e-8
 
 
 def test_flow_rejects_nonzero_verdict(segment):
     vv = vanishing_verdict(segment.family)
     with pytest.raises(FlowRankError):
-        tangency_flow_check(segment.family, np.array([0.5]), 0.2, verdict=vv)
+        tangency_flow_check(segment.family, np.array([[0.5]]), 0.2, verdict=vv)
+
+
+def test_flow_batch_isolates_each_start(hp):
+    # the flow is x(t) = x0 - t, so (0.95, 0) leaves the box at t = -0.05
+    vv = vanishing_verdict(hp.family)
+    starts = np.array([[0.0, 0.0], [0.95, 0.0]])
+    both = tangency_flow_check(hp.family, starts, 0.2, verdict=vv)
+    alone = [tangency_flow_check(hp.family, y[None], 0.2, verdict=vv)[0]
+             for y in starts]
+    assert isinstance(both[1].error, FlowExitError) and not both[1].passed
+    assert "at t=-" in str(both[1].error)
+    assert str(both[1].error) == str(alone[1].error)
+    assert both[0].error is None and both[0].passed
+    assert both[0].max_drift == alone[0].max_drift
+    assert abs(both[0].max_residual - alone[0].max_residual) <= 1e-15
+
+
+def test_flow_rejects_empty_window(hp):
+    with pytest.raises(ValueError):
+        tangency_flow_check(hp.family, np.array([[0.0, 0.0]]), 0.0)
 
 
 # -- map-mode validation -------------------------------------------------------
@@ -400,6 +420,6 @@ def test_cutoff_ruling_still_vanishes(hp):
     scene = corpus.with_cutoff(hp, 0.4, 0.9)
     vv = vanishing_verdict(scene.family)
     assert vv.vanishes
-    fr = tangency_flow_check(scene.family, np.array([0.0, 0.0]), 0.2,
-                             verdict=vv)
+    fr = tangency_flow_check(scene.family, np.array([[0.0, 0.0]]), 0.2,
+                             verdict=vv)[0]
     assert fr.passed
