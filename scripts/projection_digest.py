@@ -1,0 +1,156 @@
+#!/usr/bin/env python3
+"""Hash every `BatchProjection` field that the corpus projections produce.
+
+For each built-in scene the projections run over three inputs: the
+ruledness points of the verdict pipeline (`ruledness`), the probes of its
+tube-radius search (`tube`, every dyadic halving in order) and 200 seeded
+points around the manifold (`far`). The script prints one line per scene
+and input with a short SHA-256 of each field.
+
+Usage:
+    python scripts/projection_digest.py [--save FILE.npz] [--against FILE.npz]
+
+`--save` stores the queries and every field. `--against` compares with a
+stored run, for instance one made from another checkout with its `src` on
+PYTHONPATH, and lists every row that differs with the absolute difference
+of each field; it exits 1 when a row differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from dataclasses import fields
+
+import numpy as np
+
+from osclab import corpus
+from osclab.manifold import BatchProjection, Submanifold
+from osclab.osculate import ruledness_check
+
+FIELDS = [f.name for f in fields(BatchProjection)]
+FAR_POINTS = 200
+
+
+def _captured(fn):
+    """Run fn(); return its value and the queries and results of every
+    project_batch call it made, concatenated in call order."""
+    calls = []
+    original = Submanifold.project_batch
+
+    def spy(self, P):
+        b = original(self, P)
+        calls.append((np.atleast_2d(np.asarray(P, dtype=float)), b))
+        return b
+
+    Submanifold.project_batch = spy
+    try:
+        value = fn()
+    finally:
+        Submanifold.project_batch = original
+    out = {"query": np.concatenate([P for P, _ in calls])}
+    for name in FIELDS:
+        out[name] = np.concatenate([getattr(b, name) for _, b in calls])
+    return value, out
+
+
+def _far_points(M: Submanifold, seed: int) -> np.ndarray:
+    """Points in the manifold's bounding box, widened by its size."""
+    A = M.embed_many(M.grid(9))
+    lo, hi = A.min(axis=0), A.max(axis=0)
+    pad = 0.5 * (hi - lo) + 0.5
+    rng = np.random.default_rng(seed)
+    return rng.uniform(lo - pad, hi + pad, size=(FAR_POINTS, M.n))
+
+
+def digest() -> dict:
+    """{(scene, input): {"query": P, field: values}} over the corpus."""
+    out = {}
+    for i, name in enumerate(corpus.names()):
+        scene = corpus.load(name)
+        M, params = scene.manifold, scene.params
+        rho, out[name, "tube"] = _captured(
+            lambda: M.tube_radius(rho_max=params.tube_rho_max))
+        if scene.family is not None:
+            _, out[name, "ruledness"] = _captured(lambda: ruledness_check(
+                M, scene.family.curve_at, params.span,
+                samples_per_axis=params.samples, margin=params.margin,
+                tube=rho, tol=params.tol))
+        far = _far_points(M, seed=i)
+        _, out[name, "far"] = _captured(lambda: M.project_batch(far))
+    return out
+
+
+def _short_hash(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:12]
+
+
+def _row_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-row max |a - b|; NaNs in the same place count as equal, a
+    boolean mismatch counts 1."""
+    a = a.reshape(len(a), -1).astype(float)
+    b = b.reshape(len(b), -1).astype(float)
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    with np.errstate(invalid="ignore"):
+        diff = np.where(same, 0.0, np.abs(a - b))
+    return np.max(np.where(np.isnan(diff), np.inf, diff), axis=1)
+
+
+def compare(run: dict, ref: dict) -> int:
+    """Print every row of `run` that differs from `ref`; return the count."""
+    differing = 0
+    for key in sorted(set(run) | set(ref)):
+        label = " ".join(key)
+        if key not in run or key not in ref:
+            print(f"{label}: only in {'this run' if key in run else 'the stored run'}")
+            differing += 1
+            continue
+        a, b = run[key], ref[key]
+        if a["query"].shape != b["query"].shape or not np.array_equal(a["query"], b["query"]):
+            print(f"{label}: the queries differ ({len(a['query'])} vs {len(b['query'])} rows)")
+            differing += 1
+            continue
+        diffs = {name: _row_diff(a[name], b[name]) for name in FIELDS}
+        rows = np.flatnonzero(np.any([d > 0 for d in diffs.values()], axis=0))
+        print(f"{label}: {len(rows)} of {len(a['query'])} rows differ")
+        for r in rows:
+            sizes = " ".join(f"{name}={diffs[name][r]:.2e}" for name in FIELDS
+                             if diffs[name][r] > 0)
+            print(f"  row {r}: {sizes}")
+        differing += len(rows)
+    return differing
+
+
+def _save(path: str, run: dict) -> None:
+    np.savez(path, **{f"{s}:{i}:{k}": v for (s, i), fields_ in run.items()
+                      for k, v in fields_.items()})
+
+
+def _load(path: str) -> dict:
+    out: dict = {}
+    with np.load(path) as data:
+        for name in data.files:
+            s, i, k = name.split(":")
+            out.setdefault((s, i), {})[k] = data[name]
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--save", metavar="FILE", help="store queries and fields as .npz")
+    ap.add_argument("--against", metavar="FILE", help="compare with a stored .npz")
+    args = ap.parse_args(argv)
+    run = digest()
+    for (scene, inp), vals in run.items():
+        hashes = " ".join(f"{name}={_short_hash(vals[name])}" for name in FIELDS)
+        print(f"{scene:22s} {inp:9s} {len(vals['query']):6d} {hashes}")
+    if args.save:
+        _save(args.save, run)
+    if args.against:
+        return 1 if compare(run, _load(args.against)) else 0
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

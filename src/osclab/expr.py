@@ -18,13 +18,16 @@ Trees are immutable; parse/diff/evaluate are pure functions. One tree
 walker, `evaluate_with`, evaluates every kind of value: it applies +, -
 and * itself and takes constants, quotients, powers and sin/cos/exp/sqrt
 from an `Arithmetic`. `evaluate` and `evaluate_many` run it on floats and
-numpy arrays (broadcasting), and `jets.jet_eval_expr` runs it on
-truncated Taylor series.
+numpy arrays (broadcasting), `jets.jet_eval_expr` runs it on truncated
+Taylor series, and `INTERVALS` runs it on `Interval`s: outward-rounded
+bounds that enclose the float values over boxes of the variables, which
+the manifold projection uses to screen its seed cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -394,6 +397,111 @@ class Arithmetic:
 
 
 FLOATS = Arithmetic()
+
+
+#: interval bounds may overflow to +-inf and meet inf - inf or 0 * inf;
+#: rounding 0 outward gives a subnormal
+_QUIET = {"over": "ignore", "invalid": "ignore", "under": "ignore"}
+
+
+def _outward(lo, hi) -> "Interval":
+    """[lo, hi] widened by one ulp at each end; a NaN bound widens to inf."""
+    with np.errstate(**_QUIET):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+    return Interval(np.where(np.isnan(lo), -np.inf, lo), np.where(np.isnan(hi), np.inf, hi))
+
+
+def _hull(*ends) -> "Interval":
+    """The outward-rounded span of candidate end values."""
+    return _outward(reduce(np.minimum, ends), reduce(np.maximum, ends))
+
+
+class Interval:
+    """Elementwise closed intervals [lo, hi] of floats or numpy arrays.
+
+    +, - and * round each bound outward by one ulp, so the result encloses
+    the exact result for every choice of real values inside the operands;
+    IntervalArithmetic supplies the rest of the evaluator's operations, and
+    its constants are Intervals, so every variable is bound to one too.
+    """
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo, hi=None):
+        self.lo = np.asarray(lo, dtype=float)
+        self.hi = self.lo if hi is None else np.asarray(hi, dtype=float)
+
+    def __add__(self, other):
+        with np.errstate(**_QUIET):
+            return _outward(self.lo + other.lo, self.hi + other.hi)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return Interval(-self.hi, -self.lo)
+
+    def __mul__(self, other):
+        with np.errstate(**_QUIET):
+            return _hull(self.lo * other.lo, self.lo * other.hi,
+                         self.hi * other.lo, self.hi * other.hi)
+
+    def magnitude(self):
+        """max |v| over the interval, elementwise."""
+        return np.maximum(np.abs(self.lo), np.abs(self.hi))
+
+
+class IntervalArithmetic(Arithmetic):
+    """Interval evaluation: every result encloses the float function's
+    values over the variables' intervals. A quotient whose denominator
+    interval contains 0, or a sqrt whose interval reaches below 0, raises
+    DomainError."""
+
+    def const(self, value: float):
+        return Interval(value)
+
+    def div(self, num, den):
+        if np.any((den.lo <= 0.0) & (den.hi >= 0.0)):
+            raise DomainError("interval quotient by an interval containing 0")
+        with np.errstate(**_QUIET):
+            return _hull(num.lo / den.lo, num.lo / den.hi,
+                         num.hi / den.lo, num.hi / den.hi)
+
+    def pow(self, base, exponent: int):
+        # an even power is the power of |base|, which is nonnegative; an odd
+        # one is that times base
+        if exponent <= 1:
+            return Interval(np.ones(np.shape(base.lo))) if exponent == 0 else base
+        straddles = (base.lo < 0.0) & (base.hi > 0.0)
+        mag = Interval(np.where(straddles, 0.0, np.minimum(np.abs(base.lo), np.abs(base.hi))),
+                       base.magnitude())
+        power = mag
+        for _ in range(exponent - exponent % 2 - 1):
+            with np.errstate(**_QUIET):
+                power = _outward(power.lo * mag.lo, power.hi * mag.hi)
+            power = Interval(np.maximum(power.lo, 0.0), power.hi)
+        return power * base if exponent % 2 else power
+
+    def exp(self, u):
+        # libm's exp is faithful, not correctly rounded: widen by two ulps
+        with np.errstate(**_QUIET):
+            once = _outward(np.exp(u.lo), np.exp(u.hi))
+        twice = _outward(once.lo, once.hi)
+        return Interval(np.maximum(twice.lo, 0.0), twice.hi)
+
+    def sqrt(self, u):
+        if np.any(u.lo < 0.0):
+            raise DomainError("interval sqrt reaches below 0")
+        root = _outward(np.sqrt(u.lo), np.sqrt(u.hi))
+        return Interval(np.maximum(root.lo, 0.0), root.hi)
+
+    def sin(self, u):
+        return Interval(-1.0, 1.0)
+
+    cos = sin
+
+
+INTERVALS = IntervalArithmetic()
 
 
 def evaluate(e: Expr, env):

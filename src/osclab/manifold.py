@@ -3,9 +3,23 @@
 A Submanifold is an m-dimensional piece of R^n given either as a graph
 x -> (x, h(x)) or as a parametric chart x -> alpha(x) over a box domain.
 Projection onto the manifold runs a multistart, box-projected Gauss-Newton
-on the squared-distance stationarity system: a coarse grid of 9^m cell
-centers seeds the iteration, steps are damped by halving, and convergence
-is declared at 1e-12 projected-gradient norm. Each row takes the first
+on the squared-distance stationarity system, seeded at the centres of a
+grid of 9^m cells. On the first projection each cell gets a slack
+L_i * r_i: r_i bounds the distance from its centre to any point of the
+cell, and L_i, the Frobenius norm of an outward-rounded interval bound on
+the chart Jacobian over the cell (expr.IntervalArithmetic), bounds how
+far the chart moves per unit of chart distance. Every point of cell i
+then lies at least |p - c_i| - slack_i from a query p, while the nearest
+centre distance d0 bounds the minimum from above. A cell whose lower
+bound exceeds d0 by more than two tie slacks (PROJECT_DIST_TOL) holds no
+foot that ties a best found within one of d0, and its seed is dropped; a
+cell whose bound divides by an interval containing 0 or takes sqrt below
+0 has infinite slack and is always kept. Newton runs from the kept seeds.
+A query whose kept seeds all fail, or whose best converged distance
+exceeds d0 by more than one tie slack (Newton has missed the minimum,
+which is at most d0), runs its dropped seeds as well and so sees the
+full grid. Steps are damped by halving, and convergence is declared at
+1e-12 projected-gradient norm. Each row takes the first
 step size, of up to 14 halvings, that lowers its stationarity residual;
 a halving re-evaluates only the rows that have not yet improved, so one
 row that keeps searching does not cost the whole batch an evaluation
@@ -39,6 +53,8 @@ PROJECT_MAX_ITER = 50
 #: whose feet lie further apart than this make the projection ambiguous
 PROJECT_DIST_TOL = 1e-9
 PROJECT_FOOT_TOL = 1e-6
+#: projection seeds: the centres of a grid of this many cells per chart axis
+SEEDS_PER_AXIS = 9
 #: random normal probes per dyadic step of the tube-radius search
 TUBE_PROBES = 200
 
@@ -115,6 +131,7 @@ class Submanifold:
             for row in self.jac_exprs
         ]
         self._tube_cache: dict = {}
+        self._screen: tuple | None = None
 
     @property
     def m(self) -> int:
@@ -202,27 +219,58 @@ class Submanifold:
 
     # -- projection -------------------------------------------------------
 
-    def _seed_grid(self, per_axis: int = 9) -> np.ndarray:
-        axes = []
+    def _seed_screen(self) -> tuple:
+        """(seeds, centres, slack) of the SEEDS_PER_AXIS^m seed cells: the
+        cell centres in the chart (S, m), their embeddings c_i (S, n) and
+        L_i * r_i (S,), computed on the first projection and kept. The
+        Jacobian bound is rigorous; the norms around it are plain floats,
+        whose relative error (~1e-16) sits far inside the PROJECT_DIST_TOL
+        tie slack."""
+        if self._screen is not None:
+            return self._screen
+        axes, cells = [], []
         for a, b in self.box:
-            h = (b - a) / per_axis
-            axes.append(a + h * (np.arange(per_axis) + 0.5))
-        return np.array(list(product(*axes)), dtype=float)
+            h = (b - a) / SEEDS_PER_AXIS
+            axes.append(a + h * (np.arange(SEEDS_PER_AXIS) + 0.5))
+            edges = a + h * np.arange(SEEDS_PER_AXIS + 1)
+            edges[0], edges[-1] = a, b  # the cells cover the box exactly
+            cells.append(np.stack([edges[:-1], edges[1:]], axis=-1))
+        seeds = np.array(list(product(*axes)), dtype=float)
+        lo = np.array(list(product(*(c[:, 0] for c in cells))), dtype=float)
+        hi = np.array(list(product(*(c[:, 1] for c in cells))), dtype=float)
+        reach = np.linalg.norm(np.maximum(seeds - lo, hi - seeds), axis=1)
+        flat = [d for row in self.jac_exprs for d in row]
 
-    def project_batch(self, P) -> BatchProjection:
-        P = np.atleast_2d(np.asarray(P, dtype=float))
-        q = P.shape[0]
-        seeds = self._seed_grid()
-        S = seeds.shape[0]
+        def lipschitz(lo, hi):
+            # Frobenius norm of the entrywise Jacobian bound over the cell(s)
+            env = {v: ex.Interval(lo[..., i], hi[..., i])
+                   for i, v in enumerate(self.chart_vars)}
+            mags = [ex.evaluate_with(d, env, ex.INTERVALS).magnitude() for d in flat]
+            with np.errstate(over="ignore"):
+                return np.sqrt(sum(np.square(g) for g in mags))
+
+        try:
+            # a constant Jacobian gives one bound for every cell
+            L = np.broadcast_to(lipschitz(lo, hi), (len(seeds),))
+        except ex.DomainError:
+            L = np.empty(len(seeds))
+            for i in range(len(seeds)):
+                try:
+                    L[i] = lipschitz(lo[i], hi[i])
+                except ex.DomainError:
+                    L[i] = np.inf  # no bound: the cell is always kept
+        self._screen = (seeds, self.embed_many(seeds), L * reach)
+        return self._screen
+
+    def _descend(self, X, P):
+        """Damped Newton from the rows of X towards stationary points of
+        |P - c(x)|^2 in the box; returns the final X and a converged mask."""
+        X = np.array(X, dtype=float)
         m = self.m
         lo, hi = self.box[:, 0], self.box[:, 1]
         side = hi - lo
         cap = float(np.linalg.norm(side))
-
-        # flat layout: row r = (query r // S, seed r % S)
-        Pf = np.repeat(P, S, axis=0)
-        Xf = np.tile(seeds, (q, 1))
-        scale_f = 1.0 + np.linalg.norm(Pf, axis=1)
+        scale = 1.0 + np.linalg.norm(P, axis=1)
 
         def stationarity(Xc, Pc):
             A = self.embed_many(Xc)
@@ -256,15 +304,13 @@ class Submanifold:
             sys = DG + ridge[:, None, None] * np.eye(m)
             return -np.linalg.solve(sys, G[:, :, None])[:, :, 0]
 
-        conv = np.zeros(q * S, dtype=bool)
-        active = np.arange(q * S)
-        _, _, _, G0 = stationarity(Xf, Pf)
-        conv = kkt(Xf, G0) <= PROJECT_GRAD_TOL * scale_f
-        active = active[~conv]
+        _, _, _, G0 = stationarity(X, P)
+        conv = kkt(X, G0) <= PROJECT_GRAD_TOL * scale
+        active = np.flatnonzero(~conv)
         for _ in range(PROJECT_MAX_ITER):
             if active.size == 0:
                 break
-            Xa, Pa = Xf[active], Pf[active]
+            Xa, Pa = X[active], P[active]
             A, R, J, G = stationarity(Xa, Pa)
             # damped Newton on the stationarity system G(x) = J^T (p - c(x));
             # its Jacobian DG = (p - c) . d2c - J^T J keeps the curvature term
@@ -294,18 +340,53 @@ class Submanifold:
                 if searching.size == 0:
                     break
                 step *= 0.5
-            Xf[active] = Xbest
-            conv_a = kkt(Xbest, Gbest) <= PROJECT_GRAD_TOL * scale_f[active]
+            X[active] = Xbest
+            conv_a = kkt(Xbest, Gbest) <= PROJECT_GRAD_TOL * scale[active]
             conv[active[conv_a]] = True
             active = active[got & ~conv_a]
+        return X, conv
 
-        A = self.embed_many(Xf)
-        R = Pf - A
-        d = np.linalg.norm(R, axis=-1)
-        X = Xf.reshape(q, S, m)
-        A = A.reshape(q, S, self.n)
-        d = d.reshape(q, S)
-        conv = conv.reshape(q, S)
+    def project_batch(self, P) -> BatchProjection:
+        P = np.atleast_2d(np.asarray(P, dtype=float))
+        q = P.shape[0]
+        seeds, centres, slack = self._seed_screen()
+        S, m = seeds.shape
+        lo, hi = self.box[:, 0], self.box[:, 1]
+        side = hi - lo
+
+        # screen: every point of cell i lies at least |p - c_i| - slack_i from
+        # p, and d0, the nearest centre distance, bounds the minimum from
+        # above. A best converged distance of at most `near` stands; its ties
+        # reach no further than near + tol * (1 + near), so a cell whose
+        # lower bound exceeds that holds no foot that can tie, and is dropped
+        d_centre = np.linalg.norm(P[:, None, :] - centres[None], axis=-1)
+        d0 = np.min(d_centre, axis=1)
+        near = d0 + PROJECT_DIST_TOL * (1.0 + d0)
+        keep = d_centre - slack <= (near + PROJECT_DIST_TOL * (1.0 + near))[:, None]
+
+        # (q, S) layout; seeds that never run stay at distance inf
+        X = np.broadcast_to(seeds, (q, S, m)).copy()
+        A = np.zeros((q, S, self.n))
+        d = np.full((q, S), np.inf)
+        conv = np.zeros((q, S), dtype=bool)
+
+        def run(rows, cols):
+            if rows.size == 0:
+                return
+            Xr, conv_r = self._descend(X[rows, cols], P[rows])
+            X[rows, cols] = Xr
+            conv[rows, cols] = conv_r
+            A[rows, cols] = self.embed_many(Xr)
+            d[rows, cols] = np.linalg.norm(P[rows] - A[rows, cols], axis=-1)
+
+        run(*np.nonzero(keep))
+        # expansion: a query whose kept seeds all failed (best = inf), or
+        # whose best converged distance exceeds `near` (the minimum is at
+        # most d0, so Newton missed it), runs its dropped seeds too and so
+        # sees the full grid
+        best = np.min(np.where(conv, d, np.inf), axis=1)
+        run(*np.nonzero((best > near)[:, None] & ~keep))
+
         # per query: best distance among converged seeds (fall back to all)
         d_conv = np.where(conv, d, np.inf)
         any_conv = np.any(conv, axis=1)

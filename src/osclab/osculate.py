@@ -352,10 +352,6 @@ class VerdictReport:
         return asdict(self)
 
 
-def _order_str(order: ContactOrder | None) -> str:
-    return "none" if order is None else str(order)
-
-
 def verify_theorem(scene, seed: int = 0) -> VerdictReport:
     """Pipeline: osculation hypothesis, growth bound, coefficient vanishing,
     tangency flow, finite-window containment.

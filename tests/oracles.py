@@ -90,3 +90,29 @@ def simpson_length(point_fn, a: float, b: float, panels: int = 4096) -> float:
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return float((ts[1] - ts[0]) / 3.0 * np.dot(w, speed))
+
+
+def dense_distance_min(embed_many, box, P, per_axis: int):
+    """Brute-force distance from each row of P to the chart image of a
+    dense grid over the box. Returns the grid minimum, whether its argmin
+    lies on the box edge, and the grid's Lipschitz slack: twice the
+    largest secant norm between neighbouring grid points times half the
+    diagonal of a grid cell, so the true minimum over the box is at least
+    the grid minimum minus the slack."""
+    box = np.asarray(box, dtype=float)
+    axes = [np.linspace(a, b, per_axis) for a, b in box]
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    C = embed_many(mesh)                       # (per_axis,)*m + (n,)
+    steps = np.array([ax[1] - ax[0] for ax in axes])
+    secant_sq = 0.0
+    for k in range(len(box)):
+        d = np.diff(C, axis=k) / steps[k]
+        secant_sq = secant_sq + np.max(np.sum(d * d, axis=-1))
+    slack = 2.0 * np.sqrt(secant_sq) * 0.5 * float(np.linalg.norm(steps))
+    X = mesh.reshape(-1, len(box))
+    edge = np.any((X == box[:, 0]) | (X == box[:, 1]), axis=1)
+    C = C.reshape(-1, C.shape[-1])
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    # nearest grid point by the expanded square, then its distance directly
+    arg = np.argmin(np.sum(C * C, axis=1) - 2.0 * P @ C.T, axis=1)
+    return np.linalg.norm(P - C[arg], axis=1), edge[arg], slack

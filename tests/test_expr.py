@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from osclab import corpus
 from osclab import expr as ex
 
 
@@ -176,6 +179,75 @@ def test_reparse_preserves_value(e):
     v2 = ex.evaluate(back, env)
     if np.isfinite(v1):
         assert v2 == pytest.approx(v1, rel=1e-12, abs=1e-12)
+
+
+# -- interval enclosure ------------------------------------------------------
+
+_unit = st.integers(0, 1000).map(lambda k: k / 1000)
+
+
+def _sub_box(box, corner, width):
+    """The sub-box of `box` whose lower corner and widths are the given
+    fractions of the room left on each axis."""
+    a, b = box[:, 0], box[:, 1]
+    lo = a + (b - a) * np.asarray(corner[: len(box)])
+    return lo, lo + (b - lo) * np.asarray(width[: len(box)])
+
+
+def _assert_encloses(e, names, lo, hi, X):
+    box = {v: ex.Interval(lo[i], hi[i]) for i, v in enumerate(names)}
+    bound = ex.evaluate_with(e, box, ex.INTERVALS)
+    with np.errstate(all="ignore"):
+        vals = ex.evaluate(e, {v: X[:, i] for i, v in enumerate(names)})
+    vals = np.broadcast_to(vals, X.shape[:1])
+    finite = np.isfinite(vals)
+    assert np.all(bound.lo <= vals[finite]) and np.all(vals[finite] <= bound.hi), \
+        ex.to_string(e)
+
+
+@pytest.fixture(scope="module")
+def corpus_charts():
+    return [corpus.load(name).manifold for name in corpus.names()]
+
+
+@given(corner=st.tuples(_unit, _unit), width=st.tuples(_unit, _unit),
+       seed=st.integers(0, 2**16))
+def test_interval_encloses_corpus_charts(corpus_charts, corner, width, seed):
+    rng = np.random.default_rng(seed)
+    for M in corpus_charts:
+        lo, hi = _sub_box(M.box, corner, width)
+        X = np.concatenate([[lo, hi], rng.uniform(lo, hi, size=(62, M.m))])
+        for e in M.components + [d for row in M.jac_exprs for d in row]:
+            _assert_encloses(e, M.chart_vars, lo, hi, X)
+
+
+@given(e=_exprs, corner=st.tuples(_unit, _unit, _unit),
+       width=st.tuples(_unit, _unit, _unit), seed=st.integers(0, 2**16))
+def test_interval_encloses_random_expressions(e, corner, width, seed):
+    lo, hi = _sub_box(np.array([[-2.0, 2.0]] * 3), corner, width)
+    X = np.concatenate([[lo, hi], np.random.default_rng(seed).uniform(lo, hi, size=(30, 3))])
+    try:
+        _assert_encloses(e, ("x", "y", "z"), lo, hi, X)
+    except ex.DomainError:
+        pass  # the interval reached a quotient by 0 or a negative sqrt
+
+
+def test_interval_rounding_and_domain_errors():
+    # the exact sum and product of the doubles 0.1 and 0.2 lie strictly
+    # between the doubles nearest to them, so round-to-nearest alone misses them
+    a, b = ex.Interval(0.1), ex.Interval(0.2)
+    for bound, exact in ((a + b, Fraction(0.1) + Fraction(0.2)),
+                         (a * b, Fraction(0.1) * Fraction(0.2)),
+                         (a - b, Fraction(0.1) - Fraction(0.2))):
+        assert Fraction(float(bound.lo)) < exact < Fraction(float(bound.hi))
+    x = ex.Interval(-1.0, 0.5)
+    sq = ex.evaluate_with(ex.parse("x^2"), {"x": x}, ex.INTERVALS)
+    assert sq.lo == 0.0 and 1.0 <= sq.hi < 1.0 + 1e-15
+    assert ex.evaluate_with(ex.parse("x^0"), {"x": x}, ex.INTERVALS).lo == 1.0
+    with pytest.raises(ex.DomainError):
+        ex.evaluate_with(ex.parse("1/x"), {"x": ex.Interval(-1.0, 1.0)}, ex.INTERVALS)
+    with pytest.raises(ex.DomainError):
+        ex.evaluate_with(ex.parse("sqrt(x)"), {"x": ex.Interval(-1.0, 0.0)}, ex.INTERVALS)
 
 
 def test_roundtrip_fixed_point_on_scene_strings():

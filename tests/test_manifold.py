@@ -5,13 +5,15 @@ import pytest
 
 from osclab import corpus
 from osclab.manifold import (
+    PROJECT_DIST_TOL,
+    PROJECT_FOOT_TOL,
     AmbiguousProjection,
     BatchProjection,
     ImmersionError,
     OutOfDomain,
     Submanifold,
 )
-from oracles import grid_min_1d, grid_min_2d
+from oracles import dense_distance_min, grid_min_1d, grid_min_2d
 
 
 @pytest.fixture(scope="module")
@@ -150,26 +152,117 @@ def test_batch_flags_shapes(hp):
     assert b.converged.dtype == bool and b.ambiguous.dtype == bool
 
 
+def _ruledness_points(scene, n_params=64):
+    M, params = scene.manifold, scene.params
+    svals = np.linspace(-params.span, params.span, n_params)
+    return np.concatenate([scene.family.curve_at(x)(svals)
+                           for x in M.grid(params.samples, margin=params.margin)])
+
+
+def _far_points(M, seed, count=200):
+    A = M.embed_many(M.grid(9))
+    lo, hi = A.min(axis=0), A.max(axis=0)
+    pad = 0.5 * (hi - lo) + 0.5
+    return np.random.default_rng(seed).uniform(lo - pad, hi + pad, size=(count, M.n))
+
+
+def _spy_rows(monkeypatch, name):
+    rows = []
+    original = getattr(Submanifold, name)
+
+    def spy(self, X, *args):
+        rows.append(len(X))
+        return original(self, X, *args)
+
+    monkeypatch.setattr(Submanifold, name, spy)
+    return rows
+
+
 def test_line_search_evaluates_only_searching_rows(monkeypatch):
     # one project_batch of saddle's ruledness points, 9 samples x 64 parameters
-    saddle = corpus.load("saddle")
-    M, params = saddle.manifold, saddle.params
-    svals = np.linspace(-params.span, params.span, 64)
-    pts = np.concatenate([saddle.family.curve_at(x)(svals)
-                          for x in M.grid(params.samples, margin=params.margin)])
+    M = corpus.load("saddle").manifold
+    pts = _ruledness_points(corpus.load("saddle"))
     assert pts.shape == (9 * 64, 3)
     plain = M.project_batch(pts)
-    rows = []
-    embed_many = Submanifold.embed_many
-
-    def spy(self, X):
-        rows.append(len(X))
-        return embed_many(self, X)
-
-    monkeypatch.setattr(Submanifold, "embed_many", spy)
+    rows = _spy_rows(monkeypatch, "embed_many")
     spied = M.project_batch(pts)
     # a line search that re-evaluates every active row at each halving
     # evaluates 5,740,194 rows here
     assert sum(rows) <= 5_740_194 // 2
     for f in fields(BatchProjection):
         assert np.array_equal(getattr(spied, f.name), getattr(plain, f.name))
+
+
+def test_screen_runs_few_newton_rows(monkeypatch):
+    # saddle's ruledness points: the full grid runs 81 seeds for each of the
+    # 576 queries; the screen runs 3,580 of them, and the expansion pass
+    # 13,956 more for the queries whose kept seeds all fail
+    saddle = corpus.load("saddle")
+    M = saddle.manifold
+    pts = _ruledness_points(saddle)
+    plain = M.project_batch(pts)
+    rows = _spy_rows(monkeypatch, "_descend")
+    spied = M.project_batch(pts)
+    full = 9**M.m * len(pts)
+    assert rows[0] <= full // 8
+    assert sum(rows) <= full // 2
+    for f in fields(BatchProjection):
+        assert np.array_equal(getattr(spied, f.name), getattr(plain, f.name))
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_screen_keeps_the_nearest_foot(scenes, name, monkeypatch):
+    M = scenes[name].manifold
+    P = np.concatenate([_ruledness_points(scenes[name]), _far_points(M, seed=7)])
+    b = M.project_batch(P)
+    # oracle: the minimum distance over a dense chart grid, which the global
+    # minimum never exceeds and undercuts by at most the grid's slack. Only
+    # queries whose grid minimum lies inside the box are held to it: where
+    # the minimum sits on the box edge, Newton on the stationarity system
+    # does not converge there and the best converged seed can be a farther
+    # stationary point, with or without the screen.
+    dense, on_edge, grid_slack = dense_distance_min(
+        M.embed_many, M.box, P, per_axis=2000 if M.m == 1 else 200)
+    held = b.converged & ~on_edge
+    assert np.count_nonzero(held) >= len(P) // 4
+    assert np.all(b.distance[held] <= dense[held] + PROJECT_DIST_TOL * (1.0 + dense[held]))
+    assert np.all(b.distance >= dense - grid_slack)
+    # reference: Newton from every seed, as with no screen
+    seeds, centres, cell_slack = M._seed_screen()
+    monkeypatch.setattr(M, "_screen", (seeds, centres, np.full_like(cell_slack, np.inf)))
+    full = M.project_batch(P)
+    for flag in ("converged", "ambiguous", "on_boundary"):
+        assert np.array_equal(getattr(b, flag), getattr(full, flag)), flag
+    assert np.all(np.abs(b.distance - full.distance)
+                  <= PROJECT_DIST_TOL * (1.0 + full.distance))
+    unique = ~full.ambiguous
+    assert np.all(np.linalg.norm(b.point - full.point, axis=1)[unique] <= PROJECT_FOOT_TOL)
+
+
+def test_unbounded_cell_is_kept(monkeypatch):
+    # the Jacobian 1/(2 sqrt(x)) of the first cell [0, 1/9] divides by an
+    # interval containing 0, so that cell has no bound and is never dropped
+    M = Submanifold.graph(["x"], [[0, 1]], ["sqrt(x)"])
+    seeds, _, slack = M._seed_screen()
+    assert slack[0] == np.inf and np.all(np.isfinite(slack[1:]))
+    x0 = 0.08
+    normal = np.array([-1.0 / (2.0 * np.sqrt(x0)), 1.0])
+    p = np.array([x0, np.sqrt(x0)]) + 0.03 * normal / np.linalg.norm(normal)
+    runs = []
+    descend = Submanifold._descend
+
+    def spy(self, X, P):
+        out = descend(self, X, P)
+        runs.append((X.copy(), *out))
+        return out
+
+    monkeypatch.setattr(Submanifold, "_descend", spy)
+    b = M.project_batch(p)
+    assert b.converged[0] and not b.ambiguous[0]
+    assert b.chart[0, 0] == pytest.approx(x0, abs=1e-12)
+    assert b.distance[0] == pytest.approx(0.03, abs=1e-12)
+    # the first cell's seed ran and reached the same foot as the seeds beyond it
+    starts, feet, conv = (np.concatenate(a) for a in zip(*runs))
+    assert np.any(starts[:, 0] == seeds[0, 0])
+    assert len(starts) > 1 and np.all(conv)
+    assert np.allclose(feet, b.chart[0], atol=1e-12)
