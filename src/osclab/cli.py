@@ -65,20 +65,27 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _add_common(p: argparse.ArgumentParser, scene_required: bool = True):
-    p.add_argument("--scene", required=scene_required, help="scene JSON file")
-    p.add_argument("--seed", type=int, default=0,
-                   help="RNG seed (OSCLAB_SEED overrides)")
+def _add_flags(p: argparse.ArgumentParser, command: str):
+    """The flags `command` reads, and no others."""
+    if command != "corpus":
+        p.add_argument("--scene", required=True, help="scene JSON file")
+    if command in ("verify", "corpus"):
+        p.add_argument("--seed", type=int, default=0,
+                       help="RNG seed (OSCLAB_SEED overrides)")
+    if command == "contact":
+        p.add_argument("--max-order", type=int, default=None)
+        p.add_argument("--point", default=None,
+                       help="chart coordinates, comma separated")
+    if command in ("sweep", "coeffs"):
+        p.add_argument("--out", default=None, help="write CSV data here")
+    else:
+        p.add_argument("--report", default=None, help="write the JSON report here")
     p.add_argument("--quad-order", type=int, default=None)
     p.add_argument("--quad-cells", type=int, default=None)
     p.add_argument("--t-grid", default=None,
                    help="geometric:<t0>,<n>")
     p.add_argument("--span", type=float, default=None)
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--max-order", type=int, default=None)
-    p.add_argument("--point", default=None, help="chart coordinates, comma separated")
-    p.add_argument("--report", default=None, help="write the JSON report here")
-    p.add_argument("--out", default=None, help="write CSV data here")
     for name in _TOL_FIELDS:
         p.add_argument(f"--tol-{name.replace('_', '-')}", type=float,
                        default=None, dest=f"tol_{name}")
@@ -99,8 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("verify", "full theorem pipeline"),
         ("corpus", "run the built-in example suite"),
     ]:
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p, scene_required=(name != "corpus"))
+        _add_flags(sub.add_parser(name, help=help_text), name)
     return parser
 
 
@@ -230,11 +236,7 @@ def _cmd_corpus(args) -> int:
         step = "-" if report.first_failure is None else report.first_failure["step"]
         rows.append({"scene": name, "verdict": report.verdict, "first_failure": step})
         print(f"{name:24s} {report.verdict:18s} {step}", file=sys.stderr)
-    text = _json_text(rows)
-    if args.report:
-        _emit(text, args.report)
-    else:
-        sys.stdout.write(text)
+    _emit(_json_text(rows), args.report)
     return 0
 
 

@@ -37,6 +37,18 @@ class Tolerances:
     cubic_residual: float = 1e-9
 
 
+def composite_gauss(a: float, b: float, cells: int, order: int):
+    """Gauss-Legendre nodes and weights of `order` points per cell on `cells`
+    equal cells of [a, b]."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(a, b, cells + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1] - edges[0])
+    ts = (mid[:, None] + half * nodes[None, :]).ravel()
+    ws = np.tile(half * weights, cells)
+    return ts, ws
+
+
 def geometric_grid(t0: float = 0.2, steps: int = 8) -> np.ndarray:
     """t_i = t0 * 2^-i, i = 0..steps-1 (descending); spans two decades at defaults."""
     return t0 * 0.5 ** np.arange(steps, dtype=float)

@@ -19,12 +19,11 @@ Two independent routes measure contact order:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-
 import numpy as np
 
 from . import expr as ex
-from .config import Tolerances, geometric_grid
+from .config import Tolerances, composite_gauss, geometric_grid
+from .exterior import max_minor_rows
 from .jets import Jet, jet_eval_expr
 from .manifold import Submanifold
 
@@ -145,20 +144,6 @@ def _graph_residual_jets(M: Submanifold, curve, degree: int, tol=_TOL):
     return coeffs, base[:m]
 
 
-def _best_tangent_split(J0: np.ndarray) -> tuple[list[int], list[int]]:
-    """Ambient indices (tangent block, normal block) maximizing |det| of the
-    m x m tangent rows; the re-chart is a graph over those coordinates."""
-    n, m = J0.shape
-    best, best_rows = -1.0, None
-    for rows in combinations(range(n), m):
-        d = abs(np.linalg.det(J0[list(rows), :]))
-        if d > best:
-            best, best_rows = d, rows
-    tangent = list(best_rows)
-    normal = [i for i in range(n) if i not in best_rows]
-    return tangent, normal
-
-
 def _parametric_residual_jets(M: Submanifold, curve, degree: int, tol=_TOL):
     base = curve_point(curve, 0.0)
     proj = M.nearest_point(base)
@@ -167,7 +152,10 @@ def _parametric_residual_jets(M: Submanifold, curve, degree: int, tol=_TOL):
         raise NotOnManifold(f"curve base point is {proj.distance:.3e} off the chart")
     u0 = proj.chart
     J0 = M.jacobian(u0)
-    t_rows, n_rows = _best_tangent_split(J0)
+    # re-chart as a graph over the m ambient coordinates whose tangent rows
+    # have the largest |det|
+    t_rows = list(max_minor_rows(J0))
+    n_rows = [i for i in range(M.n) if i not in t_rows]
     JT = J0[t_rows, :]
 
     gj = curve.jets(degree)
@@ -373,15 +361,9 @@ def _speed(curve, ts: np.ndarray) -> np.ndarray:
 
 
 def _adaptive_length(curve, a: float, b: float, rtol: float = 1e-10) -> float:
-    nodes, weights = np.polynomial.legendre.leggauss(10)
     prev = None
     for level in range(3, 13):
-        cells = 2**level
-        edges = np.linspace(a, b, cells + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1] - edges[0])
-        ts = (mid[:, None] + half * nodes[None, :]).ravel()
-        w = np.tile(half * weights, cells)
+        ts, w = composite_gauss(a, b, 2**level, 10)
         total = float(np.dot(w, _speed(curve, ts)))
         if prev is not None and abs(total - prev) <= rtol * (1.0 + abs(total)):
             return total

@@ -1,10 +1,13 @@
-"""Decomposable k-vectors in Lambda^k(R^n) and the volume-element norm.
+"""Decomposable k-vectors in Lambda^k(R^n), batched maximal minors and the
+volume-element norm.
 
 Coordinates are indexed by the strictly increasing index combinations in
 lexicographic order; the coordinate for (i1 < ... < im) is the maximal
-minor of the n x m matrix of the input vectors. The Euclidean norm of the
-coordinate array equals sqrt(det(Gram)) of the frame, which is the scalar
-the swept-volume integrand is built from.
+minor of the n x m matrix of the input vectors. `minors` takes them for a
+whole stack of float frames in one batched determinant, and every float
+frame volume, maximal minor and immersion test reads it. Their Euclidean
+norm equals sqrt(det(Gram)) of the frame (Cauchy-Binet), the scalar the
+swept-volume integrand is built from.
 
 Inputs are canonically sorted (with the permutation sign tracked) before
 the minors are computed, so swapping two input vectors negates every
@@ -26,6 +29,27 @@ class DimensionMismatch(Exception):
 
 def index_combinations(n: int, k: int) -> list[tuple[int, ...]]:
     return list(combinations(range(n), k))
+
+
+def minors(A) -> np.ndarray:
+    """Every maximal minor of each n x k matrix of the stack A (..., n, k),
+    k <= n, in combination order: shape (..., C(n, k)). For k = 1 the minors
+    are the column itself, exactly; LAPACK's 1 x 1 determinant is
+    sign * exp(log|a|), which is not."""
+    A = np.asarray(A, dtype=float)
+    n, k = A.shape[-2:]
+    if k > n:
+        raise DimensionMismatch(f"no maximal minors of a {n} x {k} matrix")
+    if k == 1:
+        return A[..., 0].copy()
+    return np.linalg.det(A[..., np.array(index_combinations(n, k)), :])
+
+
+def max_minor_rows(A) -> tuple[int, ...]:
+    """Rows of the maximal minor of largest |det| of one n x k matrix; the
+    first in combination order on a tie."""
+    n, k = np.shape(A)
+    return index_combinations(n, k)[int(np.argmax(np.abs(minors(A))))]
 
 
 @dataclass(frozen=True)
@@ -66,13 +90,7 @@ def wedge(vectors) -> Blade:
     if m > n:
         raise DimensionMismatch(f"cannot wedge {m} vectors in dimension {n}")
     sorted_vecs, sign = _sort_sign(vecs)
-    A = np.stack(sorted_vecs, axis=1)  # n x m, columns are the vectors
-    coords = np.empty(comb(n, m))
-    if m == 1:
-        coords[:] = sign * A[:, 0]
-    else:
-        for idx, rows in enumerate(index_combinations(n, m)):
-            coords[idx] = sign * np.linalg.det(A[list(rows), :])
+    coords = sign * minors(np.stack(sorted_vecs, axis=1))
     return Blade(n=n, grade=m, coords=coords)
 
 

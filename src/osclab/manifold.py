@@ -41,7 +41,7 @@ from itertools import product
 import numpy as np
 
 from . import expr as ex
-from .exterior import frame_norm
+from .exterior import minors
 
 #: a parametric chart whose tangent blade norm falls to this is not an immersion
 IMMERSION_FLOOR = 1e-8
@@ -210,7 +210,7 @@ class Submanifold:
     def _min_frame_norm(self, per_axis: int | None = None) -> float:
         per_axis = per_axis or (17 if self.m <= 2 else 7)
         J = self.jacobian_many(self.grid(per_axis))
-        return min(frame_norm(list(J[i].T)) for i in range(J.shape[0]))
+        return float(np.min(np.linalg.norm(minors(J), axis=-1)))
 
     def normal_basis(self, x) -> np.ndarray:
         """Orthonormal basis of the (n-m)-dimensional normal space, columns."""

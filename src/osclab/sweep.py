@@ -38,11 +38,11 @@ from math import comb
 import numpy as np
 
 from . import expr as ex
-from .config import QuadConfig, Tolerances, geometric_grid
+from .config import QuadConfig, Tolerances, composite_gauss, geometric_grid
 from .contact import ExprCurve, PolyCurve
-from .exterior import frame_norm, index_combinations, wedge_ring
+from .exterior import index_combinations, minors, wedge_ring
 from .jets import Jet, default_degree, jet_eval_expr
-from .manifold import OutOfDomain, Submanifold
+from .manifold import IMMERSION_FLOOR, OutOfDomain, Submanifold
 
 _TOL = Tolerances()
 
@@ -269,18 +269,8 @@ class SweepFamily:
 # quadrature
 
 
-def _composite_gauss(a: float, b: float, cells: int, order: int):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(a, b, cells + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    ts = (mid[:, None] + half * nodes[None, :]).ravel()
-    ws = np.tile(half * weights, cells)
-    return ts, ws
-
-
 def _chart_mesh(M: Submanifold, quad: QuadConfig):
-    axes = [_composite_gauss(a, b, quad.cells, quad.order) for a, b in M.box]
+    axes = [composite_gauss(a, b, quad.cells, quad.order) for a, b in M.box]
     grids = np.meshgrid(*[ax[0] for ax in axes], indexing="ij")
     X = np.stack([g.ravel() for g in grids], axis=-1)
     wgrids = np.meshgrid(*[ax[1] for ax in axes], indexing="ij")
@@ -302,23 +292,15 @@ def _minor_coeffs(C: np.ndarray) -> np.ndarray:
     n, cols = C.shape[-2], C.shape[-1]
     A = np.zeros((C.shape[1], comb(n, cols), k * cols))
     degrees = [range(k + 1)] * (cols - 1) + [range(k)]
-    block = np.empty((C.shape[1], cols, cols))
-    for r, rows in enumerate(index_combinations(n, cols)):
-        for js in product(*degrees):
-            for c, j in enumerate(js):
-                block[:, :, c] = C[j][:, list(rows), c]
-            with np.errstate(under="ignore"):
-                A[:, r, sum(js)] += np.linalg.det(block)
+    for js in product(*degrees):
+        frame = np.stack([C[j][..., c] for c, j in enumerate(js)], axis=-1)
+        with np.errstate(under="ignore"):
+            A[:, :, sum(js)] += minors(frame)
     return A
 
 
 def _volume_element(frame: np.ndarray) -> np.ndarray:
-    n, cols = frame.shape[-2], frame.shape[-1]
-    acc = np.zeros(frame.shape[0])
-    for rows in index_combinations(n, cols):
-        d = np.linalg.det(frame[:, list(rows), :])
-        acc += d * d
-    return np.sqrt(acc)
+    return np.linalg.norm(minors(frame), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -333,7 +315,7 @@ def _integrate(family: SweepFamily, t: float, quad: QuadConfig) -> float:
     if key not in family._cache:
         family._cache[key] = _chart_mesh(family.M, quad)
     X, wx = family._cache[key]
-    tn, wt = _composite_gauss(-t, t, quad.t_cells, quad.order)
+    tn, wt = composite_gauss(-t, t, quad.t_cells, quad.order)
     total = 0.0
     if family.polynomial:
         akey = ("minorcoeffs", quad.order, quad.cells)
@@ -430,7 +412,7 @@ def reparam_invariance_test(family: SweepFamily, psi_exprs, t_extent: float,
     vol = _integrate(family, t_extent, quad)
 
     X, wx = _chart_mesh(M, quad)
-    tn, wt = _composite_gauss(-t_extent, t_extent, quad.t_cells, quad.order)
+    tn, wt = composite_gauss(-t_extent, t_extent, quad.t_cells, quad.order)
     total = 0.0
     q = X.shape[0]
     for s, w in zip(tn, wt):
@@ -565,7 +547,7 @@ def vanishing_verdict(family: SweepFamily, samples_per_axis: int = 3,
     M = family.M
     X = M.grid(samples_per_axis, margin=margin)
     J = M.jacobian_many(X)
-    scale = max(float(np.max([frame_norm(list(J[i].T)) for i in range(X.shape[0])])),
+    scale = max(float(np.max(_volume_element(J))),
                 np.finfo(float).tiny)
     tables = [extract_t_polynomials(family, x, tol=tol) for x in X]
     threshold = tol.vanish * scale
@@ -636,13 +618,14 @@ def tangency_flow_check(family: SweepFamily, starts, t_span: float,
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     L = starts.shape[0]
 
-    # embedding precondition: chart-frame minors bounded below on a grid
+    # embedding precondition: Submanifold.parametric's immersion test of the
+    # chart frame of phi_t on a grid, at 9 values of t
     Xg = M.grid(5, margin=0.05)
-    for s in np.linspace(-t_span, t_span, 9):
-        frames = family.frame_many(Xg, np.full(Xg.shape[0], s))[:, :, : M.m]
-        gram = np.einsum("qni,qnj->qij", frames, frames)
-        if np.min(np.linalg.det(gram)) < 1e-16:
-            raise FlowRankError(f"phi_t is not an embedding at t={s:.4g}")
+    ts = np.repeat(np.linspace(-t_span, t_span, 9), Xg.shape[0])
+    frames = family.frame_many(np.tile(Xg, (9, 1)), ts)[:, :, : M.m]
+    vol = _volume_element(frames)
+    if np.min(vol) <= IMMERSION_FLOOR:
+        raise FlowRankError(f"phi_t is not an embedding at t={ts[np.argmin(vol)]:.4g}")
 
     # trajectory r < L runs start r forward in t, trajectory L + r backward
     U = np.concatenate([starts, starts])

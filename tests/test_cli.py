@@ -162,6 +162,26 @@ def test_usage_error_unknown_flag(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("sweep", "--report x.json"),
+    ("coeffs", "--report x.json"),
+    ("verify", "--out x.csv"),
+    ("exponent", "--point 0,0"),
+    ("ruled", "--max-order 4"),
+    ("sweep", "--seed 3"),
+])
+def test_usage_error_out_of_scope_flag(capsys, hp_path, command, flag):
+    code, out, err = _run(capsys, command, "--scene", hp_path, *flag.split())
+    assert code == 1 and out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_corpus_takes_no_scene(capsys):
+    code, out, err = _run(capsys, "corpus", "--scene", "x")
+    assert code == 1 and out == ""
+    assert "unrecognized arguments" in err
+
+
 def test_usage_error_bad_t_grid(capsys, hp_path):
     code, _, err = _run(capsys, "sweep", "--scene", hp_path,
                         "--t-grid", "linear:1,2")

@@ -9,6 +9,8 @@ from osclab.exterior import (
     det_ring,
     frame_norm,
     index_combinations,
+    max_minor_rows,
+    minors,
     wedge,
     wedge_ring,
 )
@@ -103,3 +105,38 @@ def test_wedge_ring_matches_float_wedge():
 
 def test_frame_norm_alias():
     assert frame_norm([np.array([1.0, 0.0]), np.array([1.0, 1.0])]) == 1.0
+
+
+def test_minors_match_per_combination_dets():
+    """k >= 2: each row equals a per-combination det loop, bit for bit.
+    k = 1: each row is the column itself; LAPACK's 1 x 1 determinant,
+    sign * exp(log|a|), misses about one entry in eight by an ulp."""
+    rng = np.random.default_rng(17)
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            A = rng.normal(size=(50, 4, n, k))
+            got = minors(A)
+            assert got.shape == (50, 4, len(index_combinations(n, k)))
+            if k == 1:
+                assert np.array_equal(got, A[..., 0])
+            for idx in np.ndindex(50, 4):
+                if k > 1:
+                    loop = [np.linalg.det(A[idx][list(rows), :])
+                            for rows in index_combinations(n, k)]
+                    assert np.array_equal(got[idx], loop)
+                # Cauchy-Binet; the Gram determinant's rounding scales with
+                # the Hadamard bound prod |a_c|^2, not with the volume
+                hadamard = float(np.prod(np.linalg.norm(A[idx], axis=0)))
+                gap = np.sum(got[idx] ** 2) - gram_volume(list(A[idx].T)) ** 2
+                assert abs(gap) <= 1e-12 * hadamard**2
+
+
+def test_minors_reject_wide_matrices():
+    with pytest.raises(DimensionMismatch):
+        minors(np.ones((2, 3)))
+
+
+def test_max_minor_rows():
+    J = np.array([[1.0, 0.0], [0.0, 0.1], [0.0, 2.0]])
+    assert max_minor_rows(J) == (0, 2)
+    assert max_minor_rows(np.zeros((3, 2))) == (0, 1)  # first on a tie

@@ -1,0 +1,102 @@
+"""Metamorphic verdict tests: an isometry of the ambient space, or a
+re-labelling of the chart, must leave every corpus verdict and its first
+failing step unchanged. Rescaling is pinned separately, by the strict xfail
+in test_sweep.py::test_growth_ruling_zero_under_rescaling."""
+
+import copy
+import json
+
+import numpy as np
+import pytest
+
+from osclab import corpus
+from osclab import expr as ex
+from osclab.osculate import verify_theorem
+from osclab.scene import build_scene
+from oracles import substitute
+
+SHIFT = (0.5, -0.25, 0.75)
+
+
+def _raw(name: str) -> dict:
+    return json.loads(corpus.scene_path(name).read_text(encoding="utf-8"))
+
+
+def _rewrite(items, mapping):
+    return [ex.to_string(substitute(ex.parse(e), mapping)) for e in items]
+
+
+def _plus(items, deltas):
+    return [ex.to_string(ex.add(ex.parse(e), ex.const(d))) for e, d in zip(items, deltas)]
+
+
+def _translated(raw: dict) -> dict:
+    """The scene moved by SHIFT[:n] in ambient space."""
+    data = copy.deepcopy(raw)
+    man, fam = data["manifold"], data["family"]
+    delta = SHIFT[: man["ambient_dim"]]
+    if man["type"] == "graph":
+        m = len(man["chart_vars"])
+        back = {v: ex.sub(ex.var(v), ex.const(d))
+                for v, d in zip(man["chart_vars"], delta)}
+        man["domain"] = [[a + d, b + d] for (a, b), d in zip(man["domain"], delta)]
+        man["height"] = _plus(_rewrite(man["height"], back), delta[m:])
+        fam["fields"] = [_rewrite(f, back) for f in fam["fields"]]
+    else:
+        man["map"] = _plus(man["map"], delta)
+    if "map" in fam:
+        fam["map"] = _plus(fam["map"], delta)
+    return data
+
+
+def _chart_swapped(raw: dict) -> dict:
+    """The m = 2 scene with its two chart variables swapped; a graph's first
+    two ambient coordinates and field components swap with them."""
+    data = copy.deepcopy(raw)
+    man, fam = data["manifold"], data["family"]
+    man["chart_vars"] = man["chart_vars"][::-1]
+    man["domain"] = man["domain"][::-1]
+    if man["type"] == "graph":
+        fam["fields"] = [[f[1], f[0], *f[2:]] for f in fam["fields"]]
+    return data
+
+
+def _same_verdict(data: dict, name: str, verify_report):
+    want = verify_report(name)
+    got = verify_theorem(build_scene(data, name=name), seed=0)
+    assert got.verdict == want.verdict
+    step = None if want.first_failure is None else want.first_failure["step"]
+    assert (None if got.first_failure is None else got.first_failure["step"]) == step
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_translation_keeps_verdict(name, verify_report):
+    _same_verdict(_translated(_raw(name)), name, verify_report)
+
+
+@pytest.mark.parametrize("name", [n for n in corpus.names()
+                                  if len(_raw(n)["manifold"]["chart_vars"]) == 2])
+def test_chart_swap_keeps_verdict(name, verify_report):
+    _same_verdict(_chart_swapped(_raw(name)), name, verify_report)
+
+
+def test_rewrites_move_every_point_as_stated():
+    """Each point of a translated scene is the original point plus SHIFT;
+    each point of a chart-swapped scene is the original point at the swapped
+    chart point, with a graph's first two coordinates swapped."""
+    for name in ("saddle", "cylinder", "circle_rotation", "segment"):
+        before = build_scene(_raw(name))
+        moved = build_scene(_translated(_raw(name)))
+        M = before.manifold
+        x = 0.5 * (M.box[:, 0] + M.box[:, 1]) + np.linspace(0.1, 0.2, M.m)
+        shift_x = np.array(SHIFT[: M.m]) if M.kind == "graph" else np.zeros(M.m)
+        for t in (0.0, 0.1):
+            p = before.family.eval(x, t)
+            assert np.allclose(moved.family.eval(x + shift_x, t) - p,
+                               SHIFT[: M.n], atol=1e-12)
+            if M.m == 2:
+                swapped = build_scene(_chart_swapped(_raw(name)))
+                q = swapped.family.eval(x[::-1], t)
+                if M.kind == "graph":
+                    q[:2] = q[1::-1]
+                assert np.allclose(q, p, atol=1e-12)

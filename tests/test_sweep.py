@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from osclab import corpus
-from osclab.config import QuadConfig
+from osclab.config import QuadConfig, composite_gauss
 from osclab.manifold import OutOfDomain, Submanifold
 from osclab.sweep import (
     Cutoff,
@@ -14,7 +14,6 @@ from osclab.sweep import (
     FlowRankError,
     SweepFamily,
     _chart_mesh,
-    _composite_gauss,
     _minor_coeffs,
     _volume_element,
     coefficients_csv,
@@ -169,7 +168,7 @@ def test_quadrature_consistent_with_coefficients(segment, circle, hp):
         F = scene.family
         vs = swept_volume(F, t, quad)
         X, wx = _chart_mesh(scene.manifold, quad)
-        tn, wt = _composite_gauss(-t, t, quad.t_cells, quad.order)
+        tn, wt = composite_gauss(-t, t, quad.t_cells, quad.order)
         total = 0.0
         for x, w in zip(X, wx):
             table = extract_t_polynomials(F, x)
@@ -206,7 +205,7 @@ def _frame_route_volume(family, t, quad):
 
     def integrate(q):
         X, wx = _chart_mesh(family.M, q)
-        tn, wt = _composite_gauss(-t, t, q.t_cells, q.order)
+        tn, wt = composite_gauss(-t, t, q.t_cells, q.order)
         total = 0.0
         for s, w in zip(tn, wt):
             frame = family.frame_many(X, np.full(X.shape[0], s))
@@ -369,6 +368,16 @@ def test_flow_batch_isolates_each_start(hp):
     assert both[0].error is None and both[0].passed
     assert both[0].max_drift == alone[0].max_drift
     assert abs(both[0].max_residual - alone[0].max_residual) <= 1e-15
+
+
+def test_flow_requires_an_embedding():
+    """phi_t(x, y) = ((1 - t) x, y, 0) collapses the plane at t = 1."""
+    M = Submanifold.graph(["x", "y"], [[-1, 1], [-1, 1]], ["0"])
+    family = SweepFamily(M, 1, fields=[["-x", "0", "0"]])
+    with pytest.raises(FlowRankError, match="not an embedding at t=1"):
+        tangency_flow_check(family, [[0.1, 0.2]], 1.0, steps=8)
+    fr = tangency_flow_check(family, [[0.1, 0.2]], 0.5, steps=8)[0]
+    assert fr.passed and fr.error is None
 
 
 def test_flow_rejects_empty_window(hp):
