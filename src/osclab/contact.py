@@ -55,18 +55,22 @@ class PreconditionError(ContactError):
 
 
 class PolyCurve:
-    """gamma(t) = sum_j t^j c_j with coefficient vectors c_j in R^n."""
+    """gamma(t) = sum_j t^j c_j with coefficient vectors c_j in R^n.
+
+    The coefficients may carry leading batch axes, shape (..., degree+1, n):
+    then the curve is a stack of curves, evaluated at a scalar t and turned
+    into batched jets."""
 
     def __init__(self, coeffs):
         self.coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
 
     @property
     def degree(self) -> int:
-        return self.coeffs.shape[0] - 1
+        return self.coeffs.shape[-2] - 1
 
     @property
     def n(self) -> int:
-        return self.coeffs.shape[1]
+        return self.coeffs.shape[-1]
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -75,22 +79,19 @@ class PolyCurve:
 
     def velocity(self) -> "PolyCurve":
         if self.degree == 0:
-            return PolyCurve(np.zeros((1, self.n)))
+            return PolyCurve(np.zeros_like(self.coeffs))
         j = np.arange(1, self.degree + 1)[:, None]
-        return PolyCurve(j * self.coeffs[1:])
+        return PolyCurve(j * self.coeffs[..., 1:, :])
 
     def reparametrized(self, lam: float) -> "PolyCurve":
         scale = lam ** np.arange(self.degree + 1)
         return PolyCurve(scale[:, None] * self.coeffs)
 
     def jets(self, degree: int) -> list[Jet]:
-        out = []
-        for i in range(self.n):
-            c = np.zeros(degree + 1)
-            upto = min(self.degree, degree)
-            c[: upto + 1] = self.coeffs[: upto + 1, i]
-            out.append(Jet(c))
-        return out
+        upto = min(self.degree, degree) + 1
+        c = np.zeros(self.coeffs.shape[:-2] + (self.n, degree + 1))
+        c[..., :upto] = np.swapaxes(self.coeffs[..., :upto, :], -1, -2)
+        return [Jet(c[..., i, :]) for i in range(self.n)]
 
 
 class ExprCurve:
@@ -126,22 +127,25 @@ def curve_point(curve, t):
 
 
 def _graph_residual_jets(M: Submanifold, curve, degree: int, tol=_TOL):
+    """Residual coefficients (..., n-m, degree+1) of a curve or a stack of
+    PolyCurves; the box and on-graph checks must hold for every curve."""
     base = curve_point(curve, 0.0)
     m = M.m
-    if not M.in_box(base[:m], tol=1e-9):
-        raise NotOnManifold(f"base chart point {base[:m].tolist()} outside the box")
+    inside = M.in_box_many(base[..., :m], tol=1e-9)
+    if not np.all(inside):
+        bad = base[..., :m][~inside][0]
+        raise NotOnManifold(f"base chart point {bad.tolist()} outside the box")
     gj = curve.jets(degree)
     env = {name: gj[i] for i, name in enumerate(M.chart_vars)}
     res = []
     for i, h in enumerate(M.components[m:]):
         res.append(gj[m + i] - jet_eval_expr(h, env, degree))
-    coeffs = np.stack([r.coeffs for r in res])  # (n-m, degree+1)
-    scale = 1.0 + float(np.linalg.norm(base))
-    if np.max(np.abs(coeffs[:, 0])) > tol.on_manifold * scale:
-        raise NotOnManifold(
-            f"curve base point is {np.max(np.abs(coeffs[:, 0])):.3e} off the graph"
-        )
-    return coeffs, base[:m]
+    coeffs = np.stack([r.coeffs for r in res], axis=-2)  # (..., n-m, degree+1)
+    off = np.max(np.abs(coeffs[..., 0]), axis=-1)
+    scale = 1.0 + np.linalg.norm(base, axis=-1)
+    if np.any(off > tol.on_manifold * scale):
+        raise NotOnManifold(f"curve base point is {np.max(off):.3e} off the graph")
+    return coeffs, base[..., :m]
 
 
 def _parametric_residual_jets(M: Submanifold, curve, degree: int, tol=_TOL):

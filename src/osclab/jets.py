@@ -5,6 +5,12 @@ a fixed degree bound D. Arithmetic is the exact truncated ring arithmetic,
 so t-derivatives extracted from jets carry no finite-difference noise:
 the j-th derivative at 0 equals j! * c_j.
 
+Coefficients may carry leading batch axes: a jet of shape (..., D+1) is a
+stack of jets of one degree bound, and every operation acts along the last
+axis and broadcasts over the rest, so one expression walk evaluates a whole
+batch of curves (the class-k fit runs all of its starts this way). A domain
+error is raised when any row breaks the rule.
+
 Only the single time variable is jet-valued. Partials in chart variables
 are always taken symbolically first (expr.diff) and the result is then
 jet-evaluated in t.
@@ -17,6 +23,7 @@ errors.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -46,13 +53,13 @@ class Jet:
 
     def __init__(self, coeffs):
         c = np.asarray(coeffs, dtype=float)
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("jet coefficients must be a nonempty 1-d array")
+        if c.ndim == 0 or c.shape[-1] == 0:
+            raise ValueError("jet coefficients need a nonempty last axis")
         self.coeffs = c
 
     @property
     def degree(self) -> int:
-        return self.coeffs.size - 1
+        return self.coeffs.shape[-1] - 1
 
     @classmethod
     def constant(cls, value: float, degree: int) -> "Jet":
@@ -68,10 +75,10 @@ class Jet:
             c[1] = 1.0
         return cls(c)
 
-    def derivative_at_zero(self, j: int) -> float:
+    def derivative_at_zero(self, j: int):
         if j > self.degree:
             raise IndexError("derivative order exceeds the degree bound")
-        return math.factorial(j) * float(self.coeffs[j])
+        return math.factorial(j) * self.coeffs[..., j]
 
     def _coerce(self, other) -> "Jet":
         if isinstance(other, Jet):
@@ -102,7 +109,7 @@ class Jet:
         if not isinstance(other, Jet):
             return Jet(self.coeffs * float(other))
         other = self._coerce(other)
-        return Jet(np.convolve(self.coeffs, other.coeffs)[: self.degree + 1])
+        return Jet(_product(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -115,64 +122,105 @@ class Jet:
         return f"Jet({self.coeffs.tolist()})"
 
 
+@functools.cache
+def _cauchy(size: int) -> np.ndarray:
+    """0/1 matrix of shape (size*size, size) that sends the flattened outer
+    product a_i b_k to the coefficient of t^(i+k), dropping i+k >= size."""
+    i, k = np.divmod(np.arange(size * size), size)
+    out = (i[:, None] + k[:, None] == np.arange(size)).astype(float)
+    out.setflags(write=False)     # shared by every caller through the cache
+    return out
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Truncated Cauchy product along the last axis, broadcast over the rest.
+
+    einsum builds the outer product because it never reports underflow
+    (coefficients may be subnormal); the 0/1 matmul that sums it is exact
+    term by term, so it sets no underflow flag either."""
+    size = a.shape[-1]
+    outer = np.einsum("...i,...k->...ik", a, b)
+    return outer.reshape(outer.shape[:-2] + (size * size,)) @ _cauchy(size)
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Sum of products along the last axis, by einsum as above."""
+    return np.einsum("...i,...i->...", x, y)
+
+
+def _series(u: Jet, *rest: Jet) -> np.ndarray:
+    """Zero coefficients for the broadcast shape of the operands."""
+    shape = np.broadcast_shapes(u.coeffs.shape, *(r.coeffs.shape for r in rest))
+    return np.zeros(shape)
+
+
+# jet_div, jet_exp, jet_sin_cos and jet_sqrt ignore underflow: numpy's sin
+# of a subnormal constant term, or a division in a recurrence, may underflow,
+# which a truncated series shrugs off as the product does.
+
+
+@np.errstate(under="ignore")
 def jet_div(a: Jet, b: Jet) -> Jet:
-    if b.coeffs[0] == 0.0:
+    b0 = b.coeffs[..., 0]
+    if np.any(b0 == 0.0):
         raise JetDomainError("quotient by a jet with zero constant term")
-    D = a.degree
-    q = np.zeros(D + 1)
-    for j in range(D + 1):
-        acc = a.coeffs[j] - np.dot(q[:j], b.coeffs[j:0:-1])
-        q[j] = acc / b.coeffs[0]
+    q = _series(a, b)
+    for j in range(a.degree + 1):
+        acc = a.coeffs[..., j] - _dot(q[..., :j], b.coeffs[..., j:0:-1])
+        q[..., j] = acc / b0
     return Jet(q)
 
 
 def jet_pow(a: Jet, p: int) -> Jet:
     if p < 0:
         raise ValueError("jet powers must have nonnegative exponent")
-    out = Jet.constant(1.0, a.degree)
-    base = a
-    while p:
+    if p == 0:
+        return Jet.constant(1.0, a.degree)
+    out, base = None, a
+    while True:          # square-and-multiply, with no square left unused
         if p & 1:
-            out = out * base
-        base = base * base
+            out = base if out is None else out * base
         p >>= 1
-    return out
+        if not p:
+            return out
+        base = base * base
 
 
+@np.errstate(under="ignore")
 def jet_exp(u: Jet) -> Jet:
-    D = u.degree
-    e = np.zeros(D + 1)
-    e[0] = math.exp(u.coeffs[0])
-    for j in range(1, D + 1):
-        e[j] = np.dot(np.arange(1, j + 1) * u.coeffs[1 : j + 1], e[j - 1 :: -1][:j]) / j
+    e = _series(u)
+    e[..., 0] = np.exp(u.coeffs[..., 0])
+    for j in range(1, u.degree + 1):
+        iu = np.arange(1, j + 1) * u.coeffs[..., 1 : j + 1]
+        e[..., j] = _dot(iu, e[..., j - 1 :: -1]) / j
     return Jet(e)
 
 
+@np.errstate(under="ignore")
 def jet_sin_cos(u: Jet) -> tuple[Jet, Jet]:
-    D = u.degree
-    s = np.zeros(D + 1)
-    c = np.zeros(D + 1)
-    s[0] = math.sin(u.coeffs[0])
-    c[0] = math.cos(u.coeffs[0])
-    for j in range(1, D + 1):
-        iu = np.arange(1, j + 1) * u.coeffs[1 : j + 1]
-        s[j] = np.dot(iu, c[j - 1 :: -1][:j]) / j
-        c[j] = -np.dot(iu, s[j - 1 :: -1][:j]) / j
+    s = _series(u)
+    c = _series(u)
+    s[..., 0] = np.sin(u.coeffs[..., 0])
+    c[..., 0] = np.cos(u.coeffs[..., 0])
+    for j in range(1, u.degree + 1):
+        iu = np.arange(1, j + 1) * u.coeffs[..., 1 : j + 1]
+        s[..., j] = _dot(iu, c[..., j - 1 :: -1]) / j
+        c[..., j] = -_dot(iu, s[..., j - 1 :: -1]) / j
     return Jet(s), Jet(c)
 
 
+@np.errstate(under="ignore")
 def jet_sqrt(u: Jet) -> Jet:
-    u0 = u.coeffs[0]
-    if u0 == 0.0:
+    u0 = u.coeffs[..., 0]
+    if np.any(u0 == 0.0):
         raise JetDomainError("sqrt of a jet with zero constant term")
-    if u0 < 0.0:
+    if np.any(u0 < 0.0):
         raise JetDomainError("sqrt of a jet with negative constant term")
-    D = u.degree
-    s = np.zeros(D + 1)
-    s[0] = math.sqrt(u0)
-    for j in range(1, D + 1):
-        acc = u.coeffs[j] - np.dot(s[1:j], s[j - 1 : 0 : -1])
-        s[j] = acc / (2.0 * s[0])
+    s = _series(u)
+    s[..., 0] = np.sqrt(u0)
+    for j in range(1, u.degree + 1):
+        acc = u.coeffs[..., j] - _dot(s[..., 1:j], s[..., j - 1 : 0 : -1])
+        s[..., j] = acc / (2.0 * s[..., 0])
     return Jet(s)
 
 

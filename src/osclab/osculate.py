@@ -156,62 +156,79 @@ def fit_class_k_curve(M: Submanifold, p_chart, k: int, target_order: int,
                       starts: int = 32, seed: int = 0, tol=_TOL):
     """Damped Gauss-Newton for coefficients c_1..c_k with residual jet
     coefficients of orders 1..target_order all vanishing; returns a
-    PolyCurve with unit-normalized velocity, or None."""
+    PolyCurve with unit-normalized velocity, or None.
+
+    Every start runs the same iteration it would run alone: a
+    central-difference Jacobian, a least-squares step, and a line search
+    that takes the first of 25 halvings to lower |F|^2; a start ends when it
+    converges, when its line search fails, or after 80 steps. The starts run
+    in lockstep, so each step evaluates residual jets twice for all live
+    starts at once (the Jacobian probes and the line-search candidates) as
+    batched PolyCurves. The result is the curve of the lowest-index start
+    that converges with speed >= min_speed, returned once every lower-index
+    start has ended; higher-index starts are dropped as soon as one
+    converges.
+    """
     if M.kind != "graph":
         raise NonGraphChart("class-k fitting expects a graph chart")
     p_chart = np.asarray(p_chart, dtype=float)
     p_amb = M.chart_eval(p_chart)
     n = M.n
+    size = k * n
 
     def system(flat: np.ndarray) -> np.ndarray:
-        c = flat.reshape(k, n)
-        curve = PolyCurve(np.vstack([p_amb, c]))
-        coeffs, _ = residual_jets(M, curve, target_order, tol)
-        res = coeffs[:, 1 : target_order + 1].ravel()
-        return np.concatenate([res, [np.dot(c[0], c[0]) - 1.0]])
+        """Residuals (..., rows) of coefficient vectors flat (..., k*n)."""
+        c = flat.reshape(flat.shape[:-1] + (k, n))
+        base = np.broadcast_to(p_amb, c.shape[:-2] + (1, n))
+        coeffs, _ = residual_jets(M, PolyCurve(np.concatenate([base, c], axis=-2)),
+                                  target_order, tol)
+        res = coeffs[..., 1 : target_order + 1].reshape(flat.shape[:-1] + (-1,))
+        speed = np.einsum("...i,...i->...", c[..., 0, :], c[..., 0, :]) - 1.0
+        return np.concatenate([res, speed[..., None]], axis=-1)
 
-    def jacobian(flat: np.ndarray) -> np.ndarray:
-        cols = []
-        for i in range(flat.size):
-            h = 1e-7 * (1.0 + abs(flat[i]))
-            up, dn = flat.copy(), flat.copy()
-            up[i] += h
-            dn[i] -= h
-            cols.append((system(up) - system(dn)) / (2 * h))
-        return np.stack(cols, axis=-1)
+    def jacobians(flat: np.ndarray) -> np.ndarray:
+        """Central-difference Jacobians (live, rows, k*n), all probes in one call."""
+        h = 1e-7 * (1.0 + np.abs(flat))
+        step = h[:, None, :] * np.eye(size)              # probe i moves coordinate i
+        probes = flat[:, None, None, :] + np.stack([step, -step], axis=1)
+        F = system(probes)                               # (live, 2, k*n, rows)
+        return np.swapaxes((F[:, 0] - F[:, 1]) / (2 * h[:, :, None]), -1, -2)
 
     rng = np.random.default_rng(seed)
-    for _ in range(starts):
-        flat = rng.standard_normal((k, n))
-        flat[0] /= np.linalg.norm(flat[0])
-        flat = flat.ravel()
-        F = system(flat)
-        f2 = float(np.dot(F, F))
-        for _ in range(80):
-            # absolute, so never looser than the contact check's
-            # contact_coeff * max(1, max|c|): an accepted curve meets the order
-            if (np.max(np.abs(F[:-1])) <= tol.contact_coeff
-                    and abs(F[-1]) <= 1e-9):
-                c = flat.reshape(k, n)
-                if np.linalg.norm(c[0]) >= tol.min_speed:
-                    return PolyCurve(np.vstack([p_amb, c]))
-                break
-            J = jacobian(flat)
-            delta, *_ = np.linalg.lstsq(J, -F, rcond=None)
-            step = 1.0
-            accepted = False
-            for _ in range(25):
-                cand = flat + step * delta
-                Fc = system(cand)
-                fc2 = float(np.dot(Fc, Fc))
-                if fc2 < f2:
-                    flat, F, f2 = cand, Fc, fc2
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
-                break
-    return None
+    flat = rng.standard_normal((starts, k, n))
+    for c in flat:
+        c[0] /= np.linalg.norm(c[0])
+    flat = flat.reshape(starts, size)
+    F = system(flat)
+    f2 = np.einsum("ij,ij->i", F, F)
+    halvings = 0.5 ** np.arange(25)
+    live = np.arange(starts)       # starts still iterating, in index order
+    winner = None                  # lowest-index start that converged
+    for _ in range(80):
+        # absolute, so never looser than the contact check's
+        # contact_coeff * max(1, max|c|): an accepted curve meets the order
+        done = ((np.max(np.abs(F[live, :-1]), axis=1) <= tol.contact_coeff)
+                & (np.abs(F[live, -1]) <= 1e-9))
+        found = done & (np.linalg.norm(flat[live, :n], axis=1) >= tol.min_speed)
+        if found.any():
+            winner = live[found][0]
+        live = live[~done & (live < (starts if winner is None else winner))]
+        if live.size == 0:
+            break
+        J = jacobians(flat[live])
+        delta = np.stack([np.linalg.lstsq(J[i], -F[s], rcond=None)[0]
+                          for i, s in enumerate(live)])
+        cand = flat[live, None, :] + halvings[:, None] * delta[:, None, :]
+        Fc = system(cand)                                # (live, 25, rows)
+        fc2 = np.einsum("sjr,sjr->sj", Fc, Fc)
+        better = fc2 < f2[live, None]
+        moved = better.any(axis=1)       # a start whose line search fails ends
+        hit, first = np.nonzero(moved)[0], np.argmax(better, axis=1)[moved]
+        live = live[moved]
+        flat[live], F[live], f2[live] = cand[hit, first], Fc[hit, first], fc2[hit, first]
+    if winner is None:
+        return None
+    return PolyCurve(np.vstack([p_amb, flat[winner].reshape(k, n)]))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the library's own computation paths:
 Taylor coefficients come from repeated symbolic differentiation, distances
 from brute-force grid minimization, lengths from composite Simpson, frame
-volumes from Gram determinants.
+volumes from Gram determinants. The class-k fit oracle is the exception: it
+uses the library's residual jets but runs its starts one after another, so
+it checks the lockstep schedule of osculate.fit_class_k_curve.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 import numpy as np
 
 from osclab import expr as ex
+from osclab.contact import PolyCurve, residual_jets
 
 
 def substitute(e: ex.Expr, mapping: dict[str, ex.Expr]) -> ex.Expr:
@@ -116,3 +119,61 @@ def dense_distance_min(embed_many, box, P, per_axis: int):
     # nearest grid point by the expanded square, then its distance directly
     arg = np.argmin(np.sum(C * C, axis=1) - 2.0 * P @ C.T, axis=1)
     return np.linalg.norm(P - C[arg], axis=1), edge[arg], slack
+
+
+def sequential_class_k_fit(M, p_chart, k: int, target_order: int, tol,
+                           starts: int = 32, seed: int = 0):
+    """osculate.fit_class_k_curve with one start at a time: each start runs
+    its damped Gauss-Newton to the end before the next is drawn, and the
+    first that converges with speed >= min_speed is returned."""
+    p_chart = np.asarray(p_chart, dtype=float)
+    p_amb = M.chart_eval(p_chart)
+    n = M.n
+
+    def system(flat: np.ndarray) -> np.ndarray:
+        c = flat.reshape(k, n)
+        curve = PolyCurve(np.vstack([p_amb, c]))
+        coeffs, _ = residual_jets(M, curve, target_order, tol)
+        res = coeffs[:, 1 : target_order + 1].ravel()
+        return np.concatenate([res, [np.dot(c[0], c[0]) - 1.0]])
+
+    def jacobian(flat: np.ndarray) -> np.ndarray:
+        cols = []
+        for i in range(flat.size):
+            h = 1e-7 * (1.0 + abs(flat[i]))
+            up, dn = flat.copy(), flat.copy()
+            up[i] += h
+            dn[i] -= h
+            cols.append((system(up) - system(dn)) / (2 * h))
+        return np.stack(cols, axis=-1)
+
+    rng = np.random.default_rng(seed)
+    for _ in range(starts):
+        flat = rng.standard_normal((k, n))
+        flat[0] /= np.linalg.norm(flat[0])
+        flat = flat.ravel()
+        F = system(flat)
+        f2 = float(np.dot(F, F))
+        for _ in range(80):
+            if (np.max(np.abs(F[:-1])) <= tol.contact_coeff
+                    and abs(F[-1]) <= 1e-9):
+                c = flat.reshape(k, n)
+                if np.linalg.norm(c[0]) >= tol.min_speed:
+                    return PolyCurve(np.vstack([p_amb, c]))
+                break
+            J = jacobian(flat)
+            delta, *_ = np.linalg.lstsq(J, -F, rcond=None)
+            step = 1.0
+            accepted = False
+            for _ in range(25):
+                cand = flat + step * delta
+                Fc = system(cand)
+                fc2 = float(np.dot(Fc, Fc))
+                if fc2 < f2:
+                    flat, F, f2 = cand, Fc, fc2
+                    accepted = True
+                    break
+                step *= 0.5
+            if not accepted:
+                break
+    return None

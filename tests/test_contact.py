@@ -14,6 +14,7 @@ from osclab.contact import (
     contact_order_metric,
     length_bound_check,
     monotone_window,
+    residual_jets,
     uniform_decay_check,
 )
 from osclab.manifold import Submanifold
@@ -243,3 +244,35 @@ def test_window_tube_exit_on_ambiguous_curve():
     stuck = PolyCurve([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(TubeExit):
         monotone_window(stuck, M, eps_max=0.25)
+
+
+def test_stacked_polycurves_match_one_by_one():
+    # a (4, 3, deg+1, n) stack of curves through one point of a graph with
+    # a quotient and a square root in its height
+    M = Submanifold.graph(["x", "y"], [[-1, 1], [-1, 1]],
+                          ["x*y^2 / (2 + x) + sqrt(1 + x^2)"])
+    base = M.embed(np.array([0.3, -0.6]))
+    rng = np.random.default_rng(4)
+    tails = rng.standard_normal((4, 3, 2, 3))
+    coeffs = np.concatenate([np.broadcast_to(base, (4, 3, 1, 3)), tails], axis=-2)
+    got, chart = residual_jets(M, PolyCurve(coeffs), 6)
+    assert got.shape == (4, 3, 1, 7)
+    assert np.array_equal(chart, np.broadcast_to(base[:2], (4, 3, 2)))
+    for index in np.ndindex(4, 3):
+        want, _ = residual_jets(M, PolyCurve(coeffs[index]), 6)
+        scale = max(1.0, np.max(np.abs(want)))
+        assert np.all(np.abs(got[index] - want) <= 1e-14 * scale)
+
+
+def test_stacked_polycurves_check_every_base_point(paraboloid):
+    line = np.array([[0.2, 0.1, 0.05], [1.0, 0.0, 0.4]])
+    stack = np.stack([line, line, line])
+    residual_jets(paraboloid, PolyCurve(stack), 4)
+    off = stack.copy()
+    off[2, 0, 2] += 1e-3                 # the last base point leaves the graph
+    with pytest.raises(NotOnManifold, match="off the graph"):
+        residual_jets(paraboloid, PolyCurve(off), 4)
+    outside = stack.copy()
+    outside[1, 0] = [1.5, 0.0, 2.25]     # on the surface, outside the box
+    with pytest.raises(NotOnManifold, match="outside the box"):
+        residual_jets(paraboloid, PolyCurve(outside), 4)

@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +10,12 @@ from osclab.jets import (
     Jet,
     JetDomainError,
     default_degree,
+    jet_div,
     jet_eval_expr,
+    jet_exp,
+    jet_pow,
+    jet_sin_cos,
+    jet_sqrt,
 )
 from oracles import taylor_by_diff
 
@@ -125,3 +132,121 @@ def test_division_roundtrip():
     b = Jet([2.0, 0.3, -0.7, 1.0])
     q = a / b
     assert np.allclose((q * b).coeffs, a.coeffs, rtol=1e-13, atol=1e-14)
+
+
+# -- batched jets: (B, D+1) coefficients, one jet per row ---------------------
+
+_UNARY = {
+    "neg": lambda u: -u,
+    "scale": lambda u: 2.5 * u,
+    "pow3": lambda u: jet_pow(u, 3),
+    "exp": jet_exp,
+    "sin": lambda u: jet_sin_cos(u)[0],
+    "cos": lambda u: jet_sin_cos(u)[1],
+    "sqrt": jet_sqrt,
+}
+_BINARY = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "div": jet_div,
+}
+
+
+@st.composite
+def _stacks(draw):
+    """Two (B, D+1) coefficient stacks; the second has constant terms in
+    [0.5, 3], so quotients by it and square roots of it are defined."""
+    rows = draw(st.integers(1, 5))
+    size = draw(st.integers(1, 7))
+    entry = st.floats(min_value=-3, max_value=3, allow_nan=False)
+    a = draw(st.lists(entry, min_size=rows * size, max_size=rows * size))
+    b = draw(st.lists(entry, min_size=rows * size, max_size=rows * size))
+    lead = draw(st.lists(st.floats(0.5, 3.0), min_size=rows, max_size=rows))
+    a = np.reshape(a, (rows, size))
+    b = np.reshape(b, (rows, size))
+    b[:, 0] = lead
+    return a, b
+
+
+def _assert_rowwise(batched: Jet, rows: list[Jet]):
+    assert batched.coeffs.shape == (len(rows), rows[0].degree + 1)
+    for got, want in zip(batched.coeffs, rows):
+        assert np.all(np.abs(got - want.coeffs)
+                      <= 1e-14 * max(1.0, np.max(np.abs(want.coeffs))))
+
+
+@given(_stacks())
+def test_batched_jets_match_rows(stacks):
+    a, b = stacks
+    for op in _UNARY.values():
+        _assert_rowwise(op(Jet(b)), [op(Jet(row)) for row in b])
+    for op in _BINARY.values():
+        _assert_rowwise(op(Jet(a), Jet(b)), [op(Jet(x), Jet(y)) for x, y in zip(a, b)])
+        # a 1-d jet broadcasts against every row
+        _assert_rowwise(op(Jet(a), Jet(b[0])), [op(Jet(x), Jet(b[0])) for x in a])
+
+
+@given(_stacks())
+def test_batched_expression_matches_rows(stacks):
+    a, b = stacks
+    e = ex.parse("exp(sin(x)) / (2 + x^2) + sqrt(y) * x - 3*y^2")
+    batched = jet_eval_expr(e, {"x": Jet(a), "y": Jet(b)})
+    _assert_rowwise(batched, [jet_eval_expr(e, {"x": Jet(x), "y": Jet(y)})
+                              for x, y in zip(a, b)])
+
+
+@given(_stacks())
+def test_product_matches_convolution(stacks):
+    # the reference product is np.convolve, truncated; the two sum the same
+    # terms in different orders, so they agree to the rounding bound
+    a, b = stacks
+    got = (Jet(a) * Jet(b)).coeffs
+    size = a.shape[1]
+    for x, y, row in zip(a, b, got):
+        with np.errstate(under="ignore"):   # the bound of a tiny term
+            bound = 2 * size * np.finfo(float).eps * np.convolve(abs(x), abs(y))[:size]
+        assert np.all(np.abs(row - np.convolve(x, y)[:size]) <= bound)
+
+
+def test_batched_domain_error_on_any_row():
+    good = np.array([[1.0, 2.0, 0.5], [2.0, -1.0, 0.0], [0.5, 0.0, 1.0]])
+    for bad_row in range(3):
+        den = good.copy()
+        den[bad_row, 0] = 0.0
+        with pytest.raises(JetDomainError):
+            jet_div(Jet(good), Jet(den))
+        with pytest.raises(JetDomainError):
+            jet_sqrt(Jet(den))
+    negative = good.copy()
+    negative[1, 0] = -1.0
+    with pytest.raises(JetDomainError):
+        jet_sqrt(Jet(negative))
+
+
+def test_batched_degree_mismatch():
+    a = Jet(np.ones((3, 4)))
+    for b in (Jet(np.ones((3, 5))), Jet(np.ones(5))):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(DegreeMismatch):
+                op(a, b)
+
+
+def test_jet_needs_a_nonempty_last_axis():
+    with pytest.raises(ValueError):
+        Jet(np.zeros((3, 0)))
+    with pytest.raises(ValueError):
+        Jet(1.0)
+
+
+@given(st.integers(150, 300), st.integers(150, 300))
+def test_underflowing_coefficients_raise_no_warning(p, q):
+    # products of coefficients near 1e-300 underflow; the suite turns any
+    # RuntimeWarning into an error
+    a = Jet(np.full((2, 5), 10.0 ** -p))
+    b = Jet(np.full((2, 5), 10.0 ** -q))
+    assert np.all(np.isfinite((a * b).coeffs))
+    assert np.all(np.isfinite(jet_pow(a, 3).coeffs))
+    one = Jet(np.ones(5))
+    assert np.all(np.isfinite(jet_div(a, one + b).coeffs))
+    assert np.all(np.isfinite(jet_sqrt(one + a).coeffs))

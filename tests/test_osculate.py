@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from osclab import corpus
+from osclab import osculate
 from osclab import expr as ex
 from osclab.contact import (
     NonGraphChart,
@@ -16,7 +19,9 @@ from osclab.osculate import (
     osculating_directions,
     ruledness_check,
 )
+from osclab.scene import build_scene
 from osclab.sweep import SweepFamily
+from oracles import sequential_class_k_fit
 
 
 def _chart_set(dirs):
@@ -133,6 +138,65 @@ def test_fit_matches_osculating_directions():
         assert dirs
         best = max(abs(float(np.dot(v, d.ambient))) for d in dirs)
         assert best >= 1.0 - 1e-6
+
+
+def _without_family(name):
+    """The corpus scene with its family dropped, keeping the family's k."""
+    data = json.loads(corpus.scene_path(name).read_text())
+    data.setdefault("params", {})["k"] = data.pop("family")["k"]
+    return build_scene(data, name=f"{name}-nofam")
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_lockstep_fit_matches_sequential_oracle(seed):
+    # the starts run in lockstep but must end as they would one by one:
+    # the same samples without a curve, and the same curve where one exists
+    for name, samples in (("saddle", 9), ("hyperbolic_paraboloid", 9),
+                          ("paraboloid", 9), ("cubic_graph", 2)):
+        scene = _without_family(name)
+        M, p = scene.manifold, scene.params
+        required = scene.k * (M.m + 1)
+        for x in M.grid(p.samples, margin=p.margin)[:samples]:
+            got = fit_class_k_curve(M, x, scene.k, required, seed=seed, tol=p.tol)
+            want = sequential_class_k_fit(M, x, scene.k, required, p.tol, seed=seed)
+            assert (got is None) == (want is None), (name, x)
+            if want is not None:
+                assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-8, (name, x)
+
+
+def test_fit_evaluates_all_starts_together(monkeypatch):
+    # cubic_graph has no order-3 line, so all 32 starts run until their
+    # line searches fail; each Gauss-Newton step makes one residual call
+    # for the Jacobian probes and one for the line-search candidates
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].coeffs.shape[:-2])
+        return residual_jets(*args, **kwargs)
+
+    monkeypatch.setattr(osculate, "residual_jets", counting)
+    cubic = corpus.load("cubic_graph")
+    assert fit_class_k_curve(cubic.manifold, [0.2, 0.5], 1, 3, seed=0) is None
+    assert calls[0] == (32,)
+    assert len(calls) % 2 == 1 and len(calls) <= 1 + 2 * 80
+    assert all(shape[1:] in {(2, 3), (25,)} for shape in calls[1:])
+
+
+def test_verify_fails_family_less_m3_bowl():
+    # the non-ruled m = 3 control: no line osculates w = x^2 + y^2 + z^2 to
+    # order k(m+1) = 4, so every sample fails at osculation
+    scene = build_scene({
+        "manifold": {"type": "graph", "chart_vars": ["x", "y", "z"],
+                     "domain": [[-1, 1], [-1, 1], [-1, 1]], "ambient_dim": 4,
+                     "height": ["x^2 + y^2 + z^2"]},
+        "params": {"k": 1}}, name="bowl3-nofam")
+    rep = osculate.verify_theorem(scene, seed=0)
+    assert rep.verdict == "HYPOTHESIS_FAILS"
+    assert rep.first_failure["step"] == "osculation"
+    assert rep.required_order == 4
+    records = rep.steps["osculation"]["records"]
+    assert len(records) == 27
+    assert all(r["order"] == "none" for r in records)
 
 
 # -- ruledness ----------------------------------------------------------------
