@@ -6,7 +6,6 @@ from .contact import (
     ContactOrder,
     ExprCurve,
     PolyCurve,
-    contact_order_jet,
     contact_order_jet_recharted,
     contact_order_metric,
     length_bound_check,

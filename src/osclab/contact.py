@@ -39,7 +39,7 @@ class NotOnManifold(ContactError):
 
 
 class NonGraphChart(ContactError):
-    """contact_order_jet needs a graph chart; use the recharted variant."""
+    """The class-k curve fit needs a graph chart."""
 
 
 class TubeExit(ContactError):
@@ -217,14 +217,6 @@ def _order_from_coeffs(coeffs: np.ndarray, max_order: int, coeff_tol: float) -> 
     return ContactOrder(order, False, max_order, coeffs, scale)
 
 
-def contact_order_jet(curve, M: Submanifold, max_order: int, tol=_TOL) -> ContactOrder:
-    """Jet contact order of a curve with a graph submanifold at t=0."""
-    if M.kind != "graph":
-        raise NonGraphChart("manifold is not a graph; re-chart first")
-    coeffs, _ = _graph_residual_jets(M, curve, max_order + 1, tol)
-    return _order_from_coeffs(coeffs, max_order, tol.contact_coeff)
-
-
 def contact_order_jet_recharted(curve, M: Submanifold, max_order: int, tol=_TOL) -> ContactOrder:
     """Jet contact order for any chart kind (local graph re-chart if needed)."""
     coeffs, _ = residual_jets(M, curve, max_order + 1, tol)
@@ -276,8 +268,7 @@ class DecayReport:
     message: str
 
 
-def uniform_decay_check(family, k: int, sub_box=None, t_grid=None,
-                        samples_per_axis: int = 4, tol=_TOL) -> DecayReport:
+def uniform_decay_check(family, k: int, tol=_TOL) -> DecayReport:
     """Check max over a compact sample set of d(phi(x,t), M)/t^k decays to 0.
 
     Failure is a negative report, not an error; the per-t max-ratio table is
@@ -286,9 +277,8 @@ def uniform_decay_check(family, k: int, sub_box=None, t_grid=None,
     below the underflow floor count as exact containment.
     """
     M = family.M
-    ts = np.asarray(geometric_grid() if t_grid is None else t_grid, dtype=float)
-    shrink = 0.15 if sub_box is None else sub_box
-    X = M.grid(samples_per_axis, margin=shrink)
+    ts = geometric_grid()
+    X = M.grid(4, margin=0.15)
     max_order = max(k, 1)
     hypothesis_met = all(
         contact_order_jet_recharted(family.curve_at(x), M, max_order, tol).meets(k)
@@ -328,10 +318,11 @@ def _side_monotone(vals: np.ndarray, tol_abs: float) -> bool:
 
 
 def monotone_window(curve, M: Submanifold, eps_max: float = 0.5,
-                    samples: int = 64, tol=_TOL) -> float:
+                    tol=_TOL) -> float:
     """Largest grid-certified eps such that every coordinate of
-    nearest_point(gamma(t)) - gamma(t) is monotone on (0,eps) and (-eps,0)."""
-    eps = float(eps_max)
+    nearest_point(gamma(t)) - gamma(t) is monotone on (0,eps) and (-eps,0),
+    certified on 64 samples per side."""
+    eps, samples = float(eps_max), 64
     for _ in range(13):
         ts = eps * np.arange(1, samples + 1) / samples
         ts = np.concatenate([-ts[::-1], ts])
@@ -364,19 +355,19 @@ def _speed(curve, ts: np.ndarray) -> np.ndarray:
     return np.linalg.norm(curve_point(vel, ts), axis=-1)
 
 
-def _adaptive_length(curve, a: float, b: float, rtol: float = 1e-10) -> float:
+def _adaptive_length(curve, a: float, b: float) -> float:
     prev = None
     for level in range(3, 13):
         ts, w = composite_gauss(a, b, 2**level, 10)
         total = float(np.dot(w, _speed(curve, ts)))
-        if prev is not None and abs(total - prev) <= rtol * (1.0 + abs(total)):
+        if prev is not None and abs(total - prev) <= 1e-10 * (1.0 + abs(total)):
             return total
         prev = total
     return prev
 
 
-def length_bound_check(curve, a: float, b: float, check_samples: int = 257) -> LengthBound:
-    ts = np.linspace(a, b, check_samples)
+def length_bound_check(curve, a: float, b: float) -> LengthBound:
+    ts = np.linspace(a, b, 257)
     vals = curve_point(curve, ts)
     for i in range(vals.shape[1]):
         col = vals[:, i]

@@ -62,9 +62,12 @@ class Jet:
         return self.coeffs.shape[-1] - 1
 
     @classmethod
-    def constant(cls, value: float, degree: int) -> "Jet":
-        c = np.zeros(degree + 1)
-        c[0] = value
+    def constant(cls, value, degree: int) -> "Jet":
+        """The constant jet of a float, or the stack of constant jets of an
+        array of values, shape (*value.shape, degree+1)."""
+        value = np.asarray(value, dtype=float)
+        c = np.zeros(value.shape + (degree + 1,))
+        c[..., 0] = value
         return cls(c)
 
     @classmethod

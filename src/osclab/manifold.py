@@ -207,9 +207,8 @@ class Submanifold:
             axes.append(np.linspace(lo, hi, per_axis))
         return np.array(list(product(*axes)), dtype=float)
 
-    def _min_frame_norm(self, per_axis: int | None = None) -> float:
-        per_axis = per_axis or (17 if self.m <= 2 else 7)
-        J = self.jacobian_many(self.grid(per_axis))
+    def _min_frame_norm(self) -> float:
+        J = self.jacobian_many(self.grid(17 if self.m <= 2 else 7))
         return float(np.min(np.linalg.norm(minors(J), axis=-1)))
 
     def normal_basis(self, x) -> np.ndarray:

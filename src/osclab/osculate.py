@@ -59,10 +59,10 @@ class OscDirection:
     jet_order: ContactOrder
 
 
-def _probe_residual(M: Submanifold, p_amb, basis, v, degree=3, tol=_TOL):
+def _probe_residual(M: Submanifold, p_amb, basis, v, tol=_TOL):
     w = v[0] * basis[:, 0] + v[1] * basis[:, 1]
     line = PolyCurve(np.stack([p_amb, w]))
-    coeffs, _ = residual_jets(M, line, degree, tol)
+    coeffs, _ = residual_jets(M, line, 3, tol)
     return float(coeffs[0, 2]), float(coeffs[0, 3])
 
 
@@ -151,9 +151,11 @@ def osculating_directions(M: Submanifold, p_chart, tol=_TOL) -> list[OscDirectio
 # ---------------------------------------------------------------------------
 # class-k curve fitting
 
+FIT_STARTS = 32        # random starts per fit, drawn from the seeded rng
+
 
 def fit_class_k_curve(M: Submanifold, p_chart, k: int, target_order: int,
-                      starts: int = 32, seed: int = 0, tol=_TOL):
+                      seed: int = 0, tol=_TOL):
     """Damped Gauss-Newton for coefficients c_1..c_k with residual jet
     coefficients of orders 1..target_order all vanishing; returns a
     PolyCurve with unit-normalized velocity, or None.
@@ -195,14 +197,14 @@ def fit_class_k_curve(M: Submanifold, p_chart, k: int, target_order: int,
         return np.swapaxes((F[:, 0] - F[:, 1]) / (2 * h[:, :, None]), -1, -2)
 
     rng = np.random.default_rng(seed)
-    flat = rng.standard_normal((starts, k, n))
+    flat = rng.standard_normal((FIT_STARTS, k, n))
     for c in flat:
         c[0] /= np.linalg.norm(c[0])
-    flat = flat.reshape(starts, size)
+    flat = flat.reshape(FIT_STARTS, size)
     F = system(flat)
     f2 = np.einsum("ij,ij->i", F, F)
     halvings = 0.5 ** np.arange(25)
-    live = np.arange(starts)       # starts still iterating, in index order
+    live = np.arange(FIT_STARTS)   # starts still iterating, in index order
     winner = None                  # lowest-index start that converged
     for _ in range(80):
         # absolute, so never looser than the contact check's
@@ -212,7 +214,7 @@ def fit_class_k_curve(M: Submanifold, p_chart, k: int, target_order: int,
         found = done & (np.linalg.norm(flat[live, :n], axis=1) >= tol.min_speed)
         if found.any():
             winner = live[found][0]
-        live = live[~done & (live < (starts if winner is None else winner))]
+        live = live[~done & (live < (FIT_STARTS if winner is None else winner))]
         if live.size == 0:
             break
         J = jacobians(flat[live])
@@ -254,10 +256,12 @@ class RuledVerdict:
     per_sample: list
 
 
+RULED_PARAMS = 64      # curve parameters per sample, evenly over [-S, S]
+
+
 def ruledness_check(M: Submanifold, curve_provider, span: float,
-                    samples_per_axis: int = 3, n_params: int = 64,
-                    margin: float = 0.15, tube: float | None = None,
-                    tol=_TOL) -> RuledVerdict:
+                    samples_per_axis: int = 3, margin: float = 0.15,
+                    tube: float | None = None, tol=_TOL) -> RuledVerdict:
     """Max distance of the curves Gamma_x to M over parameters in [-S, S].
 
     Curve samples outside the tube, with ambiguous projections, or whose
@@ -267,7 +271,7 @@ def ruledness_check(M: Submanifold, curve_provider, span: float,
     X = M.grid(samples_per_axis, margin=margin)
     rho = M.tube_radius() if tube is None else tube
     scene_scale = float(np.max(np.linalg.norm(M.embed_many(X), axis=1)))
-    svals = np.linspace(-span, span, n_params)
+    svals = np.linspace(-span, span, RULED_PARAMS)
     pts = np.concatenate(
         [np.atleast_2d(curve_provider(x)(svals)) for x in X], axis=0)
     b = M.project_batch(pts)
@@ -276,8 +280,8 @@ def ruledness_check(M: Submanifold, curve_provider, span: float,
     skipped = int(valid.size - counted)
     per_sample = []
     for i in range(X.shape[0]):
-        sl = valid[i * n_params : (i + 1) * n_params]
-        dl = b.distance[i * n_params : (i + 1) * n_params]
+        rows = slice(i * RULED_PARAMS, (i + 1) * RULED_PARAMS)
+        sl, dl = valid[rows], b.distance[rows]
         per_sample.append({
             "x": X[i].tolist(),
             "counted": int(np.count_nonzero(sl)),
@@ -290,8 +294,8 @@ def ruledness_check(M: Submanifold, curve_provider, span: float,
     dmax = float(b.distance[dmax_idx])
     tolerance = tol.ruled * (1.0 + scene_scale)
     witness = RuledWitness(
-        chart=X[dmax_idx // n_params],
-        s=float(svals[dmax_idx % n_params]),
+        chart=X[dmax_idx // RULED_PARAMS],
+        s=float(svals[dmax_idx % RULED_PARAMS]),
         point=pts[dmax_idx],
         distance=dmax,
     )

@@ -8,12 +8,13 @@ Gauss-Legendre integral of the norm of the wedge of the frame
 polynomial in t, sum_j t^j C_j with x-dependent coefficients C_0..C_k
 (frame_many and frame_jets read the frame off them), so every maximal minor
 is a polynomial in t of degree at most k(m+1)-1. The minors' t-coefficients
-are computed once per quadrature mesh; each t sample then evaluates one
-polynomial per minor, with no determinant. Map families evaluate the frame
-and its minors at every t sample.
-
-Coefficient extraction runs through exact jet arithmetic; an independent
-Vandermonde sampling route is kept alongside as a cross-check oracle.
+have one route, exact jet arithmetic over stacks of chart points
+(_minor_jets): the vanishing verdict reads it at each sample point, and the
+growth step once per quadrature mesh, MESH_CHUNK mesh points at a time, so
+that each t sample then evaluates one polynomial per minor, with no
+determinant. Map families evaluate the frame and its minors at every t
+sample. An independent Vandermonde sampling route is kept alongside as a
+cross-check oracle.
 
 The flow check integrates every start in both time directions as one RK4
 state: each stage makes one frame_many call and one batched minimum-norm
@@ -32,8 +33,6 @@ whenever their volume element vanishes identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from math import comb
 
 import numpy as np
 
@@ -163,11 +162,11 @@ class SweepFamily:
     def polynomial(self) -> bool:
         return self.fields is not None
 
-    def _check_identity_at_zero(self, per_axis: int = 5, tol: float = 1e-9):
-        X = self.M.grid(per_axis)
+    def _check_identity_at_zero(self):
+        X = self.M.grid(5)
         gap = np.max(np.linalg.norm(
             self.point_many(X, np.zeros(X.shape[0])) - self.M.embed_many(X), axis=1))
-        if gap > tol:
+        if gap > 1e-9:
             raise ValueError(f"map family must satisfy phi(x,0)=x; gap {gap:.3e}")
 
     # -- point evaluation --------------------------------------------------
@@ -248,21 +247,23 @@ class SweepFamily:
         vals = ex.evaluate_many(flat, self._env(X, T), X.shape[:-1])
         return vals.reshape(*X.shape[:-1], self.M.n, self.M.m + 1)
 
-    def frame_jets(self, x, degree: int) -> list[list[Jet]]:
-        """Frame columns as jets in t at a fixed chart point."""
-        x = np.asarray(x, dtype=float)
+    def frame_jets(self, X, degree: int) -> list[list[Jet]]:
+        """Frame columns as jets in t at a stack of chart points X (N, m);
+        every jet has shape (N, degree+1)."""
+        X = np.asarray(X, dtype=float)
         m, n = self.M.m, self.M.n
         if self.polynomial:
-            C = self._poly_frame_data(x[None, :])[:, 0]               # (k+1, n, m+1)
+            C = self._poly_frame_data(X)                              # (k+1, N, n, m+1)
             top = min(self.k, degree) + 1
-            coeffs = np.zeros((m + 1, n, degree + 1))
-            coeffs[..., :top] = C[:top].transpose(2, 1, 0)
+            coeffs = np.zeros((m + 1, n, X.shape[0], degree + 1))
+            coeffs[..., :top] = C[:top].transpose(3, 2, 1, 0)
             return [[Jet(coeffs[i, c]) for c in range(n)] for i in range(m + 1)]
-        env = {name: Jet.constant(x[i], degree)
+        env = {name: Jet.constant(X[:, i], degree)
                for i, name in enumerate(self.M.chart_vars)}
         env[ex.TIME_VAR] = Jet.variable(degree)
-        return [[jet_eval_expr(row[i], env, degree) for row in self.map_frame]
-                for i in range(m + 1)]
+        shape = (X.shape[0], degree + 1)    # to broadcast entries free of X
+        return [[Jet(np.broadcast_to(jet_eval_expr(row[i], env, degree).coeffs, shape))
+                 for row in self.map_frame] for i in range(m + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -278,25 +279,17 @@ def _chart_mesh(M: Submanifold, quad: QuadConfig):
     return X, w
 
 
-def _minor_coeffs(C: np.ndarray) -> np.ndarray:
-    """t-coefficients of every maximal minor of the frame sum_j t^j C_j,
-    for C of shape (k+1, N, n, m+1) from _poly_frame_data; shape
-    (N, C(n, m+1), d+1) with d = k(m+1)-1, minors in combination order.
+# mesh points per batch of minor jets: bounds the growth step's working
+# memory, whose peak is then the (N, C(n, m+1), d+1) tensor it caches
+MESH_CHUNK = 1024
 
-    The minor is multilinear in its columns, so its t^p coefficient is the
-    sum over column degrees j_0 + .. + j_m = p of the minor whose column c
-    is taken from C_{j_c}; the t column has no t^k term and skips C_k.
-    Products of cutoff values deep in the band underflow harmlessly.
-    """
-    k = C.shape[0] - 1
-    n, cols = C.shape[-2], C.shape[-1]
-    A = np.zeros((C.shape[1], comb(n, cols), k * cols))
-    degrees = [range(k + 1)] * (cols - 1) + [range(k)]
-    for js in product(*degrees):
-        frame = np.stack([C[j][..., c] for c, j in enumerate(js)], axis=-1)
-        with np.errstate(under="ignore"):
-            A[:, :, sum(js)] += minors(frame)
-    return A
+
+def _minor_jets(family: SweepFamily, X: np.ndarray, degree: int) -> np.ndarray:
+    """t-coefficients of every maximal minor of the frame at chart points
+    X (N, m), by jet arithmetic: shape (N, C(n, m+1), degree+1), minors in
+    combination order."""
+    return np.stack([c.coeffs for c in wedge_ring(family.frame_jets(X, degree))],
+                    axis=-2)
 
 
 def _volume_element(frame: np.ndarray) -> np.ndarray:
@@ -320,7 +313,10 @@ def _integrate(family: SweepFamily, t: float, quad: QuadConfig) -> float:
     if family.polynomial:
         akey = ("minorcoeffs", quad.order, quad.cells)
         if akey not in family._cache:
-            family._cache[akey] = _minor_coeffs(family._poly_frame_data(X))
+            d = critical_degree(family)
+            family._cache[akey] = np.concatenate(
+                [_minor_jets(family, X[i : i + MESH_CHUNK], d)
+                 for i in range(0, X.shape[0], MESH_CHUNK)])
         A = family._cache[akey]
         N, L, D = A.shape
         # one 2-D matrix-vector product per node; a stacked (N, L, D) @ (D,)
@@ -455,9 +451,7 @@ def extract_t_polynomials(family: SweepFamily, x, degree: int | None = None,
     D = degree if degree is not None else default_degree(family.k, family.M.m)
     if D < d:
         raise ValueError("jet degree bound must reach the critical degree")
-    cols = family.frame_jets(x, D)
-    comps = wedge_ring(cols)
-    coeffs = np.stack([c.coeffs for c in comps])
+    coeffs = _minor_jets(family, np.asarray(x, dtype=float)[None], D)[0]
     guard = float(np.max(np.abs(coeffs[:, d + 1:]))) if D > d else 0.0
     if guard > tol.degree_guard:
         raise CoefficientDegreeError(

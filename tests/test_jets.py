@@ -127,6 +127,15 @@ def test_ring_identities(a, b):
     assert np.array_equal((ja + jb).coeffs, (jb + ja).coeffs)
 
 
+def test_constant_of_an_array_is_a_stack_of_constants():
+    values = np.array([[0.5, -2.0, 0.0], [1e-300, 3.0, -1.0]])
+    stack = Jet.constant(values, 3)
+    assert stack.coeffs.shape == (2, 3, 4)
+    for idx in np.ndindex(values.shape):
+        assert np.array_equal(stack.coeffs[idx], Jet.constant(values[idx], 3).coeffs)
+    assert Jet.constant(2.5, 3).coeffs.shape == (4,)
+
+
 def test_division_roundtrip():
     a = Jet([0.5, -1.0, 2.0, 0.25])
     b = Jet([2.0, 0.3, -0.7, 1.0])

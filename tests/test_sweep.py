@@ -6,15 +6,18 @@ import pytest
 
 from osclab import corpus
 from osclab.config import QuadConfig, composite_gauss
+from osclab.jets import default_degree
 from osclab.manifold import OutOfDomain, Submanifold
 from osclab.sweep import (
     Cutoff,
     DegenerateReparam,
     FlowExitError,
+    MESH_CHUNK,
     FlowRankError,
     SweepFamily,
     _chart_mesh,
-    _minor_coeffs,
+    _integrate,
+    _minor_jets,
     _volume_element,
     coefficients_csv,
     critical_degree,
@@ -180,23 +183,61 @@ def test_quadrature_consistent_with_coefficients(segment, circle, hp):
 # -- minor t-coefficients (the swept-volume route of polynomial families) ----
 
 
-def _assert_minor_coeffs_match_jets(family, X):
-    A = _minor_coeffs(family._poly_frame_data(X))
+def _cached_minor_tensor(family, quad):
+    """The minors' t-coefficient tensor that _integrate caches for the mesh."""
+    _integrate(family, 0.1, quad)
+    return family._cache[("minorcoeffs", quad.order, quad.cells)]
+
+
+def _assert_minor_tensor_matches_oracle(family, quad):
+    """The cached tensor against the Vandermonde oracle at both ends of the
+    mesh and on both sides of every chunk boundary."""
+    A = _cached_minor_tensor(family, quad)
+    X, _ = _chart_mesh(family.M, quad)
     n, m = family.M.n, family.M.m
     assert A.shape == (X.shape[0], comb(n, m + 1), critical_degree(family) + 1)
-    for x, a in zip(X, A):
-        jets = extract_t_polynomials(family, x).coeffs
-        scale = max(1.0, float(np.max(np.abs(jets))))
-        assert np.max(np.abs(a - jets)) <= 1e-12 * scale
+    picks = {0, X.shape[0] - 1}
+    for edge in range(MESH_CHUNK, X.shape[0], MESH_CHUNK):
+        picks |= {edge - 1, edge}
+    for i in sorted(picks):
+        oracle = extract_t_polynomials_sampled(family, X[i]).coeffs
+        scale = max(1.0, float(np.max(np.abs(oracle))))
+        assert np.max(np.abs(A[i] - oracle)) <= 1e-12 * scale
 
 
-def test_minor_coeffs_match_jet_route(scenes):
-    """At the vanishing-verdict samples of every polynomial corpus scene."""
+def test_minor_tensor_matches_vandermonde_oracle(scenes):
+    """On the default mesh of every polynomial corpus scene."""
     for scene in scenes.values():
         if scene.family is None or not scene.family.polynomial:
             continue
-        _assert_minor_coeffs_match_jets(
-            scene.family, scene.manifold.grid(3, margin=0.15))
+        _assert_minor_tensor_matches_oracle(scene.family, scene.params.quad)
+
+
+def test_minor_tensor_ragged_last_chunk():
+    """35^2 = 1,225 mesh nodes: one full chunk and a ragged one, which
+    together give one _minor_jets call over the whole mesh, bit for bit."""
+    family = corpus.load("saddle").family
+    quad = QuadConfig(order=5, cells=7)
+    X, _ = _chart_mesh(family.M, quad)
+    assert MESH_CHUNK < X.shape[0] < 2 * MESH_CHUNK
+    whole = _minor_jets(family, X, critical_degree(family))
+    assert np.array_equal(_cached_minor_tensor(family, quad), whole)
+    _assert_minor_tensor_matches_oracle(family, quad)
+
+
+def test_stacked_frame_jets_match_per_point(scenes):
+    """Every corpus scene; circle_rotation is a map family."""
+    for scene in scenes.values():
+        family = scene.family
+        D = default_degree(family.k, family.M.m)
+        X = scene.manifold.grid(3, margin=0.15)
+        stacked = family.frame_jets(X, D)
+        for i in range(X.shape[0]):
+            single = family.frame_jets(X[i : i + 1], D)
+            for col_s, col_1 in zip(stacked, single):
+                for jet_s, jet_1 in zip(col_s, col_1):
+                    assert jet_s.coeffs.shape == (X.shape[0], D + 1)
+                    assert np.array_equal(jet_s.coeffs[i : i + 1], jet_1.coeffs)
 
 
 def _frame_route_volume(family, t, quad):
@@ -242,7 +283,7 @@ _SHAPES = {
 def test_swept_volume_matches_frame_route(name):
     make, quad, ts = _SHAPES[name]
     family = make()
-    _assert_minor_coeffs_match_jets(family, family.M.grid(2, margin=0.2))
+    _assert_minor_tensor_matches_oracle(family, quad)
     for t in ts:
         vs = swept_volume(family, t, quad)
         ref, ref_err = _frame_route_volume(family, t, quad)
