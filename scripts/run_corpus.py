@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Run the full verdict pipeline over every built-in scene and write the
-JSON reports plus a one-line-per-scene summary.
+JSON reports plus a one-line-per-scene summary. For every scene with a
+family it also writes the CSVs of `osclab coeffs` (<scene>.coeffs.csv) and
+`osclab sweep` (<scene>.sweep.csv).
 
 The timings are printed, not written, so that `diff -r` of two output
 directories compares every output.
@@ -15,6 +17,7 @@ from pathlib import Path
 
 from osclab import corpus
 from osclab.osculate import verify_theorem
+from osclab.sweep import coefficients_csv, vanishing_verdict, volume_csv, volume_series
 
 
 def main() -> int:
@@ -28,6 +31,13 @@ def main() -> int:
         elapsed = time.perf_counter() - start
         (outdir / f"{name}.json").write_text(
             json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n")
+        if scene.family is not None:
+            p = scene.params
+            vv = vanishing_verdict(scene.family, p.samples, p.margin, p.tol)
+            (outdir / f"{name}.coeffs.csv").write_text(
+                coefficients_csv(vv.tables, scene.manifold.m))
+            (outdir / f"{name}.sweep.csv").write_text(
+                volume_csv(volume_series(scene.family, p.t_grid(), p.quad)))
         step = "-" if report.first_failure is None else report.first_failure["step"]
         print(f"{name:24s} {report.verdict:18s} {step:12s} {elapsed:6.1f}s")
         summary.append({"scene": name, "verdict": report.verdict,

@@ -140,7 +140,7 @@ def _with_flags(scene: Scene, args) -> Scene:
             raw["t0"], raw["t_steps"] = float(t0), int(count)
         except ValueError as err:
             raise UsageError(f"bad --t-grid value: {err}") from None
-    scene.params = make_params(raw, scene.params.tol)
+    scene.params = make_params(raw, scene.manifold.m, scene.params.tol)
     return scene
 
 

@@ -3,11 +3,14 @@ volume-element norm.
 
 Coordinates are indexed by the strictly increasing index combinations in
 lexicographic order; the coordinate for (i1 < ... < im) is the maximal
-minor of the n x m matrix of the input vectors. `minors` takes them for a
-whole stack of float frames in one batched determinant, and every float
-frame volume, maximal minor and immersion test reads it. Their Euclidean
-norm equals sqrt(det(Gram)) of the frame (Cauchy-Binet), the scalar the
-swept-volume integrand is built from.
+minor of the n x m matrix of the input vectors. One algorithm takes them,
+wedge_ring: it runs over any commutative ring (floats, numpy arrays,
+batched jets) and builds the minors column by column, each from the minors
+of the columns before it. `minors` hands it a whole stack of float frames
+as arrays, and every float frame volume, maximal minor and immersion test
+reads it; the jet route (sweep._minor_jets) hands it frames of jets. Their
+Euclidean norm equals sqrt(det(Gram)) of the frame (Cauchy-Binet), the
+scalar the swept-volume integrand is built from.
 
 Inputs are canonically sorted (with the permutation sign tracked) before
 the minors are computed, so swapping two input vectors negates every
@@ -33,16 +36,12 @@ def index_combinations(n: int, k: int) -> list[tuple[int, ...]]:
 
 def minors(A) -> np.ndarray:
     """Every maximal minor of each n x k matrix of the stack A (..., n, k),
-    k <= n, in combination order: shape (..., C(n, k)). For k = 1 the minors
-    are the column itself, exactly; LAPACK's 1 x 1 determinant is
-    sign * exp(log|a|), which is not."""
+    k <= n, in combination order: shape (..., C(n, k)), by wedge_ring over
+    the stack's entries. For k = 1 the minors are the column itself."""
     A = np.asarray(A, dtype=float)
     n, k = A.shape[-2:]
-    if k > n:
-        raise DimensionMismatch(f"no maximal minors of a {n} x {k} matrix")
-    if k == 1:
-        return A[..., 0].copy()
-    return np.linalg.det(A[..., np.array(index_combinations(n, k)), :])
+    return np.stack(wedge_ring([[A[..., r, c] for r in range(n)] for c in range(k)]),
+                    axis=-1)
 
 
 def max_minor_rows(A) -> tuple[int, ...]:
@@ -103,32 +102,14 @@ def frame_norm(vectors) -> float:
     return blade_norm(wedge(vectors))
 
 
-def det_ring(matrix: list[list]) -> object:
-    """Determinant over any commutative ring (entries support + - *).
-
-    Laplace expansion along the first column; intended for small matrices
-    of Jet entries where LAPACK does not apply.
-    """
-    size = len(matrix)
-    if size == 1:
-        return matrix[0][0]
-    if size == 2:
-        return matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
-    total = None
-    for r in range(size):
-        minor = [row[1:] for i, row in enumerate(matrix) if i != r]
-        term = matrix[r][0] * det_ring(minor)
-        if r % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
-
-
 def wedge_ring(vectors: list[list]) -> list:
     """Blade coordinates (lexicographic) for vectors with ring entries.
 
-    `vectors` is a list of m vectors, each a length-n list of ring
-    elements. Returns the C(n, m) coordinates in combination order.
+    `vectors` is a list of m vectors, each a length-n list of elements of a
+    commutative ring (+, - and * suffice): floats, arrays or jets. Returns
+    the C(n, m) coordinates in combination order. The minors on the first
+    j + 1 vectors come from those on the first j by Laplace expansion along
+    vector j, so each lower minor is computed once.
     """
     m = len(vectors)
     n = len(vectors[0])
@@ -136,7 +117,17 @@ def wedge_ring(vectors: list[list]) -> list:
         raise DimensionMismatch("all vectors must have the same dimension")
     if m > n:
         raise DimensionMismatch(f"cannot wedge {m} vectors in dimension {n}")
-    out = []
-    for rows in index_combinations(n, m):
-        out.append(det_ring([[vectors[c][r] for c in range(m)] for r in rows]))
-    return out
+    blade = {(r,): vectors[0][r] for r in range(n)}
+    for j in range(1, m):
+        column, lower = vectors[j], blade
+        blade = {}
+        for rows in combinations(range(n), j + 1):
+            total = None
+            for p, r in enumerate(rows):
+                term = column[r] * lower[rows[:p] + rows[p + 1:]]
+                if (p + j) % 2:
+                    total = -term if total is None else total - term
+                else:
+                    total = term if total is None else total + term
+            blade[rows] = total
+    return list(blade.values())

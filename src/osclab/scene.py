@@ -27,7 +27,7 @@ import numpy as np
 from . import expr as ex
 from .config import QuadConfig, RunParams, Tolerances
 from .manifold import ImmersionError, Submanifold
-from .sweep import Cutoff, SweepFamily
+from .sweep import MAX_MESH_NODES, Cutoff, SweepFamily
 
 
 class SceneError(Exception):
@@ -166,7 +166,8 @@ def _build_family(data, M: Submanifold, cutoff_data) -> SweepFamily:
         raise SceneError("/family", str(err)) from err
 
 
-def make_params(raw: dict | None, tol: Tolerances | None = None) -> RunParams:
+def make_params(raw: dict | None, m: int, tol: Tolerances | None = None) -> RunParams:
+    """Run parameters of an m-dimensional scene from its raw params."""
     given = {}
     for key, value in (raw or {}).items():
         if key not in _PARAM_KEYS:
@@ -186,6 +187,11 @@ def make_params(raw: dict | None, tol: Tolerances | None = None) -> RunParams:
         raise SceneError("/params/margin", "margin must lie in [0, 0.5)")
     quad = QuadConfig(**{f.name: given[f"quad_{f.name}"] for f in fields(QuadConfig)
                          if f"quad_{f.name}" in given})
+    nodes = (quad.order * quad.cells) ** m
+    if nodes > MAX_MESH_NODES:
+        raise SceneError("/params/quad_cells",
+                         f"(quad_order*quad_cells)^{m} = {nodes} mesh nodes"
+                         f" exceeds {MAX_MESH_NODES}")
     run = {f.name: given[f.name] for f in fields(RunParams) if f.name in given}
     return RunParams(quad=quad, tol=tol or Tolerances(), **run)
 
@@ -200,7 +206,7 @@ def build_scene(data: dict, name: str = "scene",
         family = _build_family(data["family"], M, data.get("cutoff"))
     elif "cutoff" in data:
         raise SceneError("/cutoff", "cutoff without a family")
-    params = make_params(data.get("params"), tol)
+    params = make_params(data.get("params"), M.m, tol)
     k = family.k if family is not None else int(data.get("params", {}).get("k", 1))
     return Scene(name=name, manifold=M, family=family, params=params, k=k, raw=data)
 

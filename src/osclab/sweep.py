@@ -283,6 +283,11 @@ def _chart_mesh(M: Submanifold, quad: QuadConfig):
 # memory, whose peak is then the (N, C(n, m+1), d+1) tensor it caches
 MESH_CHUNK = 1024
 
+# largest quadrature mesh (quad_order*quad_cells)^m a scene may ask for
+# (scene.make_params): chunks bound the growth step's memory, not its time,
+# and the default m = 3 mesh of 2^21 nodes already takes several seconds
+MAX_MESH_NODES = 2**22
+
 
 def _minor_jets(family: SweepFamily, X: np.ndarray, degree: int) -> np.ndarray:
     """t-coefficients of every maximal minor of the frame at chart points
@@ -348,7 +353,12 @@ def swept_volume(family: SweepFamily, t: float,
 def volume_series(family: SweepFamily, t_grid=None,
                   quad: QuadConfig | None = None) -> list[VolumeSample]:
     ts = geometric_grid() if t_grid is None else t_grid
-    return [swept_volume(family, float(t), quad) for t in ts]
+    try:
+        return [swept_volume(family, float(t), quad) for t in ts]
+    finally:
+        # the meshes and minor tensors serve this series only; a 3-fold's
+        # would otherwise stay alive through the steps that follow growth
+        family._cache.clear()
 
 
 # ---------------------------------------------------------------------------

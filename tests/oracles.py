@@ -3,13 +3,15 @@
 Everything here deliberately avoids the library's own computation paths:
 Taylor coefficients come from repeated symbolic differentiation, distances
 from brute-force grid minimization, lengths from composite Simpson, frame
-volumes from Gram determinants. The class-k fit oracle is the exception: it
-uses the library's residual jets but runs its starts one after another, so
-it checks the lockstep schedule of osculate.fit_class_k_curve.
+volumes from Gram determinants, maximal minors from the Leibniz permutation
+sum. The class-k fit oracle is the exception: it uses the library's
+residual jets but runs its starts one after another, so it checks the
+lockstep schedule of osculate.fit_class_k_curve.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -73,6 +75,25 @@ def grid_min_2d(fn, box, step: float) -> float:
 def gram_volume(vectors) -> float:
     V = np.stack([np.asarray(v, dtype=float) for v in vectors], axis=1)
     return float(np.sqrt(max(np.linalg.det(V.T @ V), 0.0)))
+
+
+def leibniz_minors(vectors) -> list:
+    """Every maximal minor of the m vectors (each n ring elements: floats,
+    arrays or jets), row combinations in lexicographic order, each as the
+    signed sum over all m! permutations: no expansion order at all."""
+    m, n = len(vectors), len(vectors[0])
+    out = []
+    for rows in itertools.combinations(range(n), m):
+        total = 0.0
+        for perm in itertools.permutations(range(m)):
+            term = vectors[0][rows[perm[0]]]
+            for c in range(1, m):
+                term = term * vectors[c][rows[perm[c]]]
+            inversions = sum(perm[a] > perm[b]
+                             for a in range(m) for b in range(a + 1, m))
+            total = total - term if inversions % 2 else total + term
+        out.append(total)
+    return out
 
 
 def sphere_distance(p) -> float:

@@ -57,6 +57,20 @@ def test_schema_error_bad_cutoff():
     assert err.value.pointer == "/cutoff"
 
 
+def test_mesh_node_guard():
+    """The default m = 3 mesh, 128^3 nodes, builds; (8 * 21)^3 does not."""
+    data = {"manifold": {"type": "graph", "chart_vars": ["x", "y", "z"],
+                         "domain": [[-1, 1]] * 3, "ambient_dim": 4,
+                         "height": ["x*y + z"]},
+            "family": {"k": 1, "fields": [["1", "0", "0", "y"]]}}
+    assert build_scene(data).params.quad.cells == 16
+    data["params"] = {"quad_cells": 21}
+    with pytest.raises(SceneError) as err:
+        build_scene(data)
+    assert err.value.pointer == "/params/quad_cells"
+    assert "4741632 mesh nodes" in str(err.value)
+
+
 def test_scene_file_errors(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{ not json")
@@ -304,6 +318,7 @@ def test_tolerance_override_can_fail_a_pipeline_step(capsys, tmp_path, hp_path):
     ("verify", "--samples 0", "/params/samples"),
     ("ruled", "--samples 0", "/params/samples"),
     ("sweep", "--quad-cells 0", "/params/quad_cells"),
+    ("sweep", "--quad-cells 512", "/params/quad_cells"),
     ("sweep", "--quad-order 0", "/params/quad_order"),
     ("sweep", "--t-grid geometric:0,5", "/params/t0"),
     ("sweep", "--t-grid geometric:-0.1,5", "/params/t0"),
@@ -317,6 +332,7 @@ def test_tolerance_override_can_fail_a_pipeline_step(capsys, tmp_path, hp_path):
     ("ruled", "tube_rho_max=0", "/params/tube_rho_max"),
     ("ruled", "margin=0.5", "/params/margin"),
     ("verify", "margin=-0.1", "/params/margin"),
+    ("sweep", "quad_cells=300", "/params/quad_cells"),
 ])
 def test_out_of_range_settings_exit_one(capsys, tmp_path, hp_path, command, flags,
                                         pointer):

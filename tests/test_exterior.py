@@ -6,7 +6,6 @@ from osclab.exterior import (
     Blade,
     DimensionMismatch,
     blade_norm,
-    det_ring,
     frame_norm,
     index_combinations,
     max_minor_rows,
@@ -14,7 +13,8 @@ from osclab.exterior import (
     wedge,
     wedge_ring,
 )
-from oracles import gram_volume
+from osclab.jets import Jet
+from oracles import gram_volume, leibniz_minors
 
 
 def test_basis_wedge():
@@ -87,14 +87,6 @@ def test_combination_order_is_lexicographic():
     assert index_combinations(4, 2) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
-def test_det_ring_matches_lapack():
-    rng = np.random.default_rng(3)
-    for size in (1, 2, 3, 4):
-        M = rng.normal(size=(size, size))
-        mine = det_ring([[M[i, j] for j in range(size)] for i in range(size)])
-        assert mine == pytest.approx(np.linalg.det(M), rel=1e-10, abs=1e-12)
-
-
 def test_wedge_ring_matches_float_wedge():
     rng = np.random.default_rng(7)
     frame = [rng.normal(size=4) for _ in range(3)]
@@ -107,10 +99,25 @@ def test_frame_norm_alias():
     assert frame_norm([np.array([1.0, 0.0]), np.array([1.0, 1.0])]) == 1.0
 
 
+def test_wedge_ring_matches_leibniz_oracle():
+    """Batched jets (7 points, degree 3) and numpy arrays, every 1 <= k <= n <= 5."""
+    rng = np.random.default_rng(23)
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            jets = [[Jet(rng.normal(size=(7, 4))) for _ in range(n)] for _ in range(k)]
+            arrays = [[rng.normal(size=7) for _ in range(n)] for _ in range(k)]
+            for vectors, value in ((jets, lambda j: j.coeffs), (arrays, np.asarray)):
+                got = [value(c) for c in wedge_ring(vectors)]
+                want = [value(c) for c in leibniz_minors(vectors)]
+                assert len(got) == len(index_combinations(n, k))
+                scale = max(1.0, float(np.max(np.abs(want))))
+                assert np.max(np.abs(np.subtract(got, want))) <= 1e-12 * scale
+
+
 def test_minors_match_per_combination_dets():
-    """k >= 2: each row equals a per-combination det loop, bit for bit.
-    k = 1: each row is the column itself; LAPACK's 1 x 1 determinant,
-    sign * exp(log|a|), misses about one entry in eight by an ulp."""
+    """Each row against a per-combination LAPACK det loop (an independent
+    algorithm), within 1e-14 of the Hadamard bound prod |a_c|; k = 1 gives
+    the column itself, exactly."""
     rng = np.random.default_rng(17)
     for n in range(1, 6):
         for k in range(1, n + 1):
@@ -120,13 +127,12 @@ def test_minors_match_per_combination_dets():
             if k == 1:
                 assert np.array_equal(got, A[..., 0])
             for idx in np.ndindex(50, 4):
-                if k > 1:
-                    loop = [np.linalg.det(A[idx][list(rows), :])
-                            for rows in index_combinations(n, k)]
-                    assert np.array_equal(got[idx], loop)
+                hadamard = float(np.prod(np.linalg.norm(A[idx], axis=0)))
+                loop = [np.linalg.det(A[idx][list(rows), :])
+                        for rows in index_combinations(n, k)]
+                assert np.max(np.abs(got[idx] - loop)) <= 1e-14 * hadamard
                 # Cauchy-Binet; the Gram determinant's rounding scales with
                 # the Hadamard bound prod |a_c|^2, not with the volume
-                hadamard = float(np.prod(np.linalg.norm(A[idx], axis=0)))
                 gap = np.sum(got[idx] ** 2) - gram_volume(list(A[idx].T)) ** 2
                 assert abs(gap) <= 1e-12 * hadamard**2
 

@@ -99,6 +99,22 @@ def test_volume_monotone_in_t(segment, hp):
         assert all(s.value >= 0 for s in series)
 
 
+def test_volume_series_frees_its_meshes(hp):
+    """The meshes and minor tensors go when the series returns; a second
+    series builds them again, to the same samples bit for bit."""
+    first = volume_series(hp.family)
+    assert hp.family._cache == {}
+    assert volume_series(hp.family) == first
+
+
+def test_confirmed_scenes_sweep_exactly_zero_volume(series_for):
+    """The six corpus scenes the theorem confirms sweep no volume at any t,
+    and their error estimates are exactly zero too."""
+    for name in ("plane", "cylinder", "hyperbolic_paraboloid", "saddle",
+                 "paraboloid", "circle_rotation"):
+        assert all(s.value == 0.0 and s.error == 0.0 for s in series_for(name)), name
+
+
 def test_swept_volume_requires_positive_t(segment):
     with pytest.raises(ValueError):
         swept_volume(segment.family, 0.0)
