@@ -12,7 +12,7 @@ from .contact import (
     monotone_window,
     uniform_decay_check,
 )
-from .exterior import Blade, blade_norm, frame_norm, wedge
+from .exterior import frame_norm
 from .expr import diff, evaluate, parse, to_string
 from .jets import Jet, jet_eval_expr
 from .manifold import AmbiguousProjection, NoConvergence, Submanifold

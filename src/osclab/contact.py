@@ -83,10 +83,6 @@ class PolyCurve:
         j = np.arange(1, self.degree + 1)[:, None]
         return PolyCurve(j * self.coeffs[..., 1:, :])
 
-    def reparametrized(self, lam: float) -> "PolyCurve":
-        scale = lam ** np.arange(self.degree + 1)
-        return PolyCurve(scale[:, None] * self.coeffs)
-
     def jets(self, degree: int) -> list[Jet]:
         upto = min(self.degree, degree) + 1
         c = np.zeros(self.coeffs.shape[:-2] + (self.n, degree + 1))
@@ -234,11 +230,6 @@ class MetricOrder:
     contained: bool
     ts: np.ndarray
     distances: np.ndarray
-
-    def agrees_with(self, jet: ContactOrder, slope_window: float = 0.2) -> bool:
-        if self.contained:
-            return jet.saturated
-        return abs(self.slope - (jet.order + 1)) <= slope_window
 
 
 def contact_order_metric(curve, M: Submanifold, t_grid=None, tol=_TOL) -> MetricOrder:

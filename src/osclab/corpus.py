@@ -55,15 +55,3 @@ def with_cutoff(scene: Scene, inner: float, outer: float) -> Scene:
     return Scene(name=f"{scene.name}+cutoff", manifold=scene.manifold,
                  family=family, params=scene.params, k=fam.k, raw=scene.raw)
 
-
-def with_degree(scene: Scene, k: int) -> Scene:
-    """Same curves re-presented as a class-k family by zero-padding fields."""
-    fam = scene.family
-    if fam is None or not fam.polynomial or k < fam.k:
-        raise ValueError("can only pad a polynomial family to a higher degree")
-    n = scene.manifold.n
-    zero = [["0"] * n for _ in range(k - fam.k)]
-    family = SweepFamily(scene.manifold, k, fields=fam.fields + zero,
-                         cutoff=fam.cutoff)
-    return Scene(name=f"{scene.name}+k{k}", manifold=scene.manifold,
-                 family=family, params=scene.params, k=k, raw=scene.raw)

@@ -1,5 +1,4 @@
-"""Decomposable k-vectors in Lambda^k(R^n), batched maximal minors and the
-volume-element norm.
+"""Maximal minors of frames in R^n and the volume element they give.
 
 Coordinates are indexed by the strictly increasing index combinations in
 lexicographic order; the coordinate for (i1 < ... < im) is the maximal
@@ -9,19 +8,14 @@ batched jets) and builds the minors column by column, each from the minors
 of the columns before it. `minors` hands it a whole stack of float frames
 as arrays, and every float frame volume, maximal minor and immersion test
 reads it; the jet route (sweep._minor_jets) hands it frames of jets. Their
-Euclidean norm equals sqrt(det(Gram)) of the frame (Cauchy-Binet), the
-scalar the swept-volume integrand is built from.
-
-Inputs are canonically sorted (with the permutation sign tracked) before
-the minors are computed, so swapping two input vectors negates every
-coordinate bit-for-bit.
+Euclidean norm equals sqrt(det(Gram)) of the frame (Cauchy-Binet): the
+volume element, which frame_norm gives for a stack of frames and every
+frame volume in the library reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 import numpy as np
 
@@ -51,59 +45,15 @@ def max_minor_rows(A) -> tuple[int, ...]:
     return index_combinations(n, k)[int(np.argmax(np.abs(minors(A))))]
 
 
-@dataclass(frozen=True)
-class Blade:
-    n: int
-    grade: int
-    coords: np.ndarray
-
-    def __post_init__(self):
-        if self.coords.shape != (comb(self.n, self.grade),):
-            raise DimensionMismatch("coordinate array length must be C(n, k)")
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.coords) <= tol))
-
-
-def _sort_sign(vectors: list[np.ndarray]) -> tuple[list[np.ndarray], float]:
-    order = sorted(range(len(vectors)), key=lambda i: tuple(vectors[i]))
-    # parity by counting inversions (m <= 8, quadratic is fine)
-    inversions = sum(
-        1
-        for a in range(len(order))
-        for b in range(a + 1, len(order))
-        if order[a] > order[b]
-    )
-    return [vectors[i] for i in order], -1.0 if inversions % 2 else 1.0
-
-
-def wedge(vectors) -> Blade:
-    """Wedge product of m vectors in R^n, m <= n."""
-    vecs = [np.asarray(v, dtype=float) for v in vectors]
-    m = len(vecs)
-    if m == 0:
-        raise DimensionMismatch("wedge needs at least one vector")
-    n = vecs[0].shape[0]
-    if any(v.shape != (n,) for v in vecs):
-        raise DimensionMismatch("all vectors must have the same dimension")
-    if m > n:
-        raise DimensionMismatch(f"cannot wedge {m} vectors in dimension {n}")
-    sorted_vecs, sign = _sort_sign(vecs)
-    coords = sign * minors(np.stack(sorted_vecs, axis=1))
-    return Blade(n=n, grade=m, coords=coords)
-
-
-def blade_norm(b: Blade) -> float:
-    return float(np.linalg.norm(b.coords))
-
-
-def frame_norm(vectors) -> float:
-    """sqrt(det(Gram)) of the frame, via the blade coordinates."""
-    return blade_norm(wedge(vectors))
+def frame_norm(A) -> np.ndarray:
+    """Volume element |a_1 ^ ... ^ a_k| of each n x k frame of the stack A
+    (..., n, k): the norm of its maximal minors, sqrt(det(Gram)) by
+    Cauchy-Binet. Shape (...)."""
+    return np.linalg.norm(minors(A), axis=-1)
 
 
 def wedge_ring(vectors: list[list]) -> list:
-    """Blade coordinates (lexicographic) for vectors with ring entries.
+    """Every maximal minor of vectors with ring entries.
 
     `vectors` is a list of m vectors, each a length-n list of elements of a
     commutative ring (+, - and * suffice): floats, arrays or jets. Returns

@@ -24,7 +24,6 @@ errors.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -77,11 +76,6 @@ class Jet:
         if degree >= 1:
             c[1] = 1.0
         return cls(c)
-
-    def derivative_at_zero(self, j: int):
-        if j > self.degree:
-            raise IndexError("derivative order exceeds the degree bound")
-        return math.factorial(j) * self.coeffs[..., j]
 
     def _coerce(self, other) -> "Jet":
         if isinstance(other, Jet):

@@ -41,9 +41,9 @@ from itertools import product
 import numpy as np
 
 from . import expr as ex
-from .exterior import minors
+from .exterior import frame_norm
 
-#: a parametric chart whose tangent blade norm falls to this is not an immersion
+#: a parametric chart whose tangent frame norm falls to this is not an immersion
 IMMERSION_FLOOR = 1e-8
 #: projection: converged at this projected-gradient norm (relative to 1 + |p|),
 #: after at most PROJECT_MAX_ITER Newton steps per seed
@@ -151,7 +151,8 @@ class Submanifold:
     def parametric(cls, chart_vars, box, maps, ambient_dim):
         maps = _as_exprs(maps)
         M = cls("parametric", chart_vars, box, maps, ambient_dim)
-        worst = M._min_frame_norm()
+        J = M.jacobian_many(M.grid(17 if M.m <= 2 else 7))
+        worst = float(np.min(frame_norm(J)))
         if worst <= IMMERSION_FLOOR:
             raise ImmersionError(
                 f"chart fails the immersion check: min frame norm {worst:.3e}"
@@ -206,15 +207,6 @@ class Submanifold:
             hi = b - margin * (b - a)
             axes.append(np.linspace(lo, hi, per_axis))
         return np.array(list(product(*axes)), dtype=float)
-
-    def _min_frame_norm(self) -> float:
-        J = self.jacobian_many(self.grid(17 if self.m <= 2 else 7))
-        return float(np.min(np.linalg.norm(minors(J), axis=-1)))
-
-    def normal_basis(self, x) -> np.ndarray:
-        """Orthonormal basis of the (n-m)-dimensional normal space, columns."""
-        q, _ = np.linalg.qr(self.jacobian(x), mode="complete")
-        return q[:, self.m :]
 
     # -- projection -------------------------------------------------------
 

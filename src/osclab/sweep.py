@@ -39,7 +39,7 @@ import numpy as np
 from . import expr as ex
 from .config import QuadConfig, Tolerances, composite_gauss, geometric_grid
 from .contact import ExprCurve, PolyCurve
-from .exterior import index_combinations, minors, wedge_ring
+from .exterior import frame_norm, index_combinations, wedge_ring
 from .jets import Jet, default_degree, jet_eval_expr
 from .manifold import IMMERSION_FLOOR, OutOfDomain, Submanifold
 
@@ -297,10 +297,6 @@ def _minor_jets(family: SweepFamily, X: np.ndarray, degree: int) -> np.ndarray:
                     axis=-2)
 
 
-def _volume_element(frame: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(minors(frame), axis=-1)
-
-
 @dataclass(frozen=True)
 class VolumeSample:
     t: float
@@ -335,7 +331,7 @@ def _integrate(family: SweepFamily, t: float, quad: QuadConfig) -> float:
     else:
         for s, w in zip(tn, wt):
             frame = family.frame_many(X, np.full(X.shape[0], s))
-            total += w * float(np.dot(wx, _volume_element(frame)))
+            total += w * float(np.dot(wx, frame_norm(frame)))
     return total
 
 
@@ -427,7 +423,7 @@ def reparam_invariance_test(family: SweepFamily, psi_exprs, t_extent: float,
         Dpsi = ex.evaluate_many(dpsi, env, (q,)).reshape(q, M.m + 1, M.m + 1)
         frame = family.frame_many(vals[:, : M.m], vals[:, M.m])
         composed = frame @ Dpsi
-        total += w * float(np.dot(wx, _volume_element(composed)))
+        total += w * float(np.dot(wx, frame_norm(composed)))
 
     big = max(abs(vol), abs(total))
     gap = 0.0 if big < 1e-13 else abs(vol - total) / big
@@ -450,19 +446,17 @@ def critical_degree(family: SweepFamily) -> int:
     return family.k * (family.M.m + 1) - 1
 
 
-def extract_t_polynomials(family: SweepFamily, x, degree: int | None = None,
-                          tol=_TOL) -> CoefficientTable:
-    """Exact coefficients in t of every wedge component, by jet arithmetic.
+def extract_t_polynomials(family: SweepFamily, x, tol=_TOL) -> CoefficientTable:
+    """Exact coefficients in t of every wedge component, by jet arithmetic
+    to default_degree(k, m), three degrees past the critical one.
 
     Coefficients above the critical degree d = k(m+1)-1 must vanish; a
     violation raises CoefficientDegreeError.
     """
     d = critical_degree(family)
-    D = degree if degree is not None else default_degree(family.k, family.M.m)
-    if D < d:
-        raise ValueError("jet degree bound must reach the critical degree")
-    coeffs = _minor_jets(family, np.asarray(x, dtype=float)[None], D)[0]
-    guard = float(np.max(np.abs(coeffs[:, d + 1:]))) if D > d else 0.0
+    coeffs = _minor_jets(family, np.asarray(x, dtype=float)[None],
+                         default_degree(family.k, family.M.m))[0]
+    guard = float(np.max(np.abs(coeffs[:, d + 1:])))
     if guard > tol.degree_guard:
         raise CoefficientDegreeError(
             f"coefficient of degree > {d} reached {guard:.3e} at x={np.asarray(x).tolist()}"
@@ -471,8 +465,7 @@ def extract_t_polynomials(family: SweepFamily, x, degree: int | None = None,
                             coeffs=coeffs[:, : d + 1], guard_max=guard)
 
 
-def extract_t_polynomials_sampled(family: SweepFamily, x,
-                                  degree: int | None = None) -> CoefficientTable:
+def extract_t_polynomials_sampled(family: SweepFamily, x) -> CoefficientTable:
     """Independent cross-check: sample the wedge components at t nodes and
     solve the Vandermonde least-squares system for the coefficients."""
     d = critical_degree(family)
@@ -547,12 +540,11 @@ def vanishing_verdict(family: SweepFamily, samples_per_axis: int = 3,
                       margin: float = 0.15, tol=_TOL) -> VanishingVerdict:
     """VANISHES iff every coefficient of every component is below
     tol.vanish relative to the transverse degree-0 normalization (the
-    largest tangent-frame blade norm over the sample grid)."""
+    largest tangent frame norm over the sample grid)."""
     M = family.M
     X = M.grid(samples_per_axis, margin=margin)
     J = M.jacobian_many(X)
-    scale = max(float(np.max(_volume_element(J))),
-                np.finfo(float).tiny)
+    scale = max(float(np.max(frame_norm(J))), np.finfo(float).tiny)
     tables = [extract_t_polynomials(family, x, tol=tol) for x in X]
     threshold = tol.vanish * scale
     max_coeff, witness, min_index = 0.0, None, None
@@ -602,11 +594,16 @@ def _solve_field(family: SweepFamily, U: np.ndarray, T: np.ndarray):
     return Y[:, :, 0], resid
 
 
+#: fixed RK4 steps per time direction of tangency_flow_check
+FLOW_STEPS = 256
+
+
 def tangency_flow_check(family: SweepFamily, starts, t_span: float,
-                        steps: int = 256, verdict: VanishingVerdict | None = None,
+                        verdict: VanishingVerdict | None = None,
                         tol=_TOL) -> list[FlowReport]:
     """Integrate the flow of -Y_t (D(phi_t) Y_t = dt(phi_t)) with classic
-    RK4 in both time directions and track the drift of phi_t along it.
+    RK4, FLOW_STEPS steps in each time direction, and track the drift of
+    phi_t along it.
 
     All starts, shape (L, m), and both directions run as one RK4 state.
     A start outside the box, a failed rank certificate (FlowRankError) or
@@ -627,14 +624,14 @@ def tangency_flow_check(family: SweepFamily, starts, t_span: float,
     Xg = M.grid(5, margin=0.05)
     ts = np.repeat(np.linspace(-t_span, t_span, 9), Xg.shape[0])
     frames = family.frame_many(np.tile(Xg, (9, 1)), ts)[:, :, : M.m]
-    vol = _volume_element(frames)
+    vol = frame_norm(frames)
     if np.min(vol) <= IMMERSION_FLOOR:
         raise FlowRankError(f"phi_t is not an embedding at t={ts[np.argmin(vol)]:.4g}")
 
     # trajectory r < L runs start r forward in t, trajectory L + r backward
     U = np.concatenate([starts, starts])
     T = np.zeros(2 * L)
-    H = np.repeat([t_span / steps, -t_span / steps], L)
+    H = np.repeat([t_span / FLOW_STEPS, -t_span / FLOW_STEPS], L)
     anchor = np.tile(family.point_many(starts, np.zeros(L)), (2, 1))
     drift, resid = np.zeros(2 * L), np.zeros(2 * L)
     errors: list = [None] * (2 * L)
@@ -643,7 +640,7 @@ def tangency_flow_check(family: SweepFamily, starts, t_span: float,
         errors[r] = OutOfDomain(f"flow start {starts[r].tolist()} outside the chart box")
     live = np.nonzero(np.tile(inside, 2))[0]
 
-    for _ in range(steps):
+    for _ in range(FLOW_STEPS):
         if live.size == 0:
             break
         u, t, dt = U[live], T[live], H[live]
@@ -679,7 +676,7 @@ def tangency_flow_check(family: SweepFamily, starts, t_span: float,
         error = errors[r] if errors[r] is not None else errors[L + r]
         max_drift = float(max(drift[r], drift[L + r]))
         reports.append(FlowReport(
-            start=starts[r].copy(), t_span=float(t_span), steps=steps,
+            start=starts[r].copy(), t_span=float(t_span), steps=FLOW_STEPS,
             max_drift=max_drift, max_residual=float(max(resid[r], resid[L + r])),
             passed=error is None and max_drift <= tol.flow_drift, error=error))
     return reports

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from osclab import cli, corpus
+from osclab import cli, corpus, osculate
 from osclab.scene import SceneError, build_scene, load_scene
 
 
@@ -334,8 +334,23 @@ def test_tolerance_override_can_fail_a_pipeline_step(capsys, tmp_path, hp_path):
     ("verify", "margin=-0.1", "/params/margin"),
     ("sweep", "quad_cells=300", "/params/quad_cells"),
 ])
-def test_out_of_range_settings_exit_one(capsys, tmp_path, hp_path, command, flags,
-                                        pointer):
+def test_out_of_range_settings_exit_one(capsys, monkeypatch, tmp_path, hp_path,
+                                        command, flags, pointer):
+    # every case must stop before the command's pipeline runs, so a check
+    # that stops firing fails here at once (quad_cells = 512 would build a
+    # 16.7M-node mesh). Parameter loading makes every check but t_steps,
+    # which growth_record makes before its first volume.
+    def past_the_check(*args, **kwargs):
+        raise AssertionError("the command ran past its parameter check")
+
+    stubs = [(cli, "volume_series"), (cli, "ruledness_record"),
+             (cli, "vanishing_verdict")]
+    if pointer == "/params/t_steps":
+        stubs.append((osculate, "volume_series"))
+    else:
+        stubs += [(cli, "growth_record"), (cli, "verify_theorem")]
+    for module, name in stubs:
+        monkeypatch.setattr(module, name, past_the_check)
     if "=" in flags:
         key, value = flags.split("=")
         data = json.loads(corpus.scene_path("hyperbolic_paraboloid").read_text())

@@ -74,7 +74,8 @@ def test_affine_reparametrization_invariance():
     curve = PolyCurve([[0, 0, 0], [0, 1, 0]])
     base = contact_order_jet_recharted(curve, M, 6).order
     for lam in (0.5, -1.0, 3.0):
-        order = contact_order_jet_recharted(curve.reparametrized(lam), M, 6)
+        scaled = PolyCurve(lam ** np.arange(curve.degree + 1)[:, None] * curve.coeffs)
+        order = contact_order_jet_recharted(scaled, M, 6)
         assert order.order == base
 
 
@@ -231,7 +232,7 @@ def test_jet_and_metric_agree_on_graph_suite():
         if mo.contained:
             assert jet.saturated, name
         elif abs(mo.slope - round(mo.slope)) <= 0.2:
-            assert mo.agrees_with(jet), (name, str(jet), mo.slope)
+            assert abs(mo.slope - (jet.order + 1)) <= 0.2, (name, str(jet), mo.slope)
 
 
 def test_window_tube_exit_on_ambiguous_curve():

@@ -3,40 +3,43 @@ import pytest
 from hypothesis import given, strategies as st
 
 from osclab.exterior import (
-    Blade,
     DimensionMismatch,
-    blade_norm,
     frame_norm,
     index_combinations,
     max_minor_rows,
     minors,
-    wedge,
     wedge_ring,
 )
 from osclab.jets import Jet
 from oracles import gram_volume, leibniz_minors
 
 
+def _frame(*vectors) -> np.ndarray:
+    """The n x k matrix whose columns are the given vectors."""
+    return np.stack(vectors, axis=-1).astype(float)
+
+
 def test_basis_wedge():
-    b = wedge([np.eye(3)[0], np.eye(3)[1]])
-    assert b.grade == 2 and b.n == 3
-    assert np.array_equal(b.coords, [1.0, 0.0, 0.0])  # combination (0,1) first
+    e = np.eye(3)
+    assert np.array_equal(minors(_frame(e[0], e[1])), [1.0, 0.0, 0.0])  # rows (0,1) first
 
 
 def test_dependent_vectors_give_zero_blade():
     v = np.array([0.3, -1.2, 2.0])
-    assert wedge([v, v]).is_zero()
+    assert np.array_equal(minors(_frame(v, v)), np.zeros(3))
+    assert frame_norm(_frame(v, v)) == 0.0
 
 
 def test_shear_invariance():
-    b = wedge([np.array([1.0, 0.0, 0.0]), np.array([1.0, 1.0, 0.0])])
-    assert np.array_equal(b.coords, [1.0, 0.0, 0.0])
+    A = _frame([1.0, 0.0, 0.0], [1.0, 1.0, 0.0])
+    assert np.array_equal(minors(A), [1.0, 0.0, 0.0])
 
 
 def test_norm_examples():
-    assert blade_norm(wedge([np.eye(3)[0], np.eye(3)[1]])) == 1.0
-    assert blade_norm(wedge([2 * np.eye(3)[0], 3 * np.eye(3)[1]])) == 6.0
-    assert blade_norm(wedge([np.array([1.0, 0.0]), np.array([1.0, 1.0])])) == 1.0
+    e = np.eye(3)
+    assert frame_norm(_frame(e[0], e[1])) == 1.0
+    assert frame_norm(_frame(2 * e[0], 3 * e[1])) == 6.0
+    assert frame_norm(_frame([1.0, 0.0], [1.0, 1.0])) == 1.0
 
 
 def test_gram_equivalence_on_random_frames():
@@ -45,21 +48,52 @@ def test_gram_equivalence_on_random_frames():
         n = int(rng.integers(2, 7))
         m = int(rng.integers(1, n + 1))
         frame = [rng.normal(size=n) for _ in range(m)]
-        lhs = blade_norm(wedge(frame))
+        lhs = frame_norm(_frame(*frame))
         rhs = gram_volume(frame)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
 
+def test_frame_norm_of_a_stack_matches_gram():
+    """One call on a (5, 6, 4, 2) stack: shape (5, 6), each entry against
+    the Gram oracle of its own frame."""
+    rng = np.random.default_rng(31)
+    A = rng.normal(size=(5, 6, 4, 2))
+    got = frame_norm(A)
+    assert got.shape == (5, 6)
+    for idx in np.ndindex(5, 6):
+        want = gram_volume(list(A[idx].T))
+        assert abs(got[idx] - want) <= 1e-10 * max(1.0, want)
+
+
+def _swap_two(rng, A):
+    i, j = rng.choice(A.shape[-1], size=2, replace=False)
+    swapped = A.copy()
+    swapped[:, [i, j]] = A[:, [j, i]]
+    return swapped
+
+
 def test_antisymmetry_is_exact():
+    """On small-integer frames every minor is an exact integer, so swapping
+    two vectors negates each one exactly."""
     rng = np.random.default_rng(5)
     for _ in range(50):
         n = int(rng.integers(2, 7))
         m = int(rng.integers(2, n + 1))
-        frame = [rng.normal(size=n) for _ in range(m)]
-        i, j = sorted(rng.choice(m, size=2, replace=False))
-        swapped = list(frame)
-        swapped[i], swapped[j] = swapped[j], swapped[i]
-        assert np.array_equal(wedge(frame).coords, -wedge(swapped).coords)
+        A = rng.integers(-4, 5, size=(n, m)).astype(float)
+        assert np.array_equal(minors(_swap_two(rng, A)), -minors(A))
+
+
+def test_antisymmetry_on_random_frames():
+    """Within 1e-14 of the Hadamard bound prod |a_c|: the swapped frame's
+    minors are summed in another order."""
+    rng = np.random.default_rng(6)
+    for _ in range(50):
+        n = int(rng.integers(2, 7))
+        m = int(rng.integers(2, n + 1))
+        A = rng.normal(size=(n, m))
+        hadamard = float(np.prod(np.linalg.norm(A, axis=0)))
+        gap = minors(_swap_two(rng, A)) + minors(A)
+        assert np.max(np.abs(gap)) <= 1e-14 * hadamard
 
 
 _scalars = st.one_of(st.just(0.0), st.floats(0.001, 3), st.floats(-3, -0.001))
@@ -69,18 +103,16 @@ _scalars = st.one_of(st.just(0.0), st.floats(0.001, 3), st.floats(-3, -0.001))
 def test_multilinearity(alpha, beta):
     rng = np.random.default_rng(11)
     u, w, v2, v3 = rng.normal(size=(4, 4))
-    left = wedge([alpha * u + beta * w, v2, v3]).coords
-    right = alpha * wedge([u, v2, v3]).coords + beta * wedge([w, v2, v3]).coords
+    left = minors(_frame(alpha * u + beta * w, v2, v3))
+    right = alpha * minors(_frame(u, v2, v3)) + beta * minors(_frame(w, v2, v3))
     assert np.all(np.abs(left - right) <= 1e-12 * max(1.0, np.max(np.abs(right))))
 
 
 def test_dimension_errors():
     with pytest.raises(DimensionMismatch):
-        wedge([np.ones(2), np.ones(2), np.ones(2)])
+        wedge_ring([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(DimensionMismatch):
-        wedge([np.ones(2), np.ones(3)])
-    with pytest.raises(DimensionMismatch):
-        Blade(n=3, grade=2, coords=np.zeros(4))
+        wedge_ring([[1.0, 1.0], [1.0, 1.0, 1.0]])
 
 
 def test_combination_order_is_lexicographic():
@@ -88,15 +120,12 @@ def test_combination_order_is_lexicographic():
 
 
 def test_wedge_ring_matches_float_wedge():
+    """Over Python floats, the kernel gives the minors of the float stack."""
     rng = np.random.default_rng(7)
     frame = [rng.normal(size=4) for _ in range(3)]
-    ring = wedge_ring([list(v) for v in frame])
-    direct = wedge(frame).coords
-    assert np.allclose(ring, direct, rtol=1e-12, atol=1e-12)
-
-
-def test_frame_norm_alias():
-    assert frame_norm([np.array([1.0, 0.0]), np.array([1.0, 1.0])]) == 1.0
+    ring = wedge_ring([[float(c) for c in v] for v in frame])
+    assert all(type(c) is float for c in ring)
+    assert np.allclose(ring, minors(_frame(*frame)), rtol=1e-12, atol=1e-12)
 
 
 def test_wedge_ring_matches_leibniz_oracle():

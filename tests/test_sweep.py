@@ -6,6 +6,7 @@ import pytest
 
 from osclab import corpus
 from osclab.config import QuadConfig, composite_gauss
+from osclab.exterior import frame_norm
 from osclab.jets import default_degree
 from osclab.manifold import OutOfDomain, Submanifold
 from osclab.sweep import (
@@ -18,7 +19,6 @@ from osclab.sweep import (
     _chart_mesh,
     _integrate,
     _minor_jets,
-    _volume_element,
     coefficients_csv,
     critical_degree,
     extract_t_polynomials,
@@ -257,7 +257,7 @@ def test_stacked_frame_jets_match_per_point(scenes):
 
 
 def _frame_route_volume(family, t, quad):
-    """swept_volume's value and error, from frame_many + _volume_element
+    """swept_volume's value and error, from frame_many + frame_norm
     at every node of the same meshes."""
 
     def integrate(q):
@@ -266,7 +266,7 @@ def _frame_route_volume(family, t, quad):
         total = 0.0
         for s, w in zip(tn, wt):
             frame = family.frame_many(X, np.full(X.shape[0], s))
-            total += w * float(np.dot(wx, _volume_element(frame)))
+            total += w * float(np.dot(wx, frame_norm(frame)))
         return total
 
     value = integrate(quad)
@@ -432,8 +432,8 @@ def test_flow_requires_an_embedding():
     M = Submanifold.graph(["x", "y"], [[-1, 1], [-1, 1]], ["0"])
     family = SweepFamily(M, 1, fields=[["-x", "0", "0"]])
     with pytest.raises(FlowRankError, match="not an embedding at t=1"):
-        tangency_flow_check(family, [[0.1, 0.2]], 1.0, steps=8)
-    fr = tangency_flow_check(family, [[0.1, 0.2]], 0.5, steps=8)[0]
+        tangency_flow_check(family, [[0.1, 0.2]], 1.0)
+    fr = tangency_flow_check(family, [[0.1, 0.2]], 0.5)[0]
     assert fr.passed and fr.error is None
 
 
