@@ -21,7 +21,9 @@ from an `Arithmetic`. `evaluate` and `evaluate_many` run it on floats and
 numpy arrays (broadcasting), `jets.jet_eval_expr` runs it on truncated
 Taylor series, and `INTERVALS` runs it on `Interval`s: outward-rounded
 bounds that enclose the float values over boxes of the variables, which
-the manifold projection uses to screen its seed cells.
+the manifold projection uses to screen its seed cells. Where the float
+evaluation raises DomainError (a quotient by 0, a sqrt below 0), an
+interval row gets the entire line, so one stacked pass bounds every box.
 """
 
 from __future__ import annotations
@@ -347,6 +349,8 @@ def diff(e: Expr, v: str) -> Expr:
     if isinstance(e, Mul):
         return add(mul(diff(e.left, v), e.right), mul(e.left, diff(e.right, v)))
     if isinstance(e, Div):
+        if v not in variables(e.den):
+            return div(diff(e.num, v), e.den)
         num = sub(mul(diff(e.num, v), e.den), mul(e.num, diff(e.den, v)))
         return div(num, power(e.den, 2))
     if isinstance(e, Pow):
@@ -451,21 +455,26 @@ class Interval:
         return np.maximum(np.abs(self.lo), np.abs(self.hi))
 
 
+def _unbounded_where(rows, bound: Interval) -> Interval:
+    """`bound` with the entire line [-inf, inf] in the given rows."""
+    return Interval(np.where(rows, -np.inf, bound.lo), np.where(rows, np.inf, bound.hi))
+
+
 class IntervalArithmetic(Arithmetic):
     """Interval evaluation: every result encloses the float function's
-    values over the variables' intervals. A quotient whose denominator
-    interval contains 0, or a sqrt whose interval reaches below 0, raises
-    DomainError."""
+    values over the variables' intervals, wherever they are defined. The
+    bounds are total: in the rows where a quotient's denominator interval
+    contains 0, or a sqrt's interval reaches below 0, the result is the
+    entire line [-inf, inf], and every other row keeps its finite bound."""
 
     def const(self, value: float):
         return Interval(value)
 
     def div(self, num, den):
-        if np.any((den.lo <= 0.0) & (den.hi >= 0.0)):
-            raise DomainError("interval quotient by an interval containing 0")
-        with np.errstate(**_QUIET):
-            return _hull(num.lo / den.lo, num.lo / den.hi,
+        with np.errstate(divide="ignore", **_QUIET):
+            hull = _hull(num.lo / den.lo, num.lo / den.hi,
                          num.hi / den.lo, num.hi / den.hi)
+        return _unbounded_where((den.lo <= 0.0) & (den.hi >= 0.0), hull)
 
     def pow(self, base, exponent: int):
         # an even power is the power of |base|, which is nonnegative; an odd
@@ -490,10 +499,9 @@ class IntervalArithmetic(Arithmetic):
         return Interval(np.maximum(twice.lo, 0.0), twice.hi)
 
     def sqrt(self, u):
-        if np.any(u.lo < 0.0):
-            raise DomainError("interval sqrt reaches below 0")
-        root = _outward(np.sqrt(u.lo), np.sqrt(u.hi))
-        return Interval(np.maximum(root.lo, 0.0), root.hi)
+        with np.errstate(**_QUIET):
+            root = _outward(np.sqrt(u.lo), np.sqrt(u.hi))
+        return _unbounded_where(u.lo < 0.0, Interval(np.maximum(root.lo, 0.0), root.hi))
 
     def sin(self, u):
         return Interval(-1.0, 1.0)
@@ -578,6 +586,8 @@ def _fmt_const(x: float) -> str:
 
 
 def _prec(e: Expr) -> int:
+    if isinstance(e, Const) and e.value < 0:
+        return _PREC_NEG  # printed with a leading '-', which binds like one
     if isinstance(e, (Const, Var, Call)):
         return _PREC_ATOM
     if isinstance(e, Pow):
@@ -600,10 +610,12 @@ def to_string(e: Expr) -> str:
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Add):
-        left = _wrap(e.left, _PREC_ADD)
-        if isinstance(e.right, Neg):
-            return f"{left} - {_wrap(e.right.arg, _PREC_MUL)}"
-        return f"{left} + {_wrap(e.right, _PREC_MUL)}"
+        left, right = _wrap(e.left, _PREC_ADD), e.right
+        if isinstance(right, Const) and right.value < 0:
+            right = Neg(Const(-right.value))  # a + (-c) prints as a - c
+        if isinstance(right, Neg):
+            return f"{left} - {_wrap(right.arg, _PREC_MUL)}"
+        return f"{left} + {_wrap(right, _PREC_MUL)}"
     if isinstance(e, Mul):
         return f"{_wrap(e.left, _PREC_MUL)}*{_wrap(e.right, _PREC_NEG)}"
     if isinstance(e, Div):

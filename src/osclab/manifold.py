@@ -230,26 +230,14 @@ class Submanifold:
         lo = np.array(list(product(*(c[:, 0] for c in cells))), dtype=float)
         hi = np.array(list(product(*(c[:, 1] for c in cells))), dtype=float)
         reach = np.linalg.norm(np.maximum(seeds - lo, hi - seeds), axis=1)
-        flat = [d for row in self.jac_exprs for d in row]
-
-        def lipschitz(lo, hi):
-            # Frobenius norm of the entrywise Jacobian bound over the cell(s)
-            env = {v: ex.Interval(lo[..., i], hi[..., i])
-                   for i, v in enumerate(self.chart_vars)}
-            mags = [ex.evaluate_with(d, env, ex.INTERVALS).magnitude() for d in flat]
-            with np.errstate(over="ignore"):
-                return np.sqrt(sum(np.square(g) for g in mags))
-
-        try:
-            # a constant Jacobian gives one bound for every cell
-            L = np.broadcast_to(lipschitz(lo, hi), (len(seeds),))
-        except ex.DomainError:
-            L = np.empty(len(seeds))
-            for i in range(len(seeds)):
-                try:
-                    L[i] = lipschitz(lo[i], hi[i])
-                except ex.DomainError:
-                    L[i] = np.inf  # no bound: the cell is always kept
+        # Frobenius norm of the entrywise Jacobian bound over each cell; a
+        # cell with an unbounded entry gets L = inf and is always kept, and a
+        # constant Jacobian gives one bound for every cell
+        env = {v: ex.Interval(lo[:, i], hi[:, i]) for i, v in enumerate(self.chart_vars)}
+        mags = [ex.evaluate_with(d, env, ex.INTERVALS).magnitude()
+                for row in self.jac_exprs for d in row]
+        with np.errstate(over="ignore"):
+            L = np.broadcast_to(np.sqrt(sum(np.square(g) for g in mags)), (len(seeds),))
         self._screen = (seeds, self.embed_many(seeds), L * reach)
         return self._screen
 

@@ -161,15 +161,16 @@ def fit_class_k_curve(M: Submanifold, p_chart, k: int, target_order: int,
     PolyCurve with unit-normalized velocity, or None.
 
     Every start runs the same iteration it would run alone: a
-    central-difference Jacobian, a least-squares step, and a line search
-    that takes the first of 25 halvings to lower |F|^2; a start ends when it
-    converges, when its line search fails, or after 80 steps. The starts run
-    in lockstep, so each step evaluates residual jets twice for all live
-    starts at once (the Jacobian probes and the line-search candidates) as
-    batched PolyCurves. The result is the curve of the lowest-index start
-    that converges with speed >= min_speed, returned once every lower-index
-    start has ended; higher-index starts are dropped as soon as one
-    converges.
+    central-difference Jacobian, a minimum-norm least-squares step, and a
+    line search that takes the first of 25 halvings to lower |F|^2; a start
+    ends when it converges, when its line search fails, or after 80 steps.
+    The starts run in lockstep, so each step evaluates residual jets twice
+    for all live starts at once (the Jacobian probes and the line-search
+    candidates) as batched PolyCurves, and one pinv of the stacked
+    Jacobians gives every start's step. The result is the curve of the
+    lowest-index start that converges with speed >= min_speed, returned
+    once every lower-index start has ended; higher-index starts are dropped
+    as soon as one converges.
     """
     if M.kind != "graph":
         raise NonGraphChart("class-k fitting expects a graph chart")
@@ -218,8 +219,7 @@ def fit_class_k_curve(M: Submanifold, p_chart, k: int, target_order: int,
         if live.size == 0:
             break
         J = jacobians(flat[live])
-        delta = np.stack([np.linalg.lstsq(J[i], -F[s], rcond=None)[0]
-                          for i, s in enumerate(live)])
+        delta = -(np.linalg.pinv(J) @ F[live, :, None])[..., 0]
         cand = flat[live, None, :] + halvings[:, None] * delta[:, None, :]
         Fc = system(cand)                                # (live, 25, rows)
         fc2 = np.einsum("sjr,sjr->sj", Fc, Fc)
@@ -309,13 +309,18 @@ def ruledness_check(M: Submanifold, curve_provider, span: float,
 # `osclab exponent` and `osclab ruled` print as well
 
 
-def growth_record(family: SweepFamily, params: RunParams) -> dict:
-    """Volume series over the run's t-grid and its log-log growth fit."""
+def _growth_grid(params: RunParams) -> np.ndarray:
+    """The run's t-grid, which the growth fit needs at least 5 values of."""
     ts = params.t_grid()
     if len(ts) < 5:
         raise SceneError("/params/t_steps",
                          f"the growth fit needs at least 5 t values, got {len(ts)}")
-    series = volume_series(family, ts, params.quad)
+    return ts
+
+
+def growth_record(family: SweepFamily, params: RunParams) -> dict:
+    """Volume series over the run's t-grid and its log-log growth fit."""
+    series = volume_series(family, _growth_grid(params), params.quad)
     fit = growth_exponent(series, params.tol)
     return {
         "t": [s.t for s in series],
@@ -388,6 +393,8 @@ def verify_theorem(scene, seed: int = 0) -> VerdictReport:
     required = k * (M.m + 1)
     max_order = required + 2
     X = M.grid(params.samples, margin=params.margin)
+    if family is not None:
+        _growth_grid(params)  # a grid too short for step 2 fails before step 1
 
     report = VerdictReport(
         scene=scene.name, k=k, m=M.m, n=M.n, required_order=required,

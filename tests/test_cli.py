@@ -339,14 +339,15 @@ def test_out_of_range_settings_exit_one(capsys, monkeypatch, tmp_path, hp_path,
     # every case must stop before the command's pipeline runs, so a check
     # that stops firing fails here at once (quad_cells = 512 would build a
     # 16.7M-node mesh). Parameter loading makes every check but t_steps,
-    # which growth_record makes before its first volume.
+    # which `exponent` makes before its first volume and `verify` before
+    # osculation.
     def past_the_check(*args, **kwargs):
         raise AssertionError("the command ran past its parameter check")
 
     stubs = [(cli, "volume_series"), (cli, "ruledness_record"),
              (cli, "vanishing_verdict")]
     if pointer == "/params/t_steps":
-        stubs.append((osculate, "volume_series"))
+        stubs += [(osculate, "volume_series"), (osculate, "contact_order_jet_recharted")]
     else:
         stubs += [(cli, "growth_record"), (cli, "verify_theorem")]
     for module, name in stubs:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from osclab import corpus
 from osclab import expr as ex
@@ -55,6 +55,13 @@ def test_diff_examples():
     assert ex.diff(ex.parse("x*y"), "x") == ex.Var("y")
     assert ex.to_string(ex.diff(ex.parse("sin(x)"), "x")) == "cos(x)"
     assert ex.diff(ex.parse("3"), "x") == ex.Const(0.0)
+
+
+def test_diff_quotient_by_a_constant():
+    # d(u/c)/dv = u'/c for a denominator free of v: no c/c^2 to round
+    d = ex.diff(ex.parse("x*y/3"), "x")
+    assert d == ex.Div(ex.Var("y"), ex.Const(3.0))
+    assert ex.evaluate(d, {"y": 0.1}) == 0.1 / 3
 
 
 def test_diff_quotient_and_sqrt():
@@ -160,7 +167,14 @@ _exprs = st.deferred(
 )
 
 
+# a negative constant prints with a leading '-': as a power base it needs
+# parentheses (-2^2 parses as -(2^2)), and a + (-1) prints as a - 1
+_NEGATIVE_CONSTANTS = (ex.Pow(ex.Const(-2.0), 2), ex.Add(ex.Var("x"), ex.Const(-1.0)))
+
+
 @given(_exprs)
+@example(_NEGATIVE_CONSTANTS[0])
+@example(_NEGATIVE_CONSTANTS[1])
 def test_print_parse_print_fixed_point(e):
     s1 = ex.to_string(e)
     s2 = ex.to_string(ex.parse(s1))
@@ -169,6 +183,8 @@ def test_print_parse_print_fixed_point(e):
 
 
 @given(_exprs)
+@example(_NEGATIVE_CONSTANTS[0])
+@example(_NEGATIVE_CONSTANTS[1])
 def test_reparse_preserves_value(e):
     back = ex.parse(ex.to_string(e))
     env = {"x": 0.73, "y": -0.41, "z": 1.21}
@@ -229,7 +245,7 @@ def test_interval_encloses_random_expressions(e, corner, width, seed):
     try:
         _assert_encloses(e, ("x", "y", "z"), lo, hi, X)
     except ex.DomainError:
-        pass  # the interval reached a quotient by 0 or a negative sqrt
+        pass  # the float evaluation met a quotient by 0 or a negative sqrt
 
 
 def test_interval_rounding_and_domain_errors():
@@ -244,10 +260,14 @@ def test_interval_rounding_and_domain_errors():
     sq = ex.evaluate_with(ex.parse("x^2"), {"x": x}, ex.INTERVALS)
     assert sq.lo == 0.0 and 1.0 <= sq.hi < 1.0 + 1e-15
     assert ex.evaluate_with(ex.parse("x^0"), {"x": x}, ex.INTERVALS).lo == 1.0
-    with pytest.raises(ex.DomainError):
-        ex.evaluate_with(ex.parse("1/x"), {"x": ex.Interval(-1.0, 1.0)}, ex.INTERVALS)
-    with pytest.raises(ex.DomainError):
-        ex.evaluate_with(ex.parse("sqrt(x)"), {"x": ex.Interval(-1.0, 0.0)}, ex.INTERVALS)
+    # a quotient by an interval containing 0, or a sqrt reaching below 0,
+    # is the entire line in its own row; the other row keeps its bound
+    up, down = np.nextafter(2.0, np.inf), np.nextafter(1.0, -np.inf)
+    for text, x in (("1/x", ex.Interval([-1.0, 0.5], [1.0, 1.0])),
+                    ("sqrt(x)", ex.Interval([-1.0, 1.0], [0.0, 4.0]))):
+        bound = ex.evaluate_with(ex.parse(text), {"x": x}, ex.INTERVALS)
+        assert bound.lo[0] == -np.inf and bound.hi[0] == np.inf, text
+        assert bound.lo[1] == down and bound.hi[1] == up, text
 
 
 def test_roundtrip_fixed_point_on_scene_strings():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from osclab import corpus
+from osclab import expr as ex
 from osclab.manifold import (
     PROJECT_DIST_TOL,
     PROJECT_FOOT_TOL,
@@ -238,6 +239,33 @@ def test_screen_keeps_the_nearest_foot(scenes, name, monkeypatch):
                   <= PROJECT_DIST_TOL * (1.0 + full.distance))
     unique = ~full.ambiguous
     assert np.all(np.linalg.norm(b.point - full.point, axis=1)[unique] <= PROJECT_FOOT_TOL)
+
+
+def test_screen_matches_per_cell_bounds():
+    # one interval pass over all 81 cells gives each cell the bound it gets
+    # alone; the 17 cells whose Jacobian divides by an interval containing 0
+    # (x-cells at 0, where 1/sqrt(x) blows up, and the y-cells around 0.3)
+    # are unbounded
+    M = Submanifold.graph(["x", "y"], [[0, 1], [-1, 1]], ["sqrt(x)*y", "1/(y - 0.3)"])
+    seeds, centres, slack = M._seed_screen()
+    cells = []
+    for a, b in M.box:
+        edges = a + (b - a) / 9 * np.arange(10)
+        edges[0], edges[-1] = a, b
+        cells.append(np.stack([edges[:-1], edges[1:]], axis=-1))
+    ref = []
+    for (x0, x1), (y0, y1), seed in zip(np.repeat(cells[0], 9, axis=0),
+                                        np.tile(cells[1], (9, 1)), seeds):
+        assert x0 < seed[0] < x1 and y0 < seed[1] < y1
+        env = {"x": ex.Interval(x0, x1), "y": ex.Interval(y0, y1)}
+        mags = [ex.evaluate_with(d, env, ex.INTERVALS).magnitude()
+                for row in M.jac_exprs for d in row]
+        reach = np.linalg.norm(np.maximum(seed - [x0, y0], [x1, y1] - seed), axis=-1)
+        ref.append(np.sqrt(sum(np.square(g) for g in mags)) * reach)
+        assert np.isinf(ref[-1]) == (x0 == 0.0 or y0 <= 0.3 <= y1)
+    assert np.array_equal(slack, ref)
+    assert np.count_nonzero(np.isinf(slack)) == 17
+    assert np.array_equal(centres, M.embed_many(seeds))
 
 
 def test_unbounded_cell_is_kept(monkeypatch):
