@@ -23,7 +23,7 @@ import numpy as np
 
 from . import expr as ex
 from .config import Tolerances, composite_gauss, geometric_grid
-from .exterior import max_minor_rows
+from .exterior import max_minor_rows, solve
 from .jets import Jet, jet_eval_expr
 from .manifold import Submanifold
 
@@ -125,13 +125,13 @@ def curve_point(curve, t):
 def _graph_residual_jets(M: Submanifold, curve, degree: int, tol=_TOL):
     """Residual coefficients (..., n-m, degree+1) of a curve or a stack of
     PolyCurves; the box and on-graph checks must hold for every curve."""
-    base = curve_point(curve, 0.0)
+    gj = curve.jets(degree)
+    base = np.stack([g.coeffs[..., 0] for g in gj], axis=-1)  # the curve at t = 0
     m = M.m
     inside = M.in_box_many(base[..., :m], tol=1e-9)
     if not np.all(inside):
         bad = base[..., :m][~inside][0]
         raise NotOnManifold(f"base chart point {bad.tolist()} outside the box")
-    gj = curve.jets(degree)
     env = {name: gj[i] for i, name in enumerate(M.chart_vars)}
     res = []
     for i, h in enumerate(M.components[m:]):
@@ -145,7 +145,8 @@ def _graph_residual_jets(M: Submanifold, curve, degree: int, tol=_TOL):
 
 
 def _parametric_residual_jets(M: Submanifold, curve, degree: int, tol=_TOL):
-    base = curve_point(curve, 0.0)
+    gj = curve.jets(degree)
+    base = np.stack([g.coeffs[0] for g in gj])  # the curve at t = 0
     proj = M.nearest_point(base)
     scale = 1.0 + float(np.linalg.norm(base))
     if proj.distance > tol.on_manifold * scale:
@@ -158,7 +159,6 @@ def _parametric_residual_jets(M: Submanifold, curve, degree: int, tol=_TOL):
     n_rows = [i for i in range(M.n) if i not in t_rows]
     JT = J0[t_rows, :]
 
-    gj = curve.jets(degree)
     gT = [gj[i] for i in t_rows]
     u = [Jet.constant(u0[i], degree) for i in range(M.m)]
     # Newton in the truncated series ring; each sweep gains at least one
@@ -168,7 +168,7 @@ def _parametric_residual_jets(M: Submanifold, curve, degree: int, tol=_TOL):
         F = [jet_eval_expr(M.components[r], env, degree) - gT[i]
              for i, r in enumerate(t_rows)]
         Fc = np.stack([f.coeffs for f in F])          # (m, degree+1)
-        delta = np.linalg.solve(JT, Fc)               # per-order correction
+        delta = solve(JT, Fc.T).T                     # per-order correction
         u = [u[i] - Jet(delta[i]) for i in range(M.m)]
     env = dict(zip(M.chart_vars, u))
     res = [gj[r] - jet_eval_expr(M.components[r], env, degree) for r in n_rows]

@@ -1,4 +1,4 @@
-"""Maximal minors of frames in R^n and the volume element they give.
+"""Maximal minors of frames in R^n, their volume element, and Cramer solves.
 
 Coordinates are indexed by the strictly increasing index combinations in
 lexicographic order; the coordinate for (i1 < ... < im) is the maximal
@@ -10,7 +10,8 @@ as arrays, and every float frame volume, maximal minor and immersion test
 reads it; the jet route (sweep._minor_jets) hands it frames of jets. Their
 Euclidean norm equals sqrt(det(Gram)) of the frame (Cauchy-Binet): the
 volume element, which frame_norm gives for a stack of frames and every
-frame volume in the library reads.
+frame volume in the library reads. `solve`, Cramer's rule on the minors
+of [A | b]^T, takes every square solve in the library.
 """
 
 from __future__ import annotations
@@ -50,6 +51,21 @@ def frame_norm(A) -> np.ndarray:
     (..., n, k): the norm of its maximal minors, sqrt(det(Gram)) by
     Cauchy-Binet. Shape (...)."""
     return np.linalg.norm(minors(A), axis=-1)
+
+
+def solve(A, b) -> np.ndarray:
+    """x with A x = b for each m x m matrix of the stack A (..., m, m), b
+    (..., m) broadcast against it: Cramer's rule on one wedge_ring call over
+    the rows of [A | b], whose minor 0 is det A and minor m - i is
+    (-1)^(m-1-i) det(A with column i replaced by b). A |det| below 1e-300
+    is taken as 1e-300: a singular row gives a huge or infinite x, no error."""
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    m = A.shape[-1]
+    minor = wedge_ring([[*(A[..., i, c] for c in range(m)), b[..., i]] for i in range(m)])
+    det = np.where(np.abs(minor[0]) < 1e-300, 1e-300, minor[0])
+    with np.errstate(over="ignore"):
+        x = [(-minor[m - i] if (m - 1 - i) % 2 else minor[m - i]) / det for i in range(m)]
+    return np.stack(x, axis=-1)  # each x_i has the broadcast shape of A and b
 
 
 def wedge_ring(vectors: list[list]) -> list:

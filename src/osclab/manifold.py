@@ -41,7 +41,7 @@ from itertools import product
 import numpy as np
 
 from . import expr as ex
-from .exterior import frame_norm
+from .exterior import frame_norm, solve
 
 #: a parametric chart whose tangent frame norm falls to this is not an immersion
 IMMERSION_FLOOR = 1e-8
@@ -245,7 +245,6 @@ class Submanifold:
         """Damped Newton from the rows of X towards stationary points of
         |P - c(x)|^2 in the box; returns the final X and a converged mask."""
         X = np.array(X, dtype=float)
-        m = self.m
         lo, hi = self.box[:, 0], self.box[:, 1]
         side = hi - lo
         cap = float(np.linalg.norm(side))
@@ -266,23 +265,6 @@ class Submanifold:
             pg = np.where(at_hi, np.maximum(pg, 0.0), pg)
             return np.linalg.norm(pg, axis=-1)
 
-        def newton_step(DG, G):
-            if m == 1:
-                den = DG[:, 0, 0]
-                den = np.where(np.abs(den) < 1e-300, 1e-300, den)
-                return -(G[:, 0] / den)[:, None]
-            if m == 2:
-                a, b = DG[:, 0, 0], DG[:, 0, 1]
-                c, e = DG[:, 1, 0], DG[:, 1, 1]
-                det = a * e - b * c
-                det = np.where(np.abs(det) < 1e-300, 1e-300, det)
-                return -np.stack(
-                    [(e * G[:, 0] - b * G[:, 1]) / det,
-                     (a * G[:, 1] - c * G[:, 0]) / det], axis=-1)
-            ridge = 1e-12 * (1.0 + np.abs(np.trace(DG, axis1=-2, axis2=-1)))
-            sys = DG + ridge[:, None, None] * np.eye(m)
-            return -np.linalg.solve(sys, G[:, :, None])[:, :, 0]
-
         _, _, _, G0 = stationarity(X, P)
         conv = kkt(X, G0) <= PROJECT_GRAD_TOL * scale
         active = np.flatnonzero(~conv)
@@ -296,7 +278,7 @@ class Submanifold:
             JTJ = np.einsum("rni,rnj->rij", J, J)
             H = self.hessian_many(Xa)
             DG = np.einsum("rnij,rn->rij", H, R) - JTJ
-            delta = np.clip(newton_step(DG, G), -1e12, 1e12)
+            delta = np.clip(-solve(DG, G), -1e12, 1e12)
             dn = np.linalg.norm(delta, axis=-1, keepdims=True)
             delta *= np.minimum(1.0, cap / np.maximum(dn, 1e-30))
 

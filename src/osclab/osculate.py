@@ -109,15 +109,14 @@ def osculating_directions(M: Submanifold, p_chart, tol=_TOL) -> list[OscDirectio
         if max(abs(ka), abs(ke), abs(kf), abs(kg)) <= qtol:
             roots = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
         else:
-            if abs(ka) > qtol:
-                for r in np.roots([ka, ke, kf, kg]):
-                    if abs(r.imag) <= 1e-8 * (1.0 + abs(r.real)):
-                        roots.append(np.array([r.real, 1.0]))
-            else:
+            # each vanishing leading coefficient is a factor b: root (1, 0)
+            cubic_coeffs = [ka, ke, kf, kg]
+            while abs(cubic_coeffs[0]) <= qtol:
+                cubic_coeffs.pop(0)
                 roots.append(np.array([1.0, 0.0]))
-                for r in np.roots([ke, kf, kg]) if abs(ke) > qtol else []:
-                    if abs(r.imag) <= 1e-8 * (1.0 + abs(r.real)):
-                        roots.append(np.array([r.real, 1.0]))
+            for r in np.roots(cubic_coeffs):
+                if abs(r.imag) <= 1e-8 * (1.0 + abs(r.real)):
+                    roots.append(np.array([r.real, 1.0]))
     elif abs(qa) > qtol:
         disc = qb * qb - 4.0 * qa * qc
         if disc >= -1e-12 * ref * ref:

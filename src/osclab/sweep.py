@@ -39,7 +39,7 @@ import numpy as np
 from . import expr as ex
 from .config import QuadConfig, Tolerances, composite_gauss, geometric_grid
 from .contact import ExprCurve, PolyCurve
-from .exterior import frame_norm, index_combinations, wedge_ring
+from .exterior import frame_norm, index_combinations, minors, wedge_ring
 from .jets import Jet, default_degree, jet_eval_expr
 from .manifold import IMMERSION_FLOOR, OutOfDomain, Submanifold
 
@@ -408,7 +408,7 @@ def reparam_invariance_test(family: SweepFamily, psi_exprs, t_extent: float,
     for s in np.linspace(-t_extent, t_extent, 9):
         env = family._env(Xs, np.full(Xs.shape[0], s))
         Dv = ex.evaluate_many(dpsi, env, Xs.shape[:-1]).reshape(-1, M.m + 1, M.m + 1)
-        if np.min(np.abs(np.linalg.det(Dv))) < 1e-10:
+        if np.min(np.abs(minors(Dv)[:, 0])) < 1e-10:
             raise DegenerateReparam("Jacobian determinant vanishes on a sample")
 
     vol = _integrate(family, t_extent, quad)

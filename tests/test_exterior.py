@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +10,7 @@ from osclab.exterior import (
     index_combinations,
     max_minor_rows,
     minors,
+    solve,
     wedge_ring,
 )
 from osclab.jets import Jet
@@ -175,3 +178,70 @@ def test_max_minor_rows():
     J = np.array([[1.0, 0.0], [0.0, 0.1], [0.0, 2.0]])
     assert max_minor_rows(J) == (0, 2)
     assert max_minor_rows(np.zeros((3, 2))) == (0, 1)  # first on a tie
+
+
+def _closed_form_solve(A, b):
+    """The m = 1 and m = 2 closed forms the projection's Newton step used
+    before solve: the reference for bit identity."""
+    if A.shape[-1] == 1:
+        den = A[:, 0, 0]
+        den = np.where(np.abs(den) < 1e-300, 1e-300, den)
+        return (b[:, 0] / den)[:, None]
+    a, bb = A[:, 0, 0], A[:, 0, 1]
+    c, e = A[:, 1, 0], A[:, 1, 1]
+    det = a * e - bb * c
+    det = np.where(np.abs(det) < 1e-300, 1e-300, det)
+    return np.stack([(e * b[:, 0] - bb * b[:, 1]) / det,
+                     (a * b[:, 1] - c * b[:, 0]) / det], axis=-1)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_solve_matches_closed_forms_bit_for_bit(m):
+    """Random stacks with some singular and some near-singular rows."""
+    rng = np.random.default_rng(40 + m)
+    A = rng.normal(size=(2000, m, m))
+    b = rng.normal(size=(2000, m))
+    A[:50] = 0.0
+    A[50:100, -1] = A[50:100, 0]
+    A[100:150] = 10.0 ** (-300 / m - 1) * np.eye(m)   # det below 1e-300
+    assert np.array_equal(solve(A, b), _closed_form_solve(A, b))
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_solve_matches_lapack(m):
+    """Well-conditioned stacks (diagonally dominant): within 1e-12 of
+    LAPACK's solution, relative to its size."""
+    rng = np.random.default_rng(50 + m)
+    A = rng.normal(size=(500, m, m)) + 2.0 * m * np.eye(m)
+    b = rng.normal(size=(500, m))
+    got = solve(A, b)
+    want = np.linalg.solve(A, b[..., None])[..., 0]
+    assert got.shape == (500, m)
+    size = np.max(np.abs(want), axis=-1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-12 * size)
+
+
+def test_solve_broadcasts_one_matrix_over_many_right_hand_sides():
+    """One 3 x 3 matrix against 7 right-hand sides, as the re-chart's
+    series correction uses it: each row equals its own solve exactly."""
+    rng = np.random.default_rng(57)
+    A = rng.normal(size=(3, 3)) + 4.0 * np.eye(3)
+    B = rng.normal(size=(7, 3))
+    X = solve(A, B)
+    assert X.shape == (7, 3)
+    for j in range(7):
+        assert np.array_equal(X[j], solve(A, B[j]))
+    assert np.allclose(X @ A.T, B, rtol=0.0, atol=1e-13)
+
+
+def test_solve_guards_singular_rows_without_warning():
+    A = np.array([[[1.0, 2.0], [2.0, 4.0]]] * 3)
+    b = np.array([[1.0, 0.0], [1e10, 0.0], [0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = solve(A, b)
+        x1 = solve(np.zeros((1, 1, 1)), np.ones((1, 1)))
+    assert np.array_equal(x[0], [4.0 / 1e-300, -2.0 / 1e-300])  # det taken as 1e-300
+    assert np.all(np.isinf(x[1]))                  # overflow, silenced
+    assert np.array_equal(x[2], [0.0, 0.0])
+    assert x1[0, 0] == 1.0 / 1e-300

@@ -295,3 +295,21 @@ def test_unbounded_cell_is_kept(monkeypatch):
     assert np.any(starts[:, 0] == seeds[0, 0])
     assert len(starts) > 1 and np.all(conv)
     assert np.allclose(feet, b.chart[0], atol=1e-12)
+
+
+@pytest.mark.parametrize("height", ["x*y + z", "x^2 + y^2 - z^2", "x*y*z"])
+def test_three_fold_projects_normal_offsets(height):
+    """m = 3: 20 interior points of a graph hypersurface in R^4, each moved
+    along its unit normal by s in [-0.05, 0.05], project back onto
+    themselves at distance |s|."""
+    M = Submanifold.graph(["x", "y", "z"], [[-1, 1]] * 3, [height])
+    rng = np.random.default_rng(3)
+    X = rng.uniform(-0.6, 0.6, size=(20, 3))
+    s = rng.uniform(-0.05, 0.05, size=20)
+    A = M.embed_many(X)
+    normal = np.concatenate([-M.jacobian_many(X)[:, 3, :], np.ones((20, 1))], axis=1)
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    b = M.project_batch(A + s[:, None] * normal)
+    assert b.converged.all() and not b.ambiguous.any() and not b.on_boundary.any()
+    assert np.max(np.abs(b.distance - np.abs(s))) <= 1e-12
+    assert np.max(np.abs(b.point - A)) <= 1e-9

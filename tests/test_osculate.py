@@ -56,6 +56,17 @@ def test_cubic_graph_no_order_three_direction():
     assert osculating_directions(cubic.manifold, [0.2, 0.5]) == []
 
 
+@pytest.mark.parametrize("height, count", [("x*y^2", 2), ("y^3", 1), ("x^3 - 3*x*y^2", 3)])
+def test_flat_point_directions_from_the_cubic_alone(height, count):
+    """Zero second fundamental form at the origin: the cubic's real roots
+    are the directions, here the lines through 0 in the surface, also when
+    its leading coefficients vanish (x*y^2: both axes)."""
+    M = Submanifold.graph(["x", "y"], [[-1, 1], [-1, 1]], [height])
+    dirs = osculating_directions(M, [0.0, 0.0])
+    assert len(dirs) == count
+    assert all(d.jet_order.order >= 5 for d in dirs)
+
+
 def test_directions_rotation_invariant():
     # same surface, ambient frame rotated: directions must match as
     # projective classes after rotation
