@@ -429,4 +429,4 @@ class Submanifold:
                 self._tube_cache[key] = rho
                 return rho
             rho *= 0.5
-        raise NoConvergence("no certified tube radius found by dyadic search")
+        raise NoConvergence("no probed tube radius found by dyadic search")

@@ -10,7 +10,7 @@ the same code path.
 The global containment conclusion of the underlying theorem relies on
 analytic continuation, which numerics cannot perform: every verdict here
 is a finite-window statement, containment over a finite parameter span
-inside the certified tube radius, and the reports say so explicitly.
+inside the probed tube radius, and the reports say so explicitly.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ _TOL = Tolerances()
 
 FINITE_WINDOW_NOTE = (
     "containment is verified on a finite parameter window inside the "
-    "certified tube radius; no analytic continuation is performed"
+    "probed tube radius; no analytic continuation is performed"
 )
 
 
@@ -334,7 +334,7 @@ def growth_record(family: SweepFamily, params: RunParams) -> dict:
 
 def ruledness_record(M: Submanifold, family: SweepFamily,
                      params: RunParams) -> tuple[dict, RuledVerdict]:
-    """Finite-window containment inside the certified tube radius."""
+    """Finite-window containment inside the probed tube radius."""
     tube = M.tube_radius(rho_max=params.tube_rho_max)
     rv = ruledness_check(M, family.curve_at, params.span,
                          samples_per_axis=params.samples,
@@ -489,6 +489,8 @@ def verify_theorem(scene, seed: int = 0) -> VerdictReport:
             if err is None:
                 records.append({"x": x.tolist(), "max_drift": fr.max_drift,
                                 "max_residual": fr.max_residual,
+                                "steps": fr.steps,
+                                "error_estimate": fr.error_estimate,
                                 "passed": fr.passed})
             else:
                 records.append({"x": x.tolist(), "passed": False,

@@ -16,11 +16,17 @@ determinant. Map families evaluate the frame and its minors at every t
 sample. An independent Vandermonde sampling route is kept alongside as a
 cross-check oracle.
 
-The flow check integrates every start in both time directions as one RK4
-state: each stage makes one frame_many call and one batched minimum-norm
-solve (np.linalg.pinv), whose residual certifies each trajectory. A start
-outside the box, a failed certificate or an exit from the box ends only
-that trajectory and is returned in its FlowReport.error.
+The flow check integrates every start in both time directions as one
+adaptive Dormand-Prince 5(4) state: each stage makes one frame_many call and
+one batched minimum-norm solve (np.linalg.pinv), whose residual certifies
+each trajectory, and the last stage of an accepted step is the first of the
+next (FSAL), so a step costs six solves. Each trajectory keeps its own step
+size, at most t_span/8, and accepts a step whose embedded error estimate is
+within a fixed fraction of the drift tolerance; drift and box exits are
+measured at accepted steps only, and the summed estimates count against the
+drift tolerance. A start outside the box, a failed certificate, an exit
+from the box or a spent step budget (MAX_FLOW_STEPS) ends only that
+trajectory and is returned in its FlowReport.error.
 
 A family may also be given as a general smooth map (component expressions
 in the chart variables and t). That mode exists for families of embeddings
@@ -579,6 +585,7 @@ class FlowReport:
     steps: int
     max_drift: float
     max_residual: float
+    error_estimate: float
     passed: bool
     error: SweepError | OutOfDomain | None = None
 
@@ -594,22 +601,62 @@ def _solve_field(family: SweepFamily, U: np.ndarray, T: np.ndarray):
     return Y[:, :, 0], resid
 
 
-#: fixed RK4 steps per time direction of tangency_flow_check
-FLOW_STEPS = 256
+#: accepted plus rejected Dormand-Prince steps allowed to one trajectory
+MAX_FLOW_STEPS = 128
+#: fewest accepted steps per time direction: no step exceeds t_span / this
+MIN_FLOW_STEPS = 8
+#: local error bound of one step, as a fraction of Tolerances.flow_drift
+FLOW_LOCAL_FRACTION = 1e-4
+
+# Dormand-Prince 5(4) (Dormand & Prince 1980; Hairer-Norsett-Wanner,
+# Solving ODEs I, II.5): nodes, stage rows, and the weights of the 5th-order
+# solution minus those of the embedded 4th-order one. The 5th-order weights
+# are the last stage row, so that stage is the next step's first (FSAL).
+_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_A = [
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+]
+_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+                  22 / 525, -1 / 40])
+
+
+class FlowStepBudgetError(SweepError):
+    """A trajectory used MAX_FLOW_STEPS steps before reaching +-t_span: the
+    local error bound cannot be met at any step size it tried."""
 
 
 def tangency_flow_check(family: SweepFamily, starts, t_span: float,
                         verdict: VanishingVerdict | None = None,
                         tol=_TOL) -> list[FlowReport]:
-    """Integrate the flow of -Y_t (D(phi_t) Y_t = dt(phi_t)) with classic
-    RK4, FLOW_STEPS steps in each time direction, and track the drift of
+    """Integrate the flow of -Y_t (D(phi_t) Y_t = dt(phi_t)) with adaptive
+    Dormand-Prince 5(4) steps in each time direction, and track the drift of
     phi_t along it.
 
-    All starts, shape (L, m), and both directions run as one RK4 state.
-    A start outside the box, a failed rank certificate (FlowRankError) or
-    an exit from the box (FlowExitError) ends only its own trajectory and
-    is returned as that start's FlowReport.error, the +t error first; a
-    NONZERO verdict or a non-embedding phi_t raises for the whole call.
+    All starts, shape (L, m), and both directions run as one state; each
+    stage makes one frame_many call and one batched minimum-norm solve,
+    whose residual is the rank certificate. Every trajectory keeps its own
+    step size. A step is accepted when its embedded error estimate (the
+    Euclidean norm, in chart coordinates, of the 5th- minus the 4th-order
+    solution) is at most FLOW_LOCAL_FRACTION * tol.flow_drift; a rejected
+    trajectory stays where it is and retries with a smaller step. No step
+    exceeds t_span / MIN_FLOW_STEPS, and the last one is clipped to land on
+    +-t_span. The box exit and the drift are measured only at accepted
+    steps, which are points of the computed trajectory.
+
+    FlowReport.steps is the larger accepted-step count of the two
+    directions and error_estimate the larger sum of accepted local error
+    estimates; passed needs max_drift + error_estimate <= tol.flow_drift.
+    A start outside the box, a failed rank certificate (FlowRankError), an
+    exit from the box (FlowExitError) or a trajectory that spends
+    MAX_FLOW_STEPS accepted plus rejected steps (FlowStepBudgetError) ends
+    only its own trajectory and is returned as that start's FlowReport.error,
+    the +t error first; a NONZERO verdict or a non-embedding phi_t raises for
+    the whole call.
     """
     if verdict is not None and not verdict.vanishes:
         raise FlowRankError("precondition failed: volume-element verdict is NONZERO")
@@ -631,54 +678,90 @@ def tangency_flow_check(family: SweepFamily, starts, t_span: float,
     # trajectory r < L runs start r forward in t, trajectory L + r backward
     U = np.concatenate([starts, starts])
     T = np.zeros(2 * L)
-    H = np.repeat([t_span / FLOW_STEPS, -t_span / FLOW_STEPS], L)
+    T_end = np.repeat([t_span, -t_span], L)
+    H = T_end / MIN_FLOW_STEPS
+    local_bound = max(FLOW_LOCAL_FRACTION * tol.flow_drift, 0.0)
     anchor = np.tile(family.point_many(starts, np.zeros(L)), (2, 1))
-    drift, resid = np.zeros(2 * L), np.zeros(2 * L)
+    drift, resid, estimate = np.zeros(2 * L), np.zeros(2 * L), np.zeros(2 * L)
+    accepted, tried = np.zeros(2 * L, dtype=int), np.zeros(2 * L, dtype=int)
     errors: list = [None] * (2 * L)
     inside = M.in_box_many(starts)
     for r in np.nonzero(~inside)[0]:
         errors[r] = OutOfDomain(f"flow start {starts[r].tolist()} outside the chart box")
     live = np.nonzero(np.tile(inside, 2))[0]
 
-    for _ in range(FLOW_STEPS):
-        if live.size == 0:
-            break
-        u, t, dt = U[live], T[live], H[live]
-        ok = np.ones(live.size, dtype=bool)
-
-        def rhs(uu, tt):
-            Y, res = _solve_field(family, uu, tt)
-            for i in np.nonzero(ok & (res > tol.flow_residual))[0]:
-                ok[i] = False
-                errors[live[i]] = FlowRankError(
-                    f"rank certificate failed: lstsq residual {res[i]:.3e} "
-                    f"at t={tt[i]:.4g}")
-            resid[live] = np.maximum(resid[live], res)
-            return -Y
-
-        half = 0.5 * dt[:, None]
-        k1 = rhs(u, t)
-        k2 = rhs(u + half * k1, t + 0.5 * dt)
-        k3 = rhs(u + half * k2, t + 0.5 * dt)
-        k4 = rhs(u + dt[:, None] * k3, t + dt)
-        u = u + dt[:, None] / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = t + dt
-        for i in np.nonzero(ok & ~M.in_box_many(u, tol=1e-9))[0]:
+    def rhs(uu, tt, rows, ok):
+        Y, res = _solve_field(family, uu, tt)
+        for i in np.nonzero(ok & ~(res <= tol.flow_residual))[0]:
             ok[i] = False
-            errors[live[i]] = FlowExitError(f"flow left the chart box at t={t[i]:.4g}")
-        U[live], T[live] = u, t
-        live = live[ok]
-        gap = np.linalg.norm(family.point_many(U[live], T[live]) - anchor[live], axis=1)
-        drift[live] = np.maximum(drift[live], gap)
+            errors[rows[i]] = FlowRankError(
+                f"rank certificate failed: least-squares residual {res[i]:.3e} "
+                f"at t={tt[i]:.4g}")
+        resid[rows] = np.maximum(resid[rows], res)
+        return -Y
+
+    K1 = np.zeros_like(U)
+    ok = np.ones(live.size, dtype=bool)
+    K1[live] = rhs(U[live], T[live], live, ok)
+    live = live[ok]
+
+    while live.size:
+        u, t = U[live], T[live]
+        # clip the last step onto +-t_span; the slack absorbs the rounding of
+        # t, so that a direction never ends with a sliver step
+        rest = T_end[live] - t
+        last = np.abs(rest) <= np.abs(H[live]) * (1 + 1e-9)
+        h = np.where(last, rest, H[live])
+        ok = np.ones(live.size, dtype=bool)
+        K = [K1[live]]
+        for c, row in zip(_DP_C[1:], _DP_A):
+            du = sum(a * k for a, k in zip(row, K) if a)
+            K.append(rhs(u + h[:, None] * du, t + c * h, live, ok))
+        u5 = u + h[:, None] * sum(a * k for a, k in zip(_DP_A[-1], K) if a)
+        err = np.abs(h) * np.linalg.norm(sum(e * k for e, k in zip(_DP_E, K) if e),
+                                         axis=1)
+        good = ok & (err <= local_bound)
+
+        # step-size controller: 0.9 (bound / err)^(1/5), within [0.2, 5], capped;
+        # the floor on err keeps a zero estimate or a zero bound finite
+        floor = max(1e-10 * local_bound, 1e-300)
+        grow = np.clip(0.9 * (local_bound / np.maximum(err, floor)) ** 0.2, 0.2, 5.0)
+        H[live] = np.clip(h * grow, -t_span / MIN_FLOW_STEPS, t_span / MIN_FLOW_STEPS)
+        tried[live] += 1
+
+        rows = live[good]
+        t_new = np.where(last, T_end[live], t + h)[good]
+        U[rows], T[rows], K1[rows] = u5[good], t_new, K[-1][good]
+        estimate[rows] += err[good]
+        accepted[rows] += 1
+        exited = ~M.in_box_many(U[rows], tol=1e-9)
+        for r, tr in zip(rows[exited], t_new[exited]):
+            errors[r] = FlowExitError(f"flow left the chart box at t={tr:.4g}")
+        rows = rows[~exited]
+        gap = np.linalg.norm(family.point_many(U[rows], T[rows]) - anchor[rows], axis=1)
+        drift[rows] = np.maximum(drift[rows], gap)
+
+        for r in live[(tried[live] >= MAX_FLOW_STEPS) & (T[live] != T_end[live])]:
+            if errors[r] is None:
+                errors[r] = FlowStepBudgetError(
+                    f"flow used its budget of {MAX_FLOW_STEPS} steps at "
+                    f"t={T[r]:.4g} without meeting the local error bound "
+                    f"{local_bound:.1e}")
+        live = np.array([r for r in live if errors[r] is None and T[r] != T_end[r]],
+                        dtype=int)
 
     reports = []
     for r in range(L):
         error = errors[r] if errors[r] is not None else errors[L + r]
         max_drift = float(max(drift[r], drift[L + r]))
+        error_estimate = float(max(estimate[r], estimate[L + r]))
         reports.append(FlowReport(
-            start=starts[r].copy(), t_span=float(t_span), steps=FLOW_STEPS,
-            max_drift=max_drift, max_residual=float(max(resid[r], resid[L + r])),
-            passed=error is None and max_drift <= tol.flow_drift, error=error))
+            start=starts[r].copy(), t_span=float(t_span),
+            steps=int(max(accepted[r], accepted[L + r])), max_drift=max_drift,
+            max_residual=float(max(resid[r], resid[L + r])),
+            error_estimate=error_estimate,
+            passed=error is None and max_drift + error_estimate <= tol.flow_drift,
+            error=error))
     return reports
 
 

@@ -1,3 +1,4 @@
+import time
 import warnings
 from math import comb
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from osclab import corpus
-from osclab.config import QuadConfig, composite_gauss
+from osclab.config import QuadConfig, Tolerances, composite_gauss
 from osclab.exterior import frame_norm
 from osclab.jets import default_degree
 from osclab.manifold import OutOfDomain, Submanifold
@@ -15,6 +16,7 @@ from osclab.sweep import (
     FlowExitError,
     MESH_CHUNK,
     FlowRankError,
+    FlowStepBudgetError,
     SweepFamily,
     _chart_mesh,
     _integrate,
@@ -387,10 +389,23 @@ def test_rigid_rotation_vanishes():
 # -- tangency flow ------------------------------------------------------------
 
 
-def test_flow_ruling_matches_closed_form(hp):
+def test_flow_ruling_matches_closed_form(hp, monkeypatch):
     vv = vanishing_verdict(hp.family)
+    calls = []
+    frame_many = SweepFamily.frame_many
+
+    def counted(self, X, T):
+        calls.append(X.shape)
+        return frame_many(self, X, T)
+
+    monkeypatch.setattr(SweepFamily, "frame_many", counted)
     fr = tangency_flow_check(hp.family, np.array([[0.0, 0.0]]), 0.2, verdict=vv)[0]
+    monkeypatch.undo()
     assert fr.passed and fr.max_drift <= 1e-6
+    # a constant field needs no more than the capped steps, and FSAL makes
+    # six frame_many calls per step
+    assert 8 <= fr.steps <= 16 and fr.error_estimate <= 1e-12
+    assert len(calls) <= 120
     # the transported field is constant: Y = (1, 0), flow x(t) = x0 - t
     from osclab.sweep import _solve_field
     Y, resid = _solve_field(hp.family, np.tile([0.05, -0.1], (3, 1)),
@@ -425,6 +440,48 @@ def test_flow_batch_isolates_each_start(hp):
     assert both[0].error is None and both[0].passed
     assert both[0].max_drift == alone[0].max_drift
     assert abs(both[0].max_residual - alone[0].max_residual) <= 1e-15
+
+
+@pytest.fixture(scope="module")
+def stretch():
+    """z = xy swept by (1 + x, 0, y(1 + x)): Y_t = ((1 + x)/(1 + t), 0), so
+    the flow x(t) = (1 + x0)/(1 + t) - 1 speeds up as t falls."""
+    M = Submanifold.graph(["x", "y"], [[-1, 1], [-1, 1]], ["x*y"])
+    return SweepFamily(M, 1, fields=[["1 + x", "0", "y*(1 + x)"]])
+
+
+def test_flow_non_constant_field(stretch):
+    starts = np.array([[0.0, 0.0], [0.3, -0.4], [-0.5, 0.6]])
+    short = tangency_flow_check(stretch, starts, 0.2)
+    for fr in short:
+        assert fr.passed and fr.error is None
+        assert fr.max_drift <= 1e-14 and fr.steps >= 8
+    # x(t) = 1.3/(1 + t) - 1 reaches the box edge x = 1 at t = -0.35
+    long = tangency_flow_check(stretch, starts, 0.5)
+    assert isinstance(long[1].error, FlowExitError) and not long[1].passed
+    exit_t = float(str(long[1].error).rsplit("t=", 1)[1])
+    assert -0.5 < exit_t < -0.35
+    assert long[0].passed and long[2].passed
+    for t_span, batch in ((0.2, short), (0.5, long)):
+        for y, fr in zip(starts, batch):
+            alone = tangency_flow_check(stretch, y[None], t_span)[0]
+            assert (fr.steps, fr.max_drift, fr.error_estimate, fr.passed) == (
+                alone.steps, alone.max_drift, alone.error_estimate, alone.passed)
+            assert str(fr.error) == str(alone.error)
+
+
+@pytest.mark.parametrize("flow_drift", [1e-30, 0.0])
+def test_flow_step_budget_fails_fast(hp, flow_drift):
+    """A local bound below rounding rejects nearly every step: each start
+    must spend its step budget and stop, not loop."""
+    vv = vanishing_verdict(hp.family)
+    start = time.perf_counter()
+    reports = tangency_flow_check(hp.family, np.array([[0.3, -0.4], [0.7, 0.7]]),
+                                  0.2, verdict=vv,
+                                  tol=Tolerances(flow_drift=flow_drift))
+    assert time.perf_counter() - start < 1.0
+    for fr in reports:
+        assert isinstance(fr.error, FlowStepBudgetError) and not fr.passed
 
 
 def test_flow_requires_an_embedding():
