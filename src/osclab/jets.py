@@ -17,8 +17,11 @@ jet-evaluated in t.
 
 Expressions are jet-evaluated by the one tree walker of the expr module
 (expr.evaluate_with): Jet supplies +, - and *, and JetArithmetic the
-constants, quotient, power and elementary functions with their domain
-errors.
+quotient, power and elementary functions with their domain errors. Chart
+values may be bound as floats or arrays (one value per row) beside the jet
+of t: a subexpression that holds no jet then stays a float or array and
+takes the float operations, whose DomainError it raises, and the first
+operation that meets a jet broadcasts it over the jet's rows.
 """
 
 from __future__ import annotations
@@ -49,6 +52,8 @@ def default_degree(k: int, m: int) -> int:
 
 class Jet:
     __slots__ = ("coeffs",)
+    # numpy operators defer to Jet's, so ndarray * Jet is a Jet
+    __array_ufunc__ = None
 
     def __init__(self, coeffs):
         c = np.asarray(coeffs, dtype=float)
@@ -84,7 +89,7 @@ class Jet:
                     f"jet degrees differ: {self.degree} vs {other.degree}"
                 )
             return other
-        return Jet.constant(float(other), self.degree)
+        return Jet.constant(other, self.degree)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -104,7 +109,7 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.coeffs * float(other))
+            return Jet(self.coeffs * np.asarray(other, dtype=float)[..., None])
         other = self._coerce(other)
         return Jet(_product(self.coeffs, other.coeffs))
 
@@ -112,7 +117,7 @@ class Jet:
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.coeffs / float(other))
+            return Jet(self.coeffs / np.asarray(other, dtype=float)[..., None])
         return jet_div(self, self._coerce(other))
 
     def __repr__(self):
@@ -222,39 +227,47 @@ def jet_sqrt(u: Jet) -> Jet:
 
 
 class JetArithmetic(ex.Arithmetic):
-    """Jet operations for expr.evaluate_with, at a fixed degree bound."""
+    """Jet operations for expr.evaluate_with. A value that holds no jet (a
+    constant, or an expression of floats and arrays only) stays a float or
+    array and takes the float operations of expr.Arithmetic."""
 
-    def __init__(self, degree: int):
-        self.degree = degree
+    def div(self, num, den):
+        jet = den if isinstance(den, Jet) else num
+        if isinstance(jet, Jet):
+            return jet_div(jet._coerce(num), jet._coerce(den))
+        return super().div(num, den)
 
-    def const(self, value: float) -> Jet:
-        return Jet.constant(value, self.degree)
+    def pow(self, base, exponent: int):
+        return jet_pow(base, exponent) if isinstance(base, Jet) else base**exponent
 
-    div = staticmethod(jet_div)
-    pow = staticmethod(jet_pow)
-    exp = staticmethod(jet_exp)
-    sqrt = staticmethod(jet_sqrt)
+    def exp(self, u):
+        return jet_exp(u) if isinstance(u, Jet) else super().exp(u)
 
-    def sin(self, u: Jet) -> Jet:
-        return jet_sin_cos(u)[0]
+    def sqrt(self, u):
+        return jet_sqrt(u) if isinstance(u, Jet) else super().sqrt(u)
 
-    def cos(self, u: Jet) -> Jet:
-        return jet_sin_cos(u)[1]
+    def sin(self, u):
+        return jet_sin_cos(u)[0] if isinstance(u, Jet) else super().sin(u)
+
+    def cos(self, u):
+        return jet_sin_cos(u)[1] if isinstance(u, Jet) else super().cos(u)
 
 
-def jet_eval_expr(e: ex.Expr, env: dict[str, Jet], degree: int | None = None) -> Jet:
-    """Jet of e composed with the jets in env, exact to the degree bound.
+JETS = JetArithmetic()
 
-    All jets in env must share one degree; `degree` is only needed when
-    env is empty (e contains no variables at all).
+
+def jet_eval_expr(e: ex.Expr, env: dict, degree: int | None = None) -> Jet:
+    """Jet of e composed with the values in env, exact to the degree bound.
+
+    env binds jets, which must share one degree, and floats or arrays, which
+    are constants; `degree` is only needed when env holds no jet.
     """
+    jets = [v for v in env.values() if isinstance(v, Jet)]
     if degree is None:
-        for jet in env.values():
-            degree = jet.degree
-            break
-        if degree is None:
-            raise ValueError("degree is required for a variable-free expression")
-    for name, jet in env.items():
-        if jet.degree != degree:
-            raise DegreeMismatch(f"environment jet for {name!r} has wrong degree")
-    return ex.evaluate_with(e, env, JetArithmetic(degree))
+        if not jets:
+            raise ValueError("degree is required when no variable is a jet")
+        degree = jets[0].degree
+    if any(jet.degree != degree for jet in jets):
+        raise DegreeMismatch(f"environment jets differ from degree {degree}")
+    value = ex.evaluate_with(e, env, JETS)
+    return value if isinstance(value, Jet) else Jet.constant(value, degree)

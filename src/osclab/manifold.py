@@ -130,7 +130,6 @@ class Submanifold:
             [[ex.diff(d, v) for v in self.chart_vars] for d in row]
             for row in self.jac_exprs
         ]
-        self._tube_cache: dict = {}
         self._screen: tuple | None = None
 
     @property
@@ -404,9 +403,6 @@ class Submanifold:
         project back to their source point unambiguously."""
         if rho_max is None:
             rho_max = 0.5 * float(np.min(self.box[:, 1] - self.box[:, 0]))
-        key = (rho_max, seed)
-        if key in self._tube_cache:
-            return self._tube_cache[key]
         rng = np.random.default_rng(seed)
         X = rng.uniform(self.box[:, 0], self.box[:, 1], size=(TUBE_PROBES, self.m))
         A = self.embed_many(X)
@@ -426,7 +422,6 @@ class Submanifold:
                 & (np.linalg.norm(b.point - A, axis=1) <= 1e-6 * scale)
             )
             if np.all(ok):
-                self._tube_cache[key] = rho
                 return rho
             rho *= 0.5
         raise NoConvergence("no probed tube radius found by dyadic search")

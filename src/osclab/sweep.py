@@ -2,19 +2,26 @@
 t-polynomial coefficients of the volume element, growth exponents, and the
 flow-based containment check.
 
+Every family is held as its map. k fields v_j give the components
+alpha + t v_1 + ... + t^k v_k of the chart map alpha; a general smooth
+motion that is not polynomial in t (e.g. a rigid rotation of a circle) gives
+its components directly. The frame (d1 phi .. dm phi, dt phi) is the map's
+symbolic partials, which points, frames and frame jets in t all read, and a
+cutoff blends floats and jets by the same rule (SweepFamily._cut).
+
 The volume of a sweep restricted to box x (-t, t) is the tensor-product
-Gauss-Legendre integral of the norm of the wedge of the frame
-(d1 phi ... dm phi, dt phi). For polynomial families the frame is a
-polynomial in t, sum_j t^j C_j with x-dependent coefficients C_0..C_k
-(frame_many and frame_jets read the frame off them), so every maximal minor
-is a polynomial in t of degree at most k(m+1)-1. The minors' t-coefficients
-have one route, exact jet arithmetic over stacks of chart points
-(_minor_jets): the vanishing verdict reads it at each sample point, and the
-growth step once per quadrature mesh, MESH_CHUNK mesh points at a time, so
-that each t sample then evaluates one polynomial per minor, with no
-determinant. Map families evaluate the frame and its minors at every t
-sample. An independent Vandermonde sampling route is kept alongside as a
-cross-check oracle.
+Gauss-Legendre integral of the norm of the wedge of the frame. For field
+families the frame is a polynomial in t of degree at most k, so every
+maximal minor is a polynomial in t of degree at most k(m+1)-1. The minors'
+t-coefficients have one route, exact jet arithmetic over stacks of chart
+points (_minor_jets): the vanishing verdict reads it at each sample point,
+and the growth step once per quadrature mesh, MESH_CHUNK mesh points at a
+time, so that each t sample then evaluates one polynomial per minor, with
+no determinant. Map families evaluate the frame and its minors at every t
+sample, and meet the degree bound only where the guard of
+extract_t_polynomials finds it, as they do whenever their volume element
+vanishes identically. An independent Vandermonde sampling route is kept
+alongside as a cross-check oracle.
 
 The flow check integrates every start in both time directions as one
 adaptive Dormand-Prince 5(4) state: each stage makes one frame_many call and
@@ -27,13 +34,6 @@ measured at accepted steps only, and the summed estimates count against the
 drift tolerance. A start outside the box, a failed certificate, an exit
 from the box or a spent step budget (MAX_FLOW_STEPS) ends only that
 trajectory and is returned in its FlowReport.error.
-
-A family may also be given as a general smooth map (component expressions
-in the chart variables and t). That mode exists for families of embeddings
-that are not polynomial in t, e.g. a rigid rotation of a circle, where the
-flow-based containment check still applies; the polynomial degree bound is
-enforced only through the guard assertion, which such families satisfy
-whenever their volume element vanishes identically.
 """
 
 from __future__ import annotations
@@ -57,8 +57,10 @@ class SweepError(Exception):
 
 
 class CoefficientDegreeError(SweepError):
-    """A coefficient above the critical degree failed to vanish: this
-    signals an implementation bug, not a user error."""
+    """A coefficient above the critical degree k(m+1)-1 failed to vanish.
+    For a field family this signals an implementation bug; for a map family
+    it is a property of the input, whose volume element is then not a
+    polynomial in t of that degree."""
 
 
 class FlowRankError(SweepError):
@@ -116,7 +118,8 @@ class Cutoff:
 
 class SweepFamily:
     """Base manifold plus either k polynomial vector fields (with optional
-    cutoff) or a general map given by component expressions in chart + t."""
+    cutoff) or a general map given by component expressions in chart + t;
+    either way it is held as its map, map_exprs, and that map's frame."""
 
     def __init__(self, M: Submanifold, k: int, fields=None, map_exprs=None,
                  cutoff: Cutoff | None = None):
@@ -142,9 +145,12 @@ class SweepFamily:
                     if extra:
                         raise ValueError(f"undeclared variables {sorted(extra)}"
                                          " in sweep field")
-            self.field_jac = [[[ex.diff(c, v) for v in M.chart_vars] for c in f]
-                              for f in self.fields]
-            self.map_exprs = None
+            t = ex.var(ex.TIME_VAR)
+            self.map_exprs = []
+            for c, alpha in enumerate(M.components):
+                for j, f in enumerate(self.fields, start=1):
+                    alpha = ex.add(alpha, ex.mul(ex.power(t, j), f[c]))
+                self.map_exprs.append(alpha)
         else:
             if cutoff is not None:
                 raise ValueError("cutoff applies to polynomial field families")
@@ -158,9 +164,10 @@ class SweepFamily:
                     raise ValueError(f"undeclared variables {sorted(extra)}"
                                      " in sweep map")
             self.fields = None
-            # frame entries (d1 phi_c .. dm phi_c, dt phi_c), one row per component
-            self.map_frame = [[ex.diff(c, v) for v in (*M.chart_vars, ex.TIME_VAR)]
-                              for c in self.map_exprs]
+        # frame entries (d1 phi_c .. dm phi_c, dt phi_c), one row per component
+        self.map_frame = [[ex.diff(c, v) for v in (*M.chart_vars, ex.TIME_VAR)]
+                          for c in self.map_exprs]
+        if self.fields is None:
             self._check_identity_at_zero()
         self._cache: dict = {}
 
@@ -175,24 +182,33 @@ class SweepFamily:
         if gap > 1e-9:
             raise ValueError(f"map family must satisfy phi(x,0)=x; gap {gap:.3e}")
 
-    # -- point evaluation --------------------------------------------------
+    def _env(self, X: np.ndarray, T) -> dict:
+        return {**self.M._env(X), ex.TIME_VAR: T}
 
-    def _env(self, X: np.ndarray, T: np.ndarray) -> dict:
-        env = {name: X[..., i] for i, name in enumerate(self.M.chart_vars)}
-        env[ex.TIME_VAR] = T
-        return env
+    def _cut(self, X: np.ndarray, phi, frame=None):
+        """The cutoff applied to values of the map at chart points X (N, m),
+        as float arrays or jets listed by component: phi[c] and, if given,
+        frame[c][i]. Returns the point alpha + chi (phi - alpha), or the frame
+        with chart columns d alpha + chi (d phi - d alpha) + (phi - alpha) d chi
+        and t column chi dt phi."""
+        chi, dchi = self.cutoff.value_and_grad(X)
+        alpha = self.M.embed_many(X).T
+        gap = [p - a for a, p in zip(alpha, phi)]
+        if frame is None:
+            return [a + chi * g for a, g in zip(alpha, gap)]
+        dalpha = self.M.jacobian_many(X).transpose(1, 2, 0)
+        return [[da + chi * (d - da) + g * dc for d, da, dc in zip(row, drow, dchi.T)]
+                + [chi * row[-1]] for g, row, drow in zip(gap, frame, dalpha)]
+
+    # -- float evaluation ---------------------------------------------------
 
     def point_many(self, X, T) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         T = np.asarray(T, dtype=float)
-        if self.polynomial:
-            pts = self.M.embed_many(X)
-            chi = self._chi(X)[0]
-            for j, f in enumerate(self.fields, start=1):
-                vj = ex.evaluate_many(f, self.M._env(X), X.shape[:-1])
-                pts = pts + (T**j * chi)[:, None] * vj
-            return pts
-        return ex.evaluate_many(self.map_exprs, self._env(X, T), X.shape[:-1])
+        phi = ex.evaluate_many(self.map_exprs, self._env(X, T), X.shape[:-1])
+        if self.cutoff is None:
+            return phi
+        return np.stack(self._cut(X, phi.T), axis=-1)
 
     def point(self, x, t) -> np.ndarray:
         return self.point_many(np.asarray(x, float)[None, :], np.asarray([t], float))[0]
@@ -203,73 +219,45 @@ class SweepFamily:
             raise OutOfDomain(f"chart coordinates {x} outside the domain box")
         return self.point(x, t)
 
-    def _chi(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self.cutoff is None:
-            q = X.shape[0]
-            return np.ones(q), np.zeros((q, self.M.m))
-        return self.cutoff.value_and_grad(X)
-
-    def curve_at(self, x):
-        """The curve Gamma_x: t -> phi(x, t) through the chart point x."""
-        x = np.asarray(x, dtype=float)
-        if self.polynomial:
-            chi = self._chi(x[None, :])[0][0]
-            env = {name: x[i] for i, name in enumerate(self.M.chart_vars)}
-            rows = [chi * ex.evaluate_many(f, env, ()) for f in self.fields]
-            return PolyCurve(np.stack([self.M.embed(x), *rows]))
-        bindings = {name: float(x[i]) for i, name in enumerate(self.M.chart_vars)}
-        return ExprCurve(self.map_exprs, bindings)
-
-    # -- frame evaluation ---------------------------------------------------
-
-    def _poly_frame_data(self, X: np.ndarray) -> np.ndarray:
-        """t-coefficients C_0..C_k of the frame (d1 phi .. dm phi, dt phi),
-        so that frame(t) = sum_j t^j C_j; shape (k+1, N, n, m+1)."""
-        M = self.M
-        m, n = M.m, M.n
-        env, shape = M._env(X), X.shape[:-1]
-        chi, dchi = self._chi(X)
-        C = np.zeros((self.k + 1, *shape, n, m + 1))
-        C[0, ..., :m] = M.jacobian_many(X)
-        for j, f in enumerate(self.fields):
-            vj = ex.evaluate_many(f, env, shape)                       # (N, n)
-            flat = [d for row in self.field_jac[j] for d in row]
-            jac = ex.evaluate_many(flat, env, shape).reshape(*shape, n, m)
-            C[j + 1, ..., :m] = chi[:, None, None] * jac + vj[:, :, None] * dchi[:, None, :]
-            C[j, ..., m] = (j + 1) * (chi[:, None] * vj)
-        return C
-
     def frame_many(self, X, T) -> np.ndarray:
         """Frame (d1 phi .. dm phi, dt phi) at paired nodes; (q, n, m+1)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         T = np.asarray(T, dtype=float)
-        if self.polynomial:
-            C, T = self._poly_frame_data(X), T[:, None, None]
-            frame = C[0].copy()
-            for j in range(1, C.shape[0]):
-                frame += T**j * C[j]
-            return frame
+        env, shape = self._env(X, T), X.shape[:-1]
         flat = [d for row in self.map_frame for d in row]
-        vals = ex.evaluate_many(flat, self._env(X, T), X.shape[:-1])
-        return vals.reshape(*X.shape[:-1], self.M.n, self.M.m + 1)
+        frame = ex.evaluate_many(flat, env, shape).reshape(*shape, self.M.n, self.M.m + 1)
+        if self.cutoff is None:
+            return frame
+        phi = ex.evaluate_many(self.map_exprs, env, shape)
+        return np.array(self._cut(X, phi.T, frame.transpose(1, 2, 0))).transpose(2, 0, 1)
+
+    # -- jets in t ----------------------------------------------------------
+
+    def curve_at(self, x):
+        """The curve Gamma_x: t -> phi(x, t) through the chart point x."""
+        x = np.asarray(x, dtype=float)
+        if not self.polynomial:
+            bindings = {name: float(x[i]) for i, name in enumerate(self.M.chart_vars)}
+            return ExprCurve(self.map_exprs, bindings)
+        X = x[None, :]
+        env = self._env(X, Jet.variable(self.k))
+        point = [jet_eval_expr(c, env) for c in self.map_exprs]
+        if self.cutoff is not None:
+            point = self._cut(X, point)
+        return PolyCurve(np.stack([np.atleast_2d(j.coeffs)[0] for j in point], axis=-1))
 
     def frame_jets(self, X, degree: int) -> list[list[Jet]]:
         """Frame columns as jets in t at a stack of chart points X (N, m);
-        every jet has shape (N, degree+1)."""
+        every jet has shape (N, degree+1). The chart values stay arrays, so
+        the subexpressions free of t evaluate in floats."""
         X = np.asarray(X, dtype=float)
-        m, n = self.M.m, self.M.n
-        if self.polynomial:
-            C = self._poly_frame_data(X)                              # (k+1, N, n, m+1)
-            top = min(self.k, degree) + 1
-            coeffs = np.zeros((m + 1, n, X.shape[0], degree + 1))
-            coeffs[..., :top] = C[:top].transpose(3, 2, 1, 0)
-            return [[Jet(coeffs[i, c]) for c in range(n)] for i in range(m + 1)]
-        env = {name: Jet.constant(X[:, i], degree)
-               for i, name in enumerate(self.M.chart_vars)}
-        env[ex.TIME_VAR] = Jet.variable(degree)
+        env = self._env(X, Jet.variable(degree))
+        frame = [[jet_eval_expr(d, env) for d in row] for row in self.map_frame]
+        if self.cutoff is not None:
+            frame = self._cut(X, [jet_eval_expr(c, env) for c in self.map_exprs], frame)
         shape = (X.shape[0], degree + 1)    # to broadcast entries free of X
-        return [[Jet(np.broadcast_to(jet_eval_expr(row[i], env, degree).coeffs, shape))
-                 for row in self.map_frame] for i in range(m + 1)]
+        return [[Jet(np.broadcast_to(row[i].coeffs, shape)) for row in frame]
+                for i in range(self.M.m + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -457,16 +445,18 @@ def extract_t_polynomials(family: SweepFamily, x, tol=_TOL) -> CoefficientTable:
     to default_degree(k, m), three degrees past the critical one.
 
     Coefficients above the critical degree d = k(m+1)-1 must vanish; a
-    violation raises CoefficientDegreeError.
+    violation raises CoefficientDegreeError, whose message says which kind
+    of family broke the bound.
     """
     d = critical_degree(family)
     coeffs = _minor_jets(family, np.asarray(x, dtype=float)[None],
                          default_degree(family.k, family.M.m))[0]
     guard = float(np.max(np.abs(coeffs[:, d + 1:])))
     if guard > tol.degree_guard:
-        raise CoefficientDegreeError(
-            f"coefficient of degree > {d} reached {guard:.3e} at x={np.asarray(x).tolist()}"
-        )
+        why = ("a class-k field family must meet it: this is a bug" if family.polynomial
+               else "the map's volume element is not a polynomial in t of degree <= k(m+1)-1")
+        raise CoefficientDegreeError(f"coefficient of degree > {d} reached {guard:.3e} "
+                                     f"at x={np.asarray(x).tolist()}; {why}")
     return CoefficientTable(x=np.asarray(x, dtype=float), degree=d,
                             coeffs=coeffs[:, : d + 1], guard_max=guard)
 

@@ -126,6 +126,20 @@ def test_coeffs_csv(capsys):
     assert len(lines) == 1 + 3 * 2  # 3 samples x (degree 1 + 1) coefficients
 
 
+def test_coeffs_degree_guard_on_map_family(capsys, tmp_path):
+    """An expanding circle is not a class-1 map: its volume element grows
+    like exp(2t), so the guard fails on the input, not on a bug."""
+    data = json.loads(corpus.scene_path("circle").read_text())
+    data["family"] = {"k": 1, "map": ["exp(t)*sin(u)", "exp(t)*cos(u)"]}
+    path = tmp_path / "expanding_circle.json"
+    path.write_text(json.dumps(data))
+    code, _, err = _run(capsys, "coeffs", "--scene", str(path))
+    assert code == 2
+    assert "coefficient of degree > 1 reached" in err
+    assert "the map's volume element is not a polynomial in t" in err
+    assert "bug" not in err
+
+
 def test_ruled_report(capsys, hp_path):
     code, out, _ = _run(capsys, "ruled", "--scene", hp_path)
     assert code == 0

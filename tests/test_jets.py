@@ -207,6 +207,38 @@ def test_batched_expression_matches_rows(stacks):
 
 
 @given(_stacks())
+def test_chart_values_as_arrays_match_constant_jets(stacks):
+    """Chart values bound as arrays evaluate in floats until they meet the
+    jet of t, and give the jet that binding them as constant jets gives."""
+    a, b = stacks
+    e = ex.parse("exp(x)*t/sqrt(y) + sin(x/y + t) - t^2*sqrt(y) + x/(y + t)")
+    x, y, degree = a[:, 0], b[:, 0], a.shape[1] - 1
+    t = Jet.variable(degree)
+    # the float operations report the underflow of a subnormal x/y, as
+    # expr.evaluate does; the jet operations ignore it
+    with np.errstate(under="ignore"):
+        as_arrays = jet_eval_expr(e, {"x": x, "y": y, "t": t})
+    as_jets = jet_eval_expr(e, {"x": Jet.constant(x, degree),
+                                "y": Jet.constant(y, degree), "t": t})
+    assert np.array_equal(as_arrays.coeffs, as_jets.coeffs)
+
+
+def test_domain_errors_of_chart_values_and_of_jets():
+    """A quotient or sqrt of chart values alone fails as the float one does;
+    one that depends on t fails on the jet's constant term."""
+    t, y = Jet.variable(3), np.array([1.0, -2.0])
+    with pytest.raises(ex.DomainError):
+        jet_eval_expr(ex.parse("t*sqrt(y)"), {"y": y, "t": t})
+    with pytest.raises(ex.DomainError):
+        jet_eval_expr(ex.parse("t*(2/(y - 1))"), {"y": y, "t": t})
+    with pytest.raises(JetDomainError):
+        jet_eval_expr(ex.parse("sqrt(t*y)"), {"y": np.abs(y), "t": t})
+    assert np.array_equal(
+        jet_eval_expr(ex.parse("t*sqrt(y)"), {"y": np.abs(y), "t": t}).coeffs,
+        [[0.0, 1.0, 0.0, 0.0], [0.0, np.sqrt(2.0), 0.0, 0.0]])
+
+
+@given(_stacks())
 def test_product_matches_convolution(stacks):
     # the reference product is np.convolve, truncated; the two sum the same
     # terms in different orders, so they agree to the rounding bound

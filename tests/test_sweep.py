@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from osclab import corpus
+from osclab import expr as ex
 from osclab.config import QuadConfig, Tolerances, composite_gauss
-from osclab.exterior import frame_norm
-from osclab.jets import default_degree
+from osclab.exterior import frame_norm, wedge_ring
+from osclab.jets import Jet, default_degree, jet_eval_expr
 from osclab.manifold import OutOfDomain, Submanifold
 from osclab.sweep import (
     Cutoff,
@@ -323,6 +324,119 @@ def test_volume_series_emits_no_runtime_warning():
             scene.name
 
 
+# -- one representation: a field family is its map alpha + sum_j t^j v_j -----
+
+
+def _written_out(family):
+    """The map family of a field family, its components written out as the
+    text (alpha) + t^1*(v_1) + ... + t^k*(v_k)."""
+    def component(c):
+        terms = [f"({ex.to_string(family.M.components[c])})"]
+        terms += [f"t^{j}*({ex.to_string(f[c])})" for j, f in enumerate(family.fields, 1)]
+        return " + ".join(terms)
+    return SweepFamily(family.M, family.k,
+                       map_exprs=[component(c) for c in range(family.M.n)])
+
+
+def _field_coefficients(family, X):
+    """Oracle read off the fields: the t-coefficients of the point,
+    (k+1, N, n), and of the frame, (k+1, N, n, m+1), with the cutoff
+    chi applied as chi v_j and chi dv_j + v_j dchi."""
+    M, (N, m) = family.M, X.shape
+    if family.cutoff is None:
+        chi, dchi = np.ones(N), np.zeros((N, m))
+    else:
+        chi, dchi = family.cutoff.value_and_grad(X)
+    P = np.zeros((family.k + 1, N, M.n))
+    C = np.zeros((family.k + 1, N, M.n, m + 1))
+    P[0], C[0, ..., :m] = M.embed_many(X), M.jacobian_many(X)
+    for j, f in enumerate(family.fields, start=1):
+        v = ex.evaluate_many(f, M._env(X), (N,))
+        dv = ex.evaluate_many([ex.diff(c, x) for c in f for x in M.chart_vars],
+                              M._env(X), (N,)).reshape(N, M.n, m)
+        P[j] = chi[:, None] * v
+        C[j, ..., :m] = chi[:, None, None] * dv + v[:, :, None] * dchi[:, None, :]
+        C[j - 1, ..., m] = j * P[j]
+    return P, C
+
+
+def _jet_coeffs(columns):
+    """frame_jets' columns as one array (N, n, m+1, degree+1)."""
+    return np.stack([np.stack([j.coeffs for j in col], axis=1) for col in columns],
+                    axis=2)
+
+
+def _sample(family, count=40):
+    rng = np.random.default_rng(7)
+    box = family.M.box
+    return (rng.uniform(box[:, 0], box[:, 1], size=(count, family.M.m)),
+            rng.uniform(-0.5, 0.5, size=count))
+
+
+def test_field_family_equals_its_written_out_map(scenes):
+    """Points, frames, frame jets and the minor tensor on the growth mesh of
+    every corpus field family equal those of its map family, and its curves
+    hold the jets of that map. The map family's own curve binds the chart
+    values as floats, not arrays, and numpy's array power may round
+    differently from the scalar one, so that curve agrees to rounding."""
+    for scene in scenes.values():
+        family = scene.family
+        if not family.polynomial:
+            continue
+        mapped = _written_out(family)
+        X, T = _sample(family)
+        D = default_degree(family.k, family.M.m)
+        assert np.array_equal(family.point_many(X, T), mapped.point_many(X, T))
+        assert np.array_equal(family.frame_many(X, T), mapped.frame_many(X, T))
+        assert np.array_equal(_jet_coeffs(family.frame_jets(X, D)),
+                              _jet_coeffs(mapped.frame_jets(X, D)))
+        mesh, _ = _chart_mesh(family.M, scene.params.quad)
+        d = critical_degree(family)
+        assert np.array_equal(_minor_jets(family, mesh, d), _minor_jets(mapped, mesh, d))
+        t = Jet.variable(family.k)
+        for x in X[:8]:
+            poly = family.curve_at(x).coeffs
+            env = {**family.M._env(x[None]), ex.TIME_VAR: t}
+            jets = [np.atleast_2d(jet_eval_expr(e, env).coeffs)[0] for e in mapped.map_exprs]
+            assert np.array_equal(poly, np.stack(jets, axis=-1))
+            expr = np.stack([j.coeffs for j in mapped.curve_at(x).jets(family.k)], axis=-1)
+            assert np.max(np.abs(expr - poly)) <= 1e-15 * np.max(np.abs(poly))
+
+
+def test_field_family_matches_its_field_coefficients(scenes):
+    """Corpus field families, and four of them under a cutoff, which the
+    corpus run never reaches: the frame jets, the minor tensor on the growth
+    mesh and the curves equal the coefficients read off the fields exactly;
+    float points and frames, which subtract alpha back under a cutoff,
+    agree with them to rounding."""
+    cases = [s for s in scenes.values() if s.family.polynomial]
+    cases += [corpus.with_cutoff(scenes[name], 0.2, 0.45) for name in
+              ("hyperbolic_paraboloid", "sphere", "segment", "paraboloid")]
+    for scene in cases:
+        family = scene.family
+        X, T = _sample(family)
+        D = default_degree(family.k, family.M.m)
+        P, C = _field_coefficients(family, X)
+        coeffs = np.zeros(C.shape[1:] + (D + 1,))
+        coeffs[..., : family.k + 1] = np.moveaxis(C, 0, -1)
+        assert np.array_equal(_jet_coeffs(family.frame_jets(X, D)), coeffs), scene.name
+        for i, x in enumerate(X[:8]):
+            assert np.array_equal(family.curve_at(x).coeffs, P[:, i]), scene.name
+        powers = T[:, None] ** np.arange(family.k + 1)
+        for got, want in ((family.point_many(X, T), np.einsum("nj,jn...->n...", powers, P)),
+                          (family.frame_many(X, T), np.einsum("nj,jn...->n...", powers, C))):
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), scene.name
+        mesh, _ = _chart_mesh(family.M, scene.params.quad)
+        _, Cm = _field_coefficients(family, mesh)
+        d = critical_degree(family)
+        oracle = np.zeros(Cm.shape[1:] + (d + 1,))
+        oracle[..., : family.k + 1] = np.moveaxis(Cm, 0, -1)
+        cols = [[Jet(oracle[:, c, i]) for c in range(family.M.n)]
+                for i in range(family.M.m + 1)]
+        minors = np.stack([c.coeffs for c in wedge_ring(cols)], axis=-2)
+        assert np.array_equal(_minor_jets(family, mesh, d), minors), scene.name
+
+
 # -- growth exponent ----------------------------------------------------------
 
 
@@ -440,6 +554,28 @@ def test_flow_batch_isolates_each_start(hp):
     assert both[0].error is None and both[0].passed
     assert both[0].max_drift == alone[0].max_drift
     assert abs(both[0].max_residual - alone[0].max_residual) <= 1e-15
+
+
+def test_flow_failed_certificate_ends_only_its_start(segment):
+    """Without a verdict to stop it, the transverse segment family runs: its
+    field solve leaves residual 1 at the first stage of every start, and
+    each start reports that, with no step taken, instead of raising."""
+    reports = tangency_flow_check(segment.family, np.array([[0.3], [0.6]]), 0.2)
+    assert len(reports) == 2
+    for fr in reports:
+        assert isinstance(fr.error, FlowRankError)
+        assert "least-squares residual 1.000e+00" in str(fr.error)
+        assert not fr.passed and fr.steps == 0
+
+
+def test_flow_start_outside_the_box_ends_only_its_start(hp):
+    starts = np.array([[0.0, 0.0], [1.5, 0.0]])
+    both = tangency_flow_check(hp.family, starts, 0.2)
+    alone = tangency_flow_check(hp.family, starts[:1], 0.2)[0]
+    assert isinstance(both[1].error, OutOfDomain) and not both[1].passed
+    assert "outside the chart box" in str(both[1].error)
+    assert both[0].error is None and both[0].passed
+    assert both[0].max_drift == alone.max_drift
 
 
 @pytest.fixture(scope="module")
