@@ -3,13 +3,13 @@ monotonicity and length bounds that the verdict pipeline leans on.
 
 Two independent routes measure contact order:
 
-* jet route: for a graph z = h(x), the contact order of a curve gamma with
-  gamma(0) on M is the vanishing order of the normal residual
-  g(t) = gamma_normal(t) - h(gamma_tangent(t)) minus one. Residual Taylor
-  coefficients come from exact jet arithmetic, never finite differences.
-  Parametric charts are re-charted locally as a graph over the m ambient
-  coordinates that maximize the tangent-frame minor; the chart inverse is
-  expanded as a jet by Newton iteration in the series ring.
+* jet route, one re-chart for every chart kind: M is a graph over the m
+  tangent rows of its largest Jacobian minor at the chart point of gamma(0),
+  which every curve carries, and the contact order is the vanishing order
+  of the residual g(t) = gamma_normal(t) - alpha_normal(u(t)), with
+  alpha_tangent(u(t)) = gamma_tangent(t), minus one. u is expanded as a jet
+  by Newton iteration in the series ring (a graph's u is gamma_tangent), so
+  the coefficients are exact, never finite differences.
 
 * metric route: slope of log d(gamma(t), M) against log t on a geometric
   grid. For analytic data d ~ t^(order+1), so the integer estimate is
@@ -38,10 +38,6 @@ class NotOnManifold(ContactError):
     pass
 
 
-class NonGraphChart(ContactError):
-    """The class-k curve fit needs a graph chart."""
-
-
 class TubeExit(ContactError):
     pass
 
@@ -55,14 +51,16 @@ class PreconditionError(ContactError):
 
 
 class PolyCurve:
-    """gamma(t) = sum_j t^j c_j with coefficient vectors c_j in R^n.
+    """gamma(t) = sum_j t^j c_j with coefficient vectors c_j in R^n, through
+    the chart point `chart` of gamma(0), if it lies on a submanifold.
 
     The coefficients may carry leading batch axes, shape (..., degree+1, n):
     then the curve is a stack of curves, evaluated at a scalar t and turned
-    into batched jets."""
+    into batched jets, and the chart point (..., m) broadcasts over it."""
 
-    def __init__(self, coeffs):
+    def __init__(self, coeffs, chart=None):
         self.coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
+        self.chart = None if chart is None else np.asarray(chart, dtype=float)
 
     @property
     def degree(self) -> int:
@@ -91,11 +89,15 @@ class PolyCurve:
 
 
 class ExprCurve:
-    """Curve given by n expressions in the time variable (chart values bound)."""
+    """Curve of n expressions in t and the chart variables at the chart point
+    `chart` (m,), bound as (1,)-arrays as SweepFamily.frame_jets binds them:
+    every subexpression free of t rounds as it does over a stack of points."""
 
-    def __init__(self, exprs, bindings=None):
+    def __init__(self, exprs, chart_vars=(), chart=None):
         self.exprs = [ex.parse(e) if isinstance(e, str) else e for e in exprs]
-        self.bindings = dict(bindings or {})
+        self.chart_vars = tuple(chart_vars)
+        self.chart = None if chart is None else np.asarray(chart, dtype=float)
+        self.bindings = {v: self.chart[i : i + 1] for i, v in enumerate(self.chart_vars)}
 
     @property
     def n(self) -> int:
@@ -106,12 +108,13 @@ class ExprCurve:
         return ex.evaluate_many(self.exprs, {**self.bindings, ex.TIME_VAR: t}, t.shape)
 
     def velocity(self) -> "ExprCurve":
-        return ExprCurve([ex.diff(e, ex.TIME_VAR) for e in self.exprs], self.bindings)
+        return ExprCurve([ex.diff(e, ex.TIME_VAR) for e in self.exprs],
+                         self.chart_vars, self.chart)
 
     def jets(self, degree: int) -> list[Jet]:
-        env = {name: Jet.constant(v, degree) for name, v in self.bindings.items()}
-        env[ex.TIME_VAR] = Jet.variable(degree)
-        return [jet_eval_expr(e, env, degree) for e in self.exprs]
+        env = {**self.bindings, ex.TIME_VAR: Jet.variable(degree)}
+        return [Jet(np.atleast_2d(jet_eval_expr(e, env, degree).coeffs)[0])
+                for e in self.exprs]
 
 
 def curve_point(curve, t):
@@ -122,65 +125,56 @@ def curve_point(curve, t):
 # residual jets
 
 
-def _graph_residual_jets(M: Submanifold, curve, degree: int, tol=_TOL):
-    """Residual coefficients (..., n-m, degree+1) of a curve or a stack of
-    PolyCurves; the box and on-graph checks must hold for every curve."""
-    gj = curve.jets(degree)
-    base = np.stack([g.coeffs[..., 0] for g in gj], axis=-1)  # the curve at t = 0
-    m = M.m
-    inside = M.in_box_many(base[..., :m], tol=1e-9)
-    if not np.all(inside):
-        bad = base[..., :m][~inside][0]
-        raise NotOnManifold(f"base chart point {bad.tolist()} outside the box")
-    env = {name: gj[i] for i, name in enumerate(M.chart_vars)}
-    res = []
-    for i, h in enumerate(M.components[m:]):
-        res.append(gj[m + i] - jet_eval_expr(h, env, degree))
-    coeffs = np.stack([r.coeffs for r in res], axis=-2)  # (..., n-m, degree+1)
-    off = np.max(np.abs(coeffs[..., 0]), axis=-1)
-    scale = 1.0 + np.linalg.norm(base, axis=-1)
-    if np.any(off > tol.on_manifold * scale):
-        raise NotOnManifold(f"curve base point is {np.max(off):.3e} off the graph")
-    return coeffs, base[..., :m]
+def _rechart_residual(M: Submanifold, u0: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Residual (..., n-m, degree+1) of the curve jets G (..., n, degree+1)
+    off the tangent rows of the largest |det| at u0, in increasing row order;
+    Newton in the truncated series ring gains at least one valid order per
+    sweep, so degree+2 sweeps reach the full degree bound."""
+    degree, batch = G.shape[-1] - 1, G.shape[:-2]
+    J0 = M.jacobian_many(u0)
+    tangent = np.zeros(J0.shape[:-1], dtype=bool)
+    np.put_along_axis(tangent, max_minor_rows(J0), True, axis=-1)
+    JT = J0[tangent].reshape(J0.shape[:-2] + (1, M.m, M.m))
+    tangent = np.broadcast_to(tangent, G.shape[:-1])
 
+    def components(u, marked):      # rows `marked` names for some curve, else 0
+        env, out = dict(zip(M.chart_vars, u)), np.zeros(G.shape)
+        for r in np.flatnonzero(np.any(marked.reshape(-1, M.n), axis=0)):
+            out[..., r, :] = jet_eval_expr(M.components[r], env, degree).coeffs
+        return out
 
-def _parametric_residual_jets(M: Submanifold, curve, degree: int, tol=_TOL):
-    gj = curve.jets(degree)
-    base = np.stack([g.coeffs[0] for g in gj])  # the curve at t = 0
-    proj = M.nearest_point(base)
-    scale = 1.0 + float(np.linalg.norm(base))
-    if proj.distance > tol.on_manifold * scale:
-        raise NotOnManifold(f"curve base point is {proj.distance:.3e} off the chart")
-    u0 = proj.chart
-    J0 = M.jacobian(u0)
-    # re-chart as a graph over the m ambient coordinates whose tangent rows
-    # have the largest |det|
-    t_rows = list(max_minor_rows(J0))
-    n_rows = [i for i in range(M.n) if i not in t_rows]
-    JT = J0[t_rows, :]
-
-    gT = [gj[i] for i in t_rows]
-    u = [Jet.constant(u0[i], degree) for i in range(M.m)]
-    # Newton in the truncated series ring; each sweep gains at least one
-    # valid order, so degree+2 sweeps reach the full degree bound.
+    u = [Jet.constant(u0[..., i], degree) for i in range(M.m)]
     for _ in range(degree + 2):
-        env = dict(zip(M.chart_vars, u))
-        F = [jet_eval_expr(M.components[r], env, degree) - gT[i]
-             for i, r in enumerate(t_rows)]
-        Fc = np.stack([f.coeffs for f in F])          # (m, degree+1)
-        delta = solve(JT, Fc.T).T                     # per-order correction
-        u = [u[i] - Jet(delta[i]) for i in range(M.m)]
-    env = dict(zip(M.chart_vars, u))
-    res = [gj[r] - jet_eval_expr(M.components[r], env, degree) for r in n_rows]
-    coeffs = np.stack([r.coeffs for r in res])
-    return coeffs, u0
+        F = (components(u, tangent) - G)[tangent].reshape(batch + (M.m, degree + 1))
+        delta = solve(JT, np.swapaxes(F, -1, -2))            # per-order correction
+        u = [u[i] - Jet(delta[..., i]) for i in range(M.m)]
+    res = (G - components(u, ~tangent))[~tangent]
+    return res.reshape(batch + (M.n - M.m, degree + 1))
 
 
 def residual_jets(M: Submanifold, curve, degree: int, tol=_TOL):
-    """Taylor coefficients of the normal residual of `curve` against M."""
+    """Taylor coefficients (..., n-m, degree+1) of the residual of a curve,
+    or of a stack of PolyCurves, against M; every base must lie in the box
+    and on M."""
+    u0 = curve.chart
+    if u0 is None:
+        raise NotOnManifold("the curve carries no chart point of its base")
+    inside = M.in_box_many(u0, tol=1e-9)
+    if not np.all(inside):
+        raise NotOnManifold(f"base chart point {u0[~inside][0].tolist()} outside the box")
+    gj = curve.jets(degree)
     if M.kind == "graph":
-        return _graph_residual_jets(M, curve, degree, tol)
-    return _parametric_residual_jets(M, curve, degree, tol)
+        # a graph's inverse is its first m rows: u = gamma_tangent
+        env = dict(zip(M.chart_vars, gj))
+        res = np.stack([(gj[r] - jet_eval_expr(M.components[r], env, degree)).coeffs
+                        for r in range(M.m, M.n)], axis=-2)
+    else:
+        res = _rechart_residual(M, u0, np.stack([g.coeffs for g in gj], axis=-2))
+    off = np.max(np.abs(res[..., 0]), axis=-1)
+    scale = 1.0 + np.linalg.norm(np.stack([g.coeffs[..., 0] for g in gj], axis=-1), axis=-1)
+    if not np.all(off <= tol.on_manifold * scale):
+        raise NotOnManifold(f"curve base point is {np.max(off):.3e} off the manifold")
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +208,9 @@ def _order_from_coeffs(coeffs: np.ndarray, max_order: int, coeff_tol: float) -> 
 
 
 def contact_order_jet_recharted(curve, M: Submanifold, max_order: int, tol=_TOL) -> ContactOrder:
-    """Jet contact order for any chart kind (local graph re-chart if needed)."""
-    coeffs, _ = residual_jets(M, curve, max_order + 1, tol)
+    """Jet contact order of a curve that carries its chart point, for any
+    chart kind (the re-chart of residual_jets)."""
+    coeffs = residual_jets(M, curve, max_order + 1, tol)
     return _order_from_coeffs(coeffs, max_order, tol.contact_coeff)
 
 
@@ -310,8 +305,8 @@ def _side_monotone(vals: np.ndarray, tol_abs: float) -> bool:
 
 def monotone_window(curve, M: Submanifold, eps_max: float = 0.5,
                     tol=_TOL) -> float:
-    """Largest grid-certified eps such that every coordinate of
-    nearest_point(gamma(t)) - gamma(t) is monotone on (0,eps) and (-eps,0),
+    """Largest grid-certified eps such that every coordinate of the nearest
+    point of gamma(t) minus gamma(t) is monotone on (0,eps) and (-eps,0),
     certified on 64 samples per side."""
     eps, samples = float(eps_max), 64
     for _ in range(13):

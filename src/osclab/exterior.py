@@ -39,11 +39,11 @@ def minors(A) -> np.ndarray:
                     axis=-1)
 
 
-def max_minor_rows(A) -> tuple[int, ...]:
-    """Rows of the maximal minor of largest |det| of one n x k matrix; the
-    first in combination order on a tie."""
-    n, k = np.shape(A)
-    return index_combinations(n, k)[int(np.argmax(np.abs(minors(A))))]
+def max_minor_rows(A) -> np.ndarray:
+    """Rows (..., k) of the maximal minor of largest |det| of each n x k
+    matrix of the stack A (..., n, k); the first in combination order on a tie."""
+    n, k = np.shape(A)[-2:]
+    return np.array(index_combinations(n, k))[np.argmax(np.abs(minors(A)), axis=-1)]
 
 
 def frame_norm(A) -> np.ndarray:

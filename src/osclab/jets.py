@@ -226,6 +226,12 @@ def jet_sqrt(u: Jet) -> Jet:
     return Jet(s)
 
 
+@np.errstate(under="ignore")
+def _quiet(op, *args):
+    """A float operation, ignoring underflow as the jet operations do."""
+    return op(*args)
+
+
 class JetArithmetic(ex.Arithmetic):
     """Jet operations for expr.evaluate_with. A value that holds no jet (a
     constant, or an expression of floats and arrays only) stays a float or
@@ -235,22 +241,24 @@ class JetArithmetic(ex.Arithmetic):
         jet = den if isinstance(den, Jet) else num
         if isinstance(jet, Jet):
             return jet_div(jet._coerce(num), jet._coerce(den))
-        return super().div(num, den)
+        return _quiet(super().div, num, den)
 
     def pow(self, base, exponent: int):
-        return jet_pow(base, exponent) if isinstance(base, Jet) else base**exponent
+        if isinstance(base, Jet):
+            return jet_pow(base, exponent)
+        return _quiet(super().pow, base, exponent)
 
     def exp(self, u):
-        return jet_exp(u) if isinstance(u, Jet) else super().exp(u)
+        return jet_exp(u) if isinstance(u, Jet) else _quiet(super().exp, u)
 
     def sqrt(self, u):
-        return jet_sqrt(u) if isinstance(u, Jet) else super().sqrt(u)
+        return jet_sqrt(u) if isinstance(u, Jet) else _quiet(super().sqrt, u)
 
     def sin(self, u):
-        return jet_sin_cos(u)[0] if isinstance(u, Jet) else super().sin(u)
+        return jet_sin_cos(u)[0] if isinstance(u, Jet) else _quiet(super().sin, u)
 
     def cos(self, u):
-        return jet_sin_cos(u)[1] if isinstance(u, Jet) else super().cos(u)
+        return jet_sin_cos(u)[1] if isinstance(u, Jet) else _quiet(super().cos, u)
 
 
 JETS = JetArithmetic()

@@ -24,7 +24,6 @@ from .contact import (
     ContactError,
     ContactOrder,
     PolyCurve,
-    NonGraphChart,
     contact_order_jet_recharted,
     residual_jets,
 )
@@ -59,10 +58,10 @@ class OscDirection:
     jet_order: ContactOrder
 
 
-def _probe_residual(M: Submanifold, p_amb, basis, v, tol=_TOL):
+def _probe_residual(M: Submanifold, p_chart, p_amb, basis, v, tol=_TOL):
     w = v[0] * basis[:, 0] + v[1] * basis[:, 1]
-    line = PolyCurve(np.stack([p_amb, w]))
-    coeffs, _ = residual_jets(M, line, 3, tol)
+    line = PolyCurve(np.stack([p_amb, w]), p_chart)
+    coeffs = residual_jets(M, line, 3, tol)
     return float(coeffs[0, 2]), float(coeffs[0, 3])
 
 
@@ -89,7 +88,7 @@ def osculating_directions(M: Submanifold, p_chart, tol=_TOL) -> list[OscDirectio
     c2 = {}
     c3 = {}
     for v in [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0)]:
-        c2[v], c3[v] = _probe_residual(M, p_amb, basis, v, tol=tol)
+        c2[v], c3[v] = _probe_residual(M, p_chart, p_amb, basis, v, tol=tol)
     qa, qc = c2[(1.0, 0.0)], c2[(0.0, 1.0)]
     qb = c2[(1.0, 1.0)] - qa - qc
     ka, kg = c3[(1.0, 0.0)], c3[(0.0, 1.0)]
@@ -139,7 +138,8 @@ def osculating_directions(M: Submanifold, p_chart, tol=_TOL) -> list[OscDirectio
         if resid > tol.cubic_residual * ref:
             continue
         ambient = _normalize_direction(v[0] * basis[:, 0] + v[1] * basis[:, 1])
-        line = PolyCurve(np.stack([p_amb, v[0] * basis[:, 0] + v[1] * basis[:, 1]]))
+        line = PolyCurve(np.stack([p_amb, v[0] * basis[:, 0] + v[1] * basis[:, 1]]),
+                         p_chart)
         order = contact_order_jet_recharted(line, M, max_order=5, tol=tol)
         out.append(OscDirection(chart=v, ambient=ambient,
                                 cubic_residual=resid, jet_order=order))
@@ -156,8 +156,8 @@ FIT_STARTS = 32        # random starts per fit, drawn from the seeded rng
 def fit_class_k_curve(M: Submanifold, p_chart, k: int, target_order: int,
                       seed: int = 0, tol=_TOL):
     """Damped Gauss-Newton for coefficients c_1..c_k with residual jet
-    coefficients of orders 1..target_order all vanishing; returns a
-    PolyCurve with unit-normalized velocity, or None.
+    coefficients of orders 1..target_order all vanishing, on any chart kind;
+    returns a PolyCurve through p_chart with unit-normalized velocity, or None.
 
     Every start runs the same iteration it would run alone: a
     central-difference Jacobian, a minimum-norm least-squares step, and a
@@ -171,8 +171,6 @@ def fit_class_k_curve(M: Submanifold, p_chart, k: int, target_order: int,
     once every lower-index start has ended; higher-index starts are dropped
     as soon as one converges.
     """
-    if M.kind != "graph":
-        raise NonGraphChart("class-k fitting expects a graph chart")
     p_chart = np.asarray(p_chart, dtype=float)
     p_amb = M.chart_eval(p_chart)
     n = M.n
@@ -182,8 +180,8 @@ def fit_class_k_curve(M: Submanifold, p_chart, k: int, target_order: int,
         """Residuals (..., rows) of coefficient vectors flat (..., k*n)."""
         c = flat.reshape(flat.shape[:-1] + (k, n))
         base = np.broadcast_to(p_amb, c.shape[:-2] + (1, n))
-        coeffs, _ = residual_jets(M, PolyCurve(np.concatenate([base, c], axis=-2)),
-                                  target_order, tol)
+        curves = PolyCurve(np.concatenate([base, c], axis=-2), p_chart)
+        coeffs = residual_jets(M, curves, target_order, tol)
         res = coeffs[..., 1 : target_order + 1].reshape(flat.shape[:-1] + (-1,))
         speed = np.einsum("...i,...i->...", c[..., 0, :], c[..., 0, :]) - 1.0
         return np.concatenate([res, speed[..., None]], axis=-1)
@@ -229,7 +227,7 @@ def fit_class_k_curve(M: Submanifold, p_chart, k: int, target_order: int,
         flat[live], F[live], f2[live] = cand[hit, first], Fc[hit, first], fc2[hit, first]
     if winner is None:
         return None
-    return PolyCurve(np.vstack([p_amb, flat[winner].reshape(k, n)]))
+    return PolyCurve(np.vstack([p_amb, flat[winner].reshape(k, n)]), p_chart)
 
 
 # ---------------------------------------------------------------------------

@@ -237,14 +237,13 @@ class SweepFamily:
         """The curve Gamma_x: t -> phi(x, t) through the chart point x."""
         x = np.asarray(x, dtype=float)
         if not self.polynomial:
-            bindings = {name: float(x[i]) for i, name in enumerate(self.M.chart_vars)}
-            return ExprCurve(self.map_exprs, bindings)
+            return ExprCurve(self.map_exprs, self.M.chart_vars, x)
         X = x[None, :]
         env = self._env(X, Jet.variable(self.k))
         point = [jet_eval_expr(c, env) for c in self.map_exprs]
         if self.cutoff is not None:
             point = self._cut(X, point)
-        return PolyCurve(np.stack([np.atleast_2d(j.coeffs)[0] for j in point], axis=-1))
+        return PolyCurve(np.stack([np.atleast_2d(j.coeffs)[0] for j in point], axis=-1), x)
 
     def frame_jets(self, X, degree: int) -> list[list[Jet]]:
         """Frame columns as jets in t at a stack of chart points X (N, m);

@@ -156,8 +156,8 @@ def sequential_class_k_fit(M, p_chart, k: int, target_order: int, tol,
 
     def system(flat: np.ndarray) -> np.ndarray:
         c = flat.reshape(k, n)
-        curve = PolyCurve(np.vstack([p_amb, c]))
-        coeffs, _ = residual_jets(M, curve, target_order, tol)
+        curve = PolyCurve(np.vstack([p_amb, c]), p_chart)
+        coeffs = residual_jets(M, curve, target_order, tol)
         res = coeffs[:, 1 : target_order + 1].ravel()
         return np.concatenate([res, [np.dot(c[0], c[0]) - 1.0]])
 
@@ -183,7 +183,7 @@ def sequential_class_k_fit(M, p_chart, k: int, target_order: int, tol,
                     and abs(F[-1]) <= 1e-9):
                 c = flat.reshape(k, n)
                 if np.linalg.norm(c[0]) >= tol.min_speed:
-                    return PolyCurve(np.vstack([p_amb, c]))
+                    return PolyCurve(np.vstack([p_amb, c]), p_chart)
                 break
             J = jacobian(flat)
             delta, *_ = np.linalg.lstsq(J, -F, rcond=None)

@@ -26,7 +26,7 @@ def paraboloid():
 
 
 def test_paraboloid_line_order_one(paraboloid):
-    line = PolyCurve([[0, 0, 0], [1, 0, 0]])
+    line = PolyCurve([[0, 0, 0], [1, 0, 0]], [0, 0])
     order = contact_order_jet_recharted(line, paraboloid, 6)
     assert order.order == 1 and not order.saturated
 
@@ -34,7 +34,7 @@ def test_paraboloid_line_order_one(paraboloid):
 def test_ruling_line_saturates():
     M = Submanifold.graph(["x", "y"], [[-1, 1], [-1, 1]], ["x*y"])
     x0, y0 = 0.3, -0.4
-    line = PolyCurve([[x0, y0, x0 * y0], [1, 0, y0]])
+    line = PolyCurve([[x0, y0, x0 * y0], [1, 0, y0]], [x0, y0])
     order = contact_order_jet_recharted(line, M, 6)
     assert order.saturated and str(order) == ">=6"
 
@@ -48,33 +48,37 @@ def test_cubic_graph_curve_order_two():
     assert np.allclose(coeffs, [0, 0, 0, 1, 0, 0])
 
     M = Submanifold.graph(["x", "y"], [[-1, 1], [-1, 1]], ["x^2 - y^3"])
-    order = contact_order_jet_recharted(PolyCurve([[0, 0, 0], [0, 1, 0]]), M, 6)
+    order = contact_order_jet_recharted(PolyCurve([[0, 0, 0], [0, 1, 0]], [0, 0]), M, 6)
     assert order.order == 2
 
 
 def test_base_point_must_lie_on_manifold(paraboloid):
-    with pytest.raises(NotOnManifold):
-        contact_order_jet_recharted(PolyCurve([[0, 0, 0.5], [1, 0, 0]]), paraboloid, 4)
+    with pytest.raises(NotOnManifold, match="off the manifold"):
+        contact_order_jet_recharted(PolyCurve([[0, 0, 0.5], [1, 0, 0]], [0, 0]),
+                                    paraboloid, 4)
+    with pytest.raises(NotOnManifold, match="no chart point"):
+        contact_order_jet_recharted(PolyCurve([[0, 0, 0], [1, 0, 0]]), paraboloid, 4)
 
 
 def test_non_graph_rejected_and_rechart_works():
     circle = Submanifold.parametric(
         ["u"], [[0.0, 2 * np.pi]], ["sin(u)", "cos(u)"], 2)
-    radial = PolyCurve([[np.sin(0.7), np.cos(0.7)], [np.sin(0.7), np.cos(0.7)]])
+    radial = PolyCurve([[np.sin(0.7), np.cos(0.7)], [np.sin(0.7), np.cos(0.7)]], [0.7])
     assert contact_order_jet_recharted(radial, circle, 4).order == 0
 
     cylinder = Submanifold.parametric(
         ["u", "w"], [[-1, 1], [-1, 1]], ["sin(u)", "cos(u)", "w"], 3)
-    ruling = PolyCurve([[np.sin(0.2), np.cos(0.2), -0.1], [0, 0, 1]])
+    ruling = PolyCurve([[np.sin(0.2), np.cos(0.2), -0.1], [0, 0, 1]], [0.2, -0.1])
     assert contact_order_jet_recharted(ruling, cylinder, 6).saturated
 
 
 def test_affine_reparametrization_invariance():
     M = Submanifold.graph(["x", "y"], [[-1, 1], [-1, 1]], ["x^2 - y^3"])
-    curve = PolyCurve([[0, 0, 0], [0, 1, 0]])
+    curve = PolyCurve([[0, 0, 0], [0, 1, 0]], [0, 0])
     base = contact_order_jet_recharted(curve, M, 6).order
     for lam in (0.5, -1.0, 3.0):
-        scaled = PolyCurve(lam ** np.arange(curve.degree + 1)[:, None] * curve.coeffs)
+        scaled = PolyCurve(lam ** np.arange(curve.degree + 1)[:, None] * curve.coeffs,
+                           curve.chart)
         order = contact_order_jet_recharted(scaled, M, 6)
         assert order.order == base
 
@@ -253,11 +257,23 @@ def test_stacked_polycurves_match_one_by_one():
     rng = np.random.default_rng(4)
     tails = rng.standard_normal((4, 3, 2, 3))
     coeffs = np.concatenate([np.broadcast_to(base, (4, 3, 1, 3)), tails], axis=-2)
-    got, chart = residual_jets(M, PolyCurve(coeffs), 6)
+    got = residual_jets(M, PolyCurve(coeffs, [0.3, -0.6]), 6)
     assert got.shape == (4, 3, 1, 7)
-    assert np.array_equal(chart, np.broadcast_to(base[:2], (4, 3, 2)))
     for index in np.ndindex(4, 3):
-        want, _ = residual_jets(M, PolyCurve(coeffs[index]), 6)
+        want = residual_jets(M, PolyCurve(coeffs[index], [0.3, -0.6]), 6)
+        scale = max(1.0, np.max(np.abs(want)))
+        assert np.all(np.abs(got[index] - want) <= 1e-14 * scale)
+    # the same on the cylinder, a parametric chart, each curve through its
+    # own chart point: the re-chart's tangent rows are (0, 2) where
+    # |cos u| > |sin u| and (1, 2) elsewhere, and the stack holds both
+    cyl = corpus.load("cylinder").manifold
+    chart = rng.uniform(-1, 1, (4, 3, 2))
+    assert 0 < np.count_nonzero(np.abs(np.tan(chart[..., 0])) > 1) < 12
+    coeffs = np.concatenate([cyl.embed_many(chart)[..., None, :], tails], axis=-2)
+    got = residual_jets(cyl, PolyCurve(coeffs, chart), 6)
+    assert got.shape == (4, 3, 1, 7)
+    for index in np.ndindex(4, 3):
+        want = residual_jets(cyl, PolyCurve(coeffs[index], chart[index]), 6)
         scale = max(1.0, np.max(np.abs(want)))
         assert np.all(np.abs(got[index] - want) <= 1e-14 * scale)
 
@@ -265,12 +281,12 @@ def test_stacked_polycurves_match_one_by_one():
 def test_stacked_polycurves_check_every_base_point(paraboloid):
     line = np.array([[0.2, 0.1, 0.05], [1.0, 0.0, 0.4]])
     stack = np.stack([line, line, line])
-    residual_jets(paraboloid, PolyCurve(stack), 4)
+    residual_jets(paraboloid, PolyCurve(stack, stack[:, 0, :2]), 4)
     off = stack.copy()
     off[2, 0, 2] += 1e-3                 # the last base point leaves the graph
-    with pytest.raises(NotOnManifold, match="off the graph"):
-        residual_jets(paraboloid, PolyCurve(off), 4)
+    with pytest.raises(NotOnManifold, match="off the manifold"):
+        residual_jets(paraboloid, PolyCurve(off, off[:, 0, :2]), 4)
     outside = stack.copy()
     outside[1, 0] = [1.5, 0.0, 2.25]     # on the surface, outside the box
     with pytest.raises(NotOnManifold, match="outside the box"):
-        residual_jets(paraboloid, PolyCurve(outside), 4)
+        residual_jets(paraboloid, PolyCurve(outside, outside[:, 0, :2]), 4)

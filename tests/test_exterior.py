@@ -176,8 +176,20 @@ def test_minors_reject_wide_matrices():
 
 def test_max_minor_rows():
     J = np.array([[1.0, 0.0], [0.0, 0.1], [0.0, 2.0]])
-    assert max_minor_rows(J) == (0, 2)
-    assert max_minor_rows(np.zeros((3, 2))) == (0, 1)  # first on a tie
+    assert max_minor_rows(J).tolist() == [0, 2]
+    assert max_minor_rows(np.zeros((3, 2))).tolist() == [0, 1]  # first on a tie
+    # a stack gives the rows of each matrix, ties included: small integer
+    # entries make equal |minors| common
+    rng = np.random.default_rng(8)
+    stack = rng.integers(-1, 2, size=(5, 6, 4, 2)).astype(float)
+    rows = max_minor_rows(stack)
+    assert rows.shape == (5, 6, 2)
+    ties = 0
+    for index in np.ndindex(5, 6):
+        assert np.array_equal(rows[index], max_minor_rows(stack[index]))
+        mags = np.abs(minors(stack[index]))
+        ties += np.count_nonzero(mags == mags.max()) > 1
+    assert ties >= 5
 
 
 def _closed_form_solve(A, b):

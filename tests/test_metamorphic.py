@@ -1,6 +1,7 @@
 """Metamorphic verdict tests: an isometry of the ambient space, or a
 re-labelling of the chart, must leave every corpus verdict and its first
-failing step unchanged. Rescaling is pinned separately, by the strict xfail
+failing step unchanged, and so must writing a patch as a graph instead of
+a parametric chart. Rescaling is pinned separately, by the strict xfail
 in test_sweep.py::test_growth_ruling_zero_under_rescaling."""
 
 import copy
@@ -12,7 +13,7 @@ import pytest
 from osclab import corpus
 from osclab import expr as ex
 from osclab.osculate import verify_theorem
-from osclab.scene import build_scene
+from osclab.scene import SceneError, build_scene
 from oracles import substitute
 
 SHIFT = (0.5, -0.25, 0.75)
@@ -100,3 +101,28 @@ def test_rewrites_move_every_point_as_stated():
                 if M.kind == "graph":
                     q[:2] = q[1::-1]
                 assert np.allclose(q, p, atol=1e-12)
+
+
+def _step_one(data: dict):
+    """The step-1 outcome of a scene without a family: "met" when its
+    fitted curves osculate and verify stops for the missing family, else
+    the first failure."""
+    try:
+        report = verify_theorem(build_scene(data), seed=0)
+    except SceneError as err:
+        assert err.pointer == "/family"
+        return "met"
+    return report.first_failure
+
+
+def test_family_less_cylinder_osculates_as_its_graph_patch():
+    """The cylinder (sin u, cos u, w) as a parametric chart, and the same
+    patch as the graph (x, w, sqrt(1 - x^2)) with x = sin u, both fit a
+    ruling at every sample: the chart kind decides nothing."""
+    cylinder = _raw("cylinder")
+    del cylinder["family"]
+    graph = {"manifold": {"type": "graph", "chart_vars": ["x", "w"],
+                          "domain": [[-0.84, 0.84], [-1, 1]], "ambient_dim": 3,
+                          "height": ["sqrt(1 - x^2)"]},
+             "params": cylinder["params"]}
+    assert _step_one(cylinder) == _step_one(graph) == "met"

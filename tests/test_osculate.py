@@ -7,7 +7,6 @@ from osclab import corpus
 from osclab import osculate
 from osclab import expr as ex
 from osclab.contact import (
-    NonGraphChart,
     PolyCurve,
     contact_order_jet_recharted,
     residual_jets,
@@ -111,10 +110,10 @@ def test_fit_class_two_parabola_on_paraboloid():
     par = corpus.load("paraboloid")
     curve = fit_class_k_curve(par.manifold, [0.0, 0.0], 2, 6, seed=0)
     assert curve is not None
-    coeffs, _ = residual_jets(par.manifold, curve, 6)
+    coeffs = residual_jets(par.manifold, curve, 6)
     assert np.max(np.abs(coeffs[:, 1:7])) <= 1e-9  # the fit's own contract
     # the exact parabola t -> (t, 0, t^2) achieves residual identically zero
-    exact = PolyCurve([[0, 0, 0], [1, 0, 0], [0, 0, 1]])
+    exact = PolyCurve([[0, 0, 0], [1, 0, 0], [0, 0, 1]], [0, 0])
     assert contact_order_jet_recharted(exact, par.manifold, 10).saturated
 
 
@@ -132,10 +131,18 @@ def test_fit_reaches_required_order_on_ruled_scenes():
             assert order.meets(required), (name, x, str(order))
 
 
-def test_fit_requires_graph_chart():
+def test_fit_reaches_required_order_on_cylinder():
+    # a parametric chart: the fit re-charts as a graph does and finds the
+    # ruling (0, 0, 1) at every verify sample of the family-less cylinder
     cyl = corpus.load("cylinder")
-    with pytest.raises(NonGraphChart):
-        fit_class_k_curve(cyl.manifold, [0.0, 0.0], 1, 3)
+    M, p = cyl.manifold, cyl.params
+    for x in M.grid(p.samples, margin=p.margin):
+        curve = fit_class_k_curve(M, x, 1, 3, seed=0, tol=p.tol)
+        assert curve is not None, x
+        assert np.array_equal(curve.chart, x)
+        assert contact_order_jet_recharted(curve, M, 5, p.tol).meets(3), x
+        v = curve.coeffs[1] / np.linalg.norm(curve.coeffs[1])
+        assert abs(v[2]) >= 1.0 - 1e-9, (x, v)
 
 
 def test_fit_matches_osculating_directions():
@@ -163,7 +170,7 @@ def test_lockstep_fit_matches_sequential_oracle(seed):
     # the starts run in lockstep but must end as they would one by one:
     # the same samples without a curve, and the same curve where one exists
     for name, samples in (("saddle", 9), ("hyperbolic_paraboloid", 9),
-                          ("paraboloid", 9), ("cubic_graph", 2)):
+                          ("paraboloid", 9), ("cubic_graph", 2), ("cylinder", 2)):
         scene = _without_family(name)
         M, p = scene.manifold, scene.params
         required = scene.k * (M.m + 1)

@@ -376,9 +376,8 @@ def _sample(family, count=40):
 def test_field_family_equals_its_written_out_map(scenes):
     """Points, frames, frame jets and the minor tensor on the growth mesh of
     every corpus field family equal those of its map family, and its curves
-    hold the jets of that map. The map family's own curve binds the chart
-    values as floats, not arrays, and numpy's array power may round
-    differently from the scalar one, so that curve agrees to rounding."""
+    hold the jets of that map, which the map family's own curve holds too:
+    both bind the chart values as arrays."""
     for scene in scenes.values():
         family = scene.family
         if not family.polynomial:
@@ -400,7 +399,7 @@ def test_field_family_equals_its_written_out_map(scenes):
             jets = [np.atleast_2d(jet_eval_expr(e, env).coeffs)[0] for e in mapped.map_exprs]
             assert np.array_equal(poly, np.stack(jets, axis=-1))
             expr = np.stack([j.coeffs for j in mapped.curve_at(x).jets(family.k)], axis=-1)
-            assert np.max(np.abs(expr - poly)) <= 1e-15 * np.max(np.abs(poly))
+            assert np.array_equal(expr, poly)
 
 
 def test_field_family_matches_its_field_coefficients(scenes):
