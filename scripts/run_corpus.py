@@ -35,7 +35,7 @@ def main() -> int:
             p = scene.params
             vv = vanishing_verdict(scene.family, p.samples, p.margin, p.tol)
             (outdir / f"{name}.coeffs.csv").write_text(
-                coefficients_csv(vv.tables, scene.manifold.m))
+                coefficients_csv(vv.table, scene.manifold.m))
             (outdir / f"{name}.sweep.csv").write_text(
                 volume_csv(volume_series(scene.family, p.t_grid(), p.quad)))
         step = "-" if report.first_failure is None else report.first_failure["step"]

@@ -206,7 +206,7 @@ def _cmd_coeffs(args) -> int:
     scene = _load(args)
     p = scene.params
     vv = vanishing_verdict(_need_family(scene), p.samples, p.margin, p.tol)
-    _emit(coefficients_csv(vv.tables, scene.manifold.m), args.out)
+    _emit(coefficients_csv(vv.table, scene.manifold.m), args.out)
     return 0
 
 

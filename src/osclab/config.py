@@ -33,7 +33,6 @@ class Tolerances:
     vol_zero: float = 1e-13
     dist_zero: float = 1e-13
     decay_floor: float = 1e-12
-    min_speed: float = 1e-6
     cubic_residual: float = 1e-9
 
 

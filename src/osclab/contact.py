@@ -35,7 +35,9 @@ class ContactError(Exception):
 
 
 class NotOnManifold(ContactError):
-    pass
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row      # flat index of the first bad curve of a stack
 
 
 class TubeExit(ContactError):
@@ -90,14 +92,18 @@ class PolyCurve:
 
 class ExprCurve:
     """Curve of n expressions in t and the chart variables at the chart point
-    `chart` (m,), bound as (1,)-arrays as SweepFamily.frame_jets binds them:
-    every subexpression free of t rounds as it does over a stack of points."""
+    `chart` (m,), or the stack of them at the points (N, m), whose jets carry
+    the batch axis. Chart columns are bound as (1,)- or (N,)-arrays, as
+    SweepFamily.frame_jets binds them: every subexpression free of t rounds
+    as it does over a stack of points."""
 
     def __init__(self, exprs, chart_vars=(), chart=None):
         self.exprs = [ex.parse(e) if isinstance(e, str) else e for e in exprs]
         self.chart_vars = tuple(chart_vars)
         self.chart = None if chart is None else np.asarray(chart, dtype=float)
-        self.bindings = {v: self.chart[i : i + 1] for i, v in enumerate(self.chart_vars)}
+        self.batch = () if self.chart is None else self.chart.shape[:-1]
+        columns = () if self.chart is None else np.atleast_2d(self.chart).T
+        self.bindings = dict(zip(self.chart_vars, columns))
 
     @property
     def n(self) -> int:
@@ -107,18 +113,11 @@ class ExprCurve:
         t = np.asarray(t, dtype=float)
         return ex.evaluate_many(self.exprs, {**self.bindings, ex.TIME_VAR: t}, t.shape)
 
-    def velocity(self) -> "ExprCurve":
-        return ExprCurve([ex.diff(e, ex.TIME_VAR) for e in self.exprs],
-                         self.chart_vars, self.chart)
-
     def jets(self, degree: int) -> list[Jet]:
         env = {**self.bindings, ex.TIME_VAR: Jet.variable(degree)}
-        return [Jet(np.atleast_2d(jet_eval_expr(e, env, degree).coeffs)[0])
-                for e in self.exprs]
-
-
-def curve_point(curve, t):
-    return np.asarray(curve(np.asarray(t, dtype=float)), dtype=float)
+        shape = (self.batch or (1,)) + (degree + 1,)   # to broadcast entries free of x
+        return [Jet(np.broadcast_to(jet_eval_expr(e, env, degree).coeffs, shape)
+                    .reshape(self.batch + (degree + 1,))) for e in self.exprs]
 
 
 # ---------------------------------------------------------------------------
@@ -154,14 +153,16 @@ def _rechart_residual(M: Submanifold, u0: np.ndarray, G: np.ndarray) -> np.ndarr
 
 def residual_jets(M: Submanifold, curve, degree: int, tol=_TOL):
     """Taylor coefficients (..., n-m, degree+1) of the residual of a curve,
-    or of a stack of PolyCurves, against M; every base must lie in the box
-    and on M."""
+    or of a stack of curves, against M; every base must lie in the box and
+    on M, and NotOnManifold names the first curve that does not."""
     u0 = curve.chart
     if u0 is None:
         raise NotOnManifold("the curve carries no chart point of its base")
-    inside = M.in_box_many(u0, tol=1e-9)
-    if not np.all(inside):
-        raise NotOnManifold(f"base chart point {u0[~inside][0].tolist()} outside the box")
+    outside = ~M.in_box_many(u0, tol=1e-9)
+    if np.any(outside):
+        row = int(np.flatnonzero(outside)[0])
+        raise NotOnManifold(f"base chart point {u0.reshape(-1, M.m)[row].tolist()} "
+                            "outside the box", row)
     gj = curve.jets(degree)
     if M.kind == "graph":
         # a graph's inverse is its first m rows: u = gamma_tangent
@@ -172,8 +173,11 @@ def residual_jets(M: Submanifold, curve, degree: int, tol=_TOL):
         res = _rechart_residual(M, u0, np.stack([g.coeffs for g in gj], axis=-2))
     off = np.max(np.abs(res[..., 0]), axis=-1)
     scale = 1.0 + np.linalg.norm(np.stack([g.coeffs[..., 0] for g in gj], axis=-1), axis=-1)
-    if not np.all(off <= tol.on_manifold * scale):
-        raise NotOnManifold(f"curve base point is {np.max(off):.3e} off the manifold")
+    bad = ~(off <= tol.on_manifold * scale)
+    if np.any(bad):
+        row = int(np.flatnonzero(bad)[0])
+        raise NotOnManifold(f"curve base point is {off.ravel()[row]:.3e} "
+                            "off the manifold", row)
     return res
 
 
@@ -207,11 +211,14 @@ def _order_from_coeffs(coeffs: np.ndarray, max_order: int, coeff_tol: float) -> 
     return ContactOrder(order, False, max_order, coeffs, scale)
 
 
-def contact_order_jet_recharted(curve, M: Submanifold, max_order: int, tol=_TOL) -> ContactOrder:
+def contact_order_jet_recharted(curve, M: Submanifold, max_order: int, tol=_TOL):
     """Jet contact order of a curve that carries its chart point, for any
-    chart kind (the re-chart of residual_jets)."""
+    chart kind (the re-chart of residual_jets); a stack of N curves gives a
+    list of N orders from one residual_jets call."""
     coeffs = residual_jets(M, curve, max_order + 1, tol)
-    return _order_from_coeffs(coeffs, max_order, tol.contact_coeff)
+    if coeffs.ndim == 2:
+        return _order_from_coeffs(coeffs, max_order, tol.contact_coeff)
+    return [_order_from_coeffs(c, max_order, tol.contact_coeff) for c in coeffs]
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +236,7 @@ class MetricOrder:
 
 def contact_order_metric(curve, M: Submanifold, t_grid=None, tol=_TOL) -> MetricOrder:
     ts = np.asarray(geometric_grid() if t_grid is None else t_grid, dtype=float)
-    pts = curve_point(curve, ts)
+    pts = curve(ts)
     ds = M.distance_many(pts)
     live = ds > tol.dist_zero
     if np.count_nonzero(live) < 2:
@@ -266,16 +273,11 @@ def uniform_decay_check(family, k: int, tol=_TOL) -> DecayReport:
     ts = geometric_grid()
     X = M.grid(4, margin=0.15)
     max_order = max(k, 1)
-    hypothesis_met = all(
-        contact_order_jet_recharted(family.curve_at(x), M, max_order, tol).meets(k)
-        for x in X
-    )
-    ratios = np.empty_like(ts)
-    for i, t in enumerate(ts):
-        pts = family.point_many(X, np.full(X.shape[0], t))
-        ds = M.distance_many(pts)
-        ds = np.where(ds < tol.dist_zero, 0.0, ds)
-        ratios[i] = np.max(ds) / t**k
+    hypothesis_met = all(order.meets(k) for order in contact_order_jet_recharted(
+        family.curve_at(X), M, max_order, tol))
+    pts = family.point_many(np.tile(X, (len(ts), 1)), np.repeat(ts, len(X)))
+    ds = M.distance_many(pts).reshape(len(ts), len(X))
+    ratios = np.max(np.where(ds < tol.dist_zero, 0.0, ds), axis=1) / ts**k
     contained = bool(np.all(ratios < tol.decay_floor))
     passed = contained or ratios[-1] < 0.1 * ratios[0]
     message = (
@@ -312,7 +314,7 @@ def monotone_window(curve, M: Submanifold, eps_max: float = 0.5,
     for _ in range(13):
         ts = eps * np.arange(1, samples + 1) / samples
         ts = np.concatenate([-ts[::-1], ts])
-        pts = curve_point(curve, ts)
+        pts = curve(ts)
         b = M.project_batch(pts)
         if np.all(b.converged & ~b.ambiguous):
             f = b.point - pts
@@ -336,16 +338,11 @@ class LengthBound:
     holds: bool
 
 
-def _speed(curve, ts: np.ndarray) -> np.ndarray:
-    vel = curve.velocity()
-    return np.linalg.norm(curve_point(vel, ts), axis=-1)
-
-
 def _adaptive_length(curve, a: float, b: float) -> float:
-    prev = None
+    velocity, prev = curve.velocity(), None
     for level in range(3, 13):
         ts, w = composite_gauss(a, b, 2**level, 10)
-        total = float(np.dot(w, _speed(curve, ts)))
+        total = float(np.dot(w, np.linalg.norm(velocity(ts), axis=-1)))
         if prev is not None and abs(total - prev) <= 1e-10 * (1.0 + abs(total)):
             return total
         prev = total
@@ -354,7 +351,7 @@ def _adaptive_length(curve, a: float, b: float) -> float:
 
 def length_bound_check(curve, a: float, b: float) -> LengthBound:
     ts = np.linspace(a, b, 257)
-    vals = curve_point(curve, ts)
+    vals = curve(ts)
     for i in range(vals.shape[1]):
         col = vals[:, i]
         tol_abs = 1e-12 * max(1.0, float(np.max(np.abs(col))))

@@ -23,6 +23,7 @@ from .config import RunParams, Tolerances
 from .contact import (
     ContactError,
     ContactOrder,
+    NotOnManifold,
     PolyCurve,
     contact_order_jet_recharted,
     residual_jets,
@@ -58,11 +59,10 @@ class OscDirection:
     jet_order: ContactOrder
 
 
-def _probe_residual(M: Submanifold, p_chart, p_amb, basis, v, tol=_TOL):
-    w = v[0] * basis[:, 0] + v[1] * basis[:, 1]
-    line = PolyCurve(np.stack([p_amb, w]), p_chart)
-    coeffs = residual_jets(M, line, 3, tol)
-    return float(coeffs[0, 2]), float(coeffs[0, 3])
+def _lines(p_chart, p_amb, basis, V) -> PolyCurve:
+    """The stack of lines p + t (v1 b1 + v2 b2), one per chart direction v."""
+    W = np.stack([v[0] * basis[:, 0] + v[1] * basis[:, 1] for v in V])
+    return PolyCurve(np.stack([np.broadcast_to(p_amb, W.shape), W], axis=1), p_chart)
 
 
 def _normalize_direction(v: np.ndarray) -> np.ndarray:
@@ -85,14 +85,12 @@ def osculating_directions(M: Submanifold, p_chart, tol=_TOL) -> list[OscDirectio
     p_amb = M.chart_eval(p_chart)
     basis = M.jacobian(p_chart)  # tangent basis: chart coordinate directions
 
-    c2 = {}
-    c3 = {}
-    for v in [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0)]:
-        c2[v], c3[v] = _probe_residual(M, p_chart, p_amb, basis, v, tol=tol)
-    qa, qc = c2[(1.0, 0.0)], c2[(0.0, 1.0)]
-    qb = c2[(1.0, 1.0)] - qa - qc
-    ka, kg = c3[(1.0, 0.0)], c3[(0.0, 1.0)]
-    s1, s2 = c3[(1.0, 1.0)], c3[(1.0, -1.0)]
+    # both forms by polarization, from the residuals of four probe lines
+    V = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0)]
+    probes = residual_jets(M, _lines(p_chart, p_amb, basis, V), 3, tol)[:, 0]
+    qa, qc, q11, _ = probes[:, 2].tolist()
+    ka, kg, s1, s2 = probes[:, 3].tolist()
+    qb = q11 - qa - qc
     ke = 0.5 * (s1 - s2) - kg
     kf = 0.5 * (s1 + s2) - ka
 
@@ -129,20 +127,22 @@ def osculating_directions(M: Submanifold, p_chart, tol=_TOL) -> list[OscDirectio
         if abs(qb) > qtol:
             roots.append(np.array([-qc / qb, 1.0]))
 
-    out: list[OscDirection] = []
+    kept: list[tuple[np.ndarray, float]] = []   # (direction, cubic residual)
     for root in roots:
         v = _normalize_direction(root)
-        if any(abs(float(np.dot(v, d.chart))) >= 1.0 - 1e-9 for d in out):
+        if any(abs(float(np.dot(v, u))) >= 1.0 - 1e-9 for u, _ in kept):
             continue
         resid = abs(cubic(v[0], v[1]))
         if resid > tol.cubic_residual * ref:
             continue
-        ambient = _normalize_direction(v[0] * basis[:, 0] + v[1] * basis[:, 1])
-        line = PolyCurve(np.stack([p_amb, v[0] * basis[:, 0] + v[1] * basis[:, 1]]),
-                         p_chart)
-        order = contact_order_jet_recharted(line, M, max_order=5, tol=tol)
-        out.append(OscDirection(chart=v, ambient=ambient,
-                                cubic_residual=resid, jet_order=order))
+        kept.append((v, resid))
+    if not kept:
+        return []
+    lines = _lines(p_chart, p_amb, basis, [v for v, _ in kept])
+    orders = contact_order_jet_recharted(lines, M, max_order=5, tol=tol)
+    out = [OscDirection(chart=v, ambient=_normalize_direction(w), cubic_residual=resid,
+                        jet_order=order)
+           for (v, resid), w, order in zip(kept, lines.coeffs[:, 1], orders)]
     out.sort(key=lambda d: (round(d.chart[0], 12), round(d.chart[1], 12)))
     return out
 
@@ -167,9 +167,9 @@ def fit_class_k_curve(M: Submanifold, p_chart, k: int, target_order: int,
     for all live starts at once (the Jacobian probes and the line-search
     candidates) as batched PolyCurves, and one pinv of the stacked
     Jacobians gives every start's step. The result is the curve of the
-    lowest-index start that converges with speed >= min_speed, returned
-    once every lower-index start has ended; higher-index starts are dropped
-    as soon as one converges.
+    lowest-index start that converges, returned once every lower-index
+    start has ended; higher-index starts are dropped as soon as one
+    converges.
     """
     p_chart = np.asarray(p_chart, dtype=float)
     p_amb = M.chart_eval(p_chart)
@@ -209,9 +209,8 @@ def fit_class_k_curve(M: Submanifold, p_chart, k: int, target_order: int,
         # contact_coeff * max(1, max|c|): an accepted curve meets the order
         done = ((np.max(np.abs(F[live, :-1]), axis=1) <= tol.contact_coeff)
                 & (np.abs(F[live, -1]) <= 1e-9))
-        found = done & (np.linalg.norm(flat[live, :n], axis=1) >= tol.min_speed)
-        if found.any():
-            winner = live[found][0]
+        if done.any():
+            winner = live[done][0]
         live = live[~done & (live < (FIT_STARTS if winner is None else winner))]
         if live.size == 0:
             break
@@ -256,40 +255,33 @@ class RuledVerdict:
 RULED_PARAMS = 64      # curve parameters per sample, evenly over [-S, S]
 
 
-def ruledness_check(M: Submanifold, curve_provider, span: float,
+def ruledness_check(M: Submanifold, curve_provider, span: float, *, tube: float,
                     samples_per_axis: int = 3, margin: float = 0.15,
-                    tube: float | None = None, tol=_TOL) -> RuledVerdict:
+                    tol=_TOL) -> RuledVerdict:
     """Max distance of the curves Gamma_x to M over parameters in [-S, S].
 
-    Curve samples outside the tube, with ambiguous projections, or whose
-    feet land on the box edge (truncation artifacts) are excluded; if every
-    sample is excluded the verdict is UNDECIDED.
+    Curve samples outside the tube of radius `tube`, with ambiguous
+    projections, or whose feet land on the box edge (truncation artifacts)
+    are excluded; if every sample is excluded the verdict is UNDECIDED.
     """
     X = M.grid(samples_per_axis, margin=margin)
-    rho = M.tube_radius() if tube is None else tube
     scene_scale = float(np.max(np.linalg.norm(M.embed_many(X), axis=1)))
     svals = np.linspace(-span, span, RULED_PARAMS)
     pts = np.concatenate(
         [np.atleast_2d(curve_provider(x)(svals)) for x in X], axis=0)
     b = M.project_batch(pts)
-    valid = b.converged & ~b.ambiguous & (b.distance <= rho) & ~b.on_boundary
+    valid = b.converged & ~b.ambiguous & (b.distance <= tube) & ~b.on_boundary
     counted = int(np.count_nonzero(valid))
     skipped = int(valid.size - counted)
-    per_sample = []
-    for i in range(X.shape[0]):
-        rows = slice(i * RULED_PARAMS, (i + 1) * RULED_PARAMS)
-        sl, dl = valid[rows], b.distance[rows]
-        per_sample.append({
-            "x": X[i].tolist(),
-            "counted": int(np.count_nonzero(sl)),
-            "max_distance": float(np.max(dl[sl])) if np.any(sl) else None,
-        })
+    tolerance = tol.ruled * (1.0 + scene_scale)
+    per_sample = [{"x": x.tolist(), "counted": int(np.count_nonzero(v)),
+                   "max_distance": float(np.max(d[v])) if np.any(v) else None}
+                  for x, v, d in zip(X, valid.reshape(len(X), -1),
+                                     b.distance.reshape(len(X), -1))]
     if counted == 0:
-        return RuledVerdict("UNDECIDED", None, tol.ruled * (1.0 + scene_scale),
-                            0, skipped, None, per_sample)
+        return RuledVerdict("UNDECIDED", None, tolerance, 0, skipped, None, per_sample)
     dmax_idx = int(np.argmax(np.where(valid, b.distance, -np.inf)))
     dmax = float(b.distance[dmax_idx])
-    tolerance = tol.ruled * (1.0 + scene_scale)
     witness = RuledWitness(
         chart=X[dmax_idx // RULED_PARAMS],
         s=float(svals[dmax_idx % RULED_PARAMS]),
@@ -334,9 +326,9 @@ def ruledness_record(M: Submanifold, family: SweepFamily,
                      params: RunParams) -> tuple[dict, RuledVerdict]:
     """Finite-window containment inside the probed tube radius."""
     tube = M.tube_radius(rho_max=params.tube_rho_max)
-    rv = ruledness_check(M, family.curve_at, params.span,
+    rv = ruledness_check(M, family.curve_at, params.span, tube=tube,
                          samples_per_axis=params.samples,
-                         margin=params.margin, tube=tube, tol=params.tol)
+                         margin=params.margin, tol=params.tol)
     record = {
         "verdict": rv.verdict,
         "max_distance": rv.max_distance,
@@ -399,38 +391,45 @@ def verify_theorem(scene, seed: int = 0) -> VerdictReport:
         config=scene.config_dict(),
     )
 
-    # step 1: osculation hypothesis at every sample
-    osc_records = []
-    first_bad = None
-    for i, x in enumerate(X):
-        rec = {"x": x.tolist()}
-        try:
-            if family is not None:
-                curve = family.curve_at(x)
-            else:
-                curve = fit_class_k_curve(M, x, k, required, seed=seed, tol=tol)
-            if curve is None:
-                rec.update({"order": "none", "met": False,
-                            "detail": "no class-k curve reached the target order"})
-            else:
-                order = contact_order_jet_recharted(curve, M, max_order, tol)
-                rec.update({"order": str(order), "met": order.meets(required)})
-        except (ContactError, ManifoldError) as err:
-            rec.update({"order": "error", "met": False, "detail": str(err)})
-        if M.m == 2 and M.n == 3 and k == 1:
+    # step 1: osculation hypothesis at every sample. The fits run one per
+    # sample; the contact orders of all curves come from one stacked call,
+    # and a curve off M is recorded and the rest run again without it.
+    osc_records = [{"x": x.tolist()} for x in X]
+
+    def fail(i, order, detail):
+        osc_records[i].update({"order": order, "met": False, "detail": detail})
+
+    fits = {}
+    if family is None:
+        for i, x in enumerate(X):
             try:
-                dirs = osculating_directions(M, x, tol)
+                fits[i] = fit_class_k_curve(M, x, k, required, seed=seed, tol=tol)
+                if fits[i] is None:
+                    fail(i, "none", "no class-k curve reached the target order")
+            except (ContactError, ManifoldError) as err:
+                fail(i, "error", str(err))
+    rows = [i for i, rec in enumerate(osc_records) if "met" not in rec]
+    while rows:
+        try:
+            curves = (family.curve_at(X[rows]) if family is not None else
+                      PolyCurve(np.stack([fits[i].coeffs for i in rows]), X[rows]))
+            orders = contact_order_jet_recharted(curves, M, max_order, tol)
+        except NotOnManifold as err:
+            fail(rows.pop(err.row), "error", str(err))
+            continue
+        for i, order in zip(rows, orders):
+            osc_records[i].update({"order": str(order), "met": order.meets(required)})
+        break
+    if M.m == 2 and M.n == 3 and k == 1:
+        for x, rec in zip(X, osc_records):
+            try:
                 rec["osculating_directions"] = [
                     {"chart": d.chart.tolist(), "ambient": d.ambient.tolist(),
-                     "cubic_residual": d.cubic_residual,
-                     "jet_order": str(d.jet_order)}
-                    for d in dirs
-                ]
+                     "cubic_residual": d.cubic_residual, "jet_order": str(d.jet_order)}
+                    for d in osculating_directions(M, x, tol)]
             except (ContactError, ManifoldError, ValueError):
                 rec["osculating_directions"] = None
-        osc_records.append(rec)
-        if not rec["met"] and first_bad is None:
-            first_bad = i
+    first_bad = next((i for i, rec in enumerate(osc_records) if not rec["met"]), None)
     hypothesis_met = first_bad is None
     report.steps["osculation"] = {
         "required_order": required,

@@ -14,10 +14,10 @@ Gauss-Legendre integral of the norm of the wedge of the frame. For field
 families the frame is a polynomial in t of degree at most k, so every
 maximal minor is a polynomial in t of degree at most k(m+1)-1. The minors'
 t-coefficients have one route, exact jet arithmetic over stacks of chart
-points (_minor_jets): the vanishing verdict reads it at each sample point,
-and the growth step once per quadrature mesh, MESH_CHUNK mesh points at a
-time, so that each t sample then evaluates one polynomial per minor, with
-no determinant. Map families evaluate the frame and its minors at every t
+points (_minor_jets): the vanishing verdict reads it once over its sample
+grid, and the growth step once per quadrature mesh, MESH_CHUNK mesh points
+at a time, so that each t sample then evaluates one polynomial per minor,
+with no determinant. Map families evaluate the frame and its minors at every t
 sample, and meet the degree bound only where the guard of
 extract_t_polynomials finds it, as they do whenever their volume element
 vanishes identically. An independent Vandermonde sampling route is kept
@@ -234,16 +234,20 @@ class SweepFamily:
     # -- jets in t ----------------------------------------------------------
 
     def curve_at(self, x):
-        """The curve Gamma_x: t -> phi(x, t) through the chart point x."""
+        """The curve Gamma_x: t -> phi(x, t) through the chart point x (m,),
+        or the stack of them through the chart points x (N, m): a PolyCurve
+        of degree k for a field family, else an ExprCurve of the map."""
         x = np.asarray(x, dtype=float)
         if not self.polynomial:
             return ExprCurve(self.map_exprs, self.M.chart_vars, x)
-        X = x[None, :]
+        X = np.atleast_2d(x)
         env = self._env(X, Jet.variable(self.k))
         point = [jet_eval_expr(c, env) for c in self.map_exprs]
         if self.cutoff is not None:
             point = self._cut(X, point)
-        return PolyCurve(np.stack([np.atleast_2d(j.coeffs)[0] for j in point], axis=-1), x)
+        shape = (X.shape[0], self.k + 1)    # to broadcast entries free of X
+        coeffs = np.stack([np.broadcast_to(j.coeffs, shape) for j in point], axis=-1)
+        return PolyCurve(coeffs.reshape(x.shape[:-1] + coeffs.shape[1:]), x)
 
     def frame_jets(self, X, degree: int) -> list[list[Jet]]:
         """Frame columns as jets in t at a stack of chart points X (N, m);
@@ -429,9 +433,9 @@ def reparam_invariance_test(family: SweepFamily, psi_exprs, t_extent: float,
 
 @dataclass(frozen=True)
 class CoefficientTable:
-    x: np.ndarray
+    x: np.ndarray       # (m,), or (N, m) for a stack of samples
     degree: int
-    coeffs: np.ndarray  # (C(n, m+1), degree+1)
+    coeffs: np.ndarray  # (C(n, m+1), degree+1), or (N, C(n, m+1), degree+1)
     guard_max: float
 
 
@@ -440,24 +444,30 @@ def critical_degree(family: SweepFamily) -> int:
 
 
 def extract_t_polynomials(family: SweepFamily, x, tol=_TOL) -> CoefficientTable:
-    """Exact coefficients in t of every wedge component, by jet arithmetic
-    to default_degree(k, m), three degrees past the critical one.
+    """Exact coefficients in t of every wedge component at the chart point
+    x (m,), or at each of the points x (N, m) from one jet evaluation, by
+    jet arithmetic to default_degree(k, m), three degrees past the critical
+    one.
 
-    Coefficients above the critical degree d = k(m+1)-1 must vanish; a
-    violation raises CoefficientDegreeError, whose message says which kind
-    of family broke the bound.
+    Coefficients above the critical degree d = k(m+1)-1 must vanish; the
+    first point that breaks the bound raises CoefficientDegreeError, whose
+    message names that point and says which kind of family broke it.
     """
     d = critical_degree(family)
-    coeffs = _minor_jets(family, np.asarray(x, dtype=float)[None],
-                         default_degree(family.k, family.M.m))[0]
-    guard = float(np.max(np.abs(coeffs[:, d + 1:])))
-    if guard > tol.degree_guard:
+    x = np.asarray(x, dtype=float)
+    X = np.atleast_2d(x)
+    coeffs = _minor_jets(family, X, default_degree(family.k, family.M.m))
+    guard = np.max(np.abs(coeffs[..., d + 1:]), axis=(-2, -1))
+    broken = np.flatnonzero(guard > tol.degree_guard)
+    if broken.size:
+        i = broken[0]
         why = ("a class-k field family must meet it: this is a bug" if family.polynomial
                else "the map's volume element is not a polynomial in t of degree <= k(m+1)-1")
-        raise CoefficientDegreeError(f"coefficient of degree > {d} reached {guard:.3e} "
-                                     f"at x={np.asarray(x).tolist()}; {why}")
-    return CoefficientTable(x=np.asarray(x, dtype=float), degree=d,
-                            coeffs=coeffs[:, : d + 1], guard_max=guard)
+        raise CoefficientDegreeError(f"coefficient of degree > {d} reached {guard[i]:.3e} "
+                                     f"at x={X[i].tolist()}; {why}")
+    coeffs = coeffs.reshape(x.shape[:-1] + coeffs.shape[1:])
+    return CoefficientTable(x=x, degree=d, coeffs=coeffs[..., : d + 1],
+                            guard_max=float(np.max(guard)))
 
 
 def extract_t_polynomials_sampled(family: SweepFamily, x) -> CoefficientTable:
@@ -524,7 +534,7 @@ class VanishingVerdict:
     max_coeff: float
     min_index: int | None  # smallest surviving coefficient index b
     witness: VanishingWitness | None
-    tables: list[CoefficientTable]
+    table: CoefficientTable  # every sample of the grid, stacked
 
     @property
     def label(self) -> str:
@@ -535,32 +545,24 @@ def vanishing_verdict(family: SweepFamily, samples_per_axis: int = 3,
                       margin: float = 0.15, tol=_TOL) -> VanishingVerdict:
     """VANISHES iff every coefficient of every component is below
     tol.vanish relative to the transverse degree-0 normalization (the
-    largest tangent frame norm over the sample grid)."""
+    largest tangent frame norm over the sample grid). The witness is the
+    largest coefficient, the first in sample, component, index order, and
+    min_index the lowest index above the threshold at any sample."""
     M = family.M
     X = M.grid(samples_per_axis, margin=margin)
     J = M.jacobian_many(X)
     scale = max(float(np.max(frame_norm(J))), np.finfo(float).tiny)
-    tables = [extract_t_polynomials(family, x, tol=tol) for x in X]
+    table = extract_t_polynomials(family, X, tol=tol)
     threshold = tol.vanish * scale
-    max_coeff, witness, min_index = 0.0, None, None
-    for table in tables:
-        mags = np.abs(table.coeffs)
-        local = float(np.max(mags))
-        if local > max_coeff:
-            comp, idx = np.unravel_index(int(np.argmax(mags)), mags.shape)
-            max_coeff = local
-            witness = VanishingWitness(
-                x=table.x, component=int(comp) + 1, index=int(idx),
-                value=float(table.coeffs[comp, idx]))
-        alive = np.nonzero(np.any(mags > threshold, axis=0))[0]
-        if alive.size:
-            b = int(alive[0])
-            min_index = b if min_index is None else min(min_index, b)
-    vanishes = max_coeff <= threshold
-    return VanishingVerdict(
-        vanishes=vanishes, scale=scale, max_coeff=max_coeff,
-        min_index=None if vanishes else min_index,
-        witness=None if vanishes else witness, tables=tables)
+    mags = np.abs(table.coeffs)
+    sample, comp, idx = np.unravel_index(int(np.argmax(mags)), mags.shape)
+    max_coeff = float(mags[sample, comp, idx])
+    if max_coeff <= threshold:
+        return VanishingVerdict(True, scale, max_coeff, None, None, table)
+    witness = VanishingWitness(x=X[sample], component=int(comp) + 1, index=int(idx),
+                               value=float(table.coeffs[sample, comp, idx]))
+    min_index = int(np.flatnonzero(np.any(mags > threshold, axis=(0, 1)))[0])
+    return VanishingVerdict(False, scale, max_coeff, min_index, witness, table)
 
 
 # ---------------------------------------------------------------------------
@@ -769,12 +771,13 @@ def volume_csv(samples: list[VolumeSample]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def coefficients_csv(tables: list[CoefficientTable], m: int) -> str:
+def coefficients_csv(table: CoefficientTable, m: int) -> str:
     header = ",".join([f"x{i+1}" for i in range(m)] + ["component", "i", "a_i"])
     lines = [header]
-    for table in tables:
-        xs = ",".join(_fmt(v) for v in table.x)
-        for comp in range(table.coeffs.shape[0]):
-            for i in range(table.coeffs.shape[1]):
-                lines.append(f"{xs},{comp+1},{i},{_fmt(table.coeffs[comp, i])}")
+    coeffs = table.coeffs.reshape((-1,) + table.coeffs.shape[-2:])
+    for x, sample in zip(table.x.reshape(-1, m), coeffs):
+        xs = ",".join(_fmt(v) for v in x)
+        for comp, row in enumerate(sample, start=1):
+            for i, a in enumerate(row):
+                lines.append(f"{xs},{comp},{i},{_fmt(a)}")
     return "\n".join(lines) + "\n"

@@ -146,10 +146,10 @@ def sequential_class_k_fit(M, p_chart, k: int, target_order: int, tol,
                            starts: int = 32, seed: int = 0):
     """osculate.fit_class_k_curve with one start at a time: each start runs
     its damped Gauss-Newton to the end before the next is drawn, and the
-    first that converges with speed >= min_speed is returned. Each step is
-    solved by its own np.linalg.lstsq, a solver independent of the library's
-    one batched pinv over all starts; both give the minimum-norm
-    least-squares step and differ only in rounding."""
+    first that converges is returned. Each step is solved by its own
+    np.linalg.lstsq, a solver independent of the library's one batched pinv
+    over all starts; both give the minimum-norm least-squares step and
+    differ only in rounding."""
     p_chart = np.asarray(p_chart, dtype=float)
     p_amb = M.chart_eval(p_chart)
     n = M.n
@@ -181,10 +181,7 @@ def sequential_class_k_fit(M, p_chart, k: int, target_order: int, tol,
         for _ in range(80):
             if (np.max(np.abs(F[:-1])) <= tol.contact_coeff
                     and abs(F[-1]) <= 1e-9):
-                c = flat.reshape(k, n)
-                if np.linalg.norm(c[0]) >= tol.min_speed:
-                    return PolyCurve(np.vstack([p_amb, c]), p_chart)
-                break
+                return PolyCurve(np.vstack([p_amb, flat.reshape(k, n)]), p_chart)
             J = jacobian(flat)
             delta, *_ = np.linalg.lstsq(J, -F, rcond=None)
             step = 1.0

@@ -290,3 +290,34 @@ def test_stacked_polycurves_check_every_base_point(paraboloid):
     outside[1, 0] = [1.5, 0.0, 2.25]     # on the surface, outside the box
     with pytest.raises(NotOnManifold, match="outside the box"):
         residual_jets(paraboloid, PolyCurve(outside, outside[:, 0, :2]), 4)
+
+
+def test_not_on_manifold_names_the_first_bad_curve(paraboloid):
+    # a stack fails on its first bad curve, with the message that curve
+    # gives alone; rows 1 and 3 leave the graph, rows 2 and 3 the box
+    line = np.array([[0.2, 0.1, 0.05], [1.0, 0.0, 0.4]])
+    stack = np.stack([line] * 4)
+    off = stack.copy()
+    off[[1, 3], 0, 2] += [1e-3, 2e-3]
+    outside = stack.copy()
+    outside[[2, 3], 0] = [[1.5, 0.0, 2.25], [0.0, -1.5, 2.25]]
+    for curves, row in ((off, 1), (outside, 2)):
+        with pytest.raises(NotOnManifold) as stacked:
+            residual_jets(paraboloid, PolyCurve(curves, curves[:, 0, :2]), 4)
+        with pytest.raises(NotOnManifold) as alone:
+            residual_jets(paraboloid, PolyCurve(curves[row], curves[row, 0, :2]), 4)
+        assert (stacked.value.row, alone.value.row) == (row, 0)
+        assert str(stacked.value) == str(alone.value)
+
+
+def test_contact_orders_of_a_stack():
+    # one call on a stack gives the list of the orders its curves give alone
+    for name in ("hyperbolic_paraboloid", "sphere", "circle_rotation"):
+        scene = corpus.load(name)
+        M, p = scene.manifold, scene.params
+        X = M.grid(p.samples, margin=p.margin)
+        orders = contact_order_jet_recharted(scene.family.curve_at(X), M, 5, p.tol)
+        alone = [contact_order_jet_recharted(scene.family.curve_at(x), M, 5, p.tol)
+                 for x in X]
+        assert [str(o) for o in orders] == [str(o) for o in alone], name
+        assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(orders, alone))

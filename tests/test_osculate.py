@@ -3,8 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from osclab import corpus
-from osclab import osculate
+from osclab import contact, corpus, osculate, sweep
 from osclab import expr as ex
 from osclab.contact import (
     PolyCurve,
@@ -200,6 +199,65 @@ def test_fit_evaluates_all_starts_together(monkeypatch):
     assert all(shape[1:] in {(2, 3), (25,)} for shape in calls[1:])
 
 
+def test_verify_stacks_osculation_and_vanishing(monkeypatch):
+    # step 1 takes the contact orders of all nine family curves in one
+    # residual call, and each sample's osculating directions take one for
+    # their probe lines and one for their direction lines; the vanishing
+    # step takes the minor jets of its whole grid in one call
+    residual_calls, minor_calls, vanishing = [], [], []
+
+    def counting_residual(*args, **kwargs):
+        residual_calls.append(args[1].coeffs.shape[:-2])
+        return residual_jets(*args, **kwargs)
+
+    def counting_minors(*args, **kwargs):
+        minor_calls.append(args[1].shape)
+        return minor_jets(*args, **kwargs)
+
+    def counting_vanishing(*args, **kwargs):
+        before = len(minor_calls)
+        vv = vanishing_verdict(*args, **kwargs)
+        vanishing.append(minor_calls[before:])
+        return vv
+
+    minor_jets, vanishing_verdict = sweep._minor_jets, sweep.vanishing_verdict
+    monkeypatch.setattr(contact, "residual_jets", counting_residual)
+    monkeypatch.setattr(osculate, "residual_jets", counting_residual)
+    monkeypatch.setattr(sweep, "_minor_jets", counting_minors)
+    monkeypatch.setattr(osculate, "vanishing_verdict", counting_vanishing)
+    rep = osculate.verify_theorem(corpus.load("hyperbolic_paraboloid"), seed=0)
+    assert rep.verdict == "THEOREM_CONFIRMED"
+    assert residual_calls[0] == (9,)
+    assert len(residual_calls) <= 1 + 2 * 9
+    assert vanishing == [[(9, 2)]]
+
+
+def test_step_one_records_each_curve_off_the_manifold():
+    # the curves at x = +-0.7 start 5e-10 x^2 = 2.45e-10 off z = xy: within
+    # the family's identity check (1e-9), beyond on_manifold (1e-10 (1 +
+    # |gamma(0)|)). Each such sample records the error a call on its curve
+    # alone gives, and the curves at x = 0, rulings, still get their orders.
+    scene = build_scene({
+        "manifold": {"type": "graph", "chart_vars": ["x", "y"],
+                     "domain": [[-1, 1], [-1, 1]], "ambient_dim": 3,
+                     "height": ["x*y"]},
+        "family": {"k": 1, "map": ["x + t", "y", "x*y + t*y + 5e-10*x^2"]}},
+        name="off-by-5e-10")
+    rep = osculate.verify_theorem(scene, seed=0)
+    records = rep.steps["osculation"]["records"]
+    assert len(records) == 9
+    for rec in records:
+        if rec["x"][0] == 0.0:
+            assert (rec["order"], rec["met"]) == (">=5", True), rec
+        else:
+            assert rec["order"] == "error" and not rec["met"], rec
+            assert rec["detail"] == "curve base point is 2.450e-10 off the manifold"
+    assert sum(rec["order"] == "error" for rec in records) == 6
+    assert rep.verdict == "HYPOTHESIS_FAILS"
+    assert rep.first_failure["step"] == "osculation"
+    assert rep.first_failure["sample_index"] == 0
+
+
 def test_verify_fails_family_less_m3_bowl():
     # the non-ruled m = 3 control: no line osculates w = x^2 + y^2 + z^2 to
     # order k(m+1) = 4, so every sample fails at osculation
@@ -222,7 +280,8 @@ def test_verify_fails_family_less_m3_bowl():
 
 def test_ruled_xy_graph_contained():
     hp = corpus.load("hyperbolic_paraboloid")
-    rv = ruledness_check(hp.manifold, hp.family.curve_at, 1.0)
+    rv = ruledness_check(hp.manifold, hp.family.curve_at, 1.0,
+                         tube=hp.manifold.tube_radius())
     assert rv.verdict == "CONTAINED"
     assert rv.max_distance <= 1e-10
     assert rv.witness is None
@@ -232,6 +291,7 @@ def test_sphere_tangents_not_contained():
     sphere = corpus.load("sphere")
     # single sample at the pole reproduces the closed-form witness
     rv = ruledness_check(sphere.manifold, sphere.family.curve_at, 0.5,
+                         tube=sphere.manifold.tube_radius(),
                          samples_per_axis=1, margin=0.5)
     assert rv.verdict == "NOT_CONTAINED"
     assert rv.witness.distance == pytest.approx(np.sqrt(1.25) - 1.0, abs=1e-4)
@@ -241,14 +301,16 @@ def test_sphere_tangents_not_contained():
 def test_constant_curves_trivially_contained():
     plane = corpus.load("plane")
     fam = SweepFamily(plane.manifold, 1, fields=[["0", "0", "0"]])
-    rv = ruledness_check(plane.manifold, fam.curve_at, 1.0)
+    rv = ruledness_check(plane.manifold, fam.curve_at, 1.0,
+                         tube=plane.manifold.tube_radius())
     assert rv.verdict == "CONTAINED"
 
 
 def test_ruled_undecided_when_everything_leaves_tube():
     segment = corpus.load("segment")
     far = PolyCurve([[0.5, 5.0], [0.0, 0.0]])  # constant curve far away
-    rv = ruledness_check(segment.manifold, lambda x: far, 0.5)
+    rv = ruledness_check(segment.manifold, lambda x: far, 0.5,
+                         tube=segment.manifold.tube_radius())
     assert rv.verdict == "UNDECIDED"
     assert rv.counted == 0
 

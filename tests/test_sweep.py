@@ -12,6 +12,7 @@ from osclab.exterior import frame_norm, wedge_ring
 from osclab.jets import Jet, default_degree, jet_eval_expr
 from osclab.manifold import OutOfDomain, Submanifold
 from osclab.sweep import (
+    CoefficientDegreeError,
     Cutoff,
     DegenerateReparam,
     FlowExitError,
@@ -665,9 +666,67 @@ def test_volume_csv_format(segment):
     assert "\r" not in text
 
 
+def test_curve_at_a_stack_holds_the_curves_at_its_points(scenes):
+    # a field family's stack is a PolyCurve and a map family's an ExprCurve
+    # whose jets carry the batch axis; both equal the curves at each point
+    cases = [s for s in scenes.values() if s.family is not None]
+    cases.append(corpus.with_cutoff(scenes["sphere"], 0.2, 0.45))
+    for scene in cases:
+        family = scene.family
+        X, _ = _sample(family, count=6)
+        D = family.k + 2
+        stack = family.curve_at(X)
+        assert np.array_equal(stack.chart, X), scene.name
+        got = np.stack([j.coeffs for j in stack.jets(D)], axis=-1)
+        want = np.stack([np.stack([j.coeffs for j in family.curve_at(x).jets(D)], axis=-1)
+                         for x in X])
+        assert np.array_equal(got, want), scene.name
+
+
+@pytest.mark.parametrize("name", ["sphere", "cubic_graph", "circle", "segment"])
+def test_vanishing_verdict_matches_per_sample_reduction(name):
+    # the stacked table holds each sample's table and reduces as they would
+    # one by one: the witness is the first largest coefficient in sample
+    # order, min_index the lowest index alive at any sample
+    scene = corpus.load(name)
+    family, p = scene.family, scene.params
+    vv = vanishing_verdict(family, p.samples, p.margin, p.tol)
+    threshold = p.tol.vanish * vv.scale
+    best, witness, alive = 0.0, None, []
+    for i, x in enumerate(family.M.grid(p.samples, margin=p.margin)):
+        coeffs = extract_t_polynomials(family, x, p.tol).coeffs
+        assert np.array_equal(vv.table.coeffs[i], coeffs)
+        mags = np.abs(coeffs)
+        if np.max(mags) > best:
+            comp, idx = np.unravel_index(np.argmax(mags), mags.shape)
+            best = float(mags[comp, idx])
+            witness = (x.tolist(), int(comp) + 1, int(idx), float(coeffs[comp, idx]))
+        alive += np.flatnonzero(np.any(mags > threshold, axis=0)).tolist()
+    assert not vv.vanishes
+    assert vv.max_coeff == best
+    w = vv.witness
+    assert (w.x.tolist(), w.component, w.index, w.value) == witness
+    assert vv.min_index == min(alive)
+
+
+def test_stacked_degree_guard_names_the_first_bad_point():
+    # phi = (x, x t^3) over the line y = 0 has the minor 3x t^2, past the
+    # critical degree 1 at every x but 0: a stack raises for its first such
+    # point, with the message that point gives alone
+    M = Submanifold.graph(["x"], [[-1, 1]], ["0"])
+    family = SweepFamily(M, 1, map_exprs=["x", "x*t^3"])
+    assert extract_t_polynomials(family, [[0.0]]).coeffs.shape == (1, 1, 2)
+    with pytest.raises(CoefficientDegreeError) as alone:
+        extract_t_polynomials(family, [0.5])
+    with pytest.raises(CoefficientDegreeError) as stacked:
+        extract_t_polynomials(family, [[0.0], [0.5], [-0.5]])
+    assert str(stacked.value) == str(alone.value)
+    assert "x=[0.5]" in str(stacked.value)
+
+
 def test_coefficients_csv_format(segment):
     table = extract_t_polynomials(segment.family, np.array([0.5]))
-    text = coefficients_csv([table], m=1)
+    text = coefficients_csv(table, m=1)
     lines = text.split("\n")
     assert lines[0] == "x1,component,i,a_i"
     assert lines[1] == "0.5,1,0,1"
