@@ -13,7 +13,10 @@ Usage:
 `--save` stores the queries and every field. `--against` compares with a
 stored run, for instance one made from another checkout with its `src` on
 PYTHONPATH, and lists every row that differs with the absolute difference
-of each field; it exits 1 when a row differs.
+of each field. A summary follows, one line per scene and input: how many
+`converged`, `on_boundary` and `ambiguous` flags flip each way (+ for False
+to True, - for True to False) and the largest decrease in `distance`. It
+exits 1 when a row differs.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from osclab.manifold import BatchProjection, Submanifold
 from osclab.osculate import ruledness_check
 
 FIELDS = [f.name for f in fields(BatchProjection)]
+FLAGS = ("converged", "on_boundary", "ambiguous")
 FAR_POINTS = 200
 
 
@@ -97,9 +101,23 @@ def _row_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.max(np.where(np.isnan(diff), np.inf, diff), axis=1)
 
 
+def _summary(run: dict, ref: dict) -> str:
+    """Flag flips of `run` against `ref`, as +(False to True)/-(True to
+    False), and the largest decrease in distance (0 if none)."""
+    flips = " ".join(
+        f"{name} +{np.count_nonzero(run[name] & ~ref[name])}"
+        f"/-{np.count_nonzero(ref[name] & ~run[name])}"
+        for name in FLAGS)
+    with np.errstate(invalid="ignore"):
+        drop = np.nan_to_num(ref["distance"] - run["distance"], nan=0.0)
+    return f"{flips} largest distance decrease {max(0.0, float(np.max(drop))):.3g}"
+
+
 def compare(run: dict, ref: dict) -> int:
-    """Print every row of `run` that differs from `ref`; return the count."""
+    """Print every row of `run` that differs from `ref`, then one summary
+    line per scene and input; return the count of differing rows."""
     differing = 0
+    summary = []
     for key in sorted(set(run) | set(ref)):
         label = " ".join(key)
         if key not in run or key not in ref:
@@ -119,6 +137,10 @@ def compare(run: dict, ref: dict) -> int:
                              if diffs[name][r] > 0)
             print(f"  row {r}: {sizes}")
         differing += len(rows)
+        summary.append(f"{label}: {len(rows)} of {len(a['query'])} rows differ; {_summary(a, b)}")
+    print("summary, this run against the stored one:")
+    for line in summary:
+        print(f"  {line}")
     return differing
 
 

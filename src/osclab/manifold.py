@@ -2,31 +2,40 @@
 
 A Submanifold is an m-dimensional piece of R^n given either as a graph
 x -> (x, h(x)) or as a parametric chart x -> alpha(x) over a box domain.
-Projection onto the manifold runs a multistart, box-projected Gauss-Newton
-on the squared-distance stationarity system, seeded at the centres of a
-grid of 9^m cells. On the first projection each cell gets a slack
-L_i * r_i: r_i bounds the distance from its centre to any point of the
-cell, and L_i, the Frobenius norm of an outward-rounded interval bound on
-the chart Jacobian over the cell (expr.IntervalArithmetic), bounds how
-far the chart moves per unit of chart distance. Every point of cell i
-then lies at least |p - c_i| - slack_i from a query p, while the nearest
-centre distance d0 bounds the minimum from above. A cell whose lower
-bound exceeds d0 by more than two tie slacks (PROJECT_DIST_TOL) holds no
-foot that ties a best found within one of d0, and its seed is dropped; a
-cell whose bound divides by an interval containing 0 or takes sqrt below
-0 has infinite slack and is always kept. Newton runs from the kept seeds.
-A query whose kept seeds all fail, or whose best converged distance
-exceeds d0 by more than one tie slack (Newton has missed the minimum,
-which is at most d0), runs its dropped seeds as well and so sees the
-full grid. Steps are damped by halving, and convergence is declared at
-1e-12 projected-gradient norm. Each row takes the first
-step size, of up to 14 halvings, that lowers its stationarity residual;
-a halving re-evaluates only the rows that have not yet improved, so one
-row that keeps searching does not cost the whole batch an evaluation
-per halving. Disagreeing global minima
-(same distance, different feet) are reported as AmbiguousProjection: the
-query point has left the tubular neighbourhood where the nearest point is
-unique.
+Projection onto the manifold runs a multistart projected Newton method
+(Bertsekas 1982) on the squared distance f(x) = |p - c(x)|^2 over the box,
+seeded at the centres of a grid of 9^m cells. On the first projection each
+cell gets a slack L_i * r_i: r_i bounds the distance from its centre to any
+point of the cell, and L_i, the Frobenius norm of an outward-rounded
+interval bound on the chart Jacobian over the cell
+(expr.IntervalArithmetic), bounds how far the chart moves per unit of chart
+distance. Every point of cell i then lies at least |p - c_i| - slack_i from
+a query p, while the nearest centre distance d0 bounds the minimum from
+above. A cell whose lower bound exceeds d0 by more than two tie slacks
+(PROJECT_DIST_TOL) holds no foot that ties a best found within one of d0,
+and its seed is dropped; a cell whose bound divides by an interval
+containing 0 or takes sqrt below 0 has infinite slack and is always kept.
+Newton runs from the kept seeds. A query whose kept seeds all fail, or
+whose best converged distance exceeds d0 by more than one tie slack
+(Newton has missed the minimum, which is at most d0), runs its dropped
+seeds as well and so sees the full grid.
+
+Each Newton iteration splits the coordinates into an active set, those on
+a bound whose descent direction -grad f points out of the box, which stay
+fixed, and the free rest, which take the Newton step of the stationarity
+system J^T (p - c) = 0 restricted to them. The step is clipped to the box
+and halved, up to 14 times, until it cuts the merit |pg|^2 by an Armijo
+fraction (PROJECT_ARMIJO), where pg, the projected gradient, is grad f with
+the active components zeroed; a halving re-evaluates only the rows that
+have not yet improved, so one row that keeps searching does not cost the
+whole batch an evaluation per halving. A row converges when |pg| falls to
+PROJECT_GRAD_TOL (1 + |p|). Inside the box pg is the gradient; at a
+minimum on the box edge, where the gradient itself is not 0, pg is 0, so
+edge minima converge like interior ones. A trial point at which the chart
+leaves its domain (a Jacobian undefined on the edge) counts as no
+improvement. Disagreeing global minima (same distance, different feet)
+are reported as AmbiguousProjection: the query point has left the tubular
+neighbourhood where the nearest point is unique.
 
 The box is a truncation of the ideally boundaryless manifold, so feet on
 the box edge are flagged and callers near the boundary are expected to
@@ -49,6 +58,12 @@ IMMERSION_FLOOR = 1e-8
 #: after at most PROJECT_MAX_ITER Newton steps per seed
 PROJECT_GRAD_TOL = 1e-12
 PROJECT_MAX_ITER = 50
+#: projection line search: the fraction s of a Newton step is taken when it
+#: cuts the merit |pg|^2 by at least 2 s PROJECT_ARMIJO of its value, this
+#: share of the cut the linear model predicts (Armijo). The textbook 1e-4
+#: still takes the creeping steps of a row stuck at a fold of the
+#: stationarity system, where the merit has a local minimum above 0
+PROJECT_ARMIJO = 1e-3
 #: seeds within this relative distance of the best one are its ties, and ties
 #: whose feet lie further apart than this make the projection ambiguous
 PROJECT_DIST_TOL = 1e-9
@@ -241,67 +256,98 @@ class Submanifold:
         return self._screen
 
     def _descend(self, X, P):
-        """Damped Newton from the rows of X towards stationary points of
-        |P - c(x)|^2 in the box; returns the final X and a converged mask."""
+        """Projected Newton (Bertsekas 1982) from the rows of X towards
+        stationary points of f(x) = |P - c(x)|^2 in the box; returns the
+        final X and a converged mask.
+
+        Each iteration fixes the coordinates that sit on a bound and whose
+        descent direction -grad f points out of the box, and takes the
+        Newton step of the stationarity system J^T (p - c) = 0 on the free
+        ones: the fixed coordinates get an identity row and a zero
+        right-hand side in the one exterior.solve. The trial point is
+        clipped to the box, and the step halves until the merit |pg|^2
+        falls by the Armijo fraction, where pg, the projected gradient, is
+        grad f with the fixed components zeroed. At an interior point pg is
+        the whole gradient; at a minimum on the box edge, where grad f
+        itself is not 0, pg is 0, so edge minima converge too. A row has
+        converged when |pg| is at most PROJECT_GRAD_TOL (1 + |p|); a row no
+        halving improves stops there, unconverged. A trial point at which
+        the chart leaves its domain does not improve."""
         X = np.array(X, dtype=float)
         lo, hi = self.box[:, 0], self.box[:, 1]
         side = hi - lo
         cap = float(np.linalg.norm(side))
         scale = 1.0 + np.linalg.norm(P, axis=1)
+        eye = np.eye(self.m)
+
+        def defined(fn, Xc):
+            # fn(Xc), bisecting the batch where the chart leaves its domain
+            # (say a trial point clipped onto an edge where the chart is not
+            # differentiable): such rows are evaluated at NaN, which no
+            # merit test accepts, so they count as not improved
+            try:
+                return fn(Xc)
+            except ex.DomainError:
+                if len(Xc) == 1:
+                    return fn(np.full_like(Xc, np.nan))
+                half = len(Xc) // 2
+                return np.concatenate([defined(fn, Xc[:half]), defined(fn, Xc[half:])])
 
         def stationarity(Xc, Pc):
-            A = self.embed_many(Xc)
-            R = Pc - A
-            J = self.jacobian_many(Xc)
-            G = np.einsum("rnm,rn->rm", J, R)  # J^T R = -grad/2
-            return A, R, J, G
+            R = Pc - defined(self.embed_many, Xc)
+            J = defined(self.jacobian_many, Xc)
+            G = np.einsum("rnm,rn->rm", J, R)  # J^T R = -grad f / 2
+            return R, J, G
 
-        def kkt(Xc, G):
-            g = -2.0 * G  # gradient of the squared distance
-            at_lo = Xc <= lo + 1e-12 * side
-            at_hi = Xc >= hi - 1e-12 * side
-            pg = np.where(at_lo, np.minimum(g, 0.0), g)
-            pg = np.where(at_hi, np.maximum(pg, 0.0), pg)
-            return np.linalg.norm(pg, axis=-1)
+        def projected_gradient(Xc, G):
+            g = -2.0 * G
+            fixed = (((Xc <= lo + 1e-12 * side) & (g > 0.0))
+                     | ((Xc >= hi - 1e-12 * side) & (g < 0.0)))
+            return np.where(fixed, 0.0, g), fixed
 
-        _, _, _, G0 = stationarity(X, P)
-        conv = kkt(X, G0) <= PROJECT_GRAD_TOL * scale
+        def merit(pg):
+            return np.einsum("rm,rm->r", pg, pg)
+
+        pg0, _ = projected_gradient(X, stationarity(X, P)[2])
+        conv = np.linalg.norm(pg0, axis=-1) <= PROJECT_GRAD_TOL * scale
         active = np.flatnonzero(~conv)
         for _ in range(PROJECT_MAX_ITER):
             if active.size == 0:
                 break
             Xa, Pa = X[active], P[active]
-            A, R, J, G = stationarity(Xa, Pa)
-            # damped Newton on the stationarity system G(x) = J^T (p - c(x));
-            # its Jacobian DG = (p - c) . d2c - J^T J keeps the curvature term
+            R, J, G = stationarity(Xa, Pa)
+            pg, fixed = projected_gradient(Xa, G)
+            # the Jacobian of G(x) = J^T (p - c(x)) is (p - c) . d2c - J^T J,
+            # curvature term included
             JTJ = np.einsum("rni,rnj->rij", J, J)
-            H = self.hessian_many(Xa)
-            DG = np.einsum("rnij,rn->rij", H, R) - JTJ
-            delta = np.clip(-solve(DG, G), -1e12, 1e12)
+            H = defined(self.hessian_many, Xa)
+            DG = np.where(fixed[..., None], eye,
+                          np.einsum("rnij,rn->rij", H, R) - JTJ)
+            delta = np.clip(-solve(DG, np.where(fixed, 0.0, G)), -1e12, 1e12)
             dn = np.linalg.norm(delta, axis=-1, keepdims=True)
             delta *= np.minimum(1.0, cap / np.maximum(dn, 1e-30))
 
             # backtracking: each halving evaluates only the rows still searching
-            phi = np.einsum("rm,rm->r", G, G)
+            phi = merit(pg)
             got = np.zeros(active.size, dtype=bool)
             Xbest = Xa.copy()
-            Gbest = G.copy()
+            pgbest = pg.copy()
             searching = np.arange(active.size)
             step = 1.0
             for _ in range(14):
                 Xn = np.clip(Xa[searching] + step * delta[searching], lo, hi)
-                _, _, _, Gn = stationarity(Xn, Pa[searching])
-                improved = np.einsum("rm,rm->r", Gn, Gn) < phi[searching]
+                pgn, _ = projected_gradient(Xn, stationarity(Xn, Pa[searching])[2])
+                improved = merit(pgn) < (1.0 - 2.0 * PROJECT_ARMIJO * step) * phi[searching]
                 hit = searching[improved]
                 Xbest[hit] = Xn[improved]
-                Gbest[hit] = Gn[improved]
+                pgbest[hit] = pgn[improved]
                 got[hit] = True
                 searching = searching[~improved]
                 if searching.size == 0:
                     break
                 step *= 0.5
             X[active] = Xbest
-            conv_a = kkt(Xbest, Gbest) <= PROJECT_GRAD_TOL * scale[active]
+            conv_a = np.linalg.norm(pgbest, axis=-1) <= PROJECT_GRAD_TOL * scale[active]
             conv[active[conv_a]] = True
             active = active[got & ~conv_a]
         return X, conv

@@ -275,6 +275,22 @@ def test_verify_fails_family_less_m3_bowl():
     assert all(r["order"] == "none" for r in records)
 
 
+def test_verify_confirms_ruled_3fold():
+    # m = 3: w = xy + z in R^4 holds the line through each point along
+    # (1, 0, 0, y). Its ruledness points whose nearest chart point lies on
+    # the box edge converge there, so no projection falls back to every seed
+    scene = build_scene({
+        "manifold": {"type": "graph", "chart_vars": ["x", "y", "z"],
+                     "domain": [[-1, 1], [-1, 1], [-1, 1]], "ambient_dim": 4,
+                     "height": ["x*y + z"]},
+        "family": {"k": 1, "fields": [["1", "0", "0", "y"]]},
+        "params": {"quad_cells": 4}}, name="ruled_3fold")
+    rep = osculate.verify_theorem(scene, seed=0)
+    assert rep.verdict == "THEOREM_CONFIRMED"
+    assert rep.first_failure is None
+    assert rep.steps["ruledness"]["counted"] > 0
+
+
 # -- ruledness ----------------------------------------------------------------
 
 
