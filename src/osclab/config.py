@@ -31,7 +31,17 @@ class Tolerances:
     flow_drift: float = 1e-6
     ruled: float = 1e-8
     vol_zero: float = 1e-13
+    #: distances at most this are exact containment in the metric contact
+    #: order and the decay check. Absolute: it sits above the projection's
+    #: rounding (eps |p|, about 2e-14 at |p| = 100) for scenes of unit
+    #: scale, and moves with the scene like a distance. Only `osclab
+    #: contact` and the lemma checks read it, never a verdict; a scene far
+    #: from unit scale scales it with --tol-dist-zero
     dist_zero: float = 1e-13
+    #: uniform_decay_check calls a family contained when every ratio
+    #: d / t^k is below this. Absolute for dist_zero's reason: a contained
+    #: family reads ratios of exactly 0 once distances under dist_zero are
+    #: 0, and the floor admits only rounding above it on a unit-scale scene
     decay_floor: float = 1e-12
     cubic_residual: float = 1e-9
 

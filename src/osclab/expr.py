@@ -21,7 +21,8 @@ from an `Arithmetic`. `evaluate` and `evaluate_many` run it on floats and
 numpy arrays (broadcasting), `jets.jet_eval_expr` runs it on truncated
 Taylor series, and `INTERVALS` runs it on `Interval`s: outward-rounded
 bounds that enclose the float values over boxes of the variables, which
-the manifold projection uses to screen its seed cells. Where the float
+the manifold projection uses to screen its seed cells and a graph's reach
+bound uses for its Hessian bound. Where the float
 evaluation raises DomainError (a quotient by 0, a sqrt below 0), an
 interval row gets the entire line, so one stacked pass bounds every box.
 """

@@ -58,7 +58,12 @@ def solve(A, b) -> np.ndarray:
     (..., m) broadcast against it: Cramer's rule on one wedge_ring call over
     the rows of [A | b], whose minor 0 is det A and minor m - i is
     (-1)^(m-1-i) det(A with column i replaced by b). A |det| below 1e-300
-    is taken as 1e-300: a singular row gives a huge or infinite x, no error."""
+    is taken as 1e-300: a singular row gives a huge or infinite x, no error.
+    The guard is absolute on purpose: it stands in for 0 near the underflow
+    limit (the smallest normal double is 2.2e-308) and decides nothing, so
+    it leaves every determinant of any scene in the double range as it is;
+    whether a step is usable is for the caller (projected Newton clips it
+    and tests its merit)."""
     A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
     m = A.shape[-1]
     minor = wedge_ring([[*(A[..., i, c] for c in range(m)), b[..., i]] for i in range(m)])

@@ -40,6 +40,17 @@ neighbourhood where the nearest point is unique.
 The box is a truncation of the ideally boundaryless manifold, so feet on
 the box edge are flagged and callers near the boundary are expected to
 shrink their working region.
+
+Two radii bound the tube in which projection has a unique foot.
+reach_bound is a certificate for graph charts: 1/K, with K an interval
+bound on the height Hessians over the box, a lower bound on the reach by
+Federer's criterion (the argument is in its docstring), edges included;
+a parametric chart gets 0. tube_radius is a search: the largest dyadic
+radius at which random normal probes project back to their source, which
+runs project_batch once per level and raises NoConvergence when no level
+passes. The ruledness step (osculate.ruledness_record) counts samples
+within the certified bound and runs the search only when a sample lies
+beyond it, so that NoConvergence is raised only when the radius is needed.
 """
 
 from __future__ import annotations
@@ -52,7 +63,13 @@ import numpy as np
 from . import expr as ex
 from .exterior import frame_norm, solve
 
-#: a parametric chart whose tangent frame norm falls to this is not an immersion
+#: a parametric chart whose tangent frame norm falls to this is not an immersion.
+#: Absolute on purpose: it detects a rank drop, where the frame norm is 0 up
+#: to rounding, not a small scale. The frame norm is a ratio of ambient to
+#: chart length to the power m, so rescaling chart and ambient together (as
+#: tests/test_metamorphic.py does) leaves it unchanged; a chart that shrinks
+#: the ambient alone by lam moves it by lam^m, and a scale-free test would
+#: divide by the Hadamard bound, the product of the column norms
 IMMERSION_FLOOR = 1e-8
 #: projection: converged at this projected-gradient norm (relative to 1 + |p|),
 #: after at most PROJECT_MAX_ITER Newton steps per seed
@@ -444,11 +461,61 @@ class Submanifold:
 
     # -- tube radius ------------------------------------------------------
 
+    @property
+    def half_side(self) -> float:
+        """Half the shortest box side, the default rho_max of tube_radius."""
+        return 0.5 * float(np.min(self.box[:, 1] - self.box[:, 0]))
+
+    def reach_bound(self) -> float:
+        """A certified lower bound on the reach of a graph over its box, 1/K
+        (inf for K = 0); 0 for a parametric chart.
+
+        K is the Frobenius norm of the entrywise magnitudes of the height
+        Hessians D^2 h over the whole box, one outward-rounded interval
+        evaluation (expr.INTERVALS) of the height rows of hess_exprs. For a
+        graph c(x) = (x, h(x)) take a, y in the box, d = y - a and
+        A = c(a). Then |c(y) - A| >= |d|, since the first m coordinates of
+        c(y) - A are d. The box is convex, so the segment from a to y stays
+        in it and Taylor's theorem with integral remainder gives
+        c(y) - A - Dc(a) d = (0, r) with |r_k| <= 1/2 |D^2 h_k|_F |d|^2 for
+        each height, so |r| <= 1/2 K |d|^2. Dc(a) d lies in the tangent
+        cone of M at A, the whole tangent plane inside the box and at its
+        edge the image of the box's own cone, which contains d. So
+        dist(c(y) - A, Tan(M, A)) <= K |c(y) - A|^2 / 2, and Federer's
+        criterion (Federer 1959, "Curvature measures", Thm 4.18; see also
+        Aamari et al. 2019, "Estimating the reach of a manifold") gives
+        reach >= 1/K, with the box edges included. Every point nearer M
+        than this has a unique nearest point.
+
+        The interval bound is rigorous; the norm and reciprocal around it
+        are plain floats, off by a few ulps. Interval bounds are total:
+        where a Hessian entry leaves its domain somewhere in the box (a
+        quotient by an interval holding 0, a sqrt reaching below 0) its
+        bound is the entire line, so K = inf and the bound is 0, as it is
+        when a bound overflows. A parametric chart gets no bound: a
+        curvature bound alone would not rule out distant sheets of the
+        chart coming close (a circle's chart meets itself), so it returns
+        0 and callers fall back to the probed tube_radius."""
+        if self.kind != "graph":
+            return 0.0
+        env = {v: ex.Interval(lo, hi) for v, (lo, hi) in zip(self.chart_vars, self.box)}
+        mags = [ex.evaluate_with(d, env, ex.INTERVALS).magnitude()
+                for row in self.hess_exprs[self.m:] for col in row for d in col]
+        with np.errstate(over="ignore"):
+            K = float(np.sqrt(sum(np.square(g) for g in mags)))
+        return np.inf if K == 0.0 else 1.0 / K
+
     def tube_radius(self, *, rho_max: float | None = None, seed: int = 0) -> float:
-        """Largest dyadic rho such that random probes at distance rho all
-        project back to their source point unambiguously."""
+        """Largest dyadic rho, from rho_max (default half_side) down, such
+        that random probes at distance rho along the normals of random
+        chart points all project back to their source point unambiguously.
+
+        A search, not a certificate: it runs project_batch once per level
+        and raises NoConvergence when no level passes. reach_bound is the
+        certified (and much cheaper) bound; osculate.ruledness_record runs
+        this search only when a sample lies beyond it."""
         if rho_max is None:
-            rho_max = 0.5 * float(np.min(self.box[:, 1] - self.box[:, 0]))
+            rho_max = self.half_side
         rng = np.random.default_rng(seed)
         X = rng.uniform(self.box[:, 0], self.box[:, 1], size=(TUBE_PROBES, self.m))
         A = self.embed_many(X)

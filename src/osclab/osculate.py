@@ -10,11 +10,14 @@ the same code path.
 The global containment conclusion of the underlying theorem relies on
 analytic continuation, which numerics cannot perform: every verdict here
 is a finite-window statement, containment over a finite parameter span
-inside the probed tube radius, and the reports say so explicitly.
+inside a tube around the manifold (a graph's certified reach bound, and
+the probed tube radius only where a sample lies beyond it), and the
+reports say so explicitly.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -256,6 +259,7 @@ RULED_PARAMS = 64      # curve parameters per sample, evenly over [-S, S]
 
 
 def ruledness_check(M: Submanifold, curve_provider, span: float, *, tube: float,
+                    probe: Callable[[], float] | None = None,
                     samples_per_axis: int = 3, margin: float = 0.15,
                     tol=_TOL) -> RuledVerdict:
     """Max distance of the curves Gamma_x to M over parameters in [-S, S].
@@ -263,6 +267,13 @@ def ruledness_check(M: Submanifold, curve_provider, span: float, *, tube: float,
     Curve samples outside the tube of radius `tube`, with ambiguous
     projections, or whose feet land on the box edge (truncation artifacts)
     are excluded; if every sample is excluded the verdict is UNDECIDED.
+
+    With `probe`, a zero-argument callable that returns a probed tube radius
+    (ruledness_record passes Submanifold.tube_radius), `tube` is a certified
+    radius, and the probe runs only when some converged, unambiguous sample
+    off the box edge lies farther than `tube`; samples then count within
+    max(tube, probe()). Whatever the probe raises (NoConvergence from the
+    search) is raised only then.
     """
     X = M.grid(samples_per_axis, margin=margin)
     scene_scale = float(np.max(np.linalg.norm(M.embed_many(X), axis=1)))
@@ -270,7 +281,10 @@ def ruledness_check(M: Submanifold, curve_provider, span: float, *, tube: float,
     pts = np.concatenate(
         [np.atleast_2d(curve_provider(x)(svals)) for x in X], axis=0)
     b = M.project_batch(pts)
-    valid = b.converged & ~b.ambiguous & (b.distance <= tube) & ~b.on_boundary
+    eligible = b.converged & ~b.ambiguous & ~b.on_boundary
+    if probe is not None and np.any(eligible & (b.distance > tube)):
+        tube = max(tube, probe())
+    valid = eligible & (b.distance <= tube)
     counted = int(np.count_nonzero(valid))
     skipped = int(valid.size - counted)
     tolerance = tol.ruled * (1.0 + scene_scale)
@@ -324,9 +338,18 @@ def growth_record(family: SweepFamily, params: RunParams) -> dict:
 
 def ruledness_record(M: Submanifold, family: SweepFamily,
                      params: RunParams) -> tuple[dict, RuledVerdict]:
-    """Finite-window containment inside the probed tube radius."""
-    tube = M.tube_radius(rho_max=params.tube_rho_max)
-    rv = ruledness_check(M, family.curve_at, params.span, tube=tube,
+    """Finite-window containment inside a tube around M.
+
+    The tube is r_cert = min(rho_max, M.reach_bound()), with rho_max the
+    run's tube_rho_max (default M.half_side): the certified reach bound of a
+    graph chart, 0 for a parametric one. The probed tube_radius search runs
+    only when a sample that would otherwise count lies beyond r_cert, and
+    samples then count within max(r_cert, probed radius), so a search that
+    raises NoConvergence fails the step only when its radius is needed."""
+    rho_max = M.half_side if params.tube_rho_max is None else params.tube_rho_max
+    rv = ruledness_check(M, family.curve_at, params.span,
+                         tube=min(rho_max, M.reach_bound()),
+                         probe=lambda: M.tube_radius(rho_max=rho_max),
                          samples_per_axis=params.samples,
                          margin=params.margin, tol=params.tol)
     record = {

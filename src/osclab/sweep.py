@@ -400,7 +400,11 @@ def reparam_invariance_test(family: SweepFamily, psi_exprs, t_extent: float,
         raise ValueError("reparametrization needs m+1 component expressions")
     dpsi = [ex.diff(c, v) for c in psi for v in (*M.chart_vars, ex.TIME_VAR)]
 
-    # nonvanishing Jacobian determinant, checked by sampling
+    # nonvanishing Jacobian determinant, checked by sampling. The floor is
+    # absolute on purpose: psi maps chart and time to themselves, so its
+    # Jacobian determinant has no units and keeps its value when the chart
+    # axes and t are rescaled; random_reparam's warps keep every axis
+    # derivative at least 0.2, so the floor only catches a degenerate psi
     Xs = M.grid(5)
     for s in np.linspace(-t_extent, t_extent, 9):
         env = family._env(Xs, np.full(Xs.shape[0], s))

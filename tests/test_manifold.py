@@ -140,6 +140,51 @@ def test_tube_radius_values(plane, sphere_cap):
     assert plane.tube_radius() == pytest.approx(2.0)
 
 
+GRAPHS = [n for n in corpus.names() if corpus.load(n).manifold.kind == "graph"]
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+def test_reach_bound_certifies_the_probed_tube(scenes, name):
+    # the certified radius never exceeds the probed one (plane 1 <= 1,
+    # hp 0.707 <= 1, saddle and paraboloid 0.354 <= 0.5, sphere
+    # 0.253 <= 0.5, cubic_graph 0.158 <= 0.375, segment 0.5 <= 0.5)
+    M = scenes[name].manifold
+    r_cert = min(M.half_side, M.reach_bound())
+    assert 0.0 < r_cert <= M.tube_radius()
+    # normal probes at 0.99 r_cert from random interior points, projected
+    # once (not through the dyadic search): each converges to its source,
+    # and no point of a dense chart grid lies nearer than the source
+    rng = np.random.default_rng(5)
+    X = rng.uniform(M.box[:, 0], M.box[:, 1], size=(40, M.m))
+    A = M.embed_many(X)
+    Q, _ = np.linalg.qr(M.jacobian_many(X), mode="complete")
+    coeff = rng.normal(size=(40, M.n - M.m))
+    coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)
+    rho = 0.99 * r_cert
+    P = A + rho * np.einsum("pnk,pk->pn", Q[:, :, M.m:], coeff)
+    b = M.project_batch(P)
+    assert b.converged.all() and not b.ambiguous.any()
+    assert np.max(np.linalg.norm(b.point - A, axis=1)) <= 1e-9
+    dense, _, _ = dense_distance_min(M.embed_many, M.box, P,
+                                     per_axis=2000 if M.m == 1 else 120)
+    assert np.all(dense >= rho * (1.0 - 1e-12))
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1.0, 1e3])
+def test_reach_bound_scales_with_the_scene(lam):
+    # z = xy/lam over [-lam, lam]^2 is hp scaled by lam: |D^2 h|_F = sqrt(2)/lam
+    M = Submanifold.graph(["x", "y"], [[-lam, lam]] * 2, [f"x*y/{lam!r}"])
+    assert M.reach_bound() == pytest.approx(lam / np.sqrt(2.0), rel=1e-12)
+
+
+def test_reach_bound_without_a_certificate():
+    # a parametric chart gets none; so does a graph whose Hessian bound
+    # leaves its domain (sqrt(x)'' divides by x, and the box holds x = 0)
+    assert corpus.load("cylinder").manifold.reach_bound() == 0.0
+    assert Submanifold.graph(["x"], [[0, 1]], ["sqrt(x)"]).reach_bound() == 0.0
+    assert Submanifold.graph(["x"], [[0.25, 1]], ["sqrt(x)"]).reach_bound() > 0.0
+
+
 def test_boundary_foot_flagged():
     M = Submanifold.graph(["x", "y"], [[-1, 1], [-1, 1]], ["0"])
     r = M.nearest_point([2.0, 0.0, 1.0])

@@ -10,7 +10,7 @@ from osclab.contact import (
     contact_order_jet_recharted,
     residual_jets,
 )
-from osclab.manifold import Submanifold
+from osclab.manifold import NoConvergence, Submanifold
 from osclab.osculate import (
     FINITE_WINDOW_NOTE,
     fit_class_k_curve,
@@ -275,7 +275,21 @@ def test_verify_fails_family_less_m3_bowl():
     assert all(r["order"] == "none" for r in records)
 
 
-def test_verify_confirms_ruled_3fold():
+@pytest.fixture
+def tube_calls(monkeypatch):
+    """The manifolds whose probed tube-radius search runs, in call order."""
+    calls = []
+    tube_radius = Submanifold.tube_radius
+
+    def spy(self, **kwargs):
+        calls.append(self)
+        return tube_radius(self, **kwargs)
+
+    monkeypatch.setattr(Submanifold, "tube_radius", spy)
+    return calls
+
+
+def test_verify_confirms_ruled_3fold(tube_calls):
     # m = 3: w = xy + z in R^4 holds the line through each point along
     # (1, 0, 0, y). Its ruledness points whose nearest chart point lies on
     # the box edge converge there, so no projection falls back to every seed
@@ -289,6 +303,8 @@ def test_verify_confirms_ruled_3fold():
     assert rep.verdict == "THEOREM_CONFIRMED"
     assert rep.first_failure is None
     assert rep.steps["ruledness"]["counted"] > 0
+    # every counted sample lies within the graph's certified reach bound
+    assert tube_calls == []
 
 
 # -- ruledness ----------------------------------------------------------------
@@ -331,7 +347,63 @@ def test_ruled_undecided_when_everything_leaves_tube():
     assert rv.counted == 0
 
 
+def _same_verdict(a, b):
+    assert (a.verdict, a.max_distance, a.tolerance, a.counted, a.skipped, a.per_sample) \
+        == (b.verdict, b.max_distance, b.tolerance, b.counted, b.skipped, b.per_sample)
+    assert (a.witness is None) == (b.witness is None)
+    if a.witness is not None:
+        for f in ("chart", "s", "point", "distance"):
+            assert np.array_equal(getattr(a.witness, f), getattr(b.witness, f)), f
+
+
+@pytest.mark.parametrize("name, point", [("segment", [0.5, 5.0]),
+                                         ("sphere", [0.0, 0.0, 1.4])])
+def test_ruledness_probes_beyond_the_certificate(tube_calls, name, point):
+    # constant curves beyond r_cert: 5 from the segment (r_cert 0.5, every
+    # sample then leaves the probed tube too), and 0.4 above the sphere
+    # cap's pole (r_cert 0.253, inside the probed 0.5, so the search widens
+    # the tube and the samples count). Either way the search runs once and
+    # the verdict is the one an explicitly probed tube gives
+    M = corpus.load(name).manifold
+    far = PolyCurve([point, np.zeros(len(point))])
+    deferred = ruledness_check(M, lambda x: far, 0.5,
+                               tube=min(M.half_side, M.reach_bound()),
+                               probe=M.tube_radius)
+    assert tube_calls == [M]
+    _same_verdict(deferred, ruledness_check(M, lambda x: far, 0.5,
+                                            tube=M.tube_radius()))
+    assert (deferred.counted > 0) == (name == "sphere")
+
+
+def test_ruledness_raises_a_probe_error_only_when_probing():
+    def fails():
+        raise NoConvergence("no probed tube radius found by dyadic search")
+
+    hp = corpus.load("hyperbolic_paraboloid")
+    M = hp.manifold
+    rv = ruledness_check(M, hp.family.curve_at, 1.0,
+                         tube=min(M.half_side, M.reach_bound()), probe=fails)
+    assert rv.verdict == "CONTAINED"
+    segment = corpus.load("segment").manifold
+    far = PolyCurve([[0.5, 5.0], [0.0, 0.0]])
+    with pytest.raises(NoConvergence):
+        ruledness_check(segment, lambda x: far, 0.5, tube=0.5, probe=fails)
+
+
 # -- full pipeline -------------------------------------------------------------
+
+
+def test_verify_probes_the_tube_only_beyond_the_certificate(tube_calls):
+    # a corpus pass runs the tube-radius search on circle_rotation alone:
+    # its parametric chart has no certificate (r_cert = 0) and its curves
+    # sit at rounding-level distances above 0. Cylinder's counted distances
+    # are exactly 0, and every graph's samples lie within its reach bound
+    probed = []
+    for name in corpus.names():
+        osculate.verify_theorem(corpus.load(name), seed=0)
+        probed += [name] * len(tube_calls)
+        tube_calls.clear()
+    assert probed == ["circle_rotation"]
 
 
 def test_verify_confirms_ruled_scenes(verify_report):
