@@ -5,12 +5,20 @@ corpus sweep; the CSVs are the plotting interface.
 Usage: python scripts/growth_tables.py [outdir]
 """
 
-import json
-import sys
-from pathlib import Path
+import os
 
-from osclab import corpus
-from osclab.sweep import growth_exponent, volume_csv, volume_series
+# one BLAS thread, set before numpy loads: the reduction order of the
+# quadrature's products can follow the thread count, and with it the
+# last digits of a volume
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import json  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from osclab import corpus  # noqa: E402
+from osclab.sweep import growth_exponent, volume_csv, volume_series  # noqa: E402
 
 
 def main() -> int:

@@ -10,14 +10,22 @@ directories compares every output.
 Usage: python scripts/run_corpus.py [outdir]
 """
 
-import json
-import sys
-import time
-from pathlib import Path
+import os
 
-from osclab import corpus
-from osclab.osculate import verify_theorem
-from osclab.sweep import coefficients_csv, vanishing_verdict, volume_csv, volume_series
+# one BLAS thread, set before numpy loads: the reduction order of the
+# quadrature's products can follow the thread count, and with it the
+# last digits of a volume
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import json  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from osclab import corpus  # noqa: E402
+from osclab.osculate import verify_theorem  # noqa: E402
+from osclab.sweep import coefficients_csv, vanishing_verdict, volume_csv, volume_series  # noqa: E402
 
 
 def main() -> int:

@@ -25,11 +25,25 @@ the manifold projection uses to screen its seed cells and a graph's reach
 bound uses for its Hessian bound. Where the float
 evaluation raises DomainError (a quotient by 0, a sqrt below 0), an
 interval row gets the entire line, so one stacked pass bounds every box.
+
+A fourth arithmetic, `EXACT`, runs the walker over `Poly`, sparse
+polynomials with `fractions.Fraction` coefficients, which a sweep's
+zero-volume certificate reads. Constants are the exact rational values of
+the doubles; a quotient is allowed only by a nonzero constant, and sqrt or
+any other quotient raises DomainError. sin, cos and exp each give an atom:
+a fresh free generator keyed by the function and the canonical form of its
+exact argument, so equal arguments give one atom. The argument is sound one
+way only. A polynomial that is zero in free generators is zero for every
+value of them, the true values of the atoms included, so a zero result
+proves the expression zero wherever it is defined. A nonzero result proves
+nothing, since the ring knows no relation between atoms (sin(x)^2 +
+cos(x)^2 - 1 stays nonzero), and the caller then falls back to floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -511,6 +525,102 @@ class IntervalArithmetic(Arithmetic):
 
 
 INTERVALS = IntervalArithmetic()
+
+
+class Poly:
+    """A sparse polynomial with exact rational coefficients in free
+    generators: `terms` maps each monomial to its nonzero Fraction, a
+    monomial being a frozenset of (generator, exponent) pairs, the empty one
+    for the constant term. A generator is a variable name or an atom
+    (func, canonical form of its argument) made by ExactArithmetic. +, -, *
+    and nonnegative integer powers are exact, so the zero polynomial is the
+    one with no terms."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        self.terms = terms
+
+    @classmethod
+    def constant(cls, value) -> "Poly":
+        value = Fraction(value)
+        return cls({frozenset(): value} if value else {})
+
+    @classmethod
+    def generator(cls, key) -> "Poly":
+        return cls({frozenset({(key, 1)}): Fraction(1)})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def canonical(self) -> frozenset:
+        """A hashable form, equal for equal polynomials."""
+        return frozenset(self.terms.items())
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for mono, c in other.terms.items():
+            total = terms.pop(mono, 0) + c
+            if total:
+                terms[mono] = total
+        return Poly(terms)
+
+    def __neg__(self):
+        return Poly({mono: -c for mono, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        terms: dict = {}
+        for mono_a, a in self.terms.items():
+            for mono_b, b in other.terms.items():
+                powers = dict(mono_a)
+                for g, e in mono_b:
+                    powers[g] = powers.get(g, 0) + e
+                mono = frozenset(powers.items())
+                terms[mono] = terms.get(mono, 0) + a * b
+        return Poly({mono: c for mono, c in terms.items() if c})
+
+    def __pow__(self, exponent: int):
+        return reduce(Poly.__mul__, [self] * exponent, Poly.constant(1))
+
+
+class ExactArithmetic(Arithmetic):
+    """Exact evaluation over Poly: constants are the exact rational values
+    of the doubles, a quotient is taken only by a nonzero constant, and sqrt
+    raises DomainError, as does a quotient by anything else. sin, cos and
+    exp give an atom, a free generator keyed by the function and the
+    canonical form of its exact argument, so equal arguments give one atom.
+    A result that is the zero polynomial is zero for every value of the
+    variables and of the atoms, the true sin, cos and exp values included;
+    a nonzero result proves nothing, since the relations between atoms
+    (sin^2 + cos^2 = 1) are not known to the ring."""
+
+    def const(self, value: float):
+        return Poly.constant(value)
+
+    def div(self, num, den):
+        if den.terms.keys() - {frozenset()}:
+            raise DomainError("exact quotient by a non-constant")
+        if den.is_zero():
+            raise DomainError("division by zero")
+        return num * Poly.constant(1 / den.terms[frozenset()])
+
+    def sqrt(self, u):
+        raise DomainError("sqrt has no exact polynomial value")
+
+    def sin(self, u):
+        return Poly.generator(("sin", u.canonical()))
+
+    def cos(self, u):
+        return Poly.generator(("cos", u.canonical()))
+
+    def exp(self, u):
+        return Poly.generator(("exp", u.canonical()))
+
+
+EXACT = ExactArithmetic()
 
 
 def evaluate(e: Expr, env):

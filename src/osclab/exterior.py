@@ -4,13 +4,15 @@ Coordinates are indexed by the strictly increasing index combinations in
 lexicographic order; the coordinate for (i1 < ... < im) is the maximal
 minor of the n x m matrix of the input vectors. One algorithm takes them,
 wedge_ring: it runs over any commutative ring (floats, numpy arrays,
-batched jets) and builds the minors column by column, each from the minors
-of the columns before it. `minors` hands it a whole stack of float frames
-as arrays, and every float frame volume, maximal minor and immersion test
-reads it; the jet route (sweep._minor_jets) hands it frames of jets. Their
-Euclidean norm equals sqrt(det(Gram)) of the frame (Cauchy-Binet): the
-volume element, which frame_norm gives for a stack of frames and every
-frame volume in the library reads. `solve`, Cramer's rule on the minors
+batched jets, exact polynomials) and builds the minors column by column,
+each from the minors of the columns before it. `minors` hands it a whole
+stack of float frames as arrays, and every float frame volume, maximal
+minor and immersion test reads it; the jet route (sweep._minor_jets) hands
+it frames of jets, and the zero-volume certificate
+(sweep.frame_minors_vanish) frames of exact polynomials. Their Euclidean
+norm equals sqrt(det(Gram)) of the frame (Cauchy-Binet): the volume
+element, which frame_norm gives for a stack of frames and every frame
+volume in the library reads. `solve`, Cramer's rule on the minors
 of [A | b]^T, takes every square solve in the library.
 """
 

@@ -23,6 +23,15 @@ extract_t_polynomials finds it, as they do whenever their volume element
 vanishes identically. An independent Vandermonde sampling route is kept
 alongside as a cross-check oracle.
 
+Before any quadrature, volume_series asks frame_minors_vanish for an exact
+certificate: the frame evaluated over expr.EXACT, with the chart variables
+and t as free generators and sin, cos and exp as atoms, and its minors
+taken by the same wedge_ring. When every minor is the zero polynomial the
+volume element is zero at every (x, t), so every sample is an exact 0.0
+with error 0.0. A nonzero minor, a cutoff, or a frame the ring cannot hold
+(a sqrt, a quotient by a non-constant) leaves the series to the quadrature
+of swept_volume, which itself never reads the certificate.
+
 The flow check integrates every start in both time directions as one
 adaptive Dormand-Prince 5(4) state: each stage makes one frame_many call and
 one batched minimum-norm solve (np.linalg.pinv), whose residual certifies
@@ -343,11 +352,39 @@ def swept_volume(family: SweepFamily, t: float,
     return VolumeSample(t=float(t), value=value, error=err)
 
 
+def frame_minors_vanish(family: SweepFamily) -> bool:
+    """Certificate that the family sweeps no volume at any t: True when
+    every maximal minor of the frame, taken by wedge_ring over exact
+    polynomials (expr.EXACT) in the chart variables, t and the atoms of
+    sin, cos and exp, is the zero polynomial. Its minors then vanish at every
+    (x, t) whatever values the atoms take, so the volume element is exactly
+    zero. False proves nothing: a cutoff family, a frame the ring cannot hold
+    (a sqrt, a quotient by a non-constant) and a nonzero minor all give it."""
+    if family.cutoff is not None:
+        return False
+    env = {v: ex.Poly.generator(v) for v in (*family.M.chart_vars, ex.TIME_VAR)}
+    try:
+        frame = [[ex.evaluate_with(d, env, ex.EXACT) for d in row]
+                 for row in family.map_frame]
+    except ex.DomainError:
+        return False
+    columns = [[row[i] for row in frame] for i in range(family.M.m + 1)]
+    return all(minor.is_zero() for minor in wedge_ring(columns))
+
+
 def volume_series(family: SweepFamily, t_grid=None,
                   quad: QuadConfig | None = None) -> list[VolumeSample]:
-    ts = geometric_grid() if t_grid is None else t_grid
+    """The swept volume at each t of t_grid (geometric_grid() by default).
+    Where frame_minors_vanish certifies the volume element zero, every
+    sample is an exact 0.0 with error 0.0 and no quadrature runs; otherwise
+    each sample is one swept_volume."""
+    ts = [float(t) for t in (geometric_grid() if t_grid is None else t_grid)]
+    if frame_minors_vanish(family):
+        if any(t <= 0 for t in ts):
+            raise ValueError("swept_volume needs t > 0")
+        return [VolumeSample(t=t, value=0.0, error=0.0) for t in ts]
     try:
-        return [swept_volume(family, float(t), quad) for t in ts]
+        return [swept_volume(family, t, quad) for t in ts]
     finally:
         # the meshes and minor tensors serve this series only; a 3-fold's
         # would otherwise stay alive through the steps that follow growth

@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from osclab import corpus
+from osclab import corpus, sweep
 from osclab.osculate import verify_theorem
 from osclab.sweep import volume_series
 
@@ -45,3 +45,17 @@ def verify_report(scenes):
         return cache[name]
 
     return get
+
+
+@pytest.fixture
+def quadrature_calls(monkeypatch):
+    """The t of every swept_volume call, in call order."""
+    calls = []
+    swept_volume = sweep.swept_volume
+
+    def spy(family, t, quad=None):
+        calls.append(t)
+        return swept_volume(family, t, quad)
+
+    monkeypatch.setattr(sweep, "swept_volume", spy)
+    return calls

@@ -287,3 +287,71 @@ def test_negative_exponent_rejected():
 def test_number_then_identifier_is_trailing_garbage():
     with pytest.raises(ex.ParseError):
         ex.parse("2e")
+
+
+# -- the exact ring ------------------------------------------------------------
+
+_GENERATORS = {v: ex.Poly.generator(v) for v in ("x", "y", "t")}
+
+
+def _exact(text: str) -> ex.Poly:
+    return ex.evaluate_with(ex.parse(text), _GENERATORS, ex.EXACT)
+
+
+def _poly_value(p: ex.Poly, env: dict) -> tuple[float, float]:
+    """The float value of an exact polynomial, each variable taken from env
+    and each atom its function at its argument's value, and the sum of the
+    magnitudes of its terms."""
+
+    def generator(key):
+        if isinstance(key, str):
+            return env[key]
+        func, arg = key
+        return getattr(np, func)(_poly_value(ex.Poly(dict(arg)), env)[0])
+
+    terms = [float(c) * float(np.prod([generator(g) ** e for g, e in mono]))
+             for mono, c in p.terms.items()]
+    return sum(terms), sum(abs(v) for v in terms)
+
+
+def test_exact_constants_are_the_doubles():
+    assert _exact("0.1").terms == {frozenset(): Fraction(0.1)}
+    assert Fraction(0.1) != Fraction(1, 10)
+    assert _exact("0").is_zero() and _exact("x - x").is_zero()
+
+
+def test_exact_quotient_by_a_constant_only():
+    assert _exact("(x*y + t)/3 - x*y/3 - t/3").is_zero()
+    assert _exact("x/0.25 - 4*x").is_zero()
+    # 1/0.1 is not the double 10
+    assert _exact("x/0.1 - 10*x").terms == {
+        frozenset({("x", 1)}): 1 / Fraction(0.1) - 10}
+    for text in ("1/x", "x/(1 + t)", "x/0", "x/(y - y)", "sqrt(x)", "sqrt(4)"):
+        with pytest.raises(ex.DomainError):
+            _exact(text)
+
+
+def test_exact_atoms_are_free_generators():
+    # equal arguments give one atom, whatever the order of their terms
+    assert _exact("sin(x + t)*cos(t + x) - cos(x + t)*sin(x + t)").is_zero()
+    assert _exact("exp(2*x)^2 - exp(x*2)*exp(2*x)").is_zero()
+    # the ring knows no identity between atoms: these are not certified zero
+    assert not _exact("sin(x)^2 + cos(x)^2 - 1").is_zero()
+    assert not _exact("exp(x)*exp(y) - exp(x + y)").is_zero()
+    assert not _exact("sin(x) - sin(y)").is_zero()
+
+
+def test_exact_ring_matches_floats_on_random_expressions():
+    rng = np.random.default_rng(2024)
+    checked = 0
+    while checked < 100:
+        e = _random_expr(rng, 3)
+        a = float(rng.uniform(0.2, 1.8))
+        try:
+            p = ex.evaluate_with(e, _GENERATORS, ex.EXACT)
+        except ex.DomainError:
+            continue  # a sqrt or a quotient by 2 + x^2
+        value, size = _poly_value(p, {"x": a})
+        assert value == pytest.approx(ex.evaluate(e, {"x": a}), rel=1e-9,
+                                      abs=1e-12 * (1.0 + size)), ex.to_string(e)
+        checked += 1

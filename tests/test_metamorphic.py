@@ -1,8 +1,10 @@
 """Metamorphic verdict tests: an isometry of the ambient space, or a
 re-labelling of the chart, must leave every corpus verdict and its first
 failing step unchanged, and so must writing a patch as a graph instead of
-a parametric chart. Rescaling is pinned separately, by the strict xfail
-in test_sweep.py::test_growth_ruling_zero_under_rescaling."""
+a parametric chart. Rescaling is pinned separately in test_sweep.py:
+test_growth_ruling_zero_under_rescaling holds at every scale, and the
+strict xfail of test_quadrature_ruling_zero_under_rescaling pins the float
+quadrature's scale-dependent zero test."""
 
 import copy
 import json

@@ -17,6 +17,7 @@ from osclab.osculate import (
     osculating_directions,
     ruledness_check,
 )
+from osclab.config import geometric_grid
 from osclab.scene import build_scene
 from osclab.sweep import SweepFamily
 from oracles import sequential_class_k_fit
@@ -289,7 +290,31 @@ def tube_calls(monkeypatch):
     return calls
 
 
-def test_verify_confirms_ruled_3fold(tube_calls):
+def test_corpus_verify_runs_no_quadrature(quadrature_calls):
+    """Every corpus scene that reaches the growth step is certified zero,
+    so a verify pass over the corpus integrates nothing."""
+    for name in corpus.names():
+        osculate.verify_theorem(corpus.load(name), seed=0)
+    assert quadrature_calls == []
+
+
+def test_fit_growth_scenes_still_integrate(quadrature_calls):
+    """sphere, circle and segment sweep real volume: each t of the series
+    is one swept_volume call, and the fitted slope is that of the plain
+    quadrature series, bit for bit."""
+    for name in ("sphere", "circle", "segment"):
+        family = corpus.load(name).family
+        grid = geometric_grid()
+        fit = sweep.growth_exponent(sweep.volume_series(family, grid))
+        assert len(quadrature_calls) == grid.size
+        assert not fit.identically_zero
+        quadrature_calls.clear()
+        plain = sweep.growth_exponent([sweep.swept_volume(family, t) for t in grid])
+        assert fit == plain, name
+        quadrature_calls.clear()
+
+
+def test_verify_confirms_ruled_3fold(tube_calls, quadrature_calls):
     # m = 3: w = xy + z in R^4 holds the line through each point along
     # (1, 0, 0, y). Its ruledness points whose nearest chart point lies on
     # the box edge converge there, so no projection falls back to every seed
@@ -305,6 +330,8 @@ def test_verify_confirms_ruled_3fold(tube_calls):
     assert rep.steps["ruledness"]["counted"] > 0
     # every counted sample lies within the graph's certified reach bound
     assert tube_calls == []
+    # and its frame minors are the zero polynomial
+    assert quadrature_calls == []
 
 
 # -- ruledness ----------------------------------------------------------------

@@ -4,10 +4,11 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from osclab import corpus
 from osclab import expr as ex
-from osclab.config import QuadConfig, Tolerances, composite_gauss
+from osclab.config import QuadConfig, Tolerances, composite_gauss, geometric_grid
 from osclab.exterior import frame_norm, wedge_ring
 from osclab.jets import Jet, default_degree, jet_eval_expr
 from osclab.manifold import OutOfDomain, Submanifold
@@ -20,6 +21,7 @@ from osclab.sweep import (
     FlowRankError,
     FlowStepBudgetError,
     SweepFamily,
+    VolumeSample,
     _chart_mesh,
     _integrate,
     _minor_jets,
@@ -27,6 +29,7 @@ from osclab.sweep import (
     critical_degree,
     extract_t_polynomials,
     extract_t_polynomials_sampled,
+    frame_minors_vanish,
     growth_exponent,
     random_reparam,
     reparam_invariance_test,
@@ -103,12 +106,13 @@ def test_volume_monotone_in_t(segment, hp):
         assert all(s.value >= 0 for s in series)
 
 
-def test_volume_series_frees_its_meshes(hp):
+def test_volume_series_frees_its_meshes(segment):
     """The meshes and minor tensors go when the series returns; a second
-    series builds them again, to the same samples bit for bit."""
-    first = volume_series(hp.family)
-    assert hp.family._cache == {}
-    assert volume_series(hp.family) == first
+    series builds them again, to the same samples bit for bit. (hp's series
+    is certified zero and builds none.)"""
+    first = volume_series(segment.family)
+    assert segment.family._cache == {}
+    assert volume_series(segment.family) == first
 
 
 def test_confirmed_scenes_sweep_exactly_zero_volume(series_for):
@@ -315,12 +319,16 @@ def test_swept_volume_matches_frame_route(name):
 
 
 def test_volume_series_emits_no_runtime_warning():
+    """Neither the series nor the quadrature it skips on a certified family
+    warns, though the minors' t-polynomials underflow at small t."""
     cases = [corpus.load("saddle"), corpus.load("paraboloid"),
              corpus.with_cutoff(corpus.load("hyperbolic_paraboloid"), 0.4, 0.9)]
     for scene in cases:
         with np.errstate(all="warn"), warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             volume_series(scene.family)
+            for t in geometric_grid():
+                swept_volume(scene.family, t)
         assert not [w for w in seen if issubclass(w.category, RuntimeWarning)], \
             scene.name
 
@@ -457,17 +465,170 @@ def test_growth_ruling_identically_zero(hp):
     assert fit.identically_zero
 
 
+def _hp_rescaled(lam: float, field_z: str = "y") -> SweepFamily:
+    """z = xy rescaled by lam: z = xy/lam over [-lam, lam]^2, field (lam, 0, y)."""
+    M = Submanifold.graph(["x", "y"], [[-lam, lam], [-lam, lam]], [f"x*y/{lam!r}"])
+    return SweepFamily(M, 1, fields=[[repr(lam), "0", field_z]])
+
+
+def _saddle_rescaled(lam: float) -> SweepFamily:
+    """z = x^2 - y^2 rescaled by lam: z = (x^2 - y^2)/lam over [-lam, lam]^2,
+    field (lam, lam, 2x - 2y)."""
+    M = Submanifold.graph(["x", "y"], [[-lam, lam], [-lam, lam]],
+                          [f"(x^2 - y^2)/{lam!r}"])
+    return SweepFamily(M, 1, fields=[[repr(lam), repr(lam), "2*x - 2*y"]])
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1.0, 1e3])
+def test_growth_ruling_zero_under_rescaling(lam):
+    """volume_series certifies the rescaled ruling zero at every lam."""
+    assert growth_exponent(volume_series(_hp_rescaled(lam))).identically_zero
+
+
 @pytest.mark.parametrize("lam", [
     1e-3, 1.0,
     pytest.param(1e3, marks=pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 4: the absolute vol_zero floor reads a rounding-level "
-        "volume of 9.9e-9 as growth with slope 1"))),
+        "ROADMAP item 1: on the float quadrature the absolute vol_zero floor "
+        "reads a rounding-level volume of up to 7.2e-10 as growth with slope 1"))),
 ])
-def test_growth_ruling_zero_under_rescaling(lam):
-    """z = xy rescaled by lam: z = xy/lam over [-lam, lam]^2, field (lam, 0, y)."""
-    M = Submanifold.graph(["x", "y"], [[-lam, lam], [-lam, lam]], [f"x*y/{lam!r}"])
-    family = SweepFamily(M, 1, fields=[[repr(lam), "0", "y"]])
-    assert growth_exponent(volume_series(family)).identically_zero
+def test_quadrature_ruling_zero_under_rescaling(lam):
+    """The same series by the float quadrature alone, with no certificate."""
+    family = _hp_rescaled(lam)
+    series = [swept_volume(family, t) for t in geometric_grid()]
+    assert growth_exponent(series).identically_zero
+
+
+# -- exact zero certificate ----------------------------------------------------
+
+
+def _graph_family(chart_vars, height, fields, k=1) -> SweepFamily:
+    M = Submanifold.graph(chart_vars, [[-1, 1]] * len(chart_vars), height)
+    return SweepFamily(M, k, fields=fields)
+
+
+_CONFIRMED = ("plane", "cylinder", "hyperbolic_paraboloid", "saddle", "paraboloid",
+              "circle_rotation")
+
+#: families whose frame minors are the zero polynomial, with the mesh for
+#: their quadrature check (a 3-fold's default mesh has 2^21 nodes)
+_CERTIFIED = {
+    **{name: (lambda name=name: corpus.load(name).family, QuadConfig())
+       for name in _CONFIRMED},
+    # w = xy + z in R^4, ruled along (1, 0, 0, y)
+    "ruled_3fold": (lambda: _graph_family(["x", "y", "z"], ["x*y + z"],
+                                          [["1", "0", "0", "y"]]), QuadConfig(cells=4)),
+    **{f"hp*{lam!r}": (lambda lam=lam: _hp_rescaled(lam), QuadConfig())
+       for lam in (1e-3, 1.0, 1e3)},
+    **{f"saddle*{lam!r}": (lambda lam=lam: _saddle_rescaled(lam), QuadConfig())
+       for lam in (1e-3, 1.0, 1e3)},
+    # sin, cos and exp are atoms: a rotation whose arguments differ only in
+    # the order of their terms, and z = exp(x) y along its lines in y
+    "rotation_reordered": (lambda: SweepFamily(
+        Submanifold.parametric(["u"], [[0.0, 6.0]], ["sin(u)", "cos(u)"], 2), 1,
+        map_exprs=["sin(t + u)", "cos(u + t)"]), QuadConfig()),
+    "exp_graph": (lambda: _graph_family(["x", "y"], ["exp(x)*y"],
+                                        [["0", "1", "exp(x)"]]), QuadConfig()),
+}
+
+_UNCERTIFIED = {
+    "segment": lambda: corpus.load("segment").family,
+    "circle": lambda: corpus.load("circle").family,
+    # the non-ruled m = 3 bowl w = x^2 + y^2 + z^2
+    "bowl3": lambda: _graph_family(["x", "y", "z"], ["x^2 + y^2 + z^2"],
+                                   [["1", "0", "0", "2*x"]]),
+    # hp whose field is a ruling only where x(x^2 - 0.49) vanishes
+    **{f"hp_control_{eps!r}": (lambda eps=eps: _hp_rescaled(
+        1.0, f"y + {eps!r}*x*(x^2 - 0.49)")) for eps in (0.1, 1e-3)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CERTIFIED))
+def test_certificate_reads_zero(name):
+    assert frame_minors_vanish(_CERTIFIED[name][0]())
+
+
+@pytest.mark.parametrize("name", sorted(_UNCERTIFIED))
+def test_certificate_reads_nonzero(name):
+    assert not frame_minors_vanish(_UNCERTIFIED[name]())
+
+
+@pytest.mark.parametrize("name", sorted(_CERTIFIED))
+def test_certified_scenes_agree_with_floats(name):
+    """Independent checks of each certificate: the unchanged quadrature reads
+    a volume within vol_zero, and the float jet route gives VANISHES. hp and
+    saddle at lam = 1e3 read a rounding-level volume above the absolute
+    vol_zero (test_quadrature_ruling_zero_under_rescaling), so only their
+    vanishing verdict is checked."""
+    make, quad = _CERTIFIED[name]
+    family = make()
+    assert vanishing_verdict(family).vanishes
+    if not name.endswith("*1000.0"):
+        assert swept_volume(family, 0.2, quad).value <= Tolerances().vol_zero
+
+
+def test_certified_series_skips_the_quadrature(hp, quadrature_calls):
+    series = volume_series(hp.family, t_grid=[0.2, 0.1])
+    assert series == [VolumeSample(0.2, 0.0, 0.0), VolumeSample(0.1, 0.0, 0.0)]
+    assert quadrature_calls == []
+    with pytest.raises(ValueError):
+        volume_series(hp.family, t_grid=[0.2, 0.0])
+
+
+def test_cutoff_and_sqrt_scenes_take_the_float_route(scenes, quadrature_calls):
+    """A cutoff family (criterion 05) and a frame with a sqrt are never
+    certified, whatever their volume: the quadrature decides them, and the
+    sqrt graph of a cylinder swept along its rulings still reads zero."""
+    cylinder = _graph_family(["x", "w"], ["sqrt(1 - x^2)"], [["0", "1", "0"]])
+    with pytest.raises(ex.DomainError):
+        ex.evaluate_with(cylinder.map_frame[2][0], {"x": ex.Poly.generator("x")},
+                         ex.EXACT)
+    cases = [corpus.with_cutoff(scenes["hyperbolic_paraboloid"], 0.4, 0.9).family,
+             corpus.with_cutoff(scenes["sphere"], 0.2, 0.45).family,
+             scenes["sphere"].family, cylinder]
+    for family in cases:
+        assert not frame_minors_vanish(family)
+        before = len(quadrature_calls)
+        volume_series(family, t_grid=[0.2, 0.1], quad=QuadConfig(cells=4))
+        assert quadrature_calls[before:] == [0.2, 0.1]
+    assert growth_exponent(volume_series(cylinder)).identically_zero
+
+
+_DYADIC = st.integers(-8, 8).map(lambda i: i / 4)
+_MONOMIALS = ("1", "x", "y", "x*y", "x^2", "y^2")
+
+
+def _poly_text(coeffs, monomials) -> str:
+    return " + ".join(f"({c!r})*{m}" for c, m in zip(coeffs, monomials))
+
+
+@given(k=st.sampled_from([1, 2]), ruled=st.booleans(),
+       a=st.lists(_DYADIC, min_size=3, max_size=3),
+       b=st.lists(_DYADIC, min_size=3, max_size=3), c=_DYADIC,
+       bend=st.lists(_DYADIC, min_size=6, max_size=6),
+       curl=st.lists(_DYADIC, min_size=6, max_size=6))
+def test_certificate_agrees_with_the_float_minor_tensor(k, ruled, a, b, c, bend, curl):
+    """Random polynomial graphs z = a(y) x + b(y) (+ curl) with the fields
+    (1, 0, a(y)) (+ bend) and, for k = 2, (c, 0, c a(y)). Without bend and
+    curl the family moves each point along the line of its chart x-axis, so
+    the certificate must hold; wherever the float minor jets exceed rounding
+    on the sample grid, it must not."""
+    a_text = _poly_text(a, ("1", "y", "y^2"))
+    height = f"({a_text})*x + {_poly_text(b, ('1', 'y', 'y^2'))}"
+    field_z = a_text
+    if not ruled:
+        height += " + " + _poly_text(curl, _MONOMIALS)
+        field_z += " + " + _poly_text(bend, _MONOMIALS)
+    fields = [["1", "0", field_z]]
+    if k == 2:
+        fields.append([repr(c), "0", f"{c!r}*({a_text})"])
+    family = _graph_family(["x", "y"], [height], fields, k=k)
+    certified = frame_minors_vanish(family)
+    if ruled:
+        assert certified
+    X = family.M.grid(3, margin=0.15)
+    coeffs = _minor_jets(family, X, critical_degree(family))
+    if np.max(np.abs(coeffs)) > 1e-9:
+        assert not certified
 
 
 def test_growth_needs_five_samples(segment):
