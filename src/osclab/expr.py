@@ -29,8 +29,9 @@ interval row gets the entire line, so one stacked pass bounds every box.
 A fourth arithmetic, `EXACT`, runs the walker over `Poly`, sparse
 polynomials with `fractions.Fraction` coefficients, which a sweep's
 zero-volume certificate reads. Constants are the exact rational values of
-the doubles; a quotient is allowed only by a nonzero constant, and sqrt or
-any other quotient raises DomainError. sin, cos and exp each give an atom:
+the doubles (an inf or nan constant has none and raises DomainError); a
+quotient is allowed only by a nonzero constant, and sqrt or any other
+quotient raises DomainError. sin, cos and exp each give an atom:
 a fresh free generator keyed by the function and the canonical form of its
 exact argument, so equal arguments give one atom. The argument is sound one
 way only. A polynomial that is zero in free generators is zero for every
@@ -42,6 +43,7 @@ cos(x)^2 - 1 stays nonzero), and the caller then falls back to floats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -588,16 +590,19 @@ class Poly:
 
 class ExactArithmetic(Arithmetic):
     """Exact evaluation over Poly: constants are the exact rational values
-    of the doubles, a quotient is taken only by a nonzero constant, and sqrt
-    raises DomainError, as does a quotient by anything else. sin, cos and
-    exp give an atom, a free generator keyed by the function and the
-    canonical form of its exact argument, so equal arguments give one atom.
+    of the finite doubles, a quotient is taken only by a nonzero constant,
+    and sqrt raises DomainError, as does a quotient by anything else or a
+    constant that is inf or nan. sin, cos and exp give an atom, a free
+    generator keyed by the function and the canonical form of its exact
+    argument, so equal arguments give one atom.
     A result that is the zero polynomial is zero for every value of the
     variables and of the atoms, the true sin, cos and exp values included;
     a nonzero result proves nothing, since the relations between atoms
     (sin^2 + cos^2 = 1) are not known to the ring."""
 
     def const(self, value: float):
+        if not math.isfinite(value):
+            raise DomainError(f"no exact value for the constant {value}")
         return Poly.constant(value)
 
     def div(self, num, den):

@@ -359,7 +359,8 @@ def frame_minors_vanish(family: SweepFamily) -> bool:
     sin, cos and exp, is the zero polynomial. Its minors then vanish at every
     (x, t) whatever values the atoms take, so the volume element is exactly
     zero. False proves nothing: a cutoff family, a frame the ring cannot hold
-    (a sqrt, a quotient by a non-constant) and a nonzero minor all give it."""
+    (a sqrt, a quotient by a non-constant, an inf constant) and a nonzero
+    minor all give it."""
     if family.cutoff is not None:
         return False
     env = {v: ex.Poly.generator(v) for v in (*family.M.chart_vars, ex.TIME_VAR)}

@@ -326,7 +326,9 @@ def test_exact_quotient_by_a_constant_only():
     # 1/0.1 is not the double 10
     assert _exact("x/0.1 - 10*x").terms == {
         frozenset({("x", 1)}): 1 / Fraction(0.1) - 10}
-    for text in ("1/x", "x/(1 + t)", "x/0", "x/(y - y)", "sqrt(x)", "sqrt(4)"):
+    # a constant that overflows the double has no exact value either
+    for text in ("1/x", "x/(1 + t)", "x/0", "x/(y - y)", "sqrt(x)", "sqrt(4)",
+                 "1e400*x", "x*(1e400 - 1e400)"):
         with pytest.raises(ex.DomainError):
             _exact(text)
 

@@ -99,11 +99,14 @@ def test_tangent_field_sweeps_no_volume():
 
 
 def test_volume_monotone_in_t(segment, hp):
+    """On the series and on the plain quadrature (hp's series is certified
+    zero and runs none)."""
     for scene in (segment, hp):
-        series = volume_series(scene.family)
-        vols = [s.value for s in series][::-1]  # grid is descending in t
-        assert all(b >= a - 1e-12 for a, b in zip(vols, vols[1:]))
-        assert all(s.value >= 0 for s in series)
+        quadrature = [swept_volume(scene.family, t) for t in geometric_grid()]
+        for series in (volume_series(scene.family), quadrature):
+            vols = [s.value for s in series][::-1]  # grid is descending in t
+            assert all(b >= a - 1e-12 for a, b in zip(vols, vols[1:]))
+            assert all(s.value >= 0 for s in series)
 
 
 def test_volume_series_frees_its_meshes(segment):
@@ -115,12 +118,16 @@ def test_volume_series_frees_its_meshes(segment):
     assert volume_series(segment.family) == first
 
 
-def test_confirmed_scenes_sweep_exactly_zero_volume(series_for):
+def test_confirmed_scenes_sweep_exactly_zero_volume(scenes, series_for):
     """The six corpus scenes the theorem confirms sweep no volume at any t,
-    and their error estimates are exactly zero too."""
+    and their error estimates are exactly zero too: in their certified
+    series, and by the plain quadrature at every t of the grid."""
     for name in ("plane", "cylinder", "hyperbolic_paraboloid", "saddle",
                  "paraboloid", "circle_rotation"):
         assert all(s.value == 0.0 and s.error == 0.0 for s in series_for(name)), name
+        for t in geometric_grid():
+            s = swept_volume(scenes[name].family, t)
+            assert s.value == 0.0 and s.error == 0.0, (name, t)
 
 
 def test_swept_volume_requires_positive_t(segment):
@@ -463,6 +470,8 @@ def test_growth_sphere_tangent_slope_two():
 def test_growth_ruling_identically_zero(hp):
     fit = growth_exponent(volume_series(hp.family))
     assert fit.identically_zero
+    quadrature = [swept_volume(hp.family, t) for t in geometric_grid()]
+    assert growth_exponent(quadrature).identically_zero
 
 
 def _hp_rescaled(lam: float, field_z: str = "y") -> SweepFamily:
@@ -542,11 +551,6 @@ _UNCERTIFIED = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_CERTIFIED))
-def test_certificate_reads_zero(name):
-    assert frame_minors_vanish(_CERTIFIED[name][0]())
-
-
 @pytest.mark.parametrize("name", sorted(_UNCERTIFIED))
 def test_certificate_reads_nonzero(name):
     assert not frame_minors_vanish(_UNCERTIFIED[name]())
@@ -554,13 +558,15 @@ def test_certificate_reads_nonzero(name):
 
 @pytest.mark.parametrize("name", sorted(_CERTIFIED))
 def test_certified_scenes_agree_with_floats(name):
-    """Independent checks of each certificate: the unchanged quadrature reads
-    a volume within vol_zero, and the float jet route gives VANISHES. hp and
-    saddle at lam = 1e3 read a rounding-level volume above the absolute
-    vol_zero (test_quadrature_ruling_zero_under_rescaling), so only their
-    vanishing verdict is checked."""
+    """The certificate reads zero on each family, and two independent checks
+    agree with it: the unchanged quadrature reads a volume within vol_zero,
+    and the float jet route gives VANISHES. hp and saddle at lam = 1e3 read
+    a rounding-level volume above the absolute vol_zero
+    (test_quadrature_ruling_zero_under_rescaling), so only their vanishing
+    verdict is checked."""
     make, quad = _CERTIFIED[name]
     family = make()
+    assert frame_minors_vanish(family)
     assert vanishing_verdict(family).vanishes
     if not name.endswith("*1000.0"):
         assert swept_volume(family, 0.2, quad).value <= Tolerances().vol_zero
