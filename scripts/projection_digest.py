@@ -4,8 +4,10 @@
 For each built-in scene the projections run over three inputs: the
 ruledness points of the verdict pipeline (`ruledness`), the probes of its
 tube-radius search (`tube`, every dyadic halving in order) and 200 seeded
-points around the manifold (`far`). The script prints one line per scene
-and input with a short SHA-256 of each field.
+points around the manifold (`far`). The ruled 3-fold w = xy + z in R^4
+adds its 1,728 ruledness points (`ruled_3fold ruledness`), the one input
+that `project_batch` splits into chunks. The script prints one line per
+scene and input with a short SHA-256 of each field.
 
 Usage:
     python scripts/projection_digest.py [--save FILE.npz] [--against FILE.npz]
@@ -31,10 +33,18 @@ import numpy as np
 from osclab import corpus
 from osclab.manifold import BatchProjection, Submanifold
 from osclab.osculate import ruledness_check
+from osclab.scene import build_scene
 
 FIELDS = [f.name for f in fields(BatchProjection)]
 FLAGS = ("converged", "on_boundary", "ambiguous")
 FAR_POINTS = 200
+#: the ruled 3-fold w = xy + z swept along its rulings: m = 3, where a
+#: ruledness call of 27 samples x 64 parameters is taken in chunks
+RULED_3FOLD = {"manifold": {"type": "graph", "chart_vars": ["x", "y", "z"],
+                            "domain": [[-1, 1]] * 3, "ambient_dim": 4,
+                            "height": ["x*y + z"]},
+               "family": {"k": 1, "fields": [["1", "0", "0", "y"]]},
+               "params": {"quad_cells": 4}}
 
 
 def _captured(fn):
@@ -68,8 +78,18 @@ def _far_points(M: Submanifold, seed: int) -> np.ndarray:
     return rng.uniform(lo - pad, hi + pad, size=(FAR_POINTS, M.n))
 
 
+def _ruledness(scene, tube: float) -> dict:
+    M, params = scene.manifold, scene.params
+    _, out = _captured(lambda: ruledness_check(
+        M, scene.family.curve_at, params.span,
+        samples_per_axis=params.samples, margin=params.margin,
+        tube=tube, tol=params.tol))
+    return out
+
+
 def digest() -> dict:
-    """{(scene, input): {"query": P, field: values}} over the corpus."""
+    """{(scene, input): {"query": P, field: values}} over the corpus and
+    the ruled 3-fold's ruledness points."""
     out = {}
     for i, name in enumerate(corpus.names()):
         scene = corpus.load(name)
@@ -77,12 +97,12 @@ def digest() -> dict:
         rho, out[name, "tube"] = _captured(
             lambda: M.tube_radius(rho_max=params.tube_rho_max))
         if scene.family is not None:
-            _, out[name, "ruledness"] = _captured(lambda: ruledness_check(
-                M, scene.family.curve_at, params.span,
-                samples_per_axis=params.samples, margin=params.margin,
-                tube=rho, tol=params.tol))
+            out[name, "ruledness"] = _ruledness(scene, rho)
         far = _far_points(M, seed=i)
         _, out[name, "far"] = _captured(lambda: M.project_batch(far))
+    fold = build_scene(RULED_3FOLD, name="ruled_3fold")
+    out["ruled_3fold", "ruledness"] = _ruledness(
+        fold, min(fold.manifold.half_side, fold.manifold.reach_bound()))
     return out
 
 

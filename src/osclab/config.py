@@ -27,7 +27,6 @@ class Tolerances:
     contact_coeff: float = 1e-11
     degree_guard: float = 1e-9
     vanish: float = 1e-9
-    flow_residual: float = 1e-8
     flow_drift: float = 1e-6
     ruled: float = 1e-8
     vol_zero: float = 1e-13

@@ -12,8 +12,9 @@ it frames of jets, and the zero-volume certificate
 (sweep.frame_minors_vanish) frames of exact polynomials. Their Euclidean
 norm equals sqrt(det(Gram)) of the frame (Cauchy-Binet): the volume
 element, which frame_norm gives for a stack of frames and every frame
-volume in the library reads. `solve`, Cramer's rule on the minors
-of [A | b]^T, takes every square solve in the library.
+volume in the library reads; frame_ratio, its share of the Hadamard bound,
+is the rank measure every rank test compares with RANK_FLOOR. `solve`,
+Cramer's rule on the minors of [A | b]^T, takes every square solve.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ from __future__ import annotations
 from itertools import combinations
 
 import numpy as np
+
+#: a frame whose frame_ratio is at most this has dropped rank; the ratio, a
+#: product of sines, keeps its value when the scene or any column is rescaled
+RANK_FLOOR = 1e-8
 
 
 class DimensionMismatch(Exception):
@@ -53,6 +58,13 @@ def frame_norm(A) -> np.ndarray:
     (..., n, k): the norm of its maximal minors, sqrt(det(Gram)) by
     Cauchy-Binet. Shape (...)."""
     return np.linalg.norm(minors(A), axis=-1)
+
+
+def frame_ratio(A) -> np.ndarray:
+    """frame_norm over the product of the column norms of the stack A (..., n, k),
+    in [0, 1] (Hadamard), 0 for a zero column; taken on unit columns."""
+    norms = np.linalg.norm(A, axis=-2, keepdims=True)
+    return frame_norm(A / np.where(norms > 0.0, norms, 1.0))
 
 
 def solve(A, b) -> np.ndarray:

@@ -49,28 +49,21 @@ a parametric chart gets 0. tube_radius is a search: the largest dyadic
 radius at which random normal probes project back to their source, which
 runs project_batch once per level and raises NoConvergence when no level
 passes. The ruledness step (osculate.ruledness_record) counts samples
-within the certified bound and runs the search only when a sample lies
-beyond it, so that NoConvergence is raised only when the radius is needed.
+within the certified bound or the ruled tolerance and runs the search
+only when a sample lies beyond both, so that NoConvergence is raised only
+when the radius is needed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 
 import numpy as np
 
 from . import expr as ex
-from .exterior import frame_norm, solve
+from .exterior import RANK_FLOOR, frame_ratio, solve
 
-#: a parametric chart whose tangent frame norm falls to this is not an immersion.
-#: Absolute on purpose: it detects a rank drop, where the frame norm is 0 up
-#: to rounding, not a small scale. The frame norm is a ratio of ambient to
-#: chart length to the power m, so rescaling chart and ambient together (as
-#: tests/test_metamorphic.py does) leaves it unchanged; a chart that shrinks
-#: the ambient alone by lam moves it by lam^m, and a scale-free test would
-#: divide by the Hadamard bound, the product of the column norms
-IMMERSION_FLOOR = 1e-8
 #: projection: converged at this projected-gradient norm (relative to 1 + |p|),
 #: after at most PROJECT_MAX_ITER Newton steps per seed
 PROJECT_GRAD_TOL = 1e-12
@@ -87,6 +80,11 @@ PROJECT_DIST_TOL = 1e-9
 PROJECT_FOOT_TOL = 1e-6
 #: projection seeds: the centres of a grid of this many cells per chart axis
 SEEDS_PER_AXIS = 9
+#: project_batch takes its queries in chunks of at most this many (query,
+#: seed) rows, as sweep.MESH_CHUNK bounds the mesh: its working memory is
+#: then bounded whatever the query count. No m <= 2 call of the corpus is
+#: split; at m = 3 a chunk is 179 queries of 729 seeds
+PROJECT_CHUNK_ROWS = 2**17
 #: random normal probes per dyadic step of the tube-radius search
 TUBE_PROBES = 200
 
@@ -183,10 +181,10 @@ class Submanifold:
         maps = _as_exprs(maps)
         M = cls("parametric", chart_vars, box, maps, ambient_dim)
         J = M.jacobian_many(M.grid(17 if M.m <= 2 else 7))
-        worst = float(np.min(frame_norm(J)))
-        if worst <= IMMERSION_FLOOR:
+        worst = float(np.min(frame_ratio(J)))
+        if worst <= RANK_FLOOR:
             raise ImmersionError(
-                f"chart fails the immersion check: min frame norm {worst:.3e}"
+                f"chart fails the immersion check: min frame ratio {worst:.3e}"
             )
         return M
 
@@ -370,7 +368,18 @@ class Submanifold:
         return X, conv
 
     def project_batch(self, P) -> BatchProjection:
+        """Nearest points of the queries P (q, n), PROJECT_CHUNK_ROWS seed
+        rows at a time. Every result is per query, so the chunks change no
+        bit of it."""
         P = np.atleast_2d(np.asarray(P, dtype=float))
+        step = max(1, PROJECT_CHUNK_ROWS // SEEDS_PER_AXIS ** self.m)
+        if len(P) <= step:
+            return self._project_chunk(P)
+        parts = [self._project_chunk(P[i : i + step]) for i in range(0, len(P), step)]
+        return BatchProjection(*(np.concatenate([getattr(b, f.name) for b in parts])
+                                 for f in fields(BatchProjection)))
+
+    def _project_chunk(self, P) -> BatchProjection:
         q = P.shape[0]
         seeds, centres, slack = self._seed_screen()
         S, m = seeds.shape
@@ -513,7 +522,8 @@ class Submanifold:
         A search, not a certificate: it runs project_batch once per level
         and raises NoConvergence when no level passes. reach_bound is the
         certified (and much cheaper) bound; osculate.ruledness_record runs
-        this search only when a sample lies beyond it."""
+        this search only when a sample lies beyond it and beyond the ruled
+        tolerance."""
         if rho_max is None:
             rho_max = self.half_side
         rng = np.random.default_rng(seed)

@@ -10,9 +10,9 @@ the same code path.
 The global containment conclusion of the underlying theorem relies on
 analytic continuation, which numerics cannot perform: every verdict here
 is a finite-window statement, containment over a finite parameter span
-inside a tube around the manifold (a graph's certified reach bound, and
-the probed tube radius only where a sample lies beyond it), and the
-reports say so explicitly.
+inside a tube around the manifold (the larger of a graph's certified reach
+bound and the ruled tolerance, and the probed tube radius only where a
+sample lies beyond both), and the reports say so explicitly.
 """
 
 from __future__ import annotations
@@ -264,15 +264,18 @@ def ruledness_check(M: Submanifold, curve_provider, span: float, *, tube: float,
                     tol=_TOL) -> RuledVerdict:
     """Max distance of the curves Gamma_x to M over parameters in [-S, S].
 
-    Curve samples outside the tube of radius `tube`, with ambiguous
-    projections, or whose feet land on the box edge (truncation artifacts)
-    are excluded; if every sample is excluded the verdict is UNDECIDED.
+    Curve samples with ambiguous projections, whose feet land on the box
+    edge (truncation artifacts), or that lie farther from M than both the
+    tube radius `tube` and the ruled tolerance are excluded; if every
+    sample is excluded the verdict is UNDECIDED. A sample within the
+    tolerance counts whatever the tube: its found foot bounds its distance
+    from above, so it lies that near M.
 
     With `probe`, a zero-argument callable that returns a probed tube radius
     (ruledness_record passes Submanifold.tube_radius), `tube` is a certified
     radius, and the probe runs only when some converged, unambiguous sample
-    off the box edge lies farther than `tube`; samples then count within
-    max(tube, probe()). Whatever the probe raises (NoConvergence from the
+    off the box edge lies beyond both; samples then count within the
+    largest of the three. Whatever the probe raises (NoConvergence from the
     search) is raised only then.
     """
     X = M.grid(samples_per_axis, margin=margin)
@@ -282,12 +285,13 @@ def ruledness_check(M: Submanifold, curve_provider, span: float, *, tube: float,
         [np.atleast_2d(curve_provider(x)(svals)) for x in X], axis=0)
     b = M.project_batch(pts)
     eligible = b.converged & ~b.ambiguous & ~b.on_boundary
-    if probe is not None and np.any(eligible & (b.distance > tube)):
-        tube = max(tube, probe())
-    valid = eligible & (b.distance <= tube)
+    tolerance = tol.ruled * (1.0 + scene_scale)
+    radius = max(tube, tolerance)
+    if probe is not None and np.any(eligible & (b.distance > radius)):
+        radius = max(radius, probe())
+    valid = eligible & (b.distance <= radius)
     counted = int(np.count_nonzero(valid))
     skipped = int(valid.size - counted)
-    tolerance = tol.ruled * (1.0 + scene_scale)
     per_sample = [{"x": x.tolist(), "counted": int(np.count_nonzero(v)),
                    "max_distance": float(np.max(d[v])) if np.any(v) else None}
                   for x, v, d in zip(X, valid.reshape(len(X), -1),
@@ -342,10 +346,11 @@ def ruledness_record(M: Submanifold, family: SweepFamily,
 
     The tube is r_cert = min(rho_max, M.reach_bound()), with rho_max the
     run's tube_rho_max (default M.half_side): the certified reach bound of a
-    graph chart, 0 for a parametric one. The probed tube_radius search runs
-    only when a sample that would otherwise count lies beyond r_cert, and
-    samples then count within max(r_cert, probed radius), so a search that
-    raises NoConvergence fails the step only when its radius is needed."""
+    graph chart, 0 for a parametric one. Samples within max(r_cert, ruled
+    tolerance) count. The probed tube_radius search runs only when a sample
+    that would otherwise count lies beyond both, and samples then count
+    within the largest of the three, so a search that raises NoConvergence
+    fails the step only when its radius is needed."""
     rho_max = M.half_side if params.tube_rho_max is None else params.tube_rho_max
     rv = ruledness_check(M, family.curve_at, params.span,
                          tube=min(rho_max, M.reach_bound()),

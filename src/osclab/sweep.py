@@ -34,9 +34,9 @@ of swept_volume, which itself never reads the certificate.
 
 The flow check integrates every start in both time directions as one
 adaptive Dormand-Prince 5(4) state: each stage makes one frame_many call and
-one batched minimum-norm solve (np.linalg.pinv), whose residual certifies
-each trajectory, and the last stage of an accepted step is the first of the
-next (FSAL), so a step costs six solves. Each trajectory keeps its own step
+one batched minimum-norm solve (np.linalg.pinv), whose residual over |dt phi|
+certifies each trajectory, and the last stage of an accepted step is the
+first of the next (FSAL), so a step costs six solves. Each trajectory keeps its own step
 size, at most t_span/8, and accepts a step whose embedded error estimate is
 within a fixed fraction of the drift tolerance; drift and box exits are
 measured at accepted steps only, and the summed estimates count against the
@@ -54,9 +54,9 @@ import numpy as np
 from . import expr as ex
 from .config import QuadConfig, Tolerances, composite_gauss, geometric_grid
 from .contact import ExprCurve, PolyCurve
-from .exterior import frame_norm, index_combinations, minors, wedge_ring
+from .exterior import RANK_FLOOR, frame_norm, frame_ratio, index_combinations, wedge_ring
 from .jets import Jet, default_degree, jet_eval_expr
-from .manifold import IMMERSION_FLOOR, OutOfDomain, Submanifold
+from .manifold import OutOfDomain, Submanifold
 
 _TOL = Tolerances()
 
@@ -438,16 +438,12 @@ def reparam_invariance_test(family: SweepFamily, psi_exprs, t_extent: float,
         raise ValueError("reparametrization needs m+1 component expressions")
     dpsi = [ex.diff(c, v) for c in psi for v in (*M.chart_vars, ex.TIME_VAR)]
 
-    # nonvanishing Jacobian determinant, checked by sampling. The floor is
-    # absolute on purpose: psi maps chart and time to themselves, so its
-    # Jacobian determinant has no units and keeps its value when the chart
-    # axes and t are rescaled; random_reparam's warps keep every axis
-    # derivative at least 0.2, so the floor only catches a degenerate psi
+    # nonvanishing Jacobian determinant, checked by sampling
     Xs = M.grid(5)
     for s in np.linspace(-t_extent, t_extent, 9):
         env = family._env(Xs, np.full(Xs.shape[0], s))
         Dv = ex.evaluate_many(dpsi, env, Xs.shape[:-1]).reshape(-1, M.m + 1, M.m + 1)
-        if np.min(np.abs(minors(Dv)[:, 0])) < 1e-10:
+        if np.min(frame_ratio(Dv)) <= RANK_FLOOR:
             raise DegenerateReparam("Jacobian determinant vanishes on a sample")
 
     vol = _integrate(family, t_extent, quad)
@@ -625,13 +621,14 @@ class FlowReport:
 
 def _solve_field(family: SweepFamily, U: np.ndarray, T: np.ndarray):
     """Minimum-norm Y with D(phi_t) Y = dt(phi_t) at paired points (U, T),
-    by one batched pseudoinverse, and the residual norm of each solve."""
+    by one batched pseudoinverse, the residual norm of each solve and
+    |dt(phi_t)|: their ratio is the sine of dt(phi_t)'s angle to the span."""
     frame = family.frame_many(U, T)
     m = family.M.m
     J, rhs = frame[:, :, :m], frame[:, :, m:]
     Y = np.linalg.pinv(J) @ rhs
     resid = np.linalg.norm((J @ Y - rhs)[:, :, 0], axis=-1)
-    return Y[:, :, 0], resid
+    return Y[:, :, 0], resid, np.linalg.norm(rhs[:, :, 0], axis=-1)
 
 
 #: accepted plus rejected Dormand-Prince steps allowed to one trajectory
@@ -672,7 +669,8 @@ def tangency_flow_check(family: SweepFamily, starts, t_span: float,
 
     All starts, shape (L, m), and both directions run as one state; each
     stage makes one frame_many call and one batched minimum-norm solve,
-    whose residual is the rank certificate. Every trajectory keeps its own
+    whose residual is the rank certificate: it must be at most RANK_FLOOR
+    |dt(phi_t)| (0 <= 0 where dt(phi_t) = 0). Every trajectory keeps its own
     step size. A step is accepted when its embedded error estimate (the
     Euclidean norm, in chart coordinates, of the 5th- minus the 4th-order
     solution) is at most FLOW_LOCAL_FRACTION * tol.flow_drift; a rejected
@@ -699,14 +697,13 @@ def tangency_flow_check(family: SweepFamily, starts, t_span: float,
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     L = starts.shape[0]
 
-    # embedding precondition: Submanifold.parametric's immersion test of the
+    # embedding precondition: Submanifold.parametric's rank test of the
     # chart frame of phi_t on a grid, at 9 values of t
     Xg = M.grid(5, margin=0.05)
     ts = np.repeat(np.linspace(-t_span, t_span, 9), Xg.shape[0])
-    frames = family.frame_many(np.tile(Xg, (9, 1)), ts)[:, :, : M.m]
-    vol = frame_norm(frames)
-    if np.min(vol) <= IMMERSION_FLOOR:
-        raise FlowRankError(f"phi_t is not an embedding at t={ts[np.argmin(vol)]:.4g}")
+    ratio = frame_ratio(family.frame_many(np.tile(Xg, (9, 1)), ts)[:, :, : M.m])
+    if np.min(ratio) <= RANK_FLOOR:
+        raise FlowRankError(f"phi_t is not an embedding at t={ts[np.argmin(ratio)]:.4g}")
 
     # trajectory r < L runs start r forward in t, trajectory L + r backward
     U = np.concatenate([starts, starts])
@@ -724,8 +721,8 @@ def tangency_flow_check(family: SweepFamily, starts, t_span: float,
     live = np.nonzero(np.tile(inside, 2))[0]
 
     def rhs(uu, tt, rows, ok):
-        Y, res = _solve_field(family, uu, tt)
-        for i in np.nonzero(ok & ~(res <= tol.flow_residual))[0]:
+        Y, res, speed = _solve_field(family, uu, tt)
+        for i in np.nonzero(ok & ~(res <= RANK_FLOOR * speed))[0]:
             ok[i] = False
             errors[rows[i]] = FlowRankError(
                 f"rank certificate failed: least-squares residual {res[i]:.3e} "

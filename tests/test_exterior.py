@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from osclab.exterior import (
     DimensionMismatch,
     frame_norm,
+    frame_ratio,
     index_combinations,
     max_minor_rows,
     minors,
@@ -43,6 +44,26 @@ def test_norm_examples():
     assert frame_norm(_frame(e[0], e[1])) == 1.0
     assert frame_norm(_frame(2 * e[0], 3 * e[1])) == 6.0
     assert frame_norm(_frame([1.0, 0.0], [1.0, 1.0])) == 1.0
+
+
+def test_frame_ratio_measures_angles_not_lengths():
+    """The frame norm over the product of the column norms: 1 for
+    orthogonal columns, the sine of their angle for two, unchanged when one
+    column is rescaled, and 0 when a column is 0 or the rank drops."""
+    e = np.eye(3)
+    assert frame_ratio(_frame(2 * e[0], 3e-9 * e[1])) == 1.0
+    tilted = _frame([1.0, 0.0, 0.0], [1.0, 1.0, 0.0])
+    assert frame_ratio(tilted) == pytest.approx(np.sqrt(0.5), rel=1e-15)
+    assert frame_ratio(tilted * [1e-150, 1e150]) == pytest.approx(np.sqrt(0.5), rel=1e-15)
+    assert frame_ratio(_frame(e[0], 0 * e[1])) == 0.0
+    v = np.array([0.3, -1.2, 2.0])
+    assert frame_ratio(_frame(v, v)) == pytest.approx(0.0, abs=1e-15)
+    rng = np.random.default_rng(8)
+    A = rng.normal(size=(5, 4, 3))
+    got = frame_ratio(A)
+    assert got.shape == (5,) and np.all((got >= 0.0) & (got <= 1.0))
+    assert np.allclose(got, frame_norm(A) / np.prod(np.linalg.norm(A, axis=-2), axis=-1),
+                       rtol=1e-13, atol=0.0)
 
 
 def test_gram_equivalence_on_random_frames():

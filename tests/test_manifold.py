@@ -3,7 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from osclab import corpus
+from osclab import corpus, manifold
 from osclab import expr as ex
 from osclab.manifold import (
     PROJECT_DIST_TOL,
@@ -14,7 +14,15 @@ from osclab.manifold import (
     OutOfDomain,
     Submanifold,
 )
+from osclab.scene import build_scene
 from oracles import dense_distance_min, grid_min_1d, grid_min_2d
+
+#: the ruled 3-fold w = xy + z in R^4, swept along its rulings
+RULED_3FOLD = {"manifold": {"type": "graph", "chart_vars": ["x", "y", "z"],
+                            "domain": [[-1, 1]] * 3, "ambient_dim": 4,
+                            "height": ["x*y + z"]},
+               "family": {"k": 1, "fields": [["1", "0", "0", "y"]]},
+               "params": {"quad_cells": 4}}
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +140,17 @@ def test_immersion_check():
         Submanifold.parametric(["u"], [[0, 1]], ["0", "0"], 2)
 
 
+def test_immersion_check_reads_angles_not_lengths():
+    # the chart axes differ in scale by 1e9: the frame norm is 1e-9, but
+    # the columns are orthogonal, so the chart is an immersion; parallel
+    # columns are refused at any scale
+    M = Submanifold.parametric(["u", "v"], [[-1, 1]] * 2, ["1e-9*u", "v", "0"], 3)
+    assert M.m == 2
+    with pytest.raises(ImmersionError):
+        Submanifold.parametric(["u", "v"], [[-1, 1]] * 2,
+                               ["1e-9*(u + v)", "1e3*(u + v)", "0"], 3)
+
+
 def test_tube_radius_values(plane, sphere_cap):
     circle = Submanifold.parametric(
         ["u"], [[0.0, 2 * np.pi]], ["sin(u)", "cos(u)"], 2)
@@ -238,6 +257,24 @@ def test_line_search_evaluates_only_searching_rows(monkeypatch):
     assert sum(rows) <= 5_740_194 // 2
     for f in fields(BatchProjection):
         assert np.array_equal(getattr(spied, f.name), getattr(plain, f.name))
+
+
+@pytest.mark.parametrize("name, every", [("saddle", 1), ("ruled_3fold", 8)])
+def test_chunked_projection_changes_no_bit(name, every, monkeypatch):
+    # ruledness points (every 8th of the 3-fold's 1,728, so that the call
+    # in one piece stays small), projected in one piece and then in chunks
+    # of 50 queries, the last one shorter
+    scene = build_scene(RULED_3FOLD) if name == "ruled_3fold" else corpus.load(name)
+    M = scene.manifold
+    pts = _ruledness_points(scene)[::every]
+    monkeypatch.setattr(manifold, "PROJECT_CHUNK_ROWS", len(pts) * 9**M.m)
+    whole = M.project_batch(pts)
+    rows = _spy_rows(monkeypatch, "_project_chunk")
+    monkeypatch.setattr(manifold, "PROJECT_CHUNK_ROWS", 50 * 9**M.m + 9)
+    split = M.project_batch(pts)
+    assert rows == [50] * (len(pts) // 50) + [len(pts) % 50]
+    for f in fields(BatchProjection):
+        assert np.array_equal(getattr(split, f.name), getattr(whole, f.name))
 
 
 def test_screen_runs_few_newton_rows(monkeypatch):

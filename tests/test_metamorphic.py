@@ -1,10 +1,14 @@
 """Metamorphic verdict tests: an isometry of the ambient space, or a
 re-labelling of the chart, must leave every corpus verdict and its first
 failing step unchanged, and so must writing a patch as a graph instead of
-a parametric chart. Rescaling is pinned separately in test_sweep.py:
-test_growth_ruling_zero_under_rescaling holds at every scale, and the
-strict xfail of test_quadrature_ruling_zero_under_rescaling pins the float
-quadrature's scale-dependent zero test."""
+a parametric chart. Rescaling is pinned by
+test_parametric_three_fold_confirmed_under_rescaling here, whose chart the
+immersion test accepts and whose ruledness samples count at every scale,
+and separately in test_sweep.py: test_growth_ruling_zero_under_rescaling
+holds at every scale, test_flow_certificate_under_rescaling fails the
+transverse segment's rank certificate at every scale, and the strict xfail
+of test_quadrature_ruling_zero_under_rescaling pins the float quadrature's
+scale-dependent zero test."""
 
 import copy
 import json
@@ -103,6 +107,25 @@ def test_rewrites_move_every_point_as_stated():
                 if M.kind == "graph":
                     q[:2] = q[1::-1]
                 assert np.allclose(q, p, atol=1e-12)
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1.0, 1e6])
+def test_parametric_three_fold_confirmed_under_rescaling(lam):
+    """The ruled 3-fold w = xy + z as the parametric chart lam (x, y, z,
+    xy + z), swept along its rulings. Its frame norm moves by lam^3, and
+    its ruledness samples lie at rounding-level distances that scale with
+    lam, beyond a parametric chart's certified tube (0): both must leave
+    the verdict alone. The settings keep the lam = 1e6 case, where many
+    projections fail to converge and run every Newton step, to 512 queries."""
+    s = repr(lam)
+    data = {"manifold": {"type": "parametric", "chart_vars": ["x", "y", "z"],
+                         "domain": [[-1, 1]] * 3, "ambient_dim": 4,
+                         "map": [f"{s}*x", f"{s}*y", f"{s}*z", f"{s}*(x*y + z)"]},
+            "family": {"k": 1, "fields": [[s, "0", "0", f"{s}*y"]]},
+            "params": {"quad_cells": 4, "samples": 2, "margin": 0.25, "span": 0.5}}
+    report = verify_theorem(build_scene(data), seed=0)
+    assert report.verdict == "THEOREM_CONFIRMED", report.first_failure
+    assert report.steps["ruledness"]["counted"] > 0
 
 
 def _step_one(data: dict):

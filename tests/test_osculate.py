@@ -421,16 +421,16 @@ def test_ruledness_raises_a_probe_error_only_when_probing():
 
 
 def test_verify_probes_the_tube_only_beyond_the_certificate(tube_calls):
-    # a corpus pass runs the tube-radius search on circle_rotation alone:
-    # its parametric chart has no certificate (r_cert = 0) and its curves
-    # sit at rounding-level distances above 0. Cylinder's counted distances
-    # are exactly 0, and every graph's samples lie within its reach bound
+    # a corpus pass runs no tube-radius search: every graph's samples lie
+    # within its reach bound, and the parametric charts (no certificate,
+    # r_cert = 0) have circle_rotation's curves at rounding-level distances
+    # and cylinder's at exactly 0, all within the ruled tolerance
     probed = []
     for name in corpus.names():
         osculate.verify_theorem(corpus.load(name), seed=0)
         probed += [name] * len(tube_calls)
         tube_calls.clear()
-    assert probed == ["circle_rotation"]
+    assert probed == []
 
 
 def test_verify_confirms_ruled_scenes(verify_report):

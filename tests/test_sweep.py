@@ -689,7 +689,7 @@ def test_flow_ruling_matches_closed_form(hp, monkeypatch):
     assert len(calls) <= 120
     # the transported field is constant: Y = (1, 0), flow x(t) = x0 - t
     from osclab.sweep import _solve_field
-    Y, resid = _solve_field(hp.family, np.tile([0.05, -0.1], (3, 1)),
+    Y, resid, _ = _solve_field(hp.family, np.tile([0.05, -0.1], (3, 1)),
                             np.array([0.0, 0.1, -0.15]))
     assert np.allclose(Y, [1.0, 0.0], atol=1e-12)
     assert np.all(resid <= 1e-12)
@@ -732,6 +732,20 @@ def test_flow_failed_certificate_ends_only_its_start(segment):
     for fr in reports:
         assert isinstance(fr.error, FlowRankError)
         assert "least-squares residual 1.000e+00" in str(fr.error)
+        assert not fr.passed and fr.steps == 0
+
+
+@pytest.mark.parametrize("lam", [1e-9, 1.0, 1e3])
+def test_flow_certificate_under_rescaling(lam):
+    """The transverse segment scaled by lam, the graph y = 0 over [0, lam]
+    swept by (0, lam): dt(phi) is normal to the chart at every scale, so the
+    certificate, which reads the residual against |dt(phi)|, fails at every
+    start."""
+    M = Submanifold.graph(["x"], [[0.0, lam]], ["0"])
+    family = SweepFamily(M, 1, fields=[["0", repr(lam)]])
+    reports = tangency_flow_check(family, np.array([[0.3 * lam], [0.6 * lam]]), 0.2)
+    for fr in reports:
+        assert isinstance(fr.error, FlowRankError)
         assert not fr.passed and fr.steps == 0
 
 
