@@ -2,12 +2,13 @@
 """Hash every `BatchProjection` field that the corpus projections produce.
 
 For each built-in scene the projections run over three inputs: the
-ruledness points of the verdict pipeline (`ruledness`), the probes of its
-tube-radius search (`tube`, every dyadic halving in order) and 200 seeded
-points around the manifold (`far`). The ruled 3-fold w = xy + z in R^4
-adds its 1,728 ruledness points (`ruled_3fold ruledness`), the one input
-that `project_batch` splits into chunks. The script prints one line per
-scene and input with a short SHA-256 of each field.
+ruledness points of the verdict pipeline (`ruledness`), the probes of each
+level that its tube-radius search projects (`tube@<rho>`, one input per
+dyadic level) and 200 seeded points around the manifold (`far`). The
+ruled 3-fold w = xy + z in R^4 adds its 1,728 ruledness points
+(`ruled_3fold ruledness`), the one input that `project_batch` splits into
+chunks. The script prints one line per scene and input with a short
+SHA-256 of each field.
 
 Usage:
     python scripts/projection_digest.py [--save FILE.npz] [--against FILE.npz]
@@ -15,10 +16,13 @@ Usage:
 `--save` stores the queries and every field. `--against` compares with a
 stored run, for instance one made from another checkout with its `src` on
 PYTHONPATH, and lists every row that differs with the absolute difference
-of each field. A summary follows, one line per scene and input: how many
-`converged`, `on_boundary` and `ambiguous` flags flip each way (+ for False
-to True, - for True to False) and the largest decrease in `distance`. It
-exits 1 when a row differs.
+of each field. Tube levels line up by rho, so a level that only one run
+projected (a search that refutes it without projecting, say) is named as
+such and the levels both runs projected are compared row by row. A
+summary follows, one line per scene and input: how many `converged`,
+`on_boundary` and `ambiguous` flags flip each way (+ for False to True, -
+for True to False) and the largest decrease in `distance`. It exits 1 when
+a row differs or an input is in one run only.
 """
 
 from __future__ import annotations
@@ -50,12 +54,20 @@ RULED_3FOLD = {"manifold": {"type": "graph", "chart_vars": ["x", "y", "z"],
 def _captured(fn):
     """Run fn(); return its value and the queries and results of every
     project_batch call it made, concatenated in call order."""
+    value, calls = _calls(fn)
+    return value, _joined(calls)
+
+
+def _calls(fn):
+    """Run fn(); return its value and a list of (the caller's `rho` or None,
+    queries, result), one per project_batch call it made."""
     calls = []
     original = Submanifold.project_batch
 
     def spy(self, P):
         b = original(self, P)
-        calls.append((np.atleast_2d(np.asarray(P, dtype=float)), b))
+        calls.append((sys._getframe(1).f_locals.get("rho"),
+                      np.atleast_2d(np.asarray(P, dtype=float)), b))
         return b
 
     Submanifold.project_batch = spy
@@ -63,10 +75,21 @@ def _captured(fn):
         value = fn()
     finally:
         Submanifold.project_batch = original
-    out = {"query": np.concatenate([P for P, _ in calls])}
+    return value, calls
+
+
+def _joined(calls) -> dict:
+    out = {"query": np.concatenate([P for _, P, _ in calls])}
     for name in FIELDS:
-        out[name] = np.concatenate([getattr(b, name) for _, b in calls])
-    return value, out
+        out[name] = np.concatenate([getattr(b, name) for _, _, b in calls])
+    return out
+
+
+def _tube_levels(M: Submanifold, rho_max) -> tuple[float, dict]:
+    """The tube radius, and {f"tube@{rho:g}": queries and fields} for each
+    level that the search projected, read off the search's own `rho`."""
+    rho, calls = _calls(lambda: M.tube_radius(rho_max=rho_max))
+    return rho, {f"tube@{level:g}": _joined([(level, P, b)]) for level, P, b in calls}
 
 
 def _far_points(M: Submanifold, seed: int) -> np.ndarray:
@@ -94,8 +117,8 @@ def digest() -> dict:
     for i, name in enumerate(corpus.names()):
         scene = corpus.load(name)
         M, params = scene.manifold, scene.params
-        rho, out[name, "tube"] = _captured(
-            lambda: M.tube_radius(rho_max=params.tube_rho_max))
+        rho, levels = _tube_levels(M, params.tube_rho_max)
+        out.update({(name, level): v for level, v in levels.items()})
         if scene.family is not None:
             out[name, "ruledness"] = _ruledness(scene, rho)
         far = _far_points(M, seed=i)
@@ -141,7 +164,8 @@ def compare(run: dict, ref: dict) -> int:
     for key in sorted(set(run) | set(ref)):
         label = " ".join(key)
         if key not in run or key not in ref:
-            print(f"{label}: only in {'this run' if key in run else 'the stored run'}")
+            side = "this run" if key in run else "the stored run"
+            print(f"{label}: projected only in {side}")
             differing += 1
             continue
         a, b = run[key], ref[key]
@@ -186,7 +210,7 @@ def main(argv=None) -> int:
     run = digest()
     for (scene, inp), vals in run.items():
         hashes = " ".join(f"{name}={_short_hash(vals[name])}" for name in FIELDS)
-        print(f"{scene:22s} {inp:9s} {len(vals['query']):6d} {hashes}")
+        print(f"{scene:22s} {inp:16s} {len(vals['query']):6d} {hashes}")
     if args.save:
         _save(args.save, run)
     if args.against:

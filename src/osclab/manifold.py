@@ -24,18 +24,26 @@ Each Newton iteration splits the coordinates into an active set, those on
 a bound whose descent direction -grad f points out of the box, which stay
 fixed, and the free rest, which take the Newton step of the stationarity
 system J^T (p - c) = 0 restricted to them. The step is clipped to the box
-and halved, up to 14 times, until it cuts the merit |pg|^2 by an Armijo
+and halved, up to 13 times, until it cuts the merit |pg|^2 by an Armijo
 fraction (PROJECT_ARMIJO), where pg, the projected gradient, is grad f with
-the active components zeroed; a halving re-evaluates only the rows that
-have not yet improved, so one row that keeps searching does not cost the
-whole batch an evaluation per halving. A row converges when |pg| falls to
-PROJECT_GRAD_TOL (1 + |p|). Inside the box pg is the gradient; at a
-minimum on the box edge, where the gradient itself is not 0, pg is 0, so
-edge minima converge like interior ones. A trial point at which the chart
-leaves its domain (a Jacobian undefined on the edge) counts as no
-improvement. Disagreeing global minima (same distance, different feet)
-are reported as AmbiguousProjection: the query point has left the tubular
-neighbourhood where the nearest point is unique.
+the active components zeroed. The 14 steps run in blocks of 1, 2, 4 and 7,
+and a block evaluates only the rows that have not yet improved: a row that
+keeps searching costs 4 evaluation calls per iteration instead of 14, and
+a row that has improved is not evaluated again. A row takes the first step
+that improves, as one halving after another would. A block is narrowed
+where it would hold more rows than the descent's first evaluation, so the
+blocks add no memory to that evaluation's. Each point is evaluated once: a
+row carries its embedding, Jacobian and gradient from the trial point it
+accepts into the next iteration, and its final embedding out of the
+descent, so only the Hessian is evaluated anew per iteration. A row
+converges when |pg| falls to PROJECT_GRAD_TOL (1 + |p|). Inside the box
+pg is the gradient; at a minimum on the box edge, where the gradient
+itself is not 0, pg is 0, so edge minima converge like interior ones. A
+trial point at which the chart leaves its domain (a Jacobian undefined on
+the edge) counts as no improvement. Disagreeing global minima (same
+distance, different feet) are reported as AmbiguousProjection: the query
+point has left the tubular neighbourhood where the nearest point is
+unique.
 
 The box is a truncation of the ideally boundaryless manifold, so feet on
 the box edge are flagged and callers near the boundary are expected to
@@ -47,11 +55,13 @@ bound on the height Hessians over the box, a lower bound on the reach by
 Federer's criterion (the argument is in its docstring), edges included;
 a parametric chart gets 0. tube_radius is a search: the largest dyadic
 radius at which random normal probes project back to their source, which
-runs project_batch once per level and raises NoConvergence when no level
-passes. The ruledness step (osculate.ruledness_record) counts samples
-within the certified bound or the ruled tolerance and runs the search
-only when a sample lies beyond both, so that NoConvergence is raised only
-when the radius is needed.
+raises NoConvergence when no level passes. A level at which some probe
+lies nearer a seed-cell centre, a point of M, than any foot close to its
+source could be is refuted without a projection; every other level runs
+project_batch once. The ruledness step (osculate.ruledness_record) counts
+samples within the certified bound or the ruled tolerance and runs the
+search only when a sample lies beyond both, so that NoConvergence is
+raised only when the radius is needed.
 """
 
 from __future__ import annotations
@@ -87,6 +97,9 @@ SEEDS_PER_AXIS = 9
 PROJECT_CHUNK_ROWS = 2**17
 #: random normal probes per dyadic step of the tube-radius search
 TUBE_PROBES = 200
+#: a tube probe projects back to its source A when its foot lies within this
+#: distance of A, relative to 1 + |A|
+TUBE_FOOT_TOL = 1e-6
 
 
 class ManifoldError(Exception):
@@ -273,21 +286,32 @@ class Submanifold:
     def _descend(self, X, P):
         """Projected Newton (Bertsekas 1982) from the rows of X towards
         stationary points of f(x) = |P - c(x)|^2 in the box; returns the
-        final X and a converged mask.
+        final X, a converged mask and the embedding c(X).
 
         Each iteration fixes the coordinates that sit on a bound and whose
         descent direction -grad f points out of the box, and takes the
         Newton step of the stationarity system J^T (p - c) = 0 on the free
         ones: the fixed coordinates get an identity row and a zero
         right-hand side in the one exterior.solve. The trial point is
-        clipped to the box, and the step halves until the merit |pg|^2
-        falls by the Armijo fraction, where pg, the projected gradient, is
-        grad f with the fixed components zeroed. At an interior point pg is
-        the whole gradient; at a minimum on the box edge, where grad f
-        itself is not 0, pg is 0, so edge minima converge too. A row has
+        clipped to the box, and the step halves, up to 13 times, until the
+        merit |pg|^2 falls by the Armijo fraction, where pg, the projected
+        gradient, is grad f with the fixed components zeroed. The 14 steps
+        are tried in blocks of 1, 2, 4 and 7, each one evaluation of the
+        rows still searching, narrowed to hold no more rows than the first
+        evaluation; a row takes the first step that improves, as one
+        halving after another would. At an interior point pg is the whole
+        gradient; at a minimum on the box edge, where grad f itself is not
+        0, pg is 0, so edge minima converge too. A row has
         converged when |pg| is at most PROJECT_GRAD_TOL (1 + |p|); a row no
         halving improves stops there, unconverged. A trial point at which
-        the chart leaves its domain does not improve."""
+        the chart leaves its domain does not improve.
+
+        Each point is evaluated once: every row carries c, J and J^T (p - c)
+        from its start, or from the trial point it last accepted, into the
+        next iteration and out as the returned embedding; only the Hessian
+        is evaluated afresh, once per iteration. The rows still descending
+        are kept compact, and a row writes its point and embedding back
+        when it stops."""
         X = np.array(X, dtype=float)
         lo, hi = self.box[:, 0], self.box[:, 1]
         side = hi - lo
@@ -309,10 +333,10 @@ class Submanifold:
                 return np.concatenate([defined(fn, Xc[:half]), defined(fn, Xc[half:])])
 
         def stationarity(Xc, Pc):
-            R = Pc - defined(self.embed_many, Xc)
+            C = defined(self.embed_many, Xc)
             J = defined(self.jacobian_many, Xc)
-            G = np.einsum("rnm,rn->rm", J, R)  # J^T R = -grad f / 2
-            return R, J, G
+            G = np.einsum("rnm,rn->rm", J, Pc - C)  # J^T (p - c) = -grad f / 2
+            return C, J, G
 
         def projected_gradient(Xc, G):
             g = -2.0 * G
@@ -323,49 +347,73 @@ class Submanifold:
         def merit(pg):
             return np.einsum("rm,rm->r", pg, pg)
 
-        pg0, _ = projected_gradient(X, stationarity(X, P)[2])
+        C, J, G = stationarity(X, P)
+        pg0, _ = projected_gradient(X, G)
         conv = np.linalg.norm(pg0, axis=-1) <= PROJECT_GRAD_TOL * scale
         active = np.flatnonzero(~conv)
+        Xa, Pa, Ca, Ja, Ga = (A.take(active, axis=0) for A in (X, P, C, J, G))
         for _ in range(PROJECT_MAX_ITER):
             if active.size == 0:
                 break
-            Xa, Pa = X[active], P[active]
-            R, J, G = stationarity(Xa, Pa)
-            pg, fixed = projected_gradient(Xa, G)
+            pg, fixed = projected_gradient(Xa, Ga)
             # the Jacobian of G(x) = J^T (p - c(x)) is (p - c) . d2c - J^T J,
             # curvature term included
-            JTJ = np.einsum("rni,rnj->rij", J, J)
+            JTJ = np.einsum("rni,rnj->rij", Ja, Ja)
             H = defined(self.hessian_many, Xa)
             DG = np.where(fixed[..., None], eye,
-                          np.einsum("rnij,rn->rij", H, R) - JTJ)
-            delta = np.clip(-solve(DG, np.where(fixed, 0.0, G)), -1e12, 1e12)
+                          np.einsum("rnij,rn->rij", H, Pa - Ca) - JTJ)
+            delta = np.clip(-solve(DG, np.where(fixed, 0.0, Ga)), -1e12, 1e12)
             dn = np.linalg.norm(delta, axis=-1, keepdims=True)
             delta *= np.minimum(1.0, cap / np.maximum(dn, 1e-30))
 
-            # backtracking: each halving evaluates only the rows still searching
+            # backtracking: the steps 1, 1/2, ..., 2^-13 in blocks of 1, 2,
+            # 4, ... steps, each one evaluation of the rows still searching,
+            # narrowed so that it never holds more rows than the descent's
+            # first evaluation; a row takes the first step that improves, as
+            # one halving after another would. `taken` keeps the evaluations
+            # of the steps taken, and `source` where each row's step is in it
             phi = merit(pg)
             got = np.zeros(active.size, dtype=bool)
-            Xbest = Xa.copy()
             pgbest = pg.copy()
+            taken, size = [], 0
+            source = np.zeros(active.size, dtype=int)
             searching = np.arange(active.size)
-            step = 1.0
-            for _ in range(14):
-                Xn = np.clip(Xa[searching] + step * delta[searching], lo, hi)
-                pgn, _ = projected_gradient(Xn, stationarity(Xn, Pa[searching])[2])
-                improved = merit(pgn) < (1.0 - 2.0 * PROJECT_ARMIJO * step) * phi[searching]
-                hit = searching[improved]
-                Xbest[hit] = Xn[improved]
-                pgbest[hit] = pgn[improved]
+            tried, width = 0, 1
+            while searching.size and tried < 14:
+                w = min(width, 14 - tried, max(1, len(X) // searching.size))
+                steps = 0.5 ** np.arange(tried, tried + w)
+                Xn = np.clip(Xa.take(searching, axis=0)[:, None]
+                             + steps[:, None] * delta.take(searching, axis=0)[:, None],
+                             lo, hi).reshape(-1, self.m)
+                Pn = np.repeat(Pa.take(searching, axis=0), w, axis=0)
+                Cn, Jn, Gn = stationarity(Xn, Pn)
+                pgn, _ = projected_gradient(Xn, Gn)
+                improved = (merit(pgn).reshape(-1, w)
+                            < (1.0 - 2.0 * PROJECT_ARMIJO * steps) * phi[searching, None])
+                took = np.any(improved, axis=1)
+                pick = np.flatnonzero(took) * w + np.argmax(improved[took], axis=1)
+                hit = searching[took]
+                source[hit] = size + np.arange(hit.size)
+                size += hit.size
+                taken.append(tuple(A.take(pick, axis=0) for A in (Xn, Cn, Jn, Gn)))
+                pgbest[hit] = pgn.take(pick, axis=0)
                 got[hit] = True
-                searching = searching[~improved]
-                if searching.size == 0:
-                    break
-                step *= 0.5
-            X[active] = Xbest
+                searching = searching[~took]
+                tried, width = tried + w, 2 * width
             conv_a = np.linalg.norm(pgbest, axis=-1) <= PROJECT_GRAD_TOL * scale[active]
             conv[active[conv_a]] = True
-            active = active[got & ~conv_a]
-        return X, conv
+            # a row that took no step stops where it is, one that converged
+            # stops at its step, and the rest go on from their steps
+            X[active[~got]], C[active[~got]] = Xa[~got], Ca[~got]
+            Xs, Cs, Js, Gs = (np.concatenate(A) for A in zip(*taken))
+            stop = got & conv_a
+            X[active[stop]] = Xs.take(source[stop], axis=0)
+            C[active[stop]] = Cs.take(source[stop], axis=0)
+            go = np.flatnonzero(got & ~conv_a)
+            Xa, Ca, Ja, Ga = (A.take(source[go], axis=0) for A in (Xs, Cs, Js, Gs))
+            Pa, active = Pa.take(go, axis=0), active[go]
+        X[active], C[active] = Xa, Ca
+        return X, conv, C
 
     def project_batch(self, P) -> BatchProjection:
         """Nearest points of the queries P (q, n), PROJECT_CHUNK_ROWS seed
@@ -405,10 +453,8 @@ class Submanifold:
         def run(rows, cols):
             if rows.size == 0:
                 return
-            Xr, conv_r = self._descend(X[rows, cols], P[rows])
-            X[rows, cols] = Xr
-            conv[rows, cols] = conv_r
-            A[rows, cols] = self.embed_many(Xr)
+            X[rows, cols], conv[rows, cols], A[rows, cols] = self._descend(
+                X[rows, cols], P[rows])
             d[rows, cols] = np.linalg.norm(P[rows] - A[rows, cols], axis=-1)
 
         run(*np.nonzero(keep))
@@ -517,10 +563,18 @@ class Submanifold:
     def tube_radius(self, *, rho_max: float | None = None, seed: int = 0) -> float:
         """Largest dyadic rho, from rho_max (default half_side) down, such
         that random probes at distance rho along the normals of random
-        chart points all project back to their source point unambiguously.
+        chart points all project back to their source point unambiguously,
+        to within TUBE_FOOT_TOL (1 + |A|).
 
         A search, not a certificate: it runs project_batch once per level
-        and raises NoConvergence when no level passes. reach_bound is the
+        it cannot refute and raises NoConvergence when no level passes. A
+        probe p = A + rho nu passes only with a foot F within
+        TUBE_FOOT_TOL (1 + |A|) of its source A, so at a distance of at
+        least |p - A| - TUBE_FOOT_TOL (1 + |A|). The seed-cell centres of
+        _seed_screen are points of M; when one of them lies nearer p than
+        that by more than a tie slack (PROJECT_DIST_TOL), the nearest point
+        of M is no such F, and the level fails without a projection,
+        whether or not Newton would converge there. reach_bound is the
         certified (and much cheaper) bound; osculate.ruledness_record runs
         this search only when a sample lies beyond it and beyond the ruled
         tolerance."""
@@ -535,16 +589,22 @@ class Submanifold:
         coeff = rng.normal(size=(TUBE_PROBES, self.n - self.m))
         coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)
         nu = np.einsum("pnk,pk->pn", basis, coeff)
-        scale = 1.0 + np.linalg.norm(A, axis=1)
+        foot_tol = TUBE_FOOT_TOL * (1.0 + np.linalg.norm(A, axis=1))
+        centres = self._seed_screen()[1]
         rho = float(rho_max)
         for _ in range(24):
-            b = self.project_batch(A + rho * nu)
-            ok = (
-                b.converged
-                & ~b.ambiguous
-                & (np.linalg.norm(b.point - A, axis=1) <= 1e-6 * scale)
-            )
-            if np.all(ok):
-                return rho
+            P = A + rho * nu
+            d_centre = np.min(np.linalg.norm(P[:, None] - centres[None], axis=-1), axis=1)
+            refuted = (d_centre + PROJECT_DIST_TOL * (1.0 + d_centre)
+                       < np.linalg.norm(P - A, axis=1) - foot_tol)
+            if not np.any(refuted):
+                b = self.project_batch(P)
+                ok = (
+                    b.converged
+                    & ~b.ambiguous
+                    & (np.linalg.norm(b.point - A, axis=1) <= foot_tol)
+                )
+                if np.all(ok):
+                    return rho
             rho *= 0.5
         raise NoConvergence("no probed tube radius found by dyadic search")

@@ -4,9 +4,11 @@ Everything here deliberately avoids the library's own computation paths:
 Taylor coefficients come from repeated symbolic differentiation, distances
 from brute-force grid minimization, lengths from composite Simpson, frame
 volumes from Gram determinants, maximal minors from the Leibniz permutation
-sum. The class-k fit oracle is the exception: it uses the library's
+sum. The class-k fit oracle is an exception: it uses the library's
 residual jets but runs its starts one after another, so it checks the
-lockstep schedule of osculate.fit_class_k_curve.
+lockstep schedule of osculate.fit_class_k_curve. The tube-radius oracle is
+another: it projects every dyadic level with the library's project_batch,
+so it checks the levels that Submanifold.tube_radius refutes unprojected.
 """
 
 from __future__ import annotations
@@ -140,6 +142,30 @@ def dense_distance_min(embed_many, box, P, per_axis: int):
     # nearest grid point by the expanded square, then its distance directly
     arg = np.argmin(np.sum(C * C, axis=1) - 2.0 * P @ C.T, axis=1)
     return np.linalg.norm(P - C[arg], axis=1), edge[arg], slack
+
+
+def tube_radius_every_level(M, *, rho_max=None, seed: int = 0,
+                            probes: int = 200, foot_tol: float = 1e-6) -> float:
+    """The dyadic tube search that projects every level: the same random
+    normal probes as Submanifold.tube_radius, and a level passes when every
+    probe converges unambiguously to a foot within foot_tol (1 + |A|) of
+    its source A. Raises AssertionError when no level of 24 passes."""
+    rho = M.half_side if rho_max is None else float(rho_max)
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(M.box[:, 0], M.box[:, 1], size=(probes, M.m))
+    A = M.embed_many(X)
+    Q, _ = np.linalg.qr(M.jacobian_many(X), mode="complete")
+    coeff = rng.normal(size=(probes, M.n - M.m))
+    coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)
+    nu = np.einsum("pnk,pk->pn", Q[:, :, M.m:], coeff)
+    scale = 1.0 + np.linalg.norm(A, axis=1)
+    for _ in range(24):
+        b = M.project_batch(A + rho * nu)
+        if np.all(b.converged & ~b.ambiguous
+                  & (np.linalg.norm(b.point - A, axis=1) <= foot_tol * scale)):
+            return rho
+        rho *= 0.5
+    raise AssertionError("no level of the dyadic search passes")
 
 
 def sequential_class_k_fit(M, p_chart, k: int, target_order: int, tol,

@@ -15,7 +15,7 @@ from osclab.manifold import (
     Submanifold,
 )
 from osclab.scene import build_scene
-from oracles import dense_distance_min, grid_min_1d, grid_min_2d
+from oracles import dense_distance_min, grid_min_1d, grid_min_2d, tube_radius_every_level
 
 #: the ruled 3-fold w = xy + z in R^4, swept along its rulings
 RULED_3FOLD = {"manifold": {"type": "graph", "chart_vars": ["x", "y", "z"],
@@ -157,6 +157,30 @@ def test_tube_radius_values(plane, sphere_cap):
     assert circle.tube_radius() == pytest.approx(np.pi / 4)
     assert sphere_cap.tube_radius() == pytest.approx(0.5)
     assert plane.tube_radius() == pytest.approx(2.0)
+    for M in (circle, sphere_cap, plane):
+        assert M.tube_radius() == tube_radius_every_level(M)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", corpus.names())
+def test_refuted_tube_levels_change_no_radius(name, seed):
+    # a level that a seed-cell centre refutes is one that projecting it
+    # would fail, so the search that projects every level finds the same rho
+    M = corpus.load(name).manifold
+    assert M.tube_radius(seed=seed) == tube_radius_every_level(M, seed=seed)
+
+
+@pytest.mark.parametrize("name, projected", [
+    ("saddle", 1), ("paraboloid", 1), ("circle", 1), ("cylinder", 2)])
+def test_tube_search_projects_only_unrefuted_levels(name, projected, monkeypatch):
+    # projecting every level takes 2, 2, 3 and 2 calls here. The refuted
+    # levels are saddle's and paraboloid's rho = 1 and circle's pi and pi/2;
+    # cylinder's rho = 1 is not refuted, as its probes near the axis have
+    # no centre much nearer than their source, and it fails in projection
+    M = corpus.load(name).manifold
+    rows = _spy_rows(monkeypatch, "project_batch")
+    M.tube_radius()
+    assert len(rows) == projected
 
 
 GRAPHS = [n for n in corpus.names() if corpus.load(n).manifold.kind == "graph"]
@@ -275,6 +299,80 @@ def test_chunked_projection_changes_no_bit(name, every, monkeypatch):
     assert rows == [50] * (len(pts) // 50) + [len(pts) % 50]
     for f in fields(BatchProjection):
         assert np.array_equal(getattr(split, f.name), getattr(whole, f.name))
+
+
+def test_each_newton_point_is_evaluated_once(monkeypatch):
+    # saddle's ruledness points, with the seed screen already built: every
+    # point that _descend evaluates gets one embedding and one Jacobian, so
+    # the two see the same rows, and the embedding of the final points
+    # comes out of _descend instead of another embed_many
+    M = corpus.load("saddle").manifold
+    pts = _ruledness_points(corpus.load("saddle"))
+    plain = M.project_batch(pts)
+    events = []
+    for name in ("embed_many", "jacobian_many", "_descend"):
+        original = getattr(Submanifold, name)
+
+        def spy(self, X, *args, name=name, original=original):
+            out = original(self, X, *args)
+            events.append((name, len(X)))
+            return out
+
+        monkeypatch.setattr(Submanifold, name, spy)
+    spied = M.project_batch(pts)
+    embed = [n for name, n in events if name == "embed_many"]
+    assert embed and embed == [n for name, n in events if name == "jacobian_many"]
+    last = max(i for i, (name, _) in enumerate(events) if name == "_descend")
+    assert all(name != "embed_many" for name, _ in events[last:])
+    for f in fields(BatchProjection):
+        assert np.array_equal(getattr(spied, f.name), getattr(plain, f.name))
+
+
+def _tube_probes(M, monkeypatch):
+    """The queries of every level that M.tube_radius() projects."""
+    probes = []
+    original = Submanifold.project_batch
+
+    def spy(self, P):
+        probes.append(P)
+        return original(self, P)
+
+    monkeypatch.setattr(Submanifold, "project_batch", spy)
+    M.tube_radius()
+    monkeypatch.setattr(Submanifold, "project_batch", original)
+    return np.concatenate(probes)
+
+
+@pytest.mark.parametrize("name", ["saddle", "paraboloid"])
+def test_line_search_tries_halvings_in_blocks(name, monkeypatch):
+    # the tube search's probes, where some rows halve for all 50 iterations:
+    # with a block of steps per evaluation call, each Newton iteration
+    # makes at most 4 calls (one halving at a time makes up to 14, 628 on
+    # saddle against 1 + 4 * 50)
+    M = corpus.load(name).manifold
+    P = _tube_probes(M, monkeypatch)
+    embeds = _spy_rows(monkeypatch, "embed_many")
+    hessians = _spy_rows(monkeypatch, "hessian_many")
+    descents = _spy_rows(monkeypatch, "_descend")
+    M.project_batch(P)
+    assert len(embeds) <= len(descents) + 4 * len(hessians)
+
+
+@pytest.mark.parametrize("name", ["saddle", "paraboloid", "cylinder"])
+def test_line_search_blocks_change_no_bit(name, monkeypatch):
+    # no block holds more rows than the first evaluation of its descent
+    # (cylinder's 11,017 rows narrow the blocks), and a query alone, which
+    # narrows them to its own rows, takes the steps it takes in the batch
+    M = corpus.load(name).manifold
+    P = _tube_probes(M, monkeypatch)
+    embeds = _spy_rows(monkeypatch, "embed_many")
+    descents = _spy_rows(monkeypatch, "_descend")
+    batch = M.project_batch(P)
+    assert max(embeds) <= max(descents)
+    for i in range(0, len(P), 10):
+        one = M.project_batch(P[i])
+        for f in fields(BatchProjection):
+            assert np.array_equal(getattr(one, f.name)[0], getattr(batch, f.name)[i]), f.name
 
 
 def test_screen_runs_few_newton_rows(monkeypatch):
@@ -405,7 +503,7 @@ def test_unbounded_cell_is_kept(monkeypatch):
     assert b.chart[0, 0] == pytest.approx(x0, abs=1e-12)
     assert b.distance[0] == pytest.approx(0.03, abs=1e-12)
     # the first cell's seed ran and reached the same foot as the seeds beyond it
-    starts, feet, conv = (np.concatenate(a) for a in zip(*runs))
+    starts, feet, conv, _ = (np.concatenate(a) for a in zip(*runs))
     assert np.any(starts[:, 0] == seeds[0, 0])
     assert len(starts) > 1 and np.all(conv)
     assert np.allclose(feet, b.chart[0], atol=1e-12)
