@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -122,6 +123,9 @@ def _tolerances(args) -> Tolerances:
     for name in _TOL_FIELDS:
         v = getattr(args, f"tol_{name}")
         if v is not None:
+            if not (math.isfinite(v) and v >= 0):
+                raise UsageError(f"--tol-{name.replace('_', '-')} must be a finite "
+                                 f"number >= 0, got {v}")
             overrides[name] = v
     return Tolerances(**overrides)
 

@@ -225,9 +225,6 @@ class Submanifold:
     def embed(self, x) -> np.ndarray:
         return self.embed_many(np.asarray(x, dtype=float)[None, :])[0]
 
-    def jacobian(self, x) -> np.ndarray:
-        return self.jacobian_many(np.asarray(x, dtype=float)[None, :])[0]
-
     def in_box_many(self, X, tol=1e-12) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         side = self.box[:, 1] - self.box[:, 0]

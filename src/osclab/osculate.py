@@ -5,7 +5,8 @@ A tangent direction on a surface in R^3 osculates to order >= 3 exactly
 when the quadratic and cubic terms of the normal residual along it both
 vanish. Both forms are recovered by polarization from residual jets of
 probe lines, so graphs and (re-charted) parametric surfaces run through
-the same code path.
+the same code path, and all points of a stack share two residual_jets calls:
+one for their probe lines, and one for their kept direction lines.
 
 The global containment conclusion of the underlying theorem relies on
 analytic continuation, which numerics cannot perform: every verdict here
@@ -63,9 +64,10 @@ class OscDirection:
 
 
 def _lines(p_chart, p_amb, basis, V) -> PolyCurve:
-    """The stack of lines p + t (v1 b1 + v2 b2), one per chart direction v."""
-    W = np.stack([v[0] * basis[:, 0] + v[1] * basis[:, 1] for v in V])
-    return PolyCurve(np.stack([np.broadcast_to(p_amb, W.shape), W], axis=1), p_chart)
+    """The lines p + t (v1 b1 + v2 b2), one per direction v of V (..., 2), through
+    the chart points p_chart with embeddings p_amb and tangent bases basis."""
+    W = V[..., :1] * basis[..., 0] + V[..., 1:] * basis[..., 1]
+    return PolyCurve(np.stack([np.broadcast_to(p_amb, W.shape), W], axis=-2), p_chart)
 
 
 def _normalize_direction(v: np.ndarray) -> np.ndarray:
@@ -74,80 +76,80 @@ def _normalize_direction(v: np.ndarray) -> np.ndarray:
     return -v if lead < 0 else v
 
 
-def osculating_directions(M: Submanifold, p_chart, tol=_TOL) -> list[OscDirection]:
-    """Unit tangent directions at p with line contact order >= 3, or [].
+def osculating_directions(M: Submanifold, p_chart, tol=_TOL) -> list:
+    """Unit tangent directions with line contact order >= 3 at the chart point
+    p_chart (2,), or [], or one such list per point of a stack (N, 2).
 
     A definite quadratic form yields the empty list; a degenerate (zero)
     quadratic passes every direction to the cubic stage, and if the cubic
     degenerates too the two basis representatives stand in for the whole
-    projective line of solutions.
+    projective line of solutions. All points share two residual_jets calls.
     """
     if M.m != 2 or M.n != 3:
         raise ValueError("osculating directions need a surface in R^3")
     p_chart = np.asarray(p_chart, dtype=float)
-    p_amb = M.chart_eval(p_chart)
-    basis = M.jacobian(p_chart)  # tangent basis: chart coordinate directions
+    X = p_chart.reshape(-1, 2)
+    P, B = M.embed_many(X), M.jacobian_many(X)  # tangent bases: chart coordinates
 
     # both forms by polarization, from the residuals of four probe lines
-    V = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0)]
-    probes = residual_jets(M, _lines(p_chart, p_amb, basis, V), 3, tol)[:, 0]
-    qa, qc, q11, _ = probes[:, 2].tolist()
-    ka, kg, s1, s2 = probes[:, 3].tolist()
-    qb = q11 - qa - qc
-    ke = 0.5 * (s1 - s2) - kg
-    kf = 0.5 * (s1 + s2) - ka
+    V = np.array([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0)])
+    probes = residual_jets(M, _lines(X[:, None], P[:, None], B[:, None], V), 3, tol)
+    kept: list[tuple[int, np.ndarray, float]] = []   # (point, direction, cubic residual)
+    for i, probe in enumerate(probes[..., 0, :]):
+        qa, qc, q11, _ = probe[:, 2].tolist()
+        ka, kg, s1, s2 = probe[:, 3].tolist()
+        qb = q11 - qa - qc
+        ke = 0.5 * (s1 - s2) - kg
+        kf = 0.5 * (s1 + s2) - ka
+        ref = max(1.0, abs(qa), abs(qb), abs(qc), abs(ka), abs(ke), abs(kf), abs(kg))
+        qtol = 1e-12 * ref
 
-    def cubic(a, b):
-        return ka * a**3 + ke * a**2 * b + kf * a * b**2 + kg * b**3
-
-    ref = max(1.0, abs(qa), abs(qb), abs(qc), abs(ka), abs(ke), abs(kf), abs(kg))
-    qtol = 1e-12 * ref
-
-    roots: list[np.ndarray] = []
-    if max(abs(qa), abs(qb), abs(qc)) <= qtol:
-        # degenerate second fundamental form: cubic decides alone
-        if max(abs(ka), abs(ke), abs(kf), abs(kg)) <= qtol:
-            roots = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+        roots: list[np.ndarray] = []
+        if max(abs(qa), abs(qb), abs(qc)) <= qtol:
+            # degenerate second fundamental form: cubic decides alone
+            if max(abs(ka), abs(ke), abs(kf), abs(kg)) <= qtol:
+                roots = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+            else:
+                # each vanishing leading coefficient is a factor b: root (1, 0)
+                cubic_coeffs = [ka, ke, kf, kg]
+                while abs(cubic_coeffs[0]) <= qtol:
+                    cubic_coeffs.pop(0)
+                    roots.append(np.array([1.0, 0.0]))
+                for r in np.roots(cubic_coeffs):
+                    if abs(r.imag) <= 1e-8 * (1.0 + abs(r.real)):
+                        roots.append(np.array([r.real, 1.0]))
+        elif abs(qa) > qtol:
+            disc = qb * qb - 4.0 * qa * qc
+            if disc >= -1e-12 * ref * ref:
+                sd = np.sqrt(max(disc, 0.0))
+                roots.append(np.array([(-qb + sd) / (2 * qa), 1.0]))
+                if sd > 1e-12 * ref:
+                    roots.append(np.array([(-qb - sd) / (2 * qa), 1.0]))
         else:
-            # each vanishing leading coefficient is a factor b: root (1, 0)
-            cubic_coeffs = [ka, ke, kf, kg]
-            while abs(cubic_coeffs[0]) <= qtol:
-                cubic_coeffs.pop(0)
-                roots.append(np.array([1.0, 0.0]))
-            for r in np.roots(cubic_coeffs):
-                if abs(r.imag) <= 1e-8 * (1.0 + abs(r.real)):
-                    roots.append(np.array([r.real, 1.0]))
-    elif abs(qa) > qtol:
-        disc = qb * qb - 4.0 * qa * qc
-        if disc >= -1e-12 * ref * ref:
-            sd = np.sqrt(max(disc, 0.0))
-            roots.append(np.array([(-qb + sd) / (2 * qa), 1.0]))
-            if sd > 1e-12 * ref:
-                roots.append(np.array([(-qb - sd) / (2 * qa), 1.0]))
-    else:
-        # qa ~ 0: Q = b (qb a + qc b)
-        roots.append(np.array([1.0, 0.0]))
-        if abs(qb) > qtol:
-            roots.append(np.array([-qc / qb, 1.0]))
+            # qa ~ 0: Q = b (qb a + qc b)
+            roots.append(np.array([1.0, 0.0]))
+            if abs(qb) > qtol:
+                roots.append(np.array([-qc / qb, 1.0]))
 
-    kept: list[tuple[np.ndarray, float]] = []   # (direction, cubic residual)
-    for root in roots:
-        v = _normalize_direction(root)
-        if any(abs(float(np.dot(v, u))) >= 1.0 - 1e-9 for u, _ in kept):
-            continue
-        resid = abs(cubic(v[0], v[1]))
-        if resid > tol.cubic_residual * ref:
-            continue
-        kept.append((v, resid))
-    if not kept:
-        return []
-    lines = _lines(p_chart, p_amb, basis, [v for v, _ in kept])
-    orders = contact_order_jet_recharted(lines, M, max_order=5, tol=tol)
-    out = [OscDirection(chart=v, ambient=_normalize_direction(w), cubic_residual=resid,
-                        jet_order=order)
-           for (v, resid), w, order in zip(kept, lines.coeffs[:, 1], orders)]
-    out.sort(key=lambda d: (round(d.chart[0], 12), round(d.chart[1], 12)))
-    return out
+        for root in roots:
+            v = _normalize_direction(root)
+            if any(abs(float(np.dot(v, u))) >= 1.0 - 1e-9 for j, u, _ in kept if j == i):
+                continue
+            resid = abs(ka * v[0]**3 + ke * v[0]**2 * v[1]
+                        + kf * v[0] * v[1]**2 + kg * v[1]**3)
+            if resid > tol.cubic_residual * ref:
+                continue
+            kept.append((i, v, resid))
+    kept.sort(key=lambda d: (d[0], round(d[1][0], 12), round(d[1][1], 12)))
+    out: list[list[OscDirection]] = [[] for _ in X]
+    if kept:
+        at = [i for i, _, _ in kept]
+        lines = _lines(X[at], P[at], B[at], np.array([v for _, v, _ in kept]))
+        orders = contact_order_jet_recharted(lines, M, max_order=5, tol=tol)
+        for (i, v, resid), w, order in zip(kept, lines.coeffs[:, 1], orders):
+            out[i].append(OscDirection(chart=v, ambient=_normalize_direction(w),
+                                       cubic_residual=resid, jet_order=order))
+    return out if p_chart.ndim == 2 else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -449,14 +451,15 @@ def verify_theorem(scene, seed: int = 0) -> VerdictReport:
             osc_records[i].update({"order": str(order), "met": order.meets(required)})
         break
     if M.m == 2 and M.n == 3 and k == 1:
-        for x, rec in zip(X, osc_records):
-            try:
-                rec["osculating_directions"] = [
-                    {"chart": d.chart.tolist(), "ambient": d.ambient.tolist(),
-                     "cubic_residual": d.cubic_residual, "jet_order": str(d.jet_order)}
-                    for d in osculating_directions(M, x, tol)]
-            except (ContactError, ManifoldError, ValueError):
-                rec["osculating_directions"] = None
+        try:
+            directions = osculating_directions(M, X, tol)
+        except ContactError:
+            directions = [None] * len(X)
+        for rec, dirs in zip(osc_records, directions):
+            rec["osculating_directions"] = None if dirs is None else [
+                {"chart": d.chart.tolist(), "ambient": d.ambient.tolist(),
+                 "cubic_residual": d.cubic_residual, "jet_order": str(d.jet_order)}
+                for d in dirs]
     first_bad = next((i for i, rec in enumerate(osc_records) if not rec["met"]), None)
     hypothesis_met = first_bad is None
     report.steps["osculation"] = {

@@ -20,6 +20,7 @@ families of embeddings that are not polynomial in t (rigid rotations).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -107,9 +108,9 @@ def _build_manifold(data) -> Submanifold:
         raise SceneError("/manifold/domain", f"expected {m} intervals")
     for i, pair in enumerate(domain):
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(v, (int, float)) for v in pair)
+                or not all(isinstance(v, (int, float)) and math.isfinite(v) for v in pair)
                 or not pair[0] < pair[1]):
-            raise SceneError(f"/manifold/domain/{i}", "expected [a, b] with a < b")
+            raise SceneError(f"/manifold/domain/{i}", "expected finite [a, b] with a < b")
     n = _require(data, "ambient_dim", "/manifold")
     if not isinstance(n, int) or n <= m:
         raise SceneError("/manifold/ambient_dim",
@@ -172,12 +173,12 @@ def make_params(raw: dict | None, m: int, tol: Tolerances | None = None) -> RunP
     for key, value in (raw or {}).items():
         if key not in _PARAM_KEYS:
             raise SceneError(f"/params/{key}", "unknown parameter")
-        if not isinstance(value, (int, float)):
-            raise SceneError(f"/params/{key}", "expected a number")
+        if not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise SceneError(f"/params/{key}", "expected a finite number")
         given[key] = _PARAM_KEYS[key](value)
     if not given.get("t0", 1.0) > 0:
         raise SceneError("/params/t0", "t0 must be positive")
-    for key in ("t_steps", "quad_order", "quad_cells", "quad_t_cells", "samples"):
+    for key in ("t_steps", "quad_order", "quad_cells", "quad_t_cells", "samples", "k"):
         if given.get(key, 1) < 1:
             raise SceneError(f"/params/{key}", f"{key} must be at least 1")
     for key in ("span", "tspan", "tube_rho_max"):
@@ -207,7 +208,7 @@ def build_scene(data: dict, name: str = "scene",
     elif "cutoff" in data:
         raise SceneError("/cutoff", "cutoff without a family")
     params = make_params(data.get("params"), M.m, tol)
-    k = family.k if family is not None else int(data.get("params", {}).get("k", 1))
+    k = family.k if family is not None else int((data.get("params") or {}).get("k", 1))
     return Scene(name=name, manifold=M, family=family, params=params, k=k, raw=data)
 
 

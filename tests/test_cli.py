@@ -57,6 +57,37 @@ def test_schema_error_bad_cutoff():
     assert err.value.pointer == "/cutoff"
 
 
+@pytest.mark.parametrize("pair", [[-1, float("inf")], [float("-inf"), 1],
+                                  [float("nan"), 1]])
+def test_schema_error_nonfinite_domain(tmp_path, pair):
+    # json reads NaN and Infinity, which pass no range check a finite box needs
+    data = json.loads(corpus.scene_path("hyperbolic_paraboloid").read_text())
+    data["manifold"]["domain"][1] = pair
+    (tmp_path / "hp.json").write_text(json.dumps(data))
+    with pytest.raises(SceneError) as err:
+        load_scene(str(tmp_path / "hp.json"))
+    assert err.value.pointer == "/manifold/domain/1"
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_schema_error_k_of_a_scene_without_family(k):
+    # k sets the class of the fitted curves when the scene has no family
+    data = json.loads(corpus.scene_path("cubic_graph").read_text())
+    del data["family"]
+    data["params"] = {"k": k}
+    with pytest.raises(SceneError) as err:
+        build_scene(data)
+    assert err.value.pointer == "/params/k"
+
+
+def test_null_params_take_the_defaults():
+    data = json.loads(corpus.scene_path("cubic_graph").read_text())
+    del data["family"]
+    data["params"] = None
+    scene = build_scene(data)
+    assert scene.k == 1 and scene.params.samples == 3
+
+
 def test_mesh_node_guard():
     """The default m = 3 mesh, 128^3 nodes, builds; (8 * 21)^3 does not."""
     data = {"manifold": {"type": "graph", "chart_vars": ["x", "y", "z"],
@@ -328,6 +359,22 @@ def test_tolerance_override_can_fail_a_pipeline_step(capsys, tmp_path, hp_path):
     assert report["steps"]["ruledness"]["verdict"] == "NOT_CONTAINED"
 
 
+@pytest.mark.parametrize("flag, value", [("--tol-contact-coeff", "inf"),
+                                         ("--tol-ruled", "nan"),
+                                         ("--tol-vanish", "-1")])
+def test_tolerance_override_must_be_finite_and_nonnegative(capsys, monkeypatch, hp_path,
+                                                         flag, value):
+    def past_the_check(*args, **kwargs):
+        raise AssertionError("the command ran past its tolerance check")
+
+    monkeypatch.setattr(cli, "verify_theorem", past_the_check)
+    for argv in (["verify", "--scene", hp_path], ["corpus"]):
+        code, out, err = _run(capsys, *argv, flag, value)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {flag} must be a finite number >= 0")
+
+
 @pytest.mark.parametrize("command, flags, pointer", [
     ("verify", "--samples 0", "/params/samples"),
     ("ruled", "--samples 0", "/params/samples"),
@@ -340,8 +387,14 @@ def test_tolerance_override_can_fail_a_pipeline_step(capsys, tmp_path, hp_path):
     ("verify", "--t-grid geometric:0.1,4", "/params/t_steps"),
     ("ruled", "--span 0", "/params/span"),
     ("verify", "--span -1", "/params/span"),
+    ("verify", "--span inf", "/params/span"),
+    ("verify", "--t-grid geometric:inf,5", "/params/t0"),
     # settings without a flag come from the scene file's params
     ("verify", "tspan=0", "/params/tspan"),
+    ("verify", "tspan=inf", "/params/tspan"),
+    ("verify", "t0=inf", "/params/t0"),
+    ("ruled", "span=nan", "/params/span"),
+    ("verify", "k=0", "/params/k"),
     ("verify", "tube_rho_max=-1", "/params/tube_rho_max"),
     ("ruled", "tube_rho_max=0", "/params/tube_rho_max"),
     ("ruled", "margin=0.5", "/params/margin"),

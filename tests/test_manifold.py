@@ -83,7 +83,7 @@ def test_nearest_point_plane(plane):
 def test_nearest_point_stationarity(sphere_cap):
     p = np.array([0.1, 0.2, 1.7])
     r = sphere_cap.nearest_point(p)
-    resid = np.linalg.norm((p - r.point) @ sphere_cap.jacobian(r.chart))
+    resid = np.linalg.norm((p - r.point) @ sphere_cap.jacobian_many(r.chart))
     assert resid <= 1e-10 * (1.0 + np.linalg.norm(p))
 
 
@@ -129,7 +129,7 @@ def test_triangle_consistency(hp):
 def test_graph_normal_displacement(sphere_cap):
     x = np.array([0.1, -0.2])
     base = sphere_cap.embed(x)
-    q, _ = np.linalg.qr(sphere_cap.jacobian(x), mode="complete")
+    q, _ = np.linalg.qr(sphere_cap.jacobian_many(x), mode="complete")
     nu = q[:, sphere_cap.m]
     for delta in (1e-4, 1e-2, 0.1):
         assert sphere_cap.distance(base + delta * nu) <= delta + 1e-12

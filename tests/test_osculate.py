@@ -88,6 +88,85 @@ def test_directions_rotation_invariant():
         assert best >= 1.0 - 1e-8
 
 
+def _direction_surfaces():
+    """Every corpus surface in R^3 and the three flat-point graphs above."""
+    out = [(name, corpus.load(name).manifold) for name in corpus.names()]
+    out = [(name, M) for name, M in out if (M.m, M.n) == (2, 3)]
+    return out + [(h, Submanifold.graph(["x", "y"], [[-1, 1], [-1, 1]], [h]))
+                  for h in ("x*y^2", "y^3", "x^3 - 3*x*y^2")]
+
+
+def test_stacked_directions_equal_per_point_calls():
+    # a stack of points gives, bit for bit, what each point gives alone:
+    # 250 samples, on a 3 x 3 grid inside the box and a 4 x 4 grid with
+    # its edges, of surfaces with 0, 1, 2 and 3 directions per point
+    count = 0
+    for name, M in _direction_surfaces():
+        for X in (M.grid(3, margin=0.15), M.grid(4)):
+            stacked = osculating_directions(M, X)
+            assert len(stacked) == len(X)
+            for x, dirs in zip(X, stacked):
+                alone = osculating_directions(M, x)
+                assert len(dirs) == len(alone), (name, x)
+                for d, e in zip(dirs, alone):
+                    assert np.array_equal(d.chart, e.chart), (name, x)
+                    assert np.array_equal(d.ambient, e.ambient), (name, x)
+                    assert d.cubic_residual == e.cubic_residual, (name, x)
+                    assert np.array_equal(d.jet_order.coeffs,
+                                          e.jet_order.coeffs), (name, x)
+                count += 1
+    assert count == 250
+
+
+def test_step_one_makes_two_residual_calls_per_scene(monkeypatch):
+    # osculating_directions takes all samples of a scene in one call: one
+    # stacked residual_jets call for the probe lines and one for the kept
+    # lines. With the contact orders' one call per scene, a corpus pass
+    # makes 20 calls.
+    state, calls = {"scene": None, "inside": False}, []
+    real_residual_jets = contact.residual_jets
+    real_directions = osculate.osculating_directions
+
+    def residual_spy(*args, **kwargs):
+        calls.append((state["scene"], state["inside"]))
+        return real_residual_jets(*args, **kwargs)
+
+    def directions_spy(*args, **kwargs):
+        state["inside"] = True
+        try:
+            return real_directions(*args, **kwargs)
+        finally:
+            state["inside"] = False
+
+    monkeypatch.setattr(contact, "residual_jets", residual_spy)
+    monkeypatch.setattr(osculate, "residual_jets", residual_spy)
+    monkeypatch.setattr(osculate, "osculating_directions", directions_spy)
+    for name in corpus.names():
+        state["scene"] = name
+        osculate.verify_theorem(corpus.load(name), seed=0)
+    assert len(calls) == 20
+    from_directions = [name for name, inside in calls if inside]
+    assert from_directions
+    assert max(from_directions.count(name) for name in corpus.names()) == 2
+
+
+def test_direction_failure_records_none_and_keeps_the_verdict(monkeypatch, verify_report):
+    # a ContactError from the stacked call leaves every sample's record
+    # None; no verdict reads these records
+    def off_manifold(*args, **kwargs):
+        raise contact.NotOnManifold("curve base point is off the manifold", 0)
+
+    want = verify_report("hyperbolic_paraboloid").as_dict()
+    monkeypatch.setattr(osculate, "residual_jets", off_manifold)
+    got = osculate.verify_theorem(corpus.load("hyperbolic_paraboloid"), seed=0).as_dict()
+    assert got["verdict"] == want["verdict"] == "THEOREM_CONFIRMED"
+    got_dirs = [r.pop("osculating_directions") for r in got["steps"]["osculation"]["records"]]
+    want_dirs = [r.pop("osculating_directions") for r in want["steps"]["osculation"]["records"]]
+    assert got_dirs == [None] * 9
+    assert all(want_dirs)
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
 def test_fit_recovers_ruling():
     hp = corpus.load("hyperbolic_paraboloid")
     x0, y0 = 0.3, -0.4
