@@ -156,6 +156,8 @@ def osculating_directions(M: Submanifold, p_chart, tol=_TOL) -> list:
 # class-k curve fitting
 
 FIT_STARTS = 32        # random starts per fit, drawn from the seeded rng
+FIT_GTOL = 1e-6        # a start whose residual is this near orthogonal to
+                       # every Jacobian column sits at a minimum that is no root
 
 
 def fit_class_k_curve(M: Submanifold, p_chart, k: int, target_order: int,
@@ -165,16 +167,21 @@ def fit_class_k_curve(M: Submanifold, p_chart, k: int, target_order: int,
     returns a PolyCurve through p_chart with unit-normalized velocity, or None.
 
     Every start runs the same iteration it would run alone: a
-    central-difference Jacobian, a minimum-norm least-squares step, and a
-    line search that takes the first of 25 halvings to lower |F|^2; a start
-    ends when it converges, when its line search fails, or after 80 steps.
-    The starts run in lockstep, so each step evaluates residual jets twice
-    for all live starts at once (the Jacobian probes and the line-search
-    candidates) as batched PolyCurves, and one pinv of the stacked
-    Jacobians gives every start's step. The result is the curve of the
-    lowest-index start that converges, returned once every lower-index
-    start has ended; higher-index starts are dropped as soon as one
-    converges.
+    central-difference Jacobian, a minimum-norm least-squares step delta,
+    and a line search over 2 delta, delta, delta/2, ..., delta/2^24. It
+    takes 2 delta only when that finishes the start (near a double root
+    plain steps only halve the error), and otherwise the first halving that
+    lowers |F|^2. A start ends as converged when every residual coefficient
+    is within contact_coeff and |c_1|^2 - 1 within 1e-9. It ends as failed
+    when its line search fails, after 80 steps, or by MINPACK's gtol test,
+    |J_j^T F| <= FIT_GTOL |J_j| |F| for every Jacobian column J_j: a
+    minimum of |F|^2 that is no root. The starts run in lockstep, so each
+    step evaluates residual jets twice for all live starts at once (the
+    Jacobian probes and the line-search candidates) as batched PolyCurves,
+    and one pinv of the stacked Jacobians gives every start's step. The
+    result is the curve of the lowest-index start that converges, returned
+    once every lower-index start has ended; higher-index starts are dropped
+    as soon as one converges.
     """
     p_chart = np.asarray(p_chart, dtype=float)
     p_amb = M.chart_eval(p_chart)
@@ -191,6 +198,12 @@ def fit_class_k_curve(M: Submanifold, p_chart, k: int, target_order: int,
         speed = np.einsum("...i,...i->...", c[..., 0, :], c[..., 0, :]) - 1.0
         return np.concatenate([res, speed[..., None]], axis=-1)
 
+    def converged(F: np.ndarray) -> np.ndarray:
+        # absolute, so never looser than the contact check's
+        # contact_coeff * max(1, max|c|): an accepted curve meets the order
+        return ((np.max(np.abs(F[..., :-1]), axis=-1) <= tol.contact_coeff)
+                & (np.abs(F[..., -1]) <= 1e-9))
+
     def jacobians(flat: np.ndarray) -> np.ndarray:
         """Central-difference Jacobians (live, rows, k*n), all probes in one call."""
         h = 1e-7 * (1.0 + np.abs(flat))
@@ -206,29 +219,36 @@ def fit_class_k_curve(M: Submanifold, p_chart, k: int, target_order: int,
     flat = flat.reshape(FIT_STARTS, size)
     F = system(flat)
     f2 = np.einsum("ij,ij->i", F, F)
-    halvings = 0.5 ** np.arange(25)
-    live = np.arange(FIT_STARTS)   # starts still iterating, in index order
-    winner = None                  # lowest-index start that converged
+    steps = 0.5 ** np.arange(-1, 25)   # 2, 1, 1/2, ..., 2^-24 times delta
+    live = np.arange(FIT_STARTS)       # starts still iterating, in index order
+    winner = None                      # lowest-index start that converged
     for _ in range(80):
-        # absolute, so never looser than the contact check's
-        # contact_coeff * max(1, max|c|): an accepted curve meets the order
-        done = ((np.max(np.abs(F[live, :-1]), axis=1) <= tol.contact_coeff)
-                & (np.abs(F[live, -1]) <= 1e-9))
+        done = converged(F[live])
         if done.any():
             winner = live[done][0]
         live = live[~done & (live < (FIT_STARTS if winner is None else winner))]
         if live.size == 0:
             break
         J = jacobians(flat[live])
+        # gtol, squared: a start moves on while some column has
+        # |J_j^T F| > FIT_GTOL |J_j| |F|; the others end as failed
+        g = np.einsum("srj,sr->sj", J, F[live])
+        cols = np.einsum("srj,srj->sj", J, J)
+        moving = (g * g > FIT_GTOL ** 2 * cols * f2[live, None]).any(axis=1)
+        live, J = live[moving], J[moving]
+        if live.size == 0:
+            break
         delta = -(np.linalg.pinv(J) @ F[live, :, None])[..., 0]
-        cand = flat[live, None, :] + halvings[:, None] * delta[:, None, :]
-        Fc = system(cand)                                # (live, 25, rows)
+        cand = flat[live, None, :] + steps[:, None] * delta[:, None, :]
+        Fc = system(cand)                                # (live, 26, rows)
         fc2 = np.einsum("sjr,sjr->sj", Fc, Fc)
-        better = fc2 < f2[live, None]
-        moved = better.any(axis=1)       # a start whose line search fails ends
-        hit, first = np.nonzero(moved)[0], np.argmax(better, axis=1)[moved]
+        finish = converged(Fc[:, 0])
+        better = fc2[:, 1:] < f2[live, None]
+        moved = finish | better.any(axis=1)  # a start whose line search fails ends
+        pick = np.where(finish, 0, 1 + np.argmax(better, axis=1))[moved]
+        hit = np.nonzero(moved)[0]
         live = live[moved]
-        flat[live], F[live], f2[live] = cand[hit, first], Fc[hit, first], fc2[hit, first]
+        flat[live], F[live], f2[live] = cand[hit, pick], Fc[hit, pick], fc2[hit, pick]
     if winner is None:
         return None
     return PolyCurve(np.vstack([p_amb, flat[winner].reshape(k, n)]), p_chart)

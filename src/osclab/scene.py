@@ -130,7 +130,7 @@ def _build_manifold(data) -> Submanifold:
 
 def _build_family(data, M: Submanifold, cutoff_data) -> SweepFamily:
     k = _require(data, "k", "/family")
-    if not isinstance(k, int) or k < 1:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise SceneError("/family/k", "k must be a positive integer")
     has_fields = "fields" in data
     has_map = "map" in data
@@ -169,12 +169,22 @@ def _build_family(data, M: Submanifold, cutoff_data) -> SweepFamily:
 
 def make_params(raw: dict | None, m: int, tol: Tolerances | None = None) -> RunParams:
     """Run parameters of an m-dimensional scene from its raw params."""
+    return _parse_params(raw, m, tol)[0]
+
+
+def _parse_params(raw: dict | None, m: int,
+                  tol: Tolerances | None) -> tuple[RunParams, dict]:
+    """make_params, also returning every given value, validated and typed."""
     given = {}
     for key, value in (raw or {}).items():
         if key not in _PARAM_KEYS:
             raise SceneError(f"/params/{key}", "unknown parameter")
-        if not isinstance(value, (int, float)) or not math.isfinite(value):
+        # bool is an int in Python, so true would read as 1
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
             raise SceneError(f"/params/{key}", "expected a finite number")
+        if _PARAM_KEYS[key] is int and value != int(value):
+            raise SceneError(f"/params/{key}", f"{key} must be an integer")
         given[key] = _PARAM_KEYS[key](value)
     if not given.get("t0", 1.0) > 0:
         raise SceneError("/params/t0", "t0 must be positive")
@@ -194,7 +204,7 @@ def make_params(raw: dict | None, m: int, tol: Tolerances | None = None) -> RunP
                          f"(quad_order*quad_cells)^{m} = {nodes} mesh nodes"
                          f" exceeds {MAX_MESH_NODES}")
     run = {f.name: given[f.name] for f in fields(RunParams) if f.name in given}
-    return RunParams(quad=quad, tol=tol or Tolerances(), **run)
+    return RunParams(quad=quad, tol=tol or Tolerances(), **run), given
 
 
 def build_scene(data: dict, name: str = "scene",
@@ -207,8 +217,11 @@ def build_scene(data: dict, name: str = "scene",
         family = _build_family(data["family"], M, data.get("cutoff"))
     elif "cutoff" in data:
         raise SceneError("/cutoff", "cutoff without a family")
-    params = make_params(data.get("params"), M.m, tol)
-    k = family.k if family is not None else int((data.get("params") or {}).get("k", 1))
+    params, given = _parse_params(data.get("params"), M.m, tol)
+    k = given.get("k", 1 if family is None else family.k)
+    if family is not None and k != family.k:
+        raise SceneError("/params/k", f"k = {k} differs from the family's k = {family.k};"
+                         " params.k sets the class only of a scene without a family")
     return Scene(name=name, manifold=M, family=family, params=params, k=k, raw=data)
 
 

@@ -169,13 +169,16 @@ def tube_radius_every_level(M, *, rho_max=None, seed: int = 0,
 
 
 def sequential_class_k_fit(M, p_chart, k: int, target_order: int, tol,
-                           starts: int = 32, seed: int = 0):
+                           starts: int = 32, seed: int = 0, gtol: float = 1e-6):
     """osculate.fit_class_k_curve with one start at a time: each start runs
     its damped Gauss-Newton to the end before the next is drawn, and the
     first that converges is returned. Each step is solved by its own
     np.linalg.lstsq, a solver independent of the library's one batched pinv
     over all starts; both give the minimum-norm least-squares step and
-    differ only in rounding."""
+    differ only in rounding. The line search tries 2 delta first and takes
+    it only when it converges, then delta, delta/2, ... for the first that
+    lowers |F|^2; a start ends as failed when its residual has cosine at
+    most gtol with every Jacobian column."""
     p_chart = np.asarray(p_chart, dtype=float)
     p_amb = M.chart_eval(p_chart)
     n = M.n
@@ -186,6 +189,9 @@ def sequential_class_k_fit(M, p_chart, k: int, target_order: int, tol,
         coeffs = residual_jets(M, curve, target_order, tol)
         res = coeffs[:, 1 : target_order + 1].ravel()
         return np.concatenate([res, [np.dot(c[0], c[0]) - 1.0]])
+
+    def converged(F: np.ndarray) -> bool:
+        return np.max(np.abs(F[:-1])) <= tol.contact_coeff and abs(F[-1]) <= 1e-9
 
     def jacobian(flat: np.ndarray) -> np.ndarray:
         cols = []
@@ -205,11 +211,17 @@ def sequential_class_k_fit(M, p_chart, k: int, target_order: int, tol,
         F = system(flat)
         f2 = float(np.dot(F, F))
         for _ in range(80):
-            if (np.max(np.abs(F[:-1])) <= tol.contact_coeff
-                    and abs(F[-1]) <= 1e-9):
+            if converged(F):
                 return PolyCurve(np.vstack([p_amb, flat.reshape(k, n)]), p_chart)
             J = jacobian(flat)
+            if np.all(np.abs(F @ J) <= gtol * np.linalg.norm(J, axis=0) * math.sqrt(f2)):
+                break
             delta, *_ = np.linalg.lstsq(J, -F, rcond=None)
+            cand = flat + 2.0 * delta
+            Fc = system(cand)
+            if converged(Fc):
+                flat, F, f2 = cand, Fc, float(np.dot(Fc, Fc))
+                continue
             step = 1.0
             accepted = False
             for _ in range(25):

@@ -80,6 +80,54 @@ def test_schema_error_k_of_a_scene_without_family(k):
     assert err.value.pointer == "/params/k"
 
 
+@pytest.mark.parametrize("key, value", [("samples", True), ("span", False),
+                                        ("k", True)])
+def test_params_reject_booleans(key, value):
+    # bool is an int in Python: true must not run as samples = 1, and false
+    # must not reach a range check as 0
+    data = json.loads(corpus.scene_path("cubic_graph").read_text())
+    del data["family"]
+    data["params"] = {key: value}
+    with pytest.raises(SceneError) as err:
+        build_scene(data)
+    assert str(err.value) == f"/params/{key}: expected a finite number"
+
+
+def test_family_k_rejects_a_boolean():
+    data = json.loads(corpus.scene_path("hyperbolic_paraboloid").read_text())
+    data["family"]["k"] = True
+    with pytest.raises(SceneError) as err:
+        build_scene(data)
+    assert err.value.pointer == "/family/k"
+
+
+@pytest.mark.parametrize("key", ["samples", "t_steps", "quad_cells", "k"])
+def test_integer_params_reject_fractions(key):
+    data = json.loads(corpus.scene_path("cubic_graph").read_text())
+    del data["family"]
+    data["params"] = {key: 2.7}  # would otherwise run truncated to 2
+    with pytest.raises(SceneError) as err:
+        build_scene(data)
+    assert str(err.value) == f"/params/{key}: {key} must be an integer"
+    data["params"] = {key: 2.0}  # an integral float is that integer
+    scene = build_scene(data)
+    got = {"samples": scene.params.samples, "t_steps": scene.params.t_steps,
+           "quad_cells": scene.params.quad.cells, "k": scene.k}[key]
+    assert got == 2 and isinstance(got, int)
+
+
+def test_params_k_must_match_the_family():
+    # params.k sets the class of the fitted curves only when the scene has
+    # no family; on a scene with one it must not be silently dropped
+    data = json.loads(corpus.scene_path("hyperbolic_paraboloid").read_text())
+    data["params"] = {"k": 3}
+    with pytest.raises(SceneError) as err:
+        build_scene(data)
+    assert err.value.pointer == "/params/k"
+    data["params"] = {"k": 1}
+    assert build_scene(data).k == 1
+
+
 def test_null_params_take_the_defaults():
     data = json.loads(corpus.scene_path("cubic_graph").read_text())
     del data["family"]

@@ -244,7 +244,7 @@ def _without_family(name):
     return build_scene(data, name=f"{name}-nofam")
 
 
-@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("seed", [0, 2, 7])
 def test_lockstep_fit_matches_sequential_oracle(seed):
     # the starts run in lockstep but must end as they would one by one:
     # the same samples without a curve, and the same curve where one exists
@@ -261,10 +261,8 @@ def test_lockstep_fit_matches_sequential_oracle(seed):
                 assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-8, (name, x)
 
 
-def test_fit_evaluates_all_starts_together(monkeypatch):
-    # cubic_graph has no order-3 line, so all 32 starts run until their
-    # line searches fail; each Gauss-Newton step makes one residual call
-    # for the Jacobian probes and one for the line-search candidates
+def _counting_residual_calls(monkeypatch):
+    """The batch shapes of every residual_jets call osculate makes."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -272,11 +270,71 @@ def test_fit_evaluates_all_starts_together(monkeypatch):
         return residual_jets(*args, **kwargs)
 
     monkeypatch.setattr(osculate, "residual_jets", counting)
+    return calls
+
+
+def test_fit_evaluates_all_starts_together(monkeypatch):
+    # pins the call schedule, not a bound: one call for the 32 starts, then
+    # per Gauss-Newton step one call for the Jacobian probes of the live
+    # starts and one for their 26 line-search candidates (2 delta, delta,
+    # ..., delta/2^24). cubic_graph has no order-3 line, so every start
+    # ends failed, and the last step's probes end the final starts by gtol
+    calls = _counting_residual_calls(monkeypatch)
     cubic = corpus.load("cubic_graph")
     assert fit_class_k_curve(cubic.manifold, [0.2, 0.5], 1, 3, seed=0) is None
     assert calls[0] == (32,)
-    assert len(calls) % 2 == 1 and len(calls) <= 1 + 2 * 80
-    assert all(shape[1:] in {(2, 3), (25,)} for shape in calls[1:])
+    probes, candidates = calls[1::2], calls[2::2]
+    assert len(probes) == len(candidates) + 1 <= 80
+    assert all(shape[1:] == (2, 3) for shape in probes)
+    assert all(shape[1:] == (26,) for shape in candidates)
+    live = [shape[0] for pair in zip(probes, candidates) for shape in pair]
+    assert live == sorted(live, reverse=True) and live[0] == 32
+
+
+def test_fit_gtol_changes_no_outcome(monkeypatch):
+    # the gtol test ends only starts that would fail anyway, so switching
+    # it off returns the same curves, bit for bit, and the same Nones
+    def fits():
+        out = []
+        for name, samples in (("saddle", 9), ("hyperbolic_paraboloid", 9),
+                              ("paraboloid", 9), ("cubic_graph", 9), ("cylinder", 2)):
+            scene = _without_family(name)
+            M, p = scene.manifold, scene.params
+            required = scene.k * (M.m + 1)
+            for seed in range(5):
+                for x in M.grid(p.samples, margin=p.margin)[:samples]:
+                    out.append(fit_class_k_curve(M, x, scene.k, required,
+                                                 seed=seed, tol=p.tol))
+        return out
+
+    want = fits()
+    monkeypatch.setattr(osculate, "FIT_GTOL", 0.0)
+    got = fits()
+    assert [c is None for c in got] == [c is None for c in want]
+    assert any(c is None for c in want) and any(c is not None for c in want)
+    assert all(np.array_equal(g.coeffs, w.coeffs)
+               for g, w in zip(got, want) if w is not None)
+
+
+@pytest.mark.parametrize("name, x, k, steps, found", [
+    # a double root: |F| falls 4x per plain step (19 steps without the
+    # doubled step that finishes a start)
+    ("paraboloid", [0.0, 0.0], 2, 8, True),
+    ("cylinder", [0.5, 0.2], 1, 7, True),       # 16 without it
+    # no order-3 line: gtol ends the starts polishing their nonzero
+    # minimum (16 steps without it)
+    ("cubic_graph", [0.2, 0.5], 1, 11, False),
+])
+def test_fit_step_counts(monkeypatch, name, x, k, steps, found):
+    calls = _counting_residual_calls(monkeypatch)
+    scene = corpus.load(name)
+    M, tol = scene.manifold, scene.params.tol
+    required = k * (M.m + 1)
+    curve = fit_class_k_curve(M, x, k, required, seed=0, tol=tol)
+    assert sum(len(shape) == 3 for shape in calls) == steps
+    assert (curve is not None) == found
+    if found:
+        assert contact_order_jet_recharted(curve, M, required + 2, tol).meets(required)
 
 
 def test_verify_stacks_osculation_and_vanishing(monkeypatch):
