@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -45,10 +46,20 @@ class Tolerances:
     cubic_residual: float = 1e-9
 
 
+@functools.cache
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of `order` points on [-1, 1], as
+    np.polynomial.legendre.leggauss gives them, computed once per order."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.setflags(write=False)     # shared by every caller through the cache
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def composite_gauss(a: float, b: float, cells: int, order: int):
     """Gauss-Legendre nodes and weights of `order` points per cell on `cells`
     equal cells of [a, b]."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = _gauss_legendre(order)
     edges = np.linspace(a, b, cells + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])

@@ -9,7 +9,11 @@ Two independent routes measure contact order:
   of the residual g(t) = gamma_normal(t) - alpha_normal(u(t)), with
   alpha_tangent(u(t)) = gamma_tangent(t), minus one. u is expanded as a jet
   by Newton iteration in the series ring (a graph's u is gamma_tangent), so
-  the coefficients are exact, never finite differences.
+  the coefficients are exact, never finite differences. On request
+  residual_jets also linearizes g in the curve's jets: P = dg/dgamma is
+  [-J_N(u) J_T(u)^-1 | I] over the re-chart's tangent and normal rows
+  ([-grad h(gamma_T) | I] on a graph), with J_T(u)^-1 solved order by order,
+  so the class-k fit reads exact Jacobians from the same call.
 
 * metric route: slope of log d(gamma(t), M) against log t on a geometric
   grid. For analytic data d ~ t^(order+1), so the integer estimate is
@@ -124,11 +128,13 @@ class ExprCurve:
 # residual jets
 
 
-def _rechart_residual(M: Submanifold, u0: np.ndarray, G: np.ndarray) -> np.ndarray:
+def _rechart_residual(M: Submanifold, u0: np.ndarray, G: np.ndarray,
+                      linearize: bool = False) -> tuple:
     """Residual (..., n-m, degree+1) of the curve jets G (..., n, degree+1)
     off the tangent rows of the largest |det| at u0, in increasing row order;
     Newton in the truncated series ring gains at least one valid order per
-    sweep, so degree+2 sweeps reach the full degree bound."""
+    sweep, so degree+2 sweeps reach the full degree bound. Returned with its
+    derivative P in G (see residual_jets) when `linearize`, else with None."""
     degree, batch = G.shape[-1] - 1, G.shape[:-2]
     J0 = M.jacobian_many(u0)
     tangent = np.zeros(J0.shape[:-1], dtype=bool)
@@ -148,13 +154,38 @@ def _rechart_residual(M: Submanifold, u0: np.ndarray, G: np.ndarray) -> np.ndarr
         delta = solve(JT, np.swapaxes(F, -1, -2))            # per-order correction
         u = [u[i] - Jet(delta[..., i]) for i in range(M.m)]
     res = (G - components(u, ~tangent))[~tangent]
-    return res.reshape(batch + (M.n - M.m, degree + 1))
+    res = res.reshape(batch + (M.n - M.m, degree + 1))
+    if not linearize:
+        return res, None
+    # d res / d G = [-J_N J_T^-1 | I] at J = J(u); X = J_N J_T^-1 solves
+    # X J_T = J_N order by order, each order against J_T(u0)
+    env, Ju = dict(zip(M.chart_vars, u)), np.zeros(G.shape[:-1] + (M.m, degree + 1))
+    for r in range(M.n):
+        for i in range(M.m):
+            Ju[..., r, i, :] = jet_eval_expr(M.jac_exprs[r][i], env, degree).coeffs
+    JTu = Ju[tangent].reshape(batch + (M.m, M.m, degree + 1))
+    X = Ju[~tangent].reshape(batch + (M.n - M.m, M.m, degree + 1))
+    for o in range(degree + 1):
+        if o:
+            X[..., o] -= np.einsum("...qab,...acb->...qc", X[..., o - 1::-1],
+                                   JTu[..., 1:o + 1])
+        X[..., o] = solve(np.swapaxes(JT, -1, -2), X[..., o])
+    unit = np.broadcast_to(np.eye(M.n), tangent.shape + (M.n,))
+    P = -np.einsum("...qao,...an->...qno", X,
+                   unit[tangent].reshape(batch + (M.m, M.n)))
+    P[..., 0] += unit[~tangent].reshape(batch + (M.n - M.m, M.n))
+    return res, P
 
 
-def residual_jets(M: Submanifold, curve, degree: int, tol=_TOL):
+def residual_jets(M: Submanifold, curve, degree: int, tol=_TOL, linearize: bool = False):
     """Taylor coefficients (..., n-m, degree+1) of the residual of a curve,
     or of a stack of curves, against M; every base must lie in the box and
-    on M, and NotOnManifold names the first curve that does not."""
+    on M, and NotOnManifold names the first curve that does not.
+
+    With `linearize`, the pair (residual, P): P (..., n-m, n, degree+1) is
+    the residual's exact derivative in the curve's jets, a matrix of jets,
+    so a change dgamma of the curve moves the residual by P dgamma in the
+    truncated series ring. On a graph P is [-grad h(gamma_T) | I]."""
     u0 = curve.chart
     if u0 is None:
         raise NotOnManifold("the curve carries no chart point of its base")
@@ -169,8 +200,18 @@ def residual_jets(M: Submanifold, curve, degree: int, tol=_TOL):
         env = dict(zip(M.chart_vars, gj))
         res = np.stack([(gj[r] - jet_eval_expr(M.components[r], env, degree)).coeffs
                         for r in range(M.m, M.n)], axis=-2)
+        if linearize:
+            # only the height partials are evaluated; the rest of P is 0 or I
+            P = np.zeros(res.shape[:-1] + (M.n, degree + 1))
+            for r in range(M.m, M.n):
+                for i in range(M.m):
+                    P[..., r - M.m, i, :] = -jet_eval_expr(M.jac_exprs[r][i], env,
+                                                           degree).coeffs
+            normal = np.arange(M.n - M.m)
+            P[..., normal, M.m + normal, 0] = 1.0
     else:
-        res = _rechart_residual(M, u0, np.stack([g.coeffs for g in gj], axis=-2))
+        res, P = _rechart_residual(M, u0, np.stack([g.coeffs for g in gj], axis=-2),
+                                   linearize)
     off = np.max(np.abs(res[..., 0]), axis=-1)
     scale = 1.0 + np.linalg.norm(np.stack([g.coeffs[..., 0] for g in gj], axis=-1), axis=-1)
     bad = ~(off <= tol.on_manifold * scale)
@@ -178,7 +219,7 @@ def residual_jets(M: Submanifold, curve, degree: int, tol=_TOL):
         row = int(np.flatnonzero(bad)[0])
         raise NotOnManifold(f"curve base point is {off.ravel()[row]:.3e} "
                             "off the manifold", row)
-    return res
+    return (res, P) if linearize else res
 
 
 # ---------------------------------------------------------------------------

@@ -165,38 +165,61 @@ def fit_class_k_curve(M: Submanifold, p_chart, k: int, target_order: int,
     """Damped Gauss-Newton for coefficients c_1..c_k with residual jet
     coefficients of orders 1..target_order all vanishing, on any chart kind;
     returns a PolyCurve through p_chart with unit-normalized velocity, or None.
+    A p_chart not of shape (m,), k < 1 or target_order < 1 is a ValueError.
 
-    Every start runs the same iteration it would run alone: a
-    central-difference Jacobian, a minimum-norm least-squares step delta,
-    and a line search over 2 delta, delta, delta/2, ..., delta/2^24. It
-    takes 2 delta only when that finishes the start (near a double root
-    plain steps only halve the error), and otherwise the first halving that
-    lowers |F|^2. A start ends as converged when every residual coefficient
-    is within contact_coeff and |c_1|^2 - 1 within 1e-9. It ends as failed
-    when its line search fails, after 80 steps, or by MINPACK's gtol test,
-    |J_j^T F| <= FIT_GTOL |J_j| |F| for every Jacobian column J_j: a
-    minimum of |F|^2 that is no root. The starts run in lockstep, so each
-    step evaluates residual jets twice for all live starts at once (the
-    Jacobian probes and the line-search candidates) as batched PolyCurves,
-    and one pinv of the stacked Jacobians gives every start's step. The
-    result is the curve of the lowest-index start that converges, returned
-    once every lower-index start has ended; higher-index starts are dropped
-    as soon as one converges.
+    Every start runs the same iteration it would run alone: an exact
+    Jacobian, a minimum-norm least-squares step delta, and a line search
+    over 2 delta, delta, delta/2, ..., delta/2^24. The Jacobian comes with
+    the residual from residual_jets' linearization P: the column of c_{j,i}
+    is column i of P shifted up j orders, and the speed row |c_1|^2 - 1 has
+    2 c_1 there. The line search takes 2 delta only when that finishes the
+    start (near a double root plain steps only halve the error), and
+    otherwise the first halving that lowers |F|^2. A start ends as
+    converged when every residual coefficient is within contact_coeff and
+    |c_1|^2 - 1 within 1e-9. It ends as failed when its line search fails,
+    after 80 steps, or by MINPACK's gtol test, |J_j^T F| <= FIT_GTOL |J_j| |F|
+    for every Jacobian column J_j: a minimum of |F|^2 that is no root.
+
+    The starts run in lockstep as batched PolyCurves, and one pinv of the
+    stacked Jacobians gives every start's step. Each step evaluates 2 delta,
+    delta, delta/2 and delta/4 of every live start in one residual_jets
+    call, and the 22 smaller steps in a second call only for the starts
+    that none of those four settles; each start takes the step the full
+    list would give it. An accepted candidate carries its residual and
+    Jacobian into the next step, so no point is evaluated twice. The result
+    is the curve of the lowest-index start that converges, returned once
+    every lower-index start has ended; higher-index starts are dropped as
+    soon as one converges.
     """
     p_chart = np.asarray(p_chart, dtype=float)
+    if p_chart.shape != (M.m,):
+        raise ValueError(f"p_chart must have shape ({M.m},), got {p_chart.shape}")
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if target_order < 1:
+        raise ValueError(f"target_order must be at least 1, got {target_order}")
     p_amb = M.chart_eval(p_chart)
     n = M.n
     size = k * n
+    rows = (n - M.m) * target_order + 1
 
-    def system(flat: np.ndarray) -> np.ndarray:
-        """Residuals (..., rows) of coefficient vectors flat (..., k*n)."""
-        c = flat.reshape(flat.shape[:-1] + (k, n))
-        base = np.broadcast_to(p_amb, c.shape[:-2] + (1, n))
+    def system(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Residuals (..., rows) of coefficient vectors flat (..., k*n), and
+        their Jacobians (..., rows, k*n)."""
+        batch = flat.shape[:-1]
+        c = flat.reshape(batch + (k, n))
+        base = np.broadcast_to(p_amb, batch + (1, n))
         curves = PolyCurve(np.concatenate([base, c], axis=-2), p_chart)
-        coeffs = residual_jets(M, curves, target_order, tol)
-        res = coeffs[..., 1 : target_order + 1].reshape(flat.shape[:-1] + (-1,))
-        speed = np.einsum("...i,...i->...", c[..., 0, :], c[..., 0, :]) - 1.0
-        return np.concatenate([res, speed[..., None]], axis=-1)
+        coeffs, P = residual_jets(M, curves, target_order, tol, linearize=True)
+        F = np.empty(batch + (rows,))
+        F[..., :-1] = coeffs[..., 1:].reshape(batch + (-1,))
+        F[..., -1] = np.einsum("...i,...i->...", c[..., 0, :], c[..., 0, :]) - 1.0
+        J = np.zeros(batch + (rows, size))
+        block = J[..., :-1, :].reshape(batch + (n - M.m, target_order, k, n))  # a view
+        for j in range(1, min(k, target_order) + 1):     # c_j moves orders >= j only
+            block[..., j - 1:, j - 1, :] = np.swapaxes(P[..., :target_order - j + 1], -1, -2)
+        J[..., -1, :n] = 2.0 * c[..., 0, :]
+        return F, J
 
     def converged(F: np.ndarray) -> np.ndarray:
         # absolute, so never looser than the contact check's
@@ -204,20 +227,23 @@ def fit_class_k_curve(M: Submanifold, p_chart, k: int, target_order: int,
         return ((np.max(np.abs(F[..., :-1]), axis=-1) <= tol.contact_coeff)
                 & (np.abs(F[..., -1]) <= 1e-9))
 
-    def jacobians(flat: np.ndarray) -> np.ndarray:
-        """Central-difference Jacobians (live, rows, k*n), all probes in one call."""
-        h = 1e-7 * (1.0 + np.abs(flat))
-        step = h[:, None, :] * np.eye(size)              # probe i moves coordinate i
-        probes = flat[:, None, None, :] + np.stack([step, -step], axis=1)
-        F = system(probes)                               # (live, 2, k*n, rows)
-        return np.swapaxes((F[:, 0] - F[:, 1]) / (2 * h[:, :, None]), -1, -2)
+    def trial(starts: np.ndarray, delta: np.ndarray, scales: np.ndarray) -> tuple:
+        """The candidates flat + scale * delta of the starts, with F, J, |F|^2."""
+        cand = flat[starts, None, :] + scales[:, None] * delta[:, None, :]
+        Fc, Jc = system(cand)
+        return cand, Fc, Jc, np.einsum("sjr,sjr->sj", Fc, Fc)
+
+    def accept(starts, ok, pick, cand, Fc, Jc, fc2):
+        """Move each start starts[ok] to its candidate pick[ok] of a trial."""
+        to, hit = starts[ok], (np.flatnonzero(ok), pick[ok])
+        flat[to], F[to], J[to], f2[to] = cand[hit], Fc[hit], Jc[hit], fc2[hit]
 
     rng = np.random.default_rng(seed)
     flat = rng.standard_normal((FIT_STARTS, k, n))
     for c in flat:
         c[0] /= np.linalg.norm(c[0])
     flat = flat.reshape(FIT_STARTS, size)
-    F = system(flat)
+    F, J = system(flat)
     f2 = np.einsum("ij,ij->i", F, F)
     steps = 0.5 ** np.arange(-1, 25)   # 2, 1, 1/2, ..., 2^-24 times delta
     live = np.arange(FIT_STARTS)       # starts still iterating, in index order
@@ -229,26 +255,29 @@ def fit_class_k_curve(M: Submanifold, p_chart, k: int, target_order: int,
         live = live[~done & (live < (FIT_STARTS if winner is None else winner))]
         if live.size == 0:
             break
-        J = jacobians(flat[live])
         # gtol, squared: a start moves on while some column has
         # |J_j^T F| > FIT_GTOL |J_j| |F|; the others end as failed
-        g = np.einsum("srj,sr->sj", J, F[live])
-        cols = np.einsum("srj,srj->sj", J, J)
+        Jl = J[live]
+        g = np.einsum("srj,sr->sj", Jl, F[live])
+        cols = np.einsum("srj,srj->sj", Jl, Jl)
         moving = (g * g > FIT_GTOL ** 2 * cols * f2[live, None]).any(axis=1)
-        live, J = live[moving], J[moving]
+        live, Jl = live[moving], Jl[moving]
         if live.size == 0:
             break
-        delta = -(np.linalg.pinv(J) @ F[live, :, None])[..., 0]
-        cand = flat[live, None, :] + steps[:, None] * delta[:, None, :]
-        Fc = system(cand)                                # (live, 26, rows)
-        fc2 = np.einsum("sjr,sjr->sj", Fc, Fc)
+        delta = -(np.linalg.pinv(Jl) @ F[live, :, None])[..., 0]
+        cand, Fc, Jc, fc2 = trial(live, delta, steps[:4])    # settles nearly every start
         finish = converged(Fc[:, 0])
         better = fc2[:, 1:] < f2[live, None]
-        moved = finish | better.any(axis=1)  # a start whose line search fails ends
-        pick = np.where(finish, 0, 1 + np.argmax(better, axis=1))[moved]
-        hit = np.nonzero(moved)[0]
+        moved = finish | better.any(axis=1)
+        pick = np.where(finish, 0, 1 + np.argmax(better, axis=1))
+        accept(live, moved, pick, cand, Fc, Jc, fc2)
+        rest = np.flatnonzero(~moved)
+        if rest.size:
+            cand, Fc, Jc, fc2 = trial(live[rest], delta[rest], steps[4:])
+            better = fc2 < f2[live[rest], None]
+            moved[rest] = better.any(axis=1)   # a start whose line search fails ends
+            accept(live[rest], moved[rest], np.argmax(better, axis=1), cand, Fc, Jc, fc2)
         live = live[moved]
-        flat[live], F[live], f2[live] = cand[hit, pick], Fc[hit, pick], fc2[hit, pick]
     if winner is None:
         return None
     return PolyCurve(np.vstack([p_amb, flat[winner].reshape(k, n)]), p_chart)

@@ -5,8 +5,10 @@ Taylor coefficients come from repeated symbolic differentiation, distances
 from brute-force grid minimization, lengths from composite Simpson, frame
 volumes from Gram determinants, maximal minors from the Leibniz permutation
 sum. The class-k fit oracle is an exception: it uses the library's
-residual jets but runs its starts one after another, so it checks the
-lockstep schedule of osculate.fit_class_k_curve. The tube-radius oracle is
+residual jets, but none of the fit's own machinery (central differences
+for the exact Jacobian, its own lstsq for the batched pinv, one start and
+one line-search candidate at a time for the lockstep schedule), so it
+checks both the fit's linearization and its schedule. The tube-radius oracle is
 another: it projects every dyadic level with the library's project_batch,
 so it checks the levels that Submanifold.tube_radius refutes unprojected.
 """
@@ -170,15 +172,19 @@ def tube_radius_every_level(M, *, rho_max=None, seed: int = 0,
 
 def sequential_class_k_fit(M, p_chart, k: int, target_order: int, tol,
                            starts: int = 32, seed: int = 0, gtol: float = 1e-6):
-    """osculate.fit_class_k_curve with one start at a time: each start runs
-    its damped Gauss-Newton to the end before the next is drawn, and the
-    first that converges is returned. Each step is solved by its own
-    np.linalg.lstsq, a solver independent of the library's one batched pinv
-    over all starts; both give the minimum-norm least-squares step and
-    differ only in rounding. The line search tries 2 delta first and takes
-    it only when it converges, then delta, delta/2, ... for the first that
-    lowers |F|^2; a start ends as failed when its residual has cosine at
-    most gtol with every Jacobian column."""
+    """osculate.fit_class_k_curve with one start at a time, kept independent
+    of the fit's machinery: each start runs its damped Gauss-Newton to the
+    end before the next is drawn, and the first that converges is returned.
+    Its Jacobian is taken by central differences of residual_jets, one
+    coefficient at a time, not from the residual's linearization. Each step
+    is solved by its own np.linalg.lstsq, a solver independent of the
+    library's one batched pinv over all starts; both give the minimum-norm
+    least-squares step. The line search evaluates one candidate at a time:
+    2 delta first, taken only when it converges, then delta, delta/2, ...
+    for the first that lowers |F|^2. A start ends as failed when its
+    residual has cosine at most gtol with every Jacobian column. On the
+    corpus the fit and this oracle agree on which samples have a curve, and
+    their curves differ by about 1e-9."""
     p_chart = np.asarray(p_chart, dtype=float)
     p_amb = M.chart_eval(p_chart)
     n = M.n

@@ -321,3 +321,48 @@ def test_contact_orders_of_a_stack():
                  for x in X]
         assert [str(o) for o in orders] == [str(o) for o in alone], name
         assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(orders, alone))
+
+
+_CODIM_TWO = ["x", "y", "x*y", "x + y^2"]     # a surface in R^4
+
+
+@pytest.mark.parametrize("name", [
+    "hyperbolic_paraboloid", "paraboloid", "cubic_graph", "sphere",     # graphs
+    "cylinder", "circle", "circle_rotation",                            # parametric
+    "codim2_graph", "codim2_parametric",
+])
+def test_linearization_matches_central_differences(name):
+    # P is the residual's derivative in the curve's jets, so the residual's
+    # derivative in the coefficient c_j of t^j is P shifted up j orders;
+    # central differences in each coefficient of a stack of curves agree
+    if name == "codim2_graph":
+        M = Submanifold.graph(["x", "y"], [[-1, 1], [-1, 1]], _CODIM_TWO[2:])
+    elif name == "codim2_parametric":
+        M = Submanifold.parametric(["x", "y"], [[-1, 1], [-1, 1]], _CODIM_TWO, 4)
+    else:
+        M = corpus.load(name).manifold
+    # the last point of the first row: there the codimension-2 chart's
+    # largest tangent minor is on its curved rows (x*y, x + y^2)
+    x = M.grid(3, margin=0.15)[2]
+    degree, k = 6, 2
+    rng = np.random.default_rng(7)
+    tails = 0.3 * rng.standard_normal((3, k, M.n))
+
+    def residual(tails, linearize=False):
+        base = np.broadcast_to(M.embed(x), (3, 1, M.n))
+        curves = PolyCurve(np.concatenate([base, tails], axis=-2), x)
+        return residual_jets(M, curves, degree, linearize=linearize)
+
+    res, P = residual(tails, linearize=True)
+    assert P.shape == (3, M.n - M.m, M.n, degree + 1)
+    assert np.array_equal(res, residual(tails))
+    for j, i in np.ndindex(k, M.n):
+        h = 1e-6
+        up, down = tails.copy(), tails.copy()
+        up[:, j, i] += h
+        down[:, j, i] -= h
+        diff = (residual(up) - residual(down)) / (2 * h)
+        exact = np.zeros_like(diff)
+        exact[..., j + 1:] = P[..., i, :degree - j]
+        scale = max(1.0, float(np.max(np.abs(exact))))
+        assert np.max(np.abs(diff - exact)) <= 1e-6 * scale, (name, j, i)

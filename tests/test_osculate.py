@@ -246,8 +246,9 @@ def _without_family(name):
 
 @pytest.mark.parametrize("seed", [0, 2, 7])
 def test_lockstep_fit_matches_sequential_oracle(seed):
-    # the starts run in lockstep but must end as they would one by one:
-    # the same samples without a curve, and the same curve where one exists
+    # the starts run in lockstep on exact Jacobians but must end as they
+    # would one by one on central differences: the same samples without a
+    # curve, and the same curve to 1e-8 where one exists
     for name, samples in (("saddle", 9), ("hyperbolic_paraboloid", 9),
                           ("paraboloid", 9), ("cubic_graph", 2), ("cylinder", 2)):
         scene = _without_family(name)
@@ -259,6 +260,18 @@ def test_lockstep_fit_matches_sequential_oracle(seed):
             assert (got is None) == (want is None), (name, x)
             if want is not None:
                 assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-8, (name, x)
+
+
+def test_fit_with_more_coefficients_than_orders():
+    # c_j with j > target_order moves no residual order, so its Jacobian
+    # columns are 0; the fit still runs and agrees with the oracle
+    scene = corpus.load("hyperbolic_paraboloid")
+    M, tol = scene.manifold, scene.params.tol
+    for k, target_order in ((4, 2), (5, 3)):
+        got = fit_class_k_curve(M, [0.3, -0.2], k, target_order, seed=1, tol=tol)
+        want = sequential_class_k_fit(M, [0.3, -0.2], k, target_order, tol, seed=1)
+        assert got is not None and want is not None
+        assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-8
 
 
 def _counting_residual_calls(monkeypatch):
@@ -275,19 +288,24 @@ def _counting_residual_calls(monkeypatch):
 
 def test_fit_evaluates_all_starts_together(monkeypatch):
     # pins the call schedule, not a bound: one call for the 32 starts, then
-    # per Gauss-Newton step one call for the Jacobian probes of the live
-    # starts and one for their 26 line-search candidates (2 delta, delta,
-    # ..., delta/2^24). cubic_graph has no order-3 line, so every start
-    # ends failed, and the last step's probes end the final starts by gtol
+    # per Gauss-Newton step one call for the first four line-search
+    # candidates of the live starts (2 delta, delta, delta/2, delta/4) and
+    # one for the other 22 (delta/8, ..., delta/2^24) of only the starts
+    # that none of those four settles. The Jacobians come with the
+    # residuals, so no call probes. cubic_graph has no order-3 line, so
+    # every start ends failed
     calls = _counting_residual_calls(monkeypatch)
     cubic = corpus.load("cubic_graph")
     assert fit_class_k_curve(cubic.manifold, [0.2, 0.5], 1, 3, seed=0) is None
     assert calls[0] == (32,)
-    probes, candidates = calls[1::2], calls[2::2]
-    assert len(probes) == len(candidates) + 1 <= 80
-    assert all(shape[1:] == (2, 3) for shape in probes)
-    assert all(shape[1:] == (26,) for shape in candidates)
-    live = [shape[0] for pair in zip(probes, candidates) for shape in pair]
+    heads = [i for i, shape in enumerate(calls) if shape[1:] == (4,)]
+    assert heads[0] == 1 and len(heads) <= 80
+    for i, end in zip(heads, heads[1:] + [len(calls)]):
+        searches = calls[i + 1:end]                     # at most one, on no more starts
+        assert len(searches) <= 1
+        assert all(s[1:] == (22,) and s[0] <= calls[i][0] for s in searches)
+    assert any(shape[1:] == (22,) for shape in calls)
+    live = [calls[i][0] for i in heads]
     assert live == sorted(live, reverse=True) and live[0] == 32
 
 
@@ -316,7 +334,7 @@ def test_fit_gtol_changes_no_outcome(monkeypatch):
                for g, w in zip(got, want) if w is not None)
 
 
-@pytest.mark.parametrize("name, x, k, steps, found", [
+@pytest.mark.parametrize("name, x, k, jacobians, found", [
     # a double root: |F| falls 4x per plain step (19 steps without the
     # doubled step that finishes a start)
     ("paraboloid", [0.0, 0.0], 2, 8, True),
@@ -325,16 +343,43 @@ def test_fit_gtol_changes_no_outcome(monkeypatch):
     # minimum (16 steps without it)
     ("cubic_graph", [0.2, 0.5], 1, 11, False),
 ])
-def test_fit_step_counts(monkeypatch, name, x, k, steps, found):
+def test_fit_step_counts(monkeypatch, name, x, k, jacobians, found):
+    # the Jacobians the fit reads: one per step, which makes one pinv and
+    # one call for its first four line-search candidates, and on cubic_graph
+    # one more, whose gtol test ends the last starts. Each came with the
+    # residual of its point
     calls = _counting_residual_calls(monkeypatch)
+    solves, pinv = [], np.linalg.pinv
+
+    def counting_pinv(A):
+        solves.append(A.shape)
+        return pinv(A)
+
+    monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
     scene = corpus.load(name)
     M, tol = scene.manifold, scene.params.tol
     required = k * (M.m + 1)
     curve = fit_class_k_curve(M, x, k, required, seed=0, tol=tol)
-    assert sum(len(shape) == 3 for shape in calls) == steps
+    steps = jacobians if found else jacobians - 1
+    assert len(solves) == sum(shape[1:] == (4,) for shape in calls) == steps
+    assert sum(shape[1:] == (22,) for shape in calls) == 1
     assert (curve is not None) == found
     if found:
         assert contact_order_jet_recharted(curve, M, required + 2, tol).meets(required)
+
+
+@pytest.mark.parametrize("p_chart, k, target_order, argument", [
+    ([0.1, 0.2], 0, 3, "k"),
+    ([0.1], 1, 3, "p_chart"),
+    ([0.1, 0.2, 0.3], 1, 3, "p_chart"),
+    ([[0.1, 0.2], [0.3, 0.4]], 1, 3, "p_chart"),
+    ([0.1, 0.2], 1, 0, "target_order"),
+    ([0.1, 0.2], 1, -1, "target_order"),
+])
+def test_fit_rejects_bad_input(p_chart, k, target_order, argument):
+    M = corpus.load("hyperbolic_paraboloid").manifold
+    with pytest.raises(ValueError, match=f"^{argument} "):
+        fit_class_k_curve(M, p_chart, k, target_order)
 
 
 def test_verify_stacks_osculation_and_vanishing(monkeypatch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from osclab import corpus
+from osclab import config, corpus
 from osclab import expr as ex
 from osclab.config import QuadConfig, Tolerances, composite_gauss, geometric_grid
 from osclab.exterior import frame_norm, wedge_ring
@@ -194,6 +194,23 @@ def test_jet_and_vandermonde_paths_agree(hp, circle, segment):
             a = extract_t_polynomials(scene.family, x)
             b = extract_t_polynomials_sampled(scene.family, x)
             assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-9
+
+
+def test_composite_gauss_reads_cached_leggauss():
+    # the nodes and weights of each order are computed once, bit-identical
+    # to leggauss, and the cached arrays are shared read-only
+    for order in (1, 4, 8, 10):
+        nodes, weights = np.polynomial.legendre.leggauss(order)
+        cached = config._gauss_legendre(order)
+        assert config._gauss_legendre(order) is cached
+        assert all(not a.flags.writeable for a in cached)
+        assert np.array_equal(cached[0], nodes) and np.array_equal(cached[1], weights)
+        ts, ws = composite_gauss(-0.3, 0.7, 5, order)
+        edges = np.linspace(-0.3, 0.7, 6)
+        half = 0.5 * (edges[1] - edges[0])
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        assert np.array_equal(ts, (mid[:, None] + half * nodes[None, :]).ravel())
+        assert np.array_equal(ws, np.tile(half * weights, 5))
 
 
 def test_quadrature_consistent_with_coefficients(segment, circle, hp):
