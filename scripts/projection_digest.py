@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from dataclasses import fields
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from osclab.manifold import BatchProjection, Submanifold
 from osclab.osculate import ruledness_check
 from osclab.scene import build_scene
 
-FIELDS = [f.name for f in fields(BatchProjection)]
+FIELDS = BatchProjection._fields
 FLAGS = ("converged", "on_boundary", "ambiguous")
 FAR_POINTS = 200
 #: the ruled 3-fold w = xy + z swept along its rulings: m = 3, where a

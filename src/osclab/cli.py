@@ -112,10 +112,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _seed(args) -> int:
+    """OSCLAB_SEED if set, else --seed; numpy's RNG takes no negative seed."""
     env = os.environ.get("OSCLAB_SEED")
-    if env is not None:
-        return int(env)
-    return args.seed
+    try:
+        seed = args.seed if env is None else int(env)
+    except ValueError:
+        raise UsageError(f"OSCLAB_SEED must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise UsageError(f"the seed must be >= 0, got {seed}")
+    return seed
 
 
 def _tolerances(args) -> Tolerances:
@@ -171,11 +176,13 @@ def _need_family(scene: Scene):
 
 
 def _cmd_contact(args) -> int:
+    if args.max_order is not None and args.max_order < 1:
+        raise UsageError(f"--max-order must be >= 1, got {args.max_order}")
     scene = _load(args)
     family = _need_family(scene)
     M = scene.manifold
     x = _parse_point(args, M.m)
-    max_order = args.max_order or (scene.k * (M.m + 1) + 2)
+    max_order = scene.k * (M.m + 1) + 2 if args.max_order is None else args.max_order
     curve = family.curve_at(x)
     jet = contact_order_jet_recharted(curve, M, max_order, scene.params.tol)
     metric = contact_order_metric(curve, M, scene.params.t_grid(), scene.params.tol)
@@ -224,19 +231,20 @@ def _cmd_ruled(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    seed = _seed(args)
     scene = _load(args)
-    report = verify_theorem(scene, seed=_seed(args))
+    report = verify_theorem(scene, seed=seed)
     _emit(_json_text(report.as_dict()), args.report)
     print(f"{scene.name}: {report.verdict}", file=sys.stderr)
     return 0
 
 
 def _cmd_corpus(args) -> int:
-    tol = _tolerances(args)
+    seed, tol = _seed(args), _tolerances(args)
     rows = []
     for name in corpus_mod.names():
         scene = _with_flags(corpus_mod.load(name, tol=tol), args)
-        report = verify_theorem(scene, seed=_seed(args))
+        report = verify_theorem(scene, seed=seed)
         step = "-" if report.first_failure is None else report.first_failure["step"]
         rows.append({"scene": name, "verdict": report.verdict, "first_failure": step})
         print(f"{name:24s} {report.verdict:18s} {step}", file=sys.stderr)

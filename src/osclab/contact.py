@@ -22,7 +22,8 @@ Two independent routes measure contact order:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
+
 import numpy as np
 
 from . import expr as ex
@@ -102,7 +103,7 @@ class ExprCurve:
     as it does over a stack of points."""
 
     def __init__(self, exprs, chart_vars=(), chart=None):
-        self.exprs = [ex.parse(e) if isinstance(e, str) else e for e in exprs]
+        self.exprs = ex.as_exprs(exprs)
         self.chart_vars = tuple(chart_vars)
         self.chart = None if chart is None else np.asarray(chart, dtype=float)
         self.batch = () if self.chart is None else self.chart.shape[:-1]
@@ -226,8 +227,7 @@ def residual_jets(M: Submanifold, curve, degree: int, tol=_TOL, linearize: bool 
 # contact order, jet route
 
 
-@dataclass(frozen=True)
-class ContactOrder:
+class ContactOrder(NamedTuple):
     order: int
     saturated: bool
     max_order: int
@@ -266,8 +266,7 @@ def contact_order_jet_recharted(curve, M: Submanifold, max_order: int, tol=_TOL)
 # contact order, metric route
 
 
-@dataclass(frozen=True)
-class MetricOrder:
+class MetricOrder(NamedTuple):
     slope: float | None
     order: int | None
     contained: bool
@@ -278,7 +277,7 @@ class MetricOrder:
 def contact_order_metric(curve, M: Submanifold, t_grid=None, tol=_TOL) -> MetricOrder:
     ts = np.asarray(geometric_grid() if t_grid is None else t_grid, dtype=float)
     pts = curve(ts)
-    ds = M.distance_many(pts)
+    ds = M.project_batch(pts).distance
     live = ds > tol.dist_zero
     if np.count_nonzero(live) < 2:
         return MetricOrder(None, None, True, ts, ds)
@@ -291,8 +290,7 @@ def contact_order_metric(curve, M: Submanifold, t_grid=None, tol=_TOL) -> Metric
 # uniform decay of d(phi_t(x), M) / t^k
 
 
-@dataclass(frozen=True)
-class DecayReport:
+class DecayReport(NamedTuple):
     k: int
     ts: np.ndarray
     ratios: np.ndarray
@@ -317,7 +315,7 @@ def uniform_decay_check(family, k: int, tol=_TOL) -> DecayReport:
     hypothesis_met = all(order.meets(k) for order in contact_order_jet_recharted(
         family.curve_at(X), M, max_order, tol))
     pts = family.point_many(np.tile(X, (len(ts), 1)), np.repeat(ts, len(X)))
-    ds = M.distance_many(pts).reshape(len(ts), len(X))
+    ds = M.project_batch(pts).distance.reshape(len(ts), len(X))
     ratios = np.max(np.where(ds < tol.dist_zero, 0.0, ds), axis=1) / ts**k
     contained = bool(np.all(ratios < tol.decay_floor))
     passed = contained or ratios[-1] < 0.1 * ratios[0]
@@ -372,8 +370,7 @@ def monotone_window(curve, M: Submanifold, eps_max: float = 0.5,
 # length bound for coordinate-monotone curves
 
 
-@dataclass(frozen=True)
-class LengthBound:
+class LengthBound(NamedTuple):
     length: float
     bound: float
     holds: bool

@@ -349,6 +349,11 @@ def parse(text: str) -> Expr:
     return _Parser(text).parse()
 
 
+def as_exprs(items) -> list[Expr]:
+    """The items as expressions: each string parsed, each Expr kept."""
+    return [parse(e) if isinstance(e, str) else e for e in items]
+
+
 # ---------------------------------------------------------------------------
 # differentiation
 

@@ -66,8 +66,8 @@ raised only when the radius is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,26 +122,20 @@ class NoConvergence(ManifoldError):
     pass
 
 
-@dataclass(frozen=True)
-class ProjectionResult:
+class ProjectionResult(NamedTuple):
     chart: np.ndarray
     point: np.ndarray
     distance: float
     on_boundary: bool
 
 
-@dataclass(frozen=True)
-class BatchProjection:
+class BatchProjection(NamedTuple):
     chart: np.ndarray      # (q, m)
     point: np.ndarray      # (q, n)
     distance: np.ndarray   # (q,)
     converged: np.ndarray  # (q,) bool
     ambiguous: np.ndarray  # (q,) bool
     on_boundary: np.ndarray  # (q,) bool
-
-
-def _as_exprs(items) -> list[ex.Expr]:
-    return [ex.parse(e) if isinstance(e, str) else e for e in items]
 
 
 class Submanifold:
@@ -181,7 +175,7 @@ class Submanifold:
 
     @classmethod
     def graph(cls, chart_vars, box, heights, ambient_dim=None):
-        heights = _as_exprs(heights)
+        heights = ex.as_exprs(heights)
         chart_vars = tuple(chart_vars)
         n = len(chart_vars) + len(heights)
         if ambient_dim is not None and ambient_dim != n:
@@ -191,7 +185,7 @@ class Submanifold:
 
     @classmethod
     def parametric(cls, chart_vars, box, maps, ambient_dim):
-        maps = _as_exprs(maps)
+        maps = ex.as_exprs(maps)
         M = cls("parametric", chart_vars, box, maps, ambient_dim)
         J = M.jacobian_many(M.grid(17 if M.m <= 2 else 7))
         worst = float(np.min(frame_ratio(J)))
@@ -222,22 +216,17 @@ class Submanifold:
         vals = ex.evaluate_many(flat, self._env(X), X.shape[:-1])
         return vals.reshape(*X.shape[:-1], self.n, self.m, self.m)
 
-    def embed(self, x) -> np.ndarray:
-        return self.embed_many(np.asarray(x, dtype=float)[None, :])[0]
-
     def in_box_many(self, X, tol=1e-12) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         side = self.box[:, 1] - self.box[:, 0]
         return np.all((X >= self.box[:, 0] - tol * side)
                       & (X <= self.box[:, 1] + tol * side), axis=-1)
 
-    def in_box(self, x, tol=1e-12) -> bool:
-        return bool(self.in_box_many(x, tol))
-
     def chart_eval(self, x) -> np.ndarray:
-        if not self.in_box(x):
+        """The embedding of the one chart point x (m,), box-checked."""
+        if not self.in_box_many(x):
             raise OutOfDomain(f"chart coordinates {x} outside the domain box")
-        return self.embed(x)
+        return self.embed_many(np.asarray(x, dtype=float)[None, :])[0]
 
     def grid(self, per_axis: int, margin: float = 0.0) -> np.ndarray:
         axes = []
@@ -421,8 +410,7 @@ class Submanifold:
         if len(P) <= step:
             return self._project_chunk(P)
         parts = [self._project_chunk(P[i : i + step]) for i in range(0, len(P), step)]
-        return BatchProjection(*(np.concatenate([getattr(b, f.name) for b in parts])
-                                 for f in fields(BatchProjection)))
+        return BatchProjection(*map(np.concatenate, zip(*parts)))
 
     def _project_chunk(self, P) -> BatchProjection:
         q = P.shape[0]
@@ -504,12 +492,6 @@ class Submanifold:
             distance=float(b.distance[0]),
             on_boundary=bool(b.on_boundary[0]),
         )
-
-    def distance(self, p) -> float:
-        return float(self.project_batch(np.asarray(p, dtype=float)[None, :]).distance[0])
-
-    def distance_many(self, P) -> np.ndarray:
-        return self.project_batch(P).distance
 
     # -- tube radius ------------------------------------------------------
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,8 +56,7 @@ FINITE_WINDOW_NOTE = (
 # osculating directions (order-3 lines on surfaces in R^3)
 
 
-@dataclass(frozen=True)
-class OscDirection:
+class OscDirection(NamedTuple):
     chart: np.ndarray     # coefficients in the tangent basis
     ambient: np.ndarray   # unit tangent vector in R^n
     cubic_residual: float
@@ -287,16 +287,14 @@ def fit_class_k_curve(M: Submanifold, p_chart, k: int, target_order: int,
 # containment of a curve family
 
 
-@dataclass(frozen=True)
-class RuledWitness:
+class RuledWitness(NamedTuple):
     chart: np.ndarray
     s: float
     point: np.ndarray
     distance: float
 
 
-@dataclass(frozen=True)
-class RuledVerdict:
+class RuledVerdict(NamedTuple):
     verdict: str  # CONTAINED | NOT_CONTAINED | UNDECIDED
     max_distance: float | None
     tolerance: float

@@ -48,6 +48,7 @@ trajectory and is returned in its FlowReport.error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,8 +144,7 @@ class SweepFamily:
         if fields is not None:
             if len(fields) != k:
                 raise ValueError("field count must equal k")
-            self.fields = [[ex.parse(c) if isinstance(c, str) else c for c in f]
-                           for f in fields]
+            self.fields = [ex.as_exprs(f) for f in fields]
             for f in self.fields:
                 if len(f) != M.n:
                     raise ValueError("each field needs one expression per "
@@ -163,8 +163,7 @@ class SweepFamily:
         else:
             if cutoff is not None:
                 raise ValueError("cutoff applies to polynomial field families")
-            self.map_exprs = [ex.parse(c) if isinstance(c, str) else c
-                              for c in map_exprs]
+            self.map_exprs = ex.as_exprs(map_exprs)
             if len(self.map_exprs) != M.n:
                 raise ValueError("map needs one expression per ambient coordinate")
             for c in self.map_exprs:
@@ -218,15 +217,6 @@ class SweepFamily:
         if self.cutoff is None:
             return phi
         return np.stack(self._cut(X, phi.T), axis=-1)
-
-    def point(self, x, t) -> np.ndarray:
-        return self.point_many(np.asarray(x, float)[None, :], np.asarray([t], float))[0]
-
-    def eval(self, x, t) -> np.ndarray:
-        """Chart-checked sweep evaluation phi(x, t)."""
-        if not self.M.in_box(x):
-            raise OutOfDomain(f"chart coordinates {x} outside the domain box")
-        return self.point(x, t)
 
     def frame_many(self, X, T) -> np.ndarray:
         """Frame (d1 phi .. dm phi, dt phi) at paired nodes; (q, n, m+1)."""
@@ -303,8 +293,7 @@ def _minor_jets(family: SweepFamily, X: np.ndarray, degree: int) -> np.ndarray:
                     axis=-2)
 
 
-@dataclass(frozen=True)
-class VolumeSample:
+class VolumeSample(NamedTuple):
     t: float
     value: float
     error: float
@@ -396,8 +385,7 @@ def volume_series(family: SweepFamily, t_grid=None,
 # reparametrization invariance
 
 
-@dataclass(frozen=True)
-class ReparamResult:
+class ReparamResult(NamedTuple):
     vol: float
     vol_composed: float
     gap: float
@@ -433,7 +421,7 @@ def reparam_invariance_test(family: SweepFamily, psi_exprs, t_extent: float,
                             quad: QuadConfig | None = None) -> ReparamResult:
     quad = quad or QuadConfig()
     M = family.M
-    psi = [ex.parse(p) if isinstance(p, str) else p for p in psi_exprs]
+    psi = ex.as_exprs(psi_exprs)
     if len(psi) != M.m + 1:
         raise ValueError("reparametrization needs m+1 component expressions")
     dpsi = [ex.diff(c, v) for c in psi for v in (*M.chart_vars, ex.TIME_VAR)]
@@ -469,8 +457,7 @@ def reparam_invariance_test(family: SweepFamily, psi_exprs, t_extent: float,
 # t-polynomial coefficients of the volume-element components
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
+class CoefficientTable(NamedTuple):
     x: np.ndarray       # (m,), or (N, m) for a stack of samples
     degree: int
     coeffs: np.ndarray  # (C(n, m+1), degree+1), or (N, C(n, m+1), degree+1)
@@ -532,8 +519,7 @@ def extract_t_polynomials_sampled(family: SweepFamily, x) -> CoefficientTable:
 # growth exponent
 
 
-@dataclass(frozen=True)
-class GrowthFit:
+class GrowthFit(NamedTuple):
     slope: float | None
     intercept: float | None
     residual: float | None
@@ -557,16 +543,14 @@ def growth_exponent(samples: list[VolumeSample], tol=_TOL) -> GrowthFit:
 # vanishing verdict
 
 
-@dataclass(frozen=True)
-class VanishingWitness:
+class VanishingWitness(NamedTuple):
     x: np.ndarray
     component: int  # 1-based lexicographic index
     index: int
     value: float
 
 
-@dataclass(frozen=True)
-class VanishingVerdict:
+class VanishingVerdict(NamedTuple):
     vanishes: bool
     scale: float
     max_coeff: float
@@ -607,8 +591,7 @@ def vanishing_verdict(family: SweepFamily, samples_per_axis: int = 3,
 # flow-based containment (tangency transport)
 
 
-@dataclass(frozen=True)
-class FlowReport:
+class FlowReport(NamedTuple):
     start: np.ndarray
     t_span: float
     steps: int

@@ -481,6 +481,38 @@ def test_out_of_range_settings_exit_one(capsys, monkeypatch, tmp_path, hp_path,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, env_seed, flags, message", [
+    ("verify", "abc", "", "OSCLAB_SEED must be an integer, got 'abc'"),
+    ("verify", "-5", "", "the seed must be >= 0, got -5"),
+    ("verify", None, "--seed -5", "the seed must be >= 0, got -5"),
+    ("corpus", "abc", "", "OSCLAB_SEED must be an integer, got 'abc'"),
+    ("contact", None, "--point 0,0 --max-order 0", "--max-order must be >= 1, got 0"),
+    ("contact", None, "--point 0,0 --max-order -3", "--max-order must be >= 1, got -3"),
+])
+def test_bad_seed_or_max_order_exits_one(capsys, monkeypatch, tmp_path, command,
+                                         env_seed, flags, message):
+    # verify runs on a scene without a family, where the seed reaches the
+    # fit's RNG; every case must stop before the command's pipeline runs
+    def past_the_check(*args, **kwargs):
+        raise AssertionError("the command ran past its seed or order check")
+
+    for name in ("verify_theorem", "contact_order_jet_recharted", "contact_order_metric"):
+        monkeypatch.setattr(cli, name, past_the_check)
+    if env_seed is None:
+        monkeypatch.delenv("OSCLAB_SEED", raising=False)
+    else:
+        monkeypatch.setenv("OSCLAB_SEED", env_seed)
+    data = json.loads(corpus.scene_path("hyperbolic_paraboloid").read_text())
+    if command == "verify":
+        del data["family"]
+    (tmp_path / "hp.json").write_text(json.dumps(data))
+    scene = [] if command == "corpus" else ["--scene", str(tmp_path / "hp.json")]
+    code, out, err = _run(capsys, command, *scene, *flags.split())
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_flags_reach_verify_and_corpus(capsys, monkeypatch):
     seen = []
     real = cli.verify_theorem

@@ -253,7 +253,7 @@ def test_stacked_polycurves_match_one_by_one():
     # a quotient and a square root in its height
     M = Submanifold.graph(["x", "y"], [[-1, 1], [-1, 1]],
                           ["x*y^2 / (2 + x) + sqrt(1 + x^2)"])
-    base = M.embed(np.array([0.3, -0.6]))
+    base = M.embed_many(np.array([0.3, -0.6]))
     rng = np.random.default_rng(4)
     tails = rng.standard_normal((4, 3, 2, 3))
     coeffs = np.concatenate([np.broadcast_to(base, (4, 3, 1, 3)), tails], axis=-2)
@@ -349,7 +349,7 @@ def test_linearization_matches_central_differences(name):
     tails = 0.3 * rng.standard_normal((3, k, M.n))
 
     def residual(tails, linearize=False):
-        base = np.broadcast_to(M.embed(x), (3, 1, M.n))
+        base = np.broadcast_to(M.embed_many(x), (3, 1, M.n))
         curves = PolyCurve(np.concatenate([base, tails], axis=-2), x)
         return residual_jets(M, curves, degree, linearize=linearize)
 

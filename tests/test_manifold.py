@@ -1,5 +1,3 @@
-from dataclasses import fields
-
 import numpy as np
 import pytest
 
@@ -98,13 +96,13 @@ def test_parabola_two_feet_is_ambiguous():
     with pytest.raises(AmbiguousProjection):
         M.nearest_point([0.0, 1.0])
     # distance is still well defined and matches the oracle
-    assert M.distance([0.0, 1.0]) == pytest.approx(np.sqrt(vmin), abs=1e-10)
+    assert M.project_batch([0.0, 1.0]).distance[0] == pytest.approx(np.sqrt(vmin), abs=1e-10)
 
 
 def test_distance_on_manifold_grid(sphere_cap, hp):
     for M in (sphere_cap, hp):
-        for x in M.grid(4, margin=0.05):
-            assert M.distance(M.embed(x)) <= 1e-10
+        assert np.all(M.project_batch(M.embed_many(M.grid(4, margin=0.05))).distance
+                      <= 1e-10)
 
 
 def test_distance_graph_epsilon():
@@ -113,26 +111,26 @@ def test_distance_graph_epsilon():
     oracle = np.sqrt(grid_min_2d(
         lambda X, Y: X**2 + Y**2 + (X * Y - eps) ** 2, [[-1, 1], [-1, 1]], 1e-3))
     assert oracle == pytest.approx(eps, abs=1e-6)
-    assert M.distance([0.0, 0.0, eps]) == pytest.approx(eps, abs=1e-9)
+    assert M.project_batch([0.0, 0.0, eps]).distance[0] == pytest.approx(eps, abs=1e-9)
 
 
 def test_triangle_consistency(hp):
     rng = np.random.default_rng(17)
     P = rng.uniform(-1.2, 1.2, size=(12, 3))
     Q = P + rng.normal(scale=0.3, size=P.shape)
-    dp = hp.distance_many(P)
-    dq = hp.distance_many(Q)
+    dp = hp.project_batch(P).distance
+    dq = hp.project_batch(Q).distance
     gap = np.linalg.norm(P - Q, axis=1)
     assert np.all(np.abs(dp - dq) <= gap + 1e-9)
 
 
 def test_graph_normal_displacement(sphere_cap):
     x = np.array([0.1, -0.2])
-    base = sphere_cap.embed(x)
+    base = sphere_cap.embed_many(x)
     q, _ = np.linalg.qr(sphere_cap.jacobian_many(x), mode="complete")
-    nu = q[:, sphere_cap.m]
-    for delta in (1e-4, 1e-2, 0.1):
-        assert sphere_cap.distance(base + delta * nu) <= delta + 1e-12
+    delta = np.array([1e-4, 1e-2, 0.1])
+    d = sphere_cap.project_batch(base + delta[:, None] * q[:, sphere_cap.m]).distance
+    assert np.all(d <= delta + 1e-12)
 
 
 def test_immersion_check():
@@ -279,8 +277,8 @@ def test_line_search_evaluates_only_searching_rows(monkeypatch):
     # a line search that re-evaluates every active row at each halving
     # evaluates 5,740,194 rows here
     assert sum(rows) <= 5_740_194 // 2
-    for f in fields(BatchProjection):
-        assert np.array_equal(getattr(spied, f.name), getattr(plain, f.name))
+    for f in BatchProjection._fields:
+        assert np.array_equal(getattr(spied, f), getattr(plain, f))
 
 
 @pytest.mark.parametrize("name, every", [("saddle", 1), ("ruled_3fold", 8)])
@@ -297,8 +295,8 @@ def test_chunked_projection_changes_no_bit(name, every, monkeypatch):
     monkeypatch.setattr(manifold, "PROJECT_CHUNK_ROWS", 50 * 9**M.m + 9)
     split = M.project_batch(pts)
     assert rows == [50] * (len(pts) // 50) + [len(pts) % 50]
-    for f in fields(BatchProjection):
-        assert np.array_equal(getattr(split, f.name), getattr(whole, f.name))
+    for f in BatchProjection._fields:
+        assert np.array_equal(getattr(split, f), getattr(whole, f))
 
 
 def test_each_newton_point_is_evaluated_once(monkeypatch):
@@ -324,8 +322,8 @@ def test_each_newton_point_is_evaluated_once(monkeypatch):
     assert embed and embed == [n for name, n in events if name == "jacobian_many"]
     last = max(i for i, (name, _) in enumerate(events) if name == "_descend")
     assert all(name != "embed_many" for name, _ in events[last:])
-    for f in fields(BatchProjection):
-        assert np.array_equal(getattr(spied, f.name), getattr(plain, f.name))
+    for f in BatchProjection._fields:
+        assert np.array_equal(getattr(spied, f), getattr(plain, f))
 
 
 def _tube_probes(M, monkeypatch):
@@ -371,8 +369,8 @@ def test_line_search_blocks_change_no_bit(name, monkeypatch):
     assert max(embeds) <= max(descents)
     for i in range(0, len(P), 10):
         one = M.project_batch(P[i])
-        for f in fields(BatchProjection):
-            assert np.array_equal(getattr(one, f.name)[0], getattr(batch, f.name)[i]), f.name
+        for f in BatchProjection._fields:
+            assert np.array_equal(getattr(one, f)[0], getattr(batch, f)[i]), f
 
 
 def test_screen_runs_few_newton_rows(monkeypatch):
@@ -388,8 +386,8 @@ def test_screen_runs_few_newton_rows(monkeypatch):
     spied = M.project_batch(pts)
     full = 9**M.m * len(pts)
     assert len(rows) == 1 and rows[0] <= full // 8
-    for f in fields(BatchProjection):
-        assert np.array_equal(getattr(spied, f.name), getattr(plain, f.name))
+    for f in BatchProjection._fields:
+        assert np.array_equal(getattr(spied, f), getattr(plain, f))
 
 
 @pytest.mark.parametrize("name", corpus.names())
@@ -449,8 +447,8 @@ def test_projection_where_the_chart_is_undefined_on_the_edge():
     # each query alone gives its row of the batch
     for i, p in enumerate(P):
         one = M.project_batch(p)
-        for f in fields(BatchProjection):
-            assert np.array_equal(getattr(one, f.name)[0], getattr(b, f.name)[i]), f.name
+        for f in BatchProjection._fields:
+            assert np.array_equal(getattr(one, f)[0], getattr(b, f)[i]), f
 
 
 def test_screen_matches_per_cell_bounds():

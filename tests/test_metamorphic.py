@@ -97,16 +97,17 @@ def test_rewrites_move_every_point_as_stated():
         M = before.manifold
         x = 0.5 * (M.box[:, 0] + M.box[:, 1]) + np.linspace(0.1, 0.2, M.m)
         shift_x = np.array(SHIFT[: M.m]) if M.kind == "graph" else np.zeros(M.m)
-        for t in (0.0, 0.1):
-            p = before.family.eval(x, t)
-            assert np.allclose(moved.family.eval(x + shift_x, t) - p,
-                               SHIFT[: M.n], atol=1e-12)
-            if M.m == 2:
-                swapped = build_scene(_chart_swapped(_raw(name)))
-                q = swapped.family.eval(x[::-1], t)
-                if M.kind == "graph":
-                    q[:2] = q[1::-1]
-                assert np.allclose(q, p, atol=1e-12)
+        ts = np.array([0.0, 0.1])
+        X = np.tile(x, (2, 1))
+        p = before.family.point_many(X, ts)
+        assert np.allclose(moved.family.point_many(X + shift_x, ts) - p,
+                           SHIFT[: M.n], atol=1e-12)
+        if M.m == 2:
+            swapped = build_scene(_chart_swapped(_raw(name)))
+            q = swapped.family.point_many(X[:, ::-1], ts)
+            if M.kind == "graph":
+                q[:, :2] = q[:, 1::-1]
+            assert np.allclose(q, p, atol=1e-12)
 
 
 @pytest.mark.parametrize("lam", [1e-3, 1.0, 1e6])

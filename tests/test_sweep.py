@@ -58,26 +58,22 @@ def hp():
 
 
 def test_sweep_eval_examples(segment, hp):
-    x = np.array([0.25])
-    assert np.allclose(segment.family.eval(x, 0.0),
-                       segment.manifold.embed(x))
-    assert np.allclose(segment.family.eval(np.array([0.5]), 0.3),
-                       [0.5, 0.3])
+    x = np.array([[0.25], [0.5]])
+    assert np.allclose(segment.family.point_many(x, [0.0, 0.3]),
+                       [segment.manifold.embed_many(x[0]), [0.5, 0.3]])
     x0, y0, t = 0.3, -0.4, 0.2
-    assert np.allclose(hp.family.eval(np.array([x0, y0]), t),
-                       [x0 + t, y0, x0 * y0 + t * y0], atol=1e-15)
-    with pytest.raises(OutOfDomain):
-        segment.family.eval(np.array([2.0]), 0.1)
+    assert np.allclose(hp.family.point_many([x0, y0], [t]),
+                       [[x0 + t, y0, x0 * y0 + t * y0]], atol=1e-15)
 
 
 def test_cutoff_freezes_outside_outer_radius(segment):
     scene = corpus.with_cutoff(segment, 0.15, 0.4)
     x_out = np.array([0.98])  # radial chart distance 0.48 from the center
-    for t in (0.0, 0.1, 0.3):
-        assert np.allclose(scene.family.point(x_out, t),
-                           scene.manifold.embed(x_out))
+    ts = np.array([0.0, 0.1, 0.3])
+    assert np.allclose(scene.family.point_many(np.tile(x_out, (3, 1)), ts),
+                       scene.manifold.embed_many(x_out))
     x_in = np.array([0.5])
-    assert np.allclose(scene.family.point(x_in, 0.3), [0.5, 0.3])
+    assert np.allclose(scene.family.point_many(x_in, [0.3]), [[0.5, 0.3]])
 
 
 def test_segment_volume_exact(segment):
