@@ -2,7 +2,8 @@
 """Hash every `BatchProjection` field that the corpus projections produce.
 
 For each built-in scene the projections run over three inputs: the
-ruledness points of the verdict pipeline (`ruledness`), the probes of each
+ruledness points of the verdict pipeline (`ruledness`, every point that
+`osculate.ruledness_points` builds, projected whole), the probes of each
 level that its tube-radius search projects (`tube@<rho>`, one input per
 dyadic level) and 200 seeded points around the manifold (`far`). The
 ruled 3-fold w = xy + z in R^4 adds its 1,728 ruledness points
@@ -35,14 +36,14 @@ import numpy as np
 
 from osclab import corpus
 from osclab.manifold import BatchProjection, Submanifold
-from osclab.osculate import ruledness_check
+from osclab.osculate import ruledness_points
 from osclab.scene import build_scene
 
 FIELDS = BatchProjection._fields
 FLAGS = ("converged", "on_boundary", "ambiguous")
 FAR_POINTS = 200
-#: the ruled 3-fold w = xy + z swept along its rulings: m = 3, where a
-#: ruledness call of 27 samples x 64 parameters is taken in chunks
+#: the ruled 3-fold w = xy + z swept along its rulings: m = 3, where the
+#: 1,728 ruledness points (27 samples x 64 parameters) project in chunks
 RULED_3FOLD = {"manifold": {"type": "graph", "chart_vars": ["x", "y", "z"],
                             "domain": [[-1, 1]] * 3, "ambient_dim": 4,
                             "height": ["x*y + z"]},
@@ -84,11 +85,11 @@ def _joined(calls) -> dict:
     return out
 
 
-def _tube_levels(M: Submanifold, rho_max) -> tuple[float, dict]:
-    """The tube radius, and {f"tube@{rho:g}": queries and fields} for each
-    level that the search projected, read off the search's own `rho`."""
-    rho, calls = _calls(lambda: M.tube_radius(rho_max=rho_max))
-    return rho, {f"tube@{level:g}": _joined([(level, P, b)]) for level, P, b in calls}
+def _tube_levels(M: Submanifold, rho_max) -> dict:
+    """{f"tube@{rho:g}": queries and fields} for each level that the
+    tube-radius search projected, read off the search's own `rho`."""
+    _, calls = _calls(lambda: M.tube_radius(rho_max=rho_max))
+    return {f"tube@{level:g}": _joined([(level, P, b)]) for level, P, b in calls}
 
 
 def _far_points(M: Submanifold, seed: int) -> np.ndarray:
@@ -100,12 +101,12 @@ def _far_points(M: Submanifold, seed: int) -> np.ndarray:
     return rng.uniform(lo - pad, hi + pad, size=(FAR_POINTS, M.n))
 
 
-def _ruledness(scene, tube: float) -> dict:
+def _ruledness(scene) -> dict:
+    """Every ruledness point of the scene, projected in one call."""
     M, params = scene.manifold, scene.params
-    _, out = _captured(lambda: ruledness_check(
-        M, scene.family.curve_at, params.span,
-        samples_per_axis=params.samples, margin=params.margin,
-        tube=tube, tol=params.tol))
+    _, _, pts = ruledness_points(M, scene.family.curve_at, params.span,
+                                 params.samples, params.margin)
+    _, out = _captured(lambda: M.project_batch(pts))
     return out
 
 
@@ -116,15 +117,13 @@ def digest() -> dict:
     for i, name in enumerate(corpus.names()):
         scene = corpus.load(name)
         M, params = scene.manifold, scene.params
-        rho, levels = _tube_levels(M, params.tube_rho_max)
+        levels = _tube_levels(M, params.tube_rho_max)
         out.update({(name, level): v for level, v in levels.items()})
         if scene.family is not None:
-            out[name, "ruledness"] = _ruledness(scene, rho)
+            out[name, "ruledness"] = _ruledness(scene)
         far = _far_points(M, seed=i)
         _, out[name, "far"] = _captured(lambda: M.project_batch(far))
-    fold = build_scene(RULED_3FOLD, name="ruled_3fold")
-    out["ruled_3fold", "ruledness"] = _ruledness(
-        fold, min(fold.manifold.half_side, fold.manifold.reach_bound()))
+    out["ruled_3fold", "ruledness"] = _ruledness(build_scene(RULED_3FOLD, name="ruled_3fold"))
     return out
 
 

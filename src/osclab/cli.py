@@ -157,16 +157,21 @@ def _load(args) -> Scene:
     return _with_flags(load_scene(args.scene, tol=_tolerances(args)), args)
 
 
-def _parse_point(args, m: int) -> np.ndarray:
+def _parse_point(args, M) -> np.ndarray:
+    """--point as a chart point of M: M.m finite coordinates in its box."""
     if args.point is None:
         raise UsageError("--point is required for this command")
     try:
         vals = [float(v) for v in args.point.split(",")]
     except ValueError:
         raise UsageError(f"cannot parse --point {args.point!r}") from None
-    if len(vals) != m:
-        raise UsageError(f"--point needs {m} chart coordinates")
-    return np.array(vals)
+    if len(vals) != M.m:
+        raise UsageError(f"--point needs {M.m} chart coordinates")
+    x = np.array(vals)
+    if not (np.all(np.isfinite(x)) and M.in_box_many(x)):
+        raise UsageError(f"--point {args.point!r} must be finite and inside "
+                         f"the chart box {M.box.tolist()}")
+    return x
 
 
 def _need_family(scene: Scene):
@@ -181,7 +186,7 @@ def _cmd_contact(args) -> int:
     scene = _load(args)
     family = _need_family(scene)
     M = scene.manifold
-    x = _parse_point(args, M.m)
+    x = _parse_point(args, M)
     max_order = scene.k * (M.m + 1) + 2 if args.max_order is None else args.max_order
     curve = family.curve_at(x)
     jet = contact_order_jet_recharted(curve, M, max_order, scene.params.tol)

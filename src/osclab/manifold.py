@@ -59,9 +59,15 @@ raises NoConvergence when no level passes. A level at which some probe
 lies nearer a seed-cell centre, a point of M, than any foot close to its
 source could be is refuted without a projection; every other level runs
 project_batch once. The ruledness step (osculate.ruledness_record) counts
-samples within the certified bound or the ruled tolerance and runs the
-search only when a sample lies beyond both, so that NoConvergence is
-raised only when the radius is needed.
+projected samples within the certified bound or the ruled tolerance and
+runs the search only when a sample lies beyond both, so that NoConvergence
+is raised only when the radius is needed.
+
+On a graph no projection is needed to show that a point p lies near M:
+vertical_bound gives |p_N - h(p_T)|, the distance to the point
+(p_T, h(p_T)) of M, when p_T lies in the box off its edge band. The
+ruledness step and the metric contact order and decay checks of contact.py
+read it first and project only the points it cannot settle.
 """
 
 from __future__ import annotations
@@ -229,12 +235,23 @@ class Submanifold:
         return self.embed_many(np.asarray(x, dtype=float)[None, :])[0]
 
     def grid(self, per_axis: int, margin: float = 0.0) -> np.ndarray:
+        """per_axis^m points evenly over the box shrunk by margin * side on
+        each end; one point per axis is the box centre."""
         axes = []
         for a, b in self.box:
             lo = a + margin * (b - a)
             hi = b - margin * (b - a)
-            axes.append(np.linspace(lo, hi, per_axis))
+            axes.append(np.linspace(lo, hi, per_axis) if per_axis != 1
+                        else [0.5 * (a + b)])
         return np.array(list(product(*axes)), dtype=float)
+
+    def _on_edge(self, X) -> np.ndarray:
+        """Whether each chart point of X (..., m) lies within 1e-9 of a side
+        of an edge of the box, or beyond it: the feet project_batch flags
+        on_boundary, and the p_T that vertical_bound leaves to projection."""
+        lo, hi = self.box[:, 0], self.box[:, 1]
+        side = hi - lo
+        return np.any((X <= lo + 1e-9 * side) | (X >= hi - 1e-9 * side), axis=-1)
 
     # -- projection -------------------------------------------------------
 
@@ -416,8 +433,6 @@ class Submanifold:
         q = P.shape[0]
         seeds, centres, slack = self._seed_screen()
         S, m = seeds.shape
-        lo, hi = self.box[:, 0], self.box[:, 1]
-        side = hi - lo
 
         # screen: every point of cell i lies at least |p - c_i| - slack_i from
         # p, and d0, the nearest centre distance, bounds the minimum from
@@ -467,15 +482,40 @@ class Submanifold:
         rows = np.arange(q)
         chart = X[rows, pick]
         point = A[rows, pick]
-        at_edge = (chart <= lo + 1e-9 * side) | (chart >= hi - 1e-9 * side)
         return BatchProjection(
             chart=chart,
             point=point,
             distance=d_best,
             converged=any_conv,
             ambiguous=ambiguous,
-            on_boundary=np.any(at_edge, axis=1),
+            on_boundary=self._on_edge(chart),
         )
+
+    def vertical_bound(self, P) -> np.ndarray:
+        """Upper bounds (q,) on the distances of the points P (q, n) to a
+        graph: |p_N - h(p_T)|, the distance to the vertical foot
+        (p_T, h(p_T)), a point of M whenever p_T lies in the box.
+
+        The bound is inf where it cannot stand in for a projection: on a
+        parametric chart, for a p_T outside the box or in the edge band
+        whose feet project_batch flags on_boundary (`_on_edge`), and where
+        the height is not finite or cannot be evaluated. A finite bound b
+        is never ambiguous: |c(y) - c(x)| >= |y - x| on a graph, so every
+        point c(y) of M within b of p has |y - p_T| <= 2 b, near the
+        vertical foot."""
+        P = np.atleast_2d(np.asarray(P, dtype=float))
+        bound = np.full(len(P), np.inf)
+        if self.kind != "graph":
+            return bound
+        inside = np.flatnonzero(~self._on_edge(P[:, :self.m]))
+        try:
+            with np.errstate(invalid="ignore", over="ignore"):
+                H = self.embed_many(P[inside, :self.m])[:, self.m:]
+                d = np.linalg.norm(P[inside, self.m:] - H, axis=1)
+        except ex.DomainError:
+            return bound
+        bound[inside] = np.where(np.isfinite(d), d, np.inf)
+        return bound
 
     def nearest_point(self, p) -> ProjectionResult:
         b = self.project_batch(np.asarray(p, dtype=float)[None, :])

@@ -11,9 +11,12 @@ one for their probe lines, and one for their kept direction lines.
 The global containment conclusion of the underlying theorem relies on
 analytic continuation, which numerics cannot perform: every verdict here
 is a finite-window statement, containment over a finite parameter span
-inside a tube around the manifold (the larger of a graph's certified reach
-bound and the ruled tolerance, and the probed tube radius only where a
-sample lies beyond both), and the reports say so explicitly.
+within the ruled tolerance of the manifold, and the reports say so
+explicitly. On a graph chart a curve sample is within it by the vertical
+distance bound |p_N - h(p_T)| without a projection; the other samples are
+projected inside a tube around the manifold (the larger of a graph's
+certified reach bound and the ruled tolerance, and the probed tube radius
+only where a sample lies beyond both).
 """
 
 from __future__ import annotations
@@ -47,8 +50,10 @@ from .sweep import (
 _TOL = Tolerances()
 
 FINITE_WINDOW_NOTE = (
-    "containment is verified on a finite parameter window inside the "
-    "probed tube radius; no analytic continuation is performed"
+    "containment is verified on a finite parameter window: a curve sample "
+    "counts within the ruled tolerance of M, by the vertical distance bound "
+    "on a graph chart, else by its projected distance inside the tube; no "
+    "analytic continuation is performed"
 )
 
 
@@ -307,18 +312,36 @@ class RuledVerdict(NamedTuple):
 RULED_PARAMS = 64      # curve parameters per sample, evenly over [-S, S]
 
 
+def ruledness_points(M: Submanifold, curve_provider, span: float,
+                     samples_per_axis: int = 3, margin: float = 0.15):
+    """(X, svals, pts): the chart samples M.grid(samples_per_axis, margin),
+    the RULED_PARAMS curve parameters evenly over [-span, span], and the
+    points (len(X) * RULED_PARAMS, n) of each sample's curve at them, the
+    rows that ruledness_check tests."""
+    X = M.grid(samples_per_axis, margin=margin)
+    svals = np.linspace(-span, span, RULED_PARAMS)
+    pts = np.concatenate(
+        [np.atleast_2d(curve_provider(x)(svals)) for x in X], axis=0)
+    return X, svals, pts
+
+
 def ruledness_check(M: Submanifold, curve_provider, span: float, *, tube: float,
                     probe: Callable[[], float] | None = None,
                     samples_per_axis: int = 3, margin: float = 0.15,
                     tol=_TOL) -> RuledVerdict:
     """Max distance of the curves Gamma_x to M over parameters in [-S, S].
 
-    Curve samples with ambiguous projections, whose feet land on the box
-    edge (truncation artifacts), or that lie farther from M than both the
-    tube radius `tube` and the ruled tolerance are excluded; if every
-    sample is excluded the verdict is UNDECIDED. A sample within the
-    tolerance counts whatever the tube: its found foot bounds its distance
-    from above, so it lies that near M.
+    A curve sample counts in one of two ways. On a graph chart, a sample
+    whose M.vertical_bound is within the ruled tolerance counts at that
+    bound, with no projection: the bound is the
+    distance to a point of M, so it bounds the sample's distance from
+    above. Every other sample is projected, and counts at its projected
+    distance when that lies within the larger of the tube radius `tube` and
+    the tolerance (its found foot bounds its distance from above too, so a
+    sample within the tolerance counts whatever the tube). Projected
+    samples with ambiguous projections, whose feet land on the box edge
+    (truncation artifacts), or beyond that radius are excluded; if every
+    sample is excluded the verdict is UNDECIDED.
 
     With `probe`, a zero-argument callable that returns a probed tube radius
     (ruledness_record passes Submanifold.tube_radius), `tube` is a certified
@@ -327,28 +350,31 @@ def ruledness_check(M: Submanifold, curve_provider, span: float, *, tube: float,
     largest of the three. Whatever the probe raises (NoConvergence from the
     search) is raised only then.
     """
-    X = M.grid(samples_per_axis, margin=margin)
+    X, svals, pts = ruledness_points(M, curve_provider, span,
+                                     samples_per_axis, margin)
     scene_scale = float(np.max(np.linalg.norm(M.embed_many(X), axis=1)))
-    svals = np.linspace(-span, span, RULED_PARAMS)
-    pts = np.concatenate(
-        [np.atleast_2d(curve_provider(x)(svals)) for x in X], axis=0)
-    b = M.project_batch(pts)
-    eligible = b.converged & ~b.ambiguous & ~b.on_boundary
     tolerance = tol.ruled * (1.0 + scene_scale)
+    distance = M.vertical_bound(pts)
+    eligible = distance <= tolerance
+    rest = np.flatnonzero(~eligible)
+    if rest.size:
+        b = M.project_batch(pts[rest])
+        distance[rest] = b.distance
+        eligible[rest] = b.converged & ~b.ambiguous & ~b.on_boundary
     radius = max(tube, tolerance)
-    if probe is not None and np.any(eligible & (b.distance > radius)):
+    if probe is not None and np.any(eligible & (distance > radius)):
         radius = max(radius, probe())
-    valid = eligible & (b.distance <= radius)
+    valid = eligible & (distance <= radius)
     counted = int(np.count_nonzero(valid))
     skipped = int(valid.size - counted)
     per_sample = [{"x": x.tolist(), "counted": int(np.count_nonzero(v)),
                    "max_distance": float(np.max(d[v])) if np.any(v) else None}
                   for x, v, d in zip(X, valid.reshape(len(X), -1),
-                                     b.distance.reshape(len(X), -1))]
+                                     distance.reshape(len(X), -1))]
     if counted == 0:
         return RuledVerdict("UNDECIDED", None, tolerance, 0, skipped, None, per_sample)
-    dmax_idx = int(np.argmax(np.where(valid, b.distance, -np.inf)))
-    dmax = float(b.distance[dmax_idx])
+    dmax_idx = int(np.argmax(np.where(valid, distance, -np.inf)))
+    dmax = float(distance[dmax_idx])
     witness = RuledWitness(
         chart=X[dmax_idx // RULED_PARAMS],
         s=float(svals[dmax_idx % RULED_PARAMS]),
@@ -391,15 +417,18 @@ def growth_record(family: SweepFamily, params: RunParams) -> dict:
 
 def ruledness_record(M: Submanifold, family: SweepFamily,
                      params: RunParams) -> tuple[dict, RuledVerdict]:
-    """Finite-window containment inside a tube around M.
+    """Finite-window containment within the ruled tolerance of M.
 
-    The tube is r_cert = min(rho_max, M.reach_bound()), with rho_max the
-    run's tube_rho_max (default M.half_side): the certified reach bound of a
-    graph chart, 0 for a parametric one. Samples within max(r_cert, ruled
-    tolerance) count. The probed tube_radius search runs only when a sample
-    that would otherwise count lies beyond both, and samples then count
-    within the largest of the three, so a search that raises NoConvergence
-    fails the step only when its radius is needed."""
+    On a graph chart a sample whose vertical bound is within the ruled
+    tolerance counts unprojected (see ruledness_check). The other samples
+    are projected inside a tube: r_cert = min(rho_max, M.reach_bound()),
+    with rho_max the run's tube_rho_max (default M.half_side), the certified
+    reach bound of a graph chart and 0 for a parametric one. Projected
+    samples within max(r_cert, ruled tolerance) count. The probed
+    tube_radius search runs only when a projected sample that would
+    otherwise count lies beyond both, and samples then count within the
+    largest of the three, so a search that raises NoConvergence fails the
+    step only when its radius is needed."""
     rho_max = M.half_side if params.tube_rho_max is None else params.tube_rho_max
     rv = ruledness_check(M, family.curve_at, params.span,
                          tube=min(rho_max, M.reach_bound()),

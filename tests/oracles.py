@@ -11,6 +11,10 @@ one line-search candidate at a time for the lockstep schedule), so it
 checks both the fit's linearization and its schedule. The tube-radius oracle is
 another: it projects every dyadic level with the library's project_batch,
 so it checks the levels that Submanifold.tube_radius refutes unprojected.
+The ruledness and decay oracles are two more: they project every curve
+point with project_batch, so they check the points that
+osculate.ruledness_check and contact.uniform_decay_check settle by the
+vertical distance bound instead.
 """
 
 from __future__ import annotations
@@ -21,7 +25,9 @@ import math
 import numpy as np
 
 from osclab import expr as ex
+from osclab.config import geometric_grid
 from osclab.contact import PolyCurve, residual_jets
+from osclab.osculate import RULED_PARAMS, RuledVerdict, RuledWitness
 
 
 def substitute(e: ex.Expr, mapping: dict[str, ex.Expr]) -> ex.Expr:
@@ -168,6 +174,50 @@ def tube_radius_every_level(M, *, rho_max=None, seed: int = 0,
             return rho
         rho *= 0.5
     raise AssertionError("no level of the dyadic search passes")
+
+
+def ruledness_by_projection(M, curve_provider, span: float, *, tube: float,
+                            probe=None, samples_per_axis: int = 3,
+                            margin: float = 0.15, tol) -> RuledVerdict:
+    """osculate.ruledness_check with every curve sample projected: a sample
+    counts when its projection converges unambiguously off the box edge at
+    a distance within max(tube, tolerance), widened by probe() when some
+    such sample lies beyond that."""
+    X = M.grid(samples_per_axis, margin=margin)
+    svals = np.linspace(-span, span, RULED_PARAMS)
+    pts = np.concatenate([np.atleast_2d(curve_provider(x)(svals)) for x in X])
+    scale = float(np.max(np.linalg.norm(M.embed_many(X), axis=1)))
+    tolerance = tol.ruled * (1.0 + scale)
+    b = M.project_batch(pts)
+    eligible = b.converged & ~b.ambiguous & ~b.on_boundary
+    radius = max(tube, tolerance)
+    if probe is not None and np.any(eligible & (b.distance > radius)):
+        radius = max(radius, probe())
+    valid = eligible & (b.distance <= radius)
+    counted = int(np.count_nonzero(valid))
+    per_sample = [{"x": x.tolist(), "counted": int(np.count_nonzero(v)),
+                   "max_distance": float(np.max(d[v])) if np.any(v) else None}
+                  for x, v, d in zip(X, valid.reshape(len(X), -1),
+                                     b.distance.reshape(len(X), -1))]
+    if counted == 0:
+        return RuledVerdict("UNDECIDED", None, tolerance, 0, valid.size, None, per_sample)
+    i = int(np.argmax(np.where(valid, b.distance, -np.inf)))
+    dmax = float(b.distance[i])
+    witness = RuledWitness(X[i // RULED_PARAMS], float(svals[i % RULED_PARAMS]),
+                           pts[i], dmax)
+    verdict = "CONTAINED" if dmax <= tolerance else "NOT_CONTAINED"
+    return RuledVerdict(verdict, dmax, tolerance, counted, valid.size - counted,
+                        None if verdict == "CONTAINED" else witness, per_sample)
+
+
+def decay_ratios_by_projection(family, k: int, tol) -> np.ndarray:
+    """The ratios of contact.uniform_decay_check, max_x d(phi(x, t), M) / t^k
+    per t, with every point projected and distances below dist_zero read 0."""
+    M, ts = family.M, geometric_grid()
+    X = M.grid(4, margin=0.15)
+    pts = family.point_many(np.tile(X, (len(ts), 1)), np.repeat(ts, len(X)))
+    ds = M.project_batch(pts).distance.reshape(len(ts), len(X))
+    return np.max(np.where(ds < tol.dist_zero, 0.0, ds), axis=1) / ts**k
 
 
 def sequential_class_k_fit(M, p_chart, k: int, target_order: int, tol,

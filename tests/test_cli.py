@@ -488,13 +488,17 @@ def test_out_of_range_settings_exit_one(capsys, monkeypatch, tmp_path, hp_path,
     ("corpus", "abc", "", "OSCLAB_SEED must be an integer, got 'abc'"),
     ("contact", None, "--point 0,0 --max-order 0", "--max-order must be >= 1, got 0"),
     ("contact", None, "--point 0,0 --max-order -3", "--max-order must be >= 1, got -3"),
+    ("contact", None, "--point 5,0", "--point '5,0' must be finite and inside "
+     "the chart box [[-1.0, 1.0], [-1.0, 1.0]]"),
+    ("contact", None, "--point nan,0", "--point 'nan,0' must be finite and inside "
+     "the chart box [[-1.0, 1.0], [-1.0, 1.0]]"),
 ])
 def test_bad_seed_or_max_order_exits_one(capsys, monkeypatch, tmp_path, command,
                                          env_seed, flags, message):
     # verify runs on a scene without a family, where the seed reaches the
     # fit's RNG; every case must stop before the command's pipeline runs
     def past_the_check(*args, **kwargs):
-        raise AssertionError("the command ran past its seed or order check")
+        raise AssertionError("the command ran past its seed, order or point check")
 
     for name in ("verify_theorem", "contact_order_jet_recharted", "contact_order_metric"):
         monkeypatch.setattr(cli, name, past_the_check)

@@ -3,6 +3,7 @@ import pytest
 
 from osclab import corpus
 from osclab import expr as ex
+from osclab.config import Tolerances
 from osclab.contact import (
     ExprCurve,
     NotOnManifold,
@@ -17,7 +18,13 @@ from osclab.contact import (
 )
 from osclab.manifold import Submanifold
 from osclab.sweep import SweepFamily
-from oracles import simpson_length, sphere_distance, substitute, taylor_by_diff
+from oracles import (
+    decay_ratios_by_projection,
+    simpson_length,
+    sphere_distance,
+    substitute,
+    taylor_by_diff,
+)
 
 
 @pytest.fixture(scope="module")
@@ -97,11 +104,16 @@ def test_metric_order_sphere_tangent():
     assert mo.order == 1
 
 
-def test_metric_contained_on_ruling():
+def test_metric_contained_on_ruling(monkeypatch):
+    # every vertical bound along the ruling is within dist_zero, so the
+    # metric order reads contained without a projection
     hp = corpus.load("hyperbolic_paraboloid")
     ruling = hp.family.curve_at(np.array([0.2, 0.4]))
+    calls = []
+    monkeypatch.setattr(Submanifold, "project_batch", lambda self, P: calls.append(P))
     mo = contact_order_metric(ruling, hp.manifold)
-    assert mo.contained
+    assert mo.contained and mo.slope is None
+    assert calls == []
 
 
 def test_metric_transverse_slope_one():
@@ -120,6 +132,15 @@ def test_decay_ruling_family_contained():
     rep = uniform_decay_check(hp.family, 3)
     assert rep.contained and rep.passed
     assert np.max(rep.ratios) < 1e-12
+
+
+@pytest.mark.parametrize("name, k", [("hyperbolic_paraboloid", 3), ("sphere", 1)])
+def test_decay_ratios_match_projection(name, k):
+    # points whose vertical bound is below dist_zero read 0 unprojected,
+    # as their projected distances would
+    family = corpus.load(name).family
+    rep = uniform_decay_check(family, k)
+    assert np.array_equal(rep.ratios, decay_ratios_by_projection(family, k, Tolerances()))
 
 
 def test_decay_sphere_tangent_family():

@@ -12,6 +12,7 @@ from osclab.manifold import (
     OutOfDomain,
     Submanifold,
 )
+from osclab.osculate import ruledness_points
 from osclab.scene import build_scene
 from oracles import dense_distance_min, grid_min_1d, grid_min_2d, tube_radius_every_level
 
@@ -133,6 +134,54 @@ def test_graph_normal_displacement(sphere_cap):
     assert np.all(d <= delta + 1e-12)
 
 
+@pytest.mark.parametrize("name", ["sphere", "cubic_graph", "paraboloid"])
+def test_vertical_bound_bounds_the_projected_distance(name):
+    # seeded points near M: the vertical foot is a point of M, so the bound
+    # is never below the projected distance by more than its tie slack;
+    # it is inf exactly where p_T is off the box or in its edge band
+    M = corpus.load(name).manifold
+    rng = np.random.default_rng(11)
+    X = rng.uniform(M.box[:, 0], M.box[:, 1], size=(200, M.m))
+    P = M.embed_many(X) + rng.normal(scale=0.05, size=(200, M.n))
+    bound = M.vertical_bound(P)
+    d = M.project_batch(P).distance
+    assert np.all(bound >= d - PROJECT_DIST_TOL * (1.0 + d))
+    assert np.array_equal(np.isinf(bound), M._on_edge(P[:, :M.m]))
+    assert 0 < np.count_nonzero(np.isinf(bound)) < len(P)
+
+
+def test_vertical_bound_is_inf_where_it_cannot_stand_in(hp):
+    cylinder = corpus.load("cylinder").manifold
+    assert np.all(np.isinf(cylinder.vertical_bound(
+        cylinder.embed_many(cylinder.grid(3, margin=0.2)))))
+    # hp's box is [-1, 1]^2, side 2: points on M off the box, in its edge
+    # band (within 1e-9 * side of an edge) and just inside it
+    T = np.array([[1.5, 0.0], [-1.0 - 1e-3, 0.2], [1.0 - 1e-9, 0.1],
+                  [0.3, -1.0 + 1e-9], [-1.0, 0.0], [1.0 - 4e-9, 0.1]])
+    P = np.column_stack([T, T[:, 0] * T[:, 1] + 0.25])
+    assert np.array_equal(hp.vertical_bound(P), [np.inf] * 5 + [0.25])
+    # the band is where projection flags the feet of these points on_boundary
+    assert np.all(hp.project_batch(P[2:5] - [0, 0, 0.25]).on_boundary)
+    # a height or a normal coordinate that is not finite
+    assert np.all(np.isinf(hp.vertical_bound([[0.1, 0.2, np.nan], [np.nan, 0.2, 0.0],
+                                              [0.1, 0.2, np.inf]])))
+    steep = Submanifold.graph(["x"], [[0.0, 1000.0]], ["exp(x)"])
+    assert np.array_equal(steep.vertical_bound([[800.0, 0.0], [1.0, np.e]]),
+                          [np.inf, abs(np.e - np.exp(1.0))])
+    pole = Submanifold.graph(["x"], [[-1.0, 1.0]], ["1/x"])
+    assert np.all(np.isinf(pole.vertical_bound([[0.0, 1.0], [0.5, 2.0]])))
+
+
+@pytest.mark.parametrize("box", [[[-1.0, 1.0], [-1.0, 1.0]], [[0.0, 2.0], [-1.0, 0.5]]])
+def test_one_sample_grid_is_the_box_centre(box):
+    # reflecting the chart through its box, x -> lo + hi - x, leaves the
+    # one sample fixed, whatever the margin
+    M = Submanifold.graph(["x", "y"], box, ["x*y"])
+    for margin in (0.0, 0.15, 0.5):
+        g = M.grid(1, margin=margin)
+        assert np.array_equal(M.box.sum(axis=1) - g, g)
+
+
 def test_immersion_check():
     with pytest.raises(ImmersionError):
         Submanifold.parametric(["u"], [[0, 1]], ["0", "0"], 2)
@@ -240,11 +289,10 @@ def test_batch_flags_shapes(hp):
     assert b.converged.dtype == bool and b.ambiguous.dtype == bool
 
 
-def _ruledness_points(scene, n_params=64):
-    M, params = scene.manifold, scene.params
-    svals = np.linspace(-params.span, params.span, n_params)
-    return np.concatenate([scene.family.curve_at(x)(svals)
-                           for x in M.grid(params.samples, margin=params.margin)])
+def _ruledness_points(scene):
+    p = scene.params
+    return ruledness_points(scene.manifold, scene.family.curve_at, p.span,
+                            p.samples, p.margin)[2]
 
 
 def _far_points(M, seed, count=200):

@@ -15,12 +15,13 @@ from osclab.osculate import (
     FINITE_WINDOW_NOTE,
     fit_class_k_curve,
     osculating_directions,
+    RuledWitness,
     ruledness_check,
 )
 from osclab.config import geometric_grid
 from osclab.scene import build_scene
 from osclab.sweep import SweepFamily
-from oracles import sequential_class_k_fit
+from oracles import ruledness_by_projection, sequential_class_k_fit
 
 
 def _chart_set(dirs):
@@ -554,6 +555,51 @@ def test_ruled_undecided_when_everything_leaves_tube():
                          tube=segment.manifold.tube_radius())
     assert rv.verdict == "UNDECIDED"
     assert rv.counted == 0
+
+
+GRAPHS = [n for n in corpus.names() if corpus.load(n).manifold.kind == "graph"]
+
+
+@pytest.mark.parametrize("name, span", [(n, None) for n in GRAPHS] + [
+    (n, 2.0) for n in ("plane", "hyperbolic_paraboloid", "saddle", "paraboloid")])
+def test_ruledness_by_bound_matches_projection(name, span):
+    # the vertical bound counts a sample only where projection counts it:
+    # same verdict, counts and witness as projecting every sample. Span 2
+    # sends the curves out of the box, where the samples are projected
+    scene = corpus.load(name)
+    M, p = scene.manifold, scene.params
+    span = p.span if span is None else span
+    kwargs = dict(tube=min(M.half_side, M.reach_bound()), probe=M.tube_radius,
+                  samples_per_axis=p.samples, margin=p.margin, tol=p.tol)
+    got = ruledness_check(M, scene.family.curve_at, span, **kwargs)
+    want = ruledness_by_projection(M, scene.family.curve_at, span, **kwargs)
+    assert (got.verdict, got.counted, got.skipped) == (want.verdict, want.counted, want.skipped)
+    assert ([r["counted"] for r in got.per_sample]
+            == [r["counted"] for r in want.per_sample])
+    assert (got.witness is None) == (want.verdict != "NOT_CONTAINED")
+    if want.verdict == "NOT_CONTAINED":
+        assert got.max_distance == want.max_distance
+        for f in RuledWitness._fields:
+            assert np.array_equal(getattr(got.witness, f), getattr(want.witness, f)), f
+
+
+def test_ruledness_projects_only_the_rows_the_bound_leaves(monkeypatch):
+    # hp's 576 samples: the 432 with p_T inside the box and off its edge
+    # band count by the vertical bound; the other 144 are projected
+    hp = corpus.load("hyperbolic_paraboloid")
+    M = hp.manifold
+    queries = []
+    project_batch = Submanifold.project_batch
+
+    def spy(self, P):
+        queries.append(np.asarray(P))
+        return project_batch(self, P)
+
+    monkeypatch.setattr(Submanifold, "project_batch", spy)
+    _, rv = osculate.ruledness_record(M, hp.family, hp.params)
+    assert (rv.verdict, rv.counted, rv.skipped) == ("CONTAINED", 432, 144)
+    assert [len(q) for q in queries] == [144]
+    assert np.all(M._on_edge(queries[0][:, :M.m]))
 
 
 def _same_verdict(a, b):
