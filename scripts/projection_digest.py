@@ -22,8 +22,10 @@ projected (a search that refutes it without projecting, say) is named as
 such and the levels both runs projected are compared row by row. A
 summary follows, one line per scene and input: how many `converged`,
 `on_boundary` and `ambiguous` flags flip each way (+ for False to True, -
-for True to False) and the largest decrease in `distance`. It exits 1 when
-a row differs or an input is in one run only.
+for True to False), the largest decrease and the largest increase in
+`distance`, and the largest move of `point` over the rows that neither run
+flags ambiguous. It exits 1 when a row differs or an input is in one run
+only.
 """
 
 from __future__ import annotations
@@ -142,16 +144,26 @@ def _row_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.max(np.where(np.isnan(diff), np.inf, diff), axis=1)
 
 
+def _largest(values: np.ndarray) -> float:
+    """The largest of `values`, NaNs read as 0; 0 if none is positive."""
+    return max(0.0, float(np.max(np.nan_to_num(values, nan=0.0), initial=0.0)))
+
+
 def _summary(run: dict, ref: dict) -> str:
     """Flag flips of `run` against `ref`, as +(False to True)/-(True to
-    False), and the largest decrease in distance (0 if none)."""
+    False), the largest decrease and increase in distance, and the largest
+    foot move over the rows that are unambiguous in both runs (0 if none)."""
     flips = " ".join(
         f"{name} +{np.count_nonzero(run[name] & ~ref[name])}"
         f"/-{np.count_nonzero(ref[name] & ~run[name])}"
         for name in FLAGS)
+    unique = ~run["ambiguous"] & ~ref["ambiguous"]
     with np.errstate(invalid="ignore"):
-        drop = np.nan_to_num(ref["distance"] - run["distance"], nan=0.0)
-    return f"{flips} largest distance decrease {max(0.0, float(np.max(drop))):.3g}"
+        rise = run["distance"] - ref["distance"]
+        move = np.linalg.norm(run["point"] - ref["point"], axis=1)[unique]
+    return (f"{flips} largest distance decrease {_largest(-rise):.3g}"
+            f" increase {_largest(rise):.3g}; largest unambiguous foot move"
+            f" {_largest(move):.3g}")
 
 
 def compare(run: dict, ref: dict) -> int:

@@ -22,7 +22,13 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import expr as ex
 from .config import Tolerances
-from .contact import ContactError, contact_order_jet_recharted, contact_order_metric
+from .contact import (
+    MAX_JET_ORDER,
+    ContactError,
+    contact_order_jet_recharted,
+    contact_order_metric,
+    max_contact_order,
+)
 from .jets import JetError
 from .manifold import ManifoldError
 from .osculate import growth_record, ruledness_record, verify_theorem
@@ -183,11 +189,13 @@ def _need_family(scene: Scene):
 def _cmd_contact(args) -> int:
     if args.max_order is not None and args.max_order < 1:
         raise UsageError(f"--max-order must be >= 1, got {args.max_order}")
+    if args.max_order is not None and args.max_order > MAX_JET_ORDER:
+        raise UsageError(f"--max-order must be at most {MAX_JET_ORDER}, got {args.max_order}")
     scene = _load(args)
     family = _need_family(scene)
     M = scene.manifold
     x = _parse_point(args, M)
-    max_order = scene.k * (M.m + 1) + 2 if args.max_order is None else args.max_order
+    max_order = max_contact_order(scene.k, M.m) if args.max_order is None else args.max_order
     curve = family.curve_at(x)
     jet = contact_order_jet_recharted(curve, M, max_order, scene.params.tol)
     metric = contact_order_metric(curve, M, scene.params.t_grid(), scene.params.tol)

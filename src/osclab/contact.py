@@ -178,15 +178,34 @@ def _rechart_residual(M: Submanifold, u0: np.ndarray, G: np.ndarray,
     return res, P
 
 
+#: the largest contact order the jet route measures; residual_jets takes
+#: degree MAX_JET_ORDER + 1 at most, the one extra coefficient that decides
+#: that order, and raises ValueError above it. Memory grows about like the
+#: cube of the degree: `osclab contact` on hyperbolic_paraboloid peaks at
+#: 32 MB up to order 50, 34 MB at 64, 41 MB at 100, 62 MB at 150 and about
+#: 100 MB at 200, and order 3000 asks for 25 GiB. The corpus needs 14 at
+#: most (max_contact_order)
+MAX_JET_ORDER = 64
+
+
+def max_contact_order(k: int, m: int) -> int:
+    """The largest contact order the pipeline measures by jets for class k
+    on an m-manifold: the required order k (m + 1) plus 2."""
+    return k * (m + 1) + 2
+
+
 def residual_jets(M: Submanifold, curve, degree: int, tol=_TOL, linearize: bool = False):
     """Taylor coefficients (..., n-m, degree+1) of the residual of a curve,
     or of a stack of curves, against M; every base must lie in the box and
-    on M, and NotOnManifold names the first curve that does not.
+    on M, and NotOnManifold names the first curve that does not. A degree
+    above MAX_JET_ORDER + 1 raises ValueError before any jet work.
 
     With `linearize`, the pair (residual, P): P (..., n-m, n, degree+1) is
     the residual's exact derivative in the curve's jets, a matrix of jets,
     so a change dgamma of the curve moves the residual by P dgamma in the
     truncated series ring. On a graph P is [-grad h(gamma_T) | I]."""
+    if degree > MAX_JET_ORDER + 1:
+        raise ValueError(f"jet degree {degree} exceeds MAX_JET_ORDER + 1 = {MAX_JET_ORDER + 1}")
     u0 = curve.chart
     if u0 is None:
         raise NotOnManifold("the curve carries no chart point of its base")
@@ -255,7 +274,10 @@ def _order_from_coeffs(coeffs: np.ndarray, max_order: int, coeff_tol: float) -> 
 def contact_order_jet_recharted(curve, M: Submanifold, max_order: int, tol=_TOL):
     """Jet contact order of a curve that carries its chart point, for any
     chart kind (the re-chart of residual_jets); a stack of N curves gives a
-    list of N orders from one residual_jets call."""
+    list of N orders from one residual_jets call. A max_order above
+    MAX_JET_ORDER raises ValueError."""
+    if max_order > MAX_JET_ORDER:
+        raise ValueError(f"contact order {max_order} exceeds MAX_JET_ORDER = {MAX_JET_ORDER}")
     coeffs = residual_jets(M, curve, max_order + 1, tol)
     if coeffs.ndim == 2:
         return _order_from_coeffs(coeffs, max_order, tol.contact_coeff)

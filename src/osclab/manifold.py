@@ -5,20 +5,33 @@ x -> (x, h(x)) or as a parametric chart x -> alpha(x) over a box domain.
 Projection onto the manifold runs a multistart projected Newton method
 (Bertsekas 1982) on the squared distance f(x) = |p - c(x)|^2 over the box,
 seeded at the centres of a grid of 9^m cells. On the first projection each
-cell gets a slack L_i * r_i: r_i bounds the distance from its centre to any
-point of the cell, and L_i, the Frobenius norm of an outward-rounded
-interval bound on the chart Jacobian over the cell
-(expr.IntervalArithmetic), bounds how far the chart moves per unit of chart
-distance. Every point of cell i then lies at least |p - c_i| - slack_i from
-a query p, while the nearest centre distance d0 bounds the minimum from
-above. A cell whose lower bound exceeds d0 by more than two tie slacks
-(PROJECT_DIST_TOL) holds no foot that ties a best found within one of d0,
-and its seed is dropped; a cell whose bound divides by an interval
-containing 0 or takes sqrt below 0 has infinite slack and is always kept.
-Newton runs from the kept seeds. A query whose kept seeds all fail, or
-whose best converged distance exceeds d0 by more than one tie slack
-(Newton has missed the minimum, which is at most d0), runs its dropped
-seeds as well and so sees the full grid.
+cell i gets two lower bounds on the distance from a query p to its points
+(SeedScreen); r_i bounds the distance from its centre x_i to any point of
+the cell, and every chart bound is an outward-rounded interval evaluation
+over the cell (expr.IntervalArithmetic):
+- first order: |p - c_i| - L_i r_i, with L_i the Frobenius norm of the
+  bound on the chart Jacobian, so that the chart moves at most L_i per
+  unit of chart distance;
+- second order: with J_i the Jacobian at the centre and w = Q_i^T (p - c_i)
+  split into its parts w_T along range(J_i) and w_N normal to it,
+  sqrt(|w_N|^2 + max(0, |w_T| - |J_i|_F r_i)^2) - K_i r_i^2 / 2, with K_i
+  the Frobenius norm of the bound on the chart Hessians. On the convex
+  cell c(x) = c_i + J_i d + R with |R| <= K_i |d|^2 / 2 (Taylor with
+  integral remainder) and |d| <= r_i, and the normal and tangent parts of
+  p - c_i - J_i d are orthogonal. A centre where J_i is undefined, or a
+  cell whose Hessian bound is not finite, gets no second-order bound.
+A cell's bound is the larger of the two; the second is evaluated only on
+the (query, cell) pairs that the first keeps. The distance d0 to a point of M
+bounds the minimum from above: the nearer of the nearest centre and the
+image of that centre's tangent-plane foot x_i + (J_i^T J_i)^-1 J_i^T
+(p - c_i), clipped to the box. A cell whose lower bound exceeds d0 by more
+than two tie slacks (PROJECT_DIST_TOL) holds no foot that ties a best
+found within one of d0, and its seed is dropped; a cell whose Jacobian
+bound divides by an interval containing 0 or takes sqrt below 0 has
+infinite slack and is always kept. Newton runs from the kept seeds. A
+query whose kept seeds all fail, or whose best converged distance exceeds
+d0 by more than one tie slack (Newton has missed the minimum, which is at
+most d0), runs its dropped seeds as well and so sees the full grid.
 
 Each Newton iteration splits the coordinates into an active set, those on
 a bound whose descent direction -grad f points out of the box, which stay
@@ -144,6 +157,31 @@ class BatchProjection(NamedTuple):
     on_boundary: np.ndarray  # (q,) bool
 
 
+class SeedScreen(NamedTuple):
+    """The SEEDS_PER_AXIS^m seed cells and the terms of their distance
+    bounds (see the module docstring), indexed by cell."""
+    seeds: np.ndarray    # (S, m) cell centres x_i in the chart
+    centres: np.ndarray  # (S, n) their embeddings c_i
+    slack: np.ndarray    # (S,) L_i r_i; inf where the Jacobian is unbounded
+    jac: np.ndarray      # (S, n, m) J_i at the centres; NaN where undefined
+    basis: np.ndarray    # (S, n, n) Q_i, range(J_i) within its first m columns
+    tslack: np.ndarray   # (S,) |J_i|_F r_i
+    curv: np.ndarray     # (S,) K_i r_i^2 / 2; inf where there is no bound
+
+
+def _where_defined(fn, X):
+    """fn(X), bisecting the batch where the chart leaves its domain (say a
+    point clipped onto an edge where the chart is not differentiable): such
+    rows are evaluated at NaN, which no merit test or bound accepts."""
+    try:
+        return fn(X)
+    except ex.DomainError:
+        if len(X) == 1:
+            return fn(np.full_like(X, np.nan))
+        half = len(X) // 2
+        return np.concatenate([_where_defined(fn, X[:half]), _where_defined(fn, X[half:])])
+
+
 class Submanifold:
     """Graph or parametric chart over a box; immutable after construction."""
 
@@ -173,7 +211,7 @@ class Submanifold:
             [[ex.diff(d, v) for v in self.chart_vars] for d in row]
             for row in self.jac_exprs
         ]
-        self._screen: tuple | None = None
+        self._screen: SeedScreen | None = None
 
     @property
     def m(self) -> int:
@@ -255,13 +293,12 @@ class Submanifold:
 
     # -- projection -------------------------------------------------------
 
-    def _seed_screen(self) -> tuple:
-        """(seeds, centres, slack) of the SEEDS_PER_AXIS^m seed cells: the
-        cell centres in the chart (S, m), their embeddings c_i (S, n) and
-        L_i * r_i (S,), computed on the first projection and kept. The
-        Jacobian bound is rigorous; the norms around it are plain floats,
-        whose relative error (~1e-16) sits far inside the PROJECT_DIST_TOL
-        tie slack."""
+    def _seed_screen(self) -> SeedScreen:
+        """The SeedScreen of the SEEDS_PER_AXIS^m seed cells, computed on
+        the first projection and kept. The Jacobian and Hessian bounds are
+        rigorous; the centre Jacobians, their QR split and the norms around
+        the bounds are plain floats, whose relative error (~1e-16) sits far
+        inside the PROJECT_DIST_TOL tie slack."""
         if self._screen is not None:
             return self._screen
         axes, cells = [], []
@@ -275,15 +312,27 @@ class Submanifold:
         lo = np.array(list(product(*(c[:, 0] for c in cells))), dtype=float)
         hi = np.array(list(product(*(c[:, 1] for c in cells))), dtype=float)
         reach = np.linalg.norm(np.maximum(seeds - lo, hi - seeds), axis=1)
-        # Frobenius norm of the entrywise Jacobian bound over each cell; a
-        # cell with an unbounded entry gets L = inf and is always kept, and a
-        # constant Jacobian gives one bound for every cell
         env = {v: ex.Interval(lo[:, i], hi[:, i]) for i, v in enumerate(self.chart_vars)}
-        mags = [ex.evaluate_with(d, env, ex.INTERVALS).magnitude()
-                for row in self.jac_exprs for d in row]
+
+        def bound(exprs):
+            # Frobenius norm of the entrywise interval bound of exprs over
+            # each cell: inf where an entry is unbounded, and one bound for
+            # every cell when the entries are constant
+            mags = [ex.evaluate_with(d, env, ex.INTERVALS).magnitude() for d in exprs]
+            with np.errstate(over="ignore"):
+                return np.broadcast_to(np.sqrt(sum(np.square(g) for g in mags)), (len(seeds),))
+
+        L = bound([d for row in self.jac_exprs for d in row])
+        K = bound([d for row in self.hess_exprs for col in row for d in col])
+        J = _where_defined(self.jacobian_many, seeds)
+        defined = np.all(np.isfinite(J), axis=(1, 2))
+        J0 = np.where(defined[:, None, None], J, 0.0)
+        Q, _ = np.linalg.qr(J0, mode="complete")
         with np.errstate(over="ignore"):
-            L = np.broadcast_to(np.sqrt(sum(np.square(g) for g in mags)), (len(seeds),))
-        self._screen = (seeds, self.embed_many(seeds), L * reach)
+            curv = np.where(defined & np.isfinite(K), 0.5 * K * reach**2, np.inf)
+        self._screen = SeedScreen(
+            seeds=seeds, centres=self.embed_many(seeds), slack=L * reach, jac=J,
+            basis=Q, tslack=np.linalg.norm(J0, axis=(1, 2)) * reach, curv=curv)
         return self._screen
 
     def _descend(self, X, P):
@@ -322,22 +371,11 @@ class Submanifold:
         scale = 1.0 + np.linalg.norm(P, axis=1)
         eye = np.eye(self.m)
 
-        def defined(fn, Xc):
-            # fn(Xc), bisecting the batch where the chart leaves its domain
-            # (say a trial point clipped onto an edge where the chart is not
-            # differentiable): such rows are evaluated at NaN, which no
-            # merit test accepts, so they count as not improved
-            try:
-                return fn(Xc)
-            except ex.DomainError:
-                if len(Xc) == 1:
-                    return fn(np.full_like(Xc, np.nan))
-                half = len(Xc) // 2
-                return np.concatenate([defined(fn, Xc[:half]), defined(fn, Xc[half:])])
-
         def stationarity(Xc, Pc):
-            C = defined(self.embed_many, Xc)
-            J = defined(self.jacobian_many, Xc)
+            # a point where the chart leaves its domain is evaluated at NaN,
+            # so its row counts as not improved
+            C = _where_defined(self.embed_many, Xc)
+            J = _where_defined(self.jacobian_many, Xc)
             G = np.einsum("rnm,rn->rm", J, Pc - C)  # J^T (p - c) = -grad f / 2
             return C, J, G
 
@@ -362,7 +400,7 @@ class Submanifold:
             # the Jacobian of G(x) = J^T (p - c(x)) is (p - c) . d2c - J^T J,
             # curvature term included
             JTJ = np.einsum("rni,rnj->rij", Ja, Ja)
-            H = defined(self.hessian_many, Xa)
+            H = _where_defined(self.hessian_many, Xa)
             DG = np.where(fixed[..., None], eye,
                           np.einsum("rnij,rn->rij", H, Pa - Ca) - JTJ)
             delta = np.clip(-solve(DG, np.where(fixed, 0.0, Ga)), -1e12, 1e12)
@@ -429,20 +467,51 @@ class Submanifold:
         parts = [self._project_chunk(P[i : i + step]) for i in range(0, len(P), step)]
         return BatchProjection(*map(np.concatenate, zip(*parts)))
 
+    def _screen_cells(self, P) -> tuple:
+        """(keep, near) for the queries P (q, n): keep (q, S) marks the seed
+        cells that may hold a foot that ties the best, and near (q,) is the
+        largest best converged distance that stands, d0 plus a tie slack.
+
+        d0 bounds the minimum from above: it is the distance to the nearest
+        centre c_i or to c(x), x the tangent-plane foot
+        x_i + (J_i^T J_i)^-1 J_i^T (p - c_i) clipped to the box, whichever
+        is nearer (a foot where J_i or c(x) is undefined is skipped). The
+        ties of a best within near reach no further than near plus a tie
+        slack, so a cell whose lower bound exceeds that is dropped. The
+        second-order bound runs only on the pairs the first-order one keeps,
+        gathered by index."""
+        screen = self._seed_screen()
+        q, m = len(P), self.m
+        d_centre = np.linalg.norm(P[:, None, :] - screen.centres[None], axis=-1)
+        i = np.argmin(d_centre, axis=1)
+        J = screen.jac[i]
+        x = np.clip(screen.seeds[i]
+                    + solve(np.einsum("qni,qnj->qij", J, J),
+                            np.einsum("qnm,qn->qm", J, P - screen.centres[i])),
+                    self.box[:, 0], self.box[:, 1])
+        with np.errstate(invalid="ignore", over="ignore"):
+            d_foot = np.linalg.norm(P - _where_defined(self.embed_many, x), axis=1)
+        d0 = np.fmin(d_centre[np.arange(q), i], d_foot)  # a NaN foot is skipped
+        near = d0 + PROJECT_DIST_TOL * (1.0 + d0)
+        reach = near + PROJECT_DIST_TOL * (1.0 + near)
+        keep = d_centre - screen.slack <= reach[:, None]
+        rows, cols = np.nonzero(keep)
+        # w = Q_i^T v one row of Q_i at a time, so that no pair holds an
+        # n x n copy of Q_i: every temporary is (pairs, n)
+        v = P[rows] - screen.centres[cols]
+        w = np.zeros_like(v)
+        for row in range(self.n):
+            w += v[:, row, None] * screen.basis[cols, row]
+        tangent = np.maximum(0.0, np.linalg.norm(w[:, :m], axis=1) - screen.tslack[cols])
+        keep[rows, cols] = (np.hypot(np.linalg.norm(w[:, m:], axis=1), tangent)
+                            - screen.curv[cols] <= reach[rows])
+        return keep, near
+
     def _project_chunk(self, P) -> BatchProjection:
         q = P.shape[0]
-        seeds, centres, slack = self._seed_screen()
+        seeds = self._seed_screen().seeds
         S, m = seeds.shape
-
-        # screen: every point of cell i lies at least |p - c_i| - slack_i from
-        # p, and d0, the nearest centre distance, bounds the minimum from
-        # above. A best converged distance of at most `near` stands; its ties
-        # reach no further than near + tol * (1 + near), so a cell whose
-        # lower bound exceeds that holds no foot that can tie, and is dropped
-        d_centre = np.linalg.norm(P[:, None, :] - centres[None], axis=-1)
-        d0 = np.min(d_centre, axis=1)
-        near = d0 + PROJECT_DIST_TOL * (1.0 + d0)
-        keep = d_centre - slack <= (near + PROJECT_DIST_TOL * (1.0 + near))[:, None]
+        keep, near = self._screen_cells(P)
 
         # (q, S) layout; seeds that never run stay at distance inf
         X = np.broadcast_to(seeds, (q, S, m)).copy()
@@ -609,7 +678,7 @@ class Submanifold:
         coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)
         nu = np.einsum("pnk,pk->pn", basis, coeff)
         foot_tol = TUBE_FOOT_TOL * (1.0 + np.linalg.norm(A, axis=1))
-        centres = self._seed_screen()[1]
+        centres = self._seed_screen().centres
         rho = float(rho_max)
         for _ in range(24):
             P = A + rho * nu

@@ -34,6 +34,7 @@ from .contact import (
     NotOnManifold,
     PolyCurve,
     contact_order_jet_recharted,
+    max_contact_order,
     residual_jets,
 )
 from .manifold import ManifoldError, Submanifold
@@ -486,7 +487,7 @@ def verify_theorem(scene, seed: int = 0) -> VerdictReport:
     tol = params.tol
     k = family.k if family is not None else scene.k
     required = k * (M.m + 1)
-    max_order = required + 2
+    max_order = max_contact_order(k, M.m)
     X = M.grid(params.samples, margin=params.margin)
     if family is not None:
         _growth_grid(params)  # a grid too short for step 2 fails before step 1

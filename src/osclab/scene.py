@@ -27,6 +27,7 @@ import numpy as np
 
 from . import expr as ex
 from .config import QuadConfig, RunParams, Tolerances
+from .contact import MAX_JET_ORDER, max_contact_order
 from .manifold import ImmersionError, Submanifold
 from .sweep import MAX_MESH_NODES, Cutoff, SweepFamily
 
@@ -222,6 +223,11 @@ def build_scene(data: dict, name: str = "scene",
     if family is not None and k != family.k:
         raise SceneError("/params/k", f"k = {k} differs from the family's k = {family.k};"
                          " params.k sets the class only of a scene without a family")
+    order = max_contact_order(k, M.m)
+    if order > MAX_JET_ORDER:
+        raise SceneError("/family/k" if family is not None else "/params/k",
+                         f"k = {k} needs jets of contact order {order},"
+                         f" above MAX_JET_ORDER = {MAX_JET_ORDER}")
     return Scene(name=name, manifold=M, family=family, params=params, k=k, raw=data)
 
 

@@ -150,6 +150,19 @@ def test_mesh_node_guard():
     assert "4741632 mesh nodes" in str(err.value)
 
 
+def test_jet_order_guard_bounds_k():
+    # osculation measures orders up to k (m + 1) + 2 = 65 at k = 21, m = 2
+    data = json.loads(corpus.scene_path("hyperbolic_paraboloid").read_text())
+    del data["family"]
+    data["params"] = {"k": 20}
+    assert build_scene(data).k == 20
+    data["params"] = {"k": 21}
+    with pytest.raises(SceneError) as err:
+        build_scene(data)
+    assert err.value.pointer == "/params/k"
+    assert "contact order 65, above MAX_JET_ORDER = 64" in str(err.value)
+
+
 def test_scene_file_errors(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{ not json")
@@ -488,6 +501,7 @@ def test_out_of_range_settings_exit_one(capsys, monkeypatch, tmp_path, hp_path,
     ("corpus", "abc", "", "OSCLAB_SEED must be an integer, got 'abc'"),
     ("contact", None, "--point 0,0 --max-order 0", "--max-order must be >= 1, got 0"),
     ("contact", None, "--point 0,0 --max-order -3", "--max-order must be >= 1, got -3"),
+    ("contact", None, "--point 0,0 --max-order 65", "--max-order must be at most 64, got 65"),
     ("contact", None, "--point 5,0", "--point '5,0' must be finite and inside "
      "the chart box [[-1.0, 1.0], [-1.0, 1.0]]"),
     ("contact", None, "--point nan,0", "--point 'nan,0' must be finite and inside "

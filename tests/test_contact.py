@@ -5,6 +5,7 @@ from osclab import corpus
 from osclab import expr as ex
 from osclab.config import Tolerances
 from osclab.contact import (
+    MAX_JET_ORDER,
     ExprCurve,
     NotOnManifold,
     PolyCurve,
@@ -57,6 +58,19 @@ def test_cubic_graph_curve_order_two():
     M = Submanifold.graph(["x", "y"], [[-1, 1], [-1, 1]], ["x^2 - y^3"])
     order = contact_order_jet_recharted(PolyCurve([[0, 0, 0], [0, 1, 0]], [0, 0]), M, 6)
     assert order.order == 2
+
+
+@pytest.mark.parametrize("name", ["hyperbolic_paraboloid", "cylinder"])
+def test_jet_order_guard(name):
+    # the largest order is measured on a graph and through the re-chart;
+    # one more raises before any jet work
+    scene = corpus.load(name)
+    curve = scene.family.curve_at(np.array([0.1, 0.2]))
+    assert contact_order_jet_recharted(curve, scene.manifold, MAX_JET_ORDER).saturated
+    with pytest.raises(ValueError, match="MAX_JET_ORDER"):
+        contact_order_jet_recharted(curve, scene.manifold, MAX_JET_ORDER + 1)
+    with pytest.raises(ValueError, match="MAX_JET_ORDER"):
+        residual_jets(scene.manifold, curve, MAX_JET_ORDER + 2)
 
 
 def test_base_point_must_lie_on_manifold(paraboloid):

@@ -351,7 +351,9 @@ def test_each_newton_point_is_evaluated_once(monkeypatch):
     # saddle's ruledness points, with the seed screen already built: every
     # point that _descend evaluates gets one embedding and one Jacobian, so
     # the two see the same rows, and the embedding of the final points
-    # comes out of _descend instead of another embed_many
+    # comes out of _descend instead of another embed_many. The one other
+    # evaluation is the screen's embedding of the q tangent-plane feet,
+    # before the first descent
     M = corpus.load("saddle").manifold
     pts = _ruledness_points(corpus.load("saddle"))
     plain = M.project_batch(pts)
@@ -366,10 +368,12 @@ def test_each_newton_point_is_evaluated_once(monkeypatch):
 
         monkeypatch.setattr(Submanifold, name, spy)
     spied = M.project_batch(pts)
-    embed = [n for name, n in events if name == "embed_many"]
-    assert embed and embed == [n for name, n in events if name == "jacobian_many"]
-    last = max(i for i, (name, _) in enumerate(events) if name == "_descend")
-    assert all(name != "embed_many" for name, _ in events[last:])
+    assert events[0] == ("embed_many", len(pts))
+    newton = events[1:]
+    embed = [n for name, n in newton if name == "embed_many"]
+    assert embed and embed == [n for name, n in newton if name == "jacobian_many"]
+    last = max(i for i, (name, _) in enumerate(newton) if name == "_descend")
+    assert all(name != "embed_many" for name, _ in newton[last:])
     for f in BatchProjection._fields:
         assert np.array_equal(getattr(spied, f), getattr(plain, f))
 
@@ -387,6 +391,17 @@ def _tube_probes(M, monkeypatch):
     M.tube_radius()
     monkeypatch.setattr(Submanifold, "project_batch", original)
     return np.concatenate(probes)
+
+
+@pytest.mark.parametrize("name", ["hyperbolic_paraboloid", "saddle", "paraboloid"])
+def test_tube_search_runs_no_stalled_rows(name, monkeypatch):
+    # the second-order screen drops the far seeds whose rows crept on for
+    # all 50 Newton iterations: each search's one projected level now ends
+    # after 13, 12 and 14 iterations, one Hessian evaluation each
+    M = corpus.load(name).manifold
+    hessians = _spy_rows(monkeypatch, "hessian_many")
+    M.tube_radius(seed=1)
+    assert len(hessians) <= 20
 
 
 @pytest.mark.parametrize("name", ["saddle", "paraboloid"])
@@ -423,9 +438,9 @@ def test_line_search_blocks_change_no_bit(name, monkeypatch):
 
 def test_screen_runs_few_newton_rows(monkeypatch):
     # saddle's ruledness points: the full grid runs 81 seeds for each of the
-    # 576 queries; the screen runs 3,580 of them, and as every query
-    # converges within one tie slack of its nearest centre, the expansion
-    # pass runs for none
+    # 576 queries; the screen runs 2,154 of them (the first-order bound
+    # alone, against the nearest centre, ran 3,580), and as every query
+    # converges within one tie slack of d0, the expansion pass runs for none
     saddle = corpus.load("saddle")
     M = saddle.manifold
     pts = _ruledness_points(saddle)
@@ -433,9 +448,76 @@ def test_screen_runs_few_newton_rows(monkeypatch):
     rows = _spy_rows(monkeypatch, "_descend")
     spied = M.project_batch(pts)
     full = 9**M.m * len(pts)
-    assert len(rows) == 1 and rows[0] <= full // 8
+    assert len(rows) == 1 and rows[0] <= full // 16
     for f in BatchProjection._fields:
         assert np.array_equal(getattr(spied, f), getattr(plain, f))
+
+
+def _cell_samples(M, per_axis):
+    """per_axis^m chart points spanning each seed cell, edges included, and
+    their embeddings (S, per_axis^m, n), NaN where the chart is undefined."""
+    axes = []
+    for a, b in M.box:
+        edges = a + (b - a) / 9 * np.arange(10)
+        edges[0], edges[-1] = a, b
+        axes.append(np.linspace(edges[:-1], edges[1:], per_axis, axis=1))
+    m = M.m
+    index = np.meshgrid(*[np.arange(9)] * m, *[np.arange(per_axis)] * m, indexing="ij")
+    X = np.stack([axes[k][index[k], index[m + k]] for k in range(m)], axis=-1)
+    X = X.reshape(9**m, per_axis**m, m)
+    seeds = M._seed_screen().seeds
+    assert np.all((X.min(axis=1) < seeds) & (seeds < X.max(axis=1)))
+    return manifold._where_defined(M.embed_many, X.reshape(-1, m)).reshape(*X.shape[:2], M.n)
+
+
+def _screen_scene(name):
+    """(manifold, queries): ruledness points where there is a family, points
+    around M, and normal probes at distances 0.05 to 1 from it."""
+    sqrt_graphs = {"sqrt": "sqrt(x)", "sqrt_shifted": "sqrt(x - 1/18)"}
+    if name in sqrt_graphs:
+        M = Submanifold.graph(["x"], [[0, 1]], [sqrt_graphs[name]])
+        x = np.linspace(0.06, 1.0, 40)
+        A = np.stack([x, M.embed_many(x[:, None])[:, 1]], axis=1)
+        normal = np.stack([-M.jacobian_many(x[:, None])[:, 1, 0], np.ones_like(x)], axis=1)
+        normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+        P = np.concatenate([A + s * normal for s in (-0.3, -0.05, 0.02, 0.1, 0.5)])
+        far = np.random.default_rng(3).uniform(-0.5, 1.5, size=(100, 2))
+        return M, np.concatenate([P, far])
+    scene = build_scene(RULED_3FOLD) if name == "ruled_3fold" else corpus.load(name)
+    M, every = scene.manifold, 16 if name == "ruled_3fold" else 1
+    parts = [_far_points(M, seed=7, count=200 // every)]
+    if scene.family is not None:
+        parts.append(_ruledness_points(scene)[::every])
+    rng = np.random.default_rng(9)
+    X = rng.uniform(M.box[:, 0], M.box[:, 1], size=(200 // every, M.m))
+    Q, _ = np.linalg.qr(M.jacobian_many(X), mode="complete")
+    coeff = rng.normal(size=(len(X), M.n - M.m))
+    coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)
+    rho = rng.choice([0.05, 0.25, 0.5, 1.0], size=(len(X), 1))
+    parts.append(M.embed_many(X) + rho * np.einsum("pnk,pk->pn", Q[:, :, M.m:], coeff))
+    return M, np.concatenate(parts)
+
+
+@pytest.mark.parametrize("name", [*corpus.names(), "ruled_3fold", "sqrt", "sqrt_shifted"])
+def test_screen_drops_only_cells_beyond_the_threshold(name):
+    # every (query, cell) pair the screen drops has a sampled minimum
+    # distance above the keep threshold near + tol (1 + near); the sampled
+    # minimum is never below the true one, so a pair that fails here is one
+    # the screen could not have dropped. sqrt(x) has no bound of either
+    # order on its first cell, and sqrt(x - 1/18) no Jacobian at its centre
+    M, P = _screen_scene(name)
+    C = _cell_samples(M, 6 if M.m == 3 else 12 if M.m == 2 else 200)
+    keep, near = M._screen_cells(P)
+    threshold = near + PROJECT_DIST_TOL * (1.0 + near)
+    assert np.any(~keep)
+    if name == "sqrt_shifted":
+        screen = M._seed_screen()
+        assert np.isnan(screen.jac[0, 1, 0]) and screen.curv[0] == np.inf
+    block = max(1, 2**18 // C[..., 0].size)
+    for i in range(0, len(P), block):
+        d = np.linalg.norm(P[i:i + block, None, None] - C[None], axis=-1)
+        sampled = np.min(np.where(np.isnan(d), np.inf, d), axis=2)
+        assert np.all(keep[i:i + block] | (sampled > threshold[i:i + block, None]))
 
 
 @pytest.mark.parametrize("name", corpus.names())
@@ -453,9 +535,11 @@ def test_screen_keeps_the_nearest_foot(scenes, name, monkeypatch):
     assert np.count_nonzero(held) >= len(P) // 4
     assert np.all(b.distance[held] <= dense[held] + PROJECT_DIST_TOL * (1.0 + dense[held]))
     assert np.all(b.distance >= dense - grid_slack)
-    # reference: Newton from every seed, as with no screen
-    seeds, centres, cell_slack = M._seed_screen()
-    monkeypatch.setattr(M, "_screen", (seeds, centres, np.full_like(cell_slack, np.inf)))
+    # reference: Newton from every seed, as with no screen: both lower
+    # bounds of every cell are -inf
+    screen = M._seed_screen()
+    unbounded = np.full_like(screen.slack, np.inf)
+    monkeypatch.setattr(M, "_screen", screen._replace(slack=unbounded, curv=unbounded))
     full = M.project_batch(P)
     for flag in ("converged", "ambiguous", "on_boundary"):
         assert np.array_equal(getattr(b, flag), getattr(full, flag)), flag
@@ -500,41 +584,68 @@ def test_projection_where_the_chart_is_undefined_on_the_edge():
 
 
 def test_screen_matches_per_cell_bounds():
-    # one interval pass over all 81 cells gives each cell the bound it gets
-    # alone; the 17 cells whose Jacobian divides by an interval containing 0
-    # (x-cells at 0, where 1/sqrt(x) blows up, and the y-cells around 0.3)
-    # are unbounded
+    # one interval pass over all 81 cells gives each cell the bounds it gets
+    # alone; the 17 cells whose Jacobian and Hessians divide by an interval
+    # containing 0 (x-cells at 0, where 1/sqrt(x) blows up, and the y-cells
+    # around 0.3) are unbounded, in both orders
     M = Submanifold.graph(["x", "y"], [[0, 1], [-1, 1]], ["sqrt(x)*y", "1/(y - 0.3)"])
-    seeds, centres, slack = M._seed_screen()
+    screen = M._seed_screen()
+    seeds = screen.seeds
     cells = []
     for a, b in M.box:
         edges = a + (b - a) / 9 * np.arange(10)
         edges[0], edges[-1] = a, b
         cells.append(np.stack([edges[:-1], edges[1:]], axis=-1))
-    ref = []
+
+    def frobenius(exprs, env):
+        mags = [ex.evaluate_with(d, env, ex.INTERVALS).magnitude() for d in exprs]
+        return np.sqrt(sum(np.square(g) for g in mags))
+
+    slack, curv, reaches = [], [], []
     for (x0, x1), (y0, y1), seed in zip(np.repeat(cells[0], 9, axis=0),
                                         np.tile(cells[1], (9, 1)), seeds):
         assert x0 < seed[0] < x1 and y0 < seed[1] < y1
         env = {"x": ex.Interval(x0, x1), "y": ex.Interval(y0, y1)}
-        mags = [ex.evaluate_with(d, env, ex.INTERVALS).magnitude()
-                for row in M.jac_exprs for d in row]
         reach = np.linalg.norm(np.maximum(seed - [x0, y0], [x1, y1] - seed), axis=-1)
-        ref.append(np.sqrt(sum(np.square(g) for g in mags)) * reach)
-        assert np.isinf(ref[-1]) == (x0 == 0.0 or y0 <= 0.3 <= y1)
-    assert np.array_equal(slack, ref)
-    assert np.count_nonzero(np.isinf(slack)) == 17
-    assert np.array_equal(centres, M.embed_many(seeds))
+        reaches.append(reach)
+        slack.append(frobenius([d for row in M.jac_exprs for d in row], env) * reach)
+        K = frobenius([d for row in M.hess_exprs for col in row for d in col], env)
+        curv.append(0.5 * K * reach**2 if np.isfinite(K) else np.inf)
+        assert np.isinf(slack[-1]) == np.isinf(curv[-1]) == (x0 == 0.0 or y0 <= 0.3 <= y1)
+    assert np.array_equal(screen.slack, slack)
+    assert np.array_equal(screen.curv, curv)
+    assert np.count_nonzero(np.isinf(screen.curv)) == 17
+    assert np.array_equal(screen.centres, M.embed_many(seeds))
+    # the centre Jacobians, their orthonormal split and the tangent slack
+    J = M.jacobian_many(seeds)
+    assert np.array_equal(screen.jac, J)
+    Q = screen.basis
+    assert np.allclose(np.einsum("sni,snj->sij", Q, Q), np.eye(M.n), atol=1e-14)
+    normal_part = np.abs(np.einsum("snk,sni->ski", Q[:, :, M.m:], J))
+    assert np.all(normal_part <= 1e-14 * np.linalg.norm(J, axis=(1, 2))[:, None, None])
+    assert np.array_equal(screen.tslack, np.linalg.norm(J, axis=(1, 2)) * reaches)
 
 
 def test_unbounded_cell_is_kept(monkeypatch):
     # the Jacobian 1/(2 sqrt(x)) of the first cell [0, 1/9] divides by an
-    # interval containing 0, so that cell has no bound and is never dropped
+    # interval containing 0, so that cell has no bound of either order and
+    # is never dropped, even for a query whose foot x0 = 4/9, the edge of
+    # the bounded cells 3 and 4, lies far from it
     M = Submanifold.graph(["x"], [[0, 1]], ["sqrt(x)"])
-    seeds, _, slack = M._seed_screen()
-    assert slack[0] == np.inf and np.all(np.isfinite(slack[1:]))
-    x0 = 0.08
+    screen = M._seed_screen()
+    seeds = screen.seeds
+    for bound in (screen.slack, screen.curv):
+        assert bound[0] == np.inf and np.all(np.isfinite(bound[1:]))
+    x0 = 4.0 / 9.0
     normal = np.array([-1.0 / (2.0 * np.sqrt(x0)), 1.0])
     p = np.array([x0, np.sqrt(x0)]) + 0.03 * normal / np.linalg.norm(normal)
+    # every point of the first cell lies further from p than the keep
+    # threshold, so only its infinite bounds keep it
+    _, near = M._screen_cells(p[None])
+    threshold = near[0] + PROJECT_DIST_TOL * (1.0 + near[0])
+    _, cell_min = grid_min_1d(lambda x: np.hypot(x - p[0], np.sqrt(x) - p[1]),
+                              0.0, 1.0 / 9.0, 1e-5)
+    assert cell_min > 10.0 * threshold
     runs = []
     descend = Submanifold._descend
 
@@ -548,10 +659,13 @@ def test_unbounded_cell_is_kept(monkeypatch):
     assert b.converged[0] and not b.ambiguous[0]
     assert b.chart[0, 0] == pytest.approx(x0, abs=1e-12)
     assert b.distance[0] == pytest.approx(0.03, abs=1e-12)
-    # the first cell's seed ran and reached the same foot as the seeds beyond it
+    # the first cell's seed ran beside the seeds of the two cells that hold
+    # the foot, and every seed that ran reached it
     starts, feet, conv, _ = (np.concatenate(a) for a in zip(*runs))
-    assert np.any(starts[:, 0] == seeds[0, 0])
-    assert len(starts) > 1 and np.all(conv)
+    assert len(starts) > 1
+    for cell in (0, 3, 4):
+        assert np.any(starts[:, 0] == seeds[cell, 0]), cell
+    assert np.all(conv)
     assert np.allclose(feet, b.chart[0], atol=1e-12)
 
 
