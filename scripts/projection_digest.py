@@ -53,13 +53,6 @@ RULED_3FOLD = {"manifold": {"type": "graph", "chart_vars": ["x", "y", "z"],
                "params": {"quad_cells": 4}}
 
 
-def _captured(fn):
-    """Run fn(); return its value and the queries and results of every
-    project_batch call it made, concatenated in call order."""
-    value, calls = _calls(fn)
-    return value, _joined(calls)
-
-
 def _calls(fn):
     """Run fn(); return its value and a list of (the caller's `rho` or None,
     queries, result), one per project_batch call it made."""
@@ -108,8 +101,7 @@ def _ruledness(scene) -> dict:
     M, params = scene.manifold, scene.params
     _, _, pts = ruledness_points(M, scene.family.curve_at, params.span,
                                  params.samples, params.margin)
-    _, out = _captured(lambda: M.project_batch(pts))
-    return out
+    return _joined([(None, pts, M.project_batch(pts))])
 
 
 def digest() -> dict:
@@ -124,7 +116,7 @@ def digest() -> dict:
         if scene.family is not None:
             out[name, "ruledness"] = _ruledness(scene)
         far = _far_points(M, seed=i)
-        _, out[name, "far"] = _captured(lambda: M.project_batch(far))
+        out[name, "far"] = _joined([(None, far, M.project_batch(far))])
     out["ruled_3fold", "ruledness"] = _ruledness(build_scene(RULED_3FOLD, name="ruled_3fold"))
     return out
 

@@ -2,7 +2,10 @@
 """Run the full verdict pipeline over every built-in scene and write the
 JSON reports plus a one-line-per-scene summary. For every scene with a
 family it also writes the CSVs of `osclab coeffs` (<scene>.coeffs.csv) and
-`osclab sweep` (<scene>.sweep.csv).
+`osclab sweep` (<scene>.sweep.csv), the records of `osclab ruled` with its
+per-sample counts (<scene>.ruled.json) and of `osclab exponent`
+(<scene>.exponent.json), and the slope, order, containment and distances
+of the metric contact order at each verify sample (<scene>.metric.json).
 
 The timings are printed, not written, so that `diff -r` of two output
 directories compares every output.
@@ -24,8 +27,24 @@ import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 from osclab import corpus  # noqa: E402
-from osclab.osculate import verify_theorem  # noqa: E402
+from osclab.contact import contact_order_metric  # noqa: E402
+from osclab.osculate import growth_record, ruledness_record, verify_theorem  # noqa: E402
 from osclab.sweep import coefficients_csv, vanishing_verdict, volume_csv, volume_series  # noqa: E402
+
+
+def _json(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def _metric(scene) -> list:
+    """contact_order_metric of the family curve at each verify sample."""
+    M, p = scene.manifold, scene.params
+    out = []
+    for x in M.grid(p.samples, margin=p.margin):
+        mo = contact_order_metric(scene.family.curve_at(x), M, tol=p.tol)
+        out.append({"x": x.tolist(), "slope": mo.slope, "order": mo.order,
+                    "contained": mo.contained, "distances": mo.distances.tolist()})
+    return out
 
 
 def main() -> int:
@@ -37,21 +56,24 @@ def main() -> int:
         start = time.perf_counter()
         report = verify_theorem(scene, seed=0)
         elapsed = time.perf_counter() - start
-        (outdir / f"{name}.json").write_text(
-            json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n")
+        (outdir / f"{name}.json").write_text(_json(report.as_dict()))
         if scene.family is not None:
-            p = scene.params
+            M, p = scene.manifold, scene.params
             vv = vanishing_verdict(scene.family, p.samples, p.margin, p.tol)
-            (outdir / f"{name}.coeffs.csv").write_text(
-                coefficients_csv(vv.table, scene.manifold.m))
+            (outdir / f"{name}.coeffs.csv").write_text(coefficients_csv(vv.table, M.m))
             (outdir / f"{name}.sweep.csv").write_text(
                 volume_csv(volume_series(scene.family, p.t_grid(), p.quad)))
+            ruled, rv = ruledness_record(M, scene.family, p)
+            ruled["per_sample"] = rv.per_sample
+            (outdir / f"{name}.ruled.json").write_text(_json(ruled))
+            (outdir / f"{name}.exponent.json").write_text(
+                _json(growth_record(scene.family, p)))
+            (outdir / f"{name}.metric.json").write_text(_json(_metric(scene)))
         step = "-" if report.first_failure is None else report.first_failure["step"]
         print(f"{name:24s} {report.verdict:18s} {step:12s} {elapsed:6.1f}s")
         summary.append({"scene": name, "verdict": report.verdict,
                         "first_failure": step})
-    (outdir / "summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    (outdir / "summary.json").write_text(_json(summary))
     print(f"reports in {outdir}/")
     return 0
 

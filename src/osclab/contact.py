@@ -298,16 +298,10 @@ class MetricOrder(NamedTuple):
 
 def contact_order_metric(curve, M: Submanifold, t_grid=None, tol=_TOL) -> MetricOrder:
     """Log-log slope of the curve's distance to M over the t-grid; contained
-    when fewer than two distances exceed dist_zero. When every vertical
-    bound (Submanifold.vertical_bound) is within dist_zero, so is every
-    distance, and the curve reads contained, with the bounds as its
-    distances and no projection."""
+    when fewer than two distances exceed dist_zero. The distances are
+    M.distances settled at dist_zero."""
     ts = np.asarray(geometric_grid() if t_grid is None else t_grid, dtype=float)
-    pts = curve(ts)
-    bound = M.vertical_bound(pts)
-    if np.all(bound <= tol.dist_zero):
-        return MetricOrder(None, None, True, ts, bound)
-    ds = M.project_batch(pts).distance
+    ds, _ = M.distances(curve(ts), tol.dist_zero)
     live = ds > tol.dist_zero
     if np.count_nonzero(live) < 2:
         return MetricOrder(None, None, True, ts, ds)
@@ -335,10 +329,9 @@ def uniform_decay_check(family, k: int, tol=_TOL) -> DecayReport:
 
     Failure is a negative report, not an error; the per-t max-ratio table is
     always returned, and the report records whether the sampled curves reach
-    jet contact order k (the hypothesis that guarantees decay). Distances
-    below the underflow floor count as exact containment, and so does a
-    point whose vertical bound (Submanifold.vertical_bound) lies below it,
-    with no projection.
+    jet contact order k (the hypothesis that guarantees decay). The
+    distances are M.distances settled at the underflow floor dist_zero, and
+    those below it count as exact containment.
     """
     M = family.M
     ts = geometric_grid()
@@ -347,11 +340,7 @@ def uniform_decay_check(family, k: int, tol=_TOL) -> DecayReport:
     hypothesis_met = all(order.meets(k) for order in contact_order_jet_recharted(
         family.curve_at(X), M, max_order, tol))
     pts = family.point_many(np.tile(X, (len(ts), 1)), np.repeat(ts, len(X)))
-    ds = np.zeros(len(pts))
-    far = np.flatnonzero(M.vertical_bound(pts) >= tol.dist_zero)
-    if far.size:
-        ds[far] = M.project_batch(pts[far]).distance
-    ds = ds.reshape(len(ts), len(X))
+    ds = M.distances(pts, tol.dist_zero)[0].reshape(len(ts), len(X))
     ratios = np.max(np.where(ds < tol.dist_zero, 0.0, ds), axis=1) / ts**k
     contained = bool(np.all(ratios < tol.decay_floor))
     passed = contained or ratios[-1] < 0.1 * ratios[0]

@@ -78,9 +78,10 @@ is raised only when the radius is needed.
 
 On a graph no projection is needed to show that a point p lies near M:
 vertical_bound gives |p_N - h(p_T)|, the distance to the point
-(p_T, h(p_T)) of M, when p_T lies in the box off its edge band. The
+(p_T, h(p_T)) of M, when p_T lies in the box off its edge band. distances
+reads it first and projects only the points it cannot settle; the
 ruledness step and the metric contact order and decay checks of contact.py
-read it first and project only the points it cannot settle.
+read their distances from it.
 """
 
 from __future__ import annotations
@@ -167,6 +168,15 @@ class SeedScreen(NamedTuple):
     basis: np.ndarray    # (S, n, n) Q_i, range(J_i) within its first m columns
     tslack: np.ndarray   # (S,) |J_i|_F r_i
     curv: np.ndarray     # (S,) K_i r_i^2 / 2; inf where there is no bound
+
+
+def _interval_norm(exprs, env) -> np.ndarray:
+    """The Frobenius norm of the entrywise magnitudes of exprs evaluated
+    over the intervals of env (expr.INTERVALS): inf where an entry is
+    unbounded."""
+    mags = [ex.evaluate_with(d, env, ex.INTERVALS).magnitude() for d in exprs]
+    with np.errstate(over="ignore"):
+        return np.sqrt(sum(np.square(g) for g in mags))
 
 
 def _where_defined(fn, X):
@@ -313,17 +323,10 @@ class Submanifold:
         hi = np.array(list(product(*(c[:, 1] for c in cells))), dtype=float)
         reach = np.linalg.norm(np.maximum(seeds - lo, hi - seeds), axis=1)
         env = {v: ex.Interval(lo[:, i], hi[:, i]) for i, v in enumerate(self.chart_vars)}
-
-        def bound(exprs):
-            # Frobenius norm of the entrywise interval bound of exprs over
-            # each cell: inf where an entry is unbounded, and one bound for
-            # every cell when the entries are constant
-            mags = [ex.evaluate_with(d, env, ex.INTERVALS).magnitude() for d in exprs]
-            with np.errstate(over="ignore"):
-                return np.broadcast_to(np.sqrt(sum(np.square(g) for g in mags)), (len(seeds),))
-
-        L = bound([d for row in self.jac_exprs for d in row])
-        K = bound([d for row in self.hess_exprs for col in row for d in col])
+        jac = [d for row in self.jac_exprs for d in row]
+        hess = [d for row in self.hess_exprs for col in row for d in col]
+        # one bound for every cell where the entries are constant
+        L, K = (np.broadcast_to(_interval_norm(e, env), (len(seeds),)) for e in (jac, hess))
         J = _where_defined(self.jacobian_many, seeds)
         defined = np.all(np.isfinite(J), axis=(1, 2))
         J0 = np.where(defined[:, None, None], J, 0.0)
@@ -462,9 +465,9 @@ class Submanifold:
         bit of it."""
         P = np.atleast_2d(np.asarray(P, dtype=float))
         step = max(1, PROJECT_CHUNK_ROWS // SEEDS_PER_AXIS ** self.m)
-        if len(P) <= step:
-            return self._project_chunk(P)
-        parts = [self._project_chunk(P[i : i + step]) for i in range(0, len(P), step)]
+        # no query still makes one (empty) chunk
+        parts = [self._project_chunk(P[i : i + step])
+                 for i in range(0, max(len(P), 1), step)]
         return BatchProjection(*map(np.concatenate, zip(*parts)))
 
     def _screen_cells(self, P) -> tuple:
@@ -586,6 +589,22 @@ class Submanifold:
         bound[inside] = np.where(np.isfinite(d), d, np.inf)
         return bound
 
+    def distances(self, P, settle: float) -> tuple:
+        """(distance, eligible), both (q,), for the points P (q, n). A point
+        whose vertical_bound is at most `settle` reads that bound and is
+        eligible; the others (every point of a parametric chart) go to one
+        project_batch call, read their projected distance, and are eligible
+        where it converged unambiguously to a foot off the box edge."""
+        P = np.atleast_2d(np.asarray(P, dtype=float))
+        distance = self.vertical_bound(P)
+        eligible = distance <= settle
+        rest = np.flatnonzero(~eligible)
+        if rest.size:
+            b = self.project_batch(P[rest])
+            distance[rest] = b.distance
+            eligible[rest] = b.converged & ~b.ambiguous & ~b.on_boundary
+        return distance, eligible
+
     def nearest_point(self, p) -> ProjectionResult:
         b = self.project_batch(np.asarray(p, dtype=float)[None, :])
         if not b.converged[0]:
@@ -642,10 +661,8 @@ class Submanifold:
         if self.kind != "graph":
             return 0.0
         env = {v: ex.Interval(lo, hi) for v, (lo, hi) in zip(self.chart_vars, self.box)}
-        mags = [ex.evaluate_with(d, env, ex.INTERVALS).magnitude()
-                for row in self.hess_exprs[self.m:] for col in row for d in col]
-        with np.errstate(over="ignore"):
-            K = float(np.sqrt(sum(np.square(g) for g in mags)))
+        K = float(_interval_norm(
+            [d for row in self.hess_exprs[self.m:] for col in row for d in col], env))
         return np.inf if K == 0.0 else 1.0 / K
 
     def tube_radius(self, *, rho_max: float | None = None, seed: int = 0) -> float:

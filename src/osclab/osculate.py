@@ -332,17 +332,14 @@ def ruledness_check(M: Submanifold, curve_provider, span: float, *, tube: float,
                     tol=_TOL) -> RuledVerdict:
     """Max distance of the curves Gamma_x to M over parameters in [-S, S].
 
-    A curve sample counts in one of two ways. On a graph chart, a sample
-    whose M.vertical_bound is within the ruled tolerance counts at that
-    bound, with no projection: the bound is the
-    distance to a point of M, so it bounds the sample's distance from
-    above. Every other sample is projected, and counts at its projected
-    distance when that lies within the larger of the tube radius `tube` and
-    the tolerance (its found foot bounds its distance from above too, so a
-    sample within the tolerance counts whatever the tube). Projected
-    samples with ambiguous projections, whose feet land on the box edge
-    (truncation artifacts), or beyond that radius are excluded; if every
-    sample is excluded the verdict is UNDECIDED.
+    The distances and their eligibility are M.distances settled at the
+    ruled tolerance; a settled bound and a found foot are both distances to
+    a point of M, so either bounds the sample's distance from above. An
+    eligible sample counts within the larger of the tube radius `tube` and
+    the tolerance, so a sample within the tolerance counts whatever the
+    tube. Ineligible samples (ambiguous projections and feet on the box
+    edge, truncation artifacts) and those beyond that radius are excluded;
+    if every sample is excluded the verdict is UNDECIDED.
 
     With `probe`, a zero-argument callable that returns a probed tube radius
     (ruledness_record passes Submanifold.tube_radius), `tube` is a certified
@@ -355,13 +352,7 @@ def ruledness_check(M: Submanifold, curve_provider, span: float, *, tube: float,
                                      samples_per_axis, margin)
     scene_scale = float(np.max(np.linalg.norm(M.embed_many(X), axis=1)))
     tolerance = tol.ruled * (1.0 + scene_scale)
-    distance = M.vertical_bound(pts)
-    eligible = distance <= tolerance
-    rest = np.flatnonzero(~eligible)
-    if rest.size:
-        b = M.project_batch(pts[rest])
-        distance[rest] = b.distance
-        eligible[rest] = b.converged & ~b.ambiguous & ~b.on_boundary
+    distance, eligible = M.distances(pts, tolerance)
     radius = max(tube, tolerance)
     if probe is not None and np.any(eligible & (distance > radius)):
         radius = max(radius, probe())

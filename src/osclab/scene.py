@@ -23,8 +23,6 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 
-import numpy as np
-
 from . import expr as ex
 from .config import QuadConfig, RunParams, Tolerances
 from .contact import MAX_JET_ORDER, max_contact_order
@@ -143,7 +141,7 @@ def _build_family(data, M: Submanifold, cutoff_data) -> SweepFamily:
             raise SceneError("/cutoff", "expected an object with inner/outer radii")
         inner = _require(cutoff_data, "inner", "/cutoff")
         outer = _require(cutoff_data, "outer", "/cutoff")
-        half_side = float(np.min(0.5 * (M.box[:, 1] - M.box[:, 0])))
+        half_side = M.half_side
         if not (isinstance(inner, (int, float)) and isinstance(outer, (int, float))
                 and 0.0 < inner < outer <= half_side):
             raise SceneError("/cutoff",

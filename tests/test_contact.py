@@ -3,7 +3,7 @@ import pytest
 
 from osclab import corpus
 from osclab import expr as ex
-from osclab.config import Tolerances
+from osclab.config import Tolerances, geometric_grid
 from osclab.contact import (
     MAX_JET_ORDER,
     ExprCurve,
@@ -136,6 +136,32 @@ def test_metric_transverse_slope_one():
     mo = contact_order_metric(vertical, plane)
     assert mo.slope == pytest.approx(1.0, abs=0.05)
     assert mo.order == 0
+
+
+def test_metric_partly_settled_matches_projection(monkeypatch):
+    # (t, 0, t - 0.1) meets the plane at the node t = 0.1, whose vertical
+    # bound 0 settles it; the other 7 nodes are projected, and the fit is
+    # the one over the projected distances of all 8
+    plane = Submanifold.graph(["x", "y"], [[-1, 1], [-1, 1]], ["0"])
+    curve = PolyCurve([[0, 0, -0.1], [1, 0, 1]])
+    ts = geometric_grid()
+    ds = plane.project_batch(curve(ts)).distance
+    live = ds > Tolerances().dist_zero
+    slope = np.polyfit(np.log(ts[live]), np.log(ds[live]), 1)[0]
+    queries = []
+    project_batch = Submanifold.project_batch
+
+    def spy(self, P):
+        queries.append(len(P))
+        return project_batch(self, P)
+
+    monkeypatch.setattr(Submanifold, "project_batch", spy)
+    mo = contact_order_metric(curve, plane)
+    assert queries == [7]
+    assert (mo.slope, mo.order, mo.contained) == (slope, 0, False)
+    assert mo.slope == pytest.approx(-0.054777900227049585, rel=1e-12)
+    assert mo.distances[1] == 0.0
+    assert np.array_equal(np.delete(mo.distances, 1), np.delete(ds, 1))
 
 
 # -- uniform decay -----------------------------------------------------------

@@ -17,6 +17,7 @@ from osclab.osculate import (
     osculating_directions,
     RuledWitness,
     ruledness_check,
+    ruledness_points,
 )
 from osclab.config import geometric_grid
 from osclab.scene import build_scene
@@ -561,17 +562,32 @@ GRAPHS = [n for n in corpus.names() if corpus.load(n).manifold.kind == "graph"]
 
 
 @pytest.mark.parametrize("name, span", [(n, None) for n in GRAPHS] + [
-    (n, 2.0) for n in ("plane", "hyperbolic_paraboloid", "saddle", "paraboloid")])
+    (n, 2.0) for n in ("plane", "hyperbolic_paraboloid", "saddle", "paraboloid")]
+    + [("cylinder", None)])
 def test_ruledness_by_bound_matches_projection(name, span):
     # the vertical bound counts a sample only where projection counts it:
     # same verdict, counts and witness as projecting every sample. Span 2
-    # sends the curves out of the box, where the samples are projected
+    # sends the curves out of the box, where the samples are projected, and
+    # the parametric cylinder settles no sample
     scene = corpus.load(name)
     M, p = scene.manifold, scene.params
     span = p.span if span is None else span
     kwargs = dict(tube=min(M.half_side, M.reach_bound()), probe=M.tube_radius,
                   samples_per_axis=p.samples, margin=p.margin, tol=p.tol)
     got = ruledness_check(M, scene.family.curve_at, span, **kwargs)
+    # Submanifold.distances: settled rows read the bound and are eligible,
+    # the others read project_batch of those rows alone
+    _, _, pts = ruledness_points(M, scene.family.curve_at, span, p.samples, p.margin)
+    distance, eligible = M.distances(pts, got.tolerance)
+    bound = M.vertical_bound(pts)
+    settled = bound <= got.tolerance
+    assert M.kind == "graph" or not np.any(settled)
+    assert np.array_equal(distance[settled], bound[settled]) and np.all(eligible[settled])
+    if not np.all(settled):
+        b = M.project_batch(pts[~settled])
+        assert np.array_equal(distance[~settled], b.distance)
+        assert np.array_equal(eligible[~settled],
+                              b.converged & ~b.ambiguous & ~b.on_boundary)
     want = ruledness_by_projection(M, scene.family.curve_at, span, **kwargs)
     assert (got.verdict, got.counted, got.skipped) == (want.verdict, want.counted, want.skipped)
     assert ([r["counted"] for r in got.per_sample]
