@@ -554,11 +554,14 @@ class Submanifold:
         rows = np.arange(q)
         chart = X[rows, pick]
         point = A[rows, pick]
+        # a best converged distance still beyond `near` after the expansion
+        # is a stationary point that is not the nearest: the screen holds a
+        # point of M within d0, so the row is not converged
         return BatchProjection(
             chart=chart,
             point=point,
             distance=d_best,
-            converged=any_conv,
+            converged=any_conv & (d_best <= near),
             ambiguous=ambiguous,
             on_boundary=self._on_edge(chart),
         )

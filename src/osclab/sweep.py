@@ -32,16 +32,16 @@ with error 0.0. A nonzero minor, a cutoff, or a frame the ring cannot hold
 (a sqrt, a quotient by a non-constant) leaves the series to the quadrature
 of swept_volume, which itself never reads the certificate.
 
-The flow check integrates every start in both time directions as one
-adaptive Dormand-Prince 5(4) state: each stage makes one frame_many call and
-one batched minimum-norm solve (np.linalg.pinv), whose residual over |dt phi|
-certifies each trajectory, and the last stage of an accepted step is the
-first of the next (FSAL), so a step costs six solves. Each trajectory keeps its own step
-size, at most t_span/8, and accepts a step whose embedded error estimate is
-within a fixed fraction of the drift tolerance; drift and box exits are
-measured at accepted steps only, and the summed estimates count against the
-drift tolerance. A start outside the box, a failed certificate, an exit
-from the box or a spent step budget (MAX_FLOW_STEPS) ends only that
+The flow check finds the chart path u(t) with phi_t(u(t)) = phi_0(x), the
+flow of -Y_t wherever D(phi_t) has rank m, as a root at each of
+FLOW_CHECKPOINTS checkpoints per time direction: FLOW_CORRECTIONS
+Gauss-Newton corrections, warm-started from the previous checkpoint, each
+one frame_many call and one exterior.solve on the m x m normal equations.
+Every start runs in both directions as one batch. At t = 0 and at each
+checkpoint a rank certificate reads the distance of dt phi_t to the span of
+D(phi_t), a ratio of two frame_norms, against RANK_FLOOR |dt phi_t|; the
+drift and the box exit are read at the checkpoints. A start outside the
+box, a failed certificate or an exit from the box ends only that
 trajectory and is returned in its FlowReport.error.
 """
 
@@ -55,7 +55,8 @@ import numpy as np
 from . import expr as ex
 from .config import QuadConfig, Tolerances, composite_gauss, geometric_grid
 from .contact import ExprCurve, PolyCurve
-from .exterior import RANK_FLOOR, frame_norm, frame_ratio, index_combinations, wedge_ring
+from .exterior import (RANK_FLOOR, frame_norm, frame_ratio, index_combinations, solve,
+                       wedge_ring)
 from .jets import Jet, default_degree, jet_eval_expr
 from .manifold import OutOfDomain, Submanifold
 
@@ -594,83 +595,61 @@ def vanishing_verdict(family: SweepFamily, samples_per_axis: int = 3,
 class FlowReport(NamedTuple):
     start: np.ndarray
     t_span: float
-    steps: int
-    max_drift: float
-    max_residual: float
-    error_estimate: float
+    steps: int              # checkpoints reached
+    max_drift: float        # largest |phi_t(u) - phi_0(x)| at a checkpoint
+    max_residual: float     # largest dist(dt phi_t, span D phi_t) certified
+    error_estimate: float   # largest |D phi_t delta| of a last correction
     passed: bool
     error: SweepError | OutOfDomain | None = None
 
 
-def _solve_field(family: SweepFamily, U: np.ndarray, T: np.ndarray):
-    """Minimum-norm Y with D(phi_t) Y = dt(phi_t) at paired points (U, T),
-    by one batched pseudoinverse, the residual norm of each solve and
-    |dt(phi_t)|: their ratio is the sine of dt(phi_t)'s angle to the span."""
-    frame = family.frame_many(U, T)
+#: checkpoints per time direction: the path is found at t = +-j t_span / this
+FLOW_CHECKPOINTS = 8
+#: Gauss-Newton corrections per checkpoint
+FLOW_CORRECTIONS = 4
+
+
+def _correct(family: SweepFamily, U: np.ndarray, T: np.ndarray, anchor: np.ndarray):
+    """FLOW_CORRECTIONS Gauss-Newton corrections of phi_T(u) = anchor from
+    the chart points U (N, m) at the times T (N,), each one point_many, one
+    frame_many and one exterior.solve on the m x m normal equations. Returns
+    the corrected points and the ambient size |D phi_t delta| of the last
+    correction of each."""
     m = family.M.m
-    J, rhs = frame[:, :, :m], frame[:, :, m:]
-    Y = np.linalg.pinv(J) @ rhs
-    resid = np.linalg.norm((J @ Y - rhs)[:, :, 0], axis=-1)
-    return Y[:, :, 0], resid, np.linalg.norm(rhs[:, :, 0], axis=-1)
-
-
-#: accepted plus rejected Dormand-Prince steps allowed to one trajectory
-MAX_FLOW_STEPS = 128
-#: fewest accepted steps per time direction: no step exceeds t_span / this
-MIN_FLOW_STEPS = 8
-#: local error bound of one step, as a fraction of Tolerances.flow_drift
-FLOW_LOCAL_FRACTION = 1e-4
-
-# Dormand-Prince 5(4) (Dormand & Prince 1980; Hairer-Norsett-Wanner,
-# Solving ODEs I, II.5): nodes, stage rows, and the weights of the 5th-order
-# solution minus those of the embedded 4th-order one. The 5th-order weights
-# are the last stage row, so that stage is the next step's first (FSAL).
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
-                  22 / 525, -1 / 40])
-
-
-class FlowStepBudgetError(SweepError):
-    """A trajectory used MAX_FLOW_STEPS steps before reaching +-t_span: the
-    local error bound cannot be met at any step size it tried."""
+    for _ in range(FLOW_CORRECTIONS):
+        J = family.frame_many(U, T)[:, :, :m]
+        r = anchor - family.point_many(U, T)
+        delta = solve(np.einsum("qni,qnj->qij", J, J), np.einsum("qnm,qn->qm", J, r))
+        U = U + delta
+    return U, np.linalg.norm(np.einsum("qnm,qm->qn", J, delta), axis=1)
 
 
 def tangency_flow_check(family: SweepFamily, starts, t_span: float,
                         verdict: VanishingVerdict | None = None,
                         tol=_TOL) -> list[FlowReport]:
-    """Integrate the flow of -Y_t (D(phi_t) Y_t = dt(phi_t)) with adaptive
-    Dormand-Prince 5(4) steps in each time direction, and track the drift of
-    phi_t along it.
+    """Follow the chart path u(t) with phi_t(u(t)) = phi_0(x) from each start
+    x in each time direction, and track the drift of phi_t along it. Where
+    D(phi_t) has rank m that path is the flow of -Y_t (D(phi_t) Y_t =
+    dt(phi_t)), by the implicit function theorem, so it is found as a root
+    at each checkpoint t_j = +-j t_span / FLOW_CHECKPOINTS: _correct runs
+    from u_(j-1), with no integration between checkpoints.
 
-    All starts, shape (L, m), and both directions run as one state; each
-    stage makes one frame_many call and one batched minimum-norm solve,
-    whose residual is the rank certificate: it must be at most RANK_FLOOR
-    |dt(phi_t)| (0 <= 0 where dt(phi_t) = 0). Every trajectory keeps its own
-    step size. A step is accepted when its embedded error estimate (the
-    Euclidean norm, in chart coordinates, of the 5th- minus the 4th-order
-    solution) is at most FLOW_LOCAL_FRACTION * tol.flow_drift; a rejected
-    trajectory stays where it is and retries with a smaller step. No step
-    exceeds t_span / MIN_FLOW_STEPS, and the last one is clipped to land on
-    +-t_span. The box exit and the drift are measured only at accepted
-    steps, which are points of the computed trajectory.
+    All starts, shape (L, m), and both directions run as one batch. The rank
+    certificate is read at t = 0 and at every checkpoint: the distance of
+    dt(phi_t) to the span of D(phi_t), frame_norm of the whole frame over
+    frame_norm of its chart columns, must be at most RANK_FLOOR |dt(phi_t)|
+    (0 <= 0 where dt(phi_t) = 0). A checkpoint then checks the box exit and
+    the drift |phi_(t_j)(u_j) - phi_0(x)| before its certificate.
 
-    FlowReport.steps is the larger accepted-step count of the two
-    directions and error_estimate the larger sum of accepted local error
-    estimates; passed needs max_drift + error_estimate <= tol.flow_drift.
-    A start outside the box, a failed rank certificate (FlowRankError), an
-    exit from the box (FlowExitError) or a trajectory that spends
-    MAX_FLOW_STEPS accepted plus rejected steps (FlowStepBudgetError) ends
-    only its own trajectory and is returned as that start's FlowReport.error,
-    the +t error first; a NONZERO verdict or a non-embedding phi_t raises for
-    the whole call.
+    FlowReport.steps is the larger count of checkpoints reached in the two
+    directions, max_residual the largest distance certified, and
+    error_estimate the largest ambient size |D phi_t delta| of a
+    checkpoint's last correction; passed needs max_drift + error_estimate
+    <= tol.flow_drift. A start outside the box, a failed rank certificate
+    (FlowRankError) or an exit from the box (FlowExitError) ends only its
+    own trajectory and is returned as that start's FlowReport.error, the +t
+    error first; a NONZERO verdict or a non-embedding phi_t raises for the
+    whole call.
     """
     if verdict is not None and not verdict.vanishes:
         raise FlowRankError("precondition failed: volume-element verdict is NONZERO")
@@ -690,78 +669,42 @@ def tangency_flow_check(family: SweepFamily, starts, t_span: float,
 
     # trajectory r < L runs start r forward in t, trajectory L + r backward
     U = np.concatenate([starts, starts])
-    T = np.zeros(2 * L)
     T_end = np.repeat([t_span, -t_span], L)
-    H = T_end / MIN_FLOW_STEPS
-    local_bound = max(FLOW_LOCAL_FRACTION * tol.flow_drift, 0.0)
     anchor = np.tile(family.point_many(starts, np.zeros(L)), (2, 1))
     drift, resid, estimate = np.zeros(2 * L), np.zeros(2 * L), np.zeros(2 * L)
-    accepted, tried = np.zeros(2 * L, dtype=int), np.zeros(2 * L, dtype=int)
+    reached = np.zeros(2 * L, dtype=int)
     errors: list = [None] * (2 * L)
     inside = M.in_box_many(starts)
     for r in np.nonzero(~inside)[0]:
         errors[r] = OutOfDomain(f"flow start {starts[r].tolist()} outside the chart box")
-    live = np.nonzero(np.tile(inside, 2))[0]
 
-    def rhs(uu, tt, rows, ok):
-        Y, res, speed = _solve_field(family, uu, tt)
-        for i in np.nonzero(ok & ~(res <= RANK_FLOOR * speed))[0]:
-            ok[i] = False
-            errors[rows[i]] = FlowRankError(
-                f"rank certificate failed: least-squares residual {res[i]:.3e} "
-                f"at t={tt[i]:.4g}")
+    def certify(rows, t):
+        frame = family.frame_many(U[rows], t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            res = frame_norm(frame) / frame_norm(frame[:, :, : M.m])
         resid[rows] = np.maximum(resid[rows], res)
-        return -Y
+        bad = ~(res <= RANK_FLOOR * np.linalg.norm(frame[:, :, M.m], axis=1))
+        for r, tr, d in zip(rows[bad], t[bad], res[bad]):
+            errors[r] = FlowRankError(f"rank certificate failed: least-squares "
+                                      f"residual {d:.3e} at t={tr:.4g}")
 
-    K1 = np.zeros_like(U)
-    ok = np.ones(live.size, dtype=bool)
-    K1[live] = rhs(U[live], T[live], live, ok)
-    live = live[ok]
-
-    while live.size:
-        u, t = U[live], T[live]
-        # clip the last step onto +-t_span; the slack absorbs the rounding of
-        # t, so that a direction never ends with a sliver step
-        rest = T_end[live] - t
-        last = np.abs(rest) <= np.abs(H[live]) * (1 + 1e-9)
-        h = np.where(last, rest, H[live])
-        ok = np.ones(live.size, dtype=bool)
-        K = [K1[live]]
-        for c, row in zip(_DP_C[1:], _DP_A):
-            du = sum(a * k for a, k in zip(row, K) if a)
-            K.append(rhs(u + h[:, None] * du, t + c * h, live, ok))
-        u5 = u + h[:, None] * sum(a * k for a, k in zip(_DP_A[-1], K) if a)
-        err = np.abs(h) * np.linalg.norm(sum(e * k for e, k in zip(_DP_E, K) if e),
-                                         axis=1)
-        good = ok & (err <= local_bound)
-
-        # step-size controller: 0.9 (bound / err)^(1/5), within [0.2, 5], capped;
-        # the floor on err keeps a zero estimate or a zero bound finite
-        floor = max(1e-10 * local_bound, 1e-300)
-        grow = np.clip(0.9 * (local_bound / np.maximum(err, floor)) ** 0.2, 0.2, 5.0)
-        H[live] = np.clip(h * grow, -t_span / MIN_FLOW_STEPS, t_span / MIN_FLOW_STEPS)
-        tried[live] += 1
-
-        rows = live[good]
-        t_new = np.where(last, T_end[live], t + h)[good]
-        U[rows], T[rows], K1[rows] = u5[good], t_new, K[-1][good]
-        estimate[rows] += err[good]
-        accepted[rows] += 1
-        exited = ~M.in_box_many(U[rows], tol=1e-9)
-        for r, tr in zip(rows[exited], t_new[exited]):
+    live = np.nonzero(np.tile(inside, 2))[0]
+    certify(live, np.zeros(live.size))
+    for j in range(1, FLOW_CHECKPOINTS + 1):
+        live = np.array([r for r in live if errors[r] is None], dtype=int)
+        if not live.size:
+            break
+        t = T_end[live] * j / FLOW_CHECKPOINTS
+        U[live], size = _correct(family, U[live], t, anchor[live])
+        estimate[live] = np.maximum(estimate[live], size)
+        reached[live] = j
+        exited = ~M.in_box_many(U[live], tol=1e-9)
+        for r, tr in zip(live[exited], t[exited]):
             errors[r] = FlowExitError(f"flow left the chart box at t={tr:.4g}")
-        rows = rows[~exited]
-        gap = np.linalg.norm(family.point_many(U[rows], T[rows]) - anchor[rows], axis=1)
-        drift[rows] = np.maximum(drift[rows], gap)
-
-        for r in live[(tried[live] >= MAX_FLOW_STEPS) & (T[live] != T_end[live])]:
-            if errors[r] is None:
-                errors[r] = FlowStepBudgetError(
-                    f"flow used its budget of {MAX_FLOW_STEPS} steps at "
-                    f"t={T[r]:.4g} without meeting the local error bound "
-                    f"{local_bound:.1e}")
-        live = np.array([r for r in live if errors[r] is None and T[r] != T_end[r]],
-                        dtype=int)
+        live, t = live[~exited], t[~exited]
+        gap = np.linalg.norm(family.point_many(U[live], t) - anchor[live], axis=1)
+        drift[live] = np.maximum(drift[live], gap)
+        certify(live, t)
 
     reports = []
     for r in range(L):
@@ -770,7 +713,7 @@ def tangency_flow_check(family: SweepFamily, starts, t_span: float,
         error_estimate = float(max(estimate[r], estimate[L + r]))
         reports.append(FlowReport(
             start=starts[r].copy(), t_span=float(t_span),
-            steps=int(max(accepted[r], accepted[L + r])), max_drift=max_drift,
+            steps=int(max(reached[r], reached[L + r])), max_drift=max_drift,
             max_residual=float(max(resid[r], resid[L + r])),
             error_estimate=error_estimate,
             passed=error is None and max_drift + error_estimate <= tol.flow_drift,

@@ -14,7 +14,9 @@ so it checks the levels that Submanifold.tube_radius refutes unprojected.
 The ruledness and decay oracles are two more: they project every curve
 point with project_batch, so they check the points that
 osculate.ruledness_check and contact.uniform_decay_check settle by the
-vertical distance bound instead.
+vertical distance bound instead. The flow oracle integrates the ODE that
+sweep.tangency_flow_check finds as roots: classical RK4 with fixed steps,
+its field taken point by point by np.linalg.lstsq, no solve of the library.
 """
 
 from __future__ import annotations
@@ -292,3 +294,33 @@ def sequential_class_k_fit(M, p_chart, k: int, target_order: int, tol,
             if not accepted:
                 break
     return None
+
+
+def rk4_flow(family, starts, t_span: float, checkpoints: int = 8,
+             substeps: int = 32) -> np.ndarray:
+    """The flow of -Y_t, D(phi_t) Y_t = dt(phi_t), from each chart point of
+    starts (L, m), read at t = j t_span / checkpoints for j = 1..checkpoints:
+    shape (checkpoints, L, m). Classical fixed-step RK4, substeps steps per
+    checkpoint; each Y_t is the minimum-norm least-squares solution of one
+    point's frame by np.linalg.lstsq. The starts share one frame_many call
+    per stage."""
+    m = family.M.m
+    U = np.atleast_2d(np.asarray(starts, dtype=float)).copy()
+    h = t_span / (checkpoints * substeps)
+
+    def field(V, t):
+        frames = family.frame_many(V, np.full(len(V), t))
+        return -np.stack([np.linalg.lstsq(f[:, :m], f[:, m], rcond=None)[0]
+                          for f in frames])
+
+    out, t = [], 0.0
+    for _ in range(checkpoints):
+        for _ in range(substeps):
+            k1 = field(U, t)
+            k2 = field(U + 0.5 * h * k1, t + 0.5 * h)
+            k3 = field(U + 0.5 * h * k2, t + 0.5 * h)
+            k4 = field(U + h * k3, t + h)
+            U = U + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += h
+        out.append(U.copy())
+    return np.array(out)

@@ -549,6 +549,27 @@ def test_screen_keeps_the_nearest_foot(scenes, name, monkeypatch):
     assert np.all(np.linalg.norm(b.point - full.point, axis=1)[unique] <= PROJECT_FOOT_TOL)
 
 
+@pytest.mark.parametrize("name, p", [
+    ("ruled_3fold", (-1.4235, -1.6989, 0.5627, -4.1045)),
+    ("sphere", (0.1025, -0.1765, -1.7602)),
+])
+def test_stationary_point_beyond_the_screen_bound_is_not_converged(name, p):
+    # after the expansion pass these queries still end at a stationary point
+    # beyond `near` (3.7627 against 3.7408 on w = xy + z; 2.7720 at chart
+    # point (-0.058, 0.100) on the sphere, whose nearest point is the corner
+    # (0.5, -0.5) at 2.5200). The screen holds a point of M within d0, so
+    # Newton has missed the nearest foot and the row is not converged; its
+    # other fields stay as found
+    scene = build_scene(RULED_3FOLD) if name == "ruled_3fold" else corpus.load(name)
+    M = scene.manifold
+    b = M.project_batch(p)
+    _, near = M._screen_cells(np.atleast_2d(p))
+    dense, on_edge, _ = dense_distance_min(M.embed_many, M.box, [p],
+                                           per_axis=61 if M.m == 3 else 201)
+    assert dense[0] < near[0] < b.distance[0] and on_edge[0]
+    assert not b.converged[0] and not b.ambiguous[0]
+
+
 @pytest.mark.parametrize("p", [(1.3, 0.0, 1.69), (1.5, 0.5, 2.0), (0.2, 1.4, -1.9)])
 def test_edge_minima_converge(p):
     # saddle queries whose nearest point lies on the box edge, where

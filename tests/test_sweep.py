@@ -1,4 +1,3 @@
-import time
 import warnings
 from math import comb
 
@@ -16,13 +15,15 @@ from osclab.sweep import (
     CoefficientDegreeError,
     Cutoff,
     DegenerateReparam,
+    FLOW_CHECKPOINTS,
+    FLOW_CORRECTIONS,
     FlowExitError,
     MESH_CHUNK,
     FlowRankError,
-    FlowStepBudgetError,
     SweepFamily,
     VolumeSample,
     _chart_mesh,
+    _correct,
     _integrate,
     _minor_jets,
     coefficients_csv,
@@ -39,7 +40,7 @@ from osclab.sweep import (
     volume_csv,
     volume_series,
 )
-from oracles import annulus_area
+from oracles import annulus_area, rk4_flow
 
 
 @pytest.fixture(scope="module")
@@ -510,7 +511,7 @@ def test_growth_ruling_zero_under_rescaling(lam):
 @pytest.mark.parametrize("lam", [
     1e-3, 1.0,
     pytest.param(1e3, marks=pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 1: on the float quadrature the absolute vol_zero floor "
+        "ROADMAP item 2: on the float quadrature the absolute vol_zero floor "
         "reads a rounding-level volume of up to 7.2e-10 as growth with slope 1"))),
 ])
 def test_quadrature_ruling_zero_under_rescaling(lam):
@@ -684,28 +685,36 @@ def test_rigid_rotation_vanishes():
 
 
 def test_flow_ruling_matches_closed_form(hp, monkeypatch):
+    """hp swept by (1, 0, y) transports the constant field Y = (1, 0), so
+    the path is x(t) = x0 - t, y(t) = y0. The frame_many calls are one
+    embedding check, one certificate at t = 0, and per checkpoint
+    FLOW_CORRECTIONS corrections and a certificate at the corrected points,
+    which are then the checkpoints of the path."""
     vv = vanishing_verdict(hp.family)
     calls = []
     frame_many = SweepFamily.frame_many
 
     def counted(self, X, T):
-        calls.append(X.shape)
+        calls.append((np.array(X), np.array(T)))
         return frame_many(self, X, T)
 
     monkeypatch.setattr(SweepFamily, "frame_many", counted)
-    fr = tangency_flow_check(hp.family, np.array([[0.0, 0.0]]), 0.2, verdict=vv)[0]
+    starts = np.array([[0.0, 0.0], [0.05, -0.1]])
+    reports = tangency_flow_check(hp.family, starts, 0.2, verdict=vv)
     monkeypatch.undo()
-    assert fr.passed and fr.max_drift <= 1e-6
-    # a constant field needs no more than the capped steps, and FSAL makes
-    # six frame_many calls per step
-    assert 8 <= fr.steps <= 16 and fr.error_estimate <= 1e-12
-    assert len(calls) <= 120
-    # the transported field is constant: Y = (1, 0), flow x(t) = x0 - t
-    from osclab.sweep import _solve_field
-    Y, resid, _ = _solve_field(hp.family, np.tile([0.05, -0.1], (3, 1)),
-                            np.array([0.0, 0.1, -0.15]))
-    assert np.allclose(Y, [1.0, 0.0], atol=1e-12)
-    assert np.all(resid <= 1e-12)
+    for fr in reports:
+        assert fr.passed and fr.max_drift <= 1e-15 and fr.error_estimate <= 1e-15
+        assert fr.steps == FLOW_CHECKPOINTS and fr.max_residual <= 1e-15
+    per_checkpoint = FLOW_CORRECTIONS + 1
+    assert len(calls) == 2 + FLOW_CHECKPOINTS * per_checkpoint
+    assert np.array_equal(calls[1][0], np.concatenate([starts, starts]))
+    assert np.array_equal(calls[1][1], np.zeros(4))
+    for j in range(1, FLOW_CHECKPOINTS + 1):
+        X, T = calls[1 + j * per_checkpoint]
+        t = 0.2 * j / FLOW_CHECKPOINTS
+        assert np.allclose(T, [t, t, -t, -t], rtol=0, atol=1e-15)
+        path = np.concatenate([starts - [t, 0.0], starts + [t, 0.0]])
+        assert np.allclose(X, path, rtol=0, atol=1e-15), j
 
 
 def test_flow_rigid_rotation():
@@ -738,8 +747,9 @@ def test_flow_batch_isolates_each_start(hp):
 
 def test_flow_failed_certificate_ends_only_its_start(segment):
     """Without a verdict to stop it, the transverse segment family runs: its
-    field solve leaves residual 1 at the first stage of every start, and
-    each start reports that, with no step taken, instead of raising."""
+    certificate at t = 0 reads dt(phi) at distance 1 from the tangent span
+    at every start, and each start reports that, with no checkpoint reached,
+    instead of raising."""
     reports = tangency_flow_check(segment.family, np.array([[0.3], [0.6]]), 0.2)
     assert len(reports) == 2
     for fr in reports:
@@ -781,16 +791,22 @@ def stretch():
 
 
 def test_flow_non_constant_field(stretch):
-    starts = np.array([[0.0, 0.0], [0.3, -0.4], [-0.5, 0.6]])
+    starts = np.array([[0.0, 0.0], [0.3, -0.4], [-0.5, 0.6], [0.7, 0.7]])
     short = tangency_flow_check(stretch, starts, 0.2)
-    for fr in short:
+    for fr in short[:3]:
         assert fr.passed and fr.error is None
-        assert fr.max_drift <= 1e-14 and fr.steps >= 8
-    # x(t) = 1.3/(1 + t) - 1 reaches the box edge x = 1 at t = -0.35
+        assert fr.max_drift <= 1e-14 and fr.steps == FLOW_CHECKPOINTS
+    # x(t) = 1.7/(1 + t) - 1 reaches the box edge x = 1 at t = -0.15, and a
+    # checkpoint every 0.025 finds it outside at t = -0.175
+    assert isinstance(short[3].error, FlowExitError) and not short[3].passed
+    assert str(short[3].error) == "flow left the chart box at t=-0.175"
+    # x(t) = 1.3/(1 + t) - 1 reaches it at t = -0.35, and checkpoints every
+    # 0.0625 find the two exits at t = -0.375 and -0.1875
     long = tangency_flow_check(stretch, starts, 0.5)
+    assert [str(fr.error) for fr in long] == [
+        "None", "flow left the chart box at t=-0.375", "None",
+        "flow left the chart box at t=-0.1875"]
     assert isinstance(long[1].error, FlowExitError) and not long[1].passed
-    exit_t = float(str(long[1].error).rsplit("t=", 1)[1])
-    assert -0.5 < exit_t < -0.35
     assert long[0].passed and long[2].passed
     for t_span, batch in ((0.2, short), (0.5, long)):
         for y, fr in zip(starts, batch):
@@ -800,18 +816,80 @@ def test_flow_non_constant_field(stretch):
             assert str(fr.error) == str(alone.error)
 
 
-@pytest.mark.parametrize("flow_drift", [1e-30, 0.0])
-def test_flow_step_budget_fails_fast(hp, flow_drift):
-    """A local bound below rounding rejects nearly every step: each start
-    must spend its step budget and stop, not loop."""
+_VERIFY_FLOW_STARTS = np.array([[-0.7, -0.7], [0.0, 0.0], [0.7, 0.7]])
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9, 1e-11])
+@pytest.mark.parametrize("field", ["y + {eps}*x", "y + {eps}*x*(x^2 - 0.49)",
+                                   "y + {eps}"])
+def test_flow_mutants_of_the_ruling(field, eps):
+    """hp's ruling (1, 0, y) with its last entry broken by eps: a field
+    mutant, the grid-blind one that is a ruling on the grid {0, +-0.7}^2
+    of the verify starts, and an offset. From those starts every trajectory
+    fails its rank certificate at eps >= 1e-6 and passes at eps <= 1e-9,
+    with a drift of order eps: the flow step's detection floor for these
+    defects."""
+    M = Submanifold.graph(["x", "y"], [[-1, 1], [-1, 1]], ["x*y"])
+    family = SweepFamily(M, 1, fields=[["1", "0", field.format(eps=repr(eps))]])
+    reports = tangency_flow_check(family, _VERIFY_FLOW_STARTS, 0.2)
+    for fr in reports:
+        if eps >= 1e-6:
+            assert isinstance(fr.error, FlowRankError) and not fr.passed
+            assert "rank certificate failed" in str(fr.error)
+        else:
+            assert fr.passed and fr.steps == FLOW_CHECKPOINTS
+            assert 1e-2 * eps < fr.max_drift < 1e3 * eps
+    if "0.49" in field and eps == 1e-11:
+        # the grid-blind control: drift 4.1e-13 from the starts off the
+        # axis, on the corrector's path and on the flow ODE's
+        anchor = family.point_many(_VERIFY_FLOW_STARTS, np.zeros(3))
+        ode = np.zeros(3)
+        for span in (0.2, -0.2):
+            path = rk4_flow(family, _VERIFY_FLOW_STARTS, span, checkpoints=FLOW_CHECKPOINTS)
+            for j, U in enumerate(path, 1):
+                T = np.full(3, span * j / FLOW_CHECKPOINTS)
+                ode = np.maximum(ode, np.linalg.norm(family.point_many(U, T) - anchor, axis=1))
+        for fr, d in zip(reports[::2], ode[::2]):
+            assert 4.0e-13 < fr.max_drift < 4.2e-13 and 4.0e-13 < d < 4.2e-13
+
+
+def test_flow_checkpoints_match_rk4_oracle(scenes, stretch):
+    """The corrector's checkpoints against fixed-step RK4 of -Y_t, both
+    directions, from the verify starts of the six confirmed corpus scenes
+    and from three starts of the stretch field."""
+    cases = []
+    for name in _CONFIRMED:
+        scene = scenes[name]
+        X = scene.manifold.grid(scene.params.samples, margin=scene.params.margin)
+        cases.append((scene.family, X[sorted({0, len(X) // 2, len(X) - 1})],
+                      scene.params.tspan))
+    cases.append((stretch, np.array([[0.0, 0.0], [0.3, -0.4], [-0.5, 0.6]]), 0.2))
+    worst = 0.0
+    for family, starts, t_span in cases:
+        anchor = family.point_many(starts, np.zeros(len(starts)))
+        for span in (t_span, -t_span):
+            oracle = rk4_flow(family, starts, span, checkpoints=FLOW_CHECKPOINTS)
+            U = starts
+            for j in range(1, FLOW_CHECKPOINTS + 1):
+                T = np.full(len(starts), span * j / FLOW_CHECKPOINTS)
+                U, _ = _correct(family, U, T, anchor)
+                worst = max(worst, float(np.max(np.abs(U - oracle[j - 1]))))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("flow_drift", [0.0, 1e-30, 1e-6])
+def test_flow_passes_within_the_drift_bound(hp, flow_drift):
+    """passed reads max_drift + error_estimate against flow_drift, however
+    small the tolerance, and the checkpoints run the same at any of them."""
     vv = vanishing_verdict(hp.family)
-    start = time.perf_counter()
     reports = tangency_flow_check(hp.family, np.array([[0.3, -0.4], [0.7, 0.7]]),
                                   0.2, verdict=vv,
                                   tol=Tolerances(flow_drift=flow_drift))
-    assert time.perf_counter() - start < 1.0
     for fr in reports:
-        assert isinstance(fr.error, FlowStepBudgetError) and not fr.passed
+        assert fr.error is None and fr.steps == FLOW_CHECKPOINTS
+        assert fr.passed == (fr.max_drift + fr.error_estimate <= flow_drift)
+    if flow_drift == 1e-6:
+        assert all(fr.passed for fr in reports)
 
 
 def test_flow_requires_an_embedding():
