@@ -3,17 +3,19 @@ monotonicity and length bounds that the verdict pipeline leans on.
 
 Two independent routes measure contact order:
 
-* jet route, one re-chart for every chart kind: M is a graph over the m
-  tangent rows of its largest Jacobian minor at the chart point of gamma(0),
-  which every curve carries, and the contact order is the vanishing order
-  of the residual g(t) = gamma_normal(t) - alpha_normal(u(t)), with
-  alpha_tangent(u(t)) = gamma_tangent(t), minus one. u is expanded as a jet
-  by Newton iteration in the series ring (a graph's u is gamma_tangent), so
-  the coefficients are exact, never finite differences. On request
-  residual_jets also linearizes g in the curve's jets: P = dg/dgamma is
-  [-J_N(u) J_T(u)^-1 | I] over the re-chart's tangent and normal rows
-  ([-grad h(gamma_T) | I] on a graph), with J_T(u)^-1 solved order by order,
-  so the class-k fit reads exact Jacobians from the same call.
+* jet route: M is a graph over m tangent rows, and the contact order is
+  the vanishing order of the residual g(t) = gamma_normal(t) -
+  alpha_normal(u(t)), with alpha_tangent(u(t)) = gamma_tangent(t), minus
+  one. A graph chart reads its inverse directly, u = gamma_tangent; a
+  parametric chart is re-charted over the tangent rows of its largest
+  Jacobian minor at the chart point of gamma(0), which every curve
+  carries, and u is expanded as a jet by Newton iteration in the series
+  ring. Either way the coefficients are exact, never finite differences.
+  On request residual_jets also linearizes g in the curve's jets: P =
+  dg/dgamma is [-J_N(u) J_T(u)^-1 | I] over the re-chart's tangent and
+  normal rows ([-grad h(gamma_T) | I] on a graph), with J_T(u)^-1 solved
+  order by order, so the class-k fit reads exact Jacobians from the same
+  call.
 
 * metric route: slope of log d(gamma(t), M) against log t on a geometric
   grid. For analytic data d ~ t^(order+1), so the integer estimate is

@@ -68,20 +68,19 @@ bound on the height Hessians over the box, a lower bound on the reach by
 Federer's criterion (the argument is in its docstring), edges included;
 a parametric chart gets 0. tube_radius is a search: the largest dyadic
 radius at which random normal probes project back to their source, which
-raises NoConvergence when no level passes. A level at which some probe
-lies nearer a seed-cell centre, a point of M, than any foot close to its
-source could be is refuted without a projection; every other level runs
+raises NoConvergence when no level passes. A level at which the screen
+puts some probe nearer M (d0, see above) than any foot close to its source
+could be is refuted without a projection; every other level runs
 project_batch once. The ruledness step (osculate.ruledness_record) counts
 projected samples within the certified bound or the ruled tolerance and
 runs the search only when a sample lies beyond both, so that NoConvergence
 is raised only when the radius is needed.
 
 On a graph no projection is needed to show that a point p lies near M:
-vertical_bound gives |p_N - h(p_T)|, the distance to the point
-(p_T, h(p_T)) of M, when p_T lies in the box off its edge band. distances
-reads it first and projects only the points it cannot settle; the
-ruledness step and the metric contact order and decay checks of contact.py
-read their distances from it.
+|p_N - h(p_T)| is the distance to the point (p_T, h(p_T)) of M when p_T
+lies in the box off its edge band. distances reads it first and projects
+only the points it cannot settle; the ruledness step and the metric
+contact order and decay checks of contact.py read their distances from it.
 """
 
 from __future__ import annotations
@@ -142,13 +141,6 @@ class NoConvergence(ManifoldError):
     pass
 
 
-class ProjectionResult(NamedTuple):
-    chart: np.ndarray
-    point: np.ndarray
-    distance: float
-    on_boundary: bool
-
-
 class BatchProjection(NamedTuple):
     chart: np.ndarray      # (q, m)
     point: np.ndarray      # (q, n)
@@ -177,6 +169,11 @@ def _interval_norm(exprs, env) -> np.ndarray:
     mags = [ex.evaluate_with(d, env, ex.INTERVALS).magnitude() for d in exprs]
     with np.errstate(over="ignore"):
         return np.sqrt(sum(np.square(g) for g in mags))
+
+
+def _tie(d):
+    """d plus one tie slack: distances up to this tie with d."""
+    return d + PROJECT_DIST_TOL * (1.0 + d)
 
 
 def _where_defined(fn, X):
@@ -209,6 +206,11 @@ class Submanifold:
             raise ValueError("domain box must be m nonempty intervals")
         if len(self.components) != self.n:
             raise ValueError("component count must equal the ambient dimension")
+        if SEEDS_PER_AXIS ** self.m > PROJECT_CHUNK_ROWS:
+            # projection seeds every query at all 9^m cells in one chunk
+            raise ValueError(
+                f"a {self.m}-dimensional chart has {SEEDS_PER_AXIS ** self.m} projection "
+                f"seeds, more than PROJECT_CHUNK_ROWS = {PROJECT_CHUNK_ROWS}")
         allowed = set(self.chart_vars)
         for c in self.components:
             extra = ex.variables(c) - allowed
@@ -221,6 +223,8 @@ class Submanifold:
             [[ex.diff(d, v) for v in self.chart_vars] for d in row]
             for row in self.jac_exprs
         ]
+        self._jac_flat = [d for row in self.jac_exprs for d in row]
+        self._hess_flat = [d for row in self.hess_exprs for col in row for d in col]
         self._screen: SeedScreen | None = None
 
     @property
@@ -260,14 +264,12 @@ class Submanifold:
 
     def jacobian_many(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        flat = [d for row in self.jac_exprs for d in row]
-        vals = ex.evaluate_many(flat, self._env(X), X.shape[:-1])
+        vals = ex.evaluate_many(self._jac_flat, self._env(X), X.shape[:-1])
         return vals.reshape(*X.shape[:-1], self.n, self.m)
 
     def hessian_many(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        flat = [d for row in self.hess_exprs for col in row for d in col]
-        vals = ex.evaluate_many(flat, self._env(X), X.shape[:-1])
+        vals = ex.evaluate_many(self._hess_flat, self._env(X), X.shape[:-1])
         return vals.reshape(*X.shape[:-1], self.n, self.m, self.m)
 
     def in_box_many(self, X, tol=1e-12) -> np.ndarray:
@@ -296,7 +298,8 @@ class Submanifold:
     def _on_edge(self, X) -> np.ndarray:
         """Whether each chart point of X (..., m) lies within 1e-9 of a side
         of an edge of the box, or beyond it: the feet project_batch flags
-        on_boundary, and the p_T that vertical_bound leaves to projection."""
+        on_boundary, and the p_T whose vertical distance distances leaves
+        to projection."""
         lo, hi = self.box[:, 0], self.box[:, 1]
         side = hi - lo
         return np.any((X <= lo + 1e-9 * side) | (X >= hi - 1e-9 * side), axis=-1)
@@ -323,10 +326,9 @@ class Submanifold:
         hi = np.array(list(product(*(c[:, 1] for c in cells))), dtype=float)
         reach = np.linalg.norm(np.maximum(seeds - lo, hi - seeds), axis=1)
         env = {v: ex.Interval(lo[:, i], hi[:, i]) for i, v in enumerate(self.chart_vars)}
-        jac = [d for row in self.jac_exprs for d in row]
-        hess = [d for row in self.hess_exprs for col in row for d in col]
         # one bound for every cell where the entries are constant
-        L, K = (np.broadcast_to(_interval_norm(e, env), (len(seeds),)) for e in (jac, hess))
+        L, K = (np.broadcast_to(_interval_norm(e, env), (len(seeds),))
+                for e in (self._jac_flat, self._hess_flat))
         J = _where_defined(self.jacobian_many, seeds)
         defined = np.all(np.isfinite(J), axis=(1, 2))
         J0 = np.where(defined[:, None, None], J, 0.0)
@@ -495,8 +497,8 @@ class Submanifold:
         with np.errstate(invalid="ignore", over="ignore"):
             d_foot = np.linalg.norm(P - _where_defined(self.embed_many, x), axis=1)
         d0 = np.fmin(d_centre[np.arange(q), i], d_foot)  # a NaN foot is skipped
-        near = d0 + PROJECT_DIST_TOL * (1.0 + d0)
-        reach = near + PROJECT_DIST_TOL * (1.0 + near)
+        near = _tie(d0)
+        reach = _tie(near)
         keep = d_centre - screen.slack <= reach[:, None]
         rows, cols = np.nonzero(keep)
         # w = Q_i^T v one row of Q_i at a time, so that no pair holds an
@@ -541,7 +543,7 @@ class Submanifold:
         d_conv = np.where(conv, d, np.inf)
         any_conv = np.any(conv, axis=1)
         d_best = np.where(any_conv, np.min(d_conv, axis=1), np.min(d, axis=1))
-        tie = d <= (d_best + PROJECT_DIST_TOL * (1.0 + d_best))[:, None]
+        tie = d <= _tie(d_best)[:, None]
         cluster = (conv | ~any_conv[:, None]) & tie
         masked_hi = np.where(cluster[..., None], A, -np.inf)
         masked_lo = np.where(cluster[..., None], A, np.inf)
@@ -566,40 +568,27 @@ class Submanifold:
             on_boundary=self._on_edge(chart),
         )
 
-    def vertical_bound(self, P) -> np.ndarray:
-        """Upper bounds (q,) on the distances of the points P (q, n) to a
-        graph: |p_N - h(p_T)|, the distance to the vertical foot
-        (p_T, h(p_T)), a point of M whenever p_T lies in the box.
-
-        The bound is inf where it cannot stand in for a projection: on a
-        parametric chart, for a p_T outside the box or in the edge band
-        whose feet project_batch flags on_boundary (`_on_edge`), and where
-        the height is not finite or cannot be evaluated. A finite bound b
-        is never ambiguous: |c(y) - c(x)| >= |y - x| on a graph, so every
-        point c(y) of M within b of p has |y - p_T| <= 2 b, near the
-        vertical foot."""
-        P = np.atleast_2d(np.asarray(P, dtype=float))
-        bound = np.full(len(P), np.inf)
-        if self.kind != "graph":
-            return bound
-        inside = np.flatnonzero(~self._on_edge(P[:, :self.m]))
-        try:
-            with np.errstate(invalid="ignore", over="ignore"):
-                H = self.embed_many(P[inside, :self.m])[:, self.m:]
-                d = np.linalg.norm(P[inside, self.m:] - H, axis=1)
-        except ex.DomainError:
-            return bound
-        bound[inside] = np.where(np.isfinite(d), d, np.inf)
-        return bound
-
     def distances(self, P, settle: float) -> tuple:
-        """(distance, eligible), both (q,), for the points P (q, n). A point
-        whose vertical_bound is at most `settle` reads that bound and is
-        eligible; the others (every point of a parametric chart) go to one
-        project_batch call, read their projected distance, and are eligible
-        where it converged unambiguously to a foot off the box edge."""
+        """(distance, eligible), both (q,), for the points P (q, n).
+
+        On a graph a point whose p_T lies in the box off the edge band that
+        project_batch flags on_boundary (`_on_edge`) has the vertical
+        distance |p_N - h(p_T)| to the point (p_T, h(p_T)) of M, so an upper
+        bound on its distance to M. Where that is at most `settle` the point
+        reads it and is eligible. Such a distance b is never ambiguous:
+        |c(y) - c(x)| >= |y - x| on a graph, so every point c(y) of M within
+        b of p has |y - p_T| <= 2 b, near the vertical foot. The other
+        points (every point of a parametric chart, and those whose height is
+        not finite or undefined) go to one project_batch call, read their
+        projected distance, and are eligible where it converged
+        unambiguously to a foot off the box edge."""
         P = np.atleast_2d(np.asarray(P, dtype=float))
-        distance = self.vertical_bound(P)
+        distance = np.full(len(P), np.nan)  # NaN settles no row
+        if self.kind == "graph":
+            inside = np.flatnonzero(~self._on_edge(P[:, :self.m]))
+            with np.errstate(invalid="ignore", over="ignore"):
+                H = _where_defined(self.embed_many, P[inside, :self.m])[:, self.m:]
+                distance[inside] = np.linalg.norm(P[inside, self.m:] - H, axis=1)
         eligible = distance <= settle
         rest = np.flatnonzero(~eligible)
         if rest.size:
@@ -608,7 +597,10 @@ class Submanifold:
             eligible[rest] = b.converged & ~b.ambiguous & ~b.on_boundary
         return distance, eligible
 
-    def nearest_point(self, p) -> ProjectionResult:
+    def nearest_point(self, p) -> BatchProjection:
+        """The projection of the one point p (n,), row 0 of project_batch;
+        raises NoConvergence or AmbiguousProjection where that row did not
+        converge or is ambiguous."""
         b = self.project_batch(np.asarray(p, dtype=float)[None, :])
         if not b.converged[0]:
             raise NoConvergence("projection did not converge from any start")
@@ -617,12 +609,7 @@ class Submanifold:
                 f"projection of {np.asarray(p).tolist()} has multiple feet at "
                 f"distance {b.distance[0]:.6g}; point is outside the tube"
             )
-        return ProjectionResult(
-            chart=b.chart[0],
-            point=b.point[0],
-            distance=float(b.distance[0]),
-            on_boundary=bool(b.on_boundary[0]),
-        )
+        return BatchProjection(*(field[0] for field in b))
 
     # -- tube radius ------------------------------------------------------
 
@@ -664,8 +651,7 @@ class Submanifold:
         if self.kind != "graph":
             return 0.0
         env = {v: ex.Interval(lo, hi) for v, (lo, hi) in zip(self.chart_vars, self.box)}
-        K = float(_interval_norm(
-            [d for row in self.hess_exprs[self.m:] for col in row for d in col], env))
+        K = float(_interval_norm(self._hess_flat[self.m ** 3:], env))  # the height rows
         return np.inf if K == 0.0 else 1.0 / K
 
     def tube_radius(self, *, rho_max: float | None = None, seed: int = 0) -> float:
@@ -678,11 +664,10 @@ class Submanifold:
         it cannot refute and raises NoConvergence when no level passes. A
         probe p = A + rho nu passes only with a foot F within
         TUBE_FOOT_TOL (1 + |A|) of its source A, so at a distance of at
-        least |p - A| - TUBE_FOOT_TOL (1 + |A|). The seed-cell centres of
-        _seed_screen are points of M; when one of them lies nearer p than
-        that by more than a tie slack (PROJECT_DIST_TOL), the nearest point
-        of M is no such F, and the level fails without a projection,
-        whether or not Newton would converge there. reach_bound is the
+        least |p - A| - TUBE_FOOT_TOL (1 + |A|). When the `near` of
+        _screen_cells (d0 plus a tie slack) lies below that, project_batch
+        would flag such a foot converged = False, as it lies farther than
+        near, so the level fails without a projection. reach_bound is the
         certified (and much cheaper) bound; osculate.ruledness_record runs
         this search only when a sample lies beyond it and beyond the ruled
         tolerance."""
@@ -698,14 +683,11 @@ class Submanifold:
         coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)
         nu = np.einsum("pnk,pk->pn", basis, coeff)
         foot_tol = TUBE_FOOT_TOL * (1.0 + np.linalg.norm(A, axis=1))
-        centres = self._seed_screen().centres
         rho = float(rho_max)
         for _ in range(24):
             P = A + rho * nu
-            d_centre = np.min(np.linalg.norm(P[:, None] - centres[None], axis=-1), axis=1)
-            refuted = (d_centre + PROJECT_DIST_TOL * (1.0 + d_centre)
-                       < np.linalg.norm(P - A, axis=1) - foot_tol)
-            if not np.any(refuted):
+            _, near = self._screen_cells(P)
+            if not np.any(near < np.linalg.norm(P - A, axis=1) - foot_tol):
                 b = self.project_batch(P)
                 ok = (
                     b.converged

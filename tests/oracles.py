@@ -154,13 +154,10 @@ def dense_distance_min(embed_many, box, P, per_axis: int):
     return np.linalg.norm(P - C[arg], axis=1), edge[arg], slack
 
 
-def tube_radius_every_level(M, *, rho_max=None, seed: int = 0,
-                            probes: int = 200, foot_tol: float = 1e-6) -> float:
-    """The dyadic tube search that projects every level: the same random
-    normal probes as Submanifold.tube_radius, and a level passes when every
-    probe converges unambiguously to a foot within foot_tol (1 + |A|) of
-    its source A. Raises AssertionError when no level of 24 passes."""
-    rho = M.half_side if rho_max is None else float(rho_max)
+def tube_probes(M, *, seed: int = 0, probes: int = 200, foot_tol: float = 1e-6):
+    """The random normal probes of Submanifold.tube_radius: their sources
+    A (probes, n) on M, unit normals nu (probes, n) and the foot tolerance
+    foot_tol (1 + |A|) of each."""
     rng = np.random.default_rng(seed)
     X = rng.uniform(M.box[:, 0], M.box[:, 1], size=(probes, M.m))
     A = M.embed_many(X)
@@ -168,11 +165,25 @@ def tube_radius_every_level(M, *, rho_max=None, seed: int = 0,
     coeff = rng.normal(size=(probes, M.n - M.m))
     coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)
     nu = np.einsum("pnk,pk->pn", Q[:, :, M.m:], coeff)
-    scale = 1.0 + np.linalg.norm(A, axis=1)
+    return A, nu, foot_tol * (1.0 + np.linalg.norm(A, axis=1))
+
+
+def tube_level_passes(b, A, tol) -> bool:
+    """Whether every probe of a level, projected as b, converges
+    unambiguously to a foot within tol of its source A."""
+    return bool(np.all(b.converged & ~b.ambiguous
+                       & (np.linalg.norm(b.point - A, axis=1) <= tol)))
+
+
+def tube_radius_every_level(M, *, rho_max=None, seed: int = 0) -> float:
+    """The dyadic tube search that projects every level: the tube_probes
+    of Submanifold.tube_radius, and a level passes when every probe
+    converges unambiguously to a foot within tolerance of its source.
+    Raises AssertionError when no level of 24 passes."""
+    rho = M.half_side if rho_max is None else float(rho_max)
+    A, nu, tol = tube_probes(M, seed=seed)
     for _ in range(24):
-        b = M.project_batch(A + rho * nu)
-        if np.all(b.converged & ~b.ambiguous
-                  & (np.linalg.norm(b.point - A, axis=1) <= foot_tol * scale)):
+        if tube_level_passes(M.project_batch(A + rho * nu), A, tol):
             return rho
         rho *= 0.5
     raise AssertionError("no level of the dyadic search passes")

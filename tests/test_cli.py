@@ -163,6 +163,25 @@ def test_jet_order_guard_bounds_k():
     assert "contact order 65, above MAX_JET_ORDER = 64" in str(err.value)
 
 
+def test_six_dimensional_chart_exits_one(capsys, monkeypatch, tmp_path):
+    # 9^6 projection seeds are more than one projection chunk holds: the
+    # scene is refused at load, before any step runs
+    def past_the_check(*args, **kwargs):
+        raise AssertionError("the command ran past the scene check")
+
+    monkeypatch.setattr(cli, "verify_theorem", past_the_check)
+    names = [f"x{i}" for i in range(6)]
+    data = {"manifold": {"type": "graph", "chart_vars": names, "domain": [[-1, 1]] * 6,
+                         "ambient_dim": 7, "height": ["x0*x1"]},
+            "family": {"k": 1, "fields": [["1"] + ["0"] * 5 + ["x1"]]}}
+    path = tmp_path / "six.json"
+    path.write_text(json.dumps(data))
+    code, out, err = _run(capsys, "verify", "--scene", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: /manifold: a 6-dimensional chart has 531441 projection seeds")
+    assert "Traceback" not in err
+
+
 def test_scene_file_errors(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{ not json")

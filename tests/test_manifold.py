@@ -14,7 +14,14 @@ from osclab.manifold import (
 )
 from osclab.osculate import ruledness_points
 from osclab.scene import build_scene
-from oracles import dense_distance_min, grid_min_1d, grid_min_2d, tube_radius_every_level
+from oracles import (
+    dense_distance_min,
+    grid_min_1d,
+    grid_min_2d,
+    tube_level_passes,
+    tube_probes,
+    tube_radius_every_level,
+)
 
 #: the ruled 3-fold w = xy + z in R^4, swept along its rulings
 RULED_3FOLD = {"manifold": {"type": "graph", "chart_vars": ["x", "y", "z"],
@@ -64,6 +71,28 @@ def test_chart_eval_out_of_box(hp):
 def test_reserved_time_variable():
     with pytest.raises(ValueError):
         Submanifold.graph(["t"], [[0, 1]], ["0"])
+
+
+def test_chart_with_more_seeds_than_a_chunk_fails_fast(monkeypatch):
+    # projection seeds each query at all 9^m cells in one chunk: at m = 6
+    # that is 531,441 rows, above PROJECT_CHUNK_ROWS = 131,072, so the chart
+    # is refused before its first derivative; m = 5 (59,049) builds
+    def no_diff(*args):
+        raise AssertionError("the chart was differentiated")
+
+    names = [f"x{i}" for i in range(6)]
+    with monkeypatch.context() as mp:
+        mp.setattr(ex, "diff", no_diff)
+        with pytest.raises(ValueError, match="531441 projection seeds, more than "
+                                             "PROJECT_CHUNK_ROWS = 131072"):
+            Submanifold.graph(names, [[-1, 1]] * 6, ["x0*x1"])
+        with pytest.raises(ValueError, match="531441 projection seeds"):
+            Submanifold.parametric(names, [[-1, 1]] * 6, names + ["x0*x1"], 7)
+    for m in range(1, 6):
+        graph = Submanifold.graph(names[:m], [[-1, 1]] * m, ["x0^2"])
+        chart = Submanifold.parametric(names[:m], [[-1, 1]] * m, names[:m] + ["x0^2"], m + 1)
+        for M in (graph, chart):
+            assert (M.m, M.n, len(M.hess_exprs)) == (m, m + 1, m + 1)
 
 
 def test_nearest_point_sphere(sphere_cap):
@@ -134,42 +163,96 @@ def test_graph_normal_displacement(sphere_cap):
     assert np.all(d <= delta + 1e-12)
 
 
+def _vertical(M, P):
+    """|p_N - h(p_T)| for the rows of P on the graph M."""
+    P = np.asarray(P, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.linalg.norm(P[:, M.m:] - M.embed_many(P[:, :M.m])[:, M.m:], axis=1)
+
+
+def _distances_stubbed(M, P, settle, monkeypatch):
+    """M.distances(P, settle) with project_batch stubbed: a projected row
+    reads distance -1 and is not eligible. Returns distance, eligible and
+    the queries of each project_batch call."""
+    projected = []
+
+    def stub(self, Q):
+        projected.append(Q)
+        no = np.zeros(len(Q), dtype=bool)
+        return BatchProjection(np.zeros((len(Q), self.m)), np.zeros((len(Q), self.n)),
+                               np.full(len(Q), -1.0), no, no, no)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Submanifold, "project_batch", stub)
+        distance, eligible = M.distances(P, settle)
+    return distance, eligible, projected
+
+
+def _assert_settles(M, P, settle, monkeypatch, projected_rows):
+    """distances settles every row but projected_rows at |p_N - h(p_T)|,
+    bit for bit and eligible, and projects exactly those rows, once."""
+    P = np.asarray(P, dtype=float)
+    distance, eligible, calls = _distances_stubbed(M, P, settle, monkeypatch)
+    rest = np.zeros(len(P), dtype=bool)
+    rest[projected_rows] = True
+    assert len(calls) == int(np.any(rest))
+    assert not calls or np.array_equal(calls[0], P[rest], equal_nan=True)
+    assert np.all(distance[rest] == -1.0) and not np.any(eligible[rest])
+    assert np.array_equal(distance[~rest], _vertical(M, P[~rest])) and np.all(eligible[~rest])
+
+
 @pytest.mark.parametrize("name", ["sphere", "cubic_graph", "paraboloid"])
-def test_vertical_bound_bounds_the_projected_distance(name):
-    # seeded points near M: the vertical foot is a point of M, so the bound
-    # is never below the projected distance by more than its tie slack;
-    # it is inf exactly where p_T is off the box or in its edge band
+def test_distances_settle_by_the_vertical_distance(name, monkeypatch):
+    # seeded points near M: a settled distance is one to the vertical foot,
+    # a point of M, so never below the projected distance by more than its
+    # tie slack. Projected are exactly the rows whose p_T is off the box or
+    # in its edge band, and those whose vertical distance exceeds `settle`
     M = corpus.load(name).manifold
     rng = np.random.default_rng(11)
     X = rng.uniform(M.box[:, 0], M.box[:, 1], size=(200, M.m))
     P = M.embed_many(X) + rng.normal(scale=0.05, size=(200, M.n))
-    bound = M.vertical_bound(P)
+    edge = M._on_edge(P[:, :M.m])
+    assert 0 < np.count_nonzero(edge) < len(P)
+    vertical = _vertical(M, P)
+    settle = float(np.median(vertical[~edge]))
+    rest = edge | (vertical > settle)
+    _assert_settles(M, P, settle, monkeypatch, rest)
+    distance, eligible = M.distances(P, settle)
     d = M.project_batch(P).distance
-    assert np.all(bound >= d - PROJECT_DIST_TOL * (1.0 + d))
-    assert np.array_equal(np.isinf(bound), M._on_edge(P[:, :M.m]))
-    assert 0 < np.count_nonzero(np.isinf(bound)) < len(P)
+    assert np.all(distance[~rest] >= d[~rest] - PROJECT_DIST_TOL * (1.0 + d[~rest]))
+    b = M.project_batch(P[rest])
+    assert np.array_equal(distance[rest], b.distance)
+    assert np.array_equal(eligible[rest], b.converged & ~b.ambiguous & ~b.on_boundary)
 
 
-def test_vertical_bound_is_inf_where_it_cannot_stand_in(hp):
+def test_distances_project_where_the_vertical_distance_cannot_stand_in(hp, monkeypatch):
     cylinder = corpus.load("cylinder").manifold
-    assert np.all(np.isinf(cylinder.vertical_bound(
-        cylinder.embed_many(cylinder.grid(3, margin=0.2)))))
+    P = cylinder.embed_many(cylinder.grid(3, margin=0.2))
+    _assert_settles(cylinder, P, 1.0, monkeypatch, np.arange(len(P)))
     # hp's box is [-1, 1]^2, side 2: points on M off the box, in its edge
     # band (within 1e-9 * side of an edge) and just inside it
     T = np.array([[1.5, 0.0], [-1.0 - 1e-3, 0.2], [1.0 - 1e-9, 0.1],
                   [0.3, -1.0 + 1e-9], [-1.0, 0.0], [1.0 - 4e-9, 0.1]])
     P = np.column_stack([T, T[:, 0] * T[:, 1] + 0.25])
-    assert np.array_equal(hp.vertical_bound(P), [np.inf] * 5 + [0.25])
+    _assert_settles(hp, P, 1.0, monkeypatch, np.arange(5))
+    assert hp.distances(P[5:], 1.0)[0][0] == 0.25
     # the band is where projection flags the feet of these points on_boundary
     assert np.all(hp.project_batch(P[2:5] - [0, 0, 0.25]).on_boundary)
     # a height or a normal coordinate that is not finite
-    assert np.all(np.isinf(hp.vertical_bound([[0.1, 0.2, np.nan], [np.nan, 0.2, 0.0],
-                                              [0.1, 0.2, np.inf]])))
+    _assert_settles(hp, [[0.1, 0.2, np.nan], [np.nan, 0.2, 0.0], [0.1, 0.2, np.inf],
+                         [0.1, 0.2, 0.3]], 1.0, monkeypatch, [0, 1, 2])
     steep = Submanifold.graph(["x"], [[0.0, 1000.0]], ["exp(x)"])
-    assert np.array_equal(steep.vertical_bound([[800.0, 0.0], [1.0, np.e]]),
-                          [np.inf, abs(np.e - np.exp(1.0))])
+    _assert_settles(steep, [[800.0, 0.0], [1.0, np.e]], 1.0, monkeypatch, [0])
+    assert steep.distances([[1.0, np.e]], 1.0)[0][0] == abs(np.e - np.exp(1.0))
+    # a height the chart cannot evaluate is projected alone: (0.5, 2.0) on
+    # 1/x settles at 0, and the projection of (0, 1) raises
     pole = Submanifold.graph(["x"], [[-1.0, 1.0]], ["1/x"])
-    assert np.all(np.isinf(pole.vertical_bound([[0.0, 1.0], [0.5, 2.0]])))
+    _assert_settles(pole, [[0.0, 1.0], [0.5, 2.0]], 1.0, monkeypatch, [0])
+    assert pole.distances([[0.5, 2.0]], 1.0)[0][0] == 0.0
+    with pytest.raises(ex.DomainError):
+        pole.distances([[0.0, 1.0], [0.5, 2.0]], 1.0)
+    # a vertical distance just above `settle` is projected
+    _assert_settles(hp, P[5:], 0.25 - 1e-12, monkeypatch, [0])
 
 
 @pytest.mark.parametrize("box", [[[-1.0, 1.0], [-1.0, 1.0]], [[0.0, 2.0], [-1.0, 0.5]]])
@@ -215,6 +298,49 @@ def test_refuted_tube_levels_change_no_radius(name, seed):
     # would fail, so the search that projects every level finds the same rho
     M = corpus.load(name).manifold
     assert M.tube_radius(seed=seed) == tube_radius_every_level(M, seed=seed)
+
+
+def _tube_search(M, monkeypatch, refute):
+    """M.tube_radius() and the levels it projects, each as its queries and
+    their BatchProjection. With refute False the search reads `near` as inf,
+    so that it refutes no level; project_batch still reads its own."""
+    levels, projecting = [], []
+    project_batch, screen_cells = Submanifold.project_batch, Submanifold._screen_cells
+
+    def spy(self, P):
+        projecting.append(P)
+        b = project_batch(self, P)
+        levels.append((projecting.pop(), b))
+        return b
+
+    def screen(self, P):
+        keep, near = screen_cells(self, P)
+        return keep, (near if refute or projecting else np.full_like(near, np.inf))
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Submanifold, "project_batch", spy)
+        mp.setattr(Submanifold, "_screen_cells", screen)
+        return M.tube_radius(), levels
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_tube_refutation_changes_no_radius(name, monkeypatch):
+    # the search that refutes no level projects each one down to its
+    # radius; the search finds the same radius, projects some of those
+    # levels, and each level it refutes fails the probe test in projection
+    M = corpus.load(name).manifold
+    rho, projected = _tube_search(M, monkeypatch, refute=True)
+    rho_all, every = _tube_search(M, monkeypatch, refute=False)
+    assert rho == rho_all
+    A, _, tol = tube_probes(M)
+    passed = [tube_level_passes(b, A, tol) for _, b in every]
+    assert passed == [False] * (len(every) - 1) + [True]
+    kept = [i for i, (P, _) in enumerate(every)
+            if any(np.array_equal(P, Q) for Q, _ in projected)]
+    assert len(kept) == len(projected) and kept[-1] == len(every) - 1
+    for (_, b), i in zip(projected, kept):
+        for f in BatchProjection._fields:
+            assert np.array_equal(getattr(b, f), getattr(every[i][1], f))
 
 
 @pytest.mark.parametrize("name, projected", [

@@ -575,14 +575,19 @@ def test_ruledness_by_bound_matches_projection(name, span):
     kwargs = dict(tube=min(M.half_side, M.reach_bound()), probe=M.tube_radius,
                   samples_per_axis=p.samples, margin=p.margin, tol=p.tol)
     got = ruledness_check(M, scene.family.curve_at, span, **kwargs)
-    # Submanifold.distances: settled rows read the bound and are eligible,
-    # the others read project_batch of those rows alone
+    # Submanifold.distances: settled rows read the vertical distance
+    # |p_N - h(p_T)| and are eligible, the others read project_batch of
+    # those rows alone
     _, _, pts = ruledness_points(M, scene.family.curve_at, span, p.samples, p.margin)
     distance, eligible = M.distances(pts, got.tolerance)
-    bound = M.vertical_bound(pts)
-    settled = bound <= got.tolerance
-    assert M.kind == "graph" or not np.any(settled)
-    assert np.array_equal(distance[settled], bound[settled]) and np.all(eligible[settled])
+    settled = np.zeros(len(pts), dtype=bool)
+    if M.kind == "graph":
+        with np.errstate(invalid="ignore"):
+            vertical = np.linalg.norm(pts[:, M.m:] - M.embed_many(pts[:, :M.m])[:, M.m:],
+                                      axis=1)
+        settled = (vertical <= got.tolerance) & ~M._on_edge(pts[:, :M.m])
+        assert np.array_equal(distance[settled], vertical[settled])
+    assert np.all(eligible[settled])
     if not np.all(settled):
         b = M.project_batch(pts[~settled])
         assert np.array_equal(distance[~settled], b.distance)
