@@ -301,9 +301,9 @@ class MetricOrder(NamedTuple):
 def contact_order_metric(curve, M: Submanifold, t_grid=None, tol=_TOL) -> MetricOrder:
     """Log-log slope of the curve's distance to M over the t-grid; contained
     when fewer than two distances exceed dist_zero. The distances are
-    M.distances settled at dist_zero."""
+    M.distances settled at dist_zero, followed from curve.chart."""
     ts = np.asarray(geometric_grid() if t_grid is None else t_grid, dtype=float)
-    ds, _ = M.distances(curve(ts), tol.dist_zero)
+    ds, _ = M.distances(curve(ts), tol.dist_zero, curve.chart)
     live = ds > tol.dist_zero
     if np.count_nonzero(live) < 2:
         return MetricOrder(None, None, True, ts, ds)
@@ -332,8 +332,9 @@ def uniform_decay_check(family, k: int, tol=_TOL) -> DecayReport:
     Failure is a negative report, not an error; the per-t max-ratio table is
     always returned, and the report records whether the sampled curves reach
     jet contact order k (the hypothesis that guarantees decay). The
-    distances are M.distances settled at the underflow floor dist_zero, and
-    those below it count as exact containment.
+    distances are M.distances settled at the underflow floor dist_zero,
+    each point followed from its sample, and those below it count as exact
+    containment.
     """
     M = family.M
     ts = geometric_grid()
@@ -341,8 +342,9 @@ def uniform_decay_check(family, k: int, tol=_TOL) -> DecayReport:
     max_order = max(k, 1)
     hypothesis_met = all(order.meets(k) for order in contact_order_jet_recharted(
         family.curve_at(X), M, max_order, tol))
-    pts = family.point_many(np.tile(X, (len(ts), 1)), np.repeat(ts, len(X)))
-    ds = M.distances(pts, tol.dist_zero)[0].reshape(len(ts), len(X))
+    starts = np.tile(X, (len(ts), 1))
+    pts = family.point_many(starts, np.repeat(ts, len(X)))
+    ds = M.distances(pts, tol.dist_zero, starts)[0].reshape(len(ts), len(X))
     ratios = np.max(np.where(ds < tol.dist_zero, 0.0, ds), axis=1) / ts**k
     contained = bool(np.all(ratios < tol.decay_floor))
     passed = contained or ratios[-1] < 0.1 * ratios[0]

@@ -76,11 +76,13 @@ projected samples within the certified bound or the ruled tolerance and
 runs the search only when a sample lies beyond both, so that NoConvergence
 is raised only when the radius is needed.
 
-On a graph no projection is needed to show that a point p lies near M:
-|p_N - h(p_T)| is the distance to the point (p_T, h(p_T)) of M when p_T
-lies in the box off its edge band. distances reads it first and projects
-only the points it cannot settle; the ruledness step and the metric
-contact order and decay checks of contact.py read their distances from it.
+A point p near M mostly needs no projection: distances follows the chart
+from the caller's chart point (predictor-corrector continuation, Allgower
+& Georg 1990), with u = p_T and no iteration on a graph, whose residual is
+the vertical distance |p_N - h(p_T)|, and Gauss-Newton on c(u) = p on a
+parametric chart, and projects only the points the follower cannot
+decide. The ruledness step and the metric contact order and decay checks
+of contact.py read their distances from it.
 """
 
 from __future__ import annotations
@@ -114,6 +116,9 @@ SEEDS_PER_AXIS = 9
 #: then bounded whatever the query count. No m <= 2 call of the corpus is
 #: split; at m = 3 a chunk is 179 queries of 729 seeds
 PROJECT_CHUNK_ROWS = 2**17
+#: Submanifold.distances follows a parametric chart for at most this many
+#: Gauss-Newton steps per point
+FOLLOW_MAX_ITER = 8
 #: random normal probes per dyadic step of the tube-radius search
 TUBE_PROBES = 200
 #: a tube probe projects back to its source A when its foot lies within this
@@ -298,8 +303,8 @@ class Submanifold:
     def _on_edge(self, X) -> np.ndarray:
         """Whether each chart point of X (..., m) lies within 1e-9 of a side
         of an edge of the box, or beyond it: the feet project_batch flags
-        on_boundary, and the p_T whose vertical distance distances leaves
-        to projection."""
+        on_boundary, and the followed chart points at which distances
+        counts no point eligible."""
         lo, hi = self.box[:, 0], self.box[:, 1]
         side = hi - lo
         return np.any((X <= lo + 1e-9 * side) | (X >= hi - 1e-9 * side), axis=-1)
@@ -472,21 +477,16 @@ class Submanifold:
                  for i in range(0, max(len(P), 1), step)]
         return BatchProjection(*map(np.concatenate, zip(*parts)))
 
-    def _screen_cells(self, P) -> tuple:
-        """(keep, near) for the queries P (q, n): keep (q, S) marks the seed
-        cells that may hold a foot that ties the best, and near (q,) is the
-        largest best converged distance that stands, d0 plus a tie slack.
+    def _near(self, P) -> tuple:
+        """(d_centre, near) for the queries P (q, n): the distances (q, S)
+        to the seed cell centres, and near (q,), the largest best converged
+        distance that stands, d0 plus a tie slack.
 
         d0 bounds the minimum from above: it is the distance to the nearest
         centre c_i or to c(x), x the tangent-plane foot
         x_i + (J_i^T J_i)^-1 J_i^T (p - c_i) clipped to the box, whichever
-        is nearer (a foot where J_i or c(x) is undefined is skipped). The
-        ties of a best within near reach no further than near plus a tie
-        slack, so a cell whose lower bound exceeds that is dropped. The
-        second-order bound runs only on the pairs the first-order one keeps,
-        gathered by index."""
+        is nearer (a foot where J_i or c(x) is undefined is skipped)."""
         screen = self._seed_screen()
-        q, m = len(P), self.m
         d_centre = np.linalg.norm(P[:, None, :] - screen.centres[None], axis=-1)
         i = np.argmin(d_centre, axis=1)
         J = screen.jac[i]
@@ -496,8 +496,18 @@ class Submanifold:
                     self.box[:, 0], self.box[:, 1])
         with np.errstate(invalid="ignore", over="ignore"):
             d_foot = np.linalg.norm(P - _where_defined(self.embed_many, x), axis=1)
-        d0 = np.fmin(d_centre[np.arange(q), i], d_foot)  # a NaN foot is skipped
-        near = _tie(d0)
+        d0 = np.fmin(d_centre[np.arange(len(P)), i], d_foot)  # a NaN foot is skipped
+        return d_centre, _tie(d0)
+
+    def _screen_cells(self, P) -> tuple:
+        """(keep, near) for the queries P (q, n): keep (q, S) marks the seed
+        cells that may hold a foot that ties the best, and near is that of
+        _near. The ties of a best within near reach no further than near
+        plus a tie slack, so a cell whose lower bound exceeds that is
+        dropped. The second-order bound runs only on the pairs the
+        first-order one keeps, gathered by index."""
+        screen, m = self._seed_screen(), self.m
+        d_centre, near = self._near(P)
         reach = _tie(near)
         keep = d_centre - screen.slack <= reach[:, None]
         rows, cols = np.nonzero(keep)
@@ -568,29 +578,63 @@ class Submanifold:
             on_boundary=self._on_edge(chart),
         )
 
-    def distances(self, P, settle: float) -> tuple:
-        """(distance, eligible), both (q,), for the points P (q, n).
-
-        On a graph a point whose p_T lies in the box off the edge band that
-        project_batch flags on_boundary (`_on_edge`) has the vertical
-        distance |p_N - h(p_T)| to the point (p_T, h(p_T)) of M, so an upper
-        bound on its distance to M. Where that is at most `settle` the point
-        reads it and is eligible. Such a distance b is never ambiguous:
-        |c(y) - c(x)| >= |y - x| on a graph, so every point c(y) of M within
-        b of p has |y - p_T| <= 2 b, near the vertical foot. The other
-        points (every point of a parametric chart, and those whose height is
-        not finite or undefined) go to one project_batch call, read their
-        projected distance, and are eligible where it converged
-        unambiguously to a foot off the box edge."""
-        P = np.atleast_2d(np.asarray(P, dtype=float))
-        distance = np.full(len(P), np.nan)  # NaN settles no row
+    def _follow(self, P, start) -> tuple:
+        """(U, residual): a chart point u (q, m) for each point p of P
+        (q, n) and |p - c(u)|. A graph takes u = p_T, whose residual is the
+        vertical distance |p_N - h(p_T)|. A parametric chart runs
+        Gauss-Newton on c(u) = p from `start` (m,) or (q, m), each step one
+        exterior.solve of the m x m normal equations as in sweep._correct,
+        until the residual stops halving, reaches 0 or is not finite, or for
+        FOLLOW_MAX_ITER steps, and keeps its best iterate; with no start it
+        reads NaN. A point where the chart leaves its domain reads NaN."""
         if self.kind == "graph":
-            inside = np.flatnonzero(~self._on_edge(P[:, :self.m]))
-            with np.errstate(invalid="ignore", over="ignore"):
-                H = _where_defined(self.embed_many, P[inside, :self.m])[:, self.m:]
-                distance[inside] = np.linalg.norm(P[inside, self.m:] - H, axis=1)
-        eligible = distance <= settle
-        rest = np.flatnonzero(~eligible)
+            U = P[:, :self.m]
+        elif start is None:
+            return np.full((len(P), self.m), np.nan), np.full(len(P), np.nan)
+        else:
+            U = np.array(np.broadcast_to(start, (len(P), self.m)), dtype=float)
+        with np.errstate(invalid="ignore", over="ignore"):
+            C = _where_defined(self.embed_many, U)
+            residual = np.linalg.norm(P - C, axis=1)
+            if self.kind == "graph":
+                return U, residual
+            live = np.flatnonzero(residual > 0)
+            for _ in range(FOLLOW_MAX_ITER):
+                if live.size == 0:
+                    break
+                J = _where_defined(self.jacobian_many, U[live])
+                Un = U[live] + solve(np.einsum("qni,qnj->qij", J, J),
+                                     np.einsum("qnm,qn->qm", J, P[live] - C[live]))
+                Cn = _where_defined(self.embed_many, Un)
+                rn = np.linalg.norm(P[live] - Cn, axis=1)
+                better = rn < residual[live]
+                halved = (rn <= 0.5 * residual[live]) & (rn > 0)
+                kept = live[better]
+                U[kept], C[kept], residual[kept] = Un[better], Cn[better], rn[better]
+                live = live[halved]
+        return U, residual
+
+    def distances(self, P, settle: float, start=None) -> tuple:
+        """(distance, eligible), both (q,), for the points P (q, n), with
+        `start` the chart points (m,) or (q, m) that a parametric chart
+        follows from, or None.
+
+        Each point is followed on the chart (_follow). Where the residual
+        is at most `settle` and u lies in the box off the edge band that
+        project_batch flags on_boundary (`_on_edge`), the point reads the
+        residual, its distance to the point c(u) of M, and is eligible: an
+        upper bound needs no unique foot. A graph point within `settle`
+        whose p_T is off the box or in the band reads its residual and is
+        not eligible: a graph chart is injective, so the curve has left the
+        chart. A parametric chart may wrap (a circle's angle), so the other
+        points, its points that converge off the box among them, go to one
+        project_batch call, read their projected distance, and are eligible
+        where it converged unambiguously to a foot off the box edge."""
+        P = np.atleast_2d(np.asarray(P, dtype=float))
+        U, distance = self._follow(P, start)
+        settled = distance <= settle  # NaN settles no row
+        eligible = settled & ~self._on_edge(U)
+        rest = np.flatnonzero(~settled if self.kind == "graph" else ~eligible)
         if rest.size:
             b = self.project_batch(P[rest])
             distance[rest] = b.distance
@@ -665,7 +709,7 @@ class Submanifold:
         probe p = A + rho nu passes only with a foot F within
         TUBE_FOOT_TOL (1 + |A|) of its source A, so at a distance of at
         least |p - A| - TUBE_FOOT_TOL (1 + |A|). When the `near` of
-        _screen_cells (d0 plus a tie slack) lies below that, project_batch
+        _near (d0 plus a tie slack) lies below that, project_batch
         would flag such a foot converged = False, as it lies farther than
         near, so the level fails without a projection. reach_bound is the
         certified (and much cheaper) bound; osculate.ruledness_record runs
@@ -686,7 +730,7 @@ class Submanifold:
         rho = float(rho_max)
         for _ in range(24):
             P = A + rho * nu
-            _, near = self._screen_cells(P)
+            _, near = self._near(P)
             if not np.any(near < np.linalg.norm(P - A, axis=1) - foot_tol):
                 b = self.project_batch(P)
                 ok = (

@@ -12,11 +12,14 @@ The global containment conclusion of the underlying theorem relies on
 analytic continuation, which numerics cannot perform: every verdict here
 is a finite-window statement, containment over a finite parameter span
 within the ruled tolerance of the manifold, and the reports say so
-explicitly. On a graph chart a curve sample is within it by the vertical
-distance bound |p_N - h(p_T)| without a projection; the other samples are
-projected inside a tube around the manifold (the larger of a graph's
-certified reach bound and the ruled tolerance, and the probed tube radius
-only where a sample lies beyond both).
+explicitly. A curve sample is first followed on the chart from its
+sample's chart point (Submanifold.distances): a graph reads the vertical
+distance |p_N - h(p_T)|, a parametric chart corrects by Gauss-Newton, and
+a sample within the ruled tolerance in the box counts without a
+projection. The other samples are projected inside a tube around the
+manifold (the larger of a graph's certified reach bound and the ruled
+tolerance, and the probed tube radius only where a sample lies beyond
+both).
 """
 
 from __future__ import annotations
@@ -333,8 +336,9 @@ def ruledness_check(M: Submanifold, curve_provider, span: float, *, tube: float,
     """Max distance of the curves Gamma_x to M over parameters in [-S, S].
 
     The distances and their eligibility are M.distances settled at the
-    ruled tolerance; a settled bound and a found foot are both distances to
-    a point of M, so either bounds the sample's distance from above. An
+    ruled tolerance, each sample followed from its curve's chart point; a
+    settled residual and a found foot are both distances to a point of M,
+    so either bounds the sample's distance from above. An
     eligible sample counts within the larger of the tube radius `tube` and
     the tolerance, so a sample within the tolerance counts whatever the
     tube. Ineligible samples (ambiguous projections and feet on the box
@@ -352,7 +356,7 @@ def ruledness_check(M: Submanifold, curve_provider, span: float, *, tube: float,
                                      samples_per_axis, margin)
     scene_scale = float(np.max(np.linalg.norm(M.embed_many(X), axis=1)))
     tolerance = tol.ruled * (1.0 + scene_scale)
-    distance, eligible = M.distances(pts, tolerance)
+    distance, eligible = M.distances(pts, tolerance, np.repeat(X, RULED_PARAMS, axis=0))
     radius = max(tube, tolerance)
     if probe is not None and np.any(eligible & (distance > radius)):
         radius = max(radius, probe())
@@ -411,9 +415,11 @@ def ruledness_record(M: Submanifold, family: SweepFamily,
                      params: RunParams) -> tuple[dict, RuledVerdict]:
     """Finite-window containment within the ruled tolerance of M.
 
-    On a graph chart a sample whose vertical bound is within the ruled
-    tolerance counts unprojected (see ruledness_check). The other samples
-    are projected inside a tube: r_cert = min(rho_max, M.reach_bound()),
+    A sample that the chart follower settles within the ruled tolerance
+    counts unprojected where its chart point lies in the box off the edge
+    band, and a graph's sample settled off the box is excluded unprojected
+    (see ruledness_check and Submanifold.distances). The other samples are
+    projected inside a tube: r_cert = min(rho_max, M.reach_bound()),
     with rho_max the run's tube_rho_max (default M.half_side), the certified
     reach bound of a graph chart and 0 for a parametric one. Projected
     samples within max(r_cert, ruled tolerance) count. The probed

@@ -13,8 +13,8 @@ another: it projects every dyadic level with the library's project_batch,
 so it checks the levels that Submanifold.tube_radius refutes unprojected.
 The ruledness and decay oracles are two more: they project every curve
 point with project_batch, so they check the points that
-osculate.ruledness_check and contact.uniform_decay_check settle by the
-vertical distance bound instead. The flow oracle integrates the ODE that
+osculate.ruledness_check and contact.uniform_decay_check settle by
+following the chart (Submanifold.distances) instead. The flow oracle integrates the ODE that
 sweep.tangency_flow_check finds as roots: classical RK4 with fixed steps,
 its field taken point by point by np.linalg.lstsq, no solve of the library.
 """

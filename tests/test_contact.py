@@ -164,6 +164,56 @@ def test_metric_partly_settled_matches_projection(monkeypatch):
     assert np.array_equal(np.delete(mo.distances, 1), np.delete(ds, 1))
 
 
+class _Unanchored:
+    """A curve with its chart point hidden: distances has no start."""
+    chart = None
+
+    def __init__(self, curve):
+        self.curve = curve
+
+    def __call__(self, t):
+        return self.curve(t)
+
+
+@pytest.mark.parametrize("name", [n for n in corpus.names()
+                                  if corpus.load(n).family is not None])
+def test_metric_reads_the_same_without_the_chart_point(name):
+    # following the chart from curve.chart, or projecting every node with
+    # no chart point, gives the same containment and order at every verify
+    # sample; a graph ignores the chart point, bit for bit
+    scene = corpus.load(name)
+    M, p = scene.manifold, scene.params
+    for x in M.grid(p.samples, margin=p.margin):
+        curve = scene.family.curve_at(x)
+        got = contact_order_metric(curve, M, tol=p.tol)
+        want = contact_order_metric(_Unanchored(curve), M, tol=p.tol)
+        assert (got.contained, got.order) == (want.contained, want.order)
+        if M.kind == "graph":
+            assert np.array_equal(got.distances, want.distances)
+
+
+def test_metric_reads_the_vertical_residual_off_the_box(monkeypatch):
+    # hp's ruling from (0.95, 0.5) leaves the box at t = 0.05: its nodes
+    # t = 0.1 and 0.2 lie on the graph of x y past the edge. They read their
+    # vertical residual, unprojected, not the distance to the truncated M
+    # that projection finds, so the ruling reads contained
+    hp = corpus.load("hyperbolic_paraboloid").manifold
+    ruling = PolyCurve([[0.95, 0.5, 0.475], [1.0, 0.0, 0.5]])
+    ts = geometric_grid()
+    P = ruling(ts)
+    off = P[:, 0] > 1.0
+    assert np.count_nonzero(off) == 2
+    calls = []
+    project_batch = Submanifold.project_batch
+    monkeypatch.setattr(Submanifold, "project_batch",
+                        lambda self, Q: calls.append(Q) or project_batch(self, Q))
+    mo = contact_order_metric(ruling, hp)
+    assert mo.contained and calls == []
+    vertical = np.abs(P[:, 2] - P[:, 0] * P[:, 1])
+    assert np.array_equal(mo.distances, vertical)
+    assert np.all(project_batch(hp, P[off]).distance > 0.04)
+
+
 # -- uniform decay -----------------------------------------------------------
 
 
@@ -174,13 +224,26 @@ def test_decay_ruling_family_contained():
     assert np.max(rep.ratios) < 1e-12
 
 
-@pytest.mark.parametrize("name, k", [("hyperbolic_paraboloid", 3), ("sphere", 1)])
+@pytest.mark.parametrize("name, k", [("hyperbolic_paraboloid", 3), ("sphere", 1),
+                                     ("cylinder", 1)])
 def test_decay_ratios_match_projection(name, k):
-    # points whose vertical bound is below dist_zero read 0 unprojected,
+    # points whose followed residual is below dist_zero read 0 unprojected,
     # as their projected distances would
     family = corpus.load(name).family
     rep = uniform_decay_check(family, k)
     assert np.array_equal(rep.ratios, decay_ratios_by_projection(family, k, Tolerances()))
+
+
+def test_decay_rotation_reads_its_followed_residual():
+    # circle_rotation's points lie on the circle: followed from their own
+    # angle they read 0, where projection reads up to ~5e-13 > dist_zero
+    # at some t, ratios above decay_floor that would call the exact
+    # rotation not contained
+    family = corpus.load("circle_rotation").family
+    rep = uniform_decay_check(family, 1)
+    assert rep.contained and rep.passed and np.all(rep.ratios == 0.0)
+    oracle = decay_ratios_by_projection(family, 1, Tolerances())
+    assert 0.0 < np.max(oracle) <= 1e-11
 
 
 def test_decay_sphere_tangent_family():

@@ -170,10 +170,10 @@ def _vertical(M, P):
         return np.linalg.norm(P[:, M.m:] - M.embed_many(P[:, :M.m])[:, M.m:], axis=1)
 
 
-def _distances_stubbed(M, P, settle, monkeypatch):
-    """M.distances(P, settle) with project_batch stubbed: a projected row
-    reads distance -1 and is not eligible. Returns distance, eligible and
-    the queries of each project_batch call."""
+def _distances_stubbed(M, P, settle, monkeypatch, start=None):
+    """M.distances(P, settle, start) with project_batch stubbed: a projected
+    row reads distance -1 and is not eligible. Returns distance, eligible
+    and the queries of each project_batch call."""
     projected = []
 
     def stub(self, Q):
@@ -184,29 +184,32 @@ def _distances_stubbed(M, P, settle, monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(Submanifold, "project_batch", stub)
-        distance, eligible = M.distances(P, settle)
+        distance, eligible = M.distances(P, settle, start)
     return distance, eligible, projected
 
 
-def _assert_settles(M, P, settle, monkeypatch, projected_rows):
+def _assert_settles(M, P, settle, monkeypatch, projected_rows, excluded_rows=()):
     """distances settles every row but projected_rows at |p_N - h(p_T)|,
-    bit for bit and eligible, and projects exactly those rows, once."""
+    bit for bit, eligible but for excluded_rows, and projects exactly
+    projected_rows, once."""
     P = np.asarray(P, dtype=float)
     distance, eligible, calls = _distances_stubbed(M, P, settle, monkeypatch)
-    rest = np.zeros(len(P), dtype=bool)
-    rest[projected_rows] = True
+    rest, out = np.zeros(len(P), dtype=bool), np.zeros(len(P), dtype=bool)
+    rest[projected_rows], out[list(excluded_rows)] = True, True
     assert len(calls) == int(np.any(rest))
     assert not calls or np.array_equal(calls[0], P[rest], equal_nan=True)
     assert np.all(distance[rest] == -1.0) and not np.any(eligible[rest])
-    assert np.array_equal(distance[~rest], _vertical(M, P[~rest])) and np.all(eligible[~rest])
+    assert np.array_equal(distance[~rest], _vertical(M, P[~rest]))
+    assert np.array_equal(eligible[~rest], ~out[~rest])
 
 
 @pytest.mark.parametrize("name", ["sphere", "cubic_graph", "paraboloid"])
 def test_distances_settle_by_the_vertical_distance(name, monkeypatch):
     # seeded points near M: a settled distance is one to the vertical foot,
     # a point of M, so never below the projected distance by more than its
-    # tie slack. Projected are exactly the rows whose p_T is off the box or
-    # in its edge band, and those whose vertical distance exceeds `settle`
+    # tie slack. Projected are exactly the rows whose vertical distance
+    # exceeds `settle`; those within it whose p_T is off the box or in its
+    # edge band are excluded unprojected
     M = corpus.load(name).manifold
     rng = np.random.default_rng(11)
     X = rng.uniform(M.box[:, 0], M.box[:, 1], size=(200, M.m))
@@ -215,11 +218,13 @@ def test_distances_settle_by_the_vertical_distance(name, monkeypatch):
     assert 0 < np.count_nonzero(edge) < len(P)
     vertical = _vertical(M, P)
     settle = float(np.median(vertical[~edge]))
-    rest = edge | (vertical > settle)
-    _assert_settles(M, P, settle, monkeypatch, rest)
+    rest = ~(vertical <= settle)
+    assert np.count_nonzero(edge & ~rest) == {"paraboloid": 0}.get(name, 3)
+    _assert_settles(M, P, settle, monkeypatch, rest, edge & ~rest)
     distance, eligible = M.distances(P, settle)
     d = M.project_batch(P).distance
-    assert np.all(distance[~rest] >= d[~rest] - PROJECT_DIST_TOL * (1.0 + d[~rest]))
+    inside = ~rest & ~edge
+    assert np.all(distance[inside] >= d[inside] - PROJECT_DIST_TOL * (1.0 + d[inside]))
     b = M.project_batch(P[rest])
     assert np.array_equal(distance[rest], b.distance)
     assert np.array_equal(eligible[rest], b.converged & ~b.ambiguous & ~b.on_boundary)
@@ -230,11 +235,12 @@ def test_distances_project_where_the_vertical_distance_cannot_stand_in(hp, monke
     P = cylinder.embed_many(cylinder.grid(3, margin=0.2))
     _assert_settles(cylinder, P, 1.0, monkeypatch, np.arange(len(P)))
     # hp's box is [-1, 1]^2, side 2: points on M off the box, in its edge
-    # band (within 1e-9 * side of an edge) and just inside it
+    # band (within 1e-9 * side of an edge) and just inside it. Within
+    # `settle` the first five have left the chart, unprojected
     T = np.array([[1.5, 0.0], [-1.0 - 1e-3, 0.2], [1.0 - 1e-9, 0.1],
                   [0.3, -1.0 + 1e-9], [-1.0, 0.0], [1.0 - 4e-9, 0.1]])
     P = np.column_stack([T, T[:, 0] * T[:, 1] + 0.25])
-    _assert_settles(hp, P, 1.0, monkeypatch, np.arange(5))
+    _assert_settles(hp, P, 1.0, monkeypatch, [], np.arange(5))
     assert hp.distances(P[5:], 1.0)[0][0] == 0.25
     # the band is where projection flags the feet of these points on_boundary
     assert np.all(hp.project_batch(P[2:5] - [0, 0, 0.25]).on_boundary)
@@ -251,8 +257,51 @@ def test_distances_project_where_the_vertical_distance_cannot_stand_in(hp, monke
     assert pole.distances([[0.5, 2.0]], 1.0)[0][0] == 0.0
     with pytest.raises(ex.DomainError):
         pole.distances([[0.0, 1.0], [0.5, 2.0]], 1.0)
-    # a vertical distance just above `settle` is projected
-    _assert_settles(hp, P[5:], 0.25 - 1e-12, monkeypatch, [0])
+    # a vertical distance just above `settle` is projected, in the box or not
+    _assert_settles(hp, P, 0.25 - 1e-12, monkeypatch, np.arange(6))
+
+
+def test_distances_follow_a_parametric_chart(monkeypatch):
+    # cylinder points followed from nearby chart points settle at their
+    # Gauss-Newton residual and are eligible, unprojected; those that
+    # converge to a chart point off the box or in its edge band, and those
+    # with no start, are projected
+    cylinder = corpus.load("cylinder").manifold
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-0.9, 0.9, size=(40, 2))
+    X[:4, 1] = [1.2, -1.0 - 1e-3, 1.0 - 1e-10, -1.0]
+    P = cylinder.embed_many(X)
+    start = X + rng.uniform(-0.05, 0.05, size=X.shape)
+    distance, eligible, calls = _distances_stubbed(cylinder, P, 1e-12, monkeypatch, start)
+    assert len(calls) == 1 and np.array_equal(calls[0], P[:4])
+    assert np.all(distance[4:] <= 1e-15) and np.all(eligible[4:])
+    U, residual = cylinder._follow(P, start)
+    assert np.allclose(U, X, atol=1e-12) and np.array_equal(residual[4:], distance[4:])
+    # a start on the point's own chart point takes no step
+    assert np.array_equal(cylinder.distances(P[4:], 0.0, X[4:])[0], np.zeros(36))
+    b = cylinder.project_batch(P)
+    distance, eligible = cylinder.distances(P, 1e-12, start)
+    assert np.array_equal(distance[:4], b.distance[:4])
+    assert np.array_equal(eligible, b.converged & ~b.ambiguous & ~b.on_boundary)
+
+
+def test_follow_keeps_its_best_iterate():
+    # the circle's angle from the far side: a Gauss-Newton step from
+    # u = x + 3 cuts the residual by less than half, so the row stops after
+    # it and keeps that lower residual, far from 0; from x + 0.3 it
+    # converges. A row whose chart is undefined, or has no start, reads NaN
+    circle = corpus.load("circle").manifold
+    x = np.array([1.0, 2.0, 3.0])
+    P = circle.embed_many(x[:, None])
+    U, residual = circle._follow(P, (x + 3.0)[:, None])
+    start = np.linalg.norm(P - circle.embed_many((x + 3.0)[:, None]), axis=1)
+    assert np.all(residual < start) and np.all(residual > 0.1)
+    near, r = circle._follow(P, (x + 0.3)[:, None])
+    assert np.allclose(near[:, 0], x, atol=1e-15) and np.all(r <= 1e-15)
+    pole = Submanifold.parametric(["u"], [[0.1, 1.0]], ["u", "1/u"], 2)
+    U, residual = pole._follow(np.array([[0.5, 2.0]]), [[0.0]])
+    assert np.isnan(residual[0])
+    assert np.all(np.isnan(pole._follow(np.array([[0.5, 2.0]]), None)[1]))
 
 
 @pytest.mark.parametrize("box", [[[-1.0, 1.0], [-1.0, 1.0]], [[0.0, 2.0], [-1.0, 0.5]]])
@@ -305,7 +354,7 @@ def _tube_search(M, monkeypatch, refute):
     their BatchProjection. With refute False the search reads `near` as inf,
     so that it refutes no level; project_batch still reads its own."""
     levels, projecting = [], []
-    project_batch, screen_cells = Submanifold.project_batch, Submanifold._screen_cells
+    project_batch, near_of = Submanifold.project_batch, Submanifold._near
 
     def spy(self, P):
         projecting.append(P)
@@ -314,12 +363,12 @@ def _tube_search(M, monkeypatch, refute):
         return b
 
     def screen(self, P):
-        keep, near = screen_cells(self, P)
-        return keep, (near if refute or projecting else np.full_like(near, np.inf))
+        d_centre, near = near_of(self, P)
+        return d_centre, (near if refute or projecting else np.full_like(near, np.inf))
 
     with monkeypatch.context() as mp:
         mp.setattr(Submanifold, "project_batch", spy)
-        mp.setattr(Submanifold, "_screen_cells", screen)
+        mp.setattr(Submanifold, "_near", screen)
         return M.tube_radius(), levels
 
 

@@ -10,9 +10,10 @@ from osclab.contact import (
     contact_order_jet_recharted,
     residual_jets,
 )
-from osclab.manifold import NoConvergence, Submanifold
+from osclab.manifold import PROJECT_DIST_TOL, NoConvergence, Submanifold
 from osclab.osculate import (
     FINITE_WINDOW_NOTE,
+    RULED_PARAMS,
     fit_class_k_curve,
     osculating_directions,
     RuledWitness,
@@ -559,39 +560,78 @@ def test_ruled_undecided_when_everything_leaves_tube():
 
 
 GRAPHS = [n for n in corpus.names() if corpus.load(n).manifold.kind == "graph"]
+#: the ruled 3-fold w = xy + z in R^4, swept along its rulings
+RULED_3FOLD = {"manifold": {"type": "graph", "chart_vars": ["x", "y", "z"],
+                            "domain": [[-1, 1]] * 3, "ambient_dim": 4,
+                            "height": ["x*y + z"]},
+               "family": {"k": 1, "fields": [["1", "0", "0", "y"]]},
+               "params": {"quad_cells": 4}}
+
+
+def _scene(name):
+    return build_scene(RULED_3FOLD) if name == "ruled_3fold" else corpus.load(name)
+
+
+def _ruledness_projected(M, curve_provider, span, monkeypatch, **kwargs):
+    """ruledness_check with a project_batch spy: the verdict and the
+    queries of each call."""
+    queries = []
+    project_batch = Submanifold.project_batch
+
+    def spy(self, P):
+        queries.append(np.asarray(P))
+        return project_batch(self, P)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Submanifold, "project_batch", spy)
+        return ruledness_check(M, curve_provider, span, **kwargs), queries
 
 
 @pytest.mark.parametrize("name, span", [(n, None) for n in GRAPHS] + [
     (n, 2.0) for n in ("plane", "hyperbolic_paraboloid", "saddle", "paraboloid")]
-    + [("cylinder", None)])
-def test_ruledness_by_bound_matches_projection(name, span):
-    # the vertical bound counts a sample only where projection counts it:
+    + [("cylinder", None), ("cylinder", 2.0), ("circle_rotation", 2.0),
+       ("ruled_3fold", None)])
+def test_ruledness_by_bound_matches_projection(name, span, monkeypatch):
+    # following the chart counts a sample only where projection counts it:
     # same verdict, counts and witness as projecting every sample. Span 2
-    # sends the curves out of the box, where the samples are projected, and
-    # the parametric cylinder settles no sample
-    scene = corpus.load(name)
+    # sends the curves out of the box: a graph's samples there within the
+    # tolerance are excluded unprojected, the rest are projected, and a
+    # parametric chart projects every sample it does not settle in the box
+    scene = _scene(name)
     M, p = scene.manifold, scene.params
     span = p.span if span is None else span
     kwargs = dict(tube=min(M.half_side, M.reach_bound()), probe=M.tube_radius,
                   samples_per_axis=p.samples, margin=p.margin, tol=p.tol)
-    got = ruledness_check(M, scene.family.curve_at, span, **kwargs)
-    # Submanifold.distances: settled rows read the vertical distance
-    # |p_N - h(p_T)| and are eligible, the others read project_batch of
-    # those rows alone
-    _, _, pts = ruledness_points(M, scene.family.curve_at, span, p.samples, p.margin)
-    distance, eligible = M.distances(pts, got.tolerance)
-    settled = np.zeros(len(pts), dtype=bool)
+    got, queries = _ruledness_projected(M, scene.family.curve_at, span, monkeypatch,
+                                        **kwargs)
+    # Submanifold.distances: settled rows read the follower's residual, on a
+    # graph the vertical distance |p_N - h(p_T)|, and are eligible in the
+    # box off its edge band; the others read project_batch of those rows
+    # alone, in the one call the spy sees
+    X, _, pts = ruledness_points(M, scene.family.curve_at, span, p.samples, p.margin)
+    distance, eligible = M.distances(pts, got.tolerance, np.repeat(X, RULED_PARAMS, axis=0))
+    projected = np.zeros(len(pts), dtype=bool)
+    for q in queries:
+        projected |= np.all(pts[:, None] == q[None], axis=-1).any(axis=1)
+    assert len(queries) == int(np.any(projected))
+    assert not queries or np.array_equal(queries[0], pts[projected])
     if M.kind == "graph":
         with np.errstate(invalid="ignore"):
             vertical = np.linalg.norm(pts[:, M.m:] - M.embed_many(pts[:, :M.m])[:, M.m:],
                                       axis=1)
-        settled = (vertical <= got.tolerance) & ~M._on_edge(pts[:, :M.m])
-        assert np.array_equal(distance[settled], vertical[settled])
-    assert np.all(eligible[settled])
-    if not np.all(settled):
-        b = M.project_batch(pts[~settled])
-        assert np.array_equal(distance[~settled], b.distance)
-        assert np.array_equal(eligible[~settled],
+        assert np.array_equal(projected, ~(vertical <= got.tolerance))
+        assert np.array_equal(distance[~projected], vertical[~projected])
+        assert np.array_equal(eligible[~projected], ~M._on_edge(pts[~projected, :M.m]))
+    else:
+        # a parametric chart settles only the samples it keeps eligible,
+        # each at a distance to a point of M within the tolerance
+        assert np.all(eligible[~projected] & (distance[~projected] <= got.tolerance))
+        d = M.project_batch(pts[~projected]).distance
+        assert np.all(distance[~projected] >= d - PROJECT_DIST_TOL * (1.0 + d))
+    if np.any(projected):
+        b = M.project_batch(pts[projected])
+        assert np.array_equal(distance[projected], b.distance)
+        assert np.array_equal(eligible[projected],
                               b.converged & ~b.ambiguous & ~b.on_boundary)
     want = ruledness_by_projection(M, scene.family.curve_at, span, **kwargs)
     assert (got.verdict, got.counted, got.skipped) == (want.verdict, want.counted, want.skipped)
@@ -606,7 +646,9 @@ def test_ruledness_by_bound_matches_projection(name, span):
 
 def test_ruledness_projects_only_the_rows_the_bound_leaves(monkeypatch):
     # hp's 576 samples: the 432 with p_T inside the box and off its edge
-    # band count by the vertical bound; the other 144 are projected
+    # band count by the vertical distance; the other 144 lie on M past the
+    # edge and are excluded unprojected. Cylinder projects exactly its 120
+    # samples that leave the box in w
     hp = corpus.load("hyperbolic_paraboloid")
     M = hp.manifold
     queries = []
@@ -619,8 +661,86 @@ def test_ruledness_projects_only_the_rows_the_bound_leaves(monkeypatch):
     monkeypatch.setattr(Submanifold, "project_batch", spy)
     _, rv = osculate.ruledness_record(M, hp.family, hp.params)
     assert (rv.verdict, rv.counted, rv.skipped) == ("CONTAINED", 432, 144)
-    assert [len(q) for q in queries] == [144]
-    assert np.all(M._on_edge(queries[0][:, :M.m]))
+    assert queries == []
+    cylinder = corpus.load("cylinder")
+    _, rv = osculate.ruledness_record(cylinder.manifold, cylinder.family, cylinder.params)
+    assert (rv.verdict, rv.counted, rv.skipped) == ("CONTAINED", 456, 120)
+    assert [len(q) for q in queries] == [120]
+    w = queries[0][:, 2]
+    assert np.all((w < -1.0) | (w > 1.0))
+
+
+def test_ruledness_projects_the_rows_a_wrapping_chart_leaves(monkeypatch):
+    # circle_rotation's angle runs over [0, 2 pi]: at span 2 the follower
+    # converges off the box on every sample whose angle x + s wraps, and
+    # those samples are projected, where they count as they would on the
+    # chart's other sheet; all 192 count, as projecting every sample finds
+    scene = corpus.load("circle_rotation")
+    M, p = scene.manifold, scene.params
+    kwargs = dict(tube=min(M.half_side, M.reach_bound()), probe=M.tube_radius,
+                  samples_per_axis=p.samples, margin=p.margin, tol=p.tol)
+    got, queries = _ruledness_projected(M, scene.family.curve_at, 2.0, monkeypatch,
+                                        **kwargs)
+    want = ruledness_by_projection(M, scene.family.curve_at, 2.0, **kwargs)
+    assert (got.verdict, got.counted, got.skipped) == (want.verdict, 192, 0)
+    X, svals, pts = ruledness_points(M, scene.family.curve_at, 2.0, p.samples, p.margin)
+    wraps = M._on_edge(np.repeat(X, RULED_PARAMS, axis=0) + np.tile(svals, len(X))[:, None])
+    assert 0 < np.count_nonzero(wraps) < len(pts) and len(queries) == 1
+    assert np.all(np.all(pts[wraps, None] == queries[0][None], axis=-1).any(axis=1))
+
+
+def test_ruledness_excludes_a_curve_leaving_m_at_the_box_edge():
+    # curves on hp up to its edge x = 1, bending off M beyond it, with
+    # samples within 1e-12 of the edge on both sides: the follower excludes
+    # on the very rows where projection finds a foot on the edge, and the
+    # verdicts agree row for row
+    hp = corpus.load("hyperbolic_paraboloid")
+    M = hp.manifold
+
+    def provider(x):
+        def curve(s):
+            u = 1.0 + np.sign(s) * 10.0 ** (-12.0 + 12.0 * np.abs(s))
+            bend = 10.0 * np.maximum(u - 1.0, 0.0) ** 2
+            return np.column_stack([u, np.full_like(u, x[1]), u * x[1] + bend])
+        return curve
+
+    kwargs = dict(tube=min(M.half_side, M.reach_bound()), probe=M.tube_radius)
+    got = ruledness_check(M, provider, 1.0, **kwargs)
+    want = ruledness_by_projection(M, provider, 1.0, tol=osculate._TOL, **kwargs)
+    assert (got.verdict, got.counted, got.skipped) == (want.verdict, want.counted, want.skipped)
+    assert ([r["counted"] for r in got.per_sample]
+            == [r["counted"] for r in want.per_sample])
+    X, _, pts = ruledness_points(M, provider, 1.0)
+    distance, eligible = M.distances(pts, got.tolerance)
+    b = M.project_batch(pts)
+    assert np.array_equal(eligible, b.converged & ~b.ambiguous & ~b.on_boundary)
+    beyond = pts[:, 0] > 1.0
+    settled_out = beyond & (distance <= got.tolerance)
+    assert np.any(settled_out) and np.any(M._on_edge(pts[:, :2]) & ~beyond)
+    assert not np.any(eligible[M._on_edge(pts[:, :2])])
+
+
+@pytest.mark.parametrize("name", [n for n in corpus.names()
+                                  if corpus.load(n).family is not None])
+def test_ruledness_follower_counts_the_rows_projection_counts(name):
+    # every corpus family scene at its own span: a sample counts through
+    # Submanifold.distances exactly where it counts with every sample
+    # projected (the oracle), within the tube radius probed where needed
+    scene = corpus.load(name)
+    M, p = scene.manifold, scene.params
+    X, _, pts = ruledness_points(M, scene.family.curve_at, p.span, p.samples, p.margin)
+    got = ruledness_check(M, scene.family.curve_at, p.span,
+                          tube=min(M.half_side, M.reach_bound()), probe=M.tube_radius,
+                          samples_per_axis=p.samples, margin=p.margin, tol=p.tol)
+    radius = max(min(M.half_side, M.reach_bound()), got.tolerance)
+    distance, eligible = M.distances(pts, got.tolerance, np.repeat(X, RULED_PARAMS, axis=0))
+    b = M.project_batch(pts)
+    if np.any(eligible & (distance > radius)):
+        radius = max(radius, M.tube_radius())
+    follow = eligible & (distance <= radius)
+    project = b.converged & ~b.ambiguous & ~b.on_boundary & (b.distance <= radius)
+    assert np.array_equal(follow, project)
+    assert got.counted == np.count_nonzero(follow)
 
 
 def _same_verdict(a, b):
