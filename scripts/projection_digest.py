@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Hash every `BatchProjection` field that the corpus projections produce.
+"""Hash every `BatchProjection` field that the corpus projections produce,
+and every distance that `Submanifold.distances` reads on the verify path.
 
 For each built-in scene the projections run over three inputs: the
 ruledness points of the verdict pipeline (`ruledness`, every point that
@@ -8,8 +9,14 @@ level that its tube-radius search projects (`tube@<rho>`, one input per
 dyadic level) and 200 seeded points around the manifold (`far`). The
 ruled 3-fold w = xy + z in R^4 adds its 1,728 ruledness points
 (`ruled_3fold ruledness`), the one input that `project_batch` splits into
-chunks. The script prints one line per scene and input with a short
-SHA-256 of each field.
+chunks. A scene with a family adds `distances`: its ruledness points at the
+ruled tolerance, then the metric contact order's nodes of each verify
+sample at dist_zero, through `Submanifold.distances` as `ruledness_check`
+and `contact_order_metric` query them, with the distance, the eligibility
+and the route of each row: settled by the chart follower, certified by a
+descent within the reach bound, or projected. The script prints one line
+per scene and input with a short SHA-256 of each field, and for
+`distances` the count of rows on each route.
 
 Usage:
     python scripts/projection_digest.py [--save FILE.npz] [--against FILE.npz]
@@ -24,8 +31,12 @@ summary follows, one line per scene and input: how many `converged`,
 `on_boundary` and `ambiguous` flags flip each way (+ for False to True, -
 for True to False), the largest decrease and the largest increase in
 `distance`, and the largest move of `point` over the rows that neither run
-flags ambiguous. It exits 1 when a row differs or an input is in one run
-only.
+flags ambiguous. For `distances` it lists every row whose distance or
+eligibility moved, with its route in both runs, and summarizes the route
+changes, the largest move, and the rows that both runs project, settle
+or certify, which must agree bit for bit. It exits 1 when a projection row
+differs, when a `distances` row moves on the same route in both runs or
+changes its eligibility, or when an input is in one run only.
 """
 
 from __future__ import annotations
@@ -37,11 +48,14 @@ import sys
 import numpy as np
 
 from osclab import corpus
+from osclab.config import geometric_grid
 from osclab.manifold import BatchProjection, Submanifold
-from osclab.osculate import ruledness_points
+from osclab.osculate import RULED_PARAMS, ruledness_points
 from osclab.scene import build_scene
 
 FIELDS = BatchProjection._fields
+#: the routes of a `distances` row, by their code in its `route` field
+ROUTES = ("settled", "certified", "projected")
 FLAGS = ("converged", "on_boundary", "ambiguous")
 FAR_POINTS = 200
 #: the ruled 3-fold w = xy + z swept along its rulings: m = 3, where the
@@ -104,6 +118,59 @@ def _ruledness(scene) -> dict:
     return _joined([(None, pts, M.project_batch(pts))])
 
 
+def _taken(P: np.ndarray, queries: list) -> np.ndarray:
+    """The rows of P that `queries`, arrays of rows taken from P in order,
+    hold."""
+    Q = np.concatenate(queries) if queries else P[:0]
+    mask = np.zeros(len(P), dtype=bool)
+    j = 0
+    for i in range(len(P)):
+        if j < len(Q) and np.array_equal(P[i], Q[j], equal_nan=True):
+            mask[i], j = True, j + 1
+    assert j == len(Q), "a query is not a row of the distances call"
+    return mask
+
+
+def _routed(M: Submanifold, P, settle, start) -> dict:
+    """M.distances(P, settle, start) with each row's route: the rows of the
+    call's own _descend and project_batch calls, read by spies (the descents
+    inside project_batch are not its own)."""
+    taken = {"_descend": [], "project_batch": []}
+    originals = {name: getattr(Submanifold, name) for name in taken}
+
+    def spy(name):
+        def call(self, *args):
+            if sys._getframe(1).f_code.co_name == "distances":
+                taken[name].append(np.array(args[-1], dtype=float))
+            return originals[name](self, *args)
+        return call
+
+    for name in taken:
+        setattr(Submanifold, name, spy(name))
+    try:
+        distance, eligible = M.distances(P, settle, start)
+    finally:
+        for name, original in originals.items():
+            setattr(Submanifold, name, original)
+    projected = _taken(P, taken["project_batch"])
+    certified = _taken(P, taken["_descend"]) & ~projected
+    return {"query": P, "distance": distance, "eligible": eligible,
+            "route": np.where(projected, 2, np.where(certified, 1, 0))}
+
+
+def _distances(scene) -> dict:
+    """The scene's ruledness points at the ruled tolerance, then the metric
+    nodes of each verify sample at dist_zero, through M.distances."""
+    M, p = scene.manifold, scene.params
+    X, _, pts = ruledness_points(M, scene.family.curve_at, p.span, p.samples, p.margin)
+    tolerance = p.tol.ruled * (1.0 + float(np.max(np.linalg.norm(M.embed_many(X), axis=1))))
+    parts = [_routed(M, pts, tolerance, np.repeat(X, RULED_PARAMS, axis=0))]
+    for x in X:
+        curve = scene.family.curve_at(x)
+        parts.append(_routed(M, curve(geometric_grid()), p.tol.dist_zero, curve.chart))
+    return {k: np.concatenate([part[k] for part in parts]) for k in parts[0]}
+
+
 def digest() -> dict:
     """{(scene, input): {"query": P, field: values}} over the corpus and
     the ruled 3-fold's ruledness points."""
@@ -115,6 +182,7 @@ def digest() -> dict:
         out.update({(name, level): v for level, v in levels.items()})
         if scene.family is not None:
             out[name, "ruledness"] = _ruledness(scene)
+            out[name, "distances"] = _distances(scene)
         far = _far_points(M, seed=i)
         out[name, "far"] = _joined([(None, far, M.project_batch(far))])
     out["ruled_3fold", "ruledness"] = _ruledness(build_scene(RULED_3FOLD, name="ruled_3fold"))
@@ -158,6 +226,34 @@ def _summary(run: dict, ref: dict) -> str:
             f" {_largest(move):.3g}")
 
 
+def _compare_distances(label: str, a: dict, b: dict) -> tuple[int, str]:
+    """Print every `distances` row of `a` whose distance or eligibility
+    differs from `b`'s, with its route in both; return the count of faulty
+    rows (moved on the same route, or eligibility changed) and a summary."""
+    moved = _row_diff(a["distance"], b["distance"]) > 0
+    flipped = a["eligible"] != b["eligible"]
+    same = a["route"] == b["route"]
+    rows = np.flatnonzero(moved | flipped)
+    print(f"{label}: {len(rows)} of {len(a['query'])} rows differ")
+    for r in rows:
+        print(f"  row {r}: {ROUTES[b['route'][r]]} -> {ROUTES[a['route'][r]]}"
+              f" distance {b['distance'][r]:.17g} -> {a['distance'][r]:.17g}"
+              + (" eligible flips" if flipped[r] else ""))
+    changes = " ".join(
+        f"{ROUTES[i]}->{ROUTES[j]} {np.count_nonzero((b['route'] == i) & (a['route'] == j))}"
+        for i in range(3) for j in range(3)
+        if i != j and np.any((b["route"] == i) & (a["route"] == j)))
+    with np.errstate(invalid="ignore"):
+        move = np.abs(a["distance"] - b["distance"])[moved]
+    both = same & (a["route"] == 2)
+    identical = not np.any((moved | flipped)[both])
+    summary = (f"route changes: {changes or 'none'}; largest distance move"
+               f" {_largest(move):.3g}; eligibility flips {np.count_nonzero(flipped)};"
+               f" {np.count_nonzero(both)} rows projected in both runs,"
+               f" {'bit-identical' if identical else 'NOT bit-identical'}")
+    return int(np.count_nonzero((moved & same) | flipped)), summary
+
+
 def compare(run: dict, ref: dict) -> int:
     """Print every row of `run` that differs from `ref`, then one summary
     line per scene and input; return the count of differing rows."""
@@ -174,6 +270,11 @@ def compare(run: dict, ref: dict) -> int:
         if a["query"].shape != b["query"].shape or not np.array_equal(a["query"], b["query"]):
             print(f"{label}: the queries differ ({len(a['query'])} vs {len(b['query'])} rows)")
             differing += 1
+            continue
+        if key[1] == "distances":
+            faulty, line = _compare_distances(label, a, b)
+            differing += faulty
+            summary.append(f"{label}: {line}")
             continue
         diffs = {name: _row_diff(a[name], b[name]) for name in FIELDS}
         rows = np.flatnonzero(np.any([d > 0 for d in diffs.values()], axis=0))
@@ -211,7 +312,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     run = digest()
     for (scene, inp), vals in run.items():
-        hashes = " ".join(f"{name}={_short_hash(vals[name])}" for name in FIELDS)
+        hashes = " ".join(f"{name}={_short_hash(v)}" for name, v in vals.items()
+                          if name != "query")
+        if "route" in vals:
+            hashes += " " + " ".join(f"{route}={np.count_nonzero(vals['route'] == i)}"
+                                     for i, route in enumerate(ROUTES))
         print(f"{scene:22s} {inp:16s} {len(vals['query']):6d} {hashes}")
     if args.save:
         _save(args.save, run)

@@ -72,17 +72,21 @@ raises NoConvergence when no level passes. A level at which the screen
 puts some probe nearer M (d0, see above) than any foot close to its source
 could be is refuted without a projection; every other level runs
 project_batch once. The ruledness step (osculate.ruledness_record) counts
-projected samples within the certified bound or the ruled tolerance and
-runs the search only when a sample lies beyond both, so that NoConvergence
-is raised only when the radius is needed.
+certified and projected samples within the certified bound or the ruled
+tolerance and runs the search only when a sample lies beyond both, so that
+NoConvergence is raised only when the radius is needed.
 
 A point p near M mostly needs no projection: distances follows the chart
 from the caller's chart point (predictor-corrector continuation, Allgower
 & Georg 1990), with u = p_T and no iteration on a graph, whose residual is
 the vertical distance |p_N - h(p_T)|, and Gauss-Newton on c(u) = p on a
-parametric chart, and projects only the points the follower cannot
-decide. The ruledness step and the metric contact order and decay checks
-of contact.py read their distances from it.
+parametric chart. A graph point the follower leaves beyond its threshold
+runs one projected-Newton descent from its vertical foot; a foot found
+nearer than reach_bound is the unique nearest point (Federer 1959, Thm
+4.8(12)), so the point reads its distance with no seed grid. Only the
+points neither route decides are projected. The ruledness step and the
+metric contact order and decay checks of contact.py read their distances
+from it.
 """
 
 from __future__ import annotations
@@ -119,6 +123,11 @@ PROJECT_CHUNK_ROWS = 2**17
 #: Submanifold.distances follows a parametric chart for at most this many
 #: Gauss-Newton steps per point
 FOLLOW_MAX_ITER = 8
+#: Submanifold.distances certifies a descended graph foot as the nearest
+#: point when its distance lies below reach_bound less this relative margin,
+#: a few ulps for the plain-float norms and reciprocal around the bound's
+#: interval evaluation and for the distance itself
+REACH_MARGIN = 16 * np.finfo(float).eps
 #: random normal probes per dyadic step of the tube-radius search
 TUBE_PROBES = 200
 #: a tube probe projects back to its source A when its foot lies within this
@@ -231,6 +240,7 @@ class Submanifold:
         self._jac_flat = [d for row in self.jac_exprs for d in row]
         self._hess_flat = [d for row in self.hess_exprs for col in row for d in col]
         self._screen: SeedScreen | None = None
+        self._reach: float | None = None
 
     @property
     def m(self) -> int:
@@ -626,15 +636,39 @@ class Submanifold:
         upper bound needs no unique foot. A graph point within `settle`
         whose p_T is off the box or in the band reads its residual and is
         not eligible: a graph chart is injective, so the curve has left the
-        chart. A parametric chart may wrap (a circle's angle), so the other
-        points, its points that converge off the box among them, go to one
-        project_batch call, read their projected distance, and are eligible
-        where it converged unambiguously to a foot off the box edge."""
+        chart.
+
+        A graph point beyond `settle` with finite coordinates, on a chart
+        with a positive reach_bound R, runs one projected-Newton row
+        (_descend) from clip(p_T) to the box. Where it converges at x* with
+        |p - c(x*)| below R less REACH_MARGIN, p - c(x*) lies in the normal
+        cone of M at c(x*), and a point nearer M than its reach along such
+        a normal has c(x*) as its unique nearest point (Federer 1959, Thm
+        4.8(12)), edges included: the point reads that distance, and is
+        eligible unless x* lies in the edge band. It is never ambiguous.
+
+        The other points go to one project_batch call, read their projected
+        distance, and are eligible where it converged unambiguously to a
+        foot off the box edge: a graph's points whose descent does not
+        converge or ends at or beyond R, or whose coordinates are not
+        finite, every such point of a graph with R = 0, and a parametric
+        chart's unsettled points, its points that converge off the box
+        among them, since such a chart may wrap (a circle's angle)."""
         P = np.atleast_2d(np.asarray(P, dtype=float))
         U, distance = self._follow(P, start)
         settled = distance <= settle  # NaN settles no row
         eligible = settled & ~self._on_edge(U)
         rest = np.flatnonzero(~settled if self.kind == "graph" else ~eligible)
+        reach = self.reach_bound()  # 0 on a parametric chart
+        live = rest[np.all(np.isfinite(P[rest]), axis=1) & (reach > 0.0)]
+        if live.size:
+            X, conv, C = self._descend(np.clip(U[live], self.box[:, 0], self.box[:, 1]),
+                                       P[live])
+            d = np.linalg.norm(P[live] - C, axis=1)
+            sure = conv & (d < reach * (1.0 - REACH_MARGIN))
+            distance[live[sure]] = d[sure]
+            eligible[live[sure]] = ~self._on_edge(X[sure])
+            rest = np.setdiff1d(rest, live[sure], assume_unique=True)
         if rest.size:
             b = self.project_batch(P[rest])
             distance[rest] = b.distance
@@ -691,12 +725,17 @@ class Submanifold:
         when a bound overflows. A parametric chart gets no bound: a
         curvature bound alone would not rule out distant sheets of the
         chart coming close (a circle's chart meets itself), so it returns
-        0 and callers fall back to the probed tube_radius."""
-        if self.kind != "graph":
-            return 0.0
-        env = {v: ex.Interval(lo, hi) for v, (lo, hi) in zip(self.chart_vars, self.box)}
-        K = float(_interval_norm(self._hess_flat[self.m ** 3:], env))  # the height rows
-        return np.inf if K == 0.0 else 1.0 / K
+        0 and callers fall back to the probed tube_radius.
+
+        The bound is evaluated on the first call and kept."""
+        if self._reach is None:
+            K = np.inf
+            if self.kind == "graph":
+                env = {v: ex.Interval(lo, hi)
+                       for v, (lo, hi) in zip(self.chart_vars, self.box)}
+                K = float(_interval_norm(self._hess_flat[self.m ** 3:], env))  # the height rows
+            self._reach = np.inf if K == 0.0 else 1.0 / K
+        return self._reach
 
     def tube_radius(self, *, rho_max: float | None = None, seed: int = 0) -> float:
         """Largest dyadic rho, from rho_max (default half_side) down, such

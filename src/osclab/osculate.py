@@ -16,10 +16,11 @@ explicitly. A curve sample is first followed on the chart from its
 sample's chart point (Submanifold.distances): a graph reads the vertical
 distance |p_N - h(p_T)|, a parametric chart corrects by Gauss-Newton, and
 a sample within the ruled tolerance in the box counts without a
-projection. The other samples are projected inside a tube around the
-manifold (the larger of a graph's certified reach bound and the ruled
-tolerance, and the probed tube radius only where a sample lies beyond
-both).
+projection. A graph's other samples read a nearest point that a descent
+finds within the graph's certified reach bound, and the rest are
+projected; either counts inside a tube around the manifold (the larger
+of a graph's certified reach bound and the ruled tolerance, and the
+probed tube radius only where a sample lies beyond both).
 """
 
 from __future__ import annotations
@@ -337,8 +338,10 @@ def ruledness_check(M: Submanifold, curve_provider, span: float, *, tube: float,
 
     The distances and their eligibility are M.distances settled at the
     ruled tolerance, each sample followed from its curve's chart point; a
-    settled residual and a found foot are both distances to a point of M,
-    so either bounds the sample's distance from above. An
+    graph's sample beyond it reads a foot certified by M's reach bound, or
+    else its projection. A settled residual, a certified foot and a
+    projected foot are all distances to a point of M, so each bounds the
+    sample's distance from above. An
     eligible sample counts within the larger of the tube radius `tube` and
     the tolerance, so a sample within the tolerance counts whatever the
     tube. Ineligible samples (ambiguous projections and feet on the box
@@ -418,15 +421,18 @@ def ruledness_record(M: Submanifold, family: SweepFamily,
     A sample that the chart follower settles within the ruled tolerance
     counts unprojected where its chart point lies in the box off the edge
     band, and a graph's sample settled off the box is excluded unprojected
-    (see ruledness_check and Submanifold.distances). The other samples are
-    projected inside a tube: r_cert = min(rho_max, M.reach_bound()),
-    with rho_max the run's tube_rho_max (default M.half_side), the certified
-    reach bound of a graph chart and 0 for a parametric one. Projected
-    samples within max(r_cert, ruled tolerance) count. The probed
-    tube_radius search runs only when a projected sample that would
-    otherwise count lies beyond both, and samples then count within the
-    largest of the three, so a search that raises NoConvergence fails the
-    step only when its radius is needed."""
+    (see ruledness_check and Submanifold.distances). A graph's other
+    samples descend from their vertical foot, and those whose foot lies
+    within M.reach_bound() are certified, unprojected; the rest are
+    projected. Both count inside a tube: r_cert = min(rho_max,
+    M.reach_bound()), with rho_max the run's tube_rho_max (default
+    M.half_side), the certified reach bound of a graph chart, evaluated
+    once per manifold and shared with distances, and 0 for a parametric
+    one. Certified and projected samples within max(r_cert, ruled
+    tolerance) count. The probed tube_radius search runs only when such a
+    sample that would otherwise count lies beyond both, and samples then
+    count within the largest of the three, so a search that raises
+    NoConvergence fails the step only when its radius is needed."""
     rho_max = M.half_side if params.tube_rho_max is None else params.tube_rho_max
     rv = ruledness_check(M, family.curve_at, params.span,
                          tube=min(rho_max, M.reach_bound()),

@@ -14,7 +14,9 @@ so it checks the levels that Submanifold.tube_radius refutes unprojected.
 The ruledness and decay oracles are two more: they project every curve
 point with project_batch, so they check the points that
 osculate.ruledness_check and contact.uniform_decay_check settle by
-following the chart (Submanifold.distances) instead. The flow oracle integrates the ODE that
+following the chart (Submanifold.distances) instead, and the route checks
+compare the distances it certifies by the reach bound with project_batch's
+row by row. The flow oracle integrates the ODE that
 sweep.tangency_flow_check finds as roots: classical RK4 with fixed steps,
 its field taken point by point by np.linalg.lstsq, no solve of the library.
 """
@@ -221,6 +223,35 @@ def ruledness_by_projection(M, curve_provider, span: float, *, tube: float,
     verdict = "CONTAINED" if dmax <= tolerance else "NOT_CONTAINED"
     return RuledVerdict(verdict, dmax, tolerance, counted, valid.size - counted,
                         None if verdict == "CONTAINED" else witness, per_sample)
+
+
+#: a distance that Submanifold.distances certifies lies within this many
+#: ulps of (1 + |p|) of the one project_batch finds for the same point
+CERTIFIED_ULPS = 4
+
+
+def rows_in(P, queries) -> np.ndarray:
+    """Whether each row of P (q, n) is a row of one of the arrays in
+    `queries`, NaNs in the same place matching."""
+    P = np.asarray(P, dtype=float)
+    mask = np.zeros(len(P), dtype=bool)
+    for Q in queries:
+        same = (P[:, None] == Q[None]) | (np.isnan(P[:, None]) & np.isnan(Q[None]))
+        mask |= np.all(same, axis=-1).any(axis=1)
+    return mask
+
+
+def assert_certified_like_projection(M, P, distance, eligible) -> None:
+    """The rows P that Submanifold.distances certified, with their distance
+    and eligibility, against project_batch: each distance within
+    CERTIFIED_ULPS eps (1 + |p|) of the projected one, every projection
+    converged and unambiguous, and eligible exactly where the projected
+    foot lies off the box's edge band."""
+    b = M.project_batch(P)
+    slack = CERTIFIED_ULPS * np.finfo(float).eps * (1.0 + np.linalg.norm(P, axis=1))
+    assert np.all(np.abs(distance - b.distance) <= slack)
+    assert np.all(b.converged) and not np.any(b.ambiguous)
+    assert np.array_equal(eligible, ~M._on_edge(b.chart))
 
 
 def decay_ratios_by_projection(family, k: int, tol) -> np.ndarray:

@@ -20,6 +20,7 @@ from osclab.contact import (
 from osclab.manifold import Submanifold
 from osclab.sweep import SweepFamily
 from oracles import (
+    CERTIFIED_ULPS,
     decay_ratios_by_projection,
     simpson_length,
     sphere_distance,
@@ -138,30 +139,26 @@ def test_metric_transverse_slope_one():
     assert mo.order == 0
 
 
-def test_metric_partly_settled_matches_projection(monkeypatch):
+def test_metric_partly_settled_matches_projection(routes):
     # (t, 0, t - 0.1) meets the plane at the node t = 0.1, whose vertical
-    # bound 0 settles it; the other 7 nodes are projected, and the fit is
-    # the one over the projected distances of all 8
+    # bound 0 settles it; the other 7 nodes descend from their vertical
+    # foot, a stationary point already, and the plane's infinite reach
+    # bound certifies it, so none is projected. The fit is the one over the
+    # projected distances of all 8, bit for bit
     plane = Submanifold.graph(["x", "y"], [[-1, 1], [-1, 1]], ["0"])
     curve = PolyCurve([[0, 0, -0.1], [1, 0, 1]])
     ts = geometric_grid()
     ds = plane.project_batch(curve(ts)).distance
     live = ds > Tolerances().dist_zero
     slope = np.polyfit(np.log(ts[live]), np.log(ds[live]), 1)[0]
-    queries = []
-    project_batch = Submanifold.project_batch
-
-    def spy(self, P):
-        queries.append(len(P))
-        return project_batch(self, P)
-
-    monkeypatch.setattr(Submanifold, "project_batch", spy)
     mo = contact_order_metric(curve, plane)
-    assert queries == [7]
+    (route,) = routes
+    assert route["projected"] == []
+    assert [len(q) for q in route["descended"]] == [7]
     assert (mo.slope, mo.order, mo.contained) == (slope, 0, False)
     assert mo.slope == pytest.approx(-0.054777900227049585, rel=1e-12)
     assert mo.distances[1] == 0.0
-    assert np.array_equal(np.delete(mo.distances, 1), np.delete(ds, 1))
+    assert np.array_equal(mo.distances, ds)
 
 
 class _Unanchored:
@@ -226,12 +223,26 @@ def test_decay_ruling_family_contained():
 
 @pytest.mark.parametrize("name, k", [("hyperbolic_paraboloid", 3), ("sphere", 1),
                                      ("cylinder", 1)])
-def test_decay_ratios_match_projection(name, k):
+def test_decay_ratios_match_projection(name, k, routes):
     # points whose followed residual is below dist_zero read 0 unprojected,
-    # as their projected distances would
+    # as their projected distances would. The sphere's other points are
+    # certified by its reach bound, unprojected, and read their distance to
+    # within CERTIFIED_ULPS eps (1 + |p|) of projection's; the ratios of
+    # the others match bit for bit
     family = corpus.load(name).family
     rep = uniform_decay_check(family, k)
-    assert np.array_equal(rep.ratios, decay_ratios_by_projection(family, k, Tolerances()))
+    oracle = decay_ratios_by_projection(family, k, Tolerances())
+    (route,) = routes
+    if name != "sphere":
+        assert route["descended"] == []
+        assert np.array_equal(rep.ratios, oracle)
+        return
+    assert route["projected"] == [] and [len(q) for q in route["descended"]] == [128]
+    ts, X = geometric_grid(), family.M.grid(4, margin=0.15)
+    pts = family.point_many(np.tile(X, (len(ts), 1)), np.repeat(ts, len(X)))
+    scale = np.max((1.0 + np.linalg.norm(pts, axis=1)).reshape(len(ts), -1), axis=1)
+    assert np.all(np.abs(rep.ratios - oracle) <= CERTIFIED_ULPS * np.finfo(float).eps
+                  * scale / ts**k)
 
 
 def test_decay_rotation_reads_its_followed_residual():

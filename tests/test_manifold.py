@@ -15,6 +15,7 @@ from osclab.manifold import (
 from osclab.osculate import ruledness_points
 from osclab.scene import build_scene
 from oracles import (
+    assert_certified_like_projection,
     dense_distance_min,
     grid_min_1d,
     grid_min_2d,
@@ -164,17 +165,21 @@ def test_graph_normal_displacement(sphere_cap):
 
 
 def _vertical(M, P):
-    """|p_N - h(p_T)| for the rows of P on the graph M."""
+    """|p_N - h(p_T)| for the rows of P on the graph M; NaN where h is
+    undefined at p_T."""
     P = np.asarray(P, dtype=float)
     with np.errstate(invalid="ignore", over="ignore"):
-        return np.linalg.norm(P[:, M.m:] - M.embed_many(P[:, :M.m])[:, M.m:], axis=1)
+        C = manifold._where_defined(M.embed_many, P[:, :M.m])
+        return np.linalg.norm(P[:, M.m:] - C[:, M.m:], axis=1)
 
 
 def _distances_stubbed(M, P, settle, monkeypatch, start=None):
     """M.distances(P, settle, start) with project_batch stubbed: a projected
-    row reads distance -1 and is not eligible. Returns distance, eligible
-    and the queries of each project_batch call."""
-    projected = []
+    row reads distance -1 and is not eligible. Returns distance, eligible,
+    the queries of each project_batch call and, for each _descend call,
+    its queries and its result (X, converged, embedding)."""
+    projected, descents = [], []
+    descend = Submanifold._descend
 
     def stub(self, Q):
         projected.append(Q)
@@ -182,34 +187,67 @@ def _distances_stubbed(M, P, settle, monkeypatch, start=None):
         return BatchProjection(np.zeros((len(Q), self.m)), np.zeros((len(Q), self.n)),
                                np.full(len(Q), -1.0), no, no, no)
 
+    def spy(self, X, Q):
+        out = descend(self, X, Q)
+        descents.append((Q, *out))
+        return out
+
     with monkeypatch.context() as mp:
         mp.setattr(Submanifold, "project_batch", stub)
+        mp.setattr(Submanifold, "_descend", spy)
         distance, eligible = M.distances(P, settle, start)
-    return distance, eligible, projected
+    return distance, eligible, projected, descents
 
 
-def _assert_settles(M, P, settle, monkeypatch, projected_rows, excluded_rows=()):
-    """distances settles every row but projected_rows at |p_N - h(p_T)|,
-    bit for bit, eligible but for excluded_rows, and projects exactly
-    projected_rows, once."""
+def _assert_routes(M, P, settle, monkeypatch, projected_rows=None, excluded_rows=()):
+    """distances settles the rows within `settle` at |p_N - h(p_T)|, bit
+    for bit, eligible but for excluded_rows. It descends once from the
+    vertical foot on exactly the other rows with finite coordinates when the
+    reach bound R is positive, and certifies those whose descent converges
+    below R less REACH_MARGIN; they read the descent's distance, compared
+    with project_batch by assert_certified_like_projection. It projects the
+    rest, exactly projected_rows where given, once. Returns the masks of the
+    certified and the projected rows."""
     P = np.asarray(P, dtype=float)
-    distance, eligible, calls = _distances_stubbed(M, P, settle, monkeypatch)
-    rest, out = np.zeros(len(P), dtype=bool), np.zeros(len(P), dtype=bool)
-    rest[projected_rows], out[list(excluded_rows)] = True, True
+    distance, eligible, calls, descents = _distances_stubbed(M, P, settle, monkeypatch)
+    if M.kind == "graph":
+        beyond = ~(_vertical(M, P) <= settle)
+    else:  # followed from no start, a parametric chart settles no row
+        beyond = np.ones(len(P), dtype=bool)
+    descended = beyond & np.all(np.isfinite(P), axis=1) & (M.reach_bound() > 0.0)
+    certified = np.zeros(len(P), dtype=bool)
+    assert len(descents) == int(np.any(descended))
+    if descents:
+        Q, _, conv, C = descents[0]
+        assert np.array_equal(Q, P[descended])
+        d = np.linalg.norm(Q - C, axis=1)
+        certified[descended] = conv & (d < M.reach_bound() * (1.0 - manifold.REACH_MARGIN))
+    rest = beyond & ~certified
+    if projected_rows is not None:
+        want = np.zeros(len(P), dtype=bool)
+        want[projected_rows] = True
+        assert np.array_equal(rest, want)
+    out = np.zeros(len(P), dtype=bool)
+    out[list(excluded_rows)] = True
     assert len(calls) == int(np.any(rest))
     assert not calls or np.array_equal(calls[0], P[rest], equal_nan=True)
     assert np.all(distance[rest] == -1.0) and not np.any(eligible[rest])
-    assert np.array_equal(distance[~rest], _vertical(M, P[~rest]))
-    assert np.array_equal(eligible[~rest], ~out[~rest])
+    assert np.array_equal(distance[~beyond], _vertical(M, P[~beyond]))
+    assert np.array_equal(eligible[~beyond], ~out[~beyond])
+    if np.any(certified):
+        assert_certified_like_projection(M, P[certified], distance[certified],
+                                         eligible[certified])
+    return certified, rest
 
 
 @pytest.mark.parametrize("name", ["sphere", "cubic_graph", "paraboloid"])
 def test_distances_settle_by_the_vertical_distance(name, monkeypatch):
     # seeded points near M: a settled distance is one to the vertical foot,
     # a point of M, so never below the projected distance by more than its
-    # tie slack. Projected are exactly the rows whose vertical distance
-    # exceeds `settle`; those within it whose p_T is off the box or in its
-    # edge band are excluded unprojected
+    # tie slack. Those within `settle` whose p_T is off the box or in its
+    # edge band are excluded unprojected. Every row beyond `settle` lies
+    # within the reach bound and descends to a certified foot, so none is
+    # projected
     M = corpus.load(name).manifold
     rng = np.random.default_rng(11)
     X = rng.uniform(M.box[:, 0], M.box[:, 1], size=(200, M.m))
@@ -218,47 +256,92 @@ def test_distances_settle_by_the_vertical_distance(name, monkeypatch):
     assert 0 < np.count_nonzero(edge) < len(P)
     vertical = _vertical(M, P)
     settle = float(np.median(vertical[~edge]))
-    rest = ~(vertical <= settle)
-    assert np.count_nonzero(edge & ~rest) == {"paraboloid": 0}.get(name, 3)
-    _assert_settles(M, P, settle, monkeypatch, rest, edge & ~rest)
-    distance, eligible = M.distances(P, settle)
+    beyond = ~(vertical <= settle)
+    assert np.count_nonzero(edge & ~beyond) == {"paraboloid": 0}.get(name, 3)
+    certified, _ = _assert_routes(M, P, settle, monkeypatch, [], edge & ~beyond)
+    assert np.array_equal(certified, beyond) and np.count_nonzero(beyond) == 103
+    distance, _ = M.distances(P, settle)
     d = M.project_batch(P).distance
-    inside = ~rest & ~edge
+    inside = ~beyond & ~edge
     assert np.all(distance[inside] >= d[inside] - PROJECT_DIST_TOL * (1.0 + d[inside]))
-    b = M.project_batch(P[rest])
-    assert np.array_equal(distance[rest], b.distance)
-    assert np.array_equal(eligible[rest], b.converged & ~b.ambiguous & ~b.on_boundary)
 
 
 def test_distances_project_where_the_vertical_distance_cannot_stand_in(hp, monkeypatch):
     cylinder = corpus.load("cylinder").manifold
     P = cylinder.embed_many(cylinder.grid(3, margin=0.2))
-    _assert_settles(cylinder, P, 1.0, monkeypatch, np.arange(len(P)))
+    _assert_routes(cylinder, P, 1.0, monkeypatch, np.arange(len(P)))
     # hp's box is [-1, 1]^2, side 2: points on M off the box, in its edge
     # band (within 1e-9 * side of an edge) and just inside it. Within
     # `settle` the first five have left the chart, unprojected
     T = np.array([[1.5, 0.0], [-1.0 - 1e-3, 0.2], [1.0 - 1e-9, 0.1],
                   [0.3, -1.0 + 1e-9], [-1.0, 0.0], [1.0 - 4e-9, 0.1]])
     P = np.column_stack([T, T[:, 0] * T[:, 1] + 0.25])
-    _assert_settles(hp, P, 1.0, monkeypatch, [], np.arange(5))
+    _assert_routes(hp, P, 1.0, monkeypatch, [], np.arange(5))
     assert hp.distances(P[5:], 1.0)[0][0] == 0.25
     # the band is where projection flags the feet of these points on_boundary
     assert np.all(hp.project_batch(P[2:5] - [0, 0, 0.25]).on_boundary)
     # a height or a normal coordinate that is not finite
-    _assert_settles(hp, [[0.1, 0.2, np.nan], [np.nan, 0.2, 0.0], [0.1, 0.2, np.inf],
-                         [0.1, 0.2, 0.3]], 1.0, monkeypatch, [0, 1, 2])
+    _assert_routes(hp, [[0.1, 0.2, np.nan], [np.nan, 0.2, 0.0], [0.1, 0.2, np.inf],
+                        [0.1, 0.2, 0.3]], 1.0, monkeypatch, [0, 1, 2])
     steep = Submanifold.graph(["x"], [[0.0, 1000.0]], ["exp(x)"])
-    _assert_settles(steep, [[800.0, 0.0], [1.0, np.e]], 1.0, monkeypatch, [0])
+    _assert_routes(steep, [[800.0, 0.0], [1.0, np.e]], 1.0, monkeypatch, [0])
     assert steep.distances([[1.0, np.e]], 1.0)[0][0] == abs(np.e - np.exp(1.0))
     # a height the chart cannot evaluate is projected alone: (0.5, 2.0) on
     # 1/x settles at 0, and the projection of (0, 1) raises
     pole = Submanifold.graph(["x"], [[-1.0, 1.0]], ["1/x"])
-    _assert_settles(pole, [[0.0, 1.0], [0.5, 2.0]], 1.0, monkeypatch, [0])
+    _assert_routes(pole, [[0.0, 1.0], [0.5, 2.0]], 1.0, monkeypatch, [0])
     assert pole.distances([[0.5, 2.0]], 1.0)[0][0] == 0.0
     with pytest.raises(ex.DomainError):
         pole.distances([[0.0, 1.0], [0.5, 2.0]], 1.0)
-    # a vertical distance just above `settle` is projected, in the box or not
-    _assert_settles(hp, P, 0.25 - 1e-12, monkeypatch, np.arange(6))
+    # a vertical distance just above `settle`, in the box or not: every row
+    # lies within hp's reach bound 0.707 and descends to a certified foot,
+    # and none is projected
+    certified, _ = _assert_routes(hp, P, 0.25 - 1e-12, monkeypatch, [])
+    assert np.all(certified)
+
+
+def test_distances_certify_only_within_the_reach_bound(monkeypatch):
+    # the sphere cap's reach bound R is 0.253: points 0.2, 0.3 and R above
+    # the pole descend to it, and only the one within the bound is
+    # certified, as is one about 0.19 off the cap elsewhere. Rows whose
+    # descent does not converge are projected: here every second row's
+    # descent is read unconverged
+    M = corpus.load("sphere").manifold
+    R = M.reach_bound()
+    P = np.array([[0.0, 0.0, 1.2], [0.0, 0.0, 1.3], [0.0, 0.0, 1.0 + R],
+                  [0.1, 0.2, 1.2 * np.sqrt(0.95)]])
+    certified, _ = _assert_routes(M, P, 0.0, monkeypatch, [1, 2])
+    assert np.array_equal(certified, [True, False, False, True])
+    descend = Submanifold._descend
+
+    def unconverged(self, X, Q):
+        X, conv, C = descend(self, X, Q)
+        conv[::2] = False
+        return X, conv, C
+
+    monkeypatch.setattr(Submanifold, "_descend", unconverged)
+    _assert_routes(M, P, 0.0, monkeypatch, [0, 1, 2])
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1e3])
+@pytest.mark.parametrize("name", ["sphere", "cubic_graph"])
+def test_distances_certify_under_rescaling(name, lam, monkeypatch):
+    # the scene scaled by lam, heights lam h(x / lam) over lam times the
+    # box, and a seeded cloud scaled with it: the reach bound scales by lam
+    # (up to rounding), and all 150 rows beyond `settle` are certified,
+    # each eligible exactly where projection counts it
+    raw = corpus.load(name).manifold
+    h = {"sphere": "sqrt(1 - (x/L)^2 - (y/L)^2)", "cubic_graph": "(x/L)^2 - (y/L)^3"}[name]
+    M = Submanifold.graph(["x", "y"], lam * raw.box, [f"L*({h})".replace("L", repr(lam))])
+    assert M.reach_bound() == pytest.approx(lam * raw.reach_bound(), rel=1e-12)
+    rng = np.random.default_rng(3)
+    X = rng.uniform(M.box[:, 0], M.box[:, 1], size=(300, 2))
+    P = M.embed_many(X) + lam * rng.normal(scale=0.05, size=(300, 3))
+    vertical = _vertical(M, P)
+    settle = float(np.median(vertical))
+    edge = M._on_edge(P[:, :2]) & (vertical <= settle)
+    certified, projected = _assert_routes(M, P, settle, monkeypatch, None, edge)
+    assert np.count_nonzero(certified) == 150 and not np.any(projected)
 
 
 def test_distances_follow_a_parametric_chart(monkeypatch):
@@ -272,7 +355,9 @@ def test_distances_follow_a_parametric_chart(monkeypatch):
     X[:4, 1] = [1.2, -1.0 - 1e-3, 1.0 - 1e-10, -1.0]
     P = cylinder.embed_many(X)
     start = X + rng.uniform(-0.05, 0.05, size=X.shape)
-    distance, eligible, calls = _distances_stubbed(cylinder, P, 1e-12, monkeypatch, start)
+    distance, eligible, calls, descents = _distances_stubbed(cylinder, P, 1e-12, monkeypatch,
+                                                             start)
+    assert descents == []
     assert len(calls) == 1 and np.array_equal(calls[0], P[:4])
     assert np.all(distance[4:] <= 1e-15) and np.all(eligible[4:])
     U, residual = cylinder._follow(P, start)

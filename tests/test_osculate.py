@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from osclab import contact, corpus, osculate, sweep
+from osclab import contact, corpus, manifold, osculate, sweep
 from osclab import expr as ex
 from osclab.contact import (
     PolyCurve,
@@ -16,14 +16,19 @@ from osclab.osculate import (
     RULED_PARAMS,
     fit_class_k_curve,
     osculating_directions,
-    RuledWitness,
     ruledness_check,
     ruledness_points,
 )
 from osclab.config import geometric_grid
 from osclab.scene import build_scene
 from osclab.sweep import SweepFamily
-from oracles import ruledness_by_projection, sequential_class_k_fit
+from oracles import (
+    CERTIFIED_ULPS,
+    assert_certified_like_projection,
+    rows_in,
+    ruledness_by_projection,
+    sequential_class_k_fit,
+)
 
 
 def _chart_set(dirs):
@@ -587,44 +592,62 @@ def _ruledness_projected(M, curve_provider, span, monkeypatch, **kwargs):
         return ruledness_check(M, curve_provider, span, **kwargs), queries
 
 
+#: the rows Submanifold.distances certifies by the reach bound among each
+#: scene's ruledness rows (of 576, 192 on segment), at its own span and at 2
+CERTIFIED = {("sphere", None): 534, ("sphere", 2.0): 168, ("cubic_graph", None): 407,
+             ("cubic_graph", 2.0): 115, ("segment", None): 192}
+
+
 @pytest.mark.parametrize("name, span", [(n, None) for n in GRAPHS] + [
-    (n, 2.0) for n in ("plane", "hyperbolic_paraboloid", "saddle", "paraboloid")]
+    (n, 2.0) for n in ("plane", "hyperbolic_paraboloid", "saddle", "paraboloid",
+                       "sphere", "cubic_graph")]
     + [("cylinder", None), ("cylinder", 2.0), ("circle_rotation", 2.0),
        ("ruled_3fold", None)])
-def test_ruledness_by_bound_matches_projection(name, span, monkeypatch):
+def test_ruledness_by_bound_matches_projection(name, span, routes):
     # following the chart counts a sample only where projection counts it:
     # same verdict, counts and witness as projecting every sample. Span 2
     # sends the curves out of the box: a graph's samples there within the
-    # tolerance are excluded unprojected, the rest are projected, and a
-    # parametric chart projects every sample it does not settle in the box
+    # tolerance are excluded unprojected, the rest are certified or
+    # projected, and a parametric chart projects every sample it does not
+    # settle in the box
     scene = _scene(name)
     M, p = scene.manifold, scene.params
     span = p.span if span is None else span
     kwargs = dict(tube=min(M.half_side, M.reach_bound()), probe=M.tube_radius,
                   samples_per_axis=p.samples, margin=p.margin, tol=p.tol)
-    got, queries = _ruledness_projected(M, scene.family.curve_at, span, monkeypatch,
-                                        **kwargs)
+    got = ruledness_check(M, scene.family.curve_at, span, **kwargs)
+    route = routes[0]
     # Submanifold.distances: settled rows read the follower's residual, on a
     # graph the vertical distance |p_N - h(p_T)|, and are eligible in the
-    # box off its edge band; the others read project_batch of those rows
-    # alone, in the one call the spy sees
+    # box off its edge band. A graph's other rows descend once, from their
+    # vertical foot where the reach bound is positive; those it certifies
+    # read the descent's distance, and the rest read project_batch of those
+    # rows alone, in one call
     X, _, pts = ruledness_points(M, scene.family.curve_at, span, p.samples, p.margin)
     distance, eligible = M.distances(pts, got.tolerance, np.repeat(X, RULED_PARAMS, axis=0))
-    projected = np.zeros(len(pts), dtype=bool)
-    for q in queries:
-        projected |= np.all(pts[:, None] == q[None], axis=-1).any(axis=1)
-    assert len(queries) == int(np.any(projected))
-    assert not queries or np.array_equal(queries[0], pts[projected])
+    descended, projected = rows_in(pts, route["descended"]), rows_in(pts, route["projected"])
+    assert len(route["projected"]) == int(np.any(projected))
+    assert not route["projected"] or np.array_equal(route["projected"][0], pts[projected])
+    assert len(route["descended"]) == int(np.any(descended))
+    assert not route["descended"] or np.array_equal(route["descended"][0], pts[descended])
+    certified = descended & ~projected
+    assert np.count_nonzero(certified) == CERTIFIED.get((name, None if span == p.span else span), 0)
     if M.kind == "graph":
         with np.errstate(invalid="ignore"):
-            vertical = np.linalg.norm(pts[:, M.m:] - M.embed_many(pts[:, :M.m])[:, M.m:],
-                                      axis=1)
-        assert np.array_equal(projected, ~(vertical <= got.tolerance))
-        assert np.array_equal(distance[~projected], vertical[~projected])
-        assert np.array_equal(eligible[~projected], ~M._on_edge(pts[~projected, :M.m]))
+            C = manifold._where_defined(M.embed_many, pts[:, :M.m])
+            vertical = np.linalg.norm(pts[:, M.m:] - C[:, M.m:], axis=1)
+        beyond = ~(vertical <= got.tolerance)
+        assert np.array_equal(descended, beyond & (M.reach_bound() > 0.0))
+        assert np.array_equal(projected, beyond & ~certified)
+        assert np.array_equal(distance[~beyond], vertical[~beyond])
+        assert np.array_equal(eligible[~beyond], ~M._on_edge(pts[~beyond, :M.m]))
+        if np.any(certified):
+            assert_certified_like_projection(M, pts[certified], distance[certified],
+                                             eligible[certified])
     else:
         # a parametric chart settles only the samples it keeps eligible,
         # each at a distance to a point of M within the tolerance
+        assert not np.any(descended)
         assert np.all(eligible[~projected] & (distance[~projected] <= got.tolerance))
         d = M.project_batch(pts[~projected]).distance
         assert np.all(distance[~projected] >= d - PROJECT_DIST_TOL * (1.0 + d))
@@ -639,9 +662,14 @@ def test_ruledness_by_bound_matches_projection(name, span, monkeypatch):
             == [r["counted"] for r in want.per_sample])
     assert (got.witness is None) == (want.verdict != "NOT_CONTAINED")
     if want.verdict == "NOT_CONTAINED":
-        assert got.max_distance == want.max_distance
-        for f in RuledWitness._fields:
+        # the same witness; a certified one reads its distance to rounding
+        for f in ("chart", "s", "point"):
             assert np.array_equal(getattr(got.witness, f), getattr(want.witness, f)), f
+        slack = CERTIFIED_ULPS * np.finfo(float).eps * (1.0 + np.linalg.norm(got.witness.point))
+        assert abs(got.max_distance - want.max_distance) <= slack
+        assert got.witness.distance == got.max_distance
+        if not np.any(certified & np.all(pts == got.witness.point, axis=1)):
+            assert got.max_distance == want.max_distance
 
 
 def test_ruledness_projects_only_the_rows_the_bound_leaves(monkeypatch):
