@@ -373,8 +373,7 @@ def _side_monotone(vals: np.ndarray, tol_abs: float) -> bool:
     return True
 
 
-def monotone_window(curve, M: Submanifold, eps_max: float = 0.5,
-                    tol=_TOL) -> float:
+def monotone_window(curve, M: Submanifold, eps_max: float = 0.5) -> float:
     """Largest grid-certified eps such that every coordinate of the nearest
     point of gamma(t) minus gamma(t) is monotone on (0,eps) and (-eps,0),
     certified on 64 samples per side."""

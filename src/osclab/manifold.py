@@ -79,8 +79,9 @@ NoConvergence is raised only when the radius is needed.
 A point p near M mostly needs no projection: distances follows the chart
 from the caller's chart point (predictor-corrector continuation, Allgower
 & Georg 1990), with u = p_T and no iteration on a graph, whose residual is
-the vertical distance |p_N - h(p_T)|, and Gauss-Newton on c(u) = p on a
-parametric chart. A graph point the follower leaves beyond its threshold
+the vertical distance |p_N - h(p_T)|, and gauss_newton, the corrector the
+flow step shares, on c(u) = p on a parametric chart. A graph point the
+follower leaves beyond its threshold
 runs one projected-Newton descent from its vertical foot; a foot found
 nearer than reach_bound is the unique nearest point (Federer 1959, Thm
 4.8(12)), so the point reads its distance with no seed grid. Only the
@@ -120,9 +121,8 @@ SEEDS_PER_AXIS = 9
 #: then bounded whatever the query count. No m <= 2 call of the corpus is
 #: split; at m = 3 a chunk is 179 queries of 729 seeds
 PROJECT_CHUNK_ROWS = 2**17
-#: Submanifold.distances follows a parametric chart for at most this many
-#: Gauss-Newton steps per point
-FOLLOW_MAX_ITER = 8
+#: gauss_newton takes at most this many steps per row
+GAUSS_NEWTON_MAX_ITER = 4
 #: Submanifold.distances certifies a descended graph foot as the nearest
 #: point when its distance lies below reach_bound less this relative margin,
 #: a few ulps for the plain-float norms and reciprocal around the bound's
@@ -188,6 +188,43 @@ def _interval_norm(exprs, env) -> np.ndarray:
 def _tie(d):
     """d plus one tie slack: distances up to this tie with d."""
     return d + PROJECT_DIST_TOL * (1.0 + d)
+
+
+def gauss_newton_step(J, r) -> np.ndarray:
+    """The step delta (..., m) with J delta nearest r, for J (..., n, m) and
+    r (..., n): one exterior.solve of J^T J delta = J^T r. A rank-deficient
+    J gives a zero, huge or infinite step (solve's guard), no error."""
+    return solve(np.einsum("...ni,...nj->...ij", J, J), np.einsum("...nm,...n->...m", J, r))
+
+
+def gauss_newton(evaluate, U, target) -> tuple:
+    """(U, C, F, residual): Gauss-Newton on c(u) = target (q, n) from the
+    rows of U (q, m), where evaluate(V, rows) gives c(V) and a frame F whose
+    first m columns are Dc(V) at the points V of those rows. A row takes
+    gauss_newton_step while its residual |target - c(u)| halves, at most
+    GAUSS_NEWTON_MAX_ITER times, and stops at 0 or a residual that is not
+    finite. It keeps its best iterate, with c, F and the residual there: a
+    start at a root is evaluated once, and a row whose step cuts nothing
+    (Dc of rank below m, a chart at NaN) keeps its start."""
+    U = np.array(U, dtype=float)
+    m = U.shape[1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        C, F = evaluate(U, np.arange(len(U)))
+        residual = np.linalg.norm(target - C, axis=1)
+        live = np.flatnonzero(np.isfinite(residual) & (residual > 0))
+        for _ in range(GAUSS_NEWTON_MAX_ITER):
+            if live.size == 0:
+                break
+            Un = U[live] + gauss_newton_step(F[live, :, :m], target[live] - C[live])
+            Cn, Fn = evaluate(Un, live)
+            rn = np.linalg.norm(target[live] - Cn, axis=1)
+            better = rn < residual[live]
+            halved = (rn <= 0.5 * residual[live]) & (rn > 0)
+            kept = live[better]
+            U[kept], C[kept], F[kept] = Un[better], Cn[better], Fn[better]
+            residual[kept] = rn[better]
+            live = live[halved]
+    return U, C, F, residual
 
 
 def _where_defined(fn, X):
@@ -499,10 +536,7 @@ class Submanifold:
         screen = self._seed_screen()
         d_centre = np.linalg.norm(P[:, None, :] - screen.centres[None], axis=-1)
         i = np.argmin(d_centre, axis=1)
-        J = screen.jac[i]
-        x = np.clip(screen.seeds[i]
-                    + solve(np.einsum("qni,qnj->qij", J, J),
-                            np.einsum("qnm,qn->qm", J, P - screen.centres[i])),
+        x = np.clip(screen.seeds[i] + gauss_newton_step(screen.jac[i], P - screen.centres[i]),
                     self.box[:, 0], self.box[:, 1])
         with np.errstate(invalid="ignore", over="ignore"):
             d_foot = np.linalg.norm(P - _where_defined(self.embed_many, x), axis=1)
@@ -588,48 +622,14 @@ class Submanifold:
             on_boundary=self._on_edge(chart),
         )
 
-    def _follow(self, P, start) -> tuple:
-        """(U, residual): a chart point u (q, m) for each point p of P
-        (q, n) and |p - c(u)|. A graph takes u = p_T, whose residual is the
-        vertical distance |p_N - h(p_T)|. A parametric chart runs
-        Gauss-Newton on c(u) = p from `start` (m,) or (q, m), each step one
-        exterior.solve of the m x m normal equations as in sweep._correct,
-        until the residual stops halving, reaches 0 or is not finite, or for
-        FOLLOW_MAX_ITER steps, and keeps its best iterate; with no start it
-        reads NaN. A point where the chart leaves its domain reads NaN."""
-        if self.kind == "graph":
-            U = P[:, :self.m]
-        elif start is None:
-            return np.full((len(P), self.m), np.nan), np.full(len(P), np.nan)
-        else:
-            U = np.array(np.broadcast_to(start, (len(P), self.m)), dtype=float)
-        with np.errstate(invalid="ignore", over="ignore"):
-            C = _where_defined(self.embed_many, U)
-            residual = np.linalg.norm(P - C, axis=1)
-            if self.kind == "graph":
-                return U, residual
-            live = np.flatnonzero(residual > 0)
-            for _ in range(FOLLOW_MAX_ITER):
-                if live.size == 0:
-                    break
-                J = _where_defined(self.jacobian_many, U[live])
-                Un = U[live] + solve(np.einsum("qni,qnj->qij", J, J),
-                                     np.einsum("qnm,qn->qm", J, P[live] - C[live]))
-                Cn = _where_defined(self.embed_many, Un)
-                rn = np.linalg.norm(P[live] - Cn, axis=1)
-                better = rn < residual[live]
-                halved = (rn <= 0.5 * residual[live]) & (rn > 0)
-                kept = live[better]
-                U[kept], C[kept], residual[kept] = Un[better], Cn[better], rn[better]
-                live = live[halved]
-        return U, residual
-
     def distances(self, P, settle: float, start=None) -> tuple:
         """(distance, eligible), both (q,), for the points P (q, n), with
         `start` the chart points (m,) or (q, m) that a parametric chart
         follows from, or None.
 
-        Each point is followed on the chart (_follow). Where the residual
+        Each point p is followed to a chart point u: p_T on a graph, whose
+        residual |p - c(u)| is the vertical distance, and gauss_newton from
+        `start` on a parametric chart (NaN with no start). Where the residual
         is at most `settle` and u lies in the box off the edge band that
         project_batch flags on_boundary (`_on_edge`), the point reads the
         residual, its distance to the point c(u) of M, and is eligible: an
@@ -655,7 +655,17 @@ class Submanifold:
         chart's unsettled points, its points that converge off the box
         among them, since such a chart may wrap (a circle's angle)."""
         P = np.atleast_2d(np.asarray(P, dtype=float))
-        U, distance = self._follow(P, start)
+        if self.kind == "graph":
+            U = P[:, :self.m]
+            with np.errstate(invalid="ignore", over="ignore"):
+                distance = np.linalg.norm(P - _where_defined(self.embed_many, U), axis=1)
+        elif start is None:
+            U, distance = np.full((len(P), self.m), np.nan), np.full(len(P), np.nan)
+        else:
+            U, _, _, distance = gauss_newton(
+                lambda V, rows: (_where_defined(self.embed_many, V),
+                                 _where_defined(self.jacobian_many, V)),
+                np.broadcast_to(start, (len(P), self.m)), P)
         settled = distance <= settle  # NaN settles no row
         eligible = settled & ~self._on_edge(U)
         rest = np.flatnonzero(~settled if self.kind == "graph" else ~eligible)

@@ -34,13 +34,12 @@ of swept_volume, which itself never reads the certificate.
 
 The flow check finds the chart path u(t) with phi_t(u(t)) = phi_0(x), the
 flow of -Y_t wherever D(phi_t) has rank m, as a root at each of
-FLOW_CHECKPOINTS checkpoints per time direction: FLOW_CORRECTIONS
-Gauss-Newton corrections, warm-started from the previous checkpoint, each
-one frame_many call and one exterior.solve on the m x m normal equations.
-Every start runs in both directions as one batch. At t = 0 and at each
-checkpoint a rank certificate reads the distance of dt phi_t to the span of
-D(phi_t), a ratio of two frame_norms, against RANK_FLOOR |dt phi_t|; the
-drift and the box exit are read at the checkpoints. A start outside the
+FLOW_CHECKPOINTS checkpoints per time direction by manifold.gauss_newton,
+warm-started from the previous checkpoint. Every start runs in both
+directions as one batch. At t = 0 and at each checkpoint a rank
+certificate reads the distance of dt phi_t to the span of D(phi_t), a
+ratio of two frame_norms, against RANK_FLOOR |dt phi_t|; the drift and
+the box exit are read at the checkpoints. A start outside the
 box, a failed certificate or an exit from the box ends only that
 trajectory and is returned in its FlowReport.error.
 """
@@ -55,10 +54,9 @@ import numpy as np
 from . import expr as ex
 from .config import QuadConfig, Tolerances, composite_gauss, geometric_grid
 from .contact import ExprCurve, PolyCurve
-from .exterior import (RANK_FLOOR, frame_norm, frame_ratio, index_combinations, solve,
-                       wedge_ring)
+from .exterior import RANK_FLOOR, frame_norm, frame_ratio, index_combinations, wedge_ring
 from .jets import Jet, default_degree, jet_eval_expr
-from .manifold import OutOfDomain, Submanifold
+from .manifold import OutOfDomain, Submanifold, gauss_newton, gauss_newton_step
 
 _TOL = Tolerances()
 
@@ -598,30 +596,13 @@ class FlowReport(NamedTuple):
     steps: int              # checkpoints reached
     max_drift: float        # largest |phi_t(u) - phi_0(x)| at a checkpoint
     max_residual: float     # largest dist(dt phi_t, span D phi_t) certified
-    error_estimate: float   # largest |D phi_t delta| of a last correction
+    error_estimate: float   # largest |D phi_t delta| of a next step at a checkpoint
     passed: bool
     error: SweepError | OutOfDomain | None = None
 
 
 #: checkpoints per time direction: the path is found at t = +-j t_span / this
 FLOW_CHECKPOINTS = 8
-#: Gauss-Newton corrections per checkpoint
-FLOW_CORRECTIONS = 4
-
-
-def _correct(family: SweepFamily, U: np.ndarray, T: np.ndarray, anchor: np.ndarray):
-    """FLOW_CORRECTIONS Gauss-Newton corrections of phi_T(u) = anchor from
-    the chart points U (N, m) at the times T (N,), each one point_many, one
-    frame_many and one exterior.solve on the m x m normal equations. Returns
-    the corrected points and the ambient size |D phi_t delta| of the last
-    correction of each."""
-    m = family.M.m
-    for _ in range(FLOW_CORRECTIONS):
-        J = family.frame_many(U, T)[:, :, :m]
-        r = anchor - family.point_many(U, T)
-        delta = solve(np.einsum("qni,qnj->qij", J, J), np.einsum("qnm,qn->qm", J, r))
-        U = U + delta
-    return U, np.linalg.norm(np.einsum("qnm,qm->qn", J, delta), axis=1)
 
 
 def tangency_flow_check(family: SweepFamily, starts, t_span: float,
@@ -631,20 +612,23 @@ def tangency_flow_check(family: SweepFamily, starts, t_span: float,
     x in each time direction, and track the drift of phi_t along it. Where
     D(phi_t) has rank m that path is the flow of -Y_t (D(phi_t) Y_t =
     dt(phi_t)), by the implicit function theorem, so it is found as a root
-    at each checkpoint t_j = +-j t_span / FLOW_CHECKPOINTS: _correct runs
-    from u_(j-1), with no integration between checkpoints.
+    at each checkpoint t_j = +-j t_span / FLOW_CHECKPOINTS: gauss_newton
+    runs from u_(j-1), with no integration between checkpoints, and keeps
+    its best iterate u_j.
 
     All starts, shape (L, m), and both directions run as one batch. The rank
     certificate is read at t = 0 and at every checkpoint: the distance of
     dt(phi_t) to the span of D(phi_t), frame_norm of the whole frame over
     frame_norm of its chart columns, must be at most RANK_FLOOR |dt(phi_t)|
-    (0 <= 0 where dt(phi_t) = 0). A checkpoint then checks the box exit and
-    the drift |phi_(t_j)(u_j) - phi_0(x)| before its certificate.
+    (0 <= 0 where dt(phi_t) = 0), and a D(phi_t) of rank below m fails it.
+    A checkpoint checks the box exit, then the drift |phi_(t_j)(u_j) -
+    phi_0(x)| and the certificate, both read from the corrector's
+    evaluation at u_j.
 
     FlowReport.steps is the larger count of checkpoints reached in the two
     directions, max_residual the largest distance certified, and
-    error_estimate the largest ambient size |D phi_t delta| of a
-    checkpoint's last correction; passed needs max_drift + error_estimate
+    error_estimate the largest |D phi_t delta|, delta the step the corrector
+    would take next from u_j; passed needs max_drift + error_estimate
     <= tol.flow_drift. A start outside the box, a failed rank certificate
     (FlowRankError) or an exit from the box (FlowExitError) ends only its
     own trajectory and is returned as that start's FlowReport.error, the +t
@@ -678,8 +662,7 @@ def tangency_flow_check(family: SweepFamily, starts, t_span: float,
     for r in np.nonzero(~inside)[0]:
         errors[r] = OutOfDomain(f"flow start {starts[r].tolist()} outside the chart box")
 
-    def certify(rows, t):
-        frame = family.frame_many(U[rows], t)
+    def certify(rows, t, frame):
         with np.errstate(divide="ignore", invalid="ignore"):
             res = frame_norm(frame) / frame_norm(frame[:, :, : M.m])
         resid[rows] = np.maximum(resid[rows], res)
@@ -689,22 +672,26 @@ def tangency_flow_check(family: SweepFamily, starts, t_span: float,
                                       f"residual {d:.3e} at t={tr:.4g}")
 
     live = np.nonzero(np.tile(inside, 2))[0]
-    certify(live, np.zeros(live.size))
+    certify(live, np.zeros(live.size), family.frame_many(U[live], np.zeros(live.size)))
     for j in range(1, FLOW_CHECKPOINTS + 1):
         live = np.array([r for r in live if errors[r] is None], dtype=int)
         if not live.size:
             break
         t = T_end[live] * j / FLOW_CHECKPOINTS
-        U[live], size = _correct(family, U[live], t, anchor[live])
+        U[live], C, F, gap = gauss_newton(
+            lambda V, rows: (family.point_many(V, t[rows]), family.frame_many(V, t[rows])),
+            U[live], anchor[live])
+        J = F[:, :, : M.m]
+        with np.errstate(invalid="ignore", over="ignore"):
+            size = np.linalg.norm(
+                np.einsum("qnm,qm->qn", J, gauss_newton_step(J, anchor[live] - C)), axis=1)
         estimate[live] = np.maximum(estimate[live], size)
         reached[live] = j
         exited = ~M.in_box_many(U[live], tol=1e-9)
         for r, tr in zip(live[exited], t[exited]):
             errors[r] = FlowExitError(f"flow left the chart box at t={tr:.4g}")
-        live, t = live[~exited], t[~exited]
-        gap = np.linalg.norm(family.point_many(U[live], t) - anchor[live], axis=1)
-        drift[live] = np.maximum(drift[live], gap)
-        certify(live, t)
+        drift[live[~exited]] = np.maximum(drift[live[~exited]], gap[~exited])
+        certify(live[~exited], t[~exited], F[~exited])
 
     reports = []
     for r in range(L):

@@ -4,6 +4,7 @@ import pytest
 from osclab import corpus, manifold
 from osclab import expr as ex
 from osclab.manifold import (
+    GAUSS_NEWTON_MAX_ITER,
     PROJECT_DIST_TOL,
     PROJECT_FOOT_TOL,
     AmbiguousProjection,
@@ -11,6 +12,8 @@ from osclab.manifold import (
     ImmersionError,
     OutOfDomain,
     Submanifold,
+    _where_defined,
+    gauss_newton,
 )
 from osclab.osculate import ruledness_points
 from osclab.scene import build_scene
@@ -360,7 +363,7 @@ def test_distances_follow_a_parametric_chart(monkeypatch):
     assert descents == []
     assert len(calls) == 1 and np.array_equal(calls[0], P[:4])
     assert np.all(distance[4:] <= 1e-15) and np.all(eligible[4:])
-    U, residual = cylinder._follow(P, start)
+    U, _, _, residual = gauss_newton(_chart(cylinder), start, P)
     assert np.allclose(U, X, atol=1e-12) and np.array_equal(residual[4:], distance[4:])
     # a start on the point's own chart point takes no step
     assert np.array_equal(cylinder.distances(P[4:], 0.0, X[4:])[0], np.zeros(36))
@@ -370,23 +373,101 @@ def test_distances_follow_a_parametric_chart(monkeypatch):
     assert np.array_equal(eligible, b.converged & ~b.ambiguous & ~b.on_boundary)
 
 
-def test_follow_keeps_its_best_iterate():
+def _chart(M, log=None):
+    """gauss_newton's evaluate for c(u) = p on the chart of M, as distances
+    runs it; each call's rows and embedding go to `log` when given."""
+    def evaluate(V, rows):
+        C = _where_defined(M.embed_many, V)
+        if log is not None:
+            log.append((rows, C.copy()))
+        return C, _where_defined(M.jacobian_many, V)
+    return evaluate
+
+
+def test_gauss_newton_takes_no_step_from_a_root():
+    # cylinder points from their own chart points: one evaluation, no step;
+    # in a batch with rows that do step, the roots are never evaluated again
+    cylinder = corpus.load("cylinder").manifold
+    X = np.random.default_rng(2).uniform(-0.9, 0.9, size=(6, 2))
+    P = cylinder.embed_many(X)
+    log = []
+    U, C, F, residual = gauss_newton(_chart(cylinder, log), X, P)
+    assert len(log) == 1 and np.array_equal(U, X) and np.all(residual == 0.0)
+    assert np.array_equal(C, P) and np.array_equal(F, cylinder.jacobian_many(X))
+    start = X.copy()
+    start[3:] += 0.05
+    log = []
+    U, _, _, residual = gauss_newton(_chart(cylinder, log), start, P)
+    assert np.array_equal(U[:3], X[:3]) and np.all(residual[:3] == 0.0)
+    assert 1 < len(log) <= 1 + GAUSS_NEWTON_MAX_ITER
+    assert all(np.all(rows >= 3) for rows, _ in log[1:])
+    assert np.allclose(U, X, rtol=0, atol=1e-12)
+
+
+def test_gauss_newton_keeps_its_best_iterate():
     # the circle's angle from the far side: a Gauss-Newton step from
     # u = x + 3 cuts the residual by less than half, so the row stops after
-    # it and keeps that lower residual, far from 0; from x + 0.3 it
-    # converges. A row whose chart is undefined, or has no start, reads NaN
+    # it and keeps that lower residual, far from 0; the residual returned is
+    # the least over every iterate the row was evaluated at. From x + 0.3
+    # the rows converge
     circle = corpus.load("circle").manifold
     x = np.array([1.0, 2.0, 3.0])
     P = circle.embed_many(x[:, None])
-    U, residual = circle._follow(P, (x + 3.0)[:, None])
-    start = np.linalg.norm(P - circle.embed_many((x + 3.0)[:, None]), axis=1)
-    assert np.all(residual < start) and np.all(residual > 0.1)
-    near, r = circle._follow(P, (x + 0.3)[:, None])
+    log = []
+    U, C, _, residual = gauss_newton(_chart(circle, log), (x + 3.0)[:, None], P)
+    seen = [[] for _ in x]
+    for rows, Cs in log:
+        for r, c in zip(rows, Cs):
+            seen[r].append(np.linalg.norm(P[r] - c))
+    assert np.array_equal(residual, [min(d) for d in seen])
+    assert all(len(d) == 2 for d in seen)  # the start and one step
+    assert np.array_equal(C, circle.embed_many(U))
+    assert np.all(residual < [d[0] for d in seen]) and np.all(residual > 0.1)
+    near, _, _, r = gauss_newton(_chart(circle), (x + 0.3)[:, None], P)
     assert np.allclose(near[:, 0], x, atol=1e-15) and np.all(r <= 1e-15)
+    # v^3 = 1 from v = 0.5: the step overshoots to v = 1.67, where the
+    # residual is larger, so the row keeps its start
+    U, C, _, r = gauss_newton(_cubic, [[0.0, 0.5]], np.array([[1.0, 1.0, 0.0]]))
+    assert np.array_equal(U, [[0.0, 0.5]]) and np.array_equal(C, [[0.0, 0.125, 0.0]])
+    assert r[0] == np.hypot(1.0, 0.875)
+
+
+def test_gauss_newton_stops_at_a_non_finite_row(monkeypatch):
+    # the chart 1/u evaluated at u = 0 (NaN), and a target with an inf or a
+    # NaN entry: each row stops at its start with a residual that is not
+    # finite, with no step, error or warning, and the finite row converges
     pole = Submanifold.parametric(["u"], [[0.1, 1.0]], ["u", "1/u"], 2)
-    U, residual = pole._follow(np.array([[0.5, 2.0]]), [[0.0]])
-    assert np.isnan(residual[0])
-    assert np.all(np.isnan(pole._follow(np.array([[0.5, 2.0]]), None)[1]))
+    P = np.array([[0.5, 2.0], [np.inf, 2.0], [np.nan, 2.0], [0.5, 2.0]])
+    start = np.array([[0.0], [0.5], [0.5], [0.45]])
+    log = []
+    U, _, _, residual = gauss_newton(_chart(pole, log), start, P)
+    assert np.array_equal(U[:3], start[:3]) and not np.any(np.isfinite(residual[:3]))
+    assert all(np.array_equal(rows, [3]) for rows, _ in log[1:])
+    assert U[3, 0] == pytest.approx(0.5, abs=1e-15) and residual[3] <= 1e-15
+    # with no start, distances reads NaN for every row and projects it
+    calls = _distances_stubbed(pole, P[[0, 3]], 1.0, monkeypatch)[2]
+    assert len(calls) == 1 and np.array_equal(calls[0], P[[0, 3]])
+
+
+def _cubic(V, rows):
+    """gauss_newton's evaluate for c(u, v) = (u, v^3, 0)."""
+    u, v = V[:, 0], V[:, 1]
+    zero, one = np.zeros_like(u), np.ones_like(u)
+    F = np.stack([np.stack([one, zero], 1), np.stack([zero, 3 * v**2], 1),
+                  np.stack([zero, zero], 1)], axis=1)
+    return np.stack([u, v**3, zero], axis=1), F
+
+
+def test_gauss_newton_keeps_its_start_where_dc_drops_rank():
+    # c(u, v) = (u, v^3, 0): at v = 0 Dc has rank 1, the normal equations
+    # are singular, and the step cuts nothing, so the row keeps its start
+    # and its frame there; from v = 0.9 the same target is reached
+    start = np.array([[0.0, 0.0], [0.0, 0.9]])
+    target = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+    U, C, F, residual = gauss_newton(_cubic, start, target)
+    assert np.array_equal(U[0], start[0]) and residual[0] == np.sqrt(2.0)
+    assert np.array_equal(F[0], [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    assert np.allclose(U[1], [1.0, 1.0], rtol=0, atol=1e-9) and residual[1] < 1e-9
 
 
 @pytest.mark.parametrize("box", [[[-1.0, 1.0], [-1.0, 1.0]], [[0.0, 2.0], [-1.0, 0.5]]])

@@ -10,20 +10,18 @@ from osclab import expr as ex
 from osclab.config import QuadConfig, Tolerances, composite_gauss, geometric_grid
 from osclab.exterior import frame_norm, wedge_ring
 from osclab.jets import Jet, default_degree, jet_eval_expr
-from osclab.manifold import OutOfDomain, Submanifold
+from osclab.manifold import GAUSS_NEWTON_MAX_ITER, OutOfDomain, Submanifold, gauss_newton
 from osclab.sweep import (
     CoefficientDegreeError,
     Cutoff,
     DegenerateReparam,
     FLOW_CHECKPOINTS,
-    FLOW_CORRECTIONS,
     FlowExitError,
     MESH_CHUNK,
     FlowRankError,
     SweepFamily,
     VolumeSample,
     _chart_mesh,
-    _correct,
     _integrate,
     _minor_jets,
     coefficients_csv,
@@ -687,34 +685,49 @@ def test_rigid_rotation_vanishes():
 def test_flow_ruling_matches_closed_form(hp, monkeypatch):
     """hp swept by (1, 0, y) transports the constant field Y = (1, 0), so
     the path is x(t) = x0 - t, y(t) = y0. The frame_many calls are one
-    embedding check, one certificate at t = 0, and per checkpoint
-    FLOW_CORRECTIONS corrections and a certificate at the corrected points,
-    which are then the checkpoints of the path."""
+    embedding check, one certificate at t = 0, and per checkpoint the
+    corrector's evaluations: its first at the previous checkpoint's kept
+    iterates, then one per step, at most GAUSS_NEWTON_MAX_ITER. The kept
+    iterates are the checkpoints of the path, and the certificate reads the
+    corrector's frame at them with no frame_many call of its own."""
     vv = vanishing_verdict(hp.family)
-    calls = []
+    calls, kept = [], []
     frame_many = SweepFamily.frame_many
 
     def counted(self, X, T):
         calls.append((np.array(X), np.array(T)))
         return frame_many(self, X, T)
 
+    def corrector(evaluate, U, target):
+        out = gauss_newton(evaluate, U, target)
+        kept.append((len(calls), *out))
+        return out
+
     monkeypatch.setattr(SweepFamily, "frame_many", counted)
+    monkeypatch.setattr("osclab.sweep.gauss_newton", corrector)
     starts = np.array([[0.0, 0.0], [0.05, -0.1]])
     reports = tangency_flow_check(hp.family, starts, 0.2, verdict=vv)
     monkeypatch.undo()
     for fr in reports:
         assert fr.passed and fr.max_drift <= 1e-15 and fr.error_estimate <= 1e-15
         assert fr.steps == FLOW_CHECKPOINTS and fr.max_residual <= 1e-15
-    per_checkpoint = FLOW_CORRECTIONS + 1
-    assert len(calls) == 2 + FLOW_CHECKPOINTS * per_checkpoint
     assert np.array_equal(calls[1][0], np.concatenate([starts, starts]))
     assert np.array_equal(calls[1][1], np.zeros(4))
-    for j in range(1, FLOW_CHECKPOINTS + 1):
-        X, T = calls[1 + j * per_checkpoint]
+    assert len(kept) == FLOW_CHECKPOINTS and kept[-1][0] == len(calls)
+    first, previous = 2, np.concatenate([starts, starts])
+    for j, (end, U, C, F, residual) in enumerate(kept, 1):
         t = 0.2 * j / FLOW_CHECKPOINTS
-        assert np.allclose(T, [t, t, -t, -t], rtol=0, atol=1e-15)
+        assert 2 <= end - first <= 1 + GAUSS_NEWTON_MAX_ITER, j
+        assert np.array_equal(calls[first][0], previous)
+        for X, T in calls[first:end]:
+            assert np.allclose(np.abs(T), t, rtol=0, atol=1e-15)
         path = np.concatenate([starts - [t, 0.0], starts + [t, 0.0]])
-        assert np.allclose(X, path, rtol=0, atol=1e-15), j
+        assert np.allclose(U, path, rtol=0, atol=1e-15), j
+        T = np.array([t, t, -t, -t])
+        assert np.array_equal(F, frame_many(hp.family, U, T))
+        assert np.array_equal(C, hp.family.point_many(U, T))
+        assert np.all(residual <= 1e-15)
+        first, previous = end, U
 
 
 def test_flow_rigid_rotation():
@@ -853,6 +866,41 @@ def test_flow_mutants_of_the_ruling(field, eps):
             assert 4.0e-13 < fr.max_drift < 4.2e-13 and 4.0e-13 < d < 4.2e-13
 
 
+@pytest.mark.parametrize("peak", [0.9, 1.0])
+def test_flow_fails_where_the_rank_drops_between_grid_times(peak, monkeypatch):
+    """phi_t(x) = (x - peak b(t) E(x), 0) on the segment [-1, 1], with
+    b(t) = 16 t - 64 t^2 and E(x) = (x - 0.3) - (x - 0.3)^3 / 12, so that
+    D(phi_t) = 1 - peak b(t) (1 - (x - 0.3)^2 / 4). At peak 1 it vanishes
+    only at x = 0.3 and t = 1/8, the checkpoint j = 5 of t_span = 0.2,
+    which the embedding precondition's times (multiples of t_span / 4) do
+    not sample, so the precondition passes. phi_t(0.3) = 0.3, so the path
+    from x = 0.3 stays there: each checkpoint starts at its root and the
+    corrector takes no step. At t = 1/8 the frame there is zero, and the
+    certificate reads it as NaN and fails; at peak 0.9 the rank never drops
+    and the same start passes."""
+    M = Submanifold.graph(["x"], [[-1, 1]], ["0"])
+    family = SweepFamily(M, 1, map_exprs=[
+        f"x - {peak!r}*(16*t - 64*t^2)*((x - 0.3) - (x - 0.3)^3/12)", "0"])
+    t_star = 0.2 * 5 / FLOW_CHECKPOINTS
+    assert t_star == 0.125 and np.all(family.frame_many([[0.3]], [t_star]) == 0.0) == (
+        peak == 1.0)
+    calls = []
+    frame_many = SweepFamily.frame_many
+    monkeypatch.setattr(SweepFamily, "frame_many",
+                        lambda self, X, T: calls.append(T) or frame_many(self, X, T))
+    fr = tangency_flow_check(family, [[0.3]], 0.2)[0]
+    monkeypatch.undo()
+    # the precondition, t = 0, and one evaluation per checkpoint, no step
+    assert len(calls) == 2 + FLOW_CHECKPOINTS
+    assert fr.max_drift == 0.0 and fr.steps == FLOW_CHECKPOINTS
+    if peak == 1.0:
+        assert isinstance(fr.error, FlowRankError) and not fr.passed
+        assert str(fr.error) == ("rank certificate failed: least-squares residual nan "
+                                 "at t=0.125")
+    else:
+        assert fr.error is None and fr.passed and fr.max_residual == 0.0
+
+
 def test_flow_checkpoints_match_rk4_oracle(scenes, stretch):
     """The corrector's checkpoints against fixed-step RK4 of -Y_t, both
     directions, from the verify starts of the six confirmed corpus scenes
@@ -872,7 +920,9 @@ def test_flow_checkpoints_match_rk4_oracle(scenes, stretch):
             U = starts
             for j in range(1, FLOW_CHECKPOINTS + 1):
                 T = np.full(len(starts), span * j / FLOW_CHECKPOINTS)
-                U, _ = _correct(family, U, T, anchor)
+                U, *_ = gauss_newton(
+                    lambda V, rows: (family.point_many(V, T[rows]),
+                                     family.frame_many(V, T[rows])), U, anchor)
                 worst = max(worst, float(np.max(np.abs(U - oracle[j - 1]))))
     assert worst <= 1e-12
 
