@@ -64,8 +64,8 @@ class PolyCurve:
     the chart point `chart` of gamma(0), if it lies on a submanifold.
 
     The coefficients may carry leading batch axes, shape (..., degree+1, n):
-    then the curve is a stack of curves, evaluated at a scalar t and turned
-    into batched jets, and the chart point (..., m) broadcasts over it."""
+    then the curve is a stack of curves, turned into batched jets, and the
+    chart point (..., m) broadcasts over it."""
 
     def __init__(self, coeffs, chart=None):
         self.coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
@@ -80,9 +80,11 @@ class PolyCurve:
         return self.coeffs.shape[-1]
 
     def __call__(self, t):
+        """The points (..., *t.shape, n): every curve of the stack at every t."""
         t = np.asarray(t, dtype=float)
         powers = t[..., None, None] ** np.arange(self.degree + 1)[:, None]
-        return np.sum(powers * self.coeffs, axis=-2)
+        coeffs = np.expand_dims(self.coeffs, tuple(range(-2 - t.ndim, -2)))
+        return np.sum(powers * coeffs, axis=-2)
 
     def velocity(self) -> "PolyCurve":
         if self.degree == 0:
@@ -117,8 +119,10 @@ class ExprCurve:
         return len(self.exprs)
 
     def __call__(self, t):
+        """The points (*batch, *t.shape, n): every chart point's curve at every t."""
         t = np.asarray(t, dtype=float)
-        return ex.evaluate_many(self.exprs, {**self.bindings, ex.TIME_VAR: t}, t.shape)
+        env = {v: c.reshape(c.shape + (1,) * t.ndim) for v, c in self.bindings.items()}
+        return ex.evaluate_many(self.exprs, {**env, ex.TIME_VAR: t}, self.batch + t.shape)
 
     def jets(self, degree: int) -> list[Jet]:
         env = {**self.bindings, ex.TIME_VAR: Jet.variable(degree)}

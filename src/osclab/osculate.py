@@ -26,7 +26,7 @@ probed tube radius only where a sample lies beyond both).
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -322,19 +322,19 @@ def ruledness_points(M: Submanifold, curve_provider, span: float,
     """(X, svals, pts): the chart samples M.grid(samples_per_axis, margin),
     the RULED_PARAMS curve parameters evenly over [-span, span], and the
     points (len(X) * RULED_PARAMS, n) of each sample's curve at them, the
-    rows that ruledness_check tests."""
+    rows that ruledness_check tests: curve_provider(X), a curve stack or one
+    curve for every sample, evaluated at all of svals in one call."""
     X = M.grid(samples_per_axis, margin=margin)
     svals = np.linspace(-span, span, RULED_PARAMS)
-    pts = np.concatenate(
-        [np.atleast_2d(curve_provider(x)(svals)) for x in X], axis=0)
-    return X, svals, pts
+    pts = np.broadcast_to(curve_provider(X)(svals), (len(X), RULED_PARAMS, M.n))
+    return X, svals, pts.reshape(-1, M.n)
 
 
 def ruledness_check(M: Submanifold, curve_provider, span: float, *, tube: float,
                     probe: Callable[[], float] | None = None,
                     samples_per_axis: int = 3, margin: float = 0.15,
                     tol=_TOL) -> RuledVerdict:
-    """Max distance of the curves Gamma_x to M over parameters in [-S, S].
+    """Max distance of the curves curve_provider(X) to M over [-span, span].
 
     The distances and their eligibility are M.distances settled at the
     ruled tolerance, each sample followed from its curve's chart point; a
@@ -355,8 +355,7 @@ def ruledness_check(M: Submanifold, curve_provider, span: float, *, tube: float,
     largest of the three. Whatever the probe raises (NoConvergence from the
     search) is raised only then.
     """
-    X, svals, pts = ruledness_points(M, curve_provider, span,
-                                     samples_per_axis, margin)
+    X, svals, pts = ruledness_points(M, curve_provider, span, samples_per_axis, margin)
     scene_scale = float(np.max(np.linalg.norm(M.embed_many(X), axis=1)))
     tolerance = tol.ruled * (1.0 + scene_scale)
     distance, eligible = M.distances(pts, tolerance, np.repeat(X, RULED_PARAMS, axis=0))
@@ -474,7 +473,8 @@ class VerdictReport:
     config: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name; their values are plain data, shared uncopied."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def verify_theorem(scene, seed: int = 0) -> VerdictReport:

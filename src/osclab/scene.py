@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from . import expr as ex
 from .config import QuadConfig, RunParams, Tolerances
@@ -61,8 +61,8 @@ class Scene:
     raw: dict
 
     def config_dict(self) -> dict:
-        config = asdict(self.params)
-        config["tolerances"] = config.pop("tol")
+        config = dict(vars(self.params), quad=dict(vars(self.params.quad)))
+        config["tolerances"] = dict(vars(config.pop("tol")))
         return config
 
 

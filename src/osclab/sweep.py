@@ -613,8 +613,9 @@ def tangency_flow_check(family: SweepFamily, starts, t_span: float,
     D(phi_t) has rank m that path is the flow of -Y_t (D(phi_t) Y_t =
     dt(phi_t)), by the implicit function theorem, so it is found as a root
     at each checkpoint t_j = +-j t_span / FLOW_CHECKPOINTS: gauss_newton
-    runs from u_(j-1), with no integration between checkpoints, and keeps
-    its best iterate u_j.
+    runs from the Euler prediction u_(j-1) - (t_j - t_(j-1)) Y (u_(j-1) if
+    that is not finite), Y = gauss_newton_step of the frame kept at u_(j-1),
+    with no integration between checkpoints, and keeps its best iterate u_j.
 
     All starts, shape (L, m), and both directions run as one batch. The rank
     certificate is read at t = 0 and at every checkpoint: the distance of
@@ -672,15 +673,20 @@ def tangency_flow_check(family: SweepFamily, starts, t_span: float,
                                       f"residual {d:.3e} at t={tr:.4g}")
 
     live = np.nonzero(np.tile(inside, 2))[0]
-    certify(live, np.zeros(live.size), family.frame_many(U[live], np.zeros(live.size)))
+    F = family.frame_many(U[live], np.zeros(live.size))   # the frame at U[live]
+    certify(live, np.zeros(live.size), F)
     for j in range(1, FLOW_CHECKPOINTS + 1):
-        live = np.array([r for r in live if errors[r] is None], dtype=int)
+        going = np.array([errors[r] is None for r in live], dtype=bool)
+        live, F = live[going], F[going]
         if not live.size:
             break
         t = T_end[live] * j / FLOW_CHECKPOINTS
+        Y = gauss_newton_step(F[:, :, : M.m], F[:, :, M.m])   # the path's tangent is -Y
+        guess = U[live] - (T_end[live, None] / FLOW_CHECKPOINTS) * Y
+        guess = np.where(np.isfinite(guess).all(axis=1, keepdims=True), guess, U[live])
         U[live], C, F, gap = gauss_newton(
             lambda V, rows: (family.point_many(V, t[rows]), family.frame_many(V, t[rows])),
-            U[live], anchor[live])
+            guess, anchor[live])
         J = F[:, :, : M.m]
         with np.errstate(invalid="ignore", over="ignore"):
             size = np.linalg.norm(

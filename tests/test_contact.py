@@ -413,6 +413,22 @@ def test_stacked_polycurves_match_one_by_one():
         assert np.all(np.abs(got[index] - want) <= 1e-14 * scale)
 
 
+@pytest.mark.parametrize("name", corpus.names())
+def test_stacked_curves_evaluate_as_their_curves(name):
+    # a family's curve stack at a vector of parameters, (N, S, n), is bit
+    # for bit the loop over its samples' curves, each giving (S, n); at a
+    # scalar parameter the stack gives (N, n)
+    scene = corpus.load(name)
+    X = scene.manifold.grid(scene.params.samples, margin=scene.params.margin)
+    svals = np.linspace(-scene.params.span, scene.params.span, 64)
+    stack = scene.family.curve_at(X)
+    assert isinstance(stack, ExprCurve if name == "circle_rotation" else PolyCurve)
+    got = stack(svals)
+    assert got.shape == (len(X), len(svals), scene.manifold.n)
+    assert np.array_equal(got, np.stack([scene.family.curve_at(x)(svals) for x in X]))
+    assert np.array_equal(stack(svals[5]), got[:, 5])
+
+
 def test_stacked_polycurves_check_every_base_point(paraboloid):
     line = np.array([[0.2, 0.1, 0.05], [1.0, 0.0, 0.4]])
     stack = np.stack([line, line, line])

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from osclab import contact, corpus, manifold, osculate, sweep
+from osclab import cli, contact, corpus, manifold, osculate, sweep
 from osclab import expr as ex
 from osclab.contact import (
     PolyCurve,
@@ -19,7 +20,7 @@ from osclab.osculate import (
     ruledness_check,
     ruledness_points,
 )
-from osclab.config import geometric_grid
+from osclab.config import Tolerances, geometric_grid
 from osclab.scene import build_scene
 from osclab.sweep import SweepFamily
 from oracles import (
@@ -564,6 +565,40 @@ def test_ruled_undecided_when_everything_leaves_tube():
     assert rv.counted == 0
 
 
+def test_ruledness_points_call_the_provider_once():
+    # the provider gets the sample stack once, and its curve stack gives
+    # the rows the per-sample curves give, bit for bit; one curve for every
+    # sample (a constant provider) broadcasts over the samples
+    hp = corpus.load("hyperbolic_paraboloid")
+    M, p = hp.manifold, hp.params
+    stacks = []
+
+    def provider(X):
+        stacks.append(X)
+        return hp.family.curve_at(X)
+
+    X, svals, pts = ruledness_points(M, provider, p.span, p.samples, p.margin)
+    assert len(stacks) == 1 and stacks[0] is X
+    assert pts.shape == (len(X) * RULED_PARAMS, M.n)
+    assert np.array_equal(pts, np.concatenate([hp.family.curve_at(x)(svals) for x in X]))
+    far = PolyCurve([[0.5, 5.0, 0.0], [0.0, 0.0, 1.0]])
+    _, _, pts = ruledness_points(M, lambda x: far, p.span, p.samples, p.margin)
+    assert np.array_equal(pts, np.tile(far(svals), (len(X), 1)))
+
+
+@pytest.mark.parametrize("name, want", [("hyperbolic_paraboloid", "CONTAINED"),
+                                        ("sphere", "NOT_CONTAINED")])
+def test_ruledness_check_takes_the_family_curve_at_positionally(name, want):
+    # the call form of the bench's containment workload: the family's
+    # curve_at as the positional provider and the tube as a keyword
+    scene = corpus.load(name)
+    p = scene.params
+    rv = ruledness_check(scene.manifold, scene.family.curve_at, p.span,
+                         samples_per_axis=p.samples, margin=p.margin,
+                         tube=scene.manifold.tube_radius(), tol=p.tol)
+    assert rv.verdict == want and rv.counted > 0
+
+
 GRAPHS = [n for n in corpus.names() if corpus.load(n).manifold.kind == "graph"]
 #: the ruled 3-fold w = xy + z in R^4, swept along its rulings
 RULED_3FOLD = {"manifold": {"type": "graph", "chart_vars": ["x", "y", "z"],
@@ -725,11 +760,14 @@ def test_ruledness_excludes_a_curve_leaving_m_at_the_box_edge():
     hp = corpus.load("hyperbolic_paraboloid")
     M = hp.manifold
 
-    def provider(x):
+    def provider(x):        # the curves of a stack (..., 2) of samples
+        y = np.asarray(x)[..., 1, None]
+
         def curve(s):
-            u = 1.0 + np.sign(s) * 10.0 ** (-12.0 + 12.0 * np.abs(s))
+            u = np.broadcast_to(1.0 + np.sign(s) * 10.0 ** (-12.0 + 12.0 * np.abs(s)),
+                                y.shape[:-1] + s.shape)
             bend = 10.0 * np.maximum(u - 1.0, 0.0) ** 2
-            return np.column_stack([u, np.full_like(u, x[1]), u * x[1] + bend])
+            return np.stack([u, np.broadcast_to(y, u.shape), u * y + bend], axis=-1)
         return curve
 
     kwargs = dict(tube=min(M.half_side, M.reach_bound()), probe=M.tube_radius)
@@ -858,6 +896,33 @@ def test_verify_reports_carry_finite_window_note(verify_report):
     rep = verify_report("plane")
     assert rep.note == FINITE_WINDOW_NOTE
     assert rep.as_dict()["note"] == FINITE_WINDOW_NOTE
+
+
+def _shallow_and_deep_texts(report):
+    return cli._json_text(report.as_dict()), cli._json_text(dataclasses.asdict(report))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_report_dict_serializes_as_its_deep_copy(scenes, seed):
+    # as_dict shares the report's values instead of copying them, and
+    # serializes as dataclasses.asdict's deep copy does
+    for name in corpus.names():
+        got, want = _shallow_and_deep_texts(osculate.verify_theorem(scenes[name], seed=seed))
+        assert got == want, name
+
+
+def test_report_dict_serializes_as_its_deep_copy_off_the_corpus():
+    data = json.loads(corpus.scene_path("cubic_graph").read_text())
+    del data["family"]
+    data.setdefault("params", {}).update({"k": 1, "samples": 2})
+    family_less = osculate.verify_theorem(build_scene(data, name="cubic_nofam"), seed=0)
+    hp = json.loads(corpus.scene_path("hyperbolic_paraboloid").read_text())
+    strict = osculate.verify_theorem(build_scene(hp, tol=Tolerances(ruled=0.0)), seed=0)
+    assert family_less.first_failure["step"] == "osculation"
+    assert strict.first_failure["step"] == "ruledness"
+    for report in (family_less, strict):
+        got, want = _shallow_and_deep_texts(report)
+        assert got == want
 
 
 def test_soundness_never_confirmed_without_containment(verify_report):

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from osclab import config, corpus
+from osclab import config, corpus, osculate
 from osclab import expr as ex
 from osclab.config import QuadConfig, Tolerances, composite_gauss, geometric_grid
 from osclab.exterior import frame_norm, wedge_ring
 from osclab.jets import Jet, default_degree, jet_eval_expr
-from osclab.manifold import GAUSS_NEWTON_MAX_ITER, OutOfDomain, Submanifold, gauss_newton
+from osclab.manifold import OutOfDomain, Submanifold, gauss_newton, gauss_newton_step
 from osclab.sweep import (
     CoefficientDegreeError,
     Cutoff,
@@ -686,10 +686,12 @@ def test_flow_ruling_matches_closed_form(hp, monkeypatch):
     """hp swept by (1, 0, y) transports the constant field Y = (1, 0), so
     the path is x(t) = x0 - t, y(t) = y0. The frame_many calls are one
     embedding check, one certificate at t = 0, and per checkpoint the
-    corrector's evaluations: its first at the previous checkpoint's kept
-    iterates, then one per step, at most GAUSS_NEWTON_MAX_ITER. The kept
-    iterates are the checkpoints of the path, and the certificate reads the
-    corrector's frame at them with no frame_many call of its own."""
+    corrector's evaluations: its first at the Euler prediction u_(j-1) -
+    (t_j - t_(j-1)) Y, Y = gauss_newton_step of the previous kept frame,
+    then one per step. The path is straight, so the prediction lands on it
+    and at most one step follows. The kept iterates are the checkpoints of
+    the path, and the certificate reads the corrector's frame at them with
+    no frame_many call of its own."""
     vv = vanishing_verdict(hp.family)
     calls, kept = [], []
     frame_many = SweepFamily.frame_many
@@ -715,10 +717,13 @@ def test_flow_ruling_matches_closed_form(hp, monkeypatch):
     assert np.array_equal(calls[1][1], np.zeros(4))
     assert len(kept) == FLOW_CHECKPOINTS and kept[-1][0] == len(calls)
     first, previous = 2, np.concatenate([starts, starts])
+    frame = frame_many(hp.family, *calls[1])
+    dt = np.array([0.2, 0.2, -0.2, -0.2])[:, None] / FLOW_CHECKPOINTS
     for j, (end, U, C, F, residual) in enumerate(kept, 1):
         t = 0.2 * j / FLOW_CHECKPOINTS
-        assert 2 <= end - first <= 1 + GAUSS_NEWTON_MAX_ITER, j
-        assert np.array_equal(calls[first][0], previous)
+        assert 1 <= end - first <= 2, j
+        predicted = previous - dt * gauss_newton_step(frame[:, :, :2], frame[:, :, 2])
+        assert np.array_equal(calls[first][0], predicted)
         for X, T in calls[first:end]:
             assert np.allclose(np.abs(T), t, rtol=0, atol=1e-15)
         path = np.concatenate([starts - [t, 0.0], starts + [t, 0.0]])
@@ -727,7 +732,7 @@ def test_flow_ruling_matches_closed_form(hp, monkeypatch):
         assert np.array_equal(F, frame_many(hp.family, U, T))
         assert np.array_equal(C, hp.family.point_many(U, T))
         assert np.all(residual <= 1e-15)
-        first, previous = end, U
+        first, previous, frame = end, U, F
 
 
 def test_flow_rigid_rotation():
@@ -901,30 +906,69 @@ def test_flow_fails_where_the_rank_drops_between_grid_times(peak, monkeypatch):
         assert fr.error is None and fr.passed and fr.max_residual == 0.0
 
 
-def test_flow_checkpoints_match_rk4_oracle(scenes, stretch):
-    """The corrector's checkpoints against fixed-step RK4 of -Y_t, both
-    directions, from the verify starts of the six confirmed corpus scenes
-    and from three starts of the stretch field."""
-    cases = []
-    for name in _CONFIRMED:
-        scene = scenes[name]
-        X = scene.manifold.grid(scene.params.samples, margin=scene.params.margin)
-        cases.append((scene.family, X[sorted({0, len(X) // 2, len(X) - 1})],
-                      scene.params.tspan))
+def _verify_flow_starts(scene):
+    X = scene.manifold.grid(scene.params.samples, margin=scene.params.margin)
+    return X[sorted({0, len(X) // 2, len(X) - 1})]
+
+
+def test_flow_checkpoints_match_rk4_oracle(scenes, stretch, monkeypatch):
+    """The kept iterates of tangency_flow_check's corrector, from its Euler
+    predictions, against fixed-step RK4 of -Y_t, both directions, from the
+    verify starts of the six confirmed corpus scenes and from three starts
+    of the stretch field."""
+    cases = [(scenes[name].family, _verify_flow_starts(scenes[name]),
+              scenes[name].params.tspan) for name in _CONFIRMED]
     cases.append((stretch, np.array([[0.0, 0.0], [0.3, -0.4], [-0.5, 0.6]]), 0.2))
+    kept = []
+    monkeypatch.setattr("osclab.sweep.gauss_newton",
+                        lambda *args: kept.append(gauss_newton(*args)) or kept[-1])
     worst = 0.0
     for family, starts, t_span in cases:
-        anchor = family.point_many(starts, np.zeros(len(starts)))
-        for span in (t_span, -t_span):
-            oracle = rk4_flow(family, starts, span, checkpoints=FLOW_CHECKPOINTS)
-            U = starts
-            for j in range(1, FLOW_CHECKPOINTS + 1):
-                T = np.full(len(starts), span * j / FLOW_CHECKPOINTS)
-                U, *_ = gauss_newton(
-                    lambda V, rows: (family.point_many(V, T[rows]),
-                                     family.frame_many(V, T[rows])), U, anchor)
-                worst = max(worst, float(np.max(np.abs(U - oracle[j - 1]))))
+        kept.clear()
+        assert all(fr.passed for fr in tangency_flow_check(family, starts, t_span))
+        assert len(kept) == FLOW_CHECKPOINTS
+        oracle = [rk4_flow(family, starts, span, checkpoints=FLOW_CHECKPOINTS)
+                  for span in (t_span, -t_span)]
+        for j, (U, *_) in enumerate(kept):
+            path = np.concatenate([oracle[0][j], oracle[1][j]])
+            worst = max(worst, float(np.max(np.abs(U - path))))
     assert worst <= 1e-12
+
+
+#: flow frame_many calls of each confirmed corpus scene's verify (seed 1):
+#: the embedding check, the certificate at t = 0 and the corrector's
+#: evaluations, which start from an Euler prediction
+_FLOW_FRAME_CALLS = {"plane": 12, "cylinder": 12, "hyperbolic_paraboloid": 17,
+                     "saddle": 12, "paraboloid": 18, "circle_rotation": 16}
+#: the same counts with every checkpoint's corrector run from u_(j-1)
+_FLOW_FRAME_CALLS_UNPREDICTED = {"plane": 18, "cylinder": 18, "hyperbolic_paraboloid": 24,
+                                 "saddle": 19, "paraboloid": 42, "circle_rotation": 28}
+
+
+def test_flow_frame_calls_per_confirmed_scene(scenes, monkeypatch):
+    calls, in_flow, counts = [], [False], {}
+    frame_many = SweepFamily.frame_many
+
+    def counted(self, X, T):
+        calls.append(in_flow[0])
+        return frame_many(self, X, T)
+
+    def flow(*args, **kwargs):
+        in_flow[0] = True
+        try:
+            return tangency_flow_check(*args, **kwargs)
+        finally:
+            in_flow[0] = False
+
+    monkeypatch.setattr(SweepFamily, "frame_many", counted)
+    monkeypatch.setattr(osculate, "tangency_flow_check", flow)
+    for name in _CONFIRMED:
+        calls.clear()
+        report = osculate.verify_theorem(scenes[name], seed=1)
+        assert report.verdict == "THEOREM_CONFIRMED", name
+        counts[name] = sum(calls)
+    assert counts == _FLOW_FRAME_CALLS
+    assert all(counts[name] < _FLOW_FRAME_CALLS_UNPREDICTED[name] for name in _CONFIRMED)
 
 
 @pytest.mark.parametrize("flow_drift", [0.0, 1e-30, 1e-6])
