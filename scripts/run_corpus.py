@@ -21,19 +21,15 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-import json  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 from osclab import corpus  # noqa: E402
+from osclab.cli import _json_text  # noqa: E402
 from osclab.contact import contact_order_metric  # noqa: E402
 from osclab.osculate import growth_record, ruledness_record, verify_theorem  # noqa: E402
 from osclab.sweep import coefficients_csv, vanishing_verdict, volume_csv, volume_series  # noqa: E402
-
-
-def _json(value) -> str:
-    return json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
 def _metric(scene) -> list:
@@ -56,7 +52,7 @@ def main() -> int:
         start = time.perf_counter()
         report = verify_theorem(scene, seed=0)
         elapsed = time.perf_counter() - start
-        (outdir / f"{name}.json").write_text(_json(report.as_dict()))
+        (outdir / f"{name}.json").write_text(_json_text(report.as_dict()))
         if scene.family is not None:
             M, p = scene.manifold, scene.params
             vv = vanishing_verdict(scene.family, p.samples, p.margin, p.tol)
@@ -65,15 +61,15 @@ def main() -> int:
                 volume_csv(volume_series(scene.family, p.t_grid(), p.quad)))
             ruled, rv = ruledness_record(M, scene.family, p)
             ruled["per_sample"] = rv.per_sample
-            (outdir / f"{name}.ruled.json").write_text(_json(ruled))
+            (outdir / f"{name}.ruled.json").write_text(_json_text(ruled))
             (outdir / f"{name}.exponent.json").write_text(
-                _json(growth_record(scene.family, p)))
-            (outdir / f"{name}.metric.json").write_text(_json(_metric(scene)))
+                _json_text(growth_record(scene.family, p)))
+            (outdir / f"{name}.metric.json").write_text(_json_text(_metric(scene)))
         step = "-" if report.first_failure is None else report.first_failure["step"]
         print(f"{name:24s} {report.verdict:18s} {step:12s} {elapsed:6.1f}s")
         summary.append({"scene": name, "verdict": report.verdict,
                         "first_failure": step})
-    (outdir / "summary.json").write_text(_json(summary))
+    (outdir / "summary.json").write_text(_json_text(summary))
     print(f"reports in {outdir}/")
     return 0
 

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from .config import Tolerances
-from .scene import Scene, build_scene
+from .scene import Scene, load_scene
 from .sweep import Cutoff, SweepFamily
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
@@ -40,8 +39,7 @@ def scene_path(name: str) -> Path:
 
 
 def load(name: str, tol: Tolerances | None = None) -> Scene:
-    with open(scene_path(name), "r", encoding="utf-8") as fh:
-        return build_scene(json.load(fh), name=name, tol=tol)
+    return load_scene(scene_path(name), tol)
 
 
 def with_cutoff(scene: Scene, inner: float, outer: float) -> Scene:

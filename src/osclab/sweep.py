@@ -5,9 +5,10 @@ flow-based containment check.
 Every family is held as its map. k fields v_j give the components
 alpha + t v_1 + ... + t^k v_k of the chart map alpha; a general smooth
 motion that is not polynomial in t (e.g. a rigid rotation of a circle) gives
-its components directly. The frame (d1 phi .. dm phi, dt phi) is the map's
-symbolic partials, which points, frames and frame jets in t all read, and a
-cutoff blends floats and jets by the same rule (SweepFamily._cut).
+its components directly. A cutoff chi gives alpha + chi (t v_1 + ... + t^k
+v_k), chi and its chart partials d_i chi being leaves that _env binds. The
+frame (d1 phi .. dm phi, dt phi) is the map's symbolic partials, by the chain
+rule through chi, which points, frames, curves and frame jets in t all read.
 
 The volume of a sweep restricted to box x (-t, t) is the tensor-product
 Gauss-Legendre integral of the norm of the wedge of the frame. For field
@@ -24,13 +25,13 @@ vanishes identically. An independent Vandermonde sampling route is kept
 alongside as a cross-check oracle.
 
 Before any quadrature, volume_series asks frame_minors_vanish for an exact
-certificate: the frame evaluated over expr.EXACT, with the chart variables
-and t as free generators and sin, cos and exp as atoms, and its minors
-taken by the same wedge_ring. When every minor is the zero polynomial the
-volume element is zero at every (x, t), so every sample is an exact 0.0
-with error 0.0. A nonzero minor, a cutoff, or a frame the ring cannot hold
-(a sqrt, a quotient by a non-constant) leaves the series to the quadrature
-of swept_volume, which itself never reads the certificate.
+certificate: the frame evaluated over expr.EXACT, with the chart variables,
+t and a cutoff's leaves as free generators and sin, cos and exp as atoms,
+and its minors taken by the same wedge_ring. When every minor is the zero
+polynomial the volume element is zero at every (x, t) and for every chi, so
+every sample is an exact 0.0 with error 0.0. A nonzero minor, or a frame the
+ring cannot hold (a sqrt, a quotient by a non-constant) leaves the series to
+the quadrature of swept_volume, which itself never reads the certificate.
 
 The flow check finds the chart path u(t) with phi_t(u(t)) = phi_0(x), the
 flow of -Y_t wherever D(phi_t) has rank m, as a root at each of
@@ -47,6 +48,7 @@ trajectory and is returned in its FlowReport.error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -124,6 +126,10 @@ class Cutoff:
 # ---------------------------------------------------------------------------
 # sweep family
 
+#: a cutoff's leaf chi in its family's map, whose chart partial in v is the
+#: leaf d(v)chi(); no parsed name holds "(", so no scene variable shadows them
+CHI = "chi()"
+
 
 class SweepFamily:
     """Base manifold plus either k polynomial vector fields (with optional
@@ -156,9 +162,10 @@ class SweepFamily:
             t = ex.var(ex.TIME_VAR)
             self.map_exprs = []
             for c, alpha in enumerate(M.components):
-                for j, f in enumerate(self.fields, start=1):
-                    alpha = ex.add(alpha, ex.mul(ex.power(t, j), f[c]))
-                self.map_exprs.append(alpha)
+                terms = [ex.mul(ex.power(t, j), f[c]) for j, f in enumerate(self.fields, 1)]
+                self.map_exprs.append(
+                    reduce(ex.add, terms, alpha) if cutoff is None
+                    else ex.add(alpha, ex.mul(ex.var(CHI), reduce(ex.add, terms))))
         else:
             if cutoff is not None:
                 raise ValueError("cutoff applies to polynomial field families")
@@ -171,9 +178,18 @@ class SweepFamily:
                     raise ValueError(f"undeclared variables {sorted(extra)}"
                                      " in sweep map")
             self.fields = None
-        # frame entries (d1 phi_c .. dm phi_c, dt phi_c), one row per component
+        # the map's variables besides the chart's and t: a cutoff's chi and
+        # d_v chi, whose values _env binds
+        self.leaves = () if cutoff is None else (
+            CHI, *(f"d({v}){CHI}" for v in M.chart_vars))
+        # frame entries (d1 phi_c .. dm phi_c, dt phi_c), one row per component;
+        # under a cutoff a chart entry adds the chain rule's (d phi_c/d chi) d_v chi
         self.map_frame = [[ex.diff(c, v) for v in (*M.chart_vars, ex.TIME_VAR)]
                           for c in self.map_exprs]
+        if cutoff is not None:
+            for c, row in zip(self.map_exprs, self.map_frame):
+                row[: M.m] = [ex.add(d, ex.mul(ex.diff(c, CHI), ex.var(leaf)))
+                              for d, leaf in zip(row, self.leaves[1:])]
         if self.fields is None:
             self._check_identity_at_zero()
         self._cache: dict = {}
@@ -190,44 +206,27 @@ class SweepFamily:
             raise ValueError(f"map family must satisfy phi(x,0)=x; gap {gap:.3e}")
 
     def _env(self, X: np.ndarray, T) -> dict:
-        return {**self.M._env(X), ex.TIME_VAR: T}
-
-    def _cut(self, X: np.ndarray, phi, frame=None):
-        """The cutoff applied to values of the map at chart points X (N, m),
-        as float arrays or jets listed by component: phi[c] and, if given,
-        frame[c][i]. Returns the point alpha + chi (phi - alpha), or the frame
-        with chart columns d alpha + chi (d phi - d alpha) + (phi - alpha) d chi
-        and t column chi dt phi."""
-        chi, dchi = self.cutoff.value_and_grad(X)
-        alpha = self.M.embed_many(X).T
-        gap = [p - a for a, p in zip(alpha, phi)]
-        if frame is None:
-            return [a + chi * g for a, g in zip(alpha, gap)]
-        dalpha = self.M.jacobian_many(X).transpose(1, 2, 0)
-        return [[da + chi * (d - da) + g * dc for d, da, dc in zip(row, drow, dchi.T)]
-                + [chi * row[-1]] for g, row, drow in zip(gap, frame, dalpha)]
+        env = {**self.M._env(X), ex.TIME_VAR: T}
+        if self.cutoff is not None:
+            chi, dchi = self.cutoff.value_and_grad(X)
+            env.update(zip(self.leaves, (chi, *np.moveaxis(dchi, -1, 0))))
+        return env
 
     # -- float evaluation ---------------------------------------------------
 
     def point_many(self, X, T) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         T = np.asarray(T, dtype=float)
-        phi = ex.evaluate_many(self.map_exprs, self._env(X, T), X.shape[:-1])
-        if self.cutoff is None:
-            return phi
-        return np.stack(self._cut(X, phi.T), axis=-1)
+        return ex.evaluate_many(self.map_exprs, self._env(X, T), X.shape[:-1])
 
     def frame_many(self, X, T) -> np.ndarray:
         """Frame (d1 phi .. dm phi, dt phi) at paired nodes; (q, n, m+1)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         T = np.asarray(T, dtype=float)
-        env, shape = self._env(X, T), X.shape[:-1]
+        shape = X.shape[:-1]
         flat = [d for row in self.map_frame for d in row]
-        frame = ex.evaluate_many(flat, env, shape).reshape(*shape, self.M.n, self.M.m + 1)
-        if self.cutoff is None:
-            return frame
-        phi = ex.evaluate_many(self.map_exprs, env, shape)
-        return np.array(self._cut(X, phi.T, frame.transpose(1, 2, 0))).transpose(2, 0, 1)
+        return ex.evaluate_many(flat, self._env(X, T), shape).reshape(
+            *shape, self.M.n, self.M.m + 1)
 
     # -- jets in t ----------------------------------------------------------
 
@@ -241,8 +240,6 @@ class SweepFamily:
         X = np.atleast_2d(x)
         env = self._env(X, Jet.variable(self.k))
         point = [jet_eval_expr(c, env) for c in self.map_exprs]
-        if self.cutoff is not None:
-            point = self._cut(X, point)
         shape = (X.shape[0], self.k + 1)    # to broadcast entries free of X
         coeffs = np.stack([np.broadcast_to(j.coeffs, shape) for j in point], axis=-1)
         return PolyCurve(coeffs.reshape(x.shape[:-1] + coeffs.shape[1:]), x)
@@ -254,8 +251,6 @@ class SweepFamily:
         X = np.asarray(X, dtype=float)
         env = self._env(X, Jet.variable(degree))
         frame = [[jet_eval_expr(d, env) for d in row] for row in self.map_frame]
-        if self.cutoff is not None:
-            frame = self._cut(X, [jet_eval_expr(c, env) for c in self.map_exprs], frame)
         shape = (X.shape[0], degree + 1)    # to broadcast entries free of X
         return [[Jet(np.broadcast_to(row[i].coeffs, shape)) for row in frame]
                 for i in range(self.M.m + 1)]
@@ -331,7 +326,8 @@ def _integrate(family: SweepFamily, t: float, quad: QuadConfig) -> float:
 
 def swept_volume(family: SweepFamily, t: float,
                  quad: QuadConfig | None = None) -> VolumeSample:
-    """Vol(phi | box x (-t,t)) with a halved-order error estimate."""
+    """Vol(phi | box x (-t,t)) with a halved-order error estimate. Its mesh
+    and minor tensor stay in family._cache; volume_series clears them."""
     if t <= 0:
         raise ValueError("swept_volume needs t > 0")
     quad = quad or QuadConfig()
@@ -343,15 +339,15 @@ def swept_volume(family: SweepFamily, t: float,
 def frame_minors_vanish(family: SweepFamily) -> bool:
     """Certificate that the family sweeps no volume at any t: True when
     every maximal minor of the frame, taken by wedge_ring over exact
-    polynomials (expr.EXACT) in the chart variables, t and the atoms of
-    sin, cos and exp, is the zero polynomial. Its minors then vanish at every
-    (x, t) whatever values the atoms take, so the volume element is exactly
-    zero. False proves nothing: a cutoff family, a frame the ring cannot hold
-    (a sqrt, a quotient by a non-constant, an inf constant) and a nonzero
-    minor all give it."""
-    if family.cutoff is not None:
-        return False
-    env = {v: ex.Poly.generator(v) for v in (*family.M.chart_vars, ex.TIME_VAR)}
+    polynomials (expr.EXACT) in the chart variables, t, the family's leaves
+    (a cutoff's chi and d_i chi) and the atoms of sin, cos and exp, is the
+    zero polynomial. Its minors then vanish at every (x, t) whatever values
+    the leaves and atoms take, so the volume element is exactly zero. False
+    proves nothing: a frame the ring cannot hold (a sqrt, a quotient by a
+    non-constant, an inf constant) and a nonzero minor both give it, and a
+    nonzero minor in chi may still vanish wherever chi does."""
+    env = {v: ex.Poly.generator(v)
+           for v in (*family.M.chart_vars, ex.TIME_VAR, *family.leaves)}
     try:
         frame = [[ex.evaluate_with(d, env, ex.EXACT) for d in row]
                  for row in family.map_frame]
@@ -433,7 +429,10 @@ def reparam_invariance_test(family: SweepFamily, psi_exprs, t_extent: float,
         if np.min(frame_ratio(Dv)) <= RANK_FLOOR:
             raise DegenerateReparam("Jacobian determinant vanishes on a sample")
 
-    vol = _integrate(family, t_extent, quad)
+    try:
+        vol = _integrate(family, t_extent, quad)
+    finally:
+        family._cache.clear()    # its mesh and minor tensor serve this call only
 
     X, wx = _chart_mesh(M, quad)
     tn, wt = composite_gauss(-t_extent, t_extent, quad.t_cells, quad.order)

@@ -1,6 +1,8 @@
 """Checks on the library's own source: no module-level function of
 src/osclab takes a parameter that its body never reads, so a knob that no
-longer does anything cannot stay in a signature."""
+longer does anything cannot stay in a signature; and a sweep family's
+cutoff is read only where its map is built and where its leaves are bound,
+so no cutoff path can patch values after they are evaluated."""
 
 import ast
 from pathlib import Path
@@ -40,3 +42,34 @@ def test_every_parameter_of_a_module_level_function_is_read():
     unread = {path.name: _unread_parameters(path.read_text())
               for path in sorted(SRC.glob("*.py"))}
     assert {name: found for name, found in unread.items() if found} == {}
+
+
+def _functions_reading(source: str, name: str) -> set[str]:
+    """Names of the functions of `source`, methods and nested ones
+    included, whose body loads `name` as a variable or as an attribute."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+                and (n.id if isinstance(n, ast.Name) else n.attr) == name
+                for stmt in node.body for n in ast.walk(stmt)):
+            out.add(node.name)
+    return out
+
+
+def test_the_scan_finds_a_cutoff_reader():
+    source = ("class F:\n"
+              "    def __init__(self, cutoff):\n"
+              "        self.cutoff = cutoff\n"
+              "    def point(self):\n"
+              "        return self.cutoff\n"
+              "    def frame(self):\n"
+              "        self.cutoff = None\n")
+    assert _functions_reading(source, "cutoff") == {"__init__", "point"}
+
+
+def test_the_sweep_cutoff_is_read_only_by_the_map_and_its_leaves():
+    """SweepFamily.__init__ puts chi into the map, and _env binds chi and
+    d_i chi from Cutoff.value_and_grad; every other path reads the map."""
+    source = (SRC / "sweep.py").read_text()
+    assert _functions_reading(source, "cutoff") == {"__init__", "_env"}

@@ -11,6 +11,7 @@ from osclab.config import QuadConfig, Tolerances, composite_gauss, geometric_gri
 from osclab.exterior import frame_norm, wedge_ring
 from osclab.jets import Jet, default_degree, jet_eval_expr
 from osclab.manifold import OutOfDomain, Submanifold, gauss_newton, gauss_newton_step
+from osclab.scene import build_scene
 from osclab.sweep import (
     CoefficientDegreeError,
     Cutoff,
@@ -154,6 +155,17 @@ def test_reparam_random_diffeos(segment, circle):
         psi = random_reparam(scene.manifold, 0.25, rng)
         res = reparam_invariance_test(scene.family, psi, 0.25)
         assert res.gap <= 1e-6
+
+
+def test_reparam_leaves_no_growth_cache():
+    """The mesh and minor tensor of its integral do not outlive the call;
+    a standalone swept_volume keeps them for the next call."""
+    family = corpus.load("sphere").family
+    psi = random_reparam(family.M, 0.25, np.random.default_rng(3))
+    reparam_invariance_test(family, psi, 0.25, QuadConfig(cells=4))
+    assert family._cache == {}
+    swept_volume(family, 0.25, QuadConfig(cells=4))
+    assert family._cache
 
 
 def test_degenerate_reparam_rejected(segment):
@@ -434,8 +446,8 @@ def test_field_family_matches_its_field_coefficients(scenes):
     """Corpus field families, and four of them under a cutoff, which the
     corpus run never reaches: the frame jets, the minor tensor on the growth
     mesh and the curves equal the coefficients read off the fields exactly;
-    float points and frames, which subtract alpha back under a cutoff,
-    agree with them to rounding."""
+    float points and frames, which sum the powers of t, agree with them to
+    rounding."""
     cases = [s for s in scenes.values() if s.family.polynomial]
     cases += [corpus.with_cutoff(scenes[name], 0.2, 0.45) for name in
               ("hyperbolic_paraboloid", "sphere", "segment", "paraboloid")]
@@ -462,6 +474,28 @@ def test_field_family_matches_its_field_coefficients(scenes):
                 for i in range(family.M.m + 1)]
         minors = np.stack([c.coeffs for c in wedge_ring(cols)], axis=-2)
         assert np.array_equal(_minor_jets(family, mesh, d), minors), scene.name
+
+
+def test_cutoff_leaves_are_not_chart_variables():
+    """The cutoff's leaves chi and d_i chi cannot be shadowed: hp under a
+    cutoff with its chart variables named chi and dchi has the points,
+    frames, frame jets, curves and certificate of the same scene in x and y."""
+    def family(u, v):
+        M = Submanifold.graph([u, v], [[-1, 1], [-1, 1]], [f"{u}*{v}"])
+        return SweepFamily(M, 1, fields=[["1", "0", v]],
+                           cutoff=Cutoff(0.2, 0.45, np.zeros(2)))
+    named, plain = family("chi", "dchi"), family("x", "y")
+    X, T = _sample(plain)
+    D = default_degree(1, 2)
+    assert np.array_equal(named.point_many(X, T), plain.point_many(X, T))
+    assert np.array_equal(named.frame_many(X, T), plain.frame_many(X, T))
+    assert np.array_equal(_jet_coeffs(named.frame_jets(X, D)),
+                          _jet_coeffs(plain.frame_jets(X, D)))
+    assert np.array_equal(named.curve_at(X).coeffs, plain.curve_at(X).coeffs)
+    assert frame_minors_vanish(named) and frame_minors_vanish(plain)
+    # the cutoff acts: at T != 0 the points differ from the uncut family's
+    uncut = SweepFamily(plain.M, 1, fields=plain.fields)
+    assert not np.array_equal(plain.point_many(X, T), uncut.point_many(X, T))
 
 
 # -- growth exponent ----------------------------------------------------------
@@ -522,6 +556,11 @@ def test_quadrature_ruling_zero_under_rescaling(lam):
 # -- exact zero certificate ----------------------------------------------------
 
 
+def _with_cutoff(name: str) -> SweepFamily:
+    """The corpus scene's family under the cutoff of criterion 05."""
+    return corpus.with_cutoff(corpus.load(name), 0.2, 0.45).family
+
+
 def _graph_family(chart_vars, height, fields, k=1) -> SweepFamily:
     M = Submanifold.graph(chart_vars, [[-1, 1]] * len(chart_vars), height)
     return SweepFamily(M, k, fields=fields)
@@ -549,6 +588,9 @@ _CERTIFIED = {
         map_exprs=["sin(t + u)", "cos(u + t)"]), QuadConfig()),
     "exp_graph": (lambda: _graph_family(["x", "y"], ["exp(x)*y"],
                                         [["0", "1", "exp(x)"]]), QuadConfig()),
+    # chi and d_i chi are free generators: these minors vanish for every chi
+    **{f"{name}+cutoff": (lambda name=name: _with_cutoff(name), QuadConfig())
+       for name in ("plane", "hyperbolic_paraboloid", "saddle", "cylinder")},
 }
 
 _UNCERTIFIED = {
@@ -560,6 +602,9 @@ _UNCERTIFIED = {
     # hp whose field is a ruling only where x(x^2 - 0.49) vanishes
     **{f"hp_control_{eps!r}": (lambda eps=eps: _hp_rescaled(
         1.0, f"y + {eps!r}*x*(x^2 - 0.49)")) for eps in (0.1, 1e-3)},
+    # a sqrt in the frame, or a minor that is nonzero in chi
+    **{f"{name}+cutoff": lambda name=name: _with_cutoff(name)
+       for name in ("sphere", "paraboloid", "cubic_graph", "circle", "segment")},
 }
 
 
@@ -593,22 +638,54 @@ def test_certified_series_skips_the_quadrature(hp, quadrature_calls):
 
 
 def test_cutoff_and_sqrt_scenes_take_the_float_route(scenes, quadrature_calls):
-    """A cutoff family (criterion 05) and a frame with a sqrt are never
-    certified, whatever their volume: the quadrature decides them, and the
-    sqrt graph of a cylinder swept along its rulings still reads zero."""
+    """Per family. hp under a cutoff (criterion 05) is certified, since its
+    minors vanish for every value of chi, and runs no quadrature. A frame
+    with a sqrt (the sphere's, with and without a cutoff, and a cylinder's
+    graph) and a cutoff family with a nonzero minor (the segment's) are not:
+    the quadrature decides them, and the sqrt graph of a cylinder swept
+    along its rulings still reads zero."""
+    hp_cut = corpus.with_cutoff(scenes["hyperbolic_paraboloid"], 0.4, 0.9).family
+    assert frame_minors_vanish(hp_cut)
+    assert volume_series(hp_cut, t_grid=[0.2, 0.1]) == [VolumeSample(0.2, 0.0, 0.0),
+                                                         VolumeSample(0.1, 0.0, 0.0)]
+    assert quadrature_calls == []
     cylinder = _graph_family(["x", "w"], ["sqrt(1 - x^2)"], [["0", "1", "0"]])
     with pytest.raises(ex.DomainError):
         ex.evaluate_with(cylinder.map_frame[2][0], {"x": ex.Poly.generator("x")},
                          ex.EXACT)
-    cases = [corpus.with_cutoff(scenes["hyperbolic_paraboloid"], 0.4, 0.9).family,
-             corpus.with_cutoff(scenes["sphere"], 0.2, 0.45).family,
-             scenes["sphere"].family, cylinder]
-    for family in cases:
-        assert not frame_minors_vanish(family)
+    cases = {"sphere+cutoff": corpus.with_cutoff(scenes["sphere"], 0.2, 0.45).family,
+             "segment+cutoff": corpus.with_cutoff(scenes["segment"], 0.15, 0.4).family,
+             "sphere": scenes["sphere"].family, "cylinder": cylinder}
+    for name, family in cases.items():
+        assert not frame_minors_vanish(family), name
         before = len(quadrature_calls)
         volume_series(family, t_grid=[0.2, 0.1], quad=QuadConfig(cells=4))
-        assert quadrature_calls[before:] == [0.2, 0.1]
+        assert quadrature_calls[before:] == [0.2, 0.1], name
     assert growth_exponent(volume_series(cylinder)).identically_zero
+
+
+def _hp_rescaled_cutoff_scene(lam: float, spelling: str):
+    """z = xy/lam over [-lam, lam]^2 under a cutoff of radii (0.3 lam, 0.7 lam),
+    spelled with the field (lam, 0, y) and span 1, or (1, 0, y/lam) and span lam."""
+    field, span = (([repr(lam), "0", "y"], 1.0) if spelling == "field"
+                   else (["1", "0", f"y/{lam!r}"], lam))
+    return build_scene({
+        "manifold": {"type": "graph", "chart_vars": ["x", "y"],
+                     "domain": [[-lam, lam], [-lam, lam]], "ambient_dim": 3,
+                     "height": [f"x*y/{lam!r}"]},
+        "family": {"k": 1, "fields": [field]},
+        "cutoff": {"inner": 0.3 * lam, "outer": 0.7 * lam},
+        "params": {"span": span}}, name=f"hp*{lam!r}+cutoff")
+
+
+@pytest.mark.parametrize("spelling", ["field", "span"])
+def test_rescaled_cutoff_ruling_is_confirmed(spelling):
+    """At lam = 1e3 the float quadrature read this ruling's rounding-level
+    volume as growth with slope 1.02 in the field spelling; the certificate,
+    with chi free, reads zero in both spellings."""
+    scene = _hp_rescaled_cutoff_scene(1e3, spelling)
+    assert frame_minors_vanish(scene.family)
+    assert osculate.verify_theorem(scene, seed=0).verdict == "THEOREM_CONFIRMED"
 
 
 _DYADIC = st.integers(-8, 8).map(lambda i: i / 4)
