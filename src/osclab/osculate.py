@@ -6,7 +6,9 @@ when the quadratic and cubic terms of the normal residual along it both
 vanish. Both forms are recovered by polarization from residual jets of
 probe lines, so graphs and (re-charted) parametric surfaces run through
 the same code path, and all points of a stack share two residual_jets calls:
-one for their probe lines, and one for their kept direction lines.
+one for their probe lines, and one for their kept direction lines. The
+class-k fit reads its k = 1 lines on a surface in R^3 from these directions
+in closed form; every other fit searches from seeded random starts.
 
 The global containment conclusion of the underlying theorem relies on
 analytic continuation, which numerics cannot perform: every verdict here
@@ -172,10 +174,17 @@ FIT_GTOL = 1e-6        # a start whose residual is this near orthogonal to
 
 def fit_class_k_curve(M: Submanifold, p_chart, k: int, target_order: int,
                       seed: int = 0, tol=_TOL):
-    """Damped Gauss-Newton for coefficients c_1..c_k with residual jet
-    coefficients of orders 1..target_order all vanishing, on any chart kind;
-    returns a PolyCurve through p_chart with unit-normalized velocity, or None.
-    A p_chart not of shape (m,), k < 1 or target_order < 1 is a ValueError.
+    """Coefficients c_1..c_k with residual jet coefficients of orders
+    1..target_order all vanishing, on any chart kind; returns a PolyCurve
+    through p_chart with unit-normalized velocity, or None. A p_chart not of
+    shape (m,), k < 1 or target_order < 1 is a ValueError.
+
+    A line (k = 1) on a surface in R^3 at target_order 3 is read in closed
+    form: the first direction of osculating_directions whose line meets
+    order 3, or None if none does; seed is not read. Every other fit is a
+    damped Gauss-Newton search from FIT_STARTS random starts drawn from
+    seed; so is a line at order 2, whose asymptotic directions the cubic
+    test would reject.
 
     Every start runs the same iteration it would run alone: an exact
     Jacobian, a minimum-norm least-squares step delta, and a line search
@@ -209,6 +218,10 @@ def fit_class_k_curve(M: Submanifold, p_chart, k: int, target_order: int,
     if target_order < 1:
         raise ValueError(f"target_order must be at least 1, got {target_order}")
     p_amb = M.chart_eval(p_chart)
+    if (M.m, M.n, k, target_order) == (2, 3, 1, 3):
+        line = next((d.ambient for d in osculating_directions(M, p_chart, tol)
+                     if d.jet_order.meets(3)), None)
+        return None if line is None else PolyCurve([p_amb, line], p_chart)
     n = M.n
     size = k * n
     rows = (n - M.m) * target_order + 1

@@ -233,17 +233,27 @@ def test_fit_reaches_required_order_on_cylinder():
         assert abs(v[2]) >= 1.0 - 1e-9, (x, v)
 
 
-def test_fit_matches_osculating_directions():
-    for name in ("hyperbolic_paraboloid", "saddle"):
+def test_closed_form_lines_match_sequential_oracle():
+    # a line on a surface in R^3 (k = 1, order 3) is read in closed form,
+    # and the random-start oracle must find one at the same samples: every
+    # verify sample of the scenes that hold lines, and one of each scene that
+    # holds none, where the oracle runs out its 32 starts (about 3 s for
+    # one off-centre sphere sample, 0.2 s at its centre)
+    lineless = {"sphere": [4], "paraboloid": [3], "cubic_graph": [0]}
+    surfaces = [name for name, _ in _direction_surfaces() if name in corpus.names()]
+    assert set(lineless) < set(surfaces)
+    for name in surfaces:
         scene = corpus.load(name)
-        p = [0.25, -0.15]
-        curve = fit_class_k_curve(scene.manifold, p, 1, 3, seed=0)
-        assert curve is not None
-        v = curve.coeffs[1] / np.linalg.norm(curve.coeffs[1])
-        dirs = osculating_directions(scene.manifold, p)
-        assert dirs
-        best = max(abs(float(np.dot(v, d.ambient))) for d in dirs)
-        assert best >= 1.0 - 1e-6
+        M, p = scene.manifold, scene.params
+        X = M.grid(p.samples, margin=p.margin)
+        for x in X[lineless.get(name, slice(None))]:
+            got = fit_class_k_curve(M, x, 1, 3, seed=0, tol=p.tol)
+            want = sequential_class_k_fit(M, x, 1, 3, p.tol, seed=0)
+            assert (got is None) == (want is None) == (name in lineless), (name, x)
+            if got is not None:
+                assert abs(np.linalg.norm(got.coeffs[1]) - 1.0) <= 1e-12, (name, x)
+                assert np.array_equal(got.chart, x), (name, x)
+                assert contact_order_jet_recharted(got, M, 5, p.tol).meets(3), (name, x)
 
 
 def _without_family(name):
@@ -257,17 +267,25 @@ def _without_family(name):
 def test_lockstep_fit_matches_sequential_oracle(seed):
     # the starts run in lockstep on exact Jacobians but must end as they
     # would one by one on central differences: the same samples without a
-    # curve, and the same curve to 1e-8 where one exists
-    for name, samples in (("saddle", 9), ("hyperbolic_paraboloid", 9),
-                          ("paraboloid", 9), ("cubic_graph", 2), ("cylinder", 2)):
+    # curve, and the same curve to 1e-8 where one exists. A line on a
+    # surface in R^3 at order 3 is read in closed form, not searched, so
+    # there only the samples without one must agree, and the line meets 3;
+    # the random starts of k = 1 run at order 2 (asymptotic lines)
+    for name, samples, target_order in (
+            ("saddle", 9, 3), ("hyperbolic_paraboloid", 9, 3), ("paraboloid", 9, 6),
+            ("cubic_graph", 2, 3), ("cylinder", 2, 3),
+            ("cubic_graph", 2, 2), ("cylinder", 2, 2)):
         scene = _without_family(name)
         M, p = scene.manifold, scene.params
-        required = scene.k * (M.m + 1)
         for x in M.grid(p.samples, margin=p.margin)[:samples]:
-            got = fit_class_k_curve(M, x, scene.k, required, seed=seed, tol=p.tol)
-            want = sequential_class_k_fit(M, x, scene.k, required, p.tol, seed=seed)
+            got = fit_class_k_curve(M, x, scene.k, target_order, seed=seed, tol=p.tol)
+            want = sequential_class_k_fit(M, x, scene.k, target_order, p.tol, seed=seed)
             assert (got is None) == (want is None), (name, x)
-            if want is not None:
+            if want is None:
+                continue
+            if (scene.k, target_order) == (1, 3):
+                assert contact_order_jet_recharted(got, M, 5, p.tol).meets(3), (name, x)
+            else:
                 assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-8, (name, x)
 
 
@@ -284,7 +302,8 @@ def test_fit_with_more_coefficients_than_orders():
 
 
 def _counting_residual_calls(monkeypatch):
-    """The batch shapes of every residual_jets call osculate makes."""
+    """The batch shapes of every residual_jets call, osculate's and those
+    of the contact orders it reads."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -292,7 +311,57 @@ def _counting_residual_calls(monkeypatch):
         return residual_jets(*args, **kwargs)
 
     monkeypatch.setattr(osculate, "residual_jets", counting)
+    monkeypatch.setattr(contact, "residual_jets", counting)
     return calls
+
+
+def _counting_pinv(monkeypatch):
+    """The shapes of every np.linalg.pinv call."""
+    solves, pinv = [], np.linalg.pinv
+
+    def counting(A):
+        solves.append(A.shape)
+        return pinv(A)
+
+    monkeypatch.setattr(np.linalg, "pinv", counting)
+    return solves
+
+
+def test_fit_reads_lines_in_closed_form(monkeypatch):
+    # pins the call schedule of a line on a surface in R^3 at order 3: one
+    # residual_jets call for the four probe lines of osculating_directions,
+    # one for its two kept lines, and no Gauss-Newton step, so no pinv
+    calls, solves = _counting_residual_calls(monkeypatch), _counting_pinv(monkeypatch)
+    hp = corpus.load("hyperbolic_paraboloid")
+    curve = fit_class_k_curve(hp.manifold, [0.3, -0.4], 1, 3, seed=0)
+    assert curve is not None
+    assert calls == [(1, 4), (2,)]
+    assert solves == []
+
+
+def test_fit_dispatch_boundary(monkeypatch):
+    # the closed form answers (m, n, k, target_order) = (2, 3, 1, 3) alone:
+    # order 2 keeps the random starts, which find the asymptotic lines that
+    # the cubic test would reject, and so do k = 2 and a curve in R^2
+    called, real = [], osculate.osculating_directions
+
+    def spy(*args, **kwargs):
+        called.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(osculate, "osculating_directions", spy)
+    cubic = corpus.load("cubic_graph")
+    M, tol = cubic.manifold, cubic.params.tol
+    for x in M.grid(3, margin=0.15):
+        got = fit_class_k_curve(M, x, 1, 2, seed=0, tol=tol)
+        want = sequential_class_k_fit(M, x, 1, 2, tol, seed=0)
+        assert got is not None and want is not None, x
+    assert fit_class_k_curve(corpus.load("paraboloid").manifold, [0.0, 0.0], 2, 6) is not None
+    circle = corpus.load("circle").manifold
+    assert fit_class_k_curve(circle, [1.0], 1, 2) is None
+    assert called == []
+    assert fit_class_k_curve(M, [0.2, 0.5], 1, 3) is None
+    assert len(called) == 1 and np.array_equal(called[0], [0.2, 0.5])
 
 
 def test_fit_evaluates_all_starts_together(monkeypatch):
@@ -301,11 +370,11 @@ def test_fit_evaluates_all_starts_together(monkeypatch):
     # candidates of the live starts (2 delta, delta, delta/2, delta/4) and
     # one for the other 22 (delta/8, ..., delta/2^24) of only the starts
     # that none of those four settles. The Jacobians come with the
-    # residuals, so no call probes. cubic_graph has no order-3 line, so
-    # every start ends failed
+    # residuals, so no call probes. The paraboloid is convex: no line
+    # meets it to order 2, so every start ends failed
     calls = _counting_residual_calls(monkeypatch)
-    cubic = corpus.load("cubic_graph")
-    assert fit_class_k_curve(cubic.manifold, [0.2, 0.5], 1, 3, seed=0) is None
+    par = corpus.load("paraboloid")
+    assert fit_class_k_curve(par.manifold, [0.2, 0.5], 1, 2, seed=0) is None
     assert calls[0] == (32,)
     heads = [i for i, shape in enumerate(calls) if shape[1:] == (4,)]
     assert heads[0] == 1 and len(heads) <= 80
@@ -320,17 +389,20 @@ def test_fit_evaluates_all_starts_together(monkeypatch):
 
 def test_fit_gtol_changes_no_outcome(monkeypatch):
     # the gtol test ends only starts that would fail anyway, so switching
-    # it off returns the same curves, bit for bit, and the same Nones
+    # it off returns the same curves, bit for bit, and the same Nones. The
+    # k = 1 fits run at order 2, on the random starts; the sphere's centre
+    # has no asymptotic line, and there gtol ends every start
     def fits():
         out = []
-        for name, samples in (("saddle", 9), ("hyperbolic_paraboloid", 9),
-                              ("paraboloid", 9), ("cubic_graph", 9), ("cylinder", 2)):
+        for name, rows, target_order in (
+                ("saddle", slice(9), 2), ("hyperbolic_paraboloid", slice(9), 2),
+                ("paraboloid", slice(9), 6), ("cubic_graph", slice(9), 2),
+                ("cylinder", slice(2), 2), ("sphere", slice(4, 5), 2)):
             scene = _without_family(name)
             M, p = scene.manifold, scene.params
-            required = scene.k * (M.m + 1)
             for seed in range(5):
-                for x in M.grid(p.samples, margin=p.margin)[:samples]:
-                    out.append(fit_class_k_curve(M, x, scene.k, required,
+                for x in M.grid(p.samples, margin=p.margin)[rows]:
+                    out.append(fit_class_k_curve(M, x, scene.k, target_order,
                                                  seed=seed, tol=p.tol))
         return out
 
@@ -343,38 +415,34 @@ def test_fit_gtol_changes_no_outcome(monkeypatch):
                for g, w in zip(got, want) if w is not None)
 
 
-@pytest.mark.parametrize("name, x, k, jacobians, found", [
+@pytest.mark.parametrize("name, x, k, target_order, jacobians, searches, found", [
     # a double root: |F| falls 4x per plain step (19 steps without the
     # doubled step that finishes a start)
-    ("paraboloid", [0.0, 0.0], 2, 8, True),
-    ("cylinder", [0.5, 0.2], 1, 7, True),       # 16 without it
-    # no order-3 line: gtol ends the starts polishing their nonzero
-    # minimum (16 steps without it)
-    ("cubic_graph", [0.2, 0.5], 1, 11, False),
+    ("paraboloid", [0.0, 0.0], 2, 6, 8, 1, True),
+    # the cylinder's one asymptotic line, its ruling, is a double root of
+    # the second fundamental form (16 steps without the doubled step)
+    ("cylinder", [0.5, 0.2], 1, 2, 5, 1, True),
+    # no asymptotic line at the sphere's centre: gtol ends the starts
+    # polishing their nonzero minimum (23 steps without it)
+    ("sphere", [0.0, 0.0], 1, 2, 18, 0, False),
 ])
-def test_fit_step_counts(monkeypatch, name, x, k, jacobians, found):
+def test_fit_step_counts(monkeypatch, name, x, k, target_order, jacobians, searches, found):
     # the Jacobians the fit reads: one per step, which makes one pinv and
-    # one call for its first four line-search candidates, and on cubic_graph
+    # one call for its first four line-search candidates, and on the sphere
     # one more, whose gtol test ends the last starts. Each came with the
-    # residual of its point
-    calls = _counting_residual_calls(monkeypatch)
-    solves, pinv = [], np.linalg.pinv
-
-    def counting_pinv(A):
-        solves.append(A.shape)
-        return pinv(A)
-
-    monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
+    # residual of its point. `searches` counts the calls for the 22 smaller
+    # line-search steps
+    calls, solves = _counting_residual_calls(monkeypatch), _counting_pinv(monkeypatch)
     scene = corpus.load(name)
     M, tol = scene.manifold, scene.params.tol
-    required = k * (M.m + 1)
-    curve = fit_class_k_curve(M, x, k, required, seed=0, tol=tol)
+    curve = fit_class_k_curve(M, x, k, target_order, seed=0, tol=tol)
     steps = jacobians if found else jacobians - 1
     assert len(solves) == sum(shape[1:] == (4,) for shape in calls) == steps
-    assert sum(shape[1:] == (22,) for shape in calls) == 1
+    assert sum(shape[1:] == (22,) for shape in calls) == searches
     assert (curve is not None) == found
     if found:
-        assert contact_order_jet_recharted(curve, M, required + 2, tol).meets(required)
+        order = contact_order_jet_recharted(curve, M, target_order + 2, tol)
+        assert order.meets(target_order)
 
 
 @pytest.mark.parametrize("p_chart, k, target_order, argument", [
