@@ -164,6 +164,13 @@ def osculating_directions(M: Submanifold, p_chart, tol=_TOL) -> list:
     return out if p_chart.ndim == 2 else out[0]
 
 
+def _osculating_line(M: Submanifold, p_chart, directions: list) -> PolyCurve | None:
+    """The line through the chart point p_chart (2,) along the first of its
+    osculating directions whose line meets order 3, or None if none does."""
+    line = next((d.ambient for d in directions if d.jet_order.meets(3)), None)
+    return None if line is None else PolyCurve([M.chart_eval(p_chart), line], p_chart)
+
+
 # ---------------------------------------------------------------------------
 # class-k curve fitting
 
@@ -199,16 +206,22 @@ def fit_class_k_curve(M: Submanifold, p_chart, k: int, target_order: int,
     after 80 steps, or by MINPACK's gtol test, |J_j^T F| <= FIT_GTOL |J_j| |F|
     for every Jacobian column J_j: a minimum of |F|^2 that is no root.
 
-    The starts run in lockstep as batched PolyCurves, and one pinv of the
-    stacked Jacobians gives every start's step. Each step evaluates 2 delta,
-    delta, delta/2 and delta/4 of every live start in one residual_jets
-    call, and the 22 smaller steps in a second call only for the starts
-    that none of those four settles; each start takes the step the full
-    list would give it. An accepted candidate carries its residual and
-    Jacobian into the next step, so no point is evaluated twice. The result
-    is the curve of the lowest-index start that converges, returned once
-    every lower-index start has ended; higher-index starts are dropped as
-    soon as one converges.
+    One residual_jets call evaluates every start at its random point, and
+    start 0 then iterates alone: where a curve exists it nearly always
+    converges without help. Starts 1.. join it in index order, in lockstep
+    as batched PolyCurves, as soon as start 0 ends without converging or
+    needs the 22 smaller line-search steps; each start counts its own 80
+    steps. One pinv of the stacked Jacobians gives every live start's step.
+    Each step evaluates 2 delta, delta, delta/2 and delta/4 of every live
+    start in one residual_jets call, and the 22 smaller steps in a second
+    call only for the starts that none of those four settles; each start
+    takes the step the full list would give it. An accepted candidate
+    carries its residual and Jacobian into the next step, so no point is
+    evaluated twice. Every batched operation works row by row, so the
+    schedule decides only which starts are evaluated, never their iterates.
+    The result is the curve of the lowest-index start that converges,
+    returned once every lower-index start has ended; higher-index starts
+    are dropped as soon as one converges.
     """
     p_chart = np.asarray(p_chart, dtype=float)
     if p_chart.shape != (M.m,):
@@ -217,11 +230,9 @@ def fit_class_k_curve(M: Submanifold, p_chart, k: int, target_order: int,
         raise ValueError(f"k must be at least 1, got {k}")
     if target_order < 1:
         raise ValueError(f"target_order must be at least 1, got {target_order}")
-    p_amb = M.chart_eval(p_chart)
     if (M.m, M.n, k, target_order) == (2, 3, 1, 3):
-        line = next((d.ambient for d in osculating_directions(M, p_chart, tol)
-                     if d.jet_order.meets(3)), None)
-        return None if line is None else PolyCurve([p_amb, line], p_chart)
+        return _osculating_line(M, p_chart, osculating_directions(M, p_chart, tol))
+    p_amb = M.chart_eval(p_chart)
     n = M.n
     size = k * n
     rows = (n - M.m) * target_order + 1
@@ -268,16 +279,17 @@ def fit_class_k_curve(M: Submanifold, p_chart, k: int, target_order: int,
     flat = flat.reshape(FIT_STARTS, size)
     F, J = system(flat)
     f2 = np.einsum("ij,ij->i", F, F)
+    taken = np.zeros(FIT_STARTS, dtype=int)   # Gauss-Newton steps per start
     steps = 0.5 ** np.arange(-1, 25)   # 2, 1, 1/2, ..., 2^-24 times delta
-    live = np.arange(FIT_STARTS)       # starts still iterating, in index order
+    live = np.arange(1)                # starts still iterating, in index order
+    waiting = np.arange(1, FIT_STARTS) # the starts that join once start 0 stalls
     winner = None                      # lowest-index start that converged
-    for _ in range(80):
+    while True:
+        live = live[taken[live] < 80]  # a start ends failed after 80 steps
         done = converged(F[live])
         if done.any():
             winner = live[done][0]
         live = live[~done & (live < (FIT_STARTS if winner is None else winner))]
-        if live.size == 0:
-            break
         # gtol, squared: a start moves on while some column has
         # |J_j^T F| > FIT_GTOL |J_j| |F|; the others end as failed
         Jl = J[live]
@@ -285,8 +297,12 @@ def fit_class_k_curve(M: Submanifold, p_chart, k: int, target_order: int,
         cols = np.einsum("srj,srj->sj", Jl, Jl)
         moving = (g * g > FIT_GTOL ** 2 * cols * f2[live, None]).any(axis=1)
         live, Jl = live[moving], Jl[moving]
+        if live.size == 0 and winner is None and waiting.size:
+            live, waiting = waiting, waiting[:0]   # start 0 ended unconverged
+            continue
         if live.size == 0:
             break
+        taken[live] += 1
         delta = -(np.linalg.pinv(Jl) @ F[live, :, None])[..., 0]
         cand, Fc, Jc, fc2 = trial(live, delta, steps[:4])    # settles nearly every start
         finish = converged(Fc[:, 0])
@@ -301,6 +317,8 @@ def fit_class_k_curve(M: Submanifold, p_chart, k: int, target_order: int,
             moved[rest] = better.any(axis=1)   # a start whose line search fails ends
             accept(live[rest], moved[rest], np.argmax(better, axis=1), cand, Fc, Jc, fc2)
         live = live[moved]
+        if rest.size and waiting.size:    # start 0 needs the tail search
+            live, waiting = np.concatenate([live, waiting]), waiting[:0]
     if winner is None:
         return None
     return PolyCurve(np.vstack([p_amb, flat[winner].reshape(k, n)]), p_chart)
@@ -514,19 +532,35 @@ def verify_theorem(scene, seed: int = 0) -> VerdictReport:
         config=scene.config_dict(),
     )
 
-    # step 1: osculation hypothesis at every sample. The fits run one per
-    # sample; the contact orders of all curves come from one stacked call,
-    # and a curve off M is recorded and the rest run again without it.
+    # step 1: osculation hypothesis at every sample. The osculating
+    # directions of a surface in R^3 at k = 1 come from one stacked call,
+    # and a family-less scene reads its lines from them; its other fits run
+    # one per sample. The contact orders of all curves come from one stacked
+    # call, and a curve off M is recorded and the rest run again without it.
     osc_records = [{"x": x.tolist()} for x in X]
 
     def fail(i, order, detail):
         osc_records[i].update({"order": order, "met": False, "detail": detail})
 
+    def stacked_directions():
+        """Every sample's osculating directions, or the ContactError raised."""
+        try:
+            return osculating_directions(M, X, tol)
+        except ContactError as err:
+            return err
+
+    lines_in_closed_form = (M.m, M.n, k) == (2, 3, 1)
+    directions = None
     fits = {}
     if family is None:
+        if lines_in_closed_form:
+            directions = stacked_directions()
         for i, x in enumerate(X):
             try:
-                fits[i] = fit_class_k_curve(M, x, k, required, seed=seed, tol=tol)
+                if isinstance(directions, ContactError):
+                    raise directions
+                fits[i] = (_osculating_line(M, x, directions[i]) if lines_in_closed_form
+                           else fit_class_k_curve(M, x, k, required, seed=seed, tol=tol))
                 if fits[i] is None:
                     fail(i, "none", "no class-k curve reached the target order")
             except (ContactError, ManifoldError) as err:
@@ -543,10 +577,10 @@ def verify_theorem(scene, seed: int = 0) -> VerdictReport:
         for i, order in zip(rows, orders):
             osc_records[i].update({"order": str(order), "met": order.meets(required)})
         break
-    if M.m == 2 and M.n == 3 and k == 1:
-        try:
-            directions = osculating_directions(M, X, tol)
-        except ContactError:
+    if lines_in_closed_form:
+        if directions is None:
+            directions = stacked_directions()
+        if isinstance(directions, ContactError):
             directions = [None] * len(X)
         for rec, dirs in zip(osc_records, directions):
             rec["osculating_directions"] = None if dirs is None else [

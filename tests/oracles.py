@@ -7,8 +7,9 @@ volumes from Gram determinants, maximal minors from the Leibniz permutation
 sum. The class-k fit oracle is an exception: it uses the library's
 residual jets, but none of the fit's own machinery (central differences
 for the exact Jacobian, its own lstsq for the batched pinv, one start and
-one line-search candidate at a time for the lockstep schedule), so it
-checks both the fit's linearization and its schedule. The tube-radius oracle is
+one line-search candidate at a time for the fit's schedule, start 0 alone
+and then the rest in lockstep), so it checks both the fit's linearization
+and its schedule. The tube-radius oracle is
 another: it projects every dyadic level with the library's project_batch,
 so it checks the levels that Submanifold.tube_radius refutes unprojected.
 The ruledness and decay oracles are two more: they project every curve
@@ -272,13 +273,13 @@ def sequential_class_k_fit(M, p_chart, k: int, target_order: int, tol,
     Its Jacobian is taken by central differences of residual_jets, one
     coefficient at a time, not from the residual's linearization. Each step
     is solved by its own np.linalg.lstsq, a solver independent of the
-    library's one batched pinv over all starts; both give the minimum-norm
-    least-squares step. The line search evaluates one candidate at a time:
-    2 delta first, taken only when it converges, then delta, delta/2, ...
-    for the first that lowers |F|^2. A start ends as failed when its
-    residual has cosine at most gtol with every Jacobian column. On the
-    corpus the fit and this oracle agree on which samples have a curve, and
-    their curves differ by about 1e-9."""
+    library's batched pinv over the starts that step together; both give
+    the minimum-norm least-squares step. The line search evaluates one
+    candidate at a time: 2 delta first, taken only when it converges, then
+    delta, delta/2, ... for the first that lowers |F|^2. A start ends as
+    failed when its residual has cosine at most gtol with every Jacobian
+    column. On the corpus the fit and this oracle agree on which samples
+    have a curve, and their curves differ by about 1e-9."""
     p_chart = np.asarray(p_chart, dtype=float)
     p_amb = M.chart_eval(p_chart)
     n = M.n

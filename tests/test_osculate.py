@@ -21,7 +21,7 @@ from osclab.osculate import (
     ruledness_points,
 )
 from osclab.config import Tolerances, geometric_grid
-from osclab.scene import build_scene
+from osclab.scene import SceneError, build_scene
 from osclab.sweep import SweepFamily
 from oracles import (
     CERTIFIED_ULPS,
@@ -364,26 +364,73 @@ def test_fit_dispatch_boundary(monkeypatch):
     assert len(called) == 1 and np.array_equal(called[0], [0.2, 0.5])
 
 
+def test_family_less_verify_reads_lines_from_one_direction_call(monkeypatch):
+    # a family-less surface in R^3 at k = 1 takes its fitted lines from the
+    # one stacked osculating_directions call that also fills its records:
+    # no per-sample fit runs, and each line is, bit for bit, the one
+    # fit_class_k_curve reads at that sample alone. The ruled scenes
+    # osculate, so verify stops there with a scene error
+    real_directions, real_line = osculate.osculating_directions, osculate._osculating_line
+    for name in ("hyperbolic_paraboloid", "saddle", "cubic_graph"):
+        scene = _without_family(name)
+        M, p = scene.manifold, scene.params
+        want = [fit_class_k_curve(M, x, 1, 3, seed=0, tol=p.tol)
+                for x in M.grid(p.samples, margin=p.margin)]
+        directions, lines = [], []
+
+        def directions_spy(*args, **kwargs):
+            directions.append(args[1].shape)
+            return real_directions(*args, **kwargs)
+
+        def line_spy(*args):
+            lines.append(real_line(*args))
+            return lines[-1]
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a per-sample fit ran")
+
+        monkeypatch.setattr(osculate, "osculating_directions", directions_spy)
+        monkeypatch.setattr(osculate, "_osculating_line", line_spy)
+        monkeypatch.setattr(osculate, "fit_class_k_curve", no_fit)
+        if name == "cubic_graph":
+            rep = osculate.verify_theorem(scene, seed=0)
+            assert rep.first_failure["step"] == "osculation"
+        else:
+            with pytest.raises(SceneError, match="need a sweep family"):
+                osculate.verify_theorem(scene, seed=0)
+        assert directions == [(len(want), 2)], name
+        assert len(lines) == len(want), name
+        for got, fit in zip(lines, want):
+            assert (got is None) == (fit is None), name
+            if fit is not None:
+                assert np.array_equal(got.coeffs, fit.coeffs), name
+                assert np.array_equal(got.chart, fit.chart), name
+        monkeypatch.undo()
+
+
 def test_fit_evaluates_all_starts_together(monkeypatch):
-    # pins the call schedule, not a bound: one call for the 32 starts, then
-    # per Gauss-Newton step one call for the first four line-search
-    # candidates of the live starts (2 delta, delta, delta/2, delta/4) and
-    # one for the other 22 (delta/8, ..., delta/2^24) of only the starts
-    # that none of those four settles. The Jacobians come with the
-    # residuals, so no call probes. The paraboloid is convex: no line
-    # meets it to order 2, so every start ends failed
+    # pins the call schedule, not a bound: one call evaluates the 32 starts
+    # at their random points, then start 0 steps alone, one call for its
+    # first four line-search candidates (2 delta, delta, delta/2, delta/4)
+    # per step. Its 4th step needs the other 22 (delta/8, ..., delta/2^24),
+    # so the 31 others join it and all step in lockstep, with one call for
+    # the 22 of only the starts that none of the four settles. The
+    # Jacobians come with the residuals, so no call probes. The paraboloid
+    # is convex: no line meets it to order 2, so every start ends failed
+    # (the lockstep phase is the 25 steps and 21 searches of all 32 starts
+    # run together from the first)
     calls = _counting_residual_calls(monkeypatch)
     par = corpus.load("paraboloid")
     assert fit_class_k_curve(par.manifold, [0.2, 0.5], 1, 2, seed=0) is None
-    assert calls[0] == (32,)
+    assert calls[:6] == [(32,), (1, 4), (1, 4), (1, 4), (1, 22), (32, 4)]
     heads = [i for i, shape in enumerate(calls) if shape[1:] == (4,)]
-    assert heads[0] == 1 and len(heads) <= 80
+    assert len(heads) == 3 + 25
+    assert sum(shape[1:] == (22,) for shape in calls) == 1 + 21
     for i, end in zip(heads, heads[1:] + [len(calls)]):
         searches = calls[i + 1:end]                     # at most one, on no more starts
         assert len(searches) <= 1
         assert all(s[1:] == (22,) and s[0] <= calls[i][0] for s in searches)
-    assert any(shape[1:] == (22,) for shape in calls)
-    live = [calls[i][0] for i in heads]
+    live = [calls[i][0] for i in heads[3:]]
     assert live == sorted(live, reverse=True) and live[0] == 32
 
 
@@ -415,34 +462,86 @@ def test_fit_gtol_changes_no_outcome(monkeypatch):
                for g, w in zip(got, want) if w is not None)
 
 
-@pytest.mark.parametrize("name, x, k, target_order, jacobians, searches, found", [
-    # a double root: |F| falls 4x per plain step (19 steps without the
-    # doubled step that finishes a start)
-    ("paraboloid", [0.0, 0.0], 2, 6, 8, 1, True),
+@pytest.mark.parametrize("name, x, k, target_order, seed, lone, joined, searches, found", [
+    # a double root: |F| falls 4x per plain step. Start 0 converges alone
+    # on plain and doubled steps (at seed 0 it needs the tail search at its
+    # first step, and 7 lockstep steps of up to 32 starts follow)
+    ("paraboloid", [0.0, 0.0], 2, 6, 1, 7, 0, 0, True),
     # the cylinder's one asymptotic line, its ruling, is a double root of
     # the second fundamental form (16 steps without the doubled step)
-    ("cylinder", [0.5, 0.2], 1, 2, 5, 1, True),
-    # no asymptotic line at the sphere's centre: gtol ends the starts
-    # polishing their nonzero minimum (23 steps without it)
-    ("sphere", [0.0, 0.0], 1, 2, 18, 0, False),
+    ("cylinder", [0.5, 0.2], 1, 2, 0, 5, 0, 0, True),
+    # no asymptotic line at the sphere's centre: gtol ends start 0 after
+    # 17 steps polishing its nonzero minimum (23 without gtol), then the
+    # other 31 join and gtol ends them within 16 lockstep steps
+    ("sphere", [0.0, 0.0], 1, 2, 0, 17, 16, 0, False),
 ])
-def test_fit_step_counts(monkeypatch, name, x, k, target_order, jacobians, searches, found):
-    # the Jacobians the fit reads: one per step, which makes one pinv and
-    # one call for its first four line-search candidates, and on the sphere
-    # one more, whose gtol test ends the last starts. Each came with the
-    # residual of its point. `searches` counts the calls for the 22 smaller
-    # line-search steps
+def test_fit_step_counts(monkeypatch, name, x, k, target_order, seed, lone, joined,
+                         searches, found):
+    # each Gauss-Newton step makes one pinv and one call for its first four
+    # line-search candidates: `lone` one-row steps of start 0, then `joined`
+    # lockstep steps of the starts that join when it stalls, never more of
+    # them live than the step before. `searches` counts the calls for the
+    # 22 smaller line-search steps
     calls, solves = _counting_residual_calls(monkeypatch), _counting_pinv(monkeypatch)
     scene = corpus.load(name)
     M, tol = scene.manifold, scene.params.tol
-    curve = fit_class_k_curve(M, x, k, target_order, seed=0, tol=tol)
-    steps = jacobians if found else jacobians - 1
-    assert len(solves) == sum(shape[1:] == (4,) for shape in calls) == steps
+    curve = fit_class_k_curve(M, x, k, target_order, seed=seed, tol=tol)
+    rows = [shape[0] for shape in solves]
+    assert calls[0] == (osculate.FIT_STARTS,)
+    assert rows[:lone] == [1] * lone and len(rows) == lone + joined
+    assert [shape[0] for shape in calls if shape[1:] == (4,)] == rows
+    lockstep = rows[lone:]
+    assert lockstep == sorted(lockstep, reverse=True)
+    # the one case that joins does so once start 0 has ended: at most 31 live
+    assert all(1 < r <= osculate.FIT_STARTS - 1 for r in lockstep)
     assert sum(shape[1:] == (22,) for shape in calls) == searches
     assert (curve is not None) == found
     if found:
         order = contact_order_jet_recharted(curve, M, target_order + 2, tol)
         assert order.meets(target_order)
+
+
+class _OneRowRng:
+    """Stands in for np.random.default_rng: standard_normal hands out row
+    `row` of a real draw, the one start a fit of FIT_STARTS = 1 reads."""
+
+    def __init__(self, draw, row):
+        self.draw, self.row = draw, row
+
+    def standard_normal(self, shape):
+        assert shape == (1,) + self.draw.shape[1:]
+        return self.draw[self.row:self.row + 1].copy()
+
+
+@pytest.mark.parametrize("name, x, k, target_order, winner", [
+    ("paraboloid", [0.0, 0.0], 2, 6, 0),      # the others join, start 0 wins
+    ("cubic_graph", [-0.7, 0.3625], 2, 6, 1),  # start 0 ends failed, start 1 wins
+    ("cubic_graph", [0.0, 0.625], 2, 6, 0),
+    ("cylinder", [0.5, 0.2], 1, 2, 0),
+    ("sphere", [0.0, 0.0], 1, 2, None),       # gtol ends every start
+])
+def test_fit_returns_the_first_start_that_converges_alone(monkeypatch, name, x, k,
+                                                         target_order, winner):
+    # the schedule decides only which starts step, never their iterates:
+    # the fit's curve is, bit for bit, that of the lowest-index start that
+    # converges when it runs alone, fed its row of the real 32-start draw
+    scene = corpus.load(name)
+    M, tol = scene.manifold, scene.params.tol
+    want = fit_class_k_curve(M, x, k, target_order, seed=0, tol=tol)
+    draw = np.random.default_rng(0).standard_normal((osculate.FIT_STARTS, k, M.n))
+    monkeypatch.setattr(osculate, "FIT_STARTS", 1)
+    alone = []
+    for row in range(len(draw)):
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: _OneRowRng(draw, row))
+        alone.append(fit_class_k_curve(M, x, k, target_order, seed=0, tol=tol))
+        if alone[-1] is not None:
+            break
+    found = [row for row, curve in enumerate(alone) if curve is not None]
+    assert found == ([] if winner is None else [winner])
+    if winner is None:
+        assert want is None and len(alone) == len(draw)
+    else:
+        assert want is not None and np.array_equal(want.coeffs, alone[winner].coeffs)
 
 
 @pytest.mark.parametrize("p_chart, k, target_order, argument", [
