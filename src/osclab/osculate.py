@@ -261,17 +261,6 @@ def fit_class_k_curve(M: Submanifold, p_chart, k: int, target_order: int,
         return ((np.max(np.abs(F[..., :-1]), axis=-1) <= tol.contact_coeff)
                 & (np.abs(F[..., -1]) <= 1e-9))
 
-    def trial(starts: np.ndarray, delta: np.ndarray, scales: np.ndarray) -> tuple:
-        """The candidates flat + scale * delta of the starts, with F, J, |F|^2."""
-        cand = flat[starts, None, :] + scales[:, None] * delta[:, None, :]
-        Fc, Jc = system(cand)
-        return cand, Fc, Jc, np.einsum("sjr,sjr->sj", Fc, Fc)
-
-    def accept(starts, ok, pick, cand, Fc, Jc, fc2):
-        """Move each start starts[ok] to its candidate pick[ok] of a trial."""
-        to, hit = starts[ok], (np.flatnonzero(ok), pick[ok])
-        flat[to], F[to], J[to], f2[to] = cand[hit], Fc[hit], Jc[hit], fc2[hit]
-
     rng = np.random.default_rng(seed)
     flat = rng.standard_normal((FIT_STARTS, k, n))
     for c in flat:
@@ -281,10 +270,14 @@ def fit_class_k_curve(M: Submanifold, p_chart, k: int, target_order: int,
     f2 = np.einsum("ij,ij->i", F, F)
     taken = np.zeros(FIT_STARTS, dtype=int)   # Gauss-Newton steps per start
     steps = 0.5 ** np.arange(-1, 25)   # 2, 1, 1/2, ..., 2^-24 times delta
+    head, tail = steps[:4], steps[4:]  # the tail only for the starts the head leaves
     live = np.arange(1)                # starts still iterating, in index order
     waiting = np.arange(1, FIT_STARTS) # the starts that join once start 0 stalls
+    stalled = False                    # start 0 ended unconverged or needed the tail
     winner = None                      # lowest-index start that converged
     while True:
+        if stalled and waiting.size:
+            live, waiting = np.concatenate([live, waiting]), waiting[:0]
         live = live[taken[live] < 80]  # a start ends failed after 80 steps
         done = converged(F[live])
         if done.any():
@@ -297,28 +290,30 @@ def fit_class_k_curve(M: Submanifold, p_chart, k: int, target_order: int,
         cols = np.einsum("srj,srj->sj", Jl, Jl)
         moving = (g * g > FIT_GTOL ** 2 * cols * f2[live, None]).any(axis=1)
         live, Jl = live[moving], Jl[moving]
-        if live.size == 0 and winner is None and waiting.size:
-            live, waiting = waiting, waiting[:0]   # start 0 ended unconverged
-            continue
         if live.size == 0:
+            if winner is None and waiting.size:
+                stalled = True         # start 0 ended unconverged
+                continue
             break
         taken[live] += 1
         delta = -(np.linalg.pinv(Jl) @ F[live, :, None])[..., 0]
-        cand, Fc, Jc, fc2 = trial(live, delta, steps[:4])    # settles nearly every start
-        finish = converged(Fc[:, 0])
-        better = fc2[:, 1:] < f2[live, None]
-        moved = finish | better.any(axis=1)
-        pick = np.where(finish, 0, 1 + np.argmax(better, axis=1))
-        accept(live, moved, pick, cand, Fc, Jc, fc2)
-        rest = np.flatnonzero(~moved)
-        if rest.size:
-            cand, Fc, Jc, fc2 = trial(live[rest], delta[rest], steps[4:])
-            better = fc2 < f2[live[rest], None]
-            moved[rest] = better.any(axis=1)   # a start whose line search fails ends
-            accept(live[rest], moved[rest], np.argmax(better, axis=1), cand, Fc, Jc, fc2)
-        live = live[moved]
-        if rest.size and waiting.size:    # start 0 needs the tail search
-            live, waiting = np.concatenate([live, waiting]), waiting[:0]
+        searching = np.ones(live.size, dtype=bool)
+        for scales in (head, tail):
+            at = np.flatnonzero(searching)
+            cand = flat[live[at], None, :] + scales[:, None] * delta[at, None, :]
+            Fc, Jc = system(cand)
+            fc2 = np.einsum("sjr,sjr->sj", Fc, Fc)
+            better = fc2 < f2[live[at], None]
+            if scales is head:         # 2 delta only where it finishes the start
+                better[:, 0] = converged(Fc[:, 0])
+            hit = better.any(axis=1)
+            to, pick = live[at[hit]], (np.flatnonzero(hit), np.argmax(better[hit], axis=1))
+            flat[to], F[to], J[to], f2[to] = cand[pick], Fc[pick], Jc[pick], fc2[pick]
+            searching[at[hit]] = False
+            if not searching.any():
+                break
+            stalled = True             # start 0 needs the tail
+        live = live[~searching]        # a start whose line search fails ends
     if winner is None:
         return None
     return PolyCurve(np.vstack([p_amb, flat[winner].reshape(k, n)]), p_chart)
@@ -519,7 +514,7 @@ def verify_theorem(scene, seed: int = 0) -> VerdictReport:
     family: SweepFamily | None = scene.family
     params: RunParams = scene.params
     tol = params.tol
-    k = family.k if family is not None else scene.k
+    k = scene.k
     required = k * (M.m + 1)
     max_order = max_contact_order(k, M.m)
     X = M.grid(params.samples, margin=params.margin)
@@ -532,33 +527,31 @@ def verify_theorem(scene, seed: int = 0) -> VerdictReport:
         config=scene.config_dict(),
     )
 
-    # step 1: osculation hypothesis at every sample. The osculating
-    # directions of a surface in R^3 at k = 1 come from one stacked call,
-    # and a family-less scene reads its lines from them; its other fits run
-    # one per sample. The contact orders of all curves come from one stacked
-    # call, and a curve off M is recorded and the rest run again without it.
+    # step 1: osculation hypothesis at every sample. A surface in R^3 at
+    # k = 1 takes the osculating directions of all samples from one stacked
+    # call, before any fit, and a family-less one reads its lines from them;
+    # its other fits run one per sample. The contact orders of all curves
+    # come from one stacked call, and a curve off M is recorded and the rest
+    # run again without it.
     osc_records = [{"x": x.tolist()} for x in X]
 
     def fail(i, order, detail):
         osc_records[i].update({"order": order, "met": False, "detail": detail})
 
-    def stacked_directions():
-        """Every sample's osculating directions, or the ContactError raised."""
-        try:
-            return osculating_directions(M, X, tol)
-        except ContactError as err:
-            return err
-
     lines_in_closed_form = (M.m, M.n, k) == (2, 3, 1)
-    directions = None
+    directions, direction_error = [None] * len(X), None
+    if lines_in_closed_form:
+        try:
+            directions = osculating_directions(M, X, tol)
+        except ContactError as err:
+            direction_error = str(err)
     fits = {}
     if family is None:
-        if lines_in_closed_form:
-            directions = stacked_directions()
         for i, x in enumerate(X):
+            if direction_error is not None:
+                fail(i, "error", direction_error)
+                continue
             try:
-                if isinstance(directions, ContactError):
-                    raise directions
                 fits[i] = (_osculating_line(M, x, directions[i]) if lines_in_closed_form
                            else fit_class_k_curve(M, x, k, required, seed=seed, tol=tol))
                 if fits[i] is None:
@@ -578,10 +571,6 @@ def verify_theorem(scene, seed: int = 0) -> VerdictReport:
             osc_records[i].update({"order": str(order), "met": order.meets(required)})
         break
     if lines_in_closed_form:
-        if directions is None:
-            directions = stacked_directions()
-        if isinstance(directions, ContactError):
-            directions = [None] * len(X)
         for rec, dirs in zip(osc_records, directions):
             rec["osculating_directions"] = None if dirs is None else [
                 {"chart": d.chart.tolist(), "ambient": d.ambient.tolist(),
@@ -608,8 +597,6 @@ def verify_theorem(scene, seed: int = 0) -> VerdictReport:
                          "ruledness) need a sweep family")
 
     # steps 2-5 each give (record, failure detail); the record says "passed"
-    vv = None
-
     def growth():
         # growth exponent consistent with o(t^required)
         record = growth_record(family, params)
@@ -618,7 +605,6 @@ def verify_theorem(scene, seed: int = 0) -> VerdictReport:
         return record, f"slope {record['slope']} not above {required + 0.5}"
 
     def vanishing():
-        nonlocal vv
         vv = vanishing_verdict(family, params.samples, params.margin, tol)
         witness = None if vv.witness is None else {
             "x": vv.witness.x.tolist(),
@@ -634,8 +620,7 @@ def verify_theorem(scene, seed: int = 0) -> VerdictReport:
         # tangency flow at three interior samples, run as one batch
         starts = X[sorted({0, X.shape[0] // 2, X.shape[0] - 1})]
         try:
-            reports = tangency_flow_check(family, starts, params.tspan,
-                                          verdict=vv, tol=tol)
+            reports = tangency_flow_check(family, starts, params.tspan, tol=tol)
             errors = [fr.error for fr in reports]
         except (SweepError, ManifoldError) as err:
             reports, errors = [None] * len(starts), [err] * len(starts)

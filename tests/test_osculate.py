@@ -176,6 +176,29 @@ def test_direction_failure_records_none_and_keeps_the_verdict(monkeypatch, verif
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
+def test_family_less_direction_failure_fails_every_sample(monkeypatch):
+    # a family-less surface reads its lines from the stacked directions
+    # call, so a ContactError there is every sample's error: each record
+    # holds its text, no record holds directions, and step 1 fails at the
+    # first sample
+    def off_manifold(*args, **kwargs):
+        raise contact.NotOnManifold("curve base point is off the manifold", 0)
+
+    scene = _without_family("hyperbolic_paraboloid")
+    assert scene.k == 1
+    monkeypatch.setattr(osculate, "residual_jets", off_manifold)
+    rep = osculate.verify_theorem(scene, seed=0)
+    records = rep.steps["osculation"]["records"]
+    assert len(records) == 9
+    for rec in records:
+        assert (rec["order"], rec["met"]) == ("error", False), rec
+        assert rec["detail"] == "curve base point is off the manifold"
+        assert rec["osculating_directions"] is None
+    assert rep.verdict == "HYPOTHESIS_FAILS"
+    assert rep.first_failure["step"] == "osculation"
+    assert rep.first_failure["sample_index"] == 0
+
+
 def test_fit_recovers_ruling():
     hp = corpus.load("hyperbolic_paraboloid")
     x0, y0 = 0.3, -0.4
@@ -559,10 +582,11 @@ def test_fit_rejects_bad_input(p_chart, k, target_order, argument):
 
 
 def test_verify_stacks_osculation_and_vanishing(monkeypatch):
-    # step 1 takes the contact orders of all nine family curves in one
-    # residual call, and each sample's osculating directions take one for
-    # their probe lines and one for their direction lines; the vanishing
-    # step takes the minor jets of its whole grid in one call
+    # step 1 takes the osculating directions of all nine samples first, in
+    # one residual call for their four probe lines each and one for their
+    # 18 direction lines, then the contact orders of all nine family curves
+    # in one; the vanishing step takes the minor jets of its whole grid in
+    # one call
     residual_calls, minor_calls, vanishing = [], [], []
 
     def counting_residual(*args, **kwargs):
@@ -586,7 +610,7 @@ def test_verify_stacks_osculation_and_vanishing(monkeypatch):
     monkeypatch.setattr(osculate, "vanishing_verdict", counting_vanishing)
     rep = osculate.verify_theorem(corpus.load("hyperbolic_paraboloid"), seed=0)
     assert rep.verdict == "THEOREM_CONFIRMED"
-    assert residual_calls[0] == (9,)
+    assert residual_calls[:3] == [(9, 4), (18,), (9,)]
     assert len(residual_calls) <= 1 + 2 * 9
     assert vanishing == [[(9, 2)]]
 
