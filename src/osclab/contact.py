@@ -31,7 +31,7 @@ import numpy as np
 from . import expr as ex
 from .config import Tolerances, composite_gauss, geometric_grid
 from .exterior import max_minor_rows, solve
-from .jets import Jet, jet_eval_expr
+from .jets import Jet, jet_eval_many
 from .manifold import Submanifold
 
 _TOL = Tolerances()
@@ -92,11 +92,12 @@ class PolyCurve:
         j = np.arange(1, self.degree + 1)[:, None]
         return PolyCurve(j * self.coeffs[..., 1:, :])
 
-    def jets(self, degree: int) -> list[Jet]:
+    def jets(self, degree: int) -> np.ndarray:
+        """The coordinates' jets, shape (..., n, degree+1)."""
         upto = min(self.degree, degree) + 1
         c = np.zeros(self.coeffs.shape[:-2] + (self.n, degree + 1))
         c[..., :upto] = np.swapaxes(self.coeffs[..., :upto, :], -1, -2)
-        return [Jet(c[..., i, :]) for i in range(self.n)]
+        return c
 
 
 class ExprCurve:
@@ -124,11 +125,10 @@ class ExprCurve:
         env = {v: c.reshape(c.shape + (1,) * t.ndim) for v, c in self.bindings.items()}
         return ex.evaluate_many(self.exprs, {**env, ex.TIME_VAR: t}, self.batch + t.shape)
 
-    def jets(self, degree: int) -> list[Jet]:
+    def jets(self, degree: int) -> np.ndarray:
+        """The coordinates' jets, shape (*batch, n, degree+1)."""
         env = {**self.bindings, ex.TIME_VAR: Jet.variable(degree)}
-        shape = (self.batch or (1,)) + (degree + 1,)   # to broadcast entries free of x
-        return [Jet(np.broadcast_to(jet_eval_expr(e, env, degree).coeffs, shape)
-                    .reshape(self.batch + (degree + 1,))) for e in self.exprs]
+        return jet_eval_many(self.exprs, env, self.batch, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +150,9 @@ def _rechart_residual(M: Submanifold, u0: np.ndarray, G: np.ndarray,
     tangent = np.broadcast_to(tangent, G.shape[:-1])
 
     def components(u, marked):      # rows `marked` names for some curve, else 0
-        env, out = dict(zip(M.chart_vars, u)), np.zeros(G.shape)
-        for r in np.flatnonzero(np.any(marked.reshape(-1, M.n), axis=0)):
-            out[..., r, :] = jet_eval_expr(M.components[r], env, degree).coeffs
+        rows, out = np.flatnonzero(np.any(marked.reshape(-1, M.n), axis=0)), np.zeros(G.shape)
+        out[..., rows, :] = jet_eval_many([M.components[r] for r in rows],
+                                          dict(zip(M.chart_vars, u)), batch, degree)
         return out
 
     u = [Jet.constant(u0[..., i], degree) for i in range(M.m)]
@@ -166,10 +166,8 @@ def _rechart_residual(M: Submanifold, u0: np.ndarray, G: np.ndarray,
         return res, None
     # d res / d G = [-J_N J_T^-1 | I] at J = J(u); X = J_N J_T^-1 solves
     # X J_T = J_N order by order, each order against J_T(u0)
-    env, Ju = dict(zip(M.chart_vars, u)), np.zeros(G.shape[:-1] + (M.m, degree + 1))
-    for r in range(M.n):
-        for i in range(M.m):
-            Ju[..., r, i, :] = jet_eval_expr(M.jac_exprs[r][i], env, degree).coeffs
+    Ju = jet_eval_many(M.jac_exprs, dict(zip(M.chart_vars, u)), batch, degree)
+    Ju = Ju.reshape(G.shape[:-1] + (M.m, degree + 1))
     JTu = Ju[tangent].reshape(batch + (M.m, M.m, degree + 1))
     X = Ju[~tangent].reshape(batch + (M.n - M.m, M.m, degree + 1))
     for o in range(degree + 1):
@@ -220,26 +218,23 @@ def residual_jets(M: Submanifold, curve, degree: int, tol=_TOL, linearize: bool 
         row = int(np.flatnonzero(outside)[0])
         raise NotOnManifold(f"base chart point {u0.reshape(-1, M.m)[row].tolist()} "
                             "outside the box", row)
-    gj = curve.jets(degree)
+    G = curve.jets(degree)
     if M.kind == "graph":
         # a graph's inverse is its first m rows: u = gamma_tangent
-        env = dict(zip(M.chart_vars, gj))
-        res = np.stack([(gj[r] - jet_eval_expr(M.components[r], env, degree)).coeffs
-                        for r in range(M.m, M.n)], axis=-2)
+        batch = G.shape[:-2]
+        env = {v: Jet(G[..., i, :]) for i, v in enumerate(M.chart_vars)}
+        res = G[..., M.m:, :] - jet_eval_many(M.components[M.m:], env, batch, degree)
         if linearize:
             # only the height partials are evaluated; the rest of P is 0 or I
             P = np.zeros(res.shape[:-1] + (M.n, degree + 1))
-            for r in range(M.m, M.n):
-                for i in range(M.m):
-                    P[..., r - M.m, i, :] = -jet_eval_expr(M.jac_exprs[r][i], env,
-                                                           degree).coeffs
+            dh = jet_eval_many(M.jac_exprs[M.m * M.m:], env, batch, degree)
+            P[..., :M.m, :] = -dh.reshape(res.shape[:-1] + (M.m, degree + 1))
             normal = np.arange(M.n - M.m)
             P[..., normal, M.m + normal, 0] = 1.0
     else:
-        res, P = _rechart_residual(M, u0, np.stack([g.coeffs for g in gj], axis=-2),
-                                   linearize)
+        res, P = _rechart_residual(M, u0, G, linearize)
     off = np.max(np.abs(res[..., 0]), axis=-1)
-    scale = 1.0 + np.linalg.norm(np.stack([g.coeffs[..., 0] for g in gj], axis=-1), axis=-1)
+    scale = 1.0 + np.linalg.norm(G[..., 0], axis=-1)
     bad = ~(off <= tol.on_manifold * scale)
     if np.any(bad):
         row = int(np.flatnonzero(bad)[0])

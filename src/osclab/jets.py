@@ -15,6 +15,9 @@ Only the single time variable is jet-valued. Partials in chart variables
 are always taken symbolically first (expr.diff) and the result is then
 jet-evaluated in t.
 
+jet_eval_many stacks the jets of several expressions into one array, as
+expr.evaluate_many stacks floats; other modules pass jets as such arrays.
+
 Expressions are jet-evaluated by the one tree walker of the expr module
 (expr.evaluate_with): Jet supplies +, - and *, and JetArithmetic the
 quotient, power and elementary functions with their domain errors. Chart
@@ -279,3 +282,13 @@ def jet_eval_expr(e: ex.Expr, env: dict, degree: int | None = None) -> Jet:
         raise DegreeMismatch(f"environment jets differ from degree {degree}")
     value = ex.evaluate_with(e, env, JETS)
     return value if isinstance(value, Jet) else Jet.constant(value, degree)
+
+
+def jet_eval_many(exprs, env: dict, shape, degree: int) -> np.ndarray:
+    """Coefficients of jet_eval_expr over each of `exprs`, stacked as
+    expr.evaluate_many stacks floats: shape (*shape, len(exprs), degree+1),
+    where a jet free of the batch broadcasts to `shape`."""
+    out = np.empty((*shape, len(exprs), degree + 1))
+    for i, e in enumerate(exprs):
+        out[..., i, :] = jet_eval_expr(e, env, degree).coeffs
+    return out

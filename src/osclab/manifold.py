@@ -267,15 +267,9 @@ class Submanifold:
             extra = ex.variables(c) - allowed
             if extra:
                 raise ValueError(f"undeclared variables {sorted(extra)} in chart map")
-        self.jac_exprs = [
-            [ex.diff(c, v) for v in self.chart_vars] for c in self.components
-        ]
-        self.hess_exprs = [
-            [[ex.diff(d, v) for v in self.chart_vars] for d in row]
-            for row in self.jac_exprs
-        ]
-        self._jac_flat = [d for row in self.jac_exprs for d in row]
-        self._hess_flat = [d for row in self.hess_exprs for col in row for d in col]
+        # row-major: d_i c_r at index r m + i, d_j d_i c_r at (r m + i) m + j
+        self.jac_exprs = [ex.diff(c, v) for c in self.components for v in self.chart_vars]
+        self.hess_exprs = [ex.diff(d, v) for d in self.jac_exprs for v in self.chart_vars]
         self._screen: SeedScreen | None = None
         self._reach: float | None = None
 
@@ -316,12 +310,12 @@ class Submanifold:
 
     def jacobian_many(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        vals = ex.evaluate_many(self._jac_flat, self._env(X), X.shape[:-1])
+        vals = ex.evaluate_many(self.jac_exprs, self._env(X), X.shape[:-1])
         return vals.reshape(*X.shape[:-1], self.n, self.m)
 
     def hessian_many(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        vals = ex.evaluate_many(self._hess_flat, self._env(X), X.shape[:-1])
+        vals = ex.evaluate_many(self.hess_exprs, self._env(X), X.shape[:-1])
         return vals.reshape(*X.shape[:-1], self.n, self.m, self.m)
 
     def in_box_many(self, X, tol=1e-12) -> np.ndarray:
@@ -380,7 +374,7 @@ class Submanifold:
         env = {v: ex.Interval(lo[:, i], hi[:, i]) for i, v in enumerate(self.chart_vars)}
         # one bound for every cell where the entries are constant
         L, K = (np.broadcast_to(_interval_norm(e, env), (len(seeds),))
-                for e in (self._jac_flat, self._hess_flat))
+                for e in (self.jac_exprs, self.hess_exprs))
         J = _where_defined(self.jacobian_many, seeds)
         defined = np.all(np.isfinite(J), axis=(1, 2))
         J0 = np.where(defined[:, None, None], J, 0.0)
@@ -743,7 +737,7 @@ class Submanifold:
             if self.kind == "graph":
                 env = {v: ex.Interval(lo, hi)
                        for v, (lo, hi) in zip(self.chart_vars, self.box)}
-                K = float(_interval_norm(self._hess_flat[self.m ** 3:], env))  # the height rows
+                K = float(_interval_norm(self.hess_exprs[self.m ** 3:], env))  # the height rows
             self._reach = np.inf if K == 0.0 else 1.0 / K
         return self._reach
 

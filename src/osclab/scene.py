@@ -66,6 +66,11 @@ class Scene:
         return config
 
 
+def _number(value) -> bool:
+    """Whether a JSON value is a number; bool is an int in Python."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _require(data: dict, key: str, pointer: str):
     if not isinstance(data, dict) or key not in data:
         raise SceneError(f"{pointer}/{key}", "missing required key")
@@ -107,7 +112,7 @@ def _build_manifold(data) -> Submanifold:
         raise SceneError("/manifold/domain", f"expected {m} intervals")
     for i, pair in enumerate(domain):
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(v, (int, float)) and math.isfinite(v) for v in pair)
+                or not all(_number(v) and math.isfinite(v) for v in pair)
                 or not pair[0] < pair[1]):
             raise SceneError(f"/manifold/domain/{i}", "expected finite [a, b] with a < b")
     n = _require(data, "ambient_dim", "/manifold")
@@ -142,8 +147,7 @@ def _build_family(data, M: Submanifold, cutoff_data) -> SweepFamily:
         inner = _require(cutoff_data, "inner", "/cutoff")
         outer = _require(cutoff_data, "outer", "/cutoff")
         half_side = M.half_side
-        if not (isinstance(inner, (int, float)) and isinstance(outer, (int, float))
-                and 0.0 < inner < outer <= half_side):
+        if not (_number(inner) and _number(outer) and 0.0 < inner < outer <= half_side):
             raise SceneError("/cutoff",
                              f"need 0 < inner < outer <= {half_side} (half box side)")
         center = 0.5 * (M.box[:, 0] + M.box[:, 1])
@@ -178,9 +182,7 @@ def _parse_params(raw: dict | None, m: int,
     for key, value in (raw or {}).items():
         if key not in _PARAM_KEYS:
             raise SceneError(f"/params/{key}", "unknown parameter")
-        # bool is an int in Python, so true would read as 1
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not math.isfinite(value)):
+        if not (_number(value) and math.isfinite(value)):
             raise SceneError(f"/params/{key}", "expected a finite number")
         if _PARAM_KEYS[key] is int and value != int(value):
             raise SceneError(f"/params/{key}", f"{key} must be an integer")

@@ -57,7 +57,7 @@ from . import expr as ex
 from .config import QuadConfig, Tolerances, composite_gauss, geometric_grid
 from .contact import ExprCurve, PolyCurve
 from .exterior import RANK_FLOOR, frame_norm, frame_ratio, index_combinations, wedge_ring
-from .jets import Jet, default_degree, jet_eval_expr
+from .jets import Jet, default_degree, jet_eval_many
 from .manifold import OutOfDomain, Submanifold, gauss_newton, gauss_newton_step
 
 _TOL = Tolerances()
@@ -182,14 +182,12 @@ class SweepFamily:
         # d_v chi, whose values _env binds
         self.leaves = () if cutoff is None else (
             CHI, *(f"d({v}){CHI}" for v in M.chart_vars))
-        # frame entries (d1 phi_c .. dm phi_c, dt phi_c), one row per component;
+        # frame entries (d1 phi_c .. dm phi_c, dt phi_c) row-major, (c, i) at c (m+1) + i;
         # under a cutoff a chart entry adds the chain rule's (d phi_c/d chi) d_v chi
-        self.map_frame = [[ex.diff(c, v) for v in (*M.chart_vars, ex.TIME_VAR)]
-                          for c in self.map_exprs]
-        if cutoff is not None:
-            for c, row in zip(self.map_exprs, self.map_frame):
-                row[: M.m] = [ex.add(d, ex.mul(ex.diff(c, CHI), ex.var(leaf)))
-                              for d, leaf in zip(row, self.leaves[1:])]
+        dchi = dict(zip(M.chart_vars, self.leaves[1:]))
+        self.map_frame = [ex.diff(c, v) if v not in dchi else
+                          ex.add(ex.diff(c, v), ex.mul(ex.diff(c, CHI), ex.var(dchi[v])))
+                          for c in self.map_exprs for v in (*M.chart_vars, ex.TIME_VAR)]
         if self.fields is None:
             self._check_identity_at_zero()
         self._cache: dict = {}
@@ -224,8 +222,7 @@ class SweepFamily:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         T = np.asarray(T, dtype=float)
         shape = X.shape[:-1]
-        flat = [d for row in self.map_frame for d in row]
-        return ex.evaluate_many(flat, self._env(X, T), shape).reshape(
+        return ex.evaluate_many(self.map_frame, self._env(X, T), shape).reshape(
             *shape, self.M.n, self.M.m + 1)
 
     # -- jets in t ----------------------------------------------------------
@@ -238,22 +235,20 @@ class SweepFamily:
         if not self.polynomial:
             return ExprCurve(self.map_exprs, self.M.chart_vars, x)
         X = np.atleast_2d(x)
-        env = self._env(X, Jet.variable(self.k))
-        point = [jet_eval_expr(c, env) for c in self.map_exprs]
-        shape = (X.shape[0], self.k + 1)    # to broadcast entries free of X
-        coeffs = np.stack([np.broadcast_to(j.coeffs, shape) for j in point], axis=-1)
+        coeffs = jet_eval_many(self.map_exprs, self._env(X, Jet.variable(self.k)),
+                               X.shape[:-1], self.k)
+        # C order: PolyCurve's sum over its coefficients rounds by their layout
+        coeffs = np.ascontiguousarray(np.swapaxes(coeffs, -1, -2))
         return PolyCurve(coeffs.reshape(x.shape[:-1] + coeffs.shape[1:]), x)
 
-    def frame_jets(self, X, degree: int) -> list[list[Jet]]:
-        """Frame columns as jets in t at a stack of chart points X (N, m);
-        every jet has shape (N, degree+1). The chart values stay arrays, so
-        the subexpressions free of t evaluate in floats."""
+    def frame_jets(self, X, degree: int) -> np.ndarray:
+        """The frame's entries as jets in t at a stack of chart points X
+        (N, m), shape (N, n, m+1, degree+1). The chart values stay arrays,
+        so the subexpressions free of t evaluate in floats."""
         X = np.asarray(X, dtype=float)
-        env = self._env(X, Jet.variable(degree))
-        frame = [[jet_eval_expr(d, env) for d in row] for row in self.map_frame]
-        shape = (X.shape[0], degree + 1)    # to broadcast entries free of X
-        return [[Jet(np.broadcast_to(row[i].coeffs, shape)) for row in frame]
-                for i in range(self.M.m + 1)]
+        jets = jet_eval_many(self.map_frame, self._env(X, Jet.variable(degree)),
+                             X.shape[:-1], degree)
+        return jets.reshape(X.shape[:-1] + (self.M.n, self.M.m + 1, degree + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +278,9 @@ def _minor_jets(family: SweepFamily, X: np.ndarray, degree: int) -> np.ndarray:
     """t-coefficients of every maximal minor of the frame at chart points
     X (N, m), by jet arithmetic: shape (N, C(n, m+1), degree+1), minors in
     combination order."""
-    return np.stack([c.coeffs for c in wedge_ring(family.frame_jets(X, degree))],
-                    axis=-2)
+    F = family.frame_jets(X, degree)
+    columns = [[Jet(F[:, r, i]) for r in range(family.M.n)] for i in range(family.M.m + 1)]
+    return np.stack([c.coeffs for c in wedge_ring(columns)], axis=-2)
 
 
 class VolumeSample(NamedTuple):
@@ -349,11 +345,10 @@ def frame_minors_vanish(family: SweepFamily) -> bool:
     env = {v: ex.Poly.generator(v)
            for v in (*family.M.chart_vars, ex.TIME_VAR, *family.leaves)}
     try:
-        frame = [[ex.evaluate_with(d, env, ex.EXACT) for d in row]
-                 for row in family.map_frame]
+        frame = [ex.evaluate_with(d, env, ex.EXACT) for d in family.map_frame]
     except ex.DomainError:
         return False
-    columns = [[row[i] for row in frame] for i in range(family.M.m + 1)]
+    columns = [frame[i :: family.M.m + 1] for i in range(family.M.m + 1)]
     return all(minor.is_zero() for minor in wedge_ring(columns))
 
 

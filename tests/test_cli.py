@@ -58,15 +58,67 @@ def test_schema_error_bad_cutoff():
 
 
 @pytest.mark.parametrize("pair", [[-1, float("inf")], [float("-inf"), 1],
-                                  [float("nan"), 1]])
+                                  [float("nan"), 1], [False, True]])
 def test_schema_error_nonfinite_domain(tmp_path, pair):
-    # json reads NaN and Infinity, which pass no range check a finite box needs
+    # json reads NaN and Infinity, which pass no range check a finite box
+    # needs; bool is an int in Python, so [false, true] would build [0, 1]
     data = json.loads(corpus.scene_path("hyperbolic_paraboloid").read_text())
     data["manifold"]["domain"][1] = pair
     (tmp_path / "hp.json").write_text(json.dumps(data))
     with pytest.raises(SceneError) as err:
         load_scene(str(tmp_path / "hp.json"))
     assert err.value.pointer == "/manifold/domain/1"
+
+
+@pytest.mark.parametrize("cutoff", [{"inner": True, "outer": 1.5},
+                                    {"inner": 0.5, "outer": True}])
+def test_cutoff_radii_reject_booleans(cutoff):
+    # on a [-2, 2]^2 box, inner = true would build a cutoff of inner radius 1
+    data = json.loads(corpus.scene_path("hyperbolic_paraboloid").read_text())
+    data["manifold"]["domain"] = [[-2, 2], [-2, 2]]
+    data["cutoff"] = cutoff
+    with pytest.raises(SceneError) as err:
+        build_scene(data)
+    assert err.value.pointer == "/cutoff"
+
+
+_CUTOFF = {"inner": 0.2, "outer": 0.45}
+_HP_MAP = {"k": 1, "map": ["x", "y", "x*y"]}
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({"manifold.type": "torus"}, "/manifold/type: unknown manifold type 'torus'"),
+    ({"manifold.chart_vars": ["x", "2y"]}, "/manifold/chart_vars: expected identifier names"),
+    ({"manifold.chart_vars": ["x", "t"]},
+     "/manifold/chart_vars: 't' is reserved for the time variable"),
+    ({"manifold.chart_vars": ["x", "x"]},
+     "/manifold/chart_vars: chart variables must be unique"),
+    ({"manifold.domain": [[-1, 1]]}, "/manifold/domain: expected 2 intervals"),
+    ({"manifold.ambient_dim": 2}, "/manifold/ambient_dim: ambient dimension must be "
+     "an integer above the chart dimension"),
+    ({"manifold.height": "x*y"}, "/manifold/height: expected a nonempty list of expressions"),
+    ({"manifold.height": [3]}, "/manifold/height/0: expression must be a string"),
+    ({"family.map": _HP_MAP["map"]}, "/family: provide exactly one of 'fields' or 'map'"),
+    ({"family.fields": []}, "/family/fields: expected 1 vector fields"),
+    ({"cutoff": 0.3}, "/cutoff: expected an object with inner/outer radii"),
+    ({"family": _HP_MAP, "cutoff": _CUTOFF},
+     "/cutoff: cutoff applies to polynomial field families"),
+    ({"family": None, "cutoff": _CUTOFF}, "/cutoff: cutoff without a family"),
+    (None, "/: scene must be a JSON object"),
+])
+def test_schema_errors_name_their_pointer(edits, message):
+    # edits set keys of the hyperbolic paraboloid's scene, by dotted path;
+    # None replaces the whole scene with a list
+    data = json.loads(corpus.scene_path("hyperbolic_paraboloid").read_text())
+    for path, value in (edits or {}).items():
+        *parents, key = path.split(".")
+        target = data
+        for parent in parents:
+            target = target[parent]
+        target[key] = value
+    with pytest.raises(SceneError) as err:
+        build_scene([] if edits is None else data)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("k", [0, -1])
@@ -525,6 +577,11 @@ def test_out_of_range_settings_exit_one(capsys, monkeypatch, tmp_path, hp_path,
      "the chart box [[-1.0, 1.0], [-1.0, 1.0]]"),
     ("contact", None, "--point nan,0", "--point 'nan,0' must be finite and inside "
      "the chart box [[-1.0, 1.0], [-1.0, 1.0]]"),
+    ("contact", None, "", "--point is required for this command"),
+    ("contact", None, "--point 0,a", "cannot parse --point '0,a'"),
+    ("contact", None, "--point 0", "--point needs 2 chart coordinates"),
+    ("verify", None, "--t-grid geometric:abc,3",
+     "bad --t-grid value: could not convert string to float: 'abc'"),
 ])
 def test_bad_seed_or_max_order_exits_one(capsys, monkeypatch, tmp_path, command,
                                          env_seed, flags, message):

@@ -233,7 +233,7 @@ def test_interval_encloses_corpus_charts(corpus_charts, corner, width, seed):
     for M in corpus_charts:
         lo, hi = _sub_box(M.box, corner, width)
         X = np.concatenate([[lo, hi], rng.uniform(lo, hi, size=(62, M.m))])
-        for e in M.components + [d for row in M.jac_exprs for d in row]:
+        for e in M.components + M.jac_exprs:
             _assert_encloses(e, M.chart_vars, lo, hi, X)
 
 

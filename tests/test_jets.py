@@ -13,6 +13,7 @@ from osclab.jets import (
     default_degree,
     jet_div,
     jet_eval_expr,
+    jet_eval_many,
     jet_exp,
     jet_pow,
     jet_sin_cos,
@@ -219,6 +220,21 @@ def test_chart_values_as_arrays_match_constant_jets(stacks):
     as_jets = jet_eval_expr(e, {"x": Jet.constant(x, degree),
                                 "y": Jet.constant(y, degree), "t": t})
     assert np.array_equal(as_arrays.coeffs, as_jets.coeffs)
+
+
+@pytest.mark.parametrize("shape, x", [((3,), np.array([0.5, -1.0, 2.0])),
+                                      ((), np.array([0.5]))])
+def test_stacked_jets_hold_each_expression(shape, x):
+    """jet_eval_many stacks jet_eval_expr over its expressions; a jet free
+    of the batch (a constant, or t alone) broadcasts over it, and a chart
+    point bound as a (1,)-array fills a batch of shape ()."""
+    exprs = [ex.parse(e) for e in ("x*t + sin(t)", "3", "t^2", "exp(x)")]
+    env = {"x": x, "t": Jet.variable(4)}
+    got = jet_eval_many(exprs, env, shape, 4)
+    assert got.shape == (*shape, 4, 5)
+    for i, e in enumerate(exprs):
+        want = np.broadcast_to(jet_eval_expr(e, env, 4).coeffs, (x.size, 5))
+        assert np.array_equal(got[..., i, :], want.reshape(*shape, 5))
 
 
 def test_domain_errors_of_chart_values_and_of_jets():

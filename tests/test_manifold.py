@@ -96,7 +96,7 @@ def test_chart_with_more_seeds_than_a_chunk_fails_fast(monkeypatch):
         graph = Submanifold.graph(names[:m], [[-1, 1]] * m, ["x0^2"])
         chart = Submanifold.parametric(names[:m], [[-1, 1]] * m, names[:m] + ["x0^2"], m + 1)
         for M in (graph, chart):
-            assert (M.m, M.n, len(M.hess_exprs)) == (m, m + 1, m + 1)
+            assert (M.m, M.n, len(M.hess_exprs)) == (m, m + 1, (m + 1) * m * m)
 
 
 def test_nearest_point_sphere(sphere_cap):
@@ -970,8 +970,8 @@ def test_screen_matches_per_cell_bounds():
         env = {"x": ex.Interval(x0, x1), "y": ex.Interval(y0, y1)}
         reach = np.linalg.norm(np.maximum(seed - [x0, y0], [x1, y1] - seed), axis=-1)
         reaches.append(reach)
-        slack.append(frobenius([d for row in M.jac_exprs for d in row], env) * reach)
-        K = frobenius([d for row in M.hess_exprs for col in row for d in col], env)
+        slack.append(frobenius(M.jac_exprs, env) * reach)
+        K = frobenius(M.hess_exprs, env)
         curv.append(0.5 * K * reach**2 if np.isfinite(K) else np.inf)
         assert np.isinf(slack[-1]) == np.isinf(curv[-1]) == (x0 == 0.0 or y0 <= 0.3 <= y1)
     assert np.array_equal(screen.slack, slack)

@@ -641,6 +641,54 @@ def test_step_one_records_each_curve_off_the_manifold():
     assert rep.first_failure["sample_index"] == 0
 
 
+def test_flow_error_is_each_start_record(monkeypatch):
+    # a SweepError from the batched flow check fails all three starts with
+    # its text, and the flow step is the first failure
+    def boom(*args, **kwargs):
+        raise sweep.FlowRankError("boom")
+
+    monkeypatch.setattr(osculate, "tangency_flow_check", boom)
+    rep = osculate.verify_theorem(corpus.load("hyperbolic_paraboloid"), seed=0)
+    records = [{"x": x, "passed": False, "error": "boom"}
+               for x in ([-0.7, -0.7], [0.0, 0.0], [0.7, 0.7])]
+    assert rep.steps["flow"] == {"records": records, "passed": False}
+    assert rep.verdict == "HYPOTHESIS_FAILS"
+    assert rep.first_failure == {"step": "flow", "detail": records}
+
+
+def test_step_error_ends_the_pipeline_at_that_step(monkeypatch):
+    def boom(*args, **kwargs):
+        raise sweep.SweepError("boomv")
+
+    monkeypatch.setattr(osculate, "vanishing_verdict", boom)
+    rep = osculate.verify_theorem(corpus.load("hyperbolic_paraboloid"), seed=0)
+    assert rep.steps["vanishing"] == {"passed": False, "error": "boomv"}
+    assert list(rep.steps) == ["osculation", "growth", "vanishing"]
+    assert rep.verdict == "HYPOTHESIS_FAILS"
+    assert rep.first_failure == {"step": "vanishing", "detail": "boomv"}
+
+
+def test_fit_error_is_its_sample_record(monkeypatch):
+    # a family-less paraboloid at k = 2 fits one curve per sample; an error
+    # from the fit at the centre fails that sample only
+    real = osculate.fit_class_k_curve
+
+    def boom_at_centre(M, x, *args, **kwargs):
+        if np.array_equal(x, [0.0, 0.0]):
+            raise contact.ContactError("fit boom")
+        return real(M, x, *args, **kwargs)
+
+    monkeypatch.setattr(osculate, "fit_class_k_curve", boom_at_centre)
+    rep = osculate.verify_theorem(_without_family("paraboloid"), seed=0)
+    records = rep.steps["osculation"]["records"]
+    assert records[4] == {"x": [0.0, 0.0], "order": "error", "met": False,
+                          "detail": "fit boom"}
+    assert all(rec["met"] for rec in records[:4])
+    assert rep.verdict == "HYPOTHESIS_FAILS"
+    assert rep.first_failure["step"] == "osculation"
+    assert rep.first_failure["sample_index"] == 4
+
+
 def test_verify_fails_family_less_m3_bowl():
     # the non-ruled m = 3 control: no line osculates w = x^2 + y^2 + z^2 to
     # order k(m+1) = 4, so every sample fails at osculation

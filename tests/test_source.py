@@ -2,7 +2,9 @@
 src/osclab takes a parameter that its body never reads, so a knob that no
 longer does anything cannot stay in a signature; and a sweep family's
 cutoff is read only where its map is built and where its leaves are bound,
-so no cutoff path can patch values after they are evaluated."""
+so no cutoff path can patch values after they are evaluated; and only the
+jets module calls jet_eval_expr, so every stack of jets comes from
+jets.jet_eval_many."""
 
 import ast
 from pathlib import Path
@@ -73,3 +75,27 @@ def test_the_sweep_cutoff_is_read_only_by_the_map_and_its_leaves():
     d_i chi from Cutoff.value_and_grad; every other path reads the map."""
     source = (SRC / "sweep.py").read_text()
     assert _functions_reading(source, "cutoff") == {"__init__", "_env"}
+
+
+def _calls(source: str, name: str) -> int:
+    """How many calls in `source` call `name`, as a bare name or as an
+    attribute."""
+    return sum(isinstance(n, ast.Call) and name == (
+        n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None))
+        for n in ast.walk(ast.parse(source)))
+
+
+def test_the_scan_finds_a_call():
+    source = ("from .jets import jet_eval_expr\n"
+              "f = jet_eval_expr\n"
+              "def g(e, env):\n"
+              "    return jets.jet_eval_expr(e, env), jet_eval_expr(e, env).coeffs\n")
+    assert _calls(source, "jet_eval_expr") == 2
+
+
+def test_only_jet_eval_many_stacks_jets():
+    callers = {path.name for path in sorted(SRC.glob("*.py"))
+               if _calls(path.read_text(), "jet_eval_expr")}
+    assert callers == {"jets.py"}
+    assert _functions_reading((SRC / "jets.py").read_text(), "jet_eval_expr") == {
+        "jet_eval_many"}

@@ -287,12 +287,9 @@ def test_stacked_frame_jets_match_per_point(scenes):
         D = default_degree(family.k, family.M.m)
         X = scene.manifold.grid(3, margin=0.15)
         stacked = family.frame_jets(X, D)
+        assert stacked.shape == (X.shape[0], family.M.n, family.M.m + 1, D + 1)
         for i in range(X.shape[0]):
-            single = family.frame_jets(X[i : i + 1], D)
-            for col_s, col_1 in zip(stacked, single):
-                for jet_s, jet_1 in zip(col_s, col_1):
-                    assert jet_s.coeffs.shape == (X.shape[0], D + 1)
-                    assert np.array_equal(jet_s.coeffs[i : i + 1], jet_1.coeffs)
+            assert np.array_equal(stacked[i : i + 1], family.frame_jets(X[i : i + 1], D))
 
 
 def _frame_route_volume(family, t, quad):
@@ -400,12 +397,6 @@ def _field_coefficients(family, X):
     return P, C
 
 
-def _jet_coeffs(columns):
-    """frame_jets' columns as one array (N, n, m+1, degree+1)."""
-    return np.stack([np.stack([j.coeffs for j in col], axis=1) for col in columns],
-                    axis=2)
-
-
 def _sample(family, count=40):
     rng = np.random.default_rng(7)
     box = family.M.box
@@ -427,8 +418,7 @@ def test_field_family_equals_its_written_out_map(scenes):
         D = default_degree(family.k, family.M.m)
         assert np.array_equal(family.point_many(X, T), mapped.point_many(X, T))
         assert np.array_equal(family.frame_many(X, T), mapped.frame_many(X, T))
-        assert np.array_equal(_jet_coeffs(family.frame_jets(X, D)),
-                              _jet_coeffs(mapped.frame_jets(X, D)))
+        assert np.array_equal(family.frame_jets(X, D), mapped.frame_jets(X, D))
         mesh, _ = _chart_mesh(family.M, scene.params.quad)
         d = critical_degree(family)
         assert np.array_equal(_minor_jets(family, mesh, d), _minor_jets(mapped, mesh, d))
@@ -438,8 +428,7 @@ def test_field_family_equals_its_written_out_map(scenes):
             env = {**family.M._env(x[None]), ex.TIME_VAR: t}
             jets = [np.atleast_2d(jet_eval_expr(e, env).coeffs)[0] for e in mapped.map_exprs]
             assert np.array_equal(poly, np.stack(jets, axis=-1))
-            expr = np.stack([j.coeffs for j in mapped.curve_at(x).jets(family.k)], axis=-1)
-            assert np.array_equal(expr, poly)
+            assert np.array_equal(mapped.curve_at(x).jets(family.k).T, poly)
 
 
 def test_field_family_matches_its_field_coefficients(scenes):
@@ -458,7 +447,7 @@ def test_field_family_matches_its_field_coefficients(scenes):
         P, C = _field_coefficients(family, X)
         coeffs = np.zeros(C.shape[1:] + (D + 1,))
         coeffs[..., : family.k + 1] = np.moveaxis(C, 0, -1)
-        assert np.array_equal(_jet_coeffs(family.frame_jets(X, D)), coeffs), scene.name
+        assert np.array_equal(family.frame_jets(X, D), coeffs), scene.name
         for i, x in enumerate(X[:8]):
             assert np.array_equal(family.curve_at(x).coeffs, P[:, i]), scene.name
         powers = T[:, None] ** np.arange(family.k + 1)
@@ -489,8 +478,7 @@ def test_cutoff_leaves_are_not_chart_variables():
     D = default_degree(1, 2)
     assert np.array_equal(named.point_many(X, T), plain.point_many(X, T))
     assert np.array_equal(named.frame_many(X, T), plain.frame_many(X, T))
-    assert np.array_equal(_jet_coeffs(named.frame_jets(X, D)),
-                          _jet_coeffs(plain.frame_jets(X, D)))
+    assert np.array_equal(named.frame_jets(X, D), plain.frame_jets(X, D))
     assert np.array_equal(named.curve_at(X).coeffs, plain.curve_at(X).coeffs)
     assert frame_minors_vanish(named) and frame_minors_vanish(plain)
     # the cutoff acts: at T != 0 the points differ from the uncut family's
@@ -651,7 +639,8 @@ def test_cutoff_and_sqrt_scenes_take_the_float_route(scenes, quadrature_calls):
     assert quadrature_calls == []
     cylinder = _graph_family(["x", "w"], ["sqrt(1 - x^2)"], [["0", "1", "0"]])
     with pytest.raises(ex.DomainError):
-        ex.evaluate_with(cylinder.map_frame[2][0], {"x": ex.Poly.generator("x")},
+        # frame entry (2, 0), d_x of the height, at index 2 (m+1) + 0
+        ex.evaluate_with(cylinder.map_frame[2 * 3], {"x": ex.Poly.generator("x")},
                          ex.EXACT)
     cases = {"sphere+cutoff": corpus.with_cutoff(scenes["sphere"], 0.2, 0.45).family,
              "segment+cutoff": corpus.with_cutoff(scenes["segment"], 0.15, 0.4).family,
@@ -1120,10 +1109,8 @@ def test_curve_at_a_stack_holds_the_curves_at_its_points(scenes):
         D = family.k + 2
         stack = family.curve_at(X)
         assert np.array_equal(stack.chart, X), scene.name
-        got = np.stack([j.coeffs for j in stack.jets(D)], axis=-1)
-        want = np.stack([np.stack([j.coeffs for j in family.curve_at(x).jets(D)], axis=-1)
-                         for x in X])
-        assert np.array_equal(got, want), scene.name
+        want = np.stack([family.curve_at(x).jets(D) for x in X])
+        assert np.array_equal(stack.jets(D), want), scene.name
 
 
 @pytest.mark.parametrize("name", ["sphere", "cubic_graph", "circle", "segment"])
