@@ -68,7 +68,8 @@ class PolyCurve:
     chart point (..., m) broadcasts over it."""
 
     def __init__(self, coeffs, chart=None):
-        self.coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
+        # C order: the sum over the coefficients rounds by their layout
+        self.coeffs = np.atleast_2d(np.ascontiguousarray(coeffs, dtype=float))
         self.chart = None if chart is None else np.asarray(chart, dtype=float)
 
     @property

@@ -9,10 +9,10 @@ The grammar is deliberately tiny:
     factor := '-' factor | base ('^' nonneg-integer)?
     base   := number | identifier | identifier '(' expr ')' | '(' expr ')'
 
-Functions: sin, cos, exp, sqrt.  Numbers are decimal literals with an
-optional exponent.  '^' binds tighter than unary minus, which binds
-tighter than '*'/'/'; '+'/'-' bind loosest.  Exponents are nonnegative
-integer literals, so reciprocal powers are written with '/'.
+Functions: sin, cos, exp, sqrt.  Numbers are decimal literals of ASCII
+digits with an optional exponent.  '^' binds tighter than unary minus,
+which binds tighter than '*'/'/'; '+'/'-' bind loosest.  Exponents are
+nonnegative integer literals, so reciprocal powers are written with '/'.
 
 Trees are immutable; parse/diff/evaluate are pure functions. One tree
 walker, `evaluate_with`, evaluates every kind of value: it applies +, -
@@ -54,6 +54,9 @@ FUNCTIONS = ("sin", "cos", "exp", "sqrt")
 
 #: chart variables may never shadow the time variable
 TIME_VAR = "t"
+
+#: the digits of a number literal; str.isdigit also takes "²" and "٣"
+_DIGITS = frozenset("0123456789")
 
 
 class ExprError(Exception):
@@ -124,8 +127,9 @@ class Call(Expr):
 
 
 # ---------------------------------------------------------------------------
-# smart constructors (syntactic simplification only: constant folding and
-# identity elimination; correctness rests on evaluation, not normal forms)
+# smart constructors: they eliminate identities (0 and 1 operands, exponents
+# 0 and 1) and never round, so two constants stay two nodes and every ring
+# evaluates their operation itself
 
 
 def const(x) -> Const:
@@ -136,15 +140,11 @@ def var(name: str) -> Var:
     return Var(name)
 
 
-def _is_const(e: Expr, v=None) -> bool:
-    if not isinstance(e, Const):
-        return False
-    return v is None or e.value == v
+def _is_const(e: Expr, v: float) -> bool:
+    return isinstance(e, Const) and e.value == v
 
 
 def add(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
-        return Const(a.value + b.value)
     if _is_const(a, 0.0):
         return b
     if _is_const(b, 0.0):
@@ -157,8 +157,6 @@ def sub(a: Expr, b: Expr) -> Expr:
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
-        return Const(a.value * b.value)
     if _is_const(a, 0.0) or _is_const(b, 0.0):
         return Const(0.0)
     if _is_const(a, 1.0):
@@ -173,8 +171,6 @@ def div(a: Expr, b: Expr) -> Expr:
         return Const(0.0)
     if _is_const(b, 1.0):
         return a
-    if _is_const(a) and _is_const(b) and b.value != 0.0:
-        return Const(a.value / b.value)
     return Div(a, b)
 
 
@@ -194,8 +190,6 @@ def power(base: Expr, exponent: int) -> Expr:
         return Const(1.0)
     if exponent == 1:
         return base
-    if _is_const(base):
-        return Const(base.value**exponent)
     return Pow(base, exponent)
 
 
@@ -280,7 +274,7 @@ class _Parser:
     def nonneg_integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
             self.error("expected nonnegative integer exponent")
@@ -293,7 +287,7 @@ class _Parser:
             e = self.expr()
             self.expect(")")
             return e
-        if c.isdigit() or c == ".":
+        if c in _DIGITS or c == ".":
             return self.number()
         if c.isalpha() or c == "_":
             return self.identifier()
@@ -303,25 +297,25 @@ class _Parser:
         self.skip_ws()
         start = self.pos
         text = self.text
-        while self.pos < len(text) and text[self.pos].isdigit():
+        while self.pos < len(text) and text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos < len(text) and text[self.pos] == ".":
             self.pos += 1
-            while self.pos < len(text) and text[self.pos].isdigit():
+            while self.pos < len(text) and text[self.pos] in _DIGITS:
                 self.pos += 1
         if self.pos < len(text) and text[self.pos] in "eE":
             mark = self.pos
             self.pos += 1
             if self.pos < len(text) and text[self.pos] in "+-":
                 self.pos += 1
-            if self.pos < len(text) and text[self.pos].isdigit():
-                while self.pos < len(text) and text[self.pos].isdigit():
+            if self.pos < len(text) and text[self.pos] in _DIGITS:
+                while self.pos < len(text) and text[self.pos] in _DIGITS:
                     self.pos += 1
             else:
                 # "2e" is the number 2 followed by the identifier e
                 self.pos = mark
         lit = text[start : self.pos]
-        if lit in ("", "."):
+        if lit == ".":
             self.pos = start
             self.error("malformed number")
         return Const(float(lit))

@@ -49,6 +49,16 @@ def test_schema_error_expression_offset():
     assert "offset 3" in str(err.value)
 
 
+def test_schema_error_non_ascii_digit():
+    # "²" is a digit to str.isdigit, not to the parser
+    data = json.loads(corpus.scene_path("segment").read_text())
+    data["manifold"]["height"] = ["x^\u00b2"]
+    with pytest.raises(SceneError) as err:
+        build_scene(data)
+    assert err.value.pointer == "/manifold/height/0"
+    assert "expected nonnegative integer exponent at offset 2" in str(err.value)
+
+
 def test_schema_error_bad_cutoff():
     data = json.loads(corpus.scene_path("segment").read_text())
     data["cutoff"] = {"inner": 0.4, "outer": 0.2}

@@ -413,6 +413,18 @@ def test_stacked_polycurves_match_one_by_one():
         assert np.all(np.abs(got[index] - want) <= 1e-14 * scale)
 
 
+@pytest.mark.parametrize("K", [3, 8, 9, 11])
+def test_polycurve_values_ignore_the_coefficients_layout(K):
+    # numpy sums 8 or more terms in another order when they lie contiguous
+    # in memory, so a swapped-axes view of the coefficients and its C-order
+    # copy give one curve only if the constructor fixes the layout
+    rng = np.random.default_rng(K)
+    view = np.swapaxes(rng.standard_normal((5, 3, K)), -1, -2)
+    assert not view.flags.c_contiguous
+    t = np.linspace(-1.3, 1.3, 41)
+    assert np.array_equal(PolyCurve(view)(t), PolyCurve(view.copy())(t))
+
+
 @pytest.mark.parametrize("name", corpus.names())
 def test_stacked_curves_evaluate_as_their_curves(name):
     # a family's curve stack at a vector of parameters, (N, S, n), is bit

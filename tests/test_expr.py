@@ -284,6 +284,31 @@ def test_negative_exponent_rejected():
     assert err.value.offset == 2
 
 
+@pytest.mark.parametrize("text, message, offset", [
+    (".", "malformed number", 0),
+    ("x + .", "malformed number", 4),
+    # str.isdigit takes these, and float() and int() refuse them
+    ("\u00b2", "expected a number, variable, function call or '('", 0),
+    ("x^\u00b2", "expected nonnegative integer exponent", 2),
+    ("\u0663", "expected a number, variable, function call or '('", 0),
+])
+def test_parse_errors_name_their_offset(text, message, offset):
+    with pytest.raises(ex.ParseError) as err:
+        ex.parse(text)
+    assert str(err.value) == f"{message} at offset {offset}"
+    assert err.value.offset == offset
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ex.power(ex.Var("x"), -1), "power exponents must be nonnegative"),
+    (lambda: ex.call("tan", ex.Var("x")), "unknown function 'tan'"),
+])
+def test_constructors_reject_bad_input(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_number_then_identifier_is_trailing_garbage():
     with pytest.raises(ex.ParseError):
         ex.parse("2e")
@@ -331,6 +356,35 @@ def test_exact_quotient_by_a_constant_only():
                  "1e400*x", "x*(1e400 - 1e400)"):
         with pytest.raises(ex.DomainError):
             _exact(text)
+
+
+def test_constructors_fold_only_identities():
+    x, zero, one = ex.Var("x"), ex.Const(0.0), ex.Const(1.0)
+    two, three = ex.Const(2.0), ex.Const(3.0)
+    # two constants stay two nodes: a folded double would round
+    assert ex.add(two, three) == ex.Add(two, three)
+    assert ex.mul(two, three) == ex.Mul(two, three)
+    assert ex.div(two, three) == ex.Div(two, three)
+    assert ex.power(two, 3) == ex.Pow(two, 3)
+    # a 0 or 1 operand, an exponent 0 or 1, and a sign flip never round
+    assert ex.add(zero, three) is three and ex.add(three, zero) is three
+    assert ex.mul(zero, x) == zero and ex.mul(x, zero) == zero
+    assert ex.mul(one, three) is three and ex.mul(three, one) is three
+    assert ex.div(zero, three) == zero and ex.div(three, one) is three
+    assert ex.div(zero, zero) == ex.Div(zero, zero)
+    assert ex.power(x, 0) == one and ex.power(three, 1) is three
+    assert ex.neg(three) == ex.Const(-3.0)
+
+
+def test_diff_keeps_constant_quotients_exact():
+    # d(x/1000)/dx is 1/1000 in the exact ring, not the double 0.001
+    d = ex.diff(ex.parse("x/1000"), "x")
+    assert ex.evaluate_with(d, {}, ex.EXACT).terms == {frozenset(): Fraction(1, 1000)}
+    assert ex.evaluate(d, {}) == 0.001
+    # a height rescaled by 1000 keeps its exact partials: y/1000 here
+    d = ex.diff(ex.parse("1000*((x/1000)*(y/1000))"), "x")
+    assert ex.evaluate_with(d, _GENERATORS, ex.EXACT).terms == {
+        frozenset({("y", 1)}): Fraction(1, 1000)}
 
 
 def test_exact_atoms_are_free_generators():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,26 @@ def test_chart_eval_out_of_box(hp):
 def test_reserved_time_variable():
     with pytest.raises(ValueError):
         Submanifold.graph(["t"], [[0, 1]], ["0"])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Submanifold("graph", ["x", "x"], [[0, 1]] * 2, ["x", "x", "x"], 3),
+     "chart variable names must be unique"),
+    (lambda: Submanifold.graph(["x"], [[1, 0]], ["x^2"]),
+     "domain box must be m nonempty intervals"),
+    (lambda: Submanifold.graph(["x", "y"], [[0, 1]], ["x*y"]),
+     "domain box must be m nonempty intervals"),
+    (lambda: Submanifold("graph", ["x"], [[0, 1]], ["x", "x^2"], 3),
+     "component count must equal the ambient dimension"),
+    (lambda: Submanifold.graph(["x"], [[0, 1]], ["x*y"]),
+     "undeclared variables ['y'] in chart map"),
+    (lambda: Submanifold.graph(["x"], [[0, 1]], ["x^2"], ambient_dim=3),
+     "graph ambient dimension must be m + #heights"),
+])
+def test_chart_rejects_bad_input(build, message):
+    # scene.py refuses these first; a direct library call reaches the checks
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_chart_with_more_seeds_than_a_chunk_fails_fast(monkeypatch):

@@ -1,14 +1,18 @@
-"""Metamorphic verdict tests: an isometry of the ambient space, or a
-re-labelling of the chart, must leave every corpus verdict and its first
-failing step unchanged, and so must writing a patch as a graph instead of
-a parametric chart. Rescaling is pinned by
-test_parametric_three_fold_confirmed_under_rescaling here, whose chart the
-immersion test accepts and whose ruledness samples count at every scale,
-and separately in test_sweep.py: test_growth_ruling_zero_under_rescaling
-holds at every scale, test_flow_certificate_under_rescaling fails the
-transverse segment's rank certificate at every scale, and the strict xfail
-of test_quadrature_ruling_zero_under_rescaling pins the float quadrature's
-scale-dependent zero test."""
+"""Metamorphic verdict tests: an isometry of the ambient space, a rescaling
+of it, or a re-labelling of the chart must leave every corpus verdict and
+its first failing step unchanged, and so must writing a patch as a graph
+instead of a parametric chart. test_rescaling_keeps_verdict scales every
+corpus scene by 1e-3 and 1e3, and each confirmed family keeps its exact
+zero-volume certificate there.
+test_parametric_three_fold_confirmed_under_rescaling pins a parametric
+3-fold, whose chart the immersion test accepts and whose ruledness samples
+count at every scale. In test_sweep.py,
+test_growth_ruling_zero_under_rescaling holds at every scale,
+test_flow_certificate_under_rescaling fails the transverse segment's rank
+certificate at every scale, and the strict xfail of
+test_quadrature_ruling_zero_under_rescaling pins the float quadrature's
+scale-dependent zero test, which a rescaled confirmed scene does not
+reach."""
 
 import copy
 import json
@@ -20,6 +24,7 @@ from osclab import corpus
 from osclab import expr as ex
 from osclab.osculate import verify_theorem
 from osclab.scene import SceneError, build_scene
+from osclab.sweep import frame_minors_vanish
 from oracles import substitute
 
 SHIFT = (0.5, -0.25, 0.75)
@@ -68,6 +73,29 @@ def _chart_swapped(raw: dict) -> dict:
     return data
 
 
+def _rescaled(raw: dict, lam: float) -> dict:
+    """The scene scaled by lam in ambient space: its domain is lam times the
+    box, and each height, chart map, field and family map c becomes
+    lam*c(x/lam, ...) in the chart variables x, ..., with t left alone, so
+    the point of chart point lam x at time t is lam times the old one."""
+    data = copy.deepcopy(raw)
+    man, fam = data["manifold"], data["family"]
+    back = {v: ex.Div(ex.Var(v), ex.Const(lam)) for v in man["chart_vars"]}
+
+    def scaled(items):
+        return [ex.to_string(ex.Mul(ex.Const(lam), substitute(ex.parse(e), back)))
+                for e in items]
+
+    man["domain"] = [[lam * a, lam * b] for a, b in man["domain"]]
+    chart = "height" if man["type"] == "graph" else "map"
+    man[chart] = scaled(man[chart])
+    if "fields" in fam:
+        fam["fields"] = [scaled(f) for f in fam["fields"]]
+    else:
+        fam["map"] = scaled(fam["map"])
+    return data
+
+
 def _same_verdict(data: dict, name: str, verify_report):
     want = verify_report(name)
     got = verify_theorem(build_scene(data, name=name), seed=0)
@@ -85,6 +113,20 @@ def test_translation_keeps_verdict(name, verify_report):
                                   if len(_raw(n)["manifold"]["chart_vars"]) == 2])
 def test_chart_swap_keeps_verdict(name, verify_report):
     _same_verdict(_chart_swapped(_raw(name)), name, verify_report)
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1e3])
+@pytest.mark.parametrize("name", corpus.names())
+def test_rescaling_keeps_verdict(name, lam, verify_report):
+    """A rescaled scene keeps its verdict and first failing step, and the
+    family of a confirmed scene keeps its exact zero-volume certificate:
+    d(x/lam)/dx stays the quotient 1/lam, which the exact ring holds as a
+    rational, where a folded double 1/lam would leave minors of rounding
+    size."""
+    data = _rescaled(_raw(name), lam)
+    _same_verdict(data, name, verify_report)
+    if verify_report(name).verdict == "THEOREM_CONFIRMED":
+        assert frame_minors_vanish(build_scene(data).family)
 
 
 def test_rewrites_move_every_point_as_stated():

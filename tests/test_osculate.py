@@ -50,6 +50,17 @@ def test_sphere_has_no_osculating_directions():
     assert osculating_directions(sphere.manifold, [0.1, 0.1]) == []
 
 
+@pytest.mark.parametrize("chart_vars, heights", [
+    (["x"], ["x^2"]),                   # a curve in R^2
+    (["x", "y"], ["x*y", "x + y^2"]),   # a surface in R^4
+    (["x", "y", "z"], ["x*y + z"]),     # a 3-fold in R^4
+])
+def test_osculating_directions_need_a_surface_in_r3(chart_vars, heights):
+    M = Submanifold.graph(chart_vars, [[-1, 1]] * len(chart_vars), heights)
+    with pytest.raises(ValueError, match="^osculating directions need a surface in R\\^3$"):
+        osculating_directions(M, np.zeros(M.m))
+
+
 def test_saddle_diagonals():
     # binary quadratic 2a^2 - 2b^2 = 0 has the projective roots a = +-b
     saddle = corpus.load("saddle")

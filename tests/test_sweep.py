@@ -1,3 +1,4 @@
+import re
 import warnings
 from math import comb
 
@@ -758,7 +759,6 @@ def test_flow_ruling_matches_closed_form(hp, monkeypatch):
     and at most one step follows. The kept iterates are the checkpoints of
     the path, and the certificate reads the corrector's frame at them with
     no frame_many call of its own."""
-    vv = vanishing_verdict(hp.family)
     calls, kept = [], []
     frame_many = SweepFamily.frame_many
 
@@ -774,7 +774,7 @@ def test_flow_ruling_matches_closed_form(hp, monkeypatch):
     monkeypatch.setattr(SweepFamily, "frame_many", counted)
     monkeypatch.setattr("osclab.sweep.gauss_newton", corrector)
     starts = np.array([[0.0, 0.0], [0.05, -0.1]])
-    reports = tangency_flow_check(hp.family, starts, 0.2, verdict=vv)
+    reports = tangency_flow_check(hp.family, starts, 0.2)
     monkeypatch.undo()
     for fr in reports:
         assert fr.passed and fr.max_drift <= 1e-15 and fr.error_estimate <= 1e-15
@@ -803,23 +803,15 @@ def test_flow_ruling_matches_closed_form(hp, monkeypatch):
 
 def test_flow_rigid_rotation():
     rot = corpus.load("circle_rotation")
-    vv = vanishing_verdict(rot.family)
-    fr = tangency_flow_check(rot.family, np.array([[np.pi]]), 0.2, verdict=vv)[0]
+    fr = tangency_flow_check(rot.family, np.array([[np.pi]]), 0.2)[0]
     assert fr.max_drift <= 1e-8
-
-
-def test_flow_rejects_nonzero_verdict(segment):
-    vv = vanishing_verdict(segment.family)
-    with pytest.raises(FlowRankError):
-        tangency_flow_check(segment.family, np.array([[0.5]]), 0.2, verdict=vv)
 
 
 def test_flow_batch_isolates_each_start(hp):
     # the flow is x(t) = x0 - t, so (0.95, 0) leaves the box at t = -0.05
-    vv = vanishing_verdict(hp.family)
     starts = np.array([[0.0, 0.0], [0.95, 0.0]])
-    both = tangency_flow_check(hp.family, starts, 0.2, verdict=vv)
-    alone = [tangency_flow_check(hp.family, y[None], 0.2, verdict=vv)[0]
+    both = tangency_flow_check(hp.family, starts, 0.2)
+    alone = [tangency_flow_check(hp.family, y[None], 0.2)[0]
              for y in starts]
     assert isinstance(both[1].error, FlowExitError) and not both[1].passed
     assert "at t=-" in str(both[1].error)
@@ -1041,10 +1033,8 @@ def test_flow_frame_calls_per_confirmed_scene(scenes, monkeypatch):
 def test_flow_passes_within_the_drift_bound(hp, flow_drift):
     """passed reads max_drift + error_estimate against flow_drift, however
     small the tolerance, and the checkpoints run the same at any of them."""
-    vv = vanishing_verdict(hp.family)
     reports = tangency_flow_check(hp.family, np.array([[0.3, -0.4], [0.7, 0.7]]),
-                                  0.2, verdict=vv,
-                                  tol=Tolerances(flow_drift=flow_drift))
+                                  0.2, tol=Tolerances(flow_drift=flow_drift))
     for fr in reports:
         assert fr.error is None and fr.steps == FLOW_CHECKPOINTS
         assert fr.passed == (fr.max_drift + fr.error_estimate <= flow_drift)
@@ -1065,6 +1055,33 @@ def test_flow_requires_an_embedding():
 def test_flow_rejects_empty_window(hp):
     with pytest.raises(ValueError):
         tangency_flow_check(hp.family, np.array([[0.0, 0.0]]), 0.0)
+
+
+@pytest.mark.parametrize("inner, outer", [(0.0, 0.5), (0.5, 0.5), (0.6, 0.5)])
+def test_cutoff_rejects_bad_radii(inner, outer):
+    with pytest.raises(ValueError, match="^cutoff radii must satisfy 0 < inner < outer$"):
+        Cutoff(inner, outer, np.zeros(2))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"k": 1}, "provide exactly one of fields / map_exprs"),
+    ({"k": 1, "fields": [["1", "0"]], "map_exprs": ["sin(u)", "cos(u)"]},
+     "provide exactly one of fields / map_exprs"),
+    ({"k": 0, "fields": []}, "family degree k must be >= 1"),
+    ({"k": 2, "fields": [["1", "0"]]}, "field count must equal k"),
+    ({"k": 1, "fields": [["1", "0", "0"]]},
+     "each field needs one expression per ambient coordinate"),
+    ({"k": 1, "fields": [["1", "t"]]}, "undeclared variables ['t'] in sweep field"),
+    ({"k": 1, "map_exprs": ["sin(u + t)"]},
+     "map needs one expression per ambient coordinate"),
+    ({"k": 1, "map_exprs": ["sin(u + t)", "cos(v + t)"]},
+     "undeclared variables ['v'] in sweep map"),
+])
+def test_family_rejects_bad_input(kwargs, message):
+    # scene.py refuses these first; a direct library call reaches the checks
+    M = Submanifold.parametric(["u"], [[0.0, 2 * np.pi]], ["sin(u)", "cos(u)"], 2)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SweepFamily(M, **kwargs)
 
 
 # -- map-mode validation -------------------------------------------------------
@@ -1167,6 +1184,5 @@ def test_cutoff_ruling_still_vanishes(hp):
     scene = corpus.with_cutoff(hp, 0.4, 0.9)
     vv = vanishing_verdict(scene.family)
     assert vv.vanishes
-    fr = tangency_flow_check(scene.family, np.array([[0.0, 0.0]]), 0.2,
-                             verdict=vv)[0]
+    fr = tangency_flow_check(scene.family, np.array([[0.0, 0.0]]), 0.2)[0]
     assert fr.passed
