@@ -18,7 +18,10 @@ t-coefficients have one route, exact jet arithmetic over stacks of chart
 points (_minor_jets): the vanishing verdict reads it once over its sample
 grid, and the growth step once per quadrature mesh, MESH_CHUNK mesh points
 at a time, so that each t sample then evaluates one polynomial per minor,
-with no determinant. Map families evaluate the frame and its minors at every t
+with no determinant. Those polynomials are evaluated at every t sample by
+one matrix product per block of mesh rows, blocks of at most QUAD_BLOCK
+minor values, so that each block stays in cache while it is summed. Map
+families evaluate the frame and its minors at every t
 sample, and meet the degree bound only where the guard of
 extract_t_polynomials finds it, as they do whenever their volume element
 vanishes identically. An independent Vandermonde sampling route is kept
@@ -110,13 +113,15 @@ class Cutoff:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         R = X - self.center
         rho = np.linalg.norm(R, axis=-1)
-        chi = np.ones_like(rho)
+        width = self.outer - self.inner
+        s = (rho - self.inner) / width
+        # the band is s < 1, not rho < outer: s rounds to 1 at some rho just
+        # inside outer, where 1 - s^2 = 0 would make the gradient 0 * inf
+        chi = np.where(s < 1.0, 1.0, 0.0)
         grad = np.zeros_like(R)
-        chi[rho >= self.outer] = 0.0
-        band = (rho > self.inner) & (rho < self.outer)
+        band = (rho > self.inner) & (s < 1.0)
         if np.any(band):
-            width = self.outer - self.inner
-            s = (rho[band] - self.inner) / width
+            s = s[band]
             with np.errstate(under="ignore"):
                 bump = np.exp(1.0 - 1.0 / (1.0 - s * s))
             chi[band] = bump
@@ -267,7 +272,12 @@ def _chart_mesh(M: Submanifold, quad: QuadConfig):
 
 # mesh points per batch of minor jets: bounds the growth step's working
 # memory, whose peak is then the (N, C(n, m+1), d+1) tensor it caches
-MESH_CHUNK = 1024
+MESH_CHUNK = 2048
+
+# doubles of minors per block of the growth quadrature, rows x C(n, m+1)
+# x t nodes: a cache bound, 256 KB, that keeps each block's product and
+# norm in cache while it is summed
+QUAD_BLOCK = 2**15
 
 # largest quadrature mesh (quad_order*quad_cells)^m a scene may ask for
 # (scene.make_params): chunks bound the growth step's memory, not its time,
@@ -296,7 +306,6 @@ def _integrate(family: SweepFamily, t: float, quad: QuadConfig) -> float:
         family._cache[key] = _chart_mesh(family.M, quad)
     X, wx = family._cache[key]
     tn, wt = composite_gauss(-t, t, quad.t_cells, quad.order)
-    total = 0.0
     if family.polynomial:
         akey = ("minorcoeffs", quad.order, quad.cells)
         if akey not in family._cache:
@@ -306,18 +315,29 @@ def _integrate(family: SweepFamily, t: float, quad: QuadConfig) -> float:
                  for i in range(0, X.shape[0], MESH_CHUNK)])
         A = family._cache[akey]
         N, L, D = A.shape
-        # one 2-D matrix-vector product per node; a stacked (N, L, D) @ (D,)
-        # matmul is about ten times slower
-        flat, exponents = A.reshape(N * L, D), np.arange(D)
-        for s, w in zip(tn, wt):
+        # every t node's minors of a block of mesh rows come from one
+        # (rows L, D) @ (D, T) product, blocks sized to QUAD_BLOCK; a lone
+        # minor's norm is its absolute value, which is sqrt(x*x) wherever
+        # x*x neither underflows nor overflows, and exact where it does
+        powers = tn ** np.arange(D)[:, None]
+        rows = max(1, QUAD_BLOCK // (L * len(tn)))
+        acc = np.zeros(len(tn))
+        for i in range(0, N, rows):
+            block = A[i : i + rows]
             with np.errstate(under="ignore"):
-                minors = (flat @ float(s) ** exponents).reshape(N, L)
-                vol = np.sqrt(np.einsum("qr,qr->q", minors, minors))
-            total += w * float(np.dot(wx, vol))
-    else:
-        for s, w in zip(tn, wt):
-            frame = family.frame_many(X, np.full(X.shape[0], s))
-            total += w * float(np.dot(wx, frame_norm(frame)))
+                minors = block.reshape(-1, D) @ powers
+                if L == 1:
+                    vol = np.abs(minors, out=minors)
+                else:
+                    minors = minors.reshape(len(block), L, -1)
+                    vol = np.einsum("qrt,qrt->qt", minors, minors)
+                    np.sqrt(vol, out=vol)
+            acc += wx[i : i + rows] @ vol
+        return float(wt @ acc)
+    total = 0.0
+    for s, w in zip(tn, wt):
+        frame = family.frame_many(X, np.full(X.shape[0], s))
+        total += w * float(np.dot(wx, frame_norm(frame)))
     return total
 
 

@@ -16,6 +16,7 @@ reach."""
 
 import copy
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,21 @@ def test_rescaling_keeps_verdict(name, lam, verify_report):
     _same_verdict(data, name, verify_report)
     if verify_report(name).verdict == "THEOREM_CONFIRMED":
         assert frame_minors_vanish(build_scene(data).family)
+
+
+def test_rescaled_cutoff_verifies_without_warnings():
+    """hyperbolic_paraboloid rescaled by 1e-3 under the cutoff (0.4 lam,
+    0.9 lam): outer is 0.0009000000000000001, and mesh rows at rho = 0.0009
+    have a band coordinate that rounds to 1. Their chi and d chi read 0, so
+    verify raises no warning there, and the certificate still decides."""
+    lam = 1e-3
+    scene = corpus.with_cutoff(build_scene(_rescaled(_raw("hyperbolic_paraboloid"), lam)),
+                               0.4 * lam, 0.9 * lam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify_theorem(scene, seed=0)
+    assert report.verdict == "THEOREM_CONFIRMED", report.first_failure
+    assert frame_minors_vanish(scene.family)
 
 
 def test_rewrites_move_every_point_as_stated():

@@ -20,6 +20,7 @@ from osclab.sweep import (
     FLOW_CHECKPOINTS,
     FlowExitError,
     MESH_CHUNK,
+    QUAD_BLOCK,
     FlowRankError,
     SweepFamily,
     VolumeSample,
@@ -56,6 +57,26 @@ def circle():
 @pytest.fixture(scope="module")
 def hp():
     return corpus.load("hyperbolic_paraboloid")
+
+
+def test_cutoff_band_ends_where_its_coordinate_reaches_one():
+    """Below outer = 0.9 * 1e-3 = 0.0009000000000000001 the band coordinate
+    s = (rho - inner)/width rounds to 1 on the last doubles; those rows read
+    chi = 0 and d chi = 0, as rows beyond outer do, with no 0 * inf."""
+    cut = Cutoff(0.4 * 1e-3, 0.9 * 1e-3, np.zeros(2))
+    rho = [cut.outer]
+    for _ in range(40):
+        rho.append(np.nextafter(rho[-1], 0.0))
+    rho = np.array(rho)
+    s = (rho - cut.inner) / (cut.outer - cut.inner)
+    assert rho[1] == 0.0009 and s[1] == 1.0
+    X = np.stack([rho, np.zeros_like(rho)], axis=-1)
+    with np.errstate(all="raise"):
+        chi, grad = cut.value_and_grad(np.concatenate([X, X[:, ::-1]]))
+    assert np.all(np.isfinite(grad))
+    rounded = np.tile(s >= 1.0, 2)
+    assert np.all(chi[rounded] == 0.0) and np.all(grad[rounded] == 0.0)
+    assert np.all((chi >= 0.0) & (chi < 1.0))
 
 
 def test_sweep_eval_examples(segment, hp):
@@ -270,10 +291,10 @@ def test_minor_tensor_matches_vandermonde_oracle(scenes):
 
 
 def test_minor_tensor_ragged_last_chunk():
-    """35^2 = 1,225 mesh nodes: one full chunk and a ragged one, which
+    """60^2 = 3,600 mesh nodes: one full chunk and a ragged one, which
     together give one _minor_jets call over the whole mesh, bit for bit."""
     family = corpus.load("saddle").family
-    quad = QuadConfig(order=5, cells=7)
+    quad = QuadConfig(order=5, cells=12)
     X, _ = _chart_mesh(family.M, quad)
     assert MESH_CHUNK < X.shape[0] < 2 * MESH_CHUNK
     whole = _minor_jets(family, X, critical_degree(family))
@@ -345,6 +366,54 @@ def test_swept_volume_matches_frame_route(name):
             continue
         assert abs(vs.value - ref) <= 1e-12 * ref
         assert abs(vs.error - ref_err) <= 1e-12 * ref
+
+
+def _per_node_volume(family, t, quad):
+    """swept_volume's value and error from one matrix-vector product and one
+    norm per t node over the minor tensor of the whole mesh."""
+
+    def integrate(q):
+        X, wx = _chart_mesh(family.M, q)
+        A = _minor_jets(family, X, critical_degree(family))
+        N, L, D = A.shape
+        flat, exponents = A.reshape(N * L, D), np.arange(D)
+        tn, wt = composite_gauss(-t, t, q.t_cells, q.order)
+        total = 0.0
+        for s, w in zip(tn, wt):
+            with np.errstate(under="ignore"):
+                minors = (flat @ float(s) ** exponents).reshape(N, L)
+                vol = np.sqrt(np.einsum("qr,qr->q", minors, minors))
+            total += w * float(np.dot(wx, vol))
+        return total
+
+    value = integrate(quad)
+    return value, abs(value - integrate(quad.halved()))
+
+
+_BLOCKED = {
+    # 63^2 = 3,969 mesh rows, L = 1: blocks of 585 rows at 56 t nodes and of
+    # 1,365 at the halved order's 24, both with a ragged last block
+    "sphere": (lambda: corpus.load("sphere").family, QuadConfig(order=7, cells=9),
+               (0.1, 0.3)),
+    **{name: _SHAPES[name] for name in ("curve_in_R3", "surface_in_R4",
+                                        "cutoff_transverse")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCKED))
+def test_blocked_quadrature_matches_per_node_reference(name):
+    make, quad, ts = _BLOCKED[name]
+    family = make()
+    if name == "sphere":
+        for q in (quad, quad.halved()):
+            rows = QUAD_BLOCK // (q.t_cells * q.order)
+            assert _chart_mesh(family.M, q)[0].shape[0] % rows != 0
+    for t in ts:
+        vs = swept_volume(family, t, quad)
+        ref, ref_err = _per_node_volume(family, t, quad)
+        assert ref > 0.0
+        assert abs(vs.value - ref) <= 1e-14 * ref
+        assert abs(vs.error - ref_err) <= 1e-14 * ref
 
 
 def test_volume_series_emits_no_runtime_warning():
