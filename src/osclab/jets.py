@@ -238,7 +238,22 @@ def _quiet(op, *args):
 class JetArithmetic(ex.Arithmetic):
     """Jet operations for expr.evaluate_with. A value that holds no jet (a
     constant, or an expression of floats and arrays only) stays a float or
-    array and takes the float operations of expr.Arithmetic."""
+    array and takes the float operations of expr.Arithmetic.
+
+    sin and cos are paired: jet_sin_cos gives both series, and the
+    instance keeps them, keyed by the argument's coefficients, for any later
+    sin or cos of an equal argument. The kept series grow with every new
+    argument, so an instance serves one evaluation: jet_eval_many makes one
+    per call."""
+
+    def __init__(self):
+        self._trig: dict[tuple, tuple[Jet, Jet]] = {}
+
+    def _sin_cos(self, u: Jet) -> tuple[Jet, Jet]:
+        key = (u.coeffs.shape, u.coeffs.tobytes())
+        if key not in self._trig:
+            self._trig[key] = jet_sin_cos(u)
+        return self._trig[key]
 
     def div(self, num, den):
         jet = den if isinstance(den, Jet) else num
@@ -258,20 +273,20 @@ class JetArithmetic(ex.Arithmetic):
         return jet_sqrt(u) if isinstance(u, Jet) else _quiet(super().sqrt, u)
 
     def sin(self, u):
-        return jet_sin_cos(u)[0] if isinstance(u, Jet) else _quiet(super().sin, u)
+        return self._sin_cos(u)[0] if isinstance(u, Jet) else _quiet(super().sin, u)
 
     def cos(self, u):
-        return jet_sin_cos(u)[1] if isinstance(u, Jet) else _quiet(super().cos, u)
+        return self._sin_cos(u)[1] if isinstance(u, Jet) else _quiet(super().cos, u)
 
 
-JETS = JetArithmetic()
-
-
-def jet_eval_expr(e: ex.Expr, env: dict, degree: int | None = None) -> Jet:
+def jet_eval_expr(e: ex.Expr, env: dict, degree: int | None = None,
+                  arith: JetArithmetic | None = None) -> Jet:
     """Jet of e composed with the values in env, exact to the degree bound.
 
     env binds jets, which must share one degree, and floats or arrays, which
-    are constants; `degree` is only needed when env holds no jet.
+    are constants; `degree` is only needed when env holds no jet. `arith`
+    is a JetArithmetic that other evaluations may share, pairing their sin
+    and cos, and by default a new one.
     """
     jets = [v for v in env.values() if isinstance(v, Jet)]
     if degree is None:
@@ -280,15 +295,17 @@ def jet_eval_expr(e: ex.Expr, env: dict, degree: int | None = None) -> Jet:
         degree = jets[0].degree
     if any(jet.degree != degree for jet in jets):
         raise DegreeMismatch(f"environment jets differ from degree {degree}")
-    value = ex.evaluate_with(e, env, JETS)
+    value = ex.evaluate_with(e, env, arith or JetArithmetic())
     return value if isinstance(value, Jet) else Jet.constant(value, degree)
 
 
 def jet_eval_many(exprs, env: dict, shape, degree: int) -> np.ndarray:
     """Coefficients of jet_eval_expr over each of `exprs`, stacked as
     expr.evaluate_many stacks floats: shape (*shape, len(exprs), degree+1),
-    where a jet free of the batch broadcasts to `shape`."""
+    where a jet free of the batch broadcasts to `shape`. The expressions
+    share one JetArithmetic, so sin and cos of one argument run once."""
     out = np.empty((*shape, len(exprs), degree + 1))
+    arith = JetArithmetic()
     for i, e in enumerate(exprs):
-        out[..., i, :] = jet_eval_expr(e, env, degree).coeffs
+        out[..., i, :] = jet_eval_expr(e, env, degree, arith).coeffs
     return out

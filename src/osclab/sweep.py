@@ -38,9 +38,12 @@ the quadrature of swept_volume, which itself never reads the certificate.
 
 The flow check finds the chart path u(t) with phi_t(u(t)) = phi_0(x), the
 flow of -Y_t wherever D(phi_t) has rank m, as a root at each of
-FLOW_CHECKPOINTS checkpoints per time direction by manifold.gauss_newton,
-warm-started from the previous checkpoint. Every start runs in both
-directions as one batch. At t = 0 and at each checkpoint a rank
+FLOW_CHECKPOINTS checkpoints per time direction. Every start runs in both
+directions as one batch, and every checkpoint of the batch is predicted
+along the path's tangent at its last accepted root and corrected by one
+stacked manifold.gauss_newton call; the roots that the corrector brings to
+its rounding floor are accepted in order, and the rest are predicted again
+from the last of them. At t = 0 and at each checkpoint a rank
 certificate reads the distance of dt phi_t to the span of D(phi_t), a
 ratio of two frame_norms, against RANK_FLOOR |dt phi_t|; the drift and
 the box exit are read at the checkpoints. A start outside the
@@ -61,7 +64,7 @@ from .config import QuadConfig, Tolerances, composite_gauss, geometric_grid
 from .contact import ExprCurve, PolyCurve
 from .exterior import RANK_FLOOR, frame_norm, frame_ratio, index_combinations, wedge_ring
 from .jets import Jet, default_degree, jet_eval_many
-from .manifold import OutOfDomain, Submanifold, gauss_newton, gauss_newton_step
+from .manifold import OutOfDomain, Submanifold, _where_defined, gauss_newton, gauss_newton_step
 
 _TOL = Tolerances()
 
@@ -618,6 +621,10 @@ class FlowReport(NamedTuple):
 
 #: checkpoints per time direction: the path is found at t = +-j t_span / this
 FLOW_CHECKPOINTS = 8
+#: a stacked checkpoint continues its path only where the corrector brought
+#: its residual to the rounding floor: at most this share of |phi_0(x)| +
+#: |t dt(phi_t)|, the size of the terms that the residual cancels
+FLOW_ROOT_FLOOR = 16 * np.finfo(float).eps
 
 
 def tangency_flow_check(family: SweepFamily, starts, t_span: float,
@@ -626,19 +633,34 @@ def tangency_flow_check(family: SweepFamily, starts, t_span: float,
     x in each time direction, and track the drift of phi_t along it. Where
     D(phi_t) has rank m that path is the flow of -Y_t (D(phi_t) Y_t =
     dt(phi_t)), by the implicit function theorem, so it is found as a root
-    at each checkpoint t_j = +-j t_span / FLOW_CHECKPOINTS: gauss_newton
-    runs from the Euler prediction u_(j-1) - (t_j - t_(j-1)) Y (u_(j-1) if
-    that is not finite), Y = gauss_newton_step of the frame kept at u_(j-1),
-    with no integration between checkpoints, and keeps its best iterate u_j.
+    at each checkpoint t_j = +-j t_span / FLOW_CHECKPOINTS, with no
+    integration between checkpoints.
+
+    The roots are found in rounds of prediction and correction (Allgower
+    and Georg, "Numerical Continuation Methods"), each round one
+    gauss_newton call over every checkpoint still to find of every live
+    trajectory. From its last accepted root u_a at t_a (at first the start,
+    at t = 0), a trajectory predicts each u_j as u_a - (t_j - t_a) Y, Y =
+    gauss_newton_step of the frame at u_a (u_a where that is not finite),
+    and the corrector keeps its best iterate from there. A row where the
+    chart is undefined is evaluated at NaN, so that it ends at most its own
+    trajectory. A round accepts each trajectory's first checkpoint, whose
+    prediction is one Euler step, then each next one while the corrector
+    brought it to a root: a residual of at most FLOW_ROOT_FLOOR of |phi_0(x)|
+    + |t_j dt(phi_t)|. The next round restacks from the last accepted root.
+    On a straight chart path one round accepts every checkpoint, and a path
+    that the predictions miss is followed one Euler step a round, as a
+    corrector per checkpoint follows it.
 
     All starts, shape (L, m), and both directions run as one batch. The rank
     certificate is read at t = 0 and at every checkpoint: the distance of
     dt(phi_t) to the span of D(phi_t), frame_norm of the whole frame over
     frame_norm of its chart columns, must be at most RANK_FLOOR |dt(phi_t)|
     (0 <= 0 where dt(phi_t) = 0), and a D(phi_t) of rank below m fails it.
-    A checkpoint checks the box exit, then the drift |phi_(t_j)(u_j) -
-    phi_0(x)| and the certificate, both read from the corrector's
-    evaluation at u_j.
+    Each accepted checkpoint, in order, checks the box exit, then the drift
+    |phi_(t_j)(u_j) - phi_0(x)| and the certificate, both read from the
+    corrector's evaluation at u_j; the first exit or failure ends the
+    trajectory, and no checkpoint after it is read.
 
     FlowReport.steps is the larger count of checkpoints reached in the two
     directions, max_residual the largest distance certified, and
@@ -652,7 +674,7 @@ def tangency_flow_check(family: SweepFamily, starts, t_span: float,
     """
     if t_span <= 0:
         raise ValueError("tangency_flow_check needs t_span > 0")
-    M = family.M
+    M, m, K = family.M, family.M.m, FLOW_CHECKPOINTS
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     L = starts.shape[0]
 
@@ -660,12 +682,14 @@ def tangency_flow_check(family: SweepFamily, starts, t_span: float,
     # chart frame of phi_t on a grid, at 9 values of t
     Xg = M.grid(5, margin=0.05)
     ts = np.repeat(np.linspace(-t_span, t_span, 9), Xg.shape[0])
-    ratio = frame_ratio(family.frame_many(np.tile(Xg, (9, 1)), ts)[:, :, : M.m])
+    ratio = frame_ratio(family.frame_many(np.tile(Xg, (9, 1)), ts)[:, :, :m])
     if np.min(ratio) <= RANK_FLOOR:
         raise FlowRankError(f"phi_t is not an embedding at t={ts[np.argmin(ratio)]:.4g}")
 
-    # trajectory r < L runs start r forward in t, trajectory L + r backward
+    # trajectory r < L runs start r forward in t, trajectory L + r backward;
+    # U[r] is its last accepted root, and -Y[r] the path's tangent there
     U = np.concatenate([starts, starts])
+    Y = np.zeros_like(U)
     T_end = np.repeat([t_span, -t_span], L)
     anchor = np.tile(family.point_many(starts, np.zeros(L)), (2, 1))
     drift, resid, estimate = np.zeros(2 * L), np.zeros(2 * L), np.zeros(2 * L)
@@ -675,41 +699,69 @@ def tangency_flow_check(family: SweepFamily, starts, t_span: float,
     for r in np.nonzero(~inside)[0]:
         errors[r] = OutOfDomain(f"flow start {starts[r].tolist()} outside the chart box")
 
-    def certify(rows, t, frame):
+    def certificate(frame):
+        """The rank certificate's residual at each frame, and where it fails."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            res = frame_norm(frame) / frame_norm(frame[:, :, : M.m])
-        resid[rows] = np.maximum(resid[rows], res)
-        bad = ~(res <= RANK_FLOOR * np.linalg.norm(frame[:, :, M.m], axis=1))
-        for r, tr, d in zip(rows[bad], t[bad], res[bad]):
-            errors[r] = FlowRankError(f"rank certificate failed: least-squares "
-                                      f"residual {d:.3e} at t={tr:.4g}")
+            res = frame_norm(frame) / frame_norm(frame[:, :, :m])
+        return res, ~(res <= RANK_FLOOR * np.linalg.norm(frame[:, :, m], axis=1))
+
+    def rank_error(res, t):
+        return FlowRankError(f"rank certificate failed: least-squares "
+                             f"residual {res:.3e} at t={t:.4g}")
 
     live = np.nonzero(np.tile(inside, 2))[0]
-    F = family.frame_many(U[live], np.zeros(live.size))   # the frame at U[live]
-    certify(live, np.zeros(live.size), F)
-    for j in range(1, FLOW_CHECKPOINTS + 1):
-        going = np.array([errors[r] is None for r in live], dtype=bool)
-        live, F = live[going], F[going]
+    F = family.frame_many(U[live], np.zeros(live.size))
+    resid[live], bad = certificate(F)
+    for r, d in zip(live[bad], resid[live[bad]]):
+        errors[r] = rank_error(d, 0.0)
+    Y[live] = gauss_newton_step(F[:, :, :m], F[:, :, m])
+    j = np.arange(1, K + 1)
+    while True:
+        live = live[[errors[r] is None and reached[r] < K for r in live]]
         if not live.size:
             break
-        t = T_end[live] * j / FLOW_CHECKPOINTS
-        Y = gauss_newton_step(F[:, :, : M.m], F[:, :, M.m])   # the path's tangent is -Y
-        guess = U[live] - (T_end[live, None] / FLOW_CHECKPOINTS) * Y
-        guess = np.where(np.isfinite(guess).all(axis=1, keepdims=True), guess, U[live])
-        U[live], C, F, gap = gauss_newton(
-            lambda V, rows: (family.point_many(V, t[rows]), family.frame_many(V, t[rows])),
-            guess, anchor[live])
-        J = F[:, :, : M.m]
+        # one row per checkpoint still to find, trajectory by trajectory
+        i, c = np.nonzero(j > reached[live, None])
+        traj, jc = live[i], j[c]
+        t = T_end[traj] * jc / K
+        guess = U[traj] - (T_end[traj] * (jc - reached[traj]) / K)[:, None] * Y[traj]
+        guess = np.where(np.isfinite(guess).all(axis=1, keepdims=True), guess, U[traj])
+
+        def evaluate(V, rows):
+            VT = np.column_stack([V, t[rows]])
+            return (_where_defined(lambda Z: family.point_many(Z[:, :m], Z[:, m]), VT),
+                    _where_defined(lambda Z: family.frame_many(Z[:, :m], Z[:, m]), VT))
+
+        V, C, F, gap = gauss_newton(evaluate, guess, anchor[traj])
+        J = F[:, :, :m]
         with np.errstate(invalid="ignore", over="ignore"):
-            size = np.linalg.norm(
-                np.einsum("qnm,qm->qn", J, gauss_newton_step(J, anchor[live] - C)), axis=1)
-        estimate[live] = np.maximum(estimate[live], size)
-        reached[live] = j
-        exited = ~M.in_box_many(U[live], tol=1e-9)
-        for r, tr in zip(live[exited], t[exited]):
-            errors[r] = FlowExitError(f"flow left the chart box at t={tr:.4g}")
-        drift[live[~exited]] = np.maximum(drift[live[~exited]], gap[~exited])
-        certify(live[~exited], t[~exited], F[~exited])
+            # the corrector's next step from each root, and the path's Y there
+            delta, Yv = gauss_newton_step(J, np.stack([anchor[traj] - C, F[:, :, m]]))
+            size = np.linalg.norm(np.einsum("qnm,qm->qn", J, delta), axis=1)
+        # the first row of a trajectory is one Euler step, and a later one
+        # is accepted where the corrector brought it to a root
+        scale = (np.linalg.norm(anchor[traj], axis=1)
+                 + np.abs(t) * np.linalg.norm(F[:, :, m], axis=1))
+        accepted = (jc == reached[traj] + 1) | (gap <= FLOW_ROOT_FLOOR * scale)
+        exited = ~M.in_box_many(V, tol=1e-9)
+        res, bad = certificate(F)
+        # a row is read when every row of its trajectory up to it is
+        # accepted and none before it exited or failed its certificate
+        ok, ends = np.ones((live.size, K), dtype=bool), np.zeros((live.size, K), dtype=bool)
+        ok[i, c], ends[i, c] = accepted, exited | bad
+        read = (np.logical_and.accumulate(ok, axis=1)
+                & (np.cumsum(ends, axis=1) - ends == 0))[i, c]
+        kept = read & ~exited
+        np.maximum.at(reached, traj[read], jc[read])
+        with np.errstate(invalid="ignore"):   # a NaN is kept, as np.maximum keeps it
+            np.maximum.at(estimate, traj[read], size[read])
+            np.maximum.at(drift, traj[kept], gap[kept])
+            np.maximum.at(resid, traj[kept], res[kept])
+        for k in np.flatnonzero(read & (exited | bad)):
+            errors[traj[k]] = (FlowExitError(f"flow left the chart box at t={t[k]:.4g}")
+                               if exited[k] else rank_error(res[k], t[k]))
+        last = read & (jc == reached[traj])
+        U[traj[last]], Y[traj[last]] = V[last], Yv[last]
 
     reports = []
     for r in range(L):

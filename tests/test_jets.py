@@ -237,6 +237,24 @@ def test_stacked_jets_hold_each_expression(shape, x):
         assert np.array_equal(got[..., i, :], want.reshape(*shape, 5))
 
 
+def test_stacked_jets_pair_sin_and_cos(monkeypatch):
+    """One jet_eval_many call runs jet_sin_cos once per distinct argument,
+    however often and in whichever expressions sin or cos take it, and every
+    expression's jet is the one it has alone."""
+    calls = []
+    monkeypatch.setattr("osclab.jets.jet_sin_cos",
+                        lambda u: calls.append(u.coeffs.copy()) or jet_sin_cos(u))
+    exprs = [ex.parse(e) for e in ("sin(x + t)", "cos(x + t)*sin(x + t)", "cos(t)",
+                                   "sin(2*t)")]
+    env = {"x": np.array([0.5, -1.0]), "t": Jet.variable(4)}
+    got = jet_eval_many(exprs, env, (2,), 4)
+    assert len(calls) == 3
+    alone = [jet_eval_expr(e, env, 4).coeffs for e in exprs]
+    assert len(calls) == 3 + 4     # alone, each pairs only its own sin and cos
+    for i, want in enumerate(alone):
+        assert np.array_equal(got[..., i, :], np.broadcast_to(want, (2, 5)))
+
+
 def test_domain_errors_of_chart_values_and_of_jets():
     """A quotient or sqrt of chart values alone fails as the float one does;
     one that depends on t fails on the jet's constant term."""
