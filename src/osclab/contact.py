@@ -10,7 +10,10 @@ Two independent routes measure contact order:
   parametric chart is re-charted over the tangent rows of its largest
   Jacobian minor at the chart point of gamma(0), which every curve
   carries, and u is expanded as a jet by Newton iteration in the series
-  ring. Either way the coefficients are exact, never finite differences.
+  ring, which stops after its first zero correction. A quotient or sqrt
+  that leaves its domain on the way raises expr.DomainError, for jets as
+  for floats. Either way the coefficients are exact, never finite
+  differences.
   On request residual_jets also linearizes g in the curve's jets: P =
   dg/dgamma is [-J_N(u) J_T(u)^-1 | I] over the re-chart's tangent and
   normal rows ([-grad h(gamma_T) | I] on a graph), with J_T(u)^-1 solved
@@ -116,10 +119,6 @@ class ExprCurve:
         columns = () if self.chart is None else np.atleast_2d(self.chart).T
         self.bindings = dict(zip(self.chart_vars, columns))
 
-    @property
-    def n(self) -> int:
-        return len(self.exprs)
-
     def __call__(self, t):
         """The points (*batch, *t.shape, n): every chart point's curve at every t."""
         t = np.asarray(t, dtype=float)
@@ -139,10 +138,13 @@ class ExprCurve:
 def _rechart_residual(M: Submanifold, u0: np.ndarray, G: np.ndarray,
                       linearize: bool = False) -> tuple:
     """Residual (..., n-m, degree+1) of the curve jets G (..., n, degree+1)
-    off the tangent rows of the largest |det| at u0, in increasing row order;
+    off the tangent rows of the largest |det| at u0, in increasing row order.
     Newton in the truncated series ring gains at least one valid order per
-    sweep, so degree+2 sweeps reach the full degree bound. Returned with its
-    derivative P in G (see residual_jets) when `linearize`, else with None."""
+    sweep, so degree+2 sweeps reach the full degree bound; it stops sooner,
+    after the first sweep whose correction is exactly zero, since u is then
+    a root in the ring and every later sweep would leave it as it is (the
+    stop rule of manifold.gauss_newton). Returned with its derivative P in G
+    (see residual_jets) when `linearize`, else with None."""
     degree, batch = G.shape[-1] - 1, G.shape[:-2]
     J0 = M.jacobian_many(u0)
     tangent = np.zeros(J0.shape[:-1], dtype=bool)
@@ -161,6 +163,8 @@ def _rechart_residual(M: Submanifold, u0: np.ndarray, G: np.ndarray,
         F = (components(u, tangent) - G)[tangent].reshape(batch + (M.m, degree + 1))
         delta = solve(JT, np.swapaxes(F, -1, -2))            # per-order correction
         u = [u[i] - Jet(delta[..., i]) for i in range(M.m)]
+        if not np.any(delta):
+            break
     res = (G - components(u, ~tangent))[~tangent]
     res = res.reshape(batch + (M.n - M.m, degree + 1))
     if not linearize:
@@ -277,9 +281,7 @@ def contact_order_jet_recharted(curve, M: Submanifold, max_order: int, tol=_TOL)
     """Jet contact order of a curve that carries its chart point, for any
     chart kind (the re-chart of residual_jets); a stack of N curves gives a
     list of N orders from one residual_jets call. A max_order above
-    MAX_JET_ORDER raises ValueError."""
-    if max_order > MAX_JET_ORDER:
-        raise ValueError(f"contact order {max_order} exceeds MAX_JET_ORDER = {MAX_JET_ORDER}")
+    MAX_JET_ORDER raises residual_jets' ValueError."""
     coeffs = residual_jets(M, curve, max_order + 1, tol)
     if coeffs.ndim == 2:
         return _order_from_coeffs(coeffs, max_order, tol.contact_coeff)

@@ -10,9 +10,10 @@ The grammar is deliberately tiny:
     base   := number | identifier | identifier '(' expr ')' | '(' expr ')'
 
 Functions: sin, cos, exp, sqrt.  Numbers are decimal literals of ASCII
-digits with an optional exponent.  '^' binds tighter than unary minus,
-which binds tighter than '*'/'/'; '+'/'-' bind loosest.  Exponents are
-nonnegative integer literals, so reciprocal powers are written with '/'.
+digits, with a digit before or after the point, and an optional exponent.
+'^' binds tighter than unary minus, which binds tighter than '*'/'/';
+'+'/'-' bind loosest.  Exponents are nonnegative integer literals, so
+reciprocal powers are written with '/'.
 
 Trees are immutable; parse/diff/evaluate are pure functions. One tree
 walker, `evaluate_with`, evaluates every kind of value: it applies +, -
@@ -44,6 +45,7 @@ cos(x)^2 - 1 stays nonzero), and the caller then falls back to floats.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -55,8 +57,12 @@ FUNCTIONS = ("sin", "cos", "exp", "sqrt")
 #: chart variables may never shadow the time variable
 TIME_VAR = "t"
 
-#: the digits of a number literal; str.isdigit also takes "²" and "٣"
-_DIGITS = frozenset("0123456789")
+#: a number literal: a mantissa with at least one digit, and an exponent
+#: only where digits follow it ("2e" is the number 2 and the identifier e);
+#: ASCII, since str.isdigit also takes "²" and "٣"
+_NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
+#: the nonnegative integer literal after '^'
+_INTEGER = re.compile(r"\d+", re.ASCII)
 
 
 class ExprError(Exception):
@@ -229,6 +235,16 @@ class _Parser:
         if not self.accept(ch):
             self.error(f"expected {ch!r}")
 
+    def scan(self, literal: re.Pattern, message: str) -> str:
+        """The literal that starts at the next non-space character; else a
+        ParseError with `message` there."""
+        self.skip_ws()
+        match = literal.match(self.text, self.pos)
+        if not match:
+            self.error(message)
+        self.pos = match.end()
+        return match.group()
+
     def parse(self) -> Expr:
         e = self.expr()
         self.skip_ws()
@@ -268,17 +284,8 @@ class _Parser:
         e = self.base()
         if self.peek() == "^":
             self.pos += 1
-            e = Pow(e, self.nonneg_integer())
+            e = Pow(e, int(self.scan(_INTEGER, "expected nonnegative integer exponent")))
         return e
-
-    def nonneg_integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected nonnegative integer exponent")
-        return int(self.text[start : self.pos])
 
     def base(self) -> Expr:
         c = self.peek()
@@ -287,38 +294,11 @@ class _Parser:
             e = self.expr()
             self.expect(")")
             return e
-        if c in _DIGITS or c == ".":
-            return self.number()
+        if c == "." or "0" <= c <= "9":
+            return Const(float(self.scan(_NUMBER, "malformed number")))
         if c.isalpha() or c == "_":
             return self.identifier()
         self.error("expected a number, variable, function call or '('")
-
-    def number(self) -> Const:
-        self.skip_ws()
-        start = self.pos
-        text = self.text
-        while self.pos < len(text) and text[self.pos] in _DIGITS:
-            self.pos += 1
-        if self.pos < len(text) and text[self.pos] == ".":
-            self.pos += 1
-            while self.pos < len(text) and text[self.pos] in _DIGITS:
-                self.pos += 1
-        if self.pos < len(text) and text[self.pos] in "eE":
-            mark = self.pos
-            self.pos += 1
-            if self.pos < len(text) and text[self.pos] in "+-":
-                self.pos += 1
-            if self.pos < len(text) and text[self.pos] in _DIGITS:
-                while self.pos < len(text) and text[self.pos] in _DIGITS:
-                    self.pos += 1
-            else:
-                # "2e" is the number 2 followed by the identifier e
-                self.pos = mark
-        lit = text[start : self.pos]
-        if lit == ".":
-            self.pos = start
-            self.error("malformed number")
-        return Const(float(lit))
 
     def identifier(self) -> Expr:
         self.skip_ws()

@@ -8,8 +8,10 @@ the j-th derivative at 0 equals j! * c_j.
 Coefficients may carry leading batch axes: a jet of shape (..., D+1) is a
 stack of jets of one degree bound, and every operation acts along the last
 axis and broadcasts over the rest, so one expression walk evaluates a whole
-batch of curves (the class-k fit runs all of its starts this way). A domain
-error is raised when any row breaks the rule.
+batch of curves (the class-k fit runs all of its starts this way). A
+quotient by a jet whose constant term is 0, or a sqrt of one whose
+constant term is 0 or negative, in any row raises expr.DomainError, the
+error of the float operations, with a message that names the jet.
 
 Only the single time variable is jet-valued. Partials in chart variables
 are always taken symbolically first (expr.diff) and the result is then
@@ -19,11 +21,11 @@ jet_eval_many stacks the jets of several expressions into one array, as
 expr.evaluate_many stacks floats; other modules pass jets as such arrays.
 
 Expressions are jet-evaluated by the one tree walker of the expr module
-(expr.evaluate_with): Jet supplies +, - and *, and JetArithmetic the
-quotient, power and elementary functions with their domain errors. Chart
-values may be bound as floats or arrays (one value per row) beside the jet
-of t: a subexpression that holds no jet then stays a float or array and
-takes the float operations, whose DomainError it raises, and the first
+(expr.evaluate_with): Jet supplies +, negation and * (the walker
+subtracts as a + (-b)), and JetArithmetic the quotient, power and
+elementary functions. Chart values may be bound as floats or arrays (one
+value per row) beside the jet of t: a subexpression that holds no jet then
+stays a float or array and takes the float operations, and the first
 operation that meets a jet broadcasts it over the jet's rows.
 """
 
@@ -42,15 +44,6 @@ class JetError(Exception):
 
 class DegreeMismatch(JetError):
     pass
-
-
-class JetDomainError(JetError):
-    """Quotient or sqrt applied to a jet whose constant term vanishes."""
-
-
-def default_degree(k: int, m: int) -> int:
-    # three guard coefficients above the critical polynomial degree k*(m+1)-1
-    return k * (m + 1) + 2
 
 
 class Jet:
@@ -104,9 +97,6 @@ class Jet:
         other = self._coerce(other)
         return Jet(self.coeffs - other.coeffs)
 
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __neg__(self):
         return Jet(-self.coeffs)
 
@@ -117,11 +107,6 @@ class Jet:
         return Jet(_product(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, Jet):
-            return Jet(self.coeffs / np.asarray(other, dtype=float)[..., None])
-        return jet_div(self, self._coerce(other))
 
     def __repr__(self):
         return f"Jet({self.coeffs.tolist()})"
@@ -168,7 +153,7 @@ def _series(u: Jet, *rest: Jet) -> np.ndarray:
 def jet_div(a: Jet, b: Jet) -> Jet:
     b0 = b.coeffs[..., 0]
     if np.any(b0 == 0.0):
-        raise JetDomainError("quotient by a jet with zero constant term")
+        raise ex.DomainError("quotient by a jet with zero constant term")
     q = _series(a, b)
     for j in range(a.degree + 1):
         acc = a.coeffs[..., j] - _dot(q[..., :j], b.coeffs[..., j:0:-1])
@@ -218,9 +203,9 @@ def jet_sin_cos(u: Jet) -> tuple[Jet, Jet]:
 def jet_sqrt(u: Jet) -> Jet:
     u0 = u.coeffs[..., 0]
     if np.any(u0 == 0.0):
-        raise JetDomainError("sqrt of a jet with zero constant term")
+        raise ex.DomainError("sqrt of a jet with zero constant term")
     if np.any(u0 < 0.0):
-        raise JetDomainError("sqrt of a jet with negative constant term")
+        raise ex.DomainError("sqrt of a jet with negative constant term")
     s = _series(u)
     s[..., 0] = np.sqrt(u0)
     for j in range(1, u.degree + 1):
@@ -279,21 +264,15 @@ class JetArithmetic(ex.Arithmetic):
         return self._sin_cos(u)[1] if isinstance(u, Jet) else _quiet(super().cos, u)
 
 
-def jet_eval_expr(e: ex.Expr, env: dict, degree: int | None = None,
+def jet_eval_expr(e: ex.Expr, env: dict, degree: int,
                   arith: JetArithmetic | None = None) -> Jet:
     """Jet of e composed with the values in env, exact to the degree bound.
 
-    env binds jets, which must share one degree, and floats or arrays, which
-    are constants; `degree` is only needed when env holds no jet. `arith`
-    is a JetArithmetic that other evaluations may share, pairing their sin
-    and cos, and by default a new one.
+    env binds jets, all of degree `degree`, and floats or arrays, which are
+    constants. `arith` is a JetArithmetic that other evaluations may share,
+    pairing their sin and cos, and by default a new one.
     """
-    jets = [v for v in env.values() if isinstance(v, Jet)]
-    if degree is None:
-        if not jets:
-            raise ValueError("degree is required when no variable is a jet")
-        degree = jets[0].degree
-    if any(jet.degree != degree for jet in jets):
+    if any(isinstance(v, Jet) and v.degree != degree for v in env.values()):
         raise DegreeMismatch(f"environment jets differ from degree {degree}")
     value = ex.evaluate_with(e, env, arith or JetArithmetic())
     return value if isinstance(value, Jet) else Jet.constant(value, degree)

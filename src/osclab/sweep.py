@@ -63,7 +63,7 @@ from . import expr as ex
 from .config import QuadConfig, Tolerances, composite_gauss, geometric_grid
 from .contact import ExprCurve, PolyCurve
 from .exterior import RANK_FLOOR, frame_norm, frame_ratio, index_combinations, wedge_ring
-from .jets import Jet, default_degree, jet_eval_many
+from .jets import Jet, jet_eval_many
 from .manifold import OutOfDomain, Submanifold, _where_defined, gauss_newton, gauss_newton_step
 
 _TOL = Tolerances()
@@ -488,17 +488,17 @@ def critical_degree(family: SweepFamily) -> int:
 def extract_t_polynomials(family: SweepFamily, x, tol=_TOL) -> CoefficientTable:
     """Exact coefficients in t of every wedge component at the chart point
     x (m,), or at each of the points x (N, m) from one jet evaluation, by
-    jet arithmetic to default_degree(k, m), three degrees past the critical
-    one.
+    jet arithmetic to degree d + 3, three guard degrees past the critical
+    degree d = k(m+1)-1.
 
-    Coefficients above the critical degree d = k(m+1)-1 must vanish; the
+    Coefficients above d must vanish; the
     first point that breaks the bound raises CoefficientDegreeError, whose
     message names that point and says which kind of family broke it.
     """
     d = critical_degree(family)
     x = np.asarray(x, dtype=float)
     X = np.atleast_2d(x)
-    coeffs = _minor_jets(family, X, default_degree(family.k, family.M.m))
+    coeffs = _minor_jets(family, X, d + 3)
     guard = np.max(np.abs(coeffs[..., d + 1:]), axis=(-2, -1))
     broken = np.flatnonzero(guard > tol.degree_guard)
     if broken.size:

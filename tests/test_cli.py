@@ -115,6 +115,7 @@ _HP_MAP = {"k": 1, "map": ["x", "y", "x*y"]}
      "/cutoff: cutoff applies to polynomial field families"),
     ({"family": None, "cutoff": _CUTOFF}, "/cutoff: cutoff without a family"),
     (None, "/: scene must be a JSON object"),
+    ({"manifold.height": ["x*y + .e3"]}, "/manifold/height/0: malformed number at offset 6"),
 ])
 def test_schema_errors_name_their_pointer(edits, message):
     # edits set keys of the hyperbolic paraboloid's scene, by dotted path;

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from osclab import corpus
+from osclab import contact, corpus
 from osclab import expr as ex
 from osclab.config import Tolerances, geometric_grid
 from osclab.contact import (
@@ -17,6 +17,8 @@ from osclab.contact import (
     residual_jets,
     uniform_decay_check,
 )
+from osclab.exterior import max_minor_rows, solve
+from osclab.jets import Jet, jet_eval_many
 from osclab.manifold import Submanifold
 from osclab.sweep import SweepFamily
 from oracles import (
@@ -529,3 +531,80 @@ def test_linearization_matches_central_differences(name):
         exact[..., j + 1:] = P[..., i, :degree - j]
         scale = max(1.0, float(np.max(np.abs(exact))))
         assert np.max(np.abs(diff - exact)) <= 1e-6 * scale, (name, j, i)
+
+
+def _full_sweep_rechart(M, u0, G, linearize=False):
+    """contact._rechart_residual with all degree + 2 sweeps of its series
+    Newton, whatever their corrections: the reference that the stop at a
+    zero correction reproduces."""
+    degree, batch = G.shape[-1] - 1, G.shape[:-2]
+    J0 = M.jacobian_many(u0)
+    tangent = np.zeros(J0.shape[:-1], dtype=bool)
+    np.put_along_axis(tangent, max_minor_rows(J0), True, axis=-1)
+    JT = J0[tangent].reshape(J0.shape[:-2] + (1, M.m, M.m))
+    tangent = np.broadcast_to(tangent, G.shape[:-1])
+
+    def components(u, marked):
+        rows, out = np.flatnonzero(np.any(marked.reshape(-1, M.n), axis=0)), np.zeros(G.shape)
+        out[..., rows, :] = jet_eval_many([M.components[r] for r in rows],
+                                          dict(zip(M.chart_vars, u)), batch, degree)
+        return out
+
+    u = [Jet.constant(u0[..., i], degree) for i in range(M.m)]
+    for _ in range(degree + 2):
+        F = (components(u, tangent) - G)[tangent].reshape(batch + (M.m, degree + 1))
+        delta = solve(JT, np.swapaxes(F, -1, -2))
+        u = [u[i] - Jet(delta[..., i]) for i in range(M.m)]
+    res = (G - components(u, ~tangent))[~tangent]
+    res = res.reshape(batch + (M.n - M.m, degree + 1))
+    if not linearize:
+        return res, None
+    Ju = jet_eval_many(M.jac_exprs, dict(zip(M.chart_vars, u)), batch, degree)
+    Ju = Ju.reshape(G.shape[:-1] + (M.m, degree + 1))
+    JTu = Ju[tangent].reshape(batch + (M.m, M.m, degree + 1))
+    X = Ju[~tangent].reshape(batch + (M.n - M.m, M.m, degree + 1))
+    for o in range(degree + 1):
+        if o:
+            X[..., o] -= np.einsum("...qab,...acb->...qc", X[..., o - 1::-1],
+                                   JTu[..., 1:o + 1])
+        X[..., o] = solve(np.swapaxes(JT, -1, -2), X[..., o])
+    unit = np.broadcast_to(np.eye(M.n), tangent.shape + (M.n,))
+    P = -np.einsum("...qao,...an->...qno", X,
+                   unit[tangent].reshape(batch + (M.m, M.n)))
+    P[..., 0] += unit[~tangent].reshape(batch + (M.n - M.m, M.n))
+    return res, P
+
+
+@pytest.mark.parametrize("name, x, sweeps", [
+    # the stack of cylinder's ruling lines (u, w + t) over the verify grid:
+    # the first sweep solves every order, the second corrects by 0
+    ("cylinder", None, 2),
+    # one circle_rotation curve, (sin(u + t), cos(u + t)) at u = pi
+    ("circle_rotation", np.array([np.pi]), 5),
+])
+def test_rechart_stops_at_its_root(name, x, sweeps, monkeypatch):
+    """The re-chart's series Newton ends after its first sweep whose
+    correction is exactly zero, where degree + 2 = 8 sweeps would run, and
+    its residual and P equal those of all 8 sweeps bit for bit. Each sweep
+    evaluates the chart's tangent components once, and the residual its
+    normal ones once more."""
+    scene = corpus.load(name)
+    M, p = scene.manifold, scene.params
+    if x is None:
+        x = M.grid(p.samples, margin=p.margin)
+    curve, degree = scene.family.curve_at(x), 6
+    G = curve.jets(degree)
+    evaluations = []
+
+    def counted(exprs, env, shape, degree):
+        evaluations.append(all(any(e is c for c in M.components) for e in exprs))
+        return jet_eval_many(exprs, env, shape, degree)
+
+    monkeypatch.setattr(contact, "jet_eval_many", counted)
+    res, P = contact._rechart_residual(M, curve.chart, G, linearize=True)
+    assert evaluations.count(True) == sweeps + 1
+    monkeypatch.setattr(contact, "jet_eval_many", jet_eval_many)
+    want_res, want_P = _full_sweep_rechart(M, curve.chart, G, linearize=True)
+    assert res.tobytes() == want_res.tobytes()
+    assert P.tobytes() == want_P.tobytes()
+    assert np.array_equal(residual_jets(M, curve, degree), res)

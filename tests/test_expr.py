@@ -287,6 +287,11 @@ def test_negative_exponent_rejected():
 @pytest.mark.parametrize("text, message, offset", [
     (".", "malformed number", 0),
     ("x + .", "malformed number", 4),
+    # a mantissa needs a digit, before or after the point
+    (".e3", "malformed number", 0),
+    (".E-2", "malformed number", 0),
+    ("1+.e3", "malformed number", 2),
+    ("(x", "expected ')'", 2),
     # str.isdigit takes these, and float() and int() refuse them
     ("\u00b2", "expected a number, variable, function call or '('", 0),
     ("x^\u00b2", "expected nonnegative integer exponent", 2),

@@ -10,7 +10,7 @@ from osclab import config, corpus, osculate
 from osclab import expr as ex
 from osclab.config import QuadConfig, Tolerances, composite_gauss, geometric_grid
 from osclab.exterior import RANK_FLOOR, frame_norm, frame_ratio, wedge_ring
-from osclab.jets import Jet, default_degree, jet_eval_expr
+from osclab.jets import Jet, jet_eval_expr
 from osclab.manifold import OutOfDomain, Submanifold, gauss_newton, gauss_newton_step
 from osclab.scene import build_scene
 from osclab.sweep import (
@@ -307,7 +307,7 @@ def test_stacked_frame_jets_match_per_point(scenes):
     """Every corpus scene; circle_rotation is a map family."""
     for scene in scenes.values():
         family = scene.family
-        D = default_degree(family.k, family.M.m)
+        D = critical_degree(family) + 3
         X = scene.manifold.grid(3, margin=0.15)
         stacked = family.frame_jets(X, D)
         assert stacked.shape == (X.shape[0], family.M.n, family.M.m + 1, D + 1)
@@ -486,7 +486,7 @@ def test_field_family_equals_its_written_out_map(scenes):
             continue
         mapped = _written_out(family)
         X, T = _sample(family)
-        D = default_degree(family.k, family.M.m)
+        D = critical_degree(family) + 3
         assert np.array_equal(family.point_many(X, T), mapped.point_many(X, T))
         assert np.array_equal(family.frame_many(X, T), mapped.frame_many(X, T))
         assert np.array_equal(family.frame_jets(X, D), mapped.frame_jets(X, D))
@@ -497,7 +497,8 @@ def test_field_family_equals_its_written_out_map(scenes):
         for x in X[:8]:
             poly = family.curve_at(x).coeffs
             env = {**family.M._env(x[None]), ex.TIME_VAR: t}
-            jets = [np.atleast_2d(jet_eval_expr(e, env).coeffs)[0] for e in mapped.map_exprs]
+            jets = [np.atleast_2d(jet_eval_expr(e, env, family.k).coeffs)[0]
+                    for e in mapped.map_exprs]
             assert np.array_equal(poly, np.stack(jets, axis=-1))
             assert np.array_equal(mapped.curve_at(x).jets(family.k).T, poly)
 
@@ -514,7 +515,7 @@ def test_field_family_matches_its_field_coefficients(scenes):
     for scene in cases:
         family = scene.family
         X, T = _sample(family)
-        D = default_degree(family.k, family.M.m)
+        D = critical_degree(family) + 3
         P, C = _field_coefficients(family, X)
         coeffs = np.zeros(C.shape[1:] + (D + 1,))
         coeffs[..., : family.k + 1] = np.moveaxis(C, 0, -1)
@@ -546,7 +547,7 @@ def test_cutoff_leaves_are_not_chart_variables():
                            cutoff=Cutoff(0.2, 0.45, np.zeros(2)))
     named, plain = family("chi", "dchi"), family("x", "y")
     X, T = _sample(plain)
-    D = default_degree(1, 2)
+    D = critical_degree(plain) + 3
     assert np.array_equal(named.point_many(X, T), plain.point_many(X, T))
     assert np.array_equal(named.frame_many(X, T), plain.frame_many(X, T))
     assert np.array_equal(named.frame_jets(X, D), plain.frame_jets(X, D))
