@@ -284,7 +284,11 @@ class _Parser:
         e = self.base()
         if self.peek() == "^":
             self.pos += 1
-            e = Pow(e, int(self.scan(_INTEGER, "expected nonnegative integer exponent")))
+            digits = self.scan(_INTEGER, "expected nonnegative integer exponent")
+            try:
+                e = Pow(e, int(digits))
+            except ValueError:          # int() refuses more than 4300 digits
+                raise ParseError("exponent literal too long", self.pos - len(digits)) from None
         return e
 
     def base(self) -> Expr:

@@ -208,20 +208,17 @@ def fit_class_k_curve(M: Submanifold, p_chart, k: int, target_order: int,
 
     One residual_jets call evaluates every start at its random point, and
     start 0 then iterates alone: where a curve exists it nearly always
-    converges without help. Starts 1.. join it in index order, in lockstep
-    as batched PolyCurves, as soon as start 0 ends without converging or
-    needs the 22 smaller line-search steps; each start counts its own 80
-    steps. One pinv of the stacked Jacobians gives every live start's step.
-    Each step evaluates 2 delta, delta, delta/2 and delta/4 of every live
-    start in one residual_jets call, and the 22 smaller steps in a second
-    call only for the starts that none of those four settles; each start
-    takes the step the full list would give it. An accepted candidate
-    carries its residual and Jacobian into the next step, so no point is
-    evaluated twice. Every batched operation works row by row, so the
-    schedule decides only which starts are evaluated, never their iterates.
-    The result is the curve of the lowest-index start that converges,
-    returned once every lower-index start has ended; higher-index starts
-    are dropped as soon as one converges.
+    converges without help. Only where it ends without converging do
+    starts 1.. iterate, together in lockstep as batched PolyCurves. Each
+    step takes one pinv of the live starts' stacked Jacobians and one
+    residual_jets call for all 26 line-search candidates of every live
+    start. An accepted candidate carries its residual and Jacobian into the
+    next step, so no point is evaluated twice. Every batched operation
+    works row by row, so the schedule decides only which starts are
+    evaluated, never their iterates. The result is the curve of the
+    lowest-index start that converges, returned once every lower-index
+    start has ended; higher-index starts are dropped as soon as one
+    converges.
     """
     p_chart = np.asarray(p_chart, dtype=float)
     if p_chart.shape != (M.m,):
@@ -268,53 +265,36 @@ def fit_class_k_curve(M: Submanifold, p_chart, k: int, target_order: int,
     flat = flat.reshape(FIT_STARTS, size)
     F, J = system(flat)
     f2 = np.einsum("ij,ij->i", F, F)
-    taken = np.zeros(FIT_STARTS, dtype=int)   # Gauss-Newton steps per start
     steps = 0.5 ** np.arange(-1, 25)   # 2, 1, 1/2, ..., 2^-24 times delta
-    head, tail = steps[:4], steps[4:]  # the tail only for the starts the head leaves
-    live = np.arange(1)                # starts still iterating, in index order
-    waiting = np.arange(1, FIT_STARTS) # the starts that join once start 0 stalls
-    stalled = False                    # start 0 ended unconverged or needed the tail
-    winner = None                      # lowest-index start that converged
-    while True:
-        if stalled and waiting.size:
-            live, waiting = np.concatenate([live, waiting]), waiting[:0]
-        live = live[taken[live] < 80]  # a start ends failed after 80 steps
-        done = converged(F[live])
-        if done.any():
-            winner = live[done][0]
-        live = live[~done & (live < (FIT_STARTS if winner is None else winner))]
-        # gtol, squared: a start moves on while some column has
-        # |J_j^T F| > FIT_GTOL |J_j| |F|; the others end as failed
-        Jl = J[live]
-        g = np.einsum("srj,sr->sj", Jl, F[live])
-        cols = np.einsum("srj,srj->sj", Jl, Jl)
-        moving = (g * g > FIT_GTOL ** 2 * cols * f2[live, None]).any(axis=1)
-        live, Jl = live[moving], Jl[moving]
-        if live.size == 0:
-            if winner is None and waiting.size:
-                stalled = True         # start 0 ended unconverged
-                continue
-            break
-        taken[live] += 1
-        delta = -(np.linalg.pinv(Jl) @ F[live, :, None])[..., 0]
-        searching = np.ones(live.size, dtype=bool)
-        for scales in (head, tail):
-            at = np.flatnonzero(searching)
-            cand = flat[live[at], None, :] + scales[:, None] * delta[at, None, :]
+    winner = FIT_STARTS                # lowest-index start that converged, once one has
+    for live in (np.arange(1), np.arange(1, FIT_STARTS)):   # start 0, then the rest
+        for _ in range(80):            # a start ends failed after 80 steps
+            done = converged(F[live])
+            if done.any():
+                winner = live[done][0]
+            live = live[~done & (live < winner)]
+            # gtol, squared: a start moves on while some column has
+            # |J_j^T F| > FIT_GTOL |J_j| |F|; the others end as failed
+            Jl = J[live]
+            g = np.einsum("srj,sr->sj", Jl, F[live])
+            cols = np.einsum("srj,srj->sj", Jl, Jl)
+            moving = (g * g > FIT_GTOL ** 2 * cols * f2[live, None]).any(axis=1)
+            live, Jl = live[moving], Jl[moving]
+            if live.size == 0:
+                break
+            delta = -(np.linalg.pinv(Jl) @ F[live, :, None])[..., 0]
+            cand = flat[live, None, :] + steps[:, None] * delta[:, None, :]
             Fc, Jc = system(cand)
             fc2 = np.einsum("sjr,sjr->sj", Fc, Fc)
-            better = fc2 < f2[live[at], None]
-            if scales is head:         # 2 delta only where it finishes the start
-                better[:, 0] = converged(Fc[:, 0])
+            better = fc2 < f2[live, None]
+            better[:, 0] = converged(Fc[:, 0])   # 2 delta only where it finishes the start
             hit = better.any(axis=1)
-            to, pick = live[at[hit]], (np.flatnonzero(hit), np.argmax(better[hit], axis=1))
-            flat[to], F[to], J[to], f2[to] = cand[pick], Fc[pick], Jc[pick], fc2[pick]
-            searching[at[hit]] = False
-            if not searching.any():
-                break
-            stalled = True             # start 0 needs the tail
-        live = live[~searching]        # a start whose line search fails ends
-    if winner is None:
+            live = live[hit]           # a start whose line search fails ends
+            pick = np.flatnonzero(hit), np.argmax(better[hit], axis=1)
+            flat[live], F[live], J[live], f2[live] = cand[pick], Fc[pick], Jc[pick], fc2[pick]
+        if winner < FIT_STARTS:
+            break
+    if winner == FIT_STARTS:
         return None
     return PolyCurve(np.vstack([p_amb, flat[winner].reshape(k, n)]), p_chart)
 

@@ -295,6 +295,8 @@ def test_negative_exponent_rejected():
     # str.isdigit takes these, and float() and int() refuse them
     ("\u00b2", "expected a number, variable, function call or '('", 0),
     ("x^\u00b2", "expected nonnegative integer exponent", 2),
+    # int() refuses literals of more than 4300 digits
+    pytest.param("x^" + "1" * 5000, "exponent literal too long", 2, id="x^1...1"),
     ("\u0663", "expected a number, variable, function call or '('", 0),
 ])
 def test_parse_errors_name_their_offset(text, message, offset):

@@ -444,28 +444,21 @@ def test_family_less_verify_reads_lines_from_one_direction_call(monkeypatch):
 
 def test_fit_evaluates_all_starts_together(monkeypatch):
     # pins the call schedule, not a bound: one call evaluates the 32 starts
-    # at their random points, then start 0 steps alone, one call for its
-    # first four line-search candidates (2 delta, delta, delta/2, delta/4)
-    # per step. Its 4th step needs the other 22 (delta/8, ..., delta/2^24),
-    # so the 31 others join it and all step in lockstep, with one call for
-    # the 22 of only the starts that none of the four settles. The
-    # Jacobians come with the residuals, so no call probes. The paraboloid
-    # is convex: no line meets it to order 2, so every start ends failed
-    # (the lockstep phase is the 25 steps and 21 searches of all 32 starts
-    # run together from the first)
+    # at their random points, then each Gauss-Newton step makes one call
+    # for all 26 line-search candidates (2 delta, delta, delta/2, ...,
+    # delta/2^24) of every live start. The paraboloid is convex: no line
+    # meets it to order 2, so start 0 steps alone and ends failed after 8
+    # steps, and then the 31 others step in lockstep, never more of them
+    # live than the step before, until every one has ended failed 25 steps
+    # later. The Jacobians come with the residuals, so no call probes
     calls = _counting_residual_calls(monkeypatch)
     par = corpus.load("paraboloid")
     assert fit_class_k_curve(par.manifold, [0.2, 0.5], 1, 2, seed=0) is None
-    assert calls[:6] == [(32,), (1, 4), (1, 4), (1, 4), (1, 22), (32, 4)]
-    heads = [i for i, shape in enumerate(calls) if shape[1:] == (4,)]
-    assert len(heads) == 3 + 25
-    assert sum(shape[1:] == (22,) for shape in calls) == 1 + 21
-    for i, end in zip(heads, heads[1:] + [len(calls)]):
-        searches = calls[i + 1:end]                     # at most one, on no more starts
-        assert len(searches) <= 1
-        assert all(s[1:] == (22,) and s[0] <= calls[i][0] for s in searches)
-    live = [calls[i][0] for i in heads[3:]]
-    assert live == sorted(live, reverse=True) and live[0] == 32
+    assert calls[0] == (32,)
+    assert all(shape[1:] == (26,) for shape in calls[1:])
+    live = [shape[0] for shape in calls[1:]]
+    assert live[:8] == [1] * 8 and len(live) == 8 + 25
+    assert live[8] == 31 and live[8:] == sorted(live[8:], reverse=True)
 
 
 def test_fit_gtol_changes_no_outcome(monkeypatch):
@@ -496,26 +489,23 @@ def test_fit_gtol_changes_no_outcome(monkeypatch):
                for g, w in zip(got, want) if w is not None)
 
 
-@pytest.mark.parametrize("name, x, k, target_order, seed, lone, joined, searches, found", [
+@pytest.mark.parametrize("name, x, k, target_order, seed, lone, joined, found", [
     # a double root: |F| falls 4x per plain step. Start 0 converges alone
-    # on plain and doubled steps (at seed 0 it needs the tail search at its
-    # first step, and 7 lockstep steps of up to 32 starts follow)
-    ("paraboloid", [0.0, 0.0], 2, 6, 1, 7, 0, 0, True),
+    # on plain and doubled steps
+    ("paraboloid", [0.0, 0.0], 2, 6, 1, 7, 0, True),
     # the cylinder's one asymptotic line, its ruling, is a double root of
     # the second fundamental form (16 steps without the doubled step)
-    ("cylinder", [0.5, 0.2], 1, 2, 0, 5, 0, 0, True),
+    ("cylinder", [0.5, 0.2], 1, 2, 0, 5, 0, True),
     # no asymptotic line at the sphere's centre: gtol ends start 0 after
     # 17 steps polishing its nonzero minimum (23 without gtol), then the
-    # other 31 join and gtol ends them within 16 lockstep steps
-    ("sphere", [0.0, 0.0], 1, 2, 0, 17, 16, 0, False),
+    # other 31 run and gtol ends them within 16 lockstep steps
+    ("sphere", [0.0, 0.0], 1, 2, 0, 17, 16, False),
 ])
-def test_fit_step_counts(monkeypatch, name, x, k, target_order, seed, lone, joined,
-                         searches, found):
-    # each Gauss-Newton step makes one pinv and one call for its first four
-    # line-search candidates: `lone` one-row steps of start 0, then `joined`
-    # lockstep steps of the starts that join when it stalls, never more of
-    # them live than the step before. `searches` counts the calls for the
-    # 22 smaller line-search steps
+def test_fit_step_counts(monkeypatch, name, x, k, target_order, seed, lone, joined, found):
+    # each Gauss-Newton step makes one pinv and one call for the 26
+    # line-search candidates of its live starts: `lone` one-row steps of
+    # start 0, then `joined` lockstep steps of the others if it ends
+    # unconverged, never more of them live than the step before
     calls, solves = _counting_residual_calls(monkeypatch), _counting_pinv(monkeypatch)
     scene = corpus.load(name)
     M, tol = scene.manifold, scene.params.tol
@@ -523,12 +513,11 @@ def test_fit_step_counts(monkeypatch, name, x, k, target_order, seed, lone, join
     rows = [shape[0] for shape in solves]
     assert calls[0] == (osculate.FIT_STARTS,)
     assert rows[:lone] == [1] * lone and len(rows) == lone + joined
-    assert [shape[0] for shape in calls if shape[1:] == (4,)] == rows
+    assert calls[1:] == [(r, 26) for r in rows]
     lockstep = rows[lone:]
     assert lockstep == sorted(lockstep, reverse=True)
-    # the one case that joins does so once start 0 has ended: at most 31 live
+    # the others run once start 0 has ended: at most 31 live
     assert all(1 < r <= osculate.FIT_STARTS - 1 for r in lockstep)
-    assert sum(shape[1:] == (22,) for shape in calls) == searches
     assert (curve is not None) == found
     if found:
         order = contact_order_jet_recharted(curve, M, target_order + 2, tol)
@@ -548,7 +537,7 @@ class _OneRowRng:
 
 
 @pytest.mark.parametrize("name, x, k, target_order, winner", [
-    ("paraboloid", [0.0, 0.0], 2, 6, 0),      # the others join, start 0 wins
+    ("paraboloid", [0.0, 0.0], 2, 6, 0),       # start 0 converges alone
     ("cubic_graph", [-0.7, 0.3625], 2, 6, 1),  # start 0 ends failed, start 1 wins
     ("cubic_graph", [0.0, 0.625], 2, 6, 0),
     ("cylinder", [0.5, 0.2], 1, 2, 0),
