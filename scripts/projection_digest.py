@@ -171,11 +171,14 @@ def _distances(scene) -> dict:
     return {k: np.concatenate([part[k] for part in parts]) for k in parts[0]}
 
 
-def digest() -> dict:
+def digest(names=None) -> dict:
     """{(scene, input): {"query": P, field: values}} over the corpus and
-    the ruled 3-fold's ruledness points."""
+    the ruled 3-fold's ruledness points, or over the scenes of `names`
+    among them ("ruled_3fold" for the 3-fold)."""
     out = {}
     for i, name in enumerate(corpus.names()):
+        if names is not None and name not in names:
+            continue
         scene = corpus.load(name)
         M, params = scene.manifold, scene.params
         levels = _tube_levels(M, params.tube_rho_max)
@@ -185,7 +188,8 @@ def digest() -> dict:
             out[name, "distances"] = _distances(scene)
         far = _far_points(M, seed=i)
         out[name, "far"] = _joined([(None, far, M.project_batch(far))])
-    out["ruled_3fold", "ruledness"] = _ruledness(build_scene(RULED_3FOLD, name="ruled_3fold"))
+    if names is None or "ruled_3fold" in names:
+        out["ruled_3fold", "ruledness"] = _ruledness(build_scene(RULED_3FOLD, name="ruled_3fold"))
     return out
 
 
@@ -292,8 +296,8 @@ def compare(run: dict, ref: dict) -> int:
 
 
 def _save(path: str, run: dict) -> None:
-    np.savez(path, **{f"{s}:{i}:{k}": v for (s, i), fields_ in run.items()
-                      for k, v in fields_.items()})
+    np.savez_compressed(path, **{f"{s}:{i}:{k}": v for (s, i), fields_ in run.items()
+                                 for k, v in fields_.items()})
 
 
 def _load(path: str) -> dict:

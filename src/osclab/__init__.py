@@ -13,7 +13,7 @@ from .contact import (
     uniform_decay_check,
 )
 from .exterior import frame_norm
-from .expr import diff, evaluate, parse, to_string
+from .expr import NumericalError, diff, evaluate, parse, to_string
 from .jets import Jet, jet_eval_expr
 from .manifold import AmbiguousProjection, NoConvergence, Submanifold
 from .osculate import (

@@ -2,9 +2,11 @@
 
 Subcommands: contact, sweep, exponent, coeffs, ruled, verify, corpus.
 Exit codes: 0 for success and for negative mathematical verdicts, 1 for
-usage/scene errors, 2 for numerical failures (no convergence, ambiguous
-projection, jet domain errors, ...). Diagnostics go to stderr; data goes
-to stdout or to files, written atomically.
+usage/scene errors, 2 for numerical failures (expr.NumericalError: no
+convergence, ambiguous projection, an expression off its domain, ...).
+verify and corpus record a numerical failure at its step and exit 0.
+Diagnostics go to stderr; data goes to stdout or to files, written
+atomically.
 """
 
 from __future__ import annotations
@@ -24,22 +26,13 @@ from . import expr as ex
 from .config import Tolerances
 from .contact import (
     MAX_JET_ORDER,
-    ContactError,
     contact_order_jet_recharted,
     contact_order_metric,
     max_contact_order,
 )
-from .jets import JetError
-from .manifold import ManifoldError
 from .osculate import growth_record, ruledness_record, verify_theorem
 from .scene import Scene, SceneError, load_scene, make_params
-from .sweep import (
-    SweepError,
-    coefficients_csv,
-    vanishing_verdict,
-    volume_csv,
-    volume_series,
-)
+from .sweep import coefficients_csv, vanishing_verdict, volume_csv, volume_series
 
 _TOL_FIELDS = [f.name for f in dataclasses.fields(Tolerances)]
 
@@ -73,7 +66,10 @@ def _json_text(obj) -> str:
 
 
 def _add_flags(p: argparse.ArgumentParser, command: str):
-    """The flags `command` reads, and no others."""
+    """The flags of `command`: --scene (all but corpus), --seed (verify and
+    corpus), --point and --max-order (contact), --out or --report, and the
+    settings flags, --quad-*, --t-grid, --span, --samples and --tol-*,
+    which every command takes."""
     if command != "corpus":
         p.add_argument("--scene", required=True, help="scene JSON file")
     if command in ("verify", "corpus"):
@@ -287,8 +283,7 @@ def run(argv=None) -> int:
     except (UsageError, SceneError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (ManifoldError, ContactError, SweepError, JetError,
-            ex.DomainError, ex.UnboundVariable) as err:
+    except ex.NumericalError as err:
         print(f"numerical error: {err}", file=sys.stderr)
         return 2
 

@@ -40,7 +40,7 @@ from .manifold import Submanifold
 _TOL = Tolerances()
 
 
-class ContactError(Exception):
+class ContactError(ex.NumericalError):
     pass
 
 
@@ -266,8 +266,12 @@ class ContactOrder(NamedTuple):
         return f">={self.max_order}" if self.saturated else str(self.order)
 
 
-def _order_from_coeffs(coeffs: np.ndarray, max_order: int, coeff_tol: float) -> ContactOrder:
-    scale = max(1.0, float(np.max(np.abs(coeffs))))
+def _order_from_coeffs(coeffs: np.ndarray, max_order: int, coeff_tol: float,
+                       base: float) -> ContactOrder:
+    """A coefficient vanishes at coeff_tol times the larger of max|c| and
+    1 + |G_0|, the base point's norm: rounding grows with the curve's size,
+    so on a curve in contact the bound scales with the scene."""
+    scale = max(1.0 + base, float(np.max(np.abs(coeffs))))
     tol = coeff_tol * scale
     vanishes = np.all(np.abs(coeffs) <= tol, axis=0)
     nonzero = np.nonzero(~vanishes)[0]
@@ -283,9 +287,11 @@ def contact_order_jet_recharted(curve, M: Submanifold, max_order: int, tol=_TOL)
     list of N orders from one residual_jets call. A max_order above
     MAX_JET_ORDER raises residual_jets' ValueError."""
     coeffs = residual_jets(M, curve, max_order + 1, tol)
+    base = np.linalg.norm(curve(0.0), axis=-1).tolist()      # |G_0|, per curve
     if coeffs.ndim == 2:
-        return _order_from_coeffs(coeffs, max_order, tol.contact_coeff)
-    return [_order_from_coeffs(c, max_order, tol.contact_coeff) for c in coeffs]
+        return _order_from_coeffs(coeffs, max_order, tol.contact_coeff, base)
+    return [_order_from_coeffs(c, max_order, tol.contact_coeff, b)
+            for c, b in zip(coeffs, base)]
 
 
 # ---------------------------------------------------------------------------

@@ -65,21 +65,25 @@ _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
 _INTEGER = re.compile(r"\d+", re.ASCII)
 
 
-class ExprError(Exception):
-    pass
+class NumericalError(Exception):
+    """The base of every failure that a valid scene can meet: an expression
+    left its domain, a projection did not converge, a flow left the box, and
+    so on. `verify` records one at the step that raises it; the other
+    commands exit 2 on it. Errors in the input (ParseError here, SceneError,
+    the CLI's UsageError) are not numerical."""
 
 
-class ParseError(ExprError):
+class ParseError(Exception):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} at offset {offset}")
         self.offset = offset
 
 
-class DomainError(ExprError):
+class DomainError(NumericalError):
     """Division by zero, or an elementary function left its domain."""
 
 
-class UnboundVariable(ExprError):
+class UnboundVariable(NumericalError):
     pass
 
 
@@ -670,6 +674,15 @@ def variables(e: Expr) -> frozenset[str]:
         elif isinstance(node, (Neg, Call)):
             stack.append(node.arg)
     return frozenset(out)
+
+
+def check_declared(exprs, names, where: str) -> None:
+    """Raise ValueError for the first of `exprs` that reads a variable not
+    in `names`, naming those variables and `where` they were read."""
+    for e in exprs:
+        extra = variables(e) - set(names)
+        if extra:
+            raise ValueError(f"undeclared variables {sorted(extra)} in {where}")
 
 
 # ---------------------------------------------------------------------------

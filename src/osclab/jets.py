@@ -38,7 +38,7 @@ import numpy as np
 from . import expr as ex
 
 
-class JetError(Exception):
+class JetError(ex.NumericalError):
     pass
 
 

@@ -135,7 +135,7 @@ TUBE_PROBES = 200
 TUBE_FOOT_TOL = 1e-6
 
 
-class ManifoldError(Exception):
+class ManifoldError(ex.NumericalError):
     pass
 
 
@@ -262,11 +262,7 @@ class Submanifold:
             raise ValueError(
                 f"a {self.m}-dimensional chart has {SEEDS_PER_AXIS ** self.m} projection "
                 f"seeds, more than PROJECT_CHUNK_ROWS = {PROJECT_CHUNK_ROWS}")
-        allowed = set(self.chart_vars)
-        for c in self.components:
-            extra = ex.variables(c) - allowed
-            if extra:
-                raise ValueError(f"undeclared variables {sorted(extra)} in chart map")
+        ex.check_declared(self.components, self.chart_vars, "chart map")
         # row-major: d_i c_r at index r m + i, d_j d_i c_r at (r m + i) m + j
         self.jac_exprs = [ex.diff(c, v) for c in self.components for v in self.chart_vars]
         self.hess_exprs = [ex.diff(d, v) for d in self.jac_exprs for v in self.chart_vars]

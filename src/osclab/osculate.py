@@ -35,7 +35,6 @@ import numpy as np
 
 from .config import RunParams, Tolerances
 from .contact import (
-    ContactError,
     ContactOrder,
     NotOnManifold,
     PolyCurve,
@@ -43,10 +42,10 @@ from .contact import (
     max_contact_order,
     residual_jets,
 )
-from .manifold import ManifoldError, Submanifold
+from .expr import NumericalError
+from .manifold import Submanifold
 from .scene import SceneError
 from .sweep import (
-    SweepError,
     SweepFamily,
     growth_exponent,
     tangency_flow_check,
@@ -254,7 +253,7 @@ def fit_class_k_curve(M: Submanifold, p_chart, k: int, target_order: int,
 
     def converged(F: np.ndarray) -> np.ndarray:
         # absolute, so never looser than the contact check's
-        # contact_coeff * max(1, max|c|): an accepted curve meets the order
+        # contact_coeff * max(1 + |G_0|, max|c|): an accepted curve meets the order
         return ((np.max(np.abs(F[..., :-1]), axis=-1) <= tol.contact_coeff)
                 & (np.abs(F[..., -1]) <= 1e-9))
 
@@ -489,6 +488,7 @@ def verify_theorem(scene, seed: int = 0) -> VerdictReport:
 
     A scene without a family runs step 1 on fitted class-k curves; when
     they osculate, SceneError is raised, since steps 2-5 need the family.
+    A NumericalError is recorded at the step, or the sample, that raises it.
     """
     M: Submanifold = scene.manifold
     family: SweepFamily | None = scene.family
@@ -511,8 +511,8 @@ def verify_theorem(scene, seed: int = 0) -> VerdictReport:
     # k = 1 takes the osculating directions of all samples from one stacked
     # call, before any fit, and a family-less one reads its lines from them;
     # its other fits run one per sample. The contact orders of all curves
-    # come from one stacked call, and a curve off M is recorded and the rest
-    # run again without it.
+    # come from one stacked call: a curve off M is recorded and the rest run
+    # again without it, and any other numerical error fails them all.
     osc_records = [{"x": x.tolist()} for x in X]
 
     def fail(i, order, detail):
@@ -523,7 +523,7 @@ def verify_theorem(scene, seed: int = 0) -> VerdictReport:
     if lines_in_closed_form:
         try:
             directions = osculating_directions(M, X, tol)
-        except ContactError as err:
+        except NumericalError as err:
             direction_error = str(err)
     fits = {}
     if family is None:
@@ -536,7 +536,7 @@ def verify_theorem(scene, seed: int = 0) -> VerdictReport:
                            else fit_class_k_curve(M, x, k, required, seed=seed, tol=tol))
                 if fits[i] is None:
                     fail(i, "none", "no class-k curve reached the target order")
-            except (ContactError, ManifoldError) as err:
+            except NumericalError as err:
                 fail(i, "error", str(err))
     rows = [i for i, rec in enumerate(osc_records) if "met" not in rec]
     while rows:
@@ -547,6 +547,10 @@ def verify_theorem(scene, seed: int = 0) -> VerdictReport:
         except NotOnManifold as err:
             fail(rows.pop(err.row), "error", str(err))
             continue
+        except NumericalError as err:     # names no row: the whole stack fails
+            for i in rows:
+                fail(i, "error", str(err))
+            break
         for i, order in zip(rows, orders):
             osc_records[i].update({"order": str(order), "met": order.meets(required)})
         break
@@ -602,7 +606,7 @@ def verify_theorem(scene, seed: int = 0) -> VerdictReport:
         try:
             reports = tangency_flow_check(family, starts, params.tspan, tol=tol)
             errors = [fr.error for fr in reports]
-        except (SweepError, ManifoldError) as err:
+        except NumericalError as err:
             reports, errors = [None] * len(starts), [err] * len(starts)
         records = []
         for x, fr, err in zip(starts, reports, errors):
@@ -627,7 +631,7 @@ def verify_theorem(scene, seed: int = 0) -> VerdictReport:
                        ("flow", flow), ("ruledness", ruledness)):
         try:
             record, detail = step()
-        except (SweepError, ManifoldError) as err:
+        except NumericalError as err:
             record, detail = {"passed": False, "error": str(err)}, str(err)
         report.steps[name] = record
         if not record["passed"]:

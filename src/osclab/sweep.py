@@ -69,7 +69,7 @@ from .manifold import OutOfDomain, Submanifold, _where_defined, gauss_newton, ga
 _TOL = Tolerances()
 
 
-class SweepError(Exception):
+class SweepError(ex.NumericalError):
     pass
 
 
@@ -155,7 +155,6 @@ class SweepFamily:
         self.M = M
         self.k = int(k)
         self.cutoff = cutoff
-        allowed = set(M.chart_vars)
         if fields is not None:
             if len(fields) != k:
                 raise ValueError("field count must equal k")
@@ -164,11 +163,7 @@ class SweepFamily:
                 if len(f) != M.n:
                     raise ValueError("each field needs one expression per "
                                      "ambient coordinate")
-                for c in f:
-                    extra = ex.variables(c) - allowed
-                    if extra:
-                        raise ValueError(f"undeclared variables {sorted(extra)}"
-                                         " in sweep field")
+                ex.check_declared(f, M.chart_vars, "sweep field")
             t = ex.var(ex.TIME_VAR)
             self.map_exprs = []
             for c, alpha in enumerate(M.components):
@@ -182,11 +177,7 @@ class SweepFamily:
             self.map_exprs = ex.as_exprs(map_exprs)
             if len(self.map_exprs) != M.n:
                 raise ValueError("map needs one expression per ambient coordinate")
-            for c in self.map_exprs:
-                extra = ex.variables(c) - allowed - {ex.TIME_VAR}
-                if extra:
-                    raise ValueError(f"undeclared variables {sorted(extra)}"
-                                     " in sweep map")
+            ex.check_declared(self.map_exprs, (*M.chart_vars, ex.TIME_VAR), "sweep map")
             self.fields = None
         # the map's variables besides the chart's and t: a cutoff's chi and
         # d_v chi, whose values _env binds

@@ -426,6 +426,25 @@ def test_numerical_error_exit_two(capsys, tmp_path):
     assert "immersion" in err
 
 
+def test_verify_records_a_domain_error_and_exits_zero(capsys, tmp_path):
+    # the field reads 1/x, undefined at the samples with x = 0: verify
+    # records the error at step 1 and writes its report, while coeffs,
+    # which evaluates the family at the same samples, exits 2 on it
+    data = json.loads(corpus.scene_path("hyperbolic_paraboloid").read_text())
+    data["family"] = {"k": 1, "fields": [["1", "0", "y + 0*(1/x)"]]}
+    p, out_file = tmp_path / "pole.json", tmp_path / "pole-report.json"
+    p.write_text(json.dumps(data))
+    code, _, err = _run(capsys, "verify", "--scene", str(p), "--report", str(out_file))
+    assert code == 0
+    report = json.loads(out_file.read_text())
+    assert report["verdict"] == "HYPOTHESIS_FAILS"
+    assert report["first_failure"]["step"] == "osculation"
+    assert report["first_failure"]["detail"]["detail"] == "division by zero"
+    assert "HYPOTHESIS_FAILS" in err
+    code, out, err = _run(capsys, "coeffs", "--scene", str(p))
+    assert (code, out, err) == (2, "", "numerical error: division by zero\n")
+
+
 def test_help_exits_zero(capsys):
     code, _, _ = _run(capsys, "--help")
     assert code == 0

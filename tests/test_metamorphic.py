@@ -2,8 +2,9 @@
 of it, or a re-labelling of the chart must leave every corpus verdict and
 its first failing step unchanged, and so must writing a patch as a graph
 instead of a parametric chart. test_rescaling_keeps_verdict scales every
-corpus scene by 1e-3 and 1e3, and each confirmed family keeps its exact
-zero-volume certificate there.
+corpus scene by 1e-6, 1e-3, 1e3 and 1e6, and each confirmed family keeps
+its exact zero-volume certificate there; at 1e6 circle_rotation's contact
+orders hold only because the contact threshold scales with the curve.
 test_parametric_three_fold_confirmed_under_rescaling pins a parametric
 3-fold, whose chart the immersion test accepts and whose ruledness samples
 count at every scale. In test_sweep.py,
@@ -116,7 +117,7 @@ def test_chart_swap_keeps_verdict(name, verify_report):
     _same_verdict(_chart_swapped(_raw(name)), name, verify_report)
 
 
-@pytest.mark.parametrize("lam", [1e-3, 1e3])
+@pytest.mark.parametrize("lam", [1e-6, 1e-3, 1e3, 1e6])
 @pytest.mark.parametrize("name", corpus.names())
 def test_rescaling_keeps_verdict(name, lam, verify_report):
     """A rescaled scene keeps its verdict and first failing step, and the

@@ -668,6 +668,65 @@ def test_step_error_ends_the_pipeline_at_that_step(monkeypatch):
     assert rep.first_failure == {"step": "vanishing", "detail": "boomv"}
 
 
+def _hp_field(third: str):
+    """hyperbolic_paraboloid (z = xy) swept by the field (1, 0, third)."""
+    data = json.loads(corpus.scene_path("hyperbolic_paraboloid").read_text())
+    data["family"] = {"k": 1, "fields": [["1", "0", third]]}
+    return build_scene(data, name="hp-field")
+
+
+def test_domain_error_in_the_stacked_orders_fails_every_sample():
+    # 1/x is undefined at the samples with x = 0; the stacked contact-order
+    # call raises DomainError, which names no row, so every sample records
+    # its text and step 1 fails at the first
+    rep = osculate.verify_theorem(_hp_field("y + 0*(1/x)"), seed=0)
+    records = rep.steps["osculation"]["records"]
+    assert [(r["order"], r["met"], r["detail"]) for r in records] == [
+        ("error", False, "division by zero")] * 9
+    assert list(rep.steps) == ["osculation"]
+    assert rep.verdict == "HYPOTHESIS_FAILS"
+    assert rep.first_failure["step"] == "osculation"
+    assert rep.first_failure["sample_index"] == 0
+
+
+def test_domain_error_in_a_step_is_its_record():
+    # sqrt(x + 0.95) is defined at the nine samples but not on the whole
+    # box, so step 1 passes and growth's quadrature raises DomainError
+    rep = osculate.verify_theorem(_hp_field("y + 0*sqrt(x + 0.95)"), seed=0)
+    assert rep.steps["osculation"]["hypothesis_met"]
+    assert rep.steps["growth"] == {"passed": False, "error": "sqrt of a negative value"}
+    assert rep.verdict == "HYPOTHESIS_FAILS"
+    assert rep.first_failure == {"step": "growth", "detail": "sqrt of a negative value"}
+
+
+#: the grid-blind field: a ruling of z = xy at the chart grid {0, +-0.7}^2,
+#: where x (x^2 - 0.49) vanishes, and no ruling anywhere else
+GRID_BLIND = "y + {eps}*x*(x^2 - 0.49)"
+
+
+def test_growth_fails_by_its_slope():
+    # the volume grows like t^1, far below t^(required + 1/2) = t^3.5: the
+    # series is not zero, so the slope decides
+    rep = osculate.verify_theorem(_hp_field(GRID_BLIND.format(eps=1e-3)), seed=0)
+    growth = rep.steps["growth"]
+    assert not growth["identically_zero"]
+    assert 0.9 < growth["slope"] < 1.1
+    assert not growth["passed"]
+    assert rep.first_failure == {
+        "step": "growth", "detail": f"slope {growth['slope']} not above 3.5"}
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "grid-blindness: at eps = 1e-11 one quadrature value of the series lies "
+    "below the absolute vol_zero, so growth reads the series as zero; "
+    "ROADMAP items 18 (growth read off the minor tensor) and 1 (the exact "
+    "three-valued test) mend it"))
+def test_growth_fails_on_the_nearly_grid_blind_field():
+    rep = osculate.verify_theorem(_hp_field(GRID_BLIND.format(eps=1e-11)), seed=0)
+    assert rep.verdict == "HYPOTHESIS_FAILS"
+    assert rep.first_failure["step"] == "growth"
+
+
 def test_fit_error_is_its_sample_record(monkeypatch):
     # a family-less paraboloid at k = 2 fits one curve per sample; an error
     # from the fit at the centre fails that sample only

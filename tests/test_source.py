@@ -4,7 +4,9 @@ longer does anything cannot stay in a signature; and a sweep family's
 cutoff is read only where its map is built and where its leaves are bound,
 so no cutoff path can patch values after they are evaluated; and only the
 jets module calls jet_eval_expr, so every stack of jets comes from
-jets.jet_eval_many."""
+jets.jet_eval_many; and every exception class is a numerical failure,
+deriving from expr.NumericalError, or one of the input errors, and the CLI
+and the verdict pipeline catch numerical failures by that one class."""
 
 import ast
 from pathlib import Path
@@ -99,3 +101,74 @@ def test_only_jet_eval_many_stacks_jets():
     assert callers == {"jets.py"}
     assert _functions_reading((SRC / "jets.py").read_text(), "jet_eval_expr") == {
         "jet_eval_many"}
+
+
+#: the exception classes that are errors in the input, not numerical failures
+INPUT_ERRORS = {"ParseError", "SceneError", "UsageError", "DimensionMismatch"}
+
+
+def _class_bases(source: str) -> dict[str, list[str]]:
+    """{class name: the names of its bases} for every class of `source`; a
+    base written as module.Name reads as Name."""
+    return {node.name: [b.id if isinstance(b, ast.Name) else getattr(b, "attr", "")
+                        for b in node.bases]
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)}
+
+
+def _ancestors(bases: dict[str, list[str]], name: str) -> set[str]:
+    """Every class name that `name` derives from, read through `bases`."""
+    out, todo = set(), list(bases.get(name, ()))
+    while todo:
+        base = todo.pop()
+        if base not in out:
+            out.add(base)
+            todo.extend(bases.get(base, ()))
+    return out
+
+
+def _stray_errors(bases: dict[str, list[str]]) -> set[str]:
+    """The exception classes of `bases` that neither derive from
+    NumericalError nor are input errors."""
+    return {name for name in bases
+            if "Exception" in _ancestors(bases, name) | {name}
+            and "NumericalError" not in _ancestors(bases, name) | {name}
+            and name not in INPUT_ERRORS}
+
+
+def _caught_bases(source: str, bases: dict[str, list[str]]) -> set[str]:
+    """The module error bases that an except clause of `source` names: the
+    classes deriving from NumericalError that another class derives from."""
+    groups = {base for name in bases if "NumericalError" in _ancestors(bases, name)
+              for base in _ancestors(bases, name)} - {"NumericalError", "Exception"}
+    caught = {n.id if isinstance(n, ast.Name) else n.attr
+              for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ExceptHandler)
+              and node.type is not None
+              for n in ast.walk(node.type) if isinstance(n, (ast.Name, ast.Attribute))}
+    return caught & groups
+
+
+def test_the_scan_finds_a_stray_error_and_a_caught_base():
+    source = ("class NumericalError(Exception):\n    pass\n"
+              "class StepError(ex.NumericalError):\n    pass\n"
+              "class Stalled(StepError):\n    pass\n"
+              "class Loose(Exception):\n    pass\n"
+              "class Looser(Loose):\n    pass\n"
+              "class SceneError(Exception):\n    pass\n"
+              "class Row(NamedTuple):\n    pass\n"
+              "try:\n    pass\n"
+              "except (ValueError, mod.StepError):\n    pass\n"
+              "except Stalled:\n    pass\n"
+              "except NumericalError:\n    pass\n")
+    bases = _class_bases(source)
+    assert _stray_errors(bases) == {"Loose", "Looser"}
+    assert _caught_bases(source, bases) == {"StepError"}
+
+
+def test_every_error_is_numerical_or_an_input_error():
+    bases = {}
+    for path in sorted(SRC.glob("*.py")):
+        bases.update(_class_bases(path.read_text()))
+    assert "NumericalError" in bases
+    assert _stray_errors(bases) == set()
+    for name in ("cli.py", "osculate.py"):
+        assert _caught_bases((SRC / name).read_text(), bases) == set(), name
